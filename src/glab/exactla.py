@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -212,7 +212,10 @@ def nullspace(m: QMatrix) -> list:
     reduced row echelon basis of the kernel (leading entries equal 1).
     """
     rows, pivots = rref(m.row_lists())
-    nc = m.cols
+    return _kernel_of_rref(rows, pivots, m.cols)
+
+
+def _kernel_of_rref(rows: list, pivots: list, nc: int) -> list:
     free = [c for c in range(nc) if c not in pivots]
     basis = []
     for f in free:
@@ -296,6 +299,28 @@ class RowSpace:
 
     def basis(self) -> list:
         return [tuple(r) for r in self._rows]
+
+    def kernel(self) -> list:
+        """Canonical kernel basis of the accepted rows, as nullspace gives it.
+
+        The kernel depends only on the row space, so this equals nullspace
+        of any matrix whose rows were added here.
+        """
+        return _kernel_of_rref(self._rows, self._pivots, self.width)
+
+
+def row_space(rows: Iterable, width: int) -> RowSpace:
+    """RowSpace of the rows, reduced one at a time as they arrive.
+
+    The matrix is never held.  Reading stops once the rows span all of
+    Q^width, so row_space(rows, width).kernel() equals
+    nullspace(QMatrix.from_rows(rows)).
+    """
+    rs = RowSpace(width)
+    for r in rows:
+        if any(r) and rs.add(r) and rs.dim == width:
+            break
+    return rs
 
 
 def kron(a: QMatrix, b: QMatrix) -> QMatrix:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Sequence
 
-from .exactla import InputError, QMatrix, RowSpace, kron, nullspace, rat, solve
+from .exactla import InputError, QMatrix, kron, rat, row_space, solve
 from .liecore import (
     LieAlgebra,
     PrimaryComponent,
@@ -29,7 +29,11 @@ from .liecore import (
 from .psring import (
     CurrentBracket,
     MPoly,
+    apply_derivation,
     coeff_rows,
+    echelon_basis,
+    hamiltonian_images,
+    image_rows,
     mono_sort_key,
     poisson_bracket,
     psi_p,
@@ -64,41 +68,10 @@ def invariants_degree(q: LieAlgebra, d: int) -> list:
         raise InputError("degree must be nonnegative")
     if d == 0:
         return [MPoly.const(1)]
-    T = wrap_algebra(q)
     monos = monomials_of_degree(q.dim, d)
-    basis = [MPoly({m: Fraction(1)}) for m in monos]
-    for j in range(q.dim):
-        if not basis:
-            break
-        xj = MPoly.variable((j, 0))
-        images = [poisson_bracket(F, xj, T) for F in basis]
-        if all(img.is_zero() for img in images):
-            continue
-        _, rows = coeff_rows([img for img in images])
-        kern = nullspace(QMatrix.from_rows(rows).transpose())
-        # rows of the kernel give the surviving combinations
-        new_basis = []
-        for vec in kern:
-            F = MPoly.zero()
-            for c, B in zip(vec, basis):
-                if c:
-                    F = F + B.scale(c)
-            new_basis.append(F)
-        basis = new_basis
-    if not basis:
-        return []
-    monos_all, rows = coeff_rows(basis)
-    rs = RowSpace(len(monos_all))
-    for r in rows:
-        rs.add(r)
-    out = []
-    for vec in rs.basis():
-        F = MPoly.zero()
-        for c, m in zip(vec, monos_all):
-            if c:
-                F = F + MPoly({m: c})
-        out.append(F)
-    return out
+    images = hamiltonian_images([MPoly({m: Fraction(1)}) for m in monos], wrap_algebra(q))
+    kern = row_space(image_rows(images), len(monos)).kernel()
+    return echelon_basis([MPoly(dict(zip(monos, vec))) for vec in kern])
 
 
 def _normalize_primitive(F: MPoly) -> MPoly:
@@ -175,11 +148,18 @@ def _char_invariants(q: LieAlgebra) -> tuple:
                         part = part * (-X[i][i])
                 lam = take
                 bylam[lam] = bylam.get(lam, MPoly.zero()) + part
-    out = []
-    for k in range(2 if kind == "sl" else 1, n + 1):
-        F = bylam.get(n - k, MPoly.zero())
-        out.append(_normalize_primitive(F))
-    return tuple(out)
+    out = tuple(
+        _normalize_primitive(bylam.get(n - k, MPoly.zero()))
+        for k in range(2 if kind == "sl" else 1, n + 1)
+    )
+    # the matrices above assume the make_sl / make_gl basis; an algebra that
+    # only shares the name (say, loaded with its basis reordered) fails here
+    if any(hamiltonian_images(out, wrap_algebra(q))):
+        raise InputError(
+            f"characteristic invariants of {q.name} are not central: its "
+            f"basis does not match the built-in {q.name}"
+        )
+    return out
 
 
 def _perm_sign(perm) -> int:
@@ -709,12 +689,12 @@ def centralizer_in_span(target: MPoly, span: Sequence, T) -> list:
 
     Returns coefficient vectors (canonical echelon basis) over the span.
     """
-    images = [poisson_bracket(s, target, T) for s in span]
-    if all(img.is_zero() for img in images):
-        return [tuple(Fraction(1) if i == j else Fraction(0) for j in range(len(span)))
-                for i in range(len(span))]
+    # {target, s} = sum_u ds/dx_u * {target, x_u}: one image set serves
+    # the whole span, and the sign does not change the kernel
+    H = hamiltonian_images([target], T)[0]
+    images = [apply_derivation(s, lambda u: H.get(u, MPoly.zero())) for s in span]
     _, rows = coeff_rows(images)
-    return nullspace(QMatrix.from_rows(rows).transpose())
+    return row_space(zip(*rows), len(span)).kernel()
 
 
 def predicted_centralizer_basis(q: LieAlgebra, p: UniPoly) -> list:

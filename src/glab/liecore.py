@@ -729,6 +729,19 @@ class BracketTable:
     def var_list(self) -> list:
         return [self.unflat(k) for k in range(self.dim_total)]
 
+    @cached_property
+    def neighbours(self) -> dict:
+        """u -> ((v, [x_u, x_v]), ...) over the nonzero pairs, both orders.
+
+        Built on first use, so tables that never bracket polynomials
+        (index computations, pencil merges) do not pay for it.
+        """
+        out = {}
+        for (u, v), ent in self.table.items():
+            out.setdefault(u, []).append((v, ent))
+            out.setdefault(v, []).append((u, tuple((w, -c) for w, c in ent)))
+        return {u: tuple(pairs) for u, pairs in out.items()}
+
     def pair_bracket(self, u: Var, v: Var) -> tuple:
         if u == v:
             return ()

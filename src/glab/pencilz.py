@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exactla import InputError, QMatrix, RowSpace, nullspace, rat, rat_str
+from .exactla import InputError, QMatrix, rat, rat_str, row_space
 from .liecore import (
     BracketTable,
     LieAlgebra,
@@ -29,8 +29,10 @@ from .liecore import (
 )
 from .psring import (
     MPoly,
-    coeff_rows,
     directional_derivative,
+    echelon_basis,
+    hamiltonian_images,
+    image_rows,
     independent_subset,
     jacobian_rank_at,
     lowest_t_component,
@@ -185,27 +187,27 @@ def _sample_sequence(count: int) -> list:
     return out[:count]
 
 
-def _annihilator_combos(pols: Sequence, T: BracketTable) -> list:
-    """Coefficient vectors c with {sum c_k pols_k, x_v} = 0 for every v."""
-    vs = T.var_list()
-    images = []
-    for pol in pols:
-        images.append([poisson_bracket(pol, MPoly.variable(v), T) for v in vs])
-    blocks = []
-    for vi in range(len(vs)):
-        col_polys = [images[k][vi] for k in range(len(pols))]
-        if all(F.is_zero() for F in col_polys):
-            continue
-        _, rows = coeff_rows(col_polys)
-        width = len(rows[0])
-        for c in range(width):
-            blocks.append([rows[k][c] for k in range(len(pols))])
-    if not blocks:
-        return [
-            tuple(Fraction(1) if i == k else Fraction(0) for k in range(len(pols)))
-            for i in range(len(pols))
-        ]
-    return nullspace(QMatrix.from_rows(blocks))
+def _pencil_rows(pols: Sequence, P: Pencil) -> list:
+    """Echelon basis of the annihilation rows of pols under both ends.
+
+    Row r = (r1 | r2) holds the coefficients of one monomial of {pol, x_v}
+    under end 1, then under end 2.  The images are linear in the bracket,
+    so the member at a has rows a * r1 + (1 - a) * r2, and their span is
+    the image of the span of the r: a basis of that span serves every
+    member.
+    """
+    images = [hamiltonian_images(pols, T) for T in P.end_tables]
+    return row_space(image_rows(*images), 2 * len(pols)).basis()
+
+
+def _annihilator_combos(pencil_rows: list, a: Fraction, width: int) -> list:
+    """Coefficient vectors c with {sum c_k pols_k, x_v} = 0 for every v,
+    under the member a * [,]_1 + (1 - a) * [,]_2."""
+    b = 1 - a
+    return row_space(
+        ([a * x + b * y for x, y in zip(r[:width], r[width:])] for r in pencil_rows),
+        width,
+    ).kernel()
 
 
 def build_Z(P: Pencil, f_list: Sequence | None = None,
@@ -215,8 +217,12 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     Members whose modulus splits over Q contribute the transported
     split-modulus generators; any other member contributes the exact
     solution space of bracket annihilation inside each polarization space.
-    The a values walk 1, 0, 2, -1, 3, -2, ... so both ends always
-    participate.  Deterministic for fixed inputs.
+    Member centres come from the two ends: each polarization space is
+    bracketed once under each end table, the rows of both ends are reduced
+    together once, and the member at a takes a * (end 1 part) +
+    (1 - a) * (end 2 part) of those few rows.  The a values walk
+    1, 0, 2, -1, 3, -2, ... so both ends always participate.
+    Deterministic for fixed inputs.
     """
     q = P.base
     n = P.n
@@ -233,6 +239,7 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     pol_spaces = {}
     for i, F in enumerate(f_list):
         pol_spaces[i] = [polarize(F, kv) for kv in weakly_increasing(degs[i], n - 1)]
+    pencil_rows = {}
     entries = []
     collected = {i: [] for i in range(len(f_list))}
     samples = _sample_sequence(sample_count)
@@ -248,9 +255,10 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
                 entries.append(entry)
                 collected[e.source].append(e.poly)
         else:
-            T = P.member(a, 1 - a)
             for i in range(len(f_list)):
-                combos = _annihilator_combos(pol_spaces[i], T)
+                if i not in pencil_rows:
+                    pencil_rows[i] = _pencil_rows(pol_spaces[i], P)
+                combos = _annihilator_combos(pencil_rows[i], a, len(pol_spaces[i]))
                 for row, vec in enumerate(combos):
                     poly = MPoly.zero()
                     for c, pol in zip(vec, pol_spaces[i]):
@@ -263,23 +271,7 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
                     )
                     entries.append(entry)
                     collected[i].append(poly)
-    basis = {}
-    for i, polys in collected.items():
-        if not polys:
-            basis[i] = []
-            continue
-        monos, rows = coeff_rows(polys)
-        rs = RowSpace(len(monos))
-        for r in rows:
-            rs.add(r)
-        out = []
-        for vec in rs.basis():
-            F = MPoly.zero()
-            for c, m in zip(vec, monos):
-                if c:
-                    F = F + MPoly({m: c})
-            out.append(F)
-        basis[i] = out
+    basis = {i: echelon_basis(polys) for i, polys in collected.items()}
     return ZAlgebra(
         pencil=P,
         invariants=f_list,

@@ -16,8 +16,8 @@ import os
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exactla import InputError, QMatrix, RowSpace, rank, rat, rat_str
-from .liecore import LieAlgebra, UniPoly
+from .exactla import InputError, QMatrix, RowSpace, rank, rat, rat_str, row_space
+from .liecore import BracketTable, LieAlgebra, UniPoly
 
 Var = tuple
 Mono = tuple
@@ -272,25 +272,29 @@ class MPoly:
 
 
 def apply_derivation(F: MPoly, image: Callable) -> MPoly:
-    """Extend the variable map x_v -> image(v) as a derivation (Leibniz)."""
-    acc = MPoly.zero()
-    img_cache = {}
-    for m, c in F.terms.items():
-        for idx, (v, e) in enumerate(m):
-            if v not in img_cache:
-                img_cache[v] = image(v)
-            img = img_cache[v]
-            if img.is_zero():
-                continue
-            rest = list(m)
-            if e == 1:
-                del rest[idx]
-            else:
-                rest[idx] = (v, e - 1)
-            base = MPoly.__new__(MPoly)
-            base.terms = {tuple(rest): c * e}
-            acc = acc + base * img
-    return acc
+    """Extend the variable map x_v -> image(v) as a derivation (Leibniz):
+    sum_v dF/dx_v * image(v)."""
+    acc: dict = {}
+    for v in F.vars():
+        img = image(v)
+        if not img.is_zero():
+            _add_terms(acc, (F.diff(v) * img).terms)
+    out = MPoly.__new__(MPoly)
+    out.terms = acc
+    return out
+
+
+def _add_terms(acc: dict, terms: dict) -> None:
+    for m, c in terms.items():
+        old = acc.get(m)
+        if old is None:
+            acc[m] = c
+            continue
+        s = old + c
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
 
 
 def substitute_vars(F: MPoly, mapping: dict) -> MPoly:
@@ -492,16 +496,50 @@ class CurrentBracket:
         return tuple(((k, ab), c) for k, c in ent)
 
 
-def _table_pairs(T, vars_f, vars_g):
-    if hasattr(T, "table"):
-        return T.table.items()
-    return T.iter_pairs(vars_f, vars_g)
+def _images(F: MPoly, neighbours: dict, targets=None) -> dict:
+    """v -> {F, x_v} = sum_u dF/dx_u * [x_u, x_v], nonzero images only.
+
+    Only the pairs [x_u, x_v] with u in vars(F) are visited, through the
+    table's neighbour index; targets, when given, restricts v.
+    """
+    out: dict = {}
+    for u in F.vars():
+        pairs = neighbours.get(u)
+        if not pairs:
+            continue
+        du = F.diff(u)
+        for v, ent in pairs:
+            if targets is None or v in targets:
+                _add_terms(out.setdefault(v, {}), (du * MPoly.from_entries(ent)).terms)
+    return {v: MPoly(terms) for v, terms in out.items() if terms}
+
+
+def hamiltonian_images(polys: Sequence, T: BracketTable) -> list:
+    """images[k][v] = {polys[k], x_v} under the table T.
+
+    Each images[k] maps a variable v to its nonzero image, so polys[k] is
+    central for T exactly when images[k] is empty.  The condition
+    {sum c_k polys[k], x_v} = 0 is linear in c and in the bracket: the
+    images under a pencil member a * T1 + b * T2 are a * images under T1
+    plus b * images under T2.
+    """
+    neighbours = T.neighbours
+    return [_images(F, neighbours) for F in polys]
 
 
 def poisson_bracket(F: MPoly, G: MPoly, T) -> MPoly:
-    """{F, G} extending the bracket table by the Leibniz rule."""
+    """{F, G} extending the bracket table by the Leibniz rule.
+
+    On a BracketTable this is sum_v {F, x_v} * dG/dx_v over v in vars(G),
+    with {F, x_v} taken from the table's neighbour index, so only pairs
+    with one variable of F and one of G are visited.  A CurrentBracket
+    generates its pairs lazily from the variables present.
+    """
     if F.is_zero() or G.is_zero():
         return MPoly.zero()
+    if isinstance(T, BracketTable):
+        images = _images(F, T.neighbours, G.vars())
+        return apply_derivation(G, lambda v: images.get(v, MPoly.zero()))
     vars_f, vars_g = F.vars(), G.vars()
     dF: dict = {}
     dG: dict = {}
@@ -512,7 +550,7 @@ def poisson_bracket(F: MPoly, G: MPoly, T) -> MPoly:
         return cache[v]
 
     acc = MPoly.zero()
-    for (u, v), ent in _table_pairs(T, vars_f, vars_g):
+    for (u, v), ent in T.iter_pairs(vars_f, vars_g):
         fu = d(F, dF, u) if u in vars_f else MPoly.zero()
         gv = d(G, dG, v) if v in vars_g else MPoly.zero()
         fv = d(F, dF, v) if v in vars_f else MPoly.zero()
@@ -524,6 +562,22 @@ def poisson_bracket(F: MPoly, G: MPoly, T) -> MPoly:
             continue
         acc = acc + diff * MPoly.from_entries(ent)
     return acc
+
+
+def image_rows(*families: Sequence):
+    """Coefficient rows of the linear system {sum_k c_k polys[k], x_v} = 0.
+
+    Each family is the hamiltonian_images result for the same polys under
+    its own table.  One row is yielded per variable v and monomial m that
+    occurs in some image at v: the coefficients of m in families[e][k][v],
+    for each family e in turn, k running fastest.
+    """
+    zero = Fraction(0)
+    for v in sorted({v for fam in families for img in fam for v in img}):
+        col = [img.get(v) for fam in families for img in fam]
+        monos = {m for F in col if F is not None for m in F.terms}
+        for m in sorted(monos, key=mono_sort_key):
+            yield [zero if F is None else F.terms.get(m, zero) for F in col]
 
 
 def poisson_commutes(F: MPoly, G: MPoly, T) -> bool:
@@ -570,6 +624,18 @@ def span_dim(polys: Sequence) -> int:
     for r in rows:
         rs.add(r)
     return rs.dim
+
+
+def echelon_basis(polys: Sequence) -> list:
+    """Canonical basis of the span: reduced echelon over graded monomials."""
+    polys = [F for F in polys if not F.is_zero()]
+    if not polys:
+        return []
+    monos, rows = coeff_rows(polys)
+    return [
+        MPoly({m: c for c, m in zip(vec, monos) if c})
+        for vec in row_space(rows, len(monos)).basis()
+    ]
 
 
 def independent_subset(polys: Sequence) -> list:

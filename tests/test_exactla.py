@@ -17,6 +17,7 @@ from glab.exactla import (
     rank,
     rat,
     rat_str,
+    row_space,
     rref,
     solve,
 )
@@ -135,6 +136,12 @@ def test_rowspace_dim_equals_rank(m):
     for row in m.row_lists():
         rs.add(row)
     assert rs.dim == rank(m)
+
+
+@given(matrices())
+@settings(max_examples=40, deadline=None)
+def test_row_space_kernel_equals_nullspace(m):
+    assert row_space(m.row_lists(), m.cols).kernel() == nullspace(m)
 
 
 def test_rowspace_contains():

@@ -7,6 +7,8 @@ import pytest
 from glab.exactla import InputError, det
 from glab.liecore import (
     UniPoly,
+    algebra_from_json,
+    algebra_to_json,
     builtin_algebra,
     make_direct_power,
     make_quotient,
@@ -67,10 +69,29 @@ def test_casimir_sl2(sl2):
     assert casimir(sl2) == (E * F).scale(4) + H * H
 
 
-def test_invariants_degree_kernel(sl2):
+def test_invariants_degree_kernel(sl2, sl3):
     fam = invariants_degree(sl2, 2)
     assert len(fam) == 1
     assert span_dim([fam[0], casimir(sl2)]) == 1
+    for F in basic_invariants(sl3):
+        fam = invariants_degree(sl3, F.total_degree())
+        assert len(fam) == 1
+        assert span_dim([fam[0], F]) == 1
+    assert invariants_degree(sl3, 1) == []
+
+
+def test_invariants_refuse_a_reordered_basis_named_like_a_builtin(sl2):
+    d = algebra_to_json(sl2)
+    order = [1, 0, 2]  # (h, e, f): position k holds basis element order[k]
+    pos = {old: new for new, old in enumerate(order)}
+    d["basis"] = [d["basis"][k] for k in order]
+    d["sc"] = [[pos[i], pos[j], pos[k], c] for i, j, k, c in d["sc"]]
+    d["form"] = [[d["form"][r][c] for c in order] for r in order]
+    q = algebra_from_json(d)
+    assert q.name == "sl2" and q.labels == ("h", "e", "f")
+    with pytest.raises(InputError, match="not central"):
+        basic_invariants(q)
+    assert basic_invariants(algebra_from_json(algebra_to_json(sl2))) == basic_invariants(sl2)
 
 
 def test_basic_invariants_sl3(sl3):

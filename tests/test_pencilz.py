@@ -2,14 +2,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from glab.exactla import InputError
-from glab.liecore import UniPoly, parse_poly
-from glab.psring import MPoly, poisson_bracket, span_equal
-from glab.invariantlab import casimir, quad_H
+from glab.exactla import InputError, QMatrix, nullspace
+from glab.liecore import UniPoly, parse_poly, rational_roots
+from glab.psring import (
+    MPoly,
+    coeff_rows,
+    hamiltonian_images,
+    poisson_bracket,
+    span_equal,
+)
+from glab.invariantlab import basic_invariants, casimir, polarize, quad_H, weakly_increasing
 from glab.pencilz import (
     Pencil,
     PencilPoint,
+    _annihilator_combos,
+    _pencil_rows,
+    _sample_sequence,
     build_Z,
     check_ft_gzu,
     check_sovp,
@@ -255,3 +265,64 @@ def test_mf_image_degenerate_and_errors(sl2, sl3, pen_t):
     pen3 = Pencil(sl2, parse_poly("t^3"), parse_poly("t^3+t"))
     with pytest.raises(InputError):
         mf_image(build_Z(pen3), [1, 1, 1])
+
+
+# ---------------------------------------------------------------------------
+# the pencil-linear centre solve
+
+
+VARS3 = [(i, a) for a in range(3) for i in range(3)]
+
+
+def mpolys3():
+    mono = st.lists(
+        st.tuples(st.sampled_from(VARS3), st.integers(1, 2)), min_size=1, max_size=3,
+    ).map(lambda pairs: tuple(sorted(dict(pairs).items())))
+    term = st.tuples(mono, st.fractions(min_value=-6, max_value=6, max_denominator=3))
+    return st.lists(term, min_size=1, max_size=4).map(
+        lambda ts: sum((MPoly({m: c}) for m, c in ts if c), MPoly.zero())
+    )
+
+
+@given(st.fractions(min_value=-5, max_value=5, max_denominator=4),
+       st.lists(mpolys3(), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_member_images_are_linear_in_the_ends(sl2, a, polys):
+    P = Pencil(sl2, parse_poly("t^3"), parse_poly("t^3+t"))
+    got = hamiltonian_images(polys, P.member(a, 1 - a))
+    m1, m2 = (hamiltonian_images(polys, T) for T in P.end_tables)
+    zero = MPoly.zero()
+    for k in range(len(polys)):
+        for v in VARS3:
+            want = m1[k].get(v, zero).scale(a) + m2[k].get(v, zero).scale(1 - a)
+            assert got[k].get(v, zero) == want
+
+
+def _dense_combos(pols, T):
+    """The annihilation kernel from the tall block matrix of one member."""
+    images = hamiltonian_images(pols, T)
+    blocks = []
+    for v in T.var_list():
+        col = [img.get(v, MPoly.zero()) for img in images]
+        if all(F.is_zero() for F in col):
+            continue
+        _, rows = coeff_rows(col)
+        blocks.extend([r[c] for r in rows] for c in range(len(rows[0])))
+    return nullspace(QMatrix.from_rows(blocks))
+
+
+def test_streamed_kernel_matches_dense_block_matrix(sl3):
+    P = Pencil(sl3, parse_poly("t^3"), parse_poly("t^3+t"))
+    spaces = [
+        [polarize(F, kv) for kv in weakly_increasing(F.total_degree(), P.n - 1)]
+        for F in basic_invariants(sl3)
+    ]
+    rows = [_pencil_rows(pols, P) for pols in spaces]
+    members = [a for a in _sample_sequence(12) if rational_roots(P.member_poly(a)) is None]
+    assert len(members) == 9
+    for a in members:
+        T = P.member(a, 1 - a)
+        for pols, r in zip(spaces, rows):
+            got = _annihilator_combos(r, a, len(pols))
+            assert got
+            assert got == _dense_combos(pols, T)

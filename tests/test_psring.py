@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glab.exactla import InputError
-from glab.liecore import builtin_algebra, make_quotient, parse_poly
+from glab.liecore import (
+    builtin_algebra,
+    make_difference_bracket,
+    make_direct_power,
+    make_quotient,
+    parse_poly,
+    pencil_combination,
+)
 from glab.psring import (
     BudgetError,
     CurrentBracket,
@@ -14,6 +21,8 @@ from glab.psring import (
     bullet_component,
     coeff_rows,
     directional_derivative,
+    echelon_basis,
+    hamiltonian_images,
     independent_subset,
     jacobian_rank_at,
     lowest_t_component,
@@ -33,6 +42,8 @@ from glab.psring import (
     tau_apply,
     term_budget,
 )
+
+from oracle import reference_bracket
 
 VARS = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
 
@@ -188,6 +199,58 @@ def test_bracket_leibniz(a, b, c):
     assert lhs == rhs
 
 
+def _tables():
+    sl2, sl3 = builtin_algebra("sl2"), builtin_algebra("sl3")
+    p1, p2 = parse_poly("t^3"), parse_poly("t^3+t")
+    return {
+        "quotient": make_quotient(sl2, parse_poly("t^3-t+1")),
+        "pencil": pencil_combination(make_quotient(sl2, p1), make_quotient(sl2, p2),
+                                     Fraction(5, 2), Fraction(-3, 2)),
+        "difference": make_difference_bracket(sl2, p1, p2),
+        "power": make_direct_power(sl3, 2),
+    }
+
+
+TABLES = _tables()
+
+
+def table_mpolys(T):
+    mono = st.lists(
+        st.tuples(st.sampled_from(T.var_list()), st.integers(1, 2)),
+        min_size=0, max_size=3,
+    ).map(lambda pairs: tuple(sorted(dict(pairs).items())))
+    term = st.tuples(mono, st.fractions(min_value=-6, max_value=6, max_denominator=3))
+    return st.lists(term, min_size=0, max_size=4).map(
+        lambda ts: sum((MPoly({m: c}) for m, c in ts if c), MPoly.zero())
+    )
+
+
+@given(st.sampled_from(sorted(TABLES)), st.data())
+@settings(max_examples=120, deadline=None)
+def test_indexed_bracket_matches_table_walk(kind, data):
+    T = TABLES[kind]
+    F = data.draw(table_mpolys(T))
+    G = data.draw(table_mpolys(T))
+    assert poisson_bracket(F, G, T) == reference_bracket(F, G, T)
+    images = hamiltonian_images([F], T)[0]
+    for v in T.var_list():
+        want = reference_bracket(F, MPoly.variable(v), T)
+        assert images.get(v, MPoly.zero()) == want
+        assert (v in images) == (not want.is_zero())
+
+
+def test_neighbour_index_is_built_on_first_bracket():
+    sl2 = builtin_algebra("sl2")
+    T = make_quotient(sl2, parse_poly("t^2"))
+    pencil_combination(T, T, 1, 1)
+    assert "neighbours" not in vars(T)
+    poisson_bracket(MPoly.variable((0, 0)), MPoly.variable((2, 1)), T)
+    assert "neighbours" in vars(T)
+    for u, pairs in T.neighbours.items():
+        for v, ent in pairs:
+            assert ent == T.pair_bracket(u, v)
+
+
 def test_current_bracket_agrees_with_big_quotient():
     sl2 = builtin_algebra("sl2")
     cb = CurrentBracket(sl2)
@@ -220,6 +283,9 @@ def test_span_utilities():
     assert not span_contains([x], y)
     assert span_equal([x, y], [x + y, x - y])
     assert not span_equal([x], [x, y])
+    assert echelon_basis([x + y, x - y, MPoly.zero()]) == echelon_basis(fam) == [x, y]
+    assert echelon_basis([y.scale(2) - x.scale(2), y - x]) == [x - y]
+    assert echelon_basis([MPoly.zero()]) == []
 
 
 def test_coeff_rows_alignment():
