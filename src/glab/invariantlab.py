@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .exactla import InputError, QMatrix, kron, rat, row_space, solve
 from .liecore import (
+    BracketTable,
     LieAlgebra,
     PrimaryComponent,
     UniPoly,
@@ -684,9 +685,10 @@ def h_span(q: LieAlgebra, p: UniPoly) -> list:
     return [((a, b), quad_h(q, a, b, p)) for (a, b) in h_pairs(n)]
 
 
-def centralizer_in_span(target: MPoly, span: Sequence, T) -> list:
-    """Combinations of the span that Poisson-commute with target.
+def centralizer_in_span(target: MPoly, span: Sequence, T: BracketTable) -> list:
+    """Combinations of the span that Poisson-commute with target under T.
 
+    T must be a BracketTable (the images come from its neighbour index).
     Returns coefficient vectors (canonical echelon basis) over the span.
     """
     # {target, s} = sum_u ds/dx_u * {target, x_u}: one image set serves

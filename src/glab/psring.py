@@ -521,8 +521,11 @@ def hamiltonian_images(polys: Sequence, T: BracketTable) -> list:
     central for T exactly when images[k] is empty.  The condition
     {sum c_k polys[k], x_v} = 0 is linear in c and in the bracket: the
     images under a pencil member a * T1 + b * T2 are a * images under T1
-    plus b * images under T2.
+    plus b * images under T2.  T must be a BracketTable: the images come
+    from its neighbour index.
     """
+    if not isinstance(T, BracketTable):
+        raise InputError("hamiltonian_images needs a BracketTable")
     neighbours = T.neighbours
     return [_images(F, neighbours) for F in polys]
 

@@ -268,6 +268,12 @@ def test_current_bracket_cutoff():
         poisson_bracket(big, MPoly.variable((2, 0)), cb)
 
 
+def test_hamiltonian_images_need_a_table():
+    cb = CurrentBracket(builtin_algebra("sl2"))
+    with pytest.raises(InputError):
+        hamiltonian_images([MPoly.variable((0, 0))], cb)
+
+
 # ---------------------------------------------------------------------------
 # spans, jacobians, serialization
 
