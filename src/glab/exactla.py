@@ -1,20 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Rank and determinant work on integer matrices through fraction-free
-(Bareiss) elimination, which keeps intermediate entries bounded and never
-leaves the integers.  Rational input is cleared to integers row by row
-first.  Nullspace and solve run over ``fractions.Fraction``; kernel bases
-are themselves put in reduced row echelon form so that the answer is a
+All elimination goes through one fraction-free (Bareiss) routine on
+integer rows, ``_echelon``: rational input is cleared to integers row by
+row, every division in it is exact, and no ``fractions.Fraction`` is made
+until the answer is read out.  Rank and determinant use its echelon form;
+rref, nullspace, solve, mat_inv and RowSpace use its reduced form.  Kernel
+bases are themselves put in reduced row echelon form, so the answer is a
 canonical basis, reproducible byte for byte.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
+_ZERO = Fraction(0)
 
 
 class InputError(ValueError):
@@ -105,104 +107,91 @@ class QMatrix:
         )
 
 
+def _int_row(r) -> tuple:
+    """(r times the lcm of its denominators, that lcm); r holds int or Fraction."""
+    lcm = math.lcm(*[x.denominator for x in r])
+    if lcm == 1:
+        return [x.numerator for x in r], 1
+    return [x.numerator * (lcm // x.denominator) for x in r], lcm
+
+
 def _int_rows(m: QMatrix) -> list:
-    """Clear denominators row by row; row scaling preserves rank."""
-    out = []
-    for i in range(m.rows):
-        r = m.row(i)
-        lcm = 1
-        for x in r:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        out.append([int(x * lcm) for x in r])
-    return out
+    """Rows of m cleared to integers; row scaling keeps rank and kernel."""
+    return [_int_row(m.row(i))[0] for i in range(m.rows)]
+
+
+def _rationals(rows: list, d: int) -> list:
+    """Integer rows divided by d, as lists of Fraction."""
+    return [[Fraction(x, d) if x else _ZERO for x in r] for r in rows]
+
+
+def _echelon(rows: list, ncols: int, full: bool) -> tuple:
+    """Fraction-free (Bareiss) elimination of integer rows, in place.
+
+    At each pivot the other rows become (x * lead - fac * y) // prev, with
+    lead the new pivot entry and prev the one before.  Every entry stays a
+    minor of the input, so each division is exact; rows with fac == 0 are
+    scaled by lead / prev for the same reason.  Only the rows below the
+    pivot are updated unless full is set, which also clears the entries
+    above it: then every pivot entry ends equal to d and rows / d is the
+    reduced row echelon form.
+
+    Returns (nonzero rows, pivot columns, d, sign of the row swaps).  For a
+    square matrix of full rank, sign * d is its determinant.
+    """
+    nr = len(rows)
+    pivots = []
+    prev = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        prow = rows[r]
+        lead = prow[c]
+        for i in range(0 if full else r + 1, nr):
+            if i == r:
+                continue
+            fac = rows[i][c]
+            if fac:
+                rows[i] = [(x * lead - fac * y) // prev for x, y in zip(rows[i], prow)]
+            elif lead != prev:
+                rows[i] = [x * lead // prev for x in rows[i]]
+        pivots.append(c)
+        prev = lead
+    return rows[: len(pivots)], pivots, prev, sign
 
 
 def rank(m: QMatrix) -> int:
     """Matrix rank by fraction-free elimination on integers."""
-    rows = _int_rows(m)
-    nr, nc = m.rows, m.cols
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nr):
-            fac = rows[i][c]
-            lead = rows[r][c]
-            for j in range(c + 1, nc):
-                rows[i][j] = (rows[i][j] * lead - fac * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        r += 1
-    return r
+    return len(_echelon(_int_rows(m), m.cols, False)[1])
 
 
 def det(m: QMatrix) -> Fraction:
     """Determinant via Bareiss; exact division keeps every step integral."""
     if not m.is_square():
         raise InputError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    rows = []
-    scale = Fraction(1)
-    for i in range(n):
-        r = m.row(i)
-        lcm = 1
-        for x in r:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        scale *= lcm
-        rows.append([int(x * lcm) for x in r])
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            fac = rows[i][c]
-            lead = rows[c][c]
-            for j in range(c + 1, n):
-                rows[i][j] = (rows[i][j] * lead - fac * rows[c][j]) // prev
-            rows[i][c] = 0
-        prev = rows[c][c]
-    return Fraction(sign * rows[n - 1][n - 1]) / scale
+    cleared = [_int_row(m.row(i)) for i in range(m.rows)]
+    _, pivots, d, sign = _echelon([r for r, _ in cleared], m.cols, False)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * d, math.prod(lcm for _, lcm in cleared))
 
 
 def rref(rows: list) -> tuple:
-    """In-place reduced row echelon form over Fraction.
+    """Reduced row echelon form of rows of int or Fraction.
 
-    Returns (rows, pivot_columns); zero rows are dropped.
+    Returns (rows as lists of Fraction, pivot_columns); zero rows are dropped.
     """
-    rows = [list(map(Fraction, r)) for r in rows]
     if not rows:
         return [], []
-    nc = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                fac = rows[i][c]
-                rows[i] = [a - fac * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    ints, pivots, d, _ = _echelon([_int_row(r)[0] for r in rows], len(rows[0]), True)
+    return _rationals(ints, d), pivots
 
 
 def nullspace(m: QMatrix) -> list:
@@ -211,21 +200,31 @@ def nullspace(m: QMatrix) -> list:
     The usual free-variable vectors are re-reduced so the result is the
     reduced row echelon basis of the kernel (leading entries equal 1).
     """
-    rows, pivots = rref(m.row_lists())
-    return _kernel_of_rref(rows, pivots, m.cols)
+    rows, pivots, d, _ = _echelon(_int_rows(m), m.cols, True)
+    return _kernel_of_rref(rows, pivots, d, m.cols)
 
 
-def _kernel_of_rref(rows: list, pivots: list, nc: int) -> list:
-    free = [c for c in range(nc) if c not in pivots]
+def _kernel_of_rref(rows: list, pivots: list, d: int, ncols: int) -> list:
+    """Kernel basis, in reduced row echelon form, of the RREF rows / d.
+
+    The free column f gives the integer vector with d at f and -row[f] at
+    each row's pivot, which is d times the usual free-variable vector.
+    Each is divided by its content before the second elimination, which
+    keeps the entries that elimination multiplies small.
+    """
+    pivot_cols = set(pivots)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for r, pc in zip(rows, pivots):
-            v[pc] = -r[f]
-        basis.append(v)
-    reduced, _ = rref(basis)
-    return [tuple(v) for v in reduced]
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        v = [0] * ncols
+        v[f] = d
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[f]
+        g = math.gcd(*v)
+        basis.append([x // g for x in v])
+    kern, _, dk, _ = _echelon(basis, ncols, True)
+    return [tuple(r) for r in _rationals(kern, dk)]
 
 
 def solve(m: QMatrix, b: Sequence) -> tuple | None:
@@ -239,9 +238,8 @@ def solve(m: QMatrix, b: Sequence) -> tuple | None:
     aug = [m.row(i) + [b[i]] for i in range(m.rows)]
     rows, pivots = rref(aug)
     nc = m.cols
-    for r, pc in zip(rows, pivots):
-        if pc == nc:
-            return None
+    if pivots and pivots[-1] == nc:  # pivots ascend; nc is the last column
+        return None
     x = [Fraction(0)] * nc
     for r, pc in zip(rows, pivots):
         x[pc] = r[nc]
@@ -251,54 +249,53 @@ def solve(m: QMatrix, b: Sequence) -> tuple | None:
 class RowSpace:
     """Incrementally maintained row space with exact reduction.
 
-    add() reduces the vector against the rows seen so far and reports
-    whether it enlarged the span.  basis() returns the canonical reduced
-    row echelon basis of everything accepted.
+    Accepted rows are kept as primitive integer rows in echelon form, in
+    pivot order.  add() reduces the vector against them and reports whether
+    it enlarged the span.  basis() returns the canonical reduced row
+    echelon basis of everything accepted.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self._rows = []  # kept in echelon form, pivot -> row
+        self._rows = []
         self._pivots = []
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def reduce(self, vec: Sequence) -> list:
-        v = [Fraction(x) for x in vec]
+    def _reduce(self, vec: Sequence) -> list:
+        v = _int_row(vec)[0]
         if len(v) != self.width:
             raise InputError("vector width mismatch")
         for row, pc in zip(self._rows, self._pivots):
-            if v[pc] != 0:
-                fac = v[pc]
-                v = [a - fac * b for a, b in zip(v, row)]
+            x = v[pc]
+            if x:
+                g = math.gcd(row[pc], x)
+                a, b = row[pc] // g, x // g
+                v = [a * y - b * z for y, z in zip(v, row)]
         return v
 
     def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self._reduce(vec))
 
     def add(self, vec: Sequence) -> bool:
-        v = self.reduce(vec)
-        pc = next((c for c in range(self.width) if v[c] != 0), None)
+        v = self._reduce(vec)
+        pc = next((c for c, x in enumerate(v) if x), None)
         if pc is None:
             return False
-        lead = v[pc]
-        v = [x / lead for x in v]
-        # keep existing rows reduced against the newcomer
-        for i, row in enumerate(self._rows):
-            if row[pc] != 0:
-                fac = row[pc]
-                self._rows[i] = [a - fac * b for a, b in zip(row, v)]
-        at = next(
-            (k for k, q in enumerate(self._pivots) if q > pc), len(self._pivots)
-        )
-        self._rows.insert(at, v)
+        g = math.gcd(*v)
+        at = bisect.bisect(self._pivots, pc)
+        self._rows.insert(at, [x // g for x in v])
         self._pivots.insert(at, pc)
         return True
 
+    def _rref(self) -> tuple:
+        return _echelon(list(self._rows), self.width, True)
+
     def basis(self) -> list:
-        return [tuple(r) for r in self._rows]
+        rows, _, d, _ = self._rref()
+        return [tuple(r) for r in _rationals(rows, d)]
 
     def kernel(self) -> list:
         """Canonical kernel basis of the accepted rows, as nullspace gives it.
@@ -306,7 +303,8 @@ class RowSpace:
         The kernel depends only on the row space, so this equals nullspace
         of any matrix whose rows were added here.
         """
-        return _kernel_of_rref(self._rows, self._pivots, self.width)
+        rows, pivots, d, _ = self._rref()
+        return _kernel_of_rref(rows, pivots, d, self.width)
 
 
 def row_space(rows: Iterable, width: int) -> RowSpace:

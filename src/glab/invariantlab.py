@@ -724,15 +724,6 @@ def graded_h_sum(q: LieAlgebra, j: int, p: UniPoly) -> MPoly:
     return acc
 
 
-def padded_h_sum(q: LieAlgebra, j: int, p: UniPoly) -> MPoly:
-    """Sum of h[a, b] over ordered pairs a, b >= 0 with a + b = j."""
-    acc = MPoly.zero()
-    for a in range(0, j + 1):
-        b = j - a
-        acc = acc + quad_h(q, a, b, p)
-    return acc
-
-
 def graded_H_sum(q: LieAlgebra, j: int) -> MPoly:
     """Unreduced sum of H[a, b] over ordered pairs a, b >= 1, a + b = j."""
     acc = MPoly.zero()

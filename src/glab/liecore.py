@@ -429,40 +429,48 @@ def _mat_zero(n):
     return [[Fraction(0)] * n for _ in range(n)]
 
 
-def _mat_comm(a, b):
-    n = len(a)
+def _entries(m):
+    """Nonzero entries (i, j, c) of a dense square matrix."""
+    return [(i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if c]
+
+
+def _mat_comm(a, b, n):
+    """ab - ba as a dense n x n matrix, from the nonzero entries of a and b."""
     out = _mat_zero(n)
-    for i in range(n):
-        for j in range(n):
-            s = Fraction(0)
-            for k in range(n):
-                s += a[i][k] * b[k][j] - b[i][k] * a[k][j]
-            out[i][j] = s
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for i, k, c in x:
+            for k2, j, c2 in y:
+                if k == k2:
+                    out[i][j] += sign * c * c2
     return out
 
 
 def _mat_trace_prod(a, b):
-    n = len(a)
+    """tr(ab) from the nonzero entries of a and b."""
     return sum(
-        (a[i][k] * b[k][i] for i in range(n) for k in range(n)), Fraction(0)
+        (c * c2 for i, k, c in a for k2, i2, c2 in b if k == k2 and i == i2),
+        Fraction(0),
     )
 
 
 def _algebra_from_matrices(name, labels, mats, coords):
     """Assemble structure constants from matrix commutators.
 
-    coords maps a matrix to its coefficient tuple in the chosen basis.
+    coords maps a matrix to its coefficient tuple in the chosen basis.  The
+    basis matrices have few nonzero entries, so products run over those.
     """
     dim = len(mats)
+    n = len(mats[0])
+    sparse = [_entries(m) for m in mats]
     sc = []
     for i in range(dim):
         for j in range(i + 1, dim):
-            cs = coords(_mat_comm(mats[i], mats[j]))
+            cs = coords(_mat_comm(sparse[i], sparse[j], n))
             entries = tuple((k, c) for k, c in enumerate(cs) if c != 0)
             if entries:
                 sc.append((i, j, entries))
     gram = QMatrix.from_rows(
-        [[_mat_trace_prod(mats[i], mats[j]) for j in range(dim)] for i in range(dim)]
+        [[_mat_trace_prod(sparse[i], sparse[j]) for j in range(dim)] for i in range(dim)]
     )
     return LieAlgebra(name, tuple(labels), tuple(sc), gram)
 

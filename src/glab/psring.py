@@ -429,15 +429,6 @@ def bullet_component(F: MPoly) -> tuple:
     return d, comps[d]
 
 
-def phi_s_scale(F: MPoly, s) -> MPoly:
-    """Rescale x_i t^a -> s^a x_i t^a."""
-    s = rat(s)
-    acc = {}
-    for m, c in F.terms.items():
-        acc[m] = c * s ** mono_t_degree(m)
-    return MPoly(acc)
-
-
 def directional_derivative(F: MPoly, gamma: dict) -> MPoly:
     """Derivative of F in the constant direction gamma (variable -> value)."""
     acc = MPoly.zero()

@@ -676,7 +676,3 @@ def run_suite(name: str, params: dict | None = None, seed: int = 0) -> Report:
             merged[k] = v
     checks = _BODIES[name](merged, seed)
     return Report(suite=name, seed=seed, params=merged, checks=checks)
-
-
-def run_all(seed: int = 0) -> list:
-    return [run_suite(name, seed=seed) for name in SUITE_NAMES]

@@ -3,6 +3,8 @@
 They compute the same objects as glab's fast paths, by the plainest route,
 so a property test can compare the two.
 """
+from fractions import Fraction
+
 from glab.psring import MPoly
 
 
@@ -36,3 +38,46 @@ def reference_bracket(F, G, T):
             continue
         acc = acc + diff * MPoly.from_entries(ent)
     return acc
+
+
+def reference_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan over Fraction.
+
+    Returns (rows, pivot_columns) with the zero rows dropped.
+    """
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                fac = rows[i][c]
+                rows[i] = [a - fac * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def reference_nullspace(rows, ncols):
+    """Kernel of the matrix as the reduced row echelon basis, as tuples.
+
+    One vector per free column f (1 at f, minus the RREF column f at the
+    pivots), then the family is itself reduced.
+    """
+    reduced, pivots = reference_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[f]
+        basis.append(v)
+    return [tuple(v) for v in reference_rref(basis)[0]]

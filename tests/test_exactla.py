@@ -1,5 +1,6 @@
 """Exact linear algebra over the rationals."""
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,14 @@ from glab.exactla import (
     rref,
     solve,
 )
+from glab.liecore import (
+    builtin_algebra,
+    index_report,
+    make_quotient,
+    parse_poly,
+    structure_matrix_at,
+)
+from oracle import reference_nullspace, reference_rref
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -36,6 +45,28 @@ def matrices(max_side=4):
             )
         )
     ).map(QMatrix.from_rows)
+
+
+@st.composite
+def awkward_rows(draw, max_side=6):
+    """Rows with mixed denominators, tall or wide, plus zero, repeated and
+    rescaled rows inserted anywhere."""
+    nr = draw(st.integers(1, max_side))
+    nc = draw(st.integers(1, max_side))
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "repeat", "rescale")))
+        src = draw(st.sampled_from(rows))
+        if kind == "zero":
+            extra = [Fraction(0)] * nc
+        elif kind == "repeat":
+            extra = list(src)
+        else:
+            extra = [draw(rationals) * x for x in src]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
 
 
 def test_rat_parsing():
@@ -175,3 +206,105 @@ def test_kron_block_structure():
 @settings(max_examples=30, deadline=None)
 def test_kron_rank_multiplicative(a, b):
     assert rank(kron(a, b)) == rank(a) * rank(b)
+
+
+@given(awkward_rows())
+@settings(max_examples=120, deadline=None)
+def test_elimination_matches_fraction_oracle(rows):
+    m = QMatrix.from_rows(rows)
+    want_rows, want_pivots = reference_rref(rows)
+    assert rref(rows) == (want_rows, want_pivots)
+    assert rank(m) == len(want_pivots)
+    assert nullspace(m) == reference_nullspace(rows, m.cols)
+    if m.is_square() and m.rows <= 5:
+        assert det(m) == _det_cofactor(m)
+
+
+@given(awkward_rows(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_and_inverse_match_fraction_oracle(rows, data):
+    m = QMatrix.from_rows(rows)
+    b = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
+    red, pivots = reference_rref([r + [x] for r, x in zip(rows, b)])
+    if m.cols in pivots:
+        assert solve(m, b) is None
+    else:
+        want = [Fraction(0)] * m.cols
+        for r, pc in zip(red, pivots):
+            want[pc] = r[m.cols]
+        assert solve(m, b) == tuple(want)
+    if m.is_square():
+        n = m.rows
+        eye = QMatrix.identity(n).row_lists()
+        red, pivots = reference_rref([r + e for r, e in zip(rows, eye)])
+        if pivots[:n] == list(range(n)):
+            assert mat_inv(m) == QMatrix.from_rows([r[n:] for r in red])
+        else:
+            with pytest.raises(InputError):
+                mat_inv(m)
+
+
+@given(awkward_rows())
+@settings(max_examples=120, deadline=None)
+def test_rowspace_matches_fraction_oracle(rows):
+    width = len(rows[0])
+    rs = RowSpace(width)
+    for k, row in enumerate(rows):
+        grows = len(reference_rref(rows[: k + 1])[1]) > rs.dim
+        assert rs.add(row) is grows
+    want = reference_rref(rows)[0]
+    assert rs.basis() == [tuple(r) for r in want]
+    assert rs.kernel() == reference_nullspace(rows, width)
+    assert all(rs.contains(row) for row in rows)
+
+
+@given(awkward_rows())
+@settings(max_examples=60, deadline=None)
+def test_row_space_stops_reading_at_full_rank(rows):
+    width = len(rows[0])
+    full = len(reference_rref(rows)[1]) == width
+    read = []
+
+    def stream():
+        for row in rows:
+            read.append(row)
+            yield row
+        if full:  # a spanning family never gets here
+            raise AssertionError("row_space read past full rank")
+
+    rs = row_space(stream(), width)
+    assert rs.basis() == [tuple(r) for r in reference_rref(rows)[0]]
+    assert rs.kernel() == reference_nullspace(rows, width)
+    if full:
+        assert len(reference_rref(read)[1]) == width
+        assert len(reference_rref(read[:-1])[1]) < width
+
+
+def test_elimination_agrees_with_sympy():
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    T = make_quotient(builtin_algebra("gl4"), parse_poly("t^4-t"))
+    point = dict(zip(T.var_list(), index_report(T, seed=0).witness))
+    rng = random.Random(0)
+    mats = [
+        QMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        QMatrix.from_rows([[2, -1, 0, 3], [0, 0, 0, 0], [5, 1, 1, -2], [2, -1, 0, 3]]),
+        QMatrix.from_rows([[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)]),
+        QMatrix.from_rows([[rng.randint(-3, 3) for _ in range(9)] for _ in range(5)]),
+        structure_matrix_at(T, point),  # the 64 x 64 stabilizer matrix
+    ]
+    assert mats[-1].rows == mats[-1].cols == 64
+    for m in mats:
+        dm = DomainMatrix(
+            [[QQ(x.numerator, x.denominator) for x in m.row(i)] for i in range(m.rows)],
+            (m.rows, m.cols), QQ,
+        )
+        assert rank(m) == dm.rank()
+        kernel, _ = dm.nullspace().rref()
+        assert nullspace(m) == [tuple(Fraction(int(x.numerator), int(x.denominator))
+                                      for x in r) for r in kernel.to_list()]
+        if m.is_square():
+            d = dm.det()
+            assert det(m) == Fraction(int(d.numerator), int(d.denominator))

@@ -1,4 +1,5 @@
 """Polynomials, Lie algebra data, quotient brackets, index sampling."""
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,9 @@ from glab.liecore import (
     lie_index,
     make_difference_bracket,
     make_direct_power,
+    make_gl,
     make_quotient,
+    make_sl,
     parse_poly,
     pencil_combination,
     poly_egcd,
@@ -348,3 +351,12 @@ def test_index_report_fields():
 def test_wrap_algebra_matches_quotient_by_t():
     sl2 = builtin_algebra("sl2")
     assert wrap_algebra(sl2) == make_quotient(sl2, parse_poly("t"))
+
+
+def test_matrix_algebras_keep_their_structure_constants():
+    # sha256 taken when the brackets were dense n x n matrix products
+    algebras = [make_sl(n) for n in range(2, 6)] + [make_gl(n) for n in range(2, 6)]
+    text = repr([(q.sc, q.form.entries) for q in algebras])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9a5a7c217966370c4e9e39ecf73be1b40c9955e0b781e0295a7588c0f4601f26"
+    )
