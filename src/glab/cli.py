@@ -25,11 +25,15 @@ from .liecore import (
     parse_poly,
     rational_roots,
 )
-from .psring import BudgetError, MPoly, poisson_bracket, term_budget
-from .liecore import make_direct_power
-from .invariantlab import gaudin_hamiltonians
+from .psring import BudgetError, term_budget
 from .pencilz import Pencil, build_Z, trdeg_of_Z, verify_Z_commutes
-from .suites import SUITE_NAMES, canonical_json, report_markdown, run_suite
+from .suites import (
+    SUITE_NAMES,
+    canonical_json,
+    gaudin_commute_case,
+    report_markdown,
+    run_suite,
+)
 
 
 def _guard(fn):
@@ -211,19 +215,10 @@ def gaudin(qname, ztxt):
     """Pairwise commutativity and zero sum of the quadratic elements."""
     q = builtin_algebra(qname)
     z = [rat(tok) for tok in ztxt.split(",") if tok.strip()]
-    H = gaudin_hamiltonians(q, z)
-    T = make_direct_power(q, len(z))
-    commute = all(
-        poisson_bracket(H[i], H[j], T).is_zero()
-        for i in range(len(H))
-        for j in range(i + 1, len(H))
-    )
-    total = MPoly.zero()
-    for Hk in H:
-        total = total + Hk
-    click.echo(f"copies: {len(z)}  commute: {'ok' if commute else 'FAIL'}  "
-               f"sum zero: {'ok' if total.is_zero() else 'FAIL'}")
-    if not commute or not total.is_zero():
+    res = gaudin_commute_case(q, z)
+    click.echo(f"copies: {len(z)}  commute: {'ok' if res['commute'] else 'FAIL'}  "
+               f"sum zero: {'ok' if res['sum_zero'] else 'FAIL'}")
+    if not (res["commute"] and res["sum_zero"]):
         sys.exit(1)
 
 

@@ -699,6 +699,27 @@ def algebra_from_json(d: dict) -> LieAlgebra:
 Var = tuple  # (base index, t degree)
 
 
+def scale_neighbours(index: dict) -> tuple:
+    """(D, u -> ((v, ((w, D * c), ...)), ...)) for u -> ((v, ((w, c), ...)), ...).
+
+    D is the lcm of the entry denominators, so every scaled entry is an
+    integer and [x_u, x_v] = sum_w (D * c) / D * x_w.
+    """
+    den = 1
+    for pairs in index.values():
+        for _, ent in pairs:
+            for _, c in ent:
+                den = math.lcm(den, c.denominator)
+    scaled = {
+        u: tuple(
+            (v, tuple((w, c.numerator * (den // c.denominator)) for w, c in ent))
+            for v, ent in pairs
+        )
+        for u, pairs in index.items()
+    }
+    return den, scaled
+
+
 class BracketTable:
     """Sparse bracket on variables (i, a) representing x_i * t^a.
 
@@ -749,6 +770,12 @@ class BracketTable:
             out.setdefault(u, []).append((v, ent))
             out.setdefault(v, []).append((u, tuple((w, -c) for w, c in ent)))
         return {u: tuple(pairs) for u, pairs in out.items()}
+
+    @cached_property
+    def scaled_neighbours(self) -> tuple:
+        """The neighbour index over one common denominator (see
+        scale_neighbours); built on first bracket, like neighbours."""
+        return scale_neighbours(self.neighbours)
 
     def pair_bracket(self, u: Var, v: Var) -> tuple:
         if u == v:

@@ -6,18 +6,24 @@ monomials to Fraction coefficients.  On top of the arithmetic sit the
 Poisson bracket against a bracket table, substitutions in t, the raising
 derivation tau, reductions mod p, and exact span/rank utilities.
 
+The bracket and the Hamiltonian images run on integer numerators over one
+common denominator: F, G and the bracket entries are each scaled to
+integers, the Leibniz rule is summed in ints, and only the result's
+coefficients become Fractions.
+
 Products guard against term blowup: when an operation would exceed the
 term budget (GLAB_BUDGET_TERMS, default 2 * 10^6) it raises BudgetError
 rather than grinding on.
 """
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .exactla import InputError, QMatrix, RowSpace, rank, rat, rat_str, row_space
-from .liecore import BracketTable, LieAlgebra, UniPoly
+from .liecore import BracketTable, LieAlgebra, UniPoly, scale_neighbours
 
 Var = tuple
 Mono = tuple
@@ -42,15 +48,34 @@ def term_budget() -> int:
     return val
 
 
+def _check_budget(a: int, b: int, budget: int) -> None:
+    """Refuse a product of a x b terms over the term budget."""
+    if a * b > budget:
+        raise BudgetError(f"product of {a} x {b} terms exceeds budget {budget}")
+
+
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
+    """Product of two monomials: one merge of their sorted variables."""
     if not m1:
         return m2
     if not m2:
         return m1
-    acc = dict(m1)
-    for v, e in m2:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items()))
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, b = m1[i], m2[j]
+        if a[0] == b[0]:
+            out.append((a[0], a[1] + b[1]))
+            i += 1
+            j += 1
+        elif a[0] < b[0]:
+            out.append(a)
+            i += 1
+        else:
+            out.append(b)
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def mono_degree(m: Mono) -> int:
@@ -194,12 +219,7 @@ class MPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return MPoly.zero()
-        budget = term_budget()
-        if len(self.terms) * len(other.terms) > budget:
-            raise BudgetError(
-                f"product of {len(self.terms)} x {len(other.terms)} terms "
-                f"exceeds budget {budget}"
-            )
+        _check_budget(len(self.terms), len(other.terms), term_budget())
         small, big = self.terms, other.terms
         if len(small) > len(big):
             small, big = big, small
@@ -475,34 +495,78 @@ class CurrentBracket:
                     )
                 yield (u, v), tuple(((k, ab), c) for k, c in ent)
 
-    def pair_bracket(self, u: Var, v: Var) -> tuple:
-        if u == v:
-            return ()
-        if self.flat(u) > self.flat(v):
-            return tuple((w, -c) for w, c in self.pair_bracket(v, u))
-        ent = self.base.bracket(u[0], v[0])
-        ab = u[1] + v[1]
-        if ent and self.cutoff is not None and ab > self.cutoff:
-            raise InputError(f"bracket t degree {ab} exceeds cutoff {self.cutoff}")
-        return tuple(((k, ab), c) for k, c in ent)
+
+def _numerators(F: MPoly) -> tuple:
+    """(d, {m: n}) with F = sum_m (n / d) * m, d the lcm of the denominators."""
+    den = 1
+    for c in F.terms.values():
+        den = math.lcm(den, c.denominator)
+    return den, {m: c.numerator * (den // c.denominator) for m, c in F.terms.items()}
 
 
-def _images(F: MPoly, neighbours: dict, targets=None) -> dict:
-    """v -> {F, x_v} = sum_u dF/dx_u * [x_u, x_v], nonzero images only.
+def _partials(nums: dict) -> dict:
+    """u -> {m: n}, the numerators of dF/dx_u for every u in vars(F).
 
-    Only the pairs [x_u, x_v] with u in vars(F) are visited, through the
-    table's neighbour index; targets, when given, restricts v.
+    Dividing a monomial by x_u is injective, so no term cancels here.
     """
     out: dict = {}
-    for u in F.vars():
-        pairs = neighbours.get(u)
-        if not pairs:
-            continue
-        du = F.diff(u)
-        for v, ent in pairs:
-            if targets is None or v in targets:
-                _add_terms(out.setdefault(v, {}), (du * MPoly.from_entries(ent)).terms)
-    return {v: MPoly(terms) for v, terms in out.items() if terms}
+    for m, n in nums.items():
+        for k, (u, e) in enumerate(m):
+            if e == 1:
+                rest = m[:k] + m[k + 1:]
+            else:
+                rest = m[:k] + ((u, e - 1),) + m[k + 1:]
+            out.setdefault(u, {})[rest] = n * e
+    return out
+
+
+def _int_images(partials: dict, index: dict, targets, budget: int) -> dict:
+    """v -> {m: n} with n / D the coefficients of {F, x_v}.
+
+    {F, x_v} = sum_u dF/dx_u * [x_u, x_v]; partials holds the integer
+    numerators of the dF/dx_u and index the pairs (v, [x_u, x_v]) scaled to
+    integers over D.  Only v in targets (when given) are formed, and only
+    nonzero terms and nonzero images are kept.
+    """
+    out: dict = {}
+    for u, du in partials.items():
+        for v, ent in index.get(u, ()):
+            if targets is not None and v not in targets:
+                continue
+            _check_budget(len(du), len(ent), budget)
+            acc = out.setdefault(v, {})
+            for w, c in ent:
+                xw = ((w, 1),)
+                for m, n in du.items():
+                    key = mono_mul(m, xw)
+                    acc[key] = acc.get(key, 0) + n * c
+    images = {}
+    for v, acc in out.items():
+        nz = {m: n for m, n in acc.items() if n}
+        if nz:
+            images[v] = nz
+    return images
+
+
+def _from_numerators(nums: dict, den: int) -> MPoly:
+    out = MPoly.__new__(MPoly)
+    out.terms = {m: Fraction(n, den) for m, n in nums.items() if n}
+    return out
+
+
+def _current_index(T: CurrentBracket, vars_f, vars_g) -> tuple:
+    """Scaled index of the pairs (u in vars(F), v in vars(G)) of T.
+
+    Every pair T.iter_pairs yields is read, so its cutoff check sees the
+    same pairs whichever of them {F, G} needs.
+    """
+    index: dict = {}
+    for (u, v), ent in T.iter_pairs(vars_f, vars_g):
+        if u in vars_f and v in vars_g:
+            index.setdefault(u, []).append((v, ent))
+        if v in vars_f and u in vars_g:
+            index.setdefault(v, []).append((u, tuple((w, -c) for w, c in ent)))
+    return scale_neighbours(index)
 
 
 def hamiltonian_images(polys: Sequence, T: BracketTable) -> list:
@@ -513,49 +577,48 @@ def hamiltonian_images(polys: Sequence, T: BracketTable) -> list:
     {sum c_k polys[k], x_v} = 0 is linear in c and in the bracket: the
     images under a pencil member a * T1 + b * T2 are a * images under T1
     plus b * images under T2.  T must be a BracketTable: the images come
-    from its neighbour index.
+    from its scaled neighbour index.
     """
     if not isinstance(T, BracketTable):
         raise InputError("hamiltonian_images needs a BracketTable")
-    neighbours = T.neighbours
-    return [_images(F, neighbours) for F in polys]
+    D, index = T.scaled_neighbours
+    budget = term_budget()
+    out = []
+    for F in polys:
+        dF, nums = _numerators(F)
+        images = _int_images(_partials(nums), index, None, budget)
+        out.append({v: _from_numerators(img, D * dF) for v, img in images.items()})
+    return out
 
 
 def poisson_bracket(F: MPoly, G: MPoly, T) -> MPoly:
-    """{F, G} extending the bracket table by the Leibniz rule.
+    """{F, G} extending the bracket by the Leibniz rule.
 
-    On a BracketTable this is sum_v {F, x_v} * dG/dx_v over v in vars(G),
-    with {F, x_v} taken from the table's neighbour index, so only pairs
-    with one variable of F and one of G are visited.  A CurrentBracket
-    generates its pairs lazily from the variables present.
+    This is sum_v {F, x_v} * dG/dx_v over v in vars(G), where {F, x_v}
+    visits only the pairs [x_u, x_v] with u in vars(F): from the table's
+    scaled neighbour index, or for a CurrentBracket from its pairs over the
+    variables present.  All of it runs on integer numerators over one
+    common denominator; the result's coefficients are the only Fractions.
     """
     if F.is_zero() or G.is_zero():
         return MPoly.zero()
+    dF, nf = _numerators(F)
+    dG, ng = _numerators(G)
+    pf, pg = _partials(nf), _partials(ng)
     if isinstance(T, BracketTable):
-        images = _images(F, T.neighbours, G.vars())
-        return apply_derivation(G, lambda v: images.get(v, MPoly.zero()))
-    vars_f, vars_g = F.vars(), G.vars()
-    dF: dict = {}
-    dG: dict = {}
-
-    def d(poly, cache, v):
-        if v not in cache:
-            cache[v] = poly.diff(v)
-        return cache[v]
-
-    acc = MPoly.zero()
-    for (u, v), ent in T.iter_pairs(vars_f, vars_g):
-        fu = d(F, dF, u) if u in vars_f else MPoly.zero()
-        gv = d(G, dG, v) if v in vars_g else MPoly.zero()
-        fv = d(F, dF, v) if v in vars_f else MPoly.zero()
-        gu = d(G, dG, u) if u in vars_g else MPoly.zero()
-        first = MPoly.zero() if fu.is_zero() or gv.is_zero() else fu * gv
-        second = MPoly.zero() if fv.is_zero() or gu.is_zero() else fv * gu
-        diff = first - second
-        if diff.is_zero():
-            continue
-        acc = acc + diff * MPoly.from_entries(ent)
-    return acc
+        D, index = T.scaled_neighbours
+    else:
+        D, index = _current_index(T, pf.keys(), pg.keys())
+    budget = term_budget()
+    acc: dict = {}
+    for v, img in _int_images(pf, index, pg, budget).items():
+        dv = pg[v]
+        _check_budget(len(img), len(dv), budget)
+        for m1, n1 in img.items():
+            for m2, n2 in dv.items():
+                key = mono_mul(m1, m2)
+                acc[key] = acc.get(key, 0) + n1 * n2
+    return _from_numerators(acc, D * dF * dG)
 
 
 def image_rows(*families: Sequence):

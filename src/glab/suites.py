@@ -326,25 +326,32 @@ def _suite_z_assembly(params, seed):
     return checks
 
 
+def gaudin_commute_case(q, z) -> dict:
+    """Whether the quadratic Gaudin elements of q at the points z pairwise
+    Poisson-commute in the direct power q^len(z), and whether they sum to 0."""
+    H = gaudin_hamiltonians(q, z)
+    T = make_direct_power(q, len(z))
+    commute = all(
+        poisson_bracket(H[i], H[j], T).is_zero()
+        for i in range(len(H))
+        for j in range(i + 1, len(H))
+    )
+    total = MPoly.zero()
+    for Hk in H:
+        total = total + Hk
+    return {"commute": commute, "sum_zero": total.is_zero()}
+
+
 def _suite_gaudin(params, seed):
     checks = []
     for qa, zs in params["cases"]:
         q = builtin_algebra(qa)
         z = [rat(v) for v in zs]
-        H = gaudin_hamiltonians(q, z)
-        T = make_direct_power(q, len(z))
-        commute = all(
-            poisson_bracket(H[i], H[j], T).is_zero()
-            for i in range(len(H))
-            for j in range(i + 1, len(H))
-        )
-        total = MPoly.zero()
-        for Hk in H:
-            total = total + Hk
+        res = gaudin_commute_case(q, z)
         checks.append(CheckResult(
             f"gaudin[{qa}, z=({', '.join(rat_str(v) for v in z)})]",
-            commute and total.is_zero(),
-            {"commute": commute, "sum_zero": total.is_zero()},
+            res["commute"] and res["sum_zero"],
+            res,
         ))
     # quadratic element against weighted transported Hamiltonians
     q = builtin_algebra("sl2")

@@ -80,6 +80,54 @@ def test_invariants_degree_kernel(sl2, sl3):
     assert invariants_degree(sl3, 1) == []
 
 
+@pytest.mark.parametrize("name, degrees", [("sl2", (1, 2, 3, 4)), ("sl3", (1, 2, 3))])
+def test_invariants_degree_agrees_with_sympy(name, degrees):
+    """The kernel of F -> ({F, x_v})_v over QQ, solved in sympy from the
+    structure constants, is spanned by invariants_degree."""
+    pytest.importorskip("sympy")
+    from sympy import QQ, Poly, symbols
+    from sympy.polys.matrices import DomainMatrix
+
+    q = builtin_algebra(name)
+    xs = symbols(f"x0:{q.dim}")
+
+    def poly(coeffs):
+        return Poly.from_dict(coeffs, *xs, domain=QQ)
+
+    def unit(w):
+        return tuple(int(i == w) for i in range(q.dim))
+
+    brackets = {
+        (u, v): poly({unit(w): QQ(c.numerator, c.denominator) for w, c in q.bracket(u, v)})
+        for u in range(q.dim) for v in range(q.dim)
+    }
+    for d in degrees:
+        exps = sorted(e for e in itertools.product(range(d + 1), repeat=q.dim) if sum(e) == d)
+        columns = []
+        for e in exps:
+            m = poly({e: QQ(1)})
+            col = {}
+            for v in range(q.dim):
+                img = sum((m.diff(xs[u]) * brackets[(u, v)] for u in range(q.dim)), poly({}))
+                for mono, c in img.terms():
+                    col[(v, mono)] = c
+            columns.append(col)
+        rows = sorted({key for col in columns for key in col})
+        M = DomainMatrix([[col.get(key, QQ(0)) for col in columns] for key in rows],
+                         (len(rows), len(exps)), QQ)
+        want = M.nullspace().rank() if rows else len(exps)
+        got = invariants_degree(q, d)
+        assert len(got) == want
+        if not got:
+            continue
+        monos = [tuple(((i, 0), k) for i, k in enumerate(e) if k) for e in exps]
+        assert all(set(F.terms) <= set(monos) for F in got)
+        vecs = DomainMatrix([[QQ(F.coeff(m).numerator, F.coeff(m).denominator) for m in monos]
+                             for F in got], (len(got), len(exps)), QQ)
+        assert vecs.rank() == len(got)
+        assert M.matmul(vecs.transpose()).is_zero_matrix
+
+
 def test_invariants_refuse_a_reordered_basis_named_like_a_builtin(sl2):
     d = algebra_to_json(sl2)
     order = [1, 0, 2]  # (h, e, f): position k holds basis element order[k]

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from glab.exactla import InputError
 from glab.liecore import (
+    UniPoly,
     builtin_algebra,
     make_difference_bracket,
     make_direct_power,
@@ -199,38 +200,55 @@ def test_bracket_leibniz(a, b, c):
     assert lhs == rhs
 
 
+CURRENT_DEGREE = 3  # t degrees drawn for the current bracket
+
+
 def _tables():
     sl2, sl3 = builtin_algebra("sl2"), builtin_algebra("sl3")
     p1, p2 = parse_poly("t^3"), parse_poly("t^3+t")
+    a = Fraction(7919, 1009)
     return {
         "quotient": make_quotient(sl2, parse_poly("t^3-t+1")),
         "pencil": pencil_combination(make_quotient(sl2, p1), make_quotient(sl2, p2),
                                      Fraction(5, 2), Fraction(-3, 2)),
+        "member": pencil_combination(make_quotient(sl2, p1), make_quotient(sl2, p2),
+                                     a, 1 - a),
         "difference": make_difference_bracket(sl2, p1, p2),
         "power": make_direct_power(sl3, 2),
+        # the lazy current bracket, walked as q[t]/(t^N) with N above every
+        # t degree a bracket of the drawn polynomials reaches
+        "current": (CurrentBracket(sl3),
+                    make_quotient(sl3, UniPoly.monomial(2 * CURRENT_DEGREE + 1))),
     }
 
 
 TABLES = _tables()
 
 
-def table_mpolys(T):
+def table_mpolys(var_list):
     mono = st.lists(
-        st.tuples(st.sampled_from(T.var_list()), st.integers(1, 2)),
+        st.tuples(st.sampled_from(var_list), st.integers(1, 2)),
         min_size=0, max_size=3,
     ).map(lambda pairs: tuple(sorted(dict(pairs).items())))
-    term = st.tuples(mono, st.fractions(min_value=-6, max_value=6, max_denominator=3))
+    term = st.tuples(mono, st.fractions(min_value=-6, max_value=6, max_denominator=12))
     return st.lists(term, min_size=0, max_size=4).map(
         lambda ts: sum((MPoly({m: c}) for m, c in ts if c), MPoly.zero())
     )
 
 
 @given(st.sampled_from(sorted(TABLES)), st.data())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=180, deadline=None)
 def test_indexed_bracket_matches_table_walk(kind, data):
     T = TABLES[kind]
-    F = data.draw(table_mpolys(T))
-    G = data.draw(table_mpolys(T))
+    if kind == "current":
+        T, walked = T
+        var_list = [(i, a) for a in range(CURRENT_DEGREE + 1) for i in range(T.base.dim)]
+        F = data.draw(table_mpolys(var_list))
+        G = data.draw(table_mpolys(var_list))
+        assert poisson_bracket(F, G, T) == reference_bracket(F, G, walked)
+        return
+    F = data.draw(table_mpolys(T.var_list()))
+    G = data.draw(table_mpolys(T.var_list()))
     assert poisson_bracket(F, G, T) == reference_bracket(F, G, T)
     images = hamiltonian_images([F], T)[0]
     for v in T.var_list():
@@ -243,12 +261,16 @@ def test_neighbour_index_is_built_on_first_bracket():
     sl2 = builtin_algebra("sl2")
     T = make_quotient(sl2, parse_poly("t^2"))
     pencil_combination(T, T, 1, 1)
-    assert "neighbours" not in vars(T)
+    assert "neighbours" not in vars(T) and "scaled_neighbours" not in vars(T)
     poisson_bracket(MPoly.variable((0, 0)), MPoly.variable((2, 1)), T)
     assert "neighbours" in vars(T)
     for u, pairs in T.neighbours.items():
         for v, ent in pairs:
             assert ent == T.pair_bracket(u, v)
+    D, scaled = T.scaled_neighbours
+    assert {u: [(v, [(w, Fraction(c, D)) for w, c in ent]) for v, ent in pairs]
+            for u, pairs in scaled.items()} == {
+        u: [(v, list(ent)) for v, ent in pairs] for u, pairs in T.neighbours.items()}
 
 
 def test_current_bracket_agrees_with_big_quotient():
@@ -340,3 +362,26 @@ def test_budget(monkeypatch):
     monkeypatch.setenv("GLAB_BUDGET_TERMS", "nope")
     with pytest.raises(InputError):
         term_budget()
+
+
+def test_bracket_kernel_keeps_the_term_budget(monkeypatch):
+    # every product of the Leibniz rule is checked against the budget:
+    # dF/dx_u * [x_u, x_v] and {F, x_v} * dG/dx_v
+    sl2 = builtin_algebra("sl2")
+    T = make_quotient(sl2, parse_poly("t^2"))
+    F = sum((MPoly.variable(v) for v in T.var_list()), MPoly.zero()) ** 2
+    G = MPoly.variable((0, 0)) * MPoly.variable((2, 1))
+    h = MPoly.variable((1, 0))
+    cb = CurrentBracket(sl2)
+    for bracket in (T, cb):
+        assert not poisson_bracket(F, G, bracket).is_zero()
+        assert not poisson_bracket(h, F, bracket).is_zero()
+    assert any(hamiltonian_images([F], T)[0])
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "5")
+    for bracket in (T, cb):
+        with pytest.raises(BudgetError):  # 6 terms in dF/dx_u
+            poisson_bracket(F, G, bracket)
+        with pytest.raises(BudgetError):  # {h, x_v} * dF/dx_v, 1 x 6 terms
+            poisson_bracket(h, F, bracket)
+    with pytest.raises(BudgetError):
+        hamiltonian_images([F], T)
