@@ -16,8 +16,6 @@ from . import __version__
 from .exactla import InputError, rat, rat_str
 from .liecore import (
     builtin_algebra,
-    check_table_antisymmetry,
-    check_table_jacobi,
     crt_idempotents,
     index_report,
     make_difference_bracket,
@@ -31,6 +29,7 @@ from .suites import (
     SUITE_NAMES,
     canonical_json,
     gaudin_commute_case,
+    jacobi_case,
     report_markdown,
     run_suite,
 )
@@ -73,10 +72,7 @@ def info():
 @_guard
 def jacobi(qname, ptxt):
     """Antisymmetry and Jacobi for the quotient bracket by --p."""
-    q = builtin_algebra(qname)
-    T = make_quotient(q, parse_poly(ptxt))
-    anti = check_table_antisymmetry(T)
-    bad = check_table_jacobi(T)
+    anti, bad = jacobi_case(builtin_algebra(qname), parse_poly(ptxt))
     click.echo(f"antisymmetry: {'ok' if anti else 'FAIL'}")
     if bad is None:
         click.echo("jacobi: ok")

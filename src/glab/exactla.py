@@ -7,11 +7,15 @@ until the answer is read out.  Rank and determinant use its echelon form;
 rref, nullspace, solve, mat_inv and RowSpace use its reduced form.  Kernel
 bases are themselves put in reduced row echelon form, so the answer is a
 canonical basis, reproducible byte for byte.
+
+The term budget (GLAB_BUDGET_TERMS) is read here, at the bottom of the
+package, so every layer that allocates by an input size can refuse it.
 """
 from __future__ import annotations
 
 import bisect
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -21,6 +25,27 @@ _ZERO = Fraction(0)
 
 class InputError(ValueError):
     """A value or matrix shape violates the documented contract."""
+
+
+DEFAULT_BUDGET = 2_000_000
+
+
+class BudgetError(RuntimeError):
+    """An operation would exceed the configured term budget."""
+
+
+def term_budget() -> int:
+    """The term budget: GLAB_BUDGET_TERMS, else DEFAULT_BUDGET."""
+    raw = os.environ.get("GLAB_BUDGET_TERMS")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        val = int(raw)
+    except ValueError as exc:
+        raise InputError(f"GLAB_BUDGET_TERMS must be an integer: {raw!r}") from exc
+    if val <= 0:
+        raise InputError("GLAB_BUDGET_TERMS must be positive")
+    return val
 
 
 def rat(x) -> Fraction:
@@ -321,17 +346,6 @@ def row_space(rows: Iterable, width: int) -> RowSpace:
     return rs
 
 
-def kron(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Kronecker product, used to assemble block pairing matrices."""
-    ent = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            for j in range(a.cols):
-                for l in range(b.cols):
-                    ent.append(a.at(i, j) * b.at(k, l))
-    return QMatrix(a.rows * b.rows, a.cols * b.cols, tuple(ent))
-
-
 def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.cols != b.rows:
         raise InputError("shape mismatch in product")
@@ -349,7 +363,7 @@ def mat_inv(m: QMatrix) -> QMatrix:
     if not m.is_square():
         raise InputError("inverse needs a square matrix")
     n = m.rows
-    aug = [m.row(i) + QMatrix.identity(n).row(i) for i in range(n)]
+    aug = [m.row(i) + [int(i == j) for j in range(n)] for i in range(n)]
     rows, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise InputError("matrix is singular")

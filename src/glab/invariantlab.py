@@ -14,10 +14,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Sequence
 
-from .exactla import InputError, QMatrix, kron, rat, row_space, solve
+from .exactla import InputError, QMatrix, mat_inv, rat, row_space
 from .liecore import (
     BracketTable,
     LieAlgebra,
@@ -794,6 +794,41 @@ def _slot_gram(q: LieAlgebra, k: int) -> QMatrix:
     )
 
 
+@lru_cache(maxsize=None)
+def _slot_gram_inverse(q: LieAlgebra, k: int) -> QMatrix:
+    try:
+        return mat_inv(_slot_gram(q, k))
+    except InputError as exc:
+        raise InputError("pairing matrix is singular") from exc
+
+
+def _solve_slot_grams(q: LieAlgebra, alpha: tuple, rhs: list) -> list:
+    """x with (G_1 (x) ... (x) G_s) x = rhs, G_u the Gram of slot u.
+
+    Entries are indexed as itertools.product of the slot bases, the last
+    slot running fastest.  The inverse of a Kronecker product is the
+    Kronecker product of the inverses (Van Loan 2000), so each slot's
+    inverse is applied along its own axis in turn and the full matrix is
+    never formed: N * (n_1 + ... + n_s) products for N = n_1 * ... * n_s.
+    """
+    x = rhs
+    inner = 1  # stride of slot u: the product of the sizes after it
+    for k in reversed(alpha):
+        inv = _slot_gram_inverse(q, k).row_lists()
+        n = len(inv)
+        y = [Fraction(0)] * len(x)
+        for start in range(0, len(x), n * inner):
+            for off in range(start, start + inner):
+                col = x[off : off + n * inner : inner]
+                for r, row in enumerate(inv):
+                    y[off + r * inner] = sum(
+                        (a * b for a, b in zip(row, col) if b), Fraction(0)
+                    )
+        x = y
+        inner *= n
+    return x
+
+
 def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
     """The component of F's bracket image supported on the slot shape alpha.
 
@@ -817,8 +852,6 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
         raise InputError(f"{q.name} carries no bilinear form")
     dim = q.dim
     slot_bases = [_slot_basis(dim, a) for a in alpha]
-    grams = [_slot_gram(q, a) for a in alpha]
-    full_gram = reduce(kron, grams)
     rhs = []
     vees = list(itertools.product(*slot_bases))
     for v in vees:
@@ -856,9 +889,7 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
                     )
                     bt = bt + MPoly({mono: Fraction(mu * nu) * c})
         rhs.append(sym_pairing(q, F, bt))
-    coeffs = solve(full_gram, rhs)
-    if coeffs is None:
-        raise InputError("pairing matrix is singular")
+    coeffs = _solve_slot_grams(q, alpha, rhs)
     acc = MPoly.zero()
     for cv, v in zip(coeffs, vees):
         if cv == 0:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .exactla import InputError, QMatrix, rank, rat, rat_str
+from .exactla import BudgetError, InputError, QMatrix, rank, rat, rat_str, term_budget
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +286,17 @@ _TERM_RE = re.compile(
 )
 
 
+def _exponent(digits: str, budget: int) -> int:
+    """The exponent k written as digits; BudgetError when the k + 1
+    coefficients of t^k would exceed the term budget.  The length test
+    comes first, so a huge digit string is refused before int() reads it."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(budget)) or int(digits) >= budget:
+        shown = digits if len(digits) <= 12 else digits[:12] + "..."
+        raise BudgetError(f"t^{shown} needs more than {budget} coefficients")
+    return int(digits)
+
+
 def parse_poly(text: str) -> UniPoly:
     """Parse strings like "t^3 - t + 1" or "2*t^2+1/2"."""
     s = text.replace("**", "^").replace(" ", "")
@@ -295,6 +306,7 @@ def parse_poly(text: str) -> UniPoly:
     terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:
         raise InputError(f"cannot parse polynomial: {text!r}")
+    budget = term_budget()
     p = UniPoly.zero()
     for term in terms:
         sign = 1
@@ -308,7 +320,7 @@ def parse_poly(text: str) -> UniPoly:
             raise InputError(f"cannot parse term {term!r} in {text!r}")
         coef = rat(m.group("coef")) if m.group("coef") else Fraction(1)
         if m.group("t"):
-            k = int(m.group("pow")) if m.group("pow") else 1
+            k = _exponent(m.group("pow") or "1", budget)
         else:
             k = 0
         p = p + UniPoly.monomial(k, sign * coef)
@@ -355,6 +367,16 @@ class LieAlgebra:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """Hash of every field, computed once per instance: algebras key
+        the lru caches of invariantlab, and hashing all of sc and form on
+        every lookup costs more than many of the cached calls."""
+        return hash((self.name, self.labels, self.sc, self.form))
 
     @cached_property
     def _sc_map(self) -> dict:

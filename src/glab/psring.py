@@ -13,39 +13,30 @@ coefficients become Fractions.
 
 Products guard against term blowup: when an operation would exceed the
 term budget (GLAB_BUDGET_TERMS, default 2 * 10^6) it raises BudgetError
-rather than grinding on.
+rather than grinding on.  The budget is defined in exactla, which the
+polynomial parser in liecore also reaches; psring re-exports it.
 """
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exactla import InputError, QMatrix, RowSpace, rank, rat, rat_str, row_space
+from .exactla import (
+    BudgetError,
+    InputError,
+    QMatrix,
+    RowSpace,
+    rank,
+    rat,
+    rat_str,
+    row_space,
+    term_budget,
+)
 from .liecore import BracketTable, LieAlgebra, UniPoly, scale_neighbours
 
 Var = tuple
 Mono = tuple
-
-DEFAULT_BUDGET = 2_000_000
-
-
-class BudgetError(RuntimeError):
-    """An operation would exceed the configured term budget."""
-
-
-def term_budget() -> int:
-    raw = os.environ.get("GLAB_BUDGET_TERMS")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise InputError(f"GLAB_BUDGET_TERMS must be an integer: {raw!r}") from exc
-    if val <= 0:
-        raise InputError("GLAB_BUDGET_TERMS must be positive")
-    return val
 
 
 def _check_budget(a: int, b: int, budget: int) -> None:

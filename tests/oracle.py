@@ -5,7 +5,20 @@ so a property test can compare the two.
 """
 from fractions import Fraction
 
+from glab.exactla import QMatrix
 from glab.psring import MPoly
+
+
+def reference_kron(a, b):
+    """Kronecker product a (x) b: entry (i*b.rows + k, j*b.cols + l) is
+    a[i, j] * b[k, l]."""
+    ent = []
+    for i in range(a.rows):
+        for k in range(b.rows):
+            for j in range(a.cols):
+                for l in range(b.cols):
+                    ent.append(a.at(i, j) * b.at(k, l))
+    return QMatrix(a.rows * b.rows, a.cols * b.cols, tuple(ent))
 
 
 def reference_bracket(F, G, T):

@@ -1,11 +1,14 @@
 """Invariants, polarizations, central generators, quadratic family."""
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from glab.exactla import InputError, det
+from glab.exactla import InputError, QMatrix, det, solve
 from glab.liecore import (
+    LieAlgebra,
     UniPoly,
     algebra_from_json,
     algebra_to_json,
@@ -22,6 +25,8 @@ from glab.psring import (
     substitute_vars,
 )
 from glab.invariantlab import (
+    _slot_gram,
+    _solve_slot_grams,
     attach_poly,
     basic_invariants,
     binom_identity_check,
@@ -57,6 +62,7 @@ from glab.invariantlab import (
     xi_t,
     y_xi,
 )
+from oracle import reference_kron
 
 E, H, F = (MPoly.variable((i, 0)) for i in range(3))
 
@@ -447,6 +453,32 @@ def test_script_f_validation(sl2):
     with pytest.raises(InputError):
         script_f(sl2, C, (1, 1, 1), 0, 0)
     assert script_f(sl2, C, (0, 2, 1), 0, 1).is_zero()
+    degenerate = LieAlgebra("ab2", ("a", "b"), (), QMatrix.from_rows([[1, 0], [0, 0]]))
+    with pytest.raises(InputError, match="pairing matrix is singular"):
+        script_f(degenerate, MPoly.variable((0, 0)), (1, 1), 0, 1)
+
+
+# every slot shape the forms suite enumerates for the sl2 Casimir: lengths
+# 2 to 4, slot sizes up to 3, total 3; Gram sizes 10, 18 and 27
+FORMS_SHAPES = [
+    alpha
+    for n in (2, 3, 4)
+    for alpha in itertools.product(range(4), repeat=n)
+    if sum(alpha) == 3
+]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_slot_gram_solve_matches_full_kronecker(sl2, data):
+    alpha = data.draw(st.sampled_from(FORMS_SHAPES))
+    grams = [_slot_gram(sl2, k) for k in alpha]
+    full = reduce(reference_kron, grams)
+    rhs = data.draw(st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        min_size=full.rows, max_size=full.rows,
+    ))
+    assert _solve_slot_grams(sl2, alpha, rhs) == list(solve(full, rhs))
 
 
 def test_script_f_antisymmetry(sl2):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exactla import InputError
+from glab.exactla import BudgetError, InputError
 from glab.liecore import (
     UniPoly,
     algebra_from_json,
@@ -36,6 +36,7 @@ from glab.liecore import (
     rational_roots,
     wrap_algebra,
 )
+from glab.invariantlab import _slot_gram
 
 small_coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=4),
@@ -139,6 +140,15 @@ def test_poly_json_round_trip():
     assert poly_from_json({"roots": ["1", "2"]}) == UniPoly.from_roots([1, 2])
 
 
+def test_parse_poly_degree_budget(monkeypatch):
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "10")
+    assert parse_poly("t^9 + t^009").degree == 9
+    with pytest.raises(BudgetError):
+        parse_poly("t^20")
+    with pytest.raises(BudgetError):  # more digits than int() accepts
+        parse_poly("1+t^" + "9" * 5000)
+
+
 # ---------------------------------------------------------------------------
 # algebras
 
@@ -184,6 +194,20 @@ def test_algebra_json_round_trip():
     bad["sc"].append([0, 2, 0, "1"])
     with pytest.raises(InputError):
         algebra_from_json(bad)
+
+
+def test_algebra_hash_is_cached_and_follows_equality():
+    a, b = builtin_algebra("sl4"), builtin_algebra("sl4")
+    assert a is not b and a == b and hash(a) == hash(b)
+    q = algebra_from_json(algebra_to_json(a))
+    assert q == a and hash(q) == hash(a)
+    assert _slot_gram(q, 1) is _slot_gram(a, 1)  # one cache entry for both
+    r = algebra_from_json(algebra_to_json(a))
+    assert "_hash" not in vars(r)
+    h = hash(r)
+    assert vars(r)["_hash"] == h
+    object.__setattr__(r, "name", "renamed")  # a recomputed hash would move
+    assert hash(r) == h
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,11 @@ def test_cli_budget_exit(runner, monkeypatch):
     assert res.exit_code == 3
 
 
+def test_cli_huge_degree_exits_on_budget(runner):
+    res = runner.invoke(main, ["jacobi", "--p", "t^10000000000"])
+    assert res.exit_code == 3
+
+
 def test_cli_same_seed_same_bytes(runner):
     args = ["suite", "run", "index-laws", "--seed", "4"]
     out1 = runner.invoke(main, args).output
