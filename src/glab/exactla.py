@@ -1,12 +1,16 @@
 """Exact linear algebra over the rationals.
 
-All elimination goes through one fraction-free (Bareiss) routine on
+All exact elimination goes through one fraction-free (Bareiss) routine on
 integer rows, ``_echelon``: rational input is cleared to integers row by
 row, every division in it is exact, and no ``fractions.Fraction`` is made
 until the answer is read out.  Rank and determinant use its echelon form;
 rref, nullspace, solve, mat_inv and RowSpace use its reduced form.  Kernel
 bases are themselves put in reduced row echelon form, so the answer is a
 canonical basis, reproducible byte for byte.
+
+``rank_mod_p`` is the one routine that does not stay exact: it ranks the
+integer rows over GF(PRIME), which can only under-count, so a sampled rank
+can be steered by it and certified by one exact ``rank`` at the end.
 
 The term budget (GLAB_BUDGET_TERMS) is read here, at the bottom of the
 package, so every layer that allocates by an input size can refuse it.
@@ -195,6 +199,39 @@ def _echelon(rows: list, ncols: int, full: bool) -> tuple:
 def rank(m: QMatrix) -> int:
     """Matrix rank by fraction-free elimination on integers."""
     return len(_echelon(_int_rows(m), m.cols, False)[1])
+
+
+PRIME = 2**31 - 1
+
+
+def rank_mod_p(m: QMatrix) -> int:
+    """Rank over GF(PRIME) of m with each row cleared to integers.
+
+    A minor that vanishes over the integers vanishes mod PRIME, and row
+    scaling keeps the rank over Q, so the result is never above rank(m).
+    It is below it only when PRIME divides every nonzero minor of size
+    rank(m) of the cleared rows.  Reduction is lazy: a step reduces only
+    the pivot row and the column it clears, so the other entries grow
+    unreduced by less than PRIME^2 per step.  Each row keeps only the
+    columns not yet cleared.
+    """
+    p = PRIME
+    rows = [[x % p for x in r] for r in _int_rows(m)]
+    found = 0
+    for _ in range(m.cols):
+        if not rows:
+            break
+        col = [r[0] % p for r in rows]
+        piv = next((i for i, f in enumerate(col) if f), None)
+        if piv is None:
+            rows = [r[1:] for r in rows]
+            continue
+        inv = pow(col.pop(piv), -1, p)
+        ptail = [x * inv % p for x in rows.pop(piv)[1:]]
+        rows = [[x - f * y for x, y in zip(r[1:], ptail)] if f else r[1:]
+                for r, f in zip(rows, col)]
+        found += 1
+    return found
 
 
 def det(m: QMatrix) -> Fraction:

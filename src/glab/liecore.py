@@ -17,7 +17,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .exactla import BudgetError, InputError, QMatrix, rank, rat, rat_str, term_budget
+from .exactla import (
+    BudgetError,
+    InputError,
+    QMatrix,
+    rank,
+    rank_mod_p,
+    rat,
+    rat_str,
+    term_budget,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +601,17 @@ def make_direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 
 
 def make_takiff(q: LieAlgebra, k: int) -> LieAlgebra:
-    """q[t]/(t^k) flattened to a plain Lie algebra; towers are allowed."""
+    """q[t]/(t^k) flattened to a plain Lie algebra; towers are allowed.
+
+    BudgetError, before anything is built, when its dim^2 bracket pairs
+    exceed the term budget.
+    """
     if k < 1:
         raise InputError("truncation order must be positive")
+    budget = term_budget()
+    if (q.dim * k) ** 2 > budget:
+        raise BudgetError(f"takiff of dimension {q.dim} * {k} has more than "
+                          f"{budget} bracket pairs")
     labels = tuple(
         f"{lab}.t{a}" for a in range(k) for lab in q.labels
     )
@@ -971,9 +988,16 @@ def check_table_antisymmetry(T: BracketTable) -> bool:
 
 
 def check_table_jacobi(T: BracketTable):
-    """First flat triple (u, v, w) violating Jacobi, else None."""
+    """First flat triple (u, v, w) violating Jacobi, else None.
+
+    BudgetError, before the scan, when the N(N-1)(N-2)/6 triples of the
+    N variables exceed the term budget.
+    """
     vs = T.var_list()
     N = len(vs)
+    budget = term_budget()
+    if N * (N - 1) * (N - 2) // 6 > budget:
+        raise BudgetError(f"Jacobi scan of {N} variables has more than {budget} triples")
     for iu in range(N):
         for iv in range(iu + 1, N):
             for iw in range(iv + 1, N):
@@ -1083,47 +1107,71 @@ def structure_matrix_at(T: BracketTable, point: dict) -> QMatrix:
 
 def sampled_max_rank(matrix_at, nvars: int, seed: int = 0, samples: int = 4,
                      bound: int = 1000, max_rounds: int = 5):
-    """Max rank of matrix_at(point) over random integer points.
+    """Generic rank of matrix_at(point), sampled at random integer points.
 
-    Two batches are drawn; on disagreement the coordinate bound doubles and
-    both batches rerun, up to max_rounds times.  Returns (rank, witness,
-    bound, rounds) where witness attains the rank.
+    matrix_at takes a tuple of nvars ints and returns a QMatrix.  Two
+    batches of samples points, coordinates drawn from [-bound, bound], are
+    ranked; on disagreement the bound doubles and both batches rerun, up to
+    max_rounds times.  Returns (rank, witness, bound, rounds), the witness
+    a tuple of Fraction.
+
+    Samples are ranked over GF(exactla.PRIME), which never over-counts.
+    The witness is the first sample of highest rank mod p, and the returned
+    rank is its exact rank (not recomputed when the rank mod p is already
+    min(rows, cols)), so it is never above the generic rank r.  A sample
+    falls short of r with probability at most deg/(2*bound + 1), deg the
+    degree in the point of a nonzero r x r minor (Schwartz-Zippel holds
+    over GF(p) as over Q); the one other cause is a PRIME dividing every
+    generic r x r minor, a property of the input.  Witness, bound and
+    rounds are those exact ranks would give unless, at some sample, PRIME
+    divides every minor the size of its rank.
     """
     rng = random.Random(seed)
-    best = (-1, None)
+    best = (-1, None, None)
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         batch_ranks = []
         for _ in range(2):
-            best_in_batch = (-1, None)
+            best_in_batch = (-1, None, None)
             for _ in range(samples):
-                pt = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(nvars))
-                r = matrix_at(pt)
+                pt = tuple(rng.randint(-bound, bound) for _ in range(nvars))
+                m = matrix_at(pt)
+                r = rank_mod_p(m)
                 if r > best_in_batch[0]:
-                    best_in_batch = (r, pt)
+                    best_in_batch = (r, pt, m)
             batch_ranks.append(best_in_batch)
         b1, b2 = batch_ranks
         top = max(b1, b2, key=lambda x: x[0])
         if top[0] > best[0]:
             best = top
         if b1[0] == b2[0]:
-            return best[0], best[1], bound, rounds
+            break
         bound *= 2
-    return best[0], best[1], bound, rounds
+    r, pt, m = best
+    if r < min(m.rows, m.cols):
+        r = rank(m)
+    return r, tuple(Fraction(x) for x in pt), bound, rounds
 
 
 def index_report(T, seed: int = 0, samples: int = 4, bound: int = 1000) -> IndexReport:
-    """Index of the bracket as corank of the sampled structure matrix."""
+    """Index of the bracket as corank of the sampled structure matrix.
+
+    The samples are ranked over GF(exactla.PRIME) and the reported rank is
+    exact at the witness (see sampled_max_rank), so it is never above the
+    generic rank r.  The structure matrix is linear in the point, so a
+    sample falls short of r with probability at most r/(2*bound + 1); the
+    one other cause is a PRIME dividing every generic r x r minor, which is
+    a property of the table.
+    """
     if isinstance(T, LieAlgebra):
         T = wrap_algebra(T)
     vs = T.var_list()
 
-    def matrix_rank(flat_point):
-        point = dict(zip(vs, flat_point))
-        return rank(structure_matrix_at(T, point))
+    def matrix(flat_point):
+        return structure_matrix_at(T, dict(zip(vs, flat_point)))
 
     r, witness, used_bound, rounds = sampled_max_rank(
-        matrix_rank, T.dim_total, seed=seed, samples=samples, bound=bound
+        matrix, T.dim_total, seed=seed, samples=samples, bound=bound
     )
     return IndexReport(
         dim=T.dim_total,

@@ -34,7 +34,7 @@ from .psring import (
     hamiltonian_images,
     image_rows,
     independent_subset,
-    jacobian_rank_at,
+    jacobian_at,
     lowest_t_component,
     mono_sort_key,
     poisson_bracket,
@@ -309,16 +309,24 @@ class TrdegReport:
 
 def trdeg_estimate(polys: Sequence, var_list: Sequence, seed: int = 0,
                    samples: int = 4, bound: int = 1000) -> TrdegReport:
-    """Sampled Jacobian rank of the family, with the doubling retry rule."""
+    """Sampled Jacobian rank of the family, with the doubling retry rule.
+
+    The samples are ranked over GF(exactla.PRIME) and the reported rank is
+    exact at the witness (see sampled_max_rank), so it is never above the
+    transcendence degree r.  A sample falls short of r with probability at
+    most deg/(2*bound + 1), deg being the sum of deg F - 1 over the r
+    polynomials of a nonzero r x r minor of the Jacobian; the one other
+    cause is a PRIME dividing every such generic minor, a property of the
+    family.
+    """
     polys = [F for F in polys if not F.is_zero()]
     var_list = list(var_list)
 
-    def matrix_rank(flat_point):
-        point = dict(zip(var_list, flat_point))
-        return jacobian_rank_at(polys, point, var_list)
+    def matrix(flat_point):
+        return jacobian_at(polys, dict(zip(var_list, flat_point)), var_list)
 
     r, witness, used_bound, rounds = sampled_max_rank(
-        matrix_rank, len(var_list), seed=seed, samples=samples, bound=bound
+        matrix, len(var_list), seed=seed, samples=samples, bound=bound
     )
     return TrdegReport(rank=r, bound=used_bound, rounds=rounds, seed=seed,
                        witness=witness)

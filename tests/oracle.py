@@ -3,9 +3,10 @@
 They compute the same objects as glab's fast paths, by the plainest route,
 so a property test can compare the two.
 """
+import random
 from fractions import Fraction
 
-from glab.exactla import QMatrix
+from glab.exactla import QMatrix, rank
 from glab.psring import MPoly
 
 
@@ -94,3 +95,34 @@ def reference_nullspace(rows, ncols):
             v[pc] = -row[f]
         basis.append(v)
     return [tuple(v) for v in reference_rref(basis)[0]]
+
+
+def reference_sampled_max_rank(matrix_at, nvars, seed=0, samples=4, bound=1000,
+                               max_rounds=5):
+    """sampled_max_rank with an exact rank at every sample.
+
+    Points are tuples of Fraction drawn in the same order; the first sample
+    of highest rank in each batch is kept, and the bound doubles while the
+    two batches disagree.  Returns (rank, witness, bound, rounds).
+    """
+    rng = random.Random(seed)
+    best = (-1, None)
+    rounds = 0
+    for rounds in range(1, max_rounds + 1):
+        batch_ranks = []
+        for _ in range(2):
+            best_in_batch = (-1, None)
+            for _ in range(samples):
+                pt = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(nvars))
+                r = rank(matrix_at(pt))
+                if r > best_in_batch[0]:
+                    best_in_batch = (r, pt)
+            batch_ranks.append(best_in_batch)
+        b1, b2 = batch_ranks
+        top = max(b1, b2, key=lambda x: x[0])
+        if top[0] > best[0]:
+            best = top
+        if b1[0] == b2[0]:
+            return best[0], best[1], bound, rounds
+        bound *= 2
+    return best[0], best[1], bound, rounds

@@ -1,5 +1,6 @@
 """Exact linear algebra over the rationals."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glab.exactla import (
+    PRIME,
     InputError,
     QMatrix,
     RowSpace,
@@ -15,6 +17,7 @@ from glab.exactla import (
     mat_mul,
     nullspace,
     rank,
+    rank_mod_p,
     rat,
     rat_str,
     row_space,
@@ -26,6 +29,7 @@ from glab.liecore import (
     index_report,
     make_quotient,
     parse_poly,
+    sampled_max_rank,
     structure_matrix_at,
 )
 from oracle import reference_kron, reference_nullspace, reference_rref
@@ -307,3 +311,60 @@ def test_elimination_agrees_with_sympy():
         if m.is_square():
             d = dm.det()
             assert det(m) == Fraction(int(d.numerator), int(d.denominator))
+
+
+@st.composite
+def mod_p_matrices(draw):
+    """Tall or wide matrices with entries a + b * PRIME, integral or over
+    denominators PRIME may divide: a row can vanish mod PRIME, a minor can
+    be a multiple of it, and clearing a row can bring it back."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    dens = draw(st.sampled_from(((1,), (1, 2, 3, PRIME, 2 * PRIME))))
+    entry = st.builds(lambda a, b, d: Fraction(a + b * PRIME, d),
+                      st.integers(-3, 3), st.integers(-2, 2), st.sampled_from(dens))
+    return QMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                                           min_size=nr, max_size=nr)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mod_p_matrices())
+def test_rank_mod_p_is_a_lower_bound_equal_to_sympy_over_gf_p(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    r = rank_mod_p(m)
+    assert r <= rank(m)
+    K = sympy.GF(PRIME)
+    cleared = []
+    for i in range(m.rows):
+        row = m.row(i)
+        lcm = math.lcm(*[x.denominator for x in row])
+        cleared.append([K(int(x * lcm)) for x in row])
+    assert r == DomainMatrix(cleared, (m.rows, m.cols), K).rank()
+
+
+def test_rank_mod_p_falls_short_where_prime_divides_the_minors():
+    assert rank_mod_p(QMatrix.from_rows([[1, 1], [1, 1 + PRIME]])) == 1
+    assert rank(QMatrix.from_rows([[1, 1], [1, 1 + PRIME]])) == 2
+    # clearing the row's denominators keeps the rank
+    assert rank_mod_p(QMatrix.from_rows([[Fraction(1, PRIME), 1]])) == 1
+    assert rank_mod_p(QMatrix.from_rows([[PRIME, 0], [0, PRIME * PRIME]])) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(max_side=5))
+def test_sampled_max_rank_is_exact_at_the_witness(a):
+    # every sample is p * A, so every mod-p rank is 0 and only the exact
+    # rank of the witness's matrix can report rank(A)
+    pa = QMatrix(a.rows, a.cols, tuple(PRIME * x for x in a.entries))
+    points = []
+
+    def matrix_at(point):
+        points.append(point)
+        return pa
+
+    assert rank_mod_p(pa) == 0
+    r, witness, bound, rounds = sampled_max_rank(matrix_at, 3, seed=5)
+    assert r == rank(a)
+    assert witness == tuple(Fraction(x) for x in points[0])
+    assert (bound, rounds, len(points)) == (1000, 1, 8)

@@ -27,6 +27,7 @@ from glab.liecore import (
     make_gl,
     make_quotient,
     make_sl,
+    make_takiff,
     parse_poly,
     pencil_combination,
     poly_egcd,
@@ -34,9 +35,11 @@ from glab.liecore import (
     poly_gcd,
     poly_to_json,
     rational_roots,
+    structure_matrix_at,
     wrap_algebra,
 )
 from glab.invariantlab import _slot_gram
+from oracle import reference_sampled_max_rank
 
 small_coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=4),
@@ -147,6 +150,26 @@ def test_parse_poly_degree_budget(monkeypatch):
         parse_poly("t^20")
     with pytest.raises(BudgetError):  # more digits than int() accepts
         parse_poly("1+t^" + "9" * 5000)
+
+
+def test_jacobi_scan_and_takiff_keep_the_term_budget(monkeypatch):
+    sl2, sl3 = builtin_algebra("sl2"), builtin_algebra("sl3")
+    T = make_quotient(sl3, parse_poly("t^2"))  # 16 variables, 560 triples
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "560")
+    assert check_table_jacobi(T) is None
+    assert make_difference_bracket(sl3, parse_poly("t^2"), parse_poly("t^2+t")).n == 2
+    assert builtin_algebra("takiff:sl2:2").dim == 6
+    assert builtin_algebra("takiff:takiff:sl2:2:3").dim == 18
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "559")
+    with pytest.raises(BudgetError):
+        check_table_jacobi(T)
+    with pytest.raises(BudgetError):
+        make_difference_bracket(sl3, parse_poly("t^2"), parse_poly("t^2+t"))
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "35")  # takiff:sl2:2 has 6^2 pairs
+    with pytest.raises(BudgetError):
+        make_takiff(sl2, 2)
+    with pytest.raises(BudgetError):  # refused before anything is allocated
+        builtin_algebra("takiff:sl2:" + "9" * 30)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +393,43 @@ def test_index_report_fields():
     # same seed, same witness
     rep2 = index_report(sl2, seed=7)
     assert rep2.witness == rep.witness
+
+
+def _member(qname, p1, p2, a):
+    q = builtin_algebra(qname)
+    t1, t2 = make_quotient(q, parse_poly(p1)), make_quotient(q, parse_poly(p2))
+    return pencil_combination(t1, t2, a, 1 - a)
+
+
+ORACLE_TABLES = {
+    "sl2 t^2": lambda: make_quotient(builtin_algebra("sl2"), parse_poly("t^2")),
+    "sl3 t^3-t": lambda: make_quotient(builtin_algebra("sl3"), parse_poly("t^3-t")),
+    "sl4 t^2+1": lambda: make_quotient(builtin_algebra("sl4"), parse_poly("t^2+1")),
+    "sl4 t^2 - t^2+t": lambda: make_difference_bracket(
+        builtin_algebra("sl4"), parse_poly("t^2"), parse_poly("t^2+t")),
+    "sl3 t^4 - t^4+1": lambda: make_difference_bracket(
+        builtin_algebra("sl3"), parse_poly("t^4"), parse_poly("t^4+1")),
+    "abelian:3": lambda: wrap_algebra(builtin_algebra("abelian:3")),
+    "takiff:sl2:2": lambda: wrap_algebra(builtin_algebra("takiff:sl2:2")),
+    "sl3 member a=7919/1009": lambda: _member("sl3", "t^2", "t^2+t", Fraction(7919, 1009)),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_TABLES))
+def test_index_report_matches_the_exact_sampling_oracle(case):
+    # ranks taken mod p steer the sampling exactly as exact ranks did
+    T = ORACLE_TABLES[case]()
+    vs = T.var_list()
+
+    def matrix(point):
+        return structure_matrix_at(T, dict(zip(vs, point)))
+
+    for seed in range(12):
+        rep = index_report(T, seed=seed)
+        got = (rep.rank, rep.witness, rep.bound, rep.rounds)
+        assert got == reference_sampled_max_rank(matrix, T.dim_total, seed=seed)
+    if case == "abelian:3":
+        assert rep.rank == 0
 
 
 def test_wrap_algebra_matches_quotient_by_t():

@@ -10,6 +10,7 @@ from glab.psring import (
     MPoly,
     coeff_rows,
     hamiltonian_images,
+    jacobian_at,
     poisson_bracket,
     span_equal,
 )
@@ -32,9 +33,11 @@ from glab.pencilz import (
     pencil_member,
     rho_gamma,
     tau_ladder_span,
+    trdeg_estimate,
     trdeg_of_Z,
     verify_Z_commutes,
 )
+from oracle import reference_sampled_max_rank
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +161,22 @@ def test_sl3_pencil(sl3):
     Z = build_Z(pen)
     assert Z.counts() == {0: 3, 1: 4}
     assert trdeg_of_Z(Z).rank == 7
+
+
+def test_trdeg_estimate_matches_the_exact_sampling_oracle(sl3):
+    # ranks taken mod p steer the sampling exactly as exact ranks did
+    Z = build_Z(Pencil(sl3, parse_poly("t^3"), parse_poly("t^3+t")))
+    polys = Z.all_basis()
+    vs = Z.pencil.end_tables[0].var_list()
+
+    def matrix(point):
+        return jacobian_at(polys, dict(zip(vs, point)), vs)
+
+    for seed in range(12):
+        rep = trdeg_estimate(polys, vs, seed=seed)
+        got = (rep.rank, rep.witness, rep.bound, rep.rounds)
+        assert got == reference_sampled_max_rank(matrix, len(vs), seed=seed)
+    assert rep.rank == 12
 
 
 def test_z_independent_of_second_modulus(sl2, pen_t, pen_1):

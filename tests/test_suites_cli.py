@@ -176,6 +176,19 @@ def test_cli_budget_exit(runner, monkeypatch):
     assert res.exit_code == 3
 
 
+def test_cli_jacobi_scan_and_takiff_exit_on_budget(runner, monkeypatch):
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "1000")
+    assert runner.invoke(main, ["jacobi", "--q", "sl2", "--p", "t^3"]).exit_code == 0
+    # 32 variables: 4960 Jacobi triples
+    res = runner.invoke(main, ["jacobi", "--q", "sl3", "--p", "t^4"])
+    assert res.exit_code == 3
+    res = runner.invoke(main, ["index", "--q", "sl3", "--p", "t^4", "--p2", "t^4+1"])
+    assert res.exit_code == 3
+    # dimension 60: 3600 bracket pairs
+    res = runner.invoke(main, ["index", "--q", "takiff:sl2:20", "--p", "t"])
+    assert res.exit_code == 3
+
+
 def test_cli_huge_degree_exits_on_budget(runner):
     res = runner.invoke(main, ["jacobi", "--p", "t^10000000000"])
     assert res.exit_code == 3
