@@ -16,22 +16,22 @@ from . import __version__
 from .exactla import InputError, rat, rat_str
 from .liecore import (
     builtin_algebra,
-    crt_idempotents,
     index_report,
     make_difference_bracket,
     make_quotient,
     parse_poly,
-    rational_roots,
 )
 from .psring import BudgetError, term_budget
-from .pencilz import Pencil, build_Z, trdeg_of_Z, verify_Z_commutes
+from .pencilz import Pencil, build_Z
 from .suites import (
     SUITE_NAMES,
     canonical_json,
+    crt_case,
     gaudin_commute_case,
     jacobi_case,
     report_markdown,
     run_suite,
+    z_case,
 )
 
 
@@ -110,37 +110,17 @@ def index(qname, ptxt, p2txt, seed):
 @_guard
 def crt(ptxt):
     """Idempotent decomposition of a split modulus."""
-    p = parse_poly(ptxt)
-    rd = rational_roots(p)
-    if rd is None:
-        raise InputError(f"{ptxt} does not split over Q")
-    roots = tuple(r for r, _ in rd)
-    if any(m != 1 for _, m in rd):
-        raise InputError(f"{ptxt} has repeated roots; idempotents need distinct roots")
-    idems = crt_idempotents(p, roots)
-    ok = True
-    for r, e in zip(roots, idems):
-        sq = (e * e - e).mod(p).is_zero()
-        ok = ok and sq
+    res = crt_case(ptxt)
+    for r, e, sq in zip(res["roots"], res["idempotents"], res["square"]):
         click.echo(f"root {rat_str(r)}: r = {e}  idempotent: {'ok' if sq else 'FAIL'}")
-    total = idems[0]
-    for e in idems[1:]:
-        total = total + e
-    s1 = (total - parse_poly("1")).mod(p).is_zero()
-    click.echo(f"sum to one: {'ok' if s1 else 'FAIL'}")
-    if not ok or not s1:
+    click.echo(f"sum to one: {'ok' if res['sum_to_one'] else 'FAIL'}")
+    if not all(res["square"]) or not res["sum_to_one"]:
         sys.exit(1)
 
 
 @main.group()
 def zz():
     """Build and verify the joint-center subalgebra of a pencil."""
-
-
-def _z_common(qname, p1txt, p2txt, samples, seed):
-    q = builtin_algebra(qname)
-    pen = Pencil(q, parse_poly(p1txt), parse_poly(p2txt))
-    return build_Z(pen, sample_count=samples, seed=seed)
 
 
 @zz.command("build")
@@ -154,7 +134,8 @@ def _z_common(qname, p1txt, p2txt, samples, seed):
 @_guard
 def zz_build(qname, p1txt, p2txt, samples, seed, fmt):
     """Assemble generators from member centers and report the counts."""
-    Z = _z_common(qname, p1txt, p2txt, samples, seed)
+    pen = Pencil(builtin_algebra(qname), parse_poly(p1txt), parse_poly(p2txt))
+    Z = build_Z(pen, sample_count=samples, seed=seed)
     payload = {
         "algebra": qname,
         "p1": p1txt,
@@ -190,9 +171,8 @@ def zz_build(qname, p1txt, p2txt, samples, seed, fmt):
 @_guard
 def zz_verify(qname, p1txt, p2txt, samples, seed):
     """Build, then check commutativity and the sampled transcendence degree."""
-    Z = _z_common(qname, p1txt, p2txt, samples, seed)
-    commutes = verify_Z_commutes(Z)
-    rep = trdeg_of_Z(Z, seed=seed)
+    Z, commutes, rep = z_case(builtin_algebra(qname), parse_poly(p1txt),
+                              parse_poly(p2txt), seed, samples)
     counts_ok = Z.counts() == Z.expected_counts()
     click.echo(f"counts: {Z.counts()} expected {Z.expected_counts()} "
                f"{'ok' if counts_ok else 'FAIL'}")

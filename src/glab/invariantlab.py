@@ -23,6 +23,7 @@ from .liecore import (
     LieAlgebra,
     PrimaryComponent,
     UniPoly,
+    _matrix_basis,
     crt_primary,
     rational_roots,
     wrap_algebra,
@@ -104,21 +105,7 @@ def _char_invariants(q: LieAlgebra) -> tuple:
     if not m:
         raise InputError(f"no characteristic invariants for {q.name}")
     kind, n = m.group(1), int(m.group(2))
-    # rebuild the defining matrices in the same order as make_sl / make_gl
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    lower = [(j, i) for (i, j) in upper]
-    if kind == "sl":
-        mats = []
-        for (i, j) in upper:
-            mats.append({(i, j): Fraction(1)})
-        for a in range(n - 1):
-            mats.append({(a, a): Fraction(1), (a + 1, a + 1): Fraction(-1)})
-        for (i, j) in lower:
-            mats.append({(i, j): Fraction(1)})
-    else:
-        mats = []
-        for (i, j) in upper + [(i, i) for i in range(n)] + lower:
-            mats.append({(i, j): Fraction(1)})
+    _, mats = _matrix_basis(kind, n)
     ginv = q.form_inverse
     # entries of the generic matrix as linear polynomials
     X = [[MPoly.zero() for _ in range(n)] for _ in range(n)]
@@ -128,7 +115,7 @@ def _char_invariants(q: LieAlgebra) -> tuple:
             c = ginv.at(k, l)
             if c == 0:
                 continue
-            for (i, j), val in mats[l].items():
+            for i, j, val in mats[l]:
                 X[i][j] = X[i][j] + xk.scale(c * val)
     # det(lambda * I - X) expanded over permutations, tracking lambda degree
     bylam = {}
@@ -153,8 +140,8 @@ def _char_invariants(q: LieAlgebra) -> tuple:
         _normalize_primitive(bylam.get(n - k, MPoly.zero()))
         for k in range(2 if kind == "sl" else 1, n + 1)
     )
-    # the matrices above assume the make_sl / make_gl basis; an algebra that
-    # only shares the name (say, loaded with its basis reordered) fails here
+    # the matrices are those of the built-in basis; an algebra that only
+    # shares the name (say, loaded with its basis reordered) fails here
     if any(hamiltonian_images(out, wrap_algebra(q))):
         raise InputError(
             f"characteristic invariants of {q.name} are not central: its "
@@ -280,12 +267,6 @@ def weakly_increasing(d: int, top: int) -> list:
     return list(itertools.combinations_with_replacement(range(top + 1), d))
 
 
-def pol_space(F: MPoly, n: int) -> list:
-    """(kvec, polarization) for every arrangement with degrees below n."""
-    d = F.total_degree()
-    return [(kv, polarize(F, kv)) for kv in weakly_increasing(d, n - 1)]
-
-
 def f_bracket_j(F: MPoly, j: int, n: int) -> MPoly:
     """Sum of all polarizations of F with total t degree j, degrees < n."""
     d = F.total_degree()
@@ -354,12 +335,6 @@ class GeneratorSet:
 
     def polys(self) -> list:
         return [e.poly for e in self.entries]
-
-    def by_source(self) -> dict:
-        out = {}
-        for e in self.entries:
-            out.setdefault(e.source, []).append(e)
-        return out
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -713,15 +688,6 @@ def predicted_centralizer_basis(q: LieAlgebra, p: UniPoly) -> list:
                 acc = acc + quad_h(q, a, b, p)
         out.append(acc)
     return out
-
-
-def graded_h_sum(q: LieAlgebra, j: int, p: UniPoly) -> MPoly:
-    """Sum of h[a, b] over ordered pairs a, b >= 1 with a + b = j."""
-    acc = MPoly.zero()
-    for a in range(1, j):
-        b = j - a
-        acc = acc + quad_h(q, a, b, p)
-    return acc
 
 
 def graded_H_sum(q: LieAlgebra, j: int) -> MPoly:

@@ -3,8 +3,8 @@
 The basic objects are a finite dimensional Lie algebra with a chosen basis
 (structure constants over Fraction, optionally an invariant symmetric form)
 and bracket tables on bases of the form x_i * t^a.  Quotients by a monic
-polynomial p give the truncated current algebras; differences of two such
-brackets and one-parameter contractions are built on top of the same table
+polynomial p give the truncated current algebras; differences and linear
+combinations of two such brackets are built on top of the same table
 representation.
 """
 from __future__ import annotations
@@ -205,15 +205,6 @@ class UniPoly:
         return " ".join(parts)
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a.mod(b)
-    if a.is_zero():
-        return a
-    return a.monic()
-
-
 def poly_egcd(a: UniPoly, b: UniPoly) -> tuple:
     """(g, u, v) with u*a + v*b = g and g monic (or zero)."""
     r0, r1 = a, b
@@ -228,14 +219,6 @@ def poly_egcd(a: UniPoly, b: UniPoly) -> tuple:
         return r0, u0, v0
     lead = r0.lc()
     return r0.monic(), u0.scale(1 / lead), v0.scale(1 / lead)
-
-
-def has_distinct_roots(p: UniPoly) -> bool:
-    """True when p is squarefree, tested via gcd(p, p')."""
-    if p.is_zero():
-        raise InputError("zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    return g.degree == 0
 
 
 def rational_roots(p: UniPoly):
@@ -336,25 +319,6 @@ def parse_poly(text: str) -> UniPoly:
     return p
 
 
-def poly_to_json(p: UniPoly) -> dict:
-    return {"coeffs": [rat_str(c) for c in p.coeffs]}
-
-
-def poly_from_json(d: dict) -> UniPoly:
-    if "coeffs" in d:
-        return UniPoly.make([rat(c) for c in d["coeffs"]])
-    if "roots" in d:
-        pairs = []
-        for item in d["roots"]:
-            if isinstance(item, (list, tuple)):
-                a, m = item
-            else:
-                a, m = item, 1
-            pairs.append((rat(a), int(m)))
-        return UniPoly.from_roots(pairs)
-    raise InputError("polynomial json needs 'coeffs' or 'roots'")
-
-
 # ---------------------------------------------------------------------------
 # Lie algebras
 
@@ -412,28 +376,6 @@ class LieAlgebra:
             raise InputError(f"{self.name} carries no bilinear form")
         return mat_inv(self.form)
 
-    def index_of_label(self, lab: str) -> int:
-        try:
-            return self.labels.index(lab)
-        except ValueError as exc:
-            raise InputError(f"unknown basis label {lab!r}") from exc
-
-
-def check_jacobi(q: LieAlgebra):
-    """First triple (i, j, k) violating the Jacobi identity, else None."""
-    n = q.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, cf in q.bracket(a, b):
-                        for w, cf2 in q.bracket(m, c):
-                            acc[w] = acc.get(w, Fraction(0)) + cf * cf2
-                if any(v != 0 for v in acc.values()):
-                    return (i, j, k)
-    return None
-
 
 def check_form_invariant(q: LieAlgebra) -> bool:
     """Whether the stored form satisfies ([x,y],z) = (x,[y,z])."""
@@ -456,18 +398,9 @@ def check_form_invariant(q: LieAlgebra) -> bool:
     return True
 
 
-def _mat_zero(n):
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def _entries(m):
-    """Nonzero entries (i, j, c) of a dense square matrix."""
-    return [(i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if c]
-
-
 def _mat_comm(a, b, n):
     """ab - ba as a dense n x n matrix, from the nonzero entries of a and b."""
-    out = _mat_zero(n)
+    out = [[Fraction(0)] * n for _ in range(n)]
     for x, y, sign in ((a, b, 1), (b, a, -1)):
         for i, k, c in x:
             for k2, j, c2 in y:
@@ -484,95 +417,84 @@ def _mat_trace_prod(a, b):
     )
 
 
-def _algebra_from_matrices(name, labels, mats, coords):
-    """Assemble structure constants from matrix commutators.
+def _matrix_basis(kind: str, n: int) -> tuple:
+    """(labels, matrices) of the built-in basis of sl_n or gl_n.
 
-    coords maps a matrix to its coefficient tuple in the chosen basis.  The
-    basis matrices have few nonzero entries, so products run over those.
+    sl_n: upper E_ij, then H_a = E_aa - E_{a+1,a+1}, then lower E_ij, with
+    the classical labels (e, h, f) for n = 2.  gl_n: upper E_ij, diagonal
+    E_ii, then lower E_ij.  A matrix is the tuple of its nonzero entries
+    (i, j, c).
     """
+    one = Fraction(1)
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lower = [(j, i) for (i, j) in upper]
+    if kind == "sl":
+        diag = [((a, a, one), (a + 1, a + 1, -one)) for a in range(n - 1)]
+        diag_labels = [f"h{a + 1}" for a in range(n - 1)]
+    else:
+        diag = [((i, i, one),) for i in range(n)]
+        diag_labels = [f"e{i + 1}{i + 1}" for i in range(n)]
+    mats = [((i, j, one),) for (i, j) in upper] + diag + [((i, j, one),) for (i, j) in lower]
+    labels = (
+        [f"e{i + 1}{j + 1}" for (i, j) in upper]
+        + diag_labels
+        + [f"e{i + 1}{j + 1}" for (i, j) in lower]
+    )
+    if kind == "sl" and n == 2:
+        labels = ["e", "h", "f"]
+    return tuple(labels), tuple(mats)
+
+
+def _coords(mats, m) -> list:
+    """Coefficients of the dense matrix m in the _matrix_basis mats.
+
+    A one-entry basis matrix E_ij reads m[i][j]; the sl_n diagonal H_a
+    takes m_11 + ... + m_aa, which is exact on traceless m.
+    """
+    cs = []
+    acc = Fraction(0)
+    for ent in mats:
+        i, j, _ = ent[0]
+        if len(ent) == 1:
+            cs.append(m[i][j])
+        else:
+            acc += m[i][i]
+            cs.append(acc)
+    return cs
+
+
+def _algebra_from_matrices(name, kind, n):
+    """Assemble structure constants from commutators of the basis matrices.
+
+    The basis matrices have few nonzero entries, so products run over those.
+    """
+    labels, mats = _matrix_basis(kind, n)
     dim = len(mats)
-    n = len(mats[0])
-    sparse = [_entries(m) for m in mats]
     sc = []
     for i in range(dim):
         for j in range(i + 1, dim):
-            cs = coords(_mat_comm(sparse[i], sparse[j], n))
+            cs = _coords(mats, _mat_comm(mats[i], mats[j], n))
             entries = tuple((k, c) for k, c in enumerate(cs) if c != 0)
             if entries:
                 sc.append((i, j, entries))
     gram = QMatrix.from_rows(
-        [[_mat_trace_prod(sparse[i], sparse[j]) for j in range(dim)] for i in range(dim)]
+        [[_mat_trace_prod(mats[i], mats[j]) for j in range(dim)] for i in range(dim)]
     )
-    return LieAlgebra(name, tuple(labels), tuple(sc), gram)
+    return LieAlgebra(name, labels, tuple(sc), gram)
 
 
 def make_sl(n: int) -> LieAlgebra:
-    """sl_n with basis: upper E_ij, then H_i = E_ii - E_{i+1,i+1}, then lower.
-
-    For n = 2 the labels are the classical (e, h, f).
-    """
+    """sl_n in the _matrix_basis order; for n = 2 the labels are (e, h, f)."""
     if n < 2:
         raise InputError("sl_n needs n >= 2")
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    lower = [(j, i) for (i, j) in upper]
-    mats = []
-    labels = []
-    for (i, j) in upper:
-        m = _mat_zero(n)
-        m[i][j] = Fraction(1)
-        mats.append(m)
-        labels.append(f"e{i + 1}{j + 1}")
-    for a in range(n - 1):
-        m = _mat_zero(n)
-        m[a][a] = Fraction(1)
-        m[a + 1][a + 1] = Fraction(-1)
-        mats.append(m)
-        labels.append(f"h{a + 1}")
-    for (i, j) in lower:
-        m = _mat_zero(n)
-        m[i][j] = Fraction(1)
-        mats.append(m)
-        labels.append(f"e{i + 1}{j + 1}")
-    if n == 2:
-        labels = ["e", "h", "f"]
-    nu = len(upper)
-
-    def coords(m):
-        cs = []
-        for (i, j) in upper:
-            cs.append(m[i][j])
-        acc = Fraction(0)
-        for a in range(n - 1):
-            acc += m[a][a]
-            cs.append(acc)
-        for (i, j) in lower:
-            cs.append(m[i][j])
-        return cs
-
-    del nu
-    return _algebra_from_matrices(f"sl{n}", labels, mats, coords)
+    return _algebra_from_matrices(f"sl{n}", "sl", n)
 
 
 def make_gl(n: int) -> LieAlgebra:
     """gl_n with basis: upper E_ij, diagonal E_ii, then lower E_ij."""
     if n < 1:
         raise InputError("gl_n needs n >= 1")
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    diag = [(i, i) for i in range(n)]
-    lower = [(j, i) for (i, j) in upper]
-    positions = upper + diag + lower
-    mats = []
-    labels = []
-    for (i, j) in positions:
-        m = _mat_zero(n)
-        m[i][j] = Fraction(1)
-        mats.append(m)
-        labels.append(f"e{i + 1}{j + 1}")
-
-    def coords(m):
-        return [m[i][j] for (i, j) in positions]
-
-    return _algebra_from_matrices(f"gl{n}", labels, mats, coords)
+    return _algebra_from_matrices(f"gl{n}", "gl", n)
 
 
 def make_abelian(k: int) -> LieAlgebra:
@@ -649,13 +571,10 @@ def make_takiff(q: LieAlgebra, k: int) -> LieAlgebra:
     return LieAlgebra(f"takiff:{q.name}:{k}", labels, tuple(sorted(sc)), form)
 
 
-_BUILTIN_SIMPLE = {"sl2", "sl3", "sl4", "gl2", "gl3"}
-
-
 def builtin_algebra(name: str) -> LieAlgebra:
     """Resolve names like sl3, abelian:4, takiff:sl2:2, sum:sl2,sl2."""
     name = name.strip()
-    if name in _BUILTIN_SIMPLE or re.fullmatch(r"(sl|gl)[2-9]", name):
+    if re.fullmatch(r"(sl|gl)[2-9]", name):
         kind, n = name[:2], int(name[2:])
         return make_sl(n) if kind == "sl" else make_gl(n)
     if name.startswith("abelian:"):
@@ -725,9 +644,11 @@ def algebra_from_json(d: dict) -> LieAlgebra:
         if form.rows != dim or form.cols != dim:
             raise InputError("form shape must be dim x dim")
     q = LieAlgebra(str(d.get("name", "custom")), labels, sc, form)
-    bad = check_jacobi(q)
+    bad = check_table_jacobi(wrap_algebra(q))
     if bad is not None:
-        raise InputError(f"Jacobi identity fails on basis triple {bad}")
+        raise InputError(
+            f"Jacobi identity fails on basis triple {tuple(i for i, _ in bad)}"
+        )
     return q
 
 
@@ -949,33 +870,6 @@ def pencil_combination(t1: BracketTable, t2: BracketTable, a, b) -> BracketTable
                         attrs={"a": a, "b": b})
 
 
-def contract_phi_s(T: BracketTable, s) -> BracketTable:
-    """Conjugate the bracket by x_i t^a -> s^a x_i t^a.
-
-    Entry coefficients pick up s^(a + b - c); s must be nonzero.
-    """
-    s = rat(s)
-    if s == 0:
-        raise InputError("contraction parameter must be nonzero")
-    table = {}
-    for (u, v), ent in T.table.items():
-        ab = u[1] + v[1]
-        table[(u, v)] = tuple((w, c * s ** (ab - w[1])) for w, c in ent)
-    return BracketTable(T.base, T.n, table, p=None, kind="contracted",
-                        attrs={"s": s})
-
-
-def contraction_limit(T: BracketTable) -> BracketTable:
-    """Keep only entries of t-weight zero; this is the s -> 0 limit."""
-    table = {}
-    for (u, v), ent in T.table.items():
-        ab = u[1] + v[1]
-        kept = tuple((w, c) for w, c in ent if w[1] == ab)
-        if kept:
-            table[(u, v)] = kept
-    return BracketTable(T.base, T.n, table, p=None, kind="contracted-limit")
-
-
 def check_table_antisymmetry(T: BracketTable) -> bool:
     """Structural by storage; re-checks pair_bracket on both orders."""
     for (u, v) in T.table:
@@ -1183,6 +1077,3 @@ def index_report(T, seed: int = 0, samples: int = 4, bound: int = 1000) -> Index
         witness=witness,
     )
 
-
-def lie_index(T, seed: int = 0) -> int:
-    return index_report(T, seed=seed).index

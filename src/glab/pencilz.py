@@ -108,34 +108,6 @@ class Pencil:
         return {"l": "t", "shift": c, "scale": l.coeff(1)}
 
 
-@dataclass(frozen=True)
-class PencilPoint:
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", rat(self.a))
-        object.__setattr__(self, "b", rat(self.b))
-        if self.a == 0 and self.b == 0:
-            raise InputError("the zero point does not select a bracket")
-
-
-def pencil_member(P: Pencil, pt: PencilPoint) -> BracketTable:
-    return P.member(pt.a, pt.b)
-
-
-def generic_member_rank(P: Pencil, seed: int = 0) -> int:
-    """Rank every line member of full rank attains: n (dim q - ind q)."""
-    ind_q = index_report(P.base, seed=seed).index
-    return P.n * (P.base.dim - ind_q)
-
-
-def is_regular_point(P: Pencil, pt: PencilPoint, seed: int = 0) -> bool:
-    """Whether the member at pt has the full generic rank."""
-    rep = index_report(pencil_member(P, pt), seed=seed)
-    return rep.rank == generic_member_rank(P, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # assembling the joint center
 
@@ -158,9 +130,6 @@ class ZAlgebra:
 
     def counts(self) -> dict:
         return {i: len(b) for i, b in self.basis.items()}
-
-    def total_count(self) -> int:
-        return sum(len(b) for b in self.basis.values())
 
     def all_basis(self) -> list:
         out = []

@@ -431,15 +431,6 @@ def lowest_t_component(F: MPoly) -> tuple:
     return d, comps[d]
 
 
-def bullet_component(F: MPoly) -> tuple:
-    """(weight, component) of the maximal t degree; F must be nonzero."""
-    if F.is_zero():
-        raise InputError("zero polynomial has no top component")
-    comps = t_components(F)
-    d = max(comps)
-    return d, comps[d]
-
-
 def directional_derivative(F: MPoly, gamma: dict) -> MPoly:
     """Derivative of F in the constant direction gamma (variable -> value)."""
     acc = MPoly.zero()
@@ -628,10 +619,6 @@ def image_rows(*families: Sequence):
             yield [zero if F is None else F.terms.get(m, zero) for F in col]
 
 
-def poisson_commutes(F: MPoly, G: MPoly, T) -> bool:
-    return poisson_bracket(F, G, T).is_zero()
-
-
 def differential_at(F: MPoly, point: dict, vars_order: Sequence) -> list:
     return [F.diff(v).eval_at(point) for v in vars_order]
 
@@ -688,23 +675,12 @@ def echelon_basis(polys: Sequence) -> list:
 
 def independent_subset(polys: Sequence) -> list:
     """Greedy subfamily spanning the same space, in input order."""
-    polys = list(polys)
     nz = [F for F in polys if not F.is_zero()]
     if not nz:
         return []
-    monos, _ = coeff_rows(nz)
-    index = {m: k for k, m in enumerate(monos)}
+    monos, rows = coeff_rows(nz)
     rs = RowSpace(len(monos))
-    picked = []
-    for F in polys:
-        if F.is_zero():
-            continue
-        row = [Fraction(0)] * len(monos)
-        for m, c in F.terms.items():
-            row[index[m]] = c
-        if rs.add(row):
-            picked.append(F)
-    return picked
+    return [F for F, row in zip(nz, rows) if rs.add(row)]
 
 
 def span_equal(polys_a: Sequence, polys_b: Sequence) -> bool:
@@ -720,40 +696,3 @@ def span_contains(polys: Sequence, F: MPoly) -> bool:
         return True
     d = span_dim(polys)
     return span_dim(list(polys) + [F]) == d
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def mpoly_to_json(F: MPoly, labels: Sequence | None = None) -> list:
-    """Stable list of {"coeff", "monomial"} dicts, canonically ordered."""
-
-    def name(i):
-        return labels[i] if labels is not None else f"x{i}"
-
-    out = []
-    for m in sorted(F.terms, key=mono_sort_key):
-        out.append(
-            {
-                "coeff": rat_str(F.terms[m]),
-                "monomial": [[name(v[0]), v[1], e] for v, e in m],
-            }
-        )
-    return out
-
-
-def mpoly_from_json(data: Sequence, labels: Sequence) -> MPoly:
-    lookup = {lab: i for i, lab in enumerate(labels)}
-    acc = MPoly.zero()
-    for term in data:
-        c = rat(term["coeff"])
-        mono = {}
-        for lab, a, e in term["monomial"]:
-            if lab not in lookup:
-                raise InputError(f"unknown variable label {lab!r}")
-            v = (lookup[lab], int(a))
-            mono[v] = mono.get(v, 0) + int(e)
-        m = tuple(sorted(mono.items()))
-        acc = acc + MPoly({m: c})
-    return acc

@@ -241,27 +241,45 @@ def _suite_index_laws(params, seed):
     return checks
 
 
+def crt_case(ptxt: str) -> dict:
+    """Roots and CRT idempotents of the modulus written ptxt, with whether
+    each idempotent squares to itself, whether they are pairwise
+    orthogonal and whether they sum to one, all mod p.  InputError when p
+    does not split over Q or has a repeated root."""
+    p = parse_poly(ptxt)
+    rd = rational_roots(p)
+    if rd is None:
+        raise InputError(f"{ptxt} does not split over Q")
+    if any(m != 1 for _, m in rd):
+        raise InputError(f"{ptxt} has repeated roots; idempotents need distinct roots")
+    roots = tuple(r for r, _ in rd)
+    idems = crt_idempotents(p, roots)
+    total = sum(idems, UniPoly.zero())
+    return {
+        "roots": roots,
+        "idempotents": idems,
+        "square": [(e * e - e).mod(p).is_zero() for e in idems],
+        "orthogonal": all(
+            (e * f).mod(p).is_zero()
+            for i, e in enumerate(idems) for j, f in enumerate(idems) if i != j
+        ),
+        "sum_to_one": (total - UniPoly.one()).mod(p).is_zero(),
+    }
+
+
 def _suite_crt(params, seed):
     q = builtin_algebra(params["algebra"])
     checks = []
     for ptxt in params["moduli"]:
-        p = parse_poly(ptxt)
-        rd = rational_roots(p)
-        roots = tuple(r for r, _ in rd)
-        idems = crt_idempotents(p, roots)
-        ok_idem = all((r * r - r).mod(p).is_zero() for r in idems)
-        ok_orth = all(
-            (idems[i] * idems[j]).mod(p).is_zero()
-            for i in range(len(idems)) for j in range(len(idems)) if i != j
-        )
-        total = UniPoly.zero()
-        for r in idems:
-            total = total + r
-        ok_sum = (total - UniPoly.one()).mod(p).is_zero()
+        res = crt_case(ptxt)
+        idems = res["idempotents"]
+        ok_idem = all(res["square"])
+        ok_orth, ok_sum = res["orthogonal"], res["sum_to_one"]
         checks.append(CheckResult(
             f"idempotents[{ptxt}]", ok_idem and ok_orth and ok_sum,
             {"square": ok_idem, "orthogonal": ok_orth, "sum_to_one": ok_sum},
         ))
+        p = parse_poly(ptxt)
         T = make_quotient(q, p)
         ok_iso = True
         for x in range(q.dim):
@@ -305,16 +323,22 @@ def _suite_takiff(params, seed):
     return checks
 
 
+def z_case(q, p1, p2, seed: int, samples: int | None = None) -> tuple:
+    """(Z, whether Z Poisson-commutes, sampled trdeg report) for the pencil
+    of q[t] spanned by the moduli p1 and p2, built from samples members
+    (default d*n+3)."""
+    Z = build_Z(Pencil(q, p1, p2), sample_count=samples, seed=seed)
+    return Z, verify_Z_commutes(Z), trdeg_of_Z(Z, seed=seed)
+
+
 def _suite_z_assembly(params, seed):
     checks = []
     for qa, p1txt, p2txt, counts, trdeg in params["cases"]:
-        q = builtin_algebra(qa)
-        pen = Pencil(q, parse_poly(p1txt), parse_poly(p2txt))
-        Z = build_Z(pen, seed=seed)
+        Z, commutes, rep = z_case(
+            builtin_algebra(qa), parse_poly(p1txt), parse_poly(p2txt), seed
+        )
         got_counts = Z.counts()
         want_counts = {int(k): v for k, v in counts.items()} if isinstance(counts, dict) else dict(enumerate(counts))
-        commutes = verify_Z_commutes(Z)
-        rep = trdeg_of_Z(Z, seed=seed)
         ok = got_counts == want_counts and commutes and rep.rank == trdeg
         checks.append(CheckResult(
             f"z[{qa}, {p1txt} / {p2txt}]", ok,

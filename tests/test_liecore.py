@@ -12,16 +12,11 @@ from glab.liecore import (
     algebra_to_json,
     builtin_algebra,
     check_form_invariant,
-    check_jacobi,
     check_table_antisymmetry,
     check_table_jacobi,
-    contract_phi_s,
-    contraction_limit,
     crt_idempotents,
     crt_primary,
-    has_distinct_roots,
     index_report,
-    lie_index,
     make_difference_bracket,
     make_direct_power,
     make_gl,
@@ -31,14 +26,11 @@ from glab.liecore import (
     parse_poly,
     pencil_combination,
     poly_egcd,
-    poly_from_json,
-    poly_gcd,
-    poly_to_json,
     rational_roots,
     structure_matrix_at,
     wrap_algebra,
 )
-from glab.invariantlab import _slot_gram
+from glab.invariantlab import _slot_gram, basic_invariants
 from oracle import reference_sampled_max_rank
 
 small_coeffs = st.lists(
@@ -59,6 +51,7 @@ def test_unipoly_basics():
     assert p.coeff(1) == -2
     assert p.eval(2) == 5
     assert str(parse_poly("t^2-t")) == "t^2 - t"
+    assert parse_poly("t^3 - 1/2t + 1").coeff(1) == Fraction(-1, 2)
     assert UniPoly.make([0, 0]).is_zero()
     assert UniPoly.t() == parse_poly("t")
 
@@ -93,11 +86,10 @@ def test_divmod_invariant(a, d):
 @given(nonzero_polys, nonzero_polys)
 @settings(max_examples=40, deadline=None)
 def test_gcd_divides_both(a, b):
-    g = poly_gcd(a, b)
+    g, u, v = poly_egcd(a, b)
     assert a.divmod_by(g)[1].is_zero()
     assert b.divmod_by(g)[1].is_zero()
-    g2, u, v = poly_egcd(a, b)
-    assert u * a + v * b == g2
+    assert u * a + v * b == g
 
 
 @given(polys, st.fractions(min_value=-5, max_value=5, max_denominator=3))
@@ -129,18 +121,6 @@ def test_rational_roots():
     assert rational_roots(UniPoly.monomial(3)) == ((Fraction(0), 3),)
     # a rational but non-integer root
     assert rational_roots(parse_poly("2t-1").monic()) == ((Fraction(1, 2), 1),)
-
-
-def test_has_distinct_roots():
-    assert has_distinct_roots(parse_poly("t^2-1"))
-    assert not has_distinct_roots(parse_poly("t^2-2t+1"))
-
-
-def test_poly_json_round_trip():
-    p = parse_poly("t^3 - 1/2t + 1")
-    assert p.coeff(1) == Fraction(-1, 2)
-    assert poly_from_json(poly_to_json(p)) == p
-    assert poly_from_json({"roots": ["1", "2"]}) == UniPoly.from_roots([1, 2])
 
 
 def test_parse_poly_degree_budget(monkeypatch):
@@ -179,16 +159,16 @@ def test_jacobi_scan_and_takiff_keep_the_term_budget(monkeypatch):
 def test_builtin_algebras():
     sl2 = builtin_algebra("sl2")
     assert sl2.labels == ("e", "h", "f")
-    assert check_jacobi(sl2) is None
+    assert check_table_jacobi(wrap_algebra(sl2)) is None
     assert check_form_invariant(sl2)
     sl3 = builtin_algebra("sl3")
     assert sl3.dim == 8
-    assert check_jacobi(sl3) is None
+    assert check_table_jacobi(wrap_algebra(sl3)) is None
     ab = builtin_algebra("abelian:3")
     assert ab.dim == 3 and not ab.sc
     tk = builtin_algebra("takiff:sl2:2")
     assert tk.dim == 6
-    assert check_jacobi(tk) is None
+    assert check_table_jacobi(wrap_algebra(tk)) is None
     assert check_form_invariant(tk)
     with pytest.raises(InputError):
         builtin_algebra("so5")
@@ -215,7 +195,20 @@ def test_algebra_json_round_trip():
     bad = algebra_to_json(sl2)
     bad["sc"] = [row for row in bad["sc"] if not (row[0] == 0 and row[1] == 2)]
     bad["sc"].append([0, 2, 0, "1"])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"basis triple \(0, 1, 2\)"):
+        algebra_from_json(bad)
+
+
+def test_algebra_json_jacobi_scan_is_budgeted(monkeypatch):
+    # sl3 has 8 * 7 * 6 / 6 = 56 basis triples; a broken constant would be
+    # an InputError, so the BudgetError shows the scan never started
+    bad = algebra_to_json(builtin_algebra("sl3"))
+    bad["sc"][0][3] = "5"
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "55")
+    with pytest.raises(BudgetError, match="more than 55 triples"):
+        algebra_from_json(bad)
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "56")
+    with pytest.raises(InputError, match="Jacobi identity fails"):
         algebra_from_json(bad)
 
 
@@ -303,24 +296,6 @@ def test_difference_bracket():
         make_difference_bracket(sl2, parse_poly("t^3"), parse_poly("t^2"))
 
 
-def test_contractions():
-    sl2 = builtin_algebra("sl2")
-    T = make_quotient(sl2, parse_poly("t^2-1"))
-    C = contract_phi_s(T, Fraction(1, 3))
-    assert check_table_jacobi(C) is None
-    lim = contraction_limit(T)
-    assert lim == contraction_limit(C)
-    assert lim == make_quotient(sl2, parse_poly("t^2"))
-    with pytest.raises(InputError):
-        contract_phi_s(T, 0)
-
-
-def test_contraction_limit_is_power_modulus():
-    sl3 = builtin_algebra("sl3")
-    T = make_quotient(sl3, parse_poly("t^3-t"))
-    assert contraction_limit(T) == make_quotient(sl3, parse_poly("t^3"))
-
-
 # ---------------------------------------------------------------------------
 # Chinese remainder data
 
@@ -366,19 +341,19 @@ def test_crt_primary_repeated_roots():
 
 def test_index_oracles():
     sl2 = builtin_algebra("sl2")
-    assert lie_index(sl2) == 1
-    assert lie_index(builtin_algebra("sl3")) == 2
-    assert lie_index(builtin_algebra("abelian:3")) == 3
-    assert lie_index(make_quotient(sl2, parse_poly("t^3"))) == 3
-    assert lie_index(make_quotient(sl2, parse_poly("t^2-1"))) == 2
+    assert index_report(sl2).index == 1
+    assert index_report(builtin_algebra("sl3")).index == 2
+    assert index_report(builtin_algebra("abelian:3")).index == 3
+    assert index_report(make_quotient(sl2, parse_poly("t^3"))).index == 3
+    assert index_report(make_quotient(sl2, parse_poly("t^2-1"))).index == 2
 
 
 def test_index_difference_brackets():
     sl2 = builtin_algebra("sl2")
     T2 = make_difference_bracket(sl2, parse_poly("t^2"), parse_poly("t^2+t"))
-    assert lie_index(T2) == 4
+    assert index_report(T2).index == 4
     T3 = make_difference_bracket(sl2, parse_poly("t^3"), parse_poly("t^3+t"))
-    assert lie_index(T3) == 5
+    assert index_report(T3).index == 5
 
 
 def test_index_report_fields():
@@ -444,3 +419,18 @@ def test_matrix_algebras_keep_their_structure_constants():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "9a5a7c217966370c4e9e39ecf73be1b40c9955e0b781e0295a7588c0f4601f26"
     )
+
+
+@pytest.mark.parametrize("name, digest", [
+    # sha256 taken when _char_invariants rebuilt the basis matrices itself
+    ("sl2", "70d5e2c431f39fd4739592ad7dd88858b0d71514be55d7d20bfd19cd0fe06812"),
+    ("sl3", "aea250009b77707b39adc6ba446ac09cecdb09b4fb78d217424db12a3e5ca404"),
+    ("sl4", "853a49fb5a75ea0b50538eec870bc95b0db9a2d033e60374edbff49593cdc065"),
+    ("sl5", "2624b63fe2d3489ac6aa968aef0fa163857bfc2a057be32cd3a4ad2e3df19a7b"),
+    ("gl2", "b659b398891a5bbc41246b31a131e75b2cb663b333ec24ea2dc4649a028fabff"),
+    ("gl3", "523217c22d2d344b0d42b9b239d8da077477e630d464760d88e08e17d5231347"),
+    ("gl4", "23bba740f3fb4179607cd776c416ff26676ac71853c63b29e92e3a55765436a0"),
+])
+def test_char_invariants_read_the_builtin_basis(name, digest):
+    text = repr(basic_invariants(builtin_algebra(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

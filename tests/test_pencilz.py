@@ -17,7 +17,6 @@ from glab.psring import (
 from glab.invariantlab import basic_invariants, casimir, polarize, quad_H, weakly_increasing
 from glab.pencilz import (
     Pencil,
-    PencilPoint,
     _annihilator_combos,
     _pencil_rows,
     _sample_sequence,
@@ -25,12 +24,9 @@ from glab.pencilz import (
     check_ft_gzu,
     check_sovp,
     expected_trdeg,
-    generic_member_rank,
     gzu_ladder,
     gzu_lowest_span,
-    is_regular_point,
     mf_image,
-    pencil_member,
     rho_gamma,
     tau_ladder_span,
     trdeg_estimate,
@@ -77,22 +73,6 @@ def test_normalization(sl2, pen_t, pen_1):
     assert n3["l"] == "t"
     l = parse_poly("t^2") - parse_poly("t^2+t+1")
     assert l.eval(n3["shift"]) == 0
-
-
-def test_pencil_point():
-    pt = PencilPoint(Fraction(1, 2), 3)
-    assert pt.a == Fraction(1, 2)
-    with pytest.raises(InputError):
-        PencilPoint(0, 0)
-
-
-def test_regular_points(pen_t):
-    assert generic_member_rank(pen_t) == 4
-    assert is_regular_point(pen_t, PencilPoint(1, 0))
-    assert is_regular_point(pen_t, PencilPoint(3, -2))
-    assert not is_regular_point(pen_t, PencilPoint(1, -1))
-    T = pencil_member(pen_t, PencilPoint(1, -1))
-    assert T.p is None
 
 
 def test_build_Z_counts_and_recipes(pen_t):

@@ -19,7 +19,6 @@ from glab.psring import (
     CurrentBracket,
     MPoly,
     apply_derivation,
-    bullet_component,
     coeff_rows,
     directional_derivative,
     echelon_basis,
@@ -28,10 +27,7 @@ from glab.psring import (
     jacobian_rank_at,
     lowest_t_component,
     mono_sort_key,
-    mpoly_from_json,
-    mpoly_to_json,
     poisson_bracket,
-    poisson_commutes,
     psi_p,
     shift_t_down,
     span_contains,
@@ -144,8 +140,6 @@ def test_t_components():
     assert comps[1] == x0 * x1
     w, low = lowest_t_component(F)
     assert w == 0 and low == x0 * x0
-    w2, top = bullet_component(F)
-    assert w2 == 2 and top == x1 * x1
 
 
 def test_apply_derivation_is_leibniz():
@@ -179,7 +173,7 @@ def test_bracket_oracle_sl2():
     casimir = (e * f).scale(4) + h * h
     for v in (e, h, f):
         assert poisson_bracket(casimir, v, T).is_zero()
-    assert poisson_commutes(casimir, casimir * casimir, T)
+    assert poisson_bracket(casimir, casimir * casimir, T).is_zero()
 
 
 @given(mpolys(), mpolys())
@@ -342,15 +336,6 @@ def test_mono_sort_key_grades_by_degree():
     lo = (((0, 0), 1),)
     hi = (((0, 0), 2),)
     assert mono_sort_key(lo) < mono_sort_key(hi)
-
-
-def test_json_round_trip():
-    sl2 = builtin_algebra("sl2")
-    F = MPoly.variable((0, 1), exp=2).scale(Fraction(3, 2)) + MPoly.variable((1, 0))
-    data = mpoly_to_json(F, sl2.labels)
-    assert mpoly_from_json(data, sl2.labels) == F
-    with pytest.raises(InputError):
-        mpoly_from_json([{"coeff": "1", "monomial": [["q", 0, 1]]}], sl2.labels)
 
 
 def test_budget(monkeypatch):

@@ -1,5 +1,7 @@
 """Suite reports and the command line interface."""
+import hashlib
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -46,6 +48,20 @@ def test_canonical_json_stable_and_timing_free():
     flat = json.dumps(payload)
     assert "elapsed" not in flat and "time" not in flat
     assert payload["seed"] == 5
+
+
+@pytest.mark.parametrize("ptxt, message", [
+    ("t^2+1", "t^2+1 does not split over Q"),
+    ("t^2", "t^2 has repeated roots; idempotents need distinct roots"),
+])
+def test_crt_suite_refuses_moduli_without_distinct_rational_roots(ptxt, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        run_suite("crt", {"moduli": [ptxt]})
+    res = CliRunner().invoke(
+        main, ["suite", "run", "crt", "--params", json.dumps({"moduli": [ptxt]})]
+    )
+    assert res.exit_code == 2
+    assert res.output == f"input error: {message}\n"
 
 
 def test_markdown_rendering():
@@ -111,6 +127,32 @@ def test_cli_crt(runner):
     assert "sum to one: ok" in res.output
     res2 = runner.invoke(main, ["crt", "--p", "t^2+1"])
     assert res2.exit_code == 2
+
+
+# sha256 of the full output, taken before glab crt and glab zz verify ran
+# the suite case functions
+@pytest.mark.parametrize("args, exit_code, digest", [
+    ("crt --p t^3-t", 0,
+     "2b75cddf000cf673bda31685791c696f838d620feda9f4a597ba257176d07f96"),
+    ("crt --p t^2-t", 0,
+     "9300f11d3ef2960d5927c36408648167b67c746b495f2f7caefe23470bfcf70f"),
+    ("crt --p t^3-6t^2+11t-6", 0,
+     "fbb517badfd932f9e5934d2c2e7bf4b58b762c8700f512bb2e33c831e3bc6c62"),
+    ("crt --p t^2+1", 2,
+     "28c22f0d5ed6d1fb131b43b45af6cf6ac72482c0715fc60032b4de5aa76d7e21"),
+    ("crt --p t^2", 2,
+     "e9db9cdd0827e8b9e0c8b1dd61c1599d589561602692c7740ee763bc5fdf52bd"),
+    ("zz verify --q sl2 --p1 t^2 --p2 t^2+1", 0,
+     "b87fb57e39ee086e0a0d468a3424233d82ad4f16a00ecbfc8045a3d24cf440f0"),
+    ("zz verify --q sl3 --p1 t^2 --p2 t^2+t", 0,
+     "435ef1e8f4b2d28793f92ac5b0b38aa29394d465d4c2032e52f0130eb1dcb2c1"),
+    ("zz build --q sl2 --p1 t^3 --p2 t^3+t --format json", 0,
+     "0c4408b35edbecd50ef61e5d94e2c1a044ae954c770738d7cc0457718c053ead"),
+])
+def test_cli_output_bytes_are_pinned(runner, args, exit_code, digest):
+    res = runner.invoke(main, args.split())
+    assert res.exit_code == exit_code
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
 def test_cli_zz_build_json(runner):
