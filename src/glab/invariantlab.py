@@ -25,11 +25,11 @@ from .liecore import (
     UniPoly,
     _matrix_basis,
     crt_primary,
+    make_quotient,
     rational_roots,
     wrap_algebra,
 )
 from .psring import (
-    CurrentBracket,
     MPoly,
     apply_derivation,
     coeff_rows,
@@ -49,13 +49,8 @@ from .psring import (
 
 def monomials_of_degree(nvars: int, d: int) -> list:
     """Degree-d monomials in variables (0,0) .. (nvars-1,0)."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(nvars), d):
-        counts = {}
-        for i in combo:
-            counts[(i, 0)] = counts.get((i, 0), 0) + 1
-        out.append(tuple(sorted(counts.items())))
-    return out
+    return [_mono_of((i, 0) for i in combo)
+            for combo in itertools.combinations_with_replacement(range(nvars), d)]
 
 
 def invariants_degree(q: LieAlgebra, d: int) -> list:
@@ -190,6 +185,14 @@ def casimir(q: LieAlgebra) -> MPoly:
 # polarizations
 
 
+def _mono_of(factors) -> tuple:
+    """The monomial product of the variables in factors, repeats allowed."""
+    counts = {}
+    for v in factors:
+        counts[v] = counts.get(v, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 def _expand_mono(m) -> list:
     out = []
     for v, e in m:
@@ -236,11 +239,7 @@ def polarize(F: MPoly, kvec: Sequence) -> MPoly:
                 f"monomial degree {len(factors)} does not match arrangement of {d}"
             )
         for perm in _distinct_perms(kvec):
-            counts = {}
-            for (i, _), a in zip(factors, perm):
-                v = (i, a)
-                counts[v] = counts.get(v, 0) + 1
-            mono = tuple(sorted(counts.items()))
+            mono = _mono_of((i, a) for (i, _), a in zip(factors, perm))
             s = acc.get(mono, Fraction(0)) + c
             if s:
                 acc[mono] = s
@@ -478,10 +477,7 @@ def quad_X(q: LieAlgebra, a: int, b: int, c: int) -> MPoly:
     """X[a, b, c]: the raised bracket tensor spread over three t levels."""
     acc = {}
     for (i, j, k), val in _raised_bracket_tensor(q):
-        counts = {}
-        for v in ((i, a), (j, b), (k, c)):
-            counts[v] = counts.get(v, 0) + 1
-        mono = tuple(sorted(counts.items()))
+        mono = _mono_of(((i, a), (j, b), (k, c)))
         s = acc.get(mono, Fraction(0)) + val
         if s:
             acc[mono] = s
@@ -491,7 +487,8 @@ def quad_X(q: LieAlgebra, a: int, b: int, c: int) -> MPoly:
 
 
 def y_xi(q: LieAlgebra, xi: Sequence, a: int, b: int) -> MPoly:
-    """Y_xi[a, b]: the bracket-with-xi pairing over levels a and b.
+    """Y_xi[a, b]: the bracket-with-xi pairing over levels a and b,
+    sum of T^{jik} (g xi)_k x_(j, a) x_(i, b) over the raised tensor T.
 
     Antisymmetric under swapping the levels; zero when a == b.
     """
@@ -500,41 +497,19 @@ def y_xi(q: LieAlgebra, xi: Sequence, a: int, b: int) -> MPoly:
     xi = [rat(c) for c in xi]
     if len(xi) != q.dim:
         raise InputError("xi must have one coordinate per basis element")
-    g = q.form
-    ginv = q.form_inverse
-    dim = q.dim
-    lowered = {}
-    for jp in range(dim):
-        for ip in range(dim):
-            ent = q.bracket(jp, ip)
-            if not ent:
-                continue
-            val = Fraction(0)
-            for m, c in ent:
-                val += c * sum(
-                    (xi[s] * g.at(s, m) for s in range(dim)), Fraction(0)
-                )
-            if val:
-                lowered[(jp, ip)] = val
-    acc = MPoly.zero()
-    for (jp, ip), val in lowered.items():
-        for j in range(dim):
-            cj = ginv.at(jp, j)
-            if cj == 0:
-                continue
-            for i in range(dim):
-                ci = ginv.at(ip, i)
-                if ci == 0:
-                    continue
-                acc = acc + MPoly.variable((j, a)) * MPoly.variable((i, b)) * (
-                    val * cj * ci
-                )
-    return acc
+    g_xi = [sum((q.form.at(k, s) * c for s, c in enumerate(xi)), Fraction(0))
+            for k in range(q.dim)]
+    acc = {}
+    for (j, i, k), val in _raised_bracket_tensor(q):
+        if g_xi[k]:
+            mono = _mono_of(((j, a), (i, b)))
+            acc[mono] = acc.get(mono, Fraction(0)) + val * g_xi[k]
+    return MPoly(acc)
 
 
-def xi_t(q: LieAlgebra, xi: Sequence, a: int = 1) -> MPoly:
-    """The linear element xi (x) t^a."""
-    return MPoly.from_entries(((i, a), c) for i, c in enumerate(xi) if rat(c))
+def xi_t(q: LieAlgebra, xi: Sequence) -> MPoly:
+    """The linear element xi (x) t."""
+    return MPoly.from_entries(((i, 1), c) for i, c in enumerate(xi) if rat(c))
 
 
 # ---------------------------------------------------------------------------
@@ -606,27 +581,14 @@ def gaudin_hamiltonians(q: LieAlgebra, z: Sequence) -> list:
     if len(set(z)) != len(z):
         raise InputError("evaluation points must be distinct")
     n = len(z)
-    ginv = q.form_inverse
-    pair = {}
-    for k in range(n):
-        for j in range(n):
-            if j == k:
-                continue
-            omega = MPoly.zero()
-            for i1 in range(q.dim):
-                for i2 in range(q.dim):
-                    cc = ginv.at(i1, i2)
-                    if cc:
-                        omega = omega + MPoly.variable((i1, k)) * MPoly.variable(
-                            (i2, j)
-                        ) * cc
-            pair[(k, j)] = omega
+    # make_direct_power puts copy k at level k, so the copy-k / copy-j
+    # pairing is H[k, j]
     out = []
     for k in range(n):
         acc = MPoly.zero()
         for j in range(n):
             if j != k:
-                acc = acc + pair[(k, j)].scale(1 / (z[k] - z[j]))
+                acc = acc + quad_H(q, k, j).scale(1 / (z[k] - z[j]))
         out.append(acc)
     return out
 
@@ -663,7 +625,6 @@ def h_span(q: LieAlgebra, p: UniPoly) -> list:
 def centralizer_in_span(target: MPoly, span: Sequence, T: BracketTable) -> list:
     """Combinations of the span that Poisson-commute with target under T.
 
-    T must be a BracketTable (the images come from its neighbour index).
     Returns coefficient vectors (canonical echelon basis) over the span.
     """
     # {target, s} = sum_u ds/dx_u * {target, x_u}: one image set serves
@@ -899,9 +860,9 @@ def ff_bracket_decomposition(q: LieAlgebra, Y: MPoly, kvec: Sequence) -> FFDecom
     """
     kvec = tuple(int(k) for k in kvec)
     H = quad_H(q, 1, 1)
-    lhs = poisson_bracket(polarize_t(Y, kvec), H, CurrentBracket(q)).scale(
-        Fraction(1, 2)
-    )
+    # H sits at level 1, so its bracket with levels kvec reaches max(kvec) + 1
+    T = make_quotient(q, UniPoly.monomial(max(kvec, default=0) + 2))
+    lhs = poisson_bracket(polarize_t(Y, kvec), H, T).scale(Fraction(1, 2))
     bag = sorted((1,) + kvec)
     terms = []
     rhs = MPoly.zero()

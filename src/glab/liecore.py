@@ -225,10 +225,13 @@ def rational_roots(p: UniPoly):
     """Full rational factorization of monic p, or None.
 
     Returns a tuple of (root, multiplicity) pairs sorted by root when p
-    splits completely over Q, otherwise None.
+    splits completely over Q, otherwise None.  Candidates come from trial
+    division of the constant and leading coefficients, so BudgetError is
+    raised first when the square root of either exceeds the term budget.
     """
     if p.is_zero() or not p.is_monic():
         raise InputError("need a monic polynomial")
+    budget = term_budget()
     found = {}
     work = p
     # strip the root at zero first
@@ -241,6 +244,11 @@ def rational_roots(p: UniPoly):
             den = den * c.denominator // math.gcd(den, c.denominator)
         ints = [int(c * den) for c in work.coeffs]
         a0, an = abs(ints[0]), abs(ints[-1])
+        if math.isqrt(max(a0, an)) > budget:
+            raise BudgetError(
+                f"root search by trial division of a {max(a0, an).bit_length()}-bit "
+                f"coefficient exceeds budget {budget}"
+            )
         root = None
         for num in sorted(_divisors(a0)):
             for dv in sorted(_divisors(an)):
@@ -659,27 +667,6 @@ def algebra_from_json(d: dict) -> LieAlgebra:
 Var = tuple  # (base index, t degree)
 
 
-def scale_neighbours(index: dict) -> tuple:
-    """(D, u -> ((v, ((w, D * c), ...)), ...)) for u -> ((v, ((w, c), ...)), ...).
-
-    D is the lcm of the entry denominators, so every scaled entry is an
-    integer and [x_u, x_v] = sum_w (D * c) / D * x_w.
-    """
-    den = 1
-    for pairs in index.values():
-        for _, ent in pairs:
-            for _, c in ent:
-                den = math.lcm(den, c.denominator)
-    scaled = {
-        u: tuple(
-            (v, tuple((w, c.numerator * (den // c.denominator)) for w, c in ent))
-            for v, ent in pairs
-        )
-        for u, pairs in index.items()
-    }
-    return den, scaled
-
-
 class BracketTable:
     """Sparse bracket on variables (i, a) representing x_i * t^a.
 
@@ -689,12 +676,11 @@ class BracketTable:
     """
 
     def __init__(self, base: LieAlgebra, n: int, table: dict, p=None,
-                 kind: str = "quotient", attrs: dict | None = None):
+                 kind: str = "quotient"):
         self.base = base
         self.n = n
         self.p = p
         self.kind = kind
-        self.attrs = dict(attrs or {})
         canon = {}
         for (u, v), entries in table.items():
             ent = tuple(
@@ -733,9 +719,24 @@ class BracketTable:
 
     @cached_property
     def scaled_neighbours(self) -> tuple:
-        """The neighbour index over one common denominator (see
-        scale_neighbours); built on first bracket, like neighbours."""
-        return scale_neighbours(self.neighbours)
+        """(D, u -> ((v, ((w, D * c), ...)), ...)): the neighbour index over
+        one common denominator.
+
+        D is the lcm of the entry denominators, so every scaled entry is an
+        integer and [x_u, x_v] = sum_w (D * c) / D * x_w.  Built on first
+        bracket, like neighbours.
+        """
+        den = 1
+        for ent in self.table.values():
+            for _, c in ent:
+                den = math.lcm(den, c.denominator)
+        return den, {
+            u: tuple(
+                (v, tuple((w, c.numerator * (den // c.denominator)) for w, c in ent))
+                for v, ent in pairs
+            )
+            for u, pairs in self.neighbours.items()
+        }
 
     def pair_bracket(self, u: Var, v: Var) -> tuple:
         if u == v:
@@ -834,12 +835,11 @@ def _table_merge(t1: dict, t2: dict, c1: Fraction, c2: Fraction) -> dict:
     return out
 
 
-def make_difference_bracket(q: LieAlgebra, p1: UniPoly, p2: UniPoly,
-                            verify: bool = True) -> BracketTable:
+def make_difference_bracket(q: LieAlgebra, p1: UniPoly, p2: UniPoly) -> BracketTable:
     """Difference of the two quotient brackets on the same variables.
 
     Requires deg(p1 - p2) <= 1; the result is checked to satisfy Jacobi
-    directly unless verify is disabled.
+    directly.
     """
     if p1.degree != p2.degree:
         raise InputError("both moduli must have the same degree")
@@ -848,12 +848,10 @@ def make_difference_bracket(q: LieAlgebra, p1: UniPoly, p2: UniPoly,
     t1 = make_quotient(q, p1)
     t2 = make_quotient(q, p2)
     merged = _table_merge(t1.table, t2.table, Fraction(1), Fraction(-1))
-    T = BracketTable(q, p1.degree, merged, p=None, kind="difference",
-                     attrs={"p1": p1, "p2": p2})
-    if verify:
-        bad = check_table_jacobi(T)
-        if bad is not None:
-            raise InputError(f"difference bracket breaks Jacobi at {bad}")
+    T = BracketTable(q, p1.degree, merged, p=None, kind="difference")
+    bad = check_table_jacobi(T)
+    if bad is not None:
+        raise InputError(f"difference bracket breaks Jacobi at {bad}")
     return T
 
 
@@ -866,8 +864,7 @@ def pencil_combination(t1: BracketTable, t2: BracketTable, a, b) -> BracketTable
     p = None
     if a + b == 1 and t1.p is not None and t2.p is not None:
         p = t1.p.scale(a) + t2.p.scale(b)
-    return BracketTable(t1.base, t1.n, merged, p=p, kind="pencil",
-                        attrs={"a": a, "b": b})
+    return BracketTable(t1.base, t1.n, merged, p=p, kind="pencil")
 
 
 def check_table_antisymmetry(T: BracketTable) -> bool:
@@ -1000,13 +997,13 @@ def structure_matrix_at(T: BracketTable, point: dict) -> QMatrix:
 
 
 def sampled_max_rank(matrix_at, nvars: int, seed: int = 0, samples: int = 4,
-                     bound: int = 1000, max_rounds: int = 5):
+                     bound: int = 1000):
     """Generic rank of matrix_at(point), sampled at random integer points.
 
     matrix_at takes a tuple of nvars ints and returns a QMatrix.  Two
     batches of samples points, coordinates drawn from [-bound, bound], are
     ranked; on disagreement the bound doubles and both batches rerun, up to
-    max_rounds times.  Returns (rank, witness, bound, rounds), the witness
+    five rounds in all.  Returns (rank, witness, bound, rounds), the witness
     a tuple of Fraction.
 
     Samples are ranked over GF(exactla.PRIME), which never over-counts.
@@ -1022,8 +1019,7 @@ def sampled_max_rank(matrix_at, nvars: int, seed: int = 0, samples: int = 4,
     """
     rng = random.Random(seed)
     best = (-1, None, None)
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, 6):
         batch_ranks = []
         for _ in range(2):
             best_in_batch = (-1, None, None)

@@ -306,9 +306,9 @@ def trdeg_of_Z(Z: ZAlgebra, seed: int = 0) -> TrdegReport:
     return trdeg_estimate(Z.all_basis(), t1.var_list(), seed=seed)
 
 
-def expected_trdeg(q: LieAlgebra, n: int, seed: int = 0) -> int:
+def expected_trdeg(q: LieAlgebra, n: int) -> int:
     """(n - 1)(dim + ind)/2 + ind, from the measured index of q."""
-    ind = index_report(q, seed=seed).index
+    ind = index_report(q).index
     return (n - 1) * (q.dim + ind) // 2 + ind
 
 
@@ -316,51 +316,36 @@ def expected_trdeg(q: LieAlgebra, n: int, seed: int = 0) -> int:
 # derivation ladders
 
 
-def _attached_to_t(F: MPoly) -> MPoly:
-    d = F.total_degree()
-    return polarize(F, (1,) * d)
+def _raised_ladder(F: MPoly, p: UniPoly):
+    """F attached to t (every factor at level 1), then its first
+    d(n - 1) + n + 1 images under tau, d = deg F and n = deg p."""
+    d, n = F.total_degree(), p.degree
+    cur = polarize(F, (1,) * d)
+    for _ in range(d * (n - 1) + n + 2):
+        yield cur
+        cur = tau_apply(cur)
 
 
-def tau_ladder_span(q: LieAlgebra, F: MPoly, p: UniPoly,
-                    kmax: int | None = None) -> dict:
+def tau_ladder_span(q: LieAlgebra, F: MPoly, p: UniPoly) -> dict:
     """Span of the reduced raising-derivation ladder of F attached to t.
 
     Returns the dimension, a canonical independent subfamily, and whether
     the constant term of p is nonzero (the dimension reaches
     d(n - 1) + 1 exactly in that case).
     """
-    d = F.total_degree()
-    n = p.degree
-    if kmax is None:
-        kmax = d * (n - 1) + n + 1
-    cur = _attached_to_t(F)
-    ladder = []
-    for _ in range(kmax + 1):
-        ladder.append(psi_p(cur, p))
-        cur = tau_apply(cur)
-    fam = independent_subset(ladder)
+    fam = independent_subset([psi_p(cur, p) for cur in _raised_ladder(F, p)])
     return {
         "dim": len(fam),
         "family": fam,
-        "expected": d * (n - 1) + 1,
+        "expected": F.total_degree() * (p.degree - 1) + 1,
         "p0_nonzero": p.coeff(0) != 0,
     }
 
 
-def gzu_ladder(q: LieAlgebra, F: MPoly, p: UniPoly,
-               kmax: int | None = None) -> list:
+def gzu_ladder(q: LieAlgebra, F: MPoly, p: UniPoly) -> list:
     """Reduced images of the lowered ladder: drop every t degree by one
     after k raising steps, then reduce mod p."""
-    d = F.total_degree()
-    n = p.degree
-    if kmax is None:
-        kmax = d * (n - 1) + n + 1
-    cur = _attached_to_t(F)
-    out = []
-    for _ in range(kmax + 1):
-        out.append(psi_p(shift_t_down(cur), p))
-        cur = tau_apply(cur)
-    return out
+    return [psi_p(shift_t_down(cur), p) for cur in _raised_ladder(F, p)]
 
 
 @dataclass
@@ -369,7 +354,7 @@ class SpanCheck:
     detail: list
 
 
-def check_sovp(q: LieAlgebra, p: UniPoly, f_list: Sequence | None = None) -> SpanCheck:
+def check_sovp(q: LieAlgebra, p: UniPoly) -> SpanCheck:
     """Reduced tau ladders against the assembled center of the t pencil.
 
     Requires p(0) != 0.  For each invariant the two generator spaces must
@@ -377,14 +362,10 @@ def check_sovp(q: LieAlgebra, p: UniPoly, f_list: Sequence | None = None) -> Spa
     """
     if p.coeff(0) == 0:
         raise InputError("the t pencil comparison needs p(0) != 0")
-    if f_list is None:
-        f_list = basic_invariants(q)
-    f_list = list(f_list)
-    P = Pencil(q, p, p + UniPoly.t())
-    Z = build_Z(P, f_list)
+    Z = build_Z(Pencil(q, p, p + UniPoly.t()))
     detail = []
     ok = True
-    for i, F in enumerate(f_list):
+    for i, F in enumerate(Z.invariants):
         lad = tau_ladder_span(q, F, p)
         same = span_equal(lad["family"], Z.basis[i])
         detail.append({
@@ -397,16 +378,12 @@ def check_sovp(q: LieAlgebra, p: UniPoly, f_list: Sequence | None = None) -> Spa
     return SpanCheck(ok=ok, detail=detail)
 
 
-def check_ft_gzu(q: LieAlgebra, p: UniPoly, f_list: Sequence | None = None) -> SpanCheck:
+def check_ft_gzu(q: LieAlgebra, p: UniPoly) -> SpanCheck:
     """Lowered ladders against the assembled center of the constant pencil."""
-    if f_list is None:
-        f_list = basic_invariants(q)
-    f_list = list(f_list)
-    P = Pencil(q, p, p + UniPoly.one())
-    Z = build_Z(P, f_list)
+    Z = build_Z(Pencil(q, p, p + UniPoly.one()))
     detail = []
     ok = True
-    for i, F in enumerate(f_list):
+    for i, F in enumerate(Z.invariants):
         fam = independent_subset(gzu_ladder(q, F, p))
         same = span_equal(fam, Z.basis[i])
         detail.append({

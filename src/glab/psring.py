@@ -4,7 +4,9 @@ A variable is a pair (i, a): base index i, t degree a.  Monomials are
 tuples of (variable, exponent) pairs sorted by variable; polynomials map
 monomials to Fraction coefficients.  On top of the arithmetic sit the
 Poisson bracket against a bracket table, substitutions in t, the raising
-derivation tau, reductions mod p, and exact span/rank utilities.
+derivation tau, reductions mod p, and exact span/rank utilities.  The
+bracket table is the one bracket representation: q[t] is bracketed
+through its truncation q[t]/(t^N), N above every t degree reached.
 
 The bracket and the Hamiltonian images run on integer numerators over one
 common denominator: F, G and the bracket entries are each scaled to
@@ -33,7 +35,7 @@ from .exactla import (
     row_space,
     term_budget,
 )
-from .liecore import BracketTable, LieAlgebra, UniPoly, scale_neighbours
+from .liecore import BracketTable, UniPoly
 
 Var = tuple
 Mono = tuple
@@ -336,11 +338,8 @@ def substitute_vars(F: MPoly, mapping: dict) -> MPoly:
     return acc
 
 
-def substitute_t(F: MPoly, r: UniPoly, cutoff: int | None = None) -> MPoly:
-    """Substitute t -> r(t), so x_i t^a becomes x_i * r(t)^a expanded.
-
-    With a cutoff, any output t degree above it raises InputError.
-    """
+def substitute_t(F: MPoly, r: UniPoly) -> MPoly:
+    """Substitute t -> r(t), so x_i t^a becomes x_i * r(t)^a expanded."""
     powers = {0: UniPoly.one()}
 
     def rpow(a):
@@ -352,10 +351,6 @@ def substitute_t(F: MPoly, r: UniPoly, cutoff: int | None = None) -> MPoly:
     for v in F.vars():
         i, a = v
         ra = rpow(a)
-        if cutoff is not None and ra.degree > cutoff:
-            raise InputError(
-                f"substitution pushes t degree to {ra.degree}, over cutoff {cutoff}"
-            )
         mapping[v] = MPoly.from_entries(
             ((i, k), c) for k, c in enumerate(ra.coeffs) if c
         )
@@ -446,38 +441,6 @@ def directional_derivative(F: MPoly, gamma: dict) -> MPoly:
 # Poisson bracket
 
 
-class CurrentBracket:
-    """Bracket [x_i t^a, x_j t^b] = [x_i, x_j] t^(a+b), optionally capped.
-
-    Stands in for a bracket table on the full polynomial current algebra;
-    pairs are generated lazily from the variables actually present.
-    """
-
-    def __init__(self, base: LieAlgebra, cutoff: int | None = None):
-        self.base = base
-        self.n = None
-        self.cutoff = cutoff
-
-    def flat(self, u: Var) -> int:
-        i, a = u
-        return a * self.base.dim + i
-
-    def iter_pairs(self, vars_f: set, vars_g: set):
-        pool = sorted(vars_f | vars_g, key=self.flat)
-        for ui in range(len(pool)):
-            for vi in range(ui + 1, len(pool)):
-                u, v = pool[ui], pool[vi]
-                ent = self.base.bracket(u[0], v[0])
-                if not ent:
-                    continue
-                ab = u[1] + v[1]
-                if self.cutoff is not None and ab > self.cutoff:
-                    raise InputError(
-                        f"bracket t degree {ab} exceeds cutoff {self.cutoff}"
-                    )
-                yield (u, v), tuple(((k, ab), c) for k, c in ent)
-
-
 def _numerators(F: MPoly) -> tuple:
     """(d, {m: n}) with F = sum_m (n / d) * m, d the lcm of the denominators."""
     den = 1
@@ -536,21 +499,6 @@ def _from_numerators(nums: dict, den: int) -> MPoly:
     return out
 
 
-def _current_index(T: CurrentBracket, vars_f, vars_g) -> tuple:
-    """Scaled index of the pairs (u in vars(F), v in vars(G)) of T.
-
-    Every pair T.iter_pairs yields is read, so its cutoff check sees the
-    same pairs whichever of them {F, G} needs.
-    """
-    index: dict = {}
-    for (u, v), ent in T.iter_pairs(vars_f, vars_g):
-        if u in vars_f and v in vars_g:
-            index.setdefault(u, []).append((v, ent))
-        if v in vars_f and u in vars_g:
-            index.setdefault(v, []).append((u, tuple((w, -c) for w, c in ent)))
-    return scale_neighbours(index)
-
-
 def hamiltonian_images(polys: Sequence, T: BracketTable) -> list:
     """images[k][v] = {polys[k], x_v} under the table T.
 
@@ -558,11 +506,9 @@ def hamiltonian_images(polys: Sequence, T: BracketTable) -> list:
     central for T exactly when images[k] is empty.  The condition
     {sum c_k polys[k], x_v} = 0 is linear in c and in the bracket: the
     images under a pencil member a * T1 + b * T2 are a * images under T1
-    plus b * images under T2.  T must be a BracketTable: the images come
-    from its scaled neighbour index.
+    plus b * images under T2.  The images come from T's scaled neighbour
+    index.
     """
-    if not isinstance(T, BracketTable):
-        raise InputError("hamiltonian_images needs a BracketTable")
     D, index = T.scaled_neighbours
     budget = term_budget()
     out = []
@@ -573,13 +519,14 @@ def hamiltonian_images(polys: Sequence, T: BracketTable) -> list:
     return out
 
 
-def poisson_bracket(F: MPoly, G: MPoly, T) -> MPoly:
-    """{F, G} extending the bracket by the Leibniz rule.
+def poisson_bracket(F: MPoly, G: MPoly, T: BracketTable) -> MPoly:
+    """{F, G} extending the bracket of T by the Leibniz rule.
 
     This is sum_v {F, x_v} * dG/dx_v over v in vars(G), where {F, x_v}
-    visits only the pairs [x_u, x_v] with u in vars(F): from the table's
-    scaled neighbour index, or for a CurrentBracket from its pairs over the
-    variables present.  All of it runs on integer numerators over one
+    visits only the pairs [x_u, x_v] with u in vars(F), read from T's
+    scaled neighbour index.  A variable outside T brackets to zero, so
+    q[t] is bracketed as q[t]/(t^N) with N above every t degree a
+    bracket reaches.  All of it runs on integer numerators over one
     common denominator; the result's coefficients are the only Fractions.
     """
     if F.is_zero() or G.is_zero():
@@ -587,10 +534,7 @@ def poisson_bracket(F: MPoly, G: MPoly, T) -> MPoly:
     dF, nf = _numerators(F)
     dG, ng = _numerators(G)
     pf, pg = _partials(nf), _partials(ng)
-    if isinstance(T, BracketTable):
-        D, index = T.scaled_neighbours
-    else:
-        D, index = _current_index(T, pf.keys(), pg.keys())
+    D, index = T.scaled_neighbours
     budget = term_budget()
     acc: dict = {}
     for v, img in _int_images(pf, index, pg, budget).items():

@@ -18,7 +18,6 @@ from glab.liecore import (
     parse_poly,
 )
 from glab.psring import (
-    CurrentBracket,
     MPoly,
     poisson_bracket,
     span_dim,
@@ -313,9 +312,9 @@ def test_y_xi_diagonal_vanishes(sl2):
 
 
 def test_bracket_of_quadratics_subset(sl2):
-    cb = CurrentBracket(sl2)
+    T = make_quotient(sl2, parse_poly("t^6"))  # sl2[t] below level 6
     for a, b, c, d in ((0, 0, 1, 1), (1, 2, 0, 1), (2, 2, 2, 2)):
-        lhs = poisson_bracket(quad_H(sl2, a, b), quad_H(sl2, c, d), cb)
+        lhs = poisson_bracket(quad_H(sl2, a, b), quad_H(sl2, c, d), T)
         rhs = (
             quad_X(sl2, b, d, a + c)
             + quad_X(sl2, b, c, a + d)
@@ -326,10 +325,10 @@ def test_bracket_of_quadratics_subset(sl2):
 
 
 def test_bracket_against_linear_subset(sl2):
-    cb = CurrentBracket(sl2)
+    T = make_quotient(sl2, parse_poly("t^6"))  # sl2[t] below level 6
     xi = [Fraction(1), Fraction(0), Fraction(0)]
     for a, b in ((0, 0), (1, 2), (2, 1)):
-        lhs = poisson_bracket(quad_H(sl2, a, b), xi_t(sl2, xi), cb)
+        lhs = poisson_bracket(quad_H(sl2, a, b), xi_t(sl2, xi), T)
         assert lhs == y_xi(sl2, xi, a + 1, b) + y_xi(sl2, xi, b + 1, a)
 
 

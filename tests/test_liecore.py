@@ -123,6 +123,18 @@ def test_rational_roots():
     assert rational_roots(parse_poly("2t-1").monic()) == ((Fraction(1, 2), 1),)
 
 
+def test_rational_roots_trial_division_keeps_the_term_budget(monkeypatch):
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "10")
+    assert rational_roots(parse_poly("t^2-100")) == ((Fraction(-10), 1), (Fraction(10), 1))
+    assert rational_roots(parse_poly("t^2-120")) is None  # isqrt(120) = 10
+    with pytest.raises(BudgetError):
+        rational_roots(parse_poly("t^2-121"))
+    with pytest.raises(BudgetError):  # leading coefficient 121 once cleared
+        rational_roots(parse_poly("t-1/121"))
+    # the root at zero is stripped without trial division
+    assert rational_roots(UniPoly.monomial(3)) == ((Fraction(0), 3),)
+
+
 def test_parse_poly_degree_budget(monkeypatch):
     monkeypatch.setenv("GLAB_BUDGET_TERMS", "10")
     assert parse_poly("t^9 + t^009").degree == 9

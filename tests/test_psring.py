@@ -16,7 +16,6 @@ from glab.liecore import (
 )
 from glab.psring import (
     BudgetError,
-    CurrentBracket,
     MPoly,
     apply_derivation,
     coeff_rows,
@@ -194,7 +193,7 @@ def test_bracket_leibniz(a, b, c):
     assert lhs == rhs
 
 
-CURRENT_DEGREE = 3  # t degrees drawn for the current bracket
+CURRENT_DEGREE = 3  # t degrees drawn for the current algebra q[t]
 
 
 def _tables():
@@ -209,10 +208,9 @@ def _tables():
                                      a, 1 - a),
         "difference": make_difference_bracket(sl2, p1, p2),
         "power": make_direct_power(sl3, 2),
-        # the lazy current bracket, walked as q[t]/(t^N) with N above every
-        # t degree a bracket of the drawn polynomials reaches
-        "current": (CurrentBracket(sl3),
-                    make_quotient(sl3, UniPoly.monomial(2 * CURRENT_DEGREE + 1))),
+        # sl3[t] below level 2 * CURRENT_DEGREE + 1, above every t degree a
+        # bracket of polynomials drawn at levels <= CURRENT_DEGREE reaches
+        "current": make_quotient(sl3, UniPoly.monomial(2 * CURRENT_DEGREE + 1)),
     }
 
 
@@ -234,15 +232,11 @@ def table_mpolys(var_list):
 @settings(max_examples=180, deadline=None)
 def test_indexed_bracket_matches_table_walk(kind, data):
     T = TABLES[kind]
+    var_list = T.var_list()
     if kind == "current":
-        T, walked = T
-        var_list = [(i, a) for a in range(CURRENT_DEGREE + 1) for i in range(T.base.dim)]
-        F = data.draw(table_mpolys(var_list))
-        G = data.draw(table_mpolys(var_list))
-        assert poisson_bracket(F, G, T) == reference_bracket(F, G, walked)
-        return
-    F = data.draw(table_mpolys(T.var_list()))
-    G = data.draw(table_mpolys(T.var_list()))
+        var_list = [(i, a) for i, a in var_list if a <= CURRENT_DEGREE]
+    F = data.draw(table_mpolys(var_list))
+    G = data.draw(table_mpolys(var_list))
     assert poisson_bracket(F, G, T) == reference_bracket(F, G, T)
     images = hamiltonian_images([F], T)[0]
     for v in T.var_list():
@@ -265,29 +259,6 @@ def test_neighbour_index_is_built_on_first_bracket():
     assert {u: [(v, [(w, Fraction(c, D)) for w, c in ent]) for v, ent in pairs]
             for u, pairs in scaled.items()} == {
         u: [(v, list(ent)) for v, ent in pairs] for u, pairs in T.neighbours.items()}
-
-
-def test_current_bracket_agrees_with_big_quotient():
-    sl2 = builtin_algebra("sl2")
-    cb = CurrentBracket(sl2)
-    T = make_quotient(sl2, parse_poly("t^6"))
-    a = MPoly.variable((0, 1)) * MPoly.variable((1, 2))
-    b = MPoly.variable((2, 0)) * MPoly.variable((1, 1))
-    assert poisson_bracket(a, b, cb) == poisson_bracket(a, b, T)
-
-
-def test_current_bracket_cutoff():
-    sl2 = builtin_algebra("sl2")
-    cb = CurrentBracket(sl2, cutoff=3)
-    big = MPoly.variable((0, 5))
-    with pytest.raises(InputError):
-        poisson_bracket(big, MPoly.variable((2, 0)), cb)
-
-
-def test_hamiltonian_images_need_a_table():
-    cb = CurrentBracket(builtin_algebra("sl2"))
-    with pytest.raises(InputError):
-        hamiltonian_images([MPoly.variable((0, 0))], cb)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +328,13 @@ def test_bracket_kernel_keeps_the_term_budget(monkeypatch):
     F = sum((MPoly.variable(v) for v in T.var_list()), MPoly.zero()) ** 2
     G = MPoly.variable((0, 0)) * MPoly.variable((2, 1))
     h = MPoly.variable((1, 0))
-    cb = CurrentBracket(sl2)
-    for bracket in (T, cb):
-        assert not poisson_bracket(F, G, bracket).is_zero()
-        assert not poisson_bracket(h, F, bracket).is_zero()
+    assert not poisson_bracket(F, G, T).is_zero()
+    assert not poisson_bracket(h, F, T).is_zero()
     assert any(hamiltonian_images([F], T)[0])
     monkeypatch.setenv("GLAB_BUDGET_TERMS", "5")
-    for bracket in (T, cb):
-        with pytest.raises(BudgetError):  # 6 terms in dF/dx_u
-            poisson_bracket(F, G, bracket)
-        with pytest.raises(BudgetError):  # {h, x_v} * dF/dx_v, 1 x 6 terms
-            poisson_bracket(h, F, bracket)
+    with pytest.raises(BudgetError):  # 6 terms in dF/dx_u
+        poisson_bracket(F, G, T)
+    with pytest.raises(BudgetError):  # {h, x_v} * dF/dx_v, 1 x 6 terms
+        poisson_bracket(h, F, T)
     with pytest.raises(BudgetError):
         hamiltonian_images([F], T)

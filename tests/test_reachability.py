@@ -1,10 +1,16 @@
-"""Every public function or class in glab is reached by the program.
+"""Every public function or class in glab is reached by the program, and
+every defaulted parameter of one is set by some call.
 
 A name-level scan: the roots are everything cli.py names, the suite bodies
 in the registry, the identifiers in the benchmark's workloads and tracer,
 and the short allowlist below.  From there, each reached top-level
 definition of src/glab reaches every name its body mentions.  A public
 top-level definition left unreached is code only its own tests run.
+
+The parameter scan reads every call in src/glab and bench/*.py by the
+called name.  A defaulted parameter of a public function, method or
+constructor that no call sets, by keyword or by position, is an option
+only its own tests use.
 """
 import ast
 import re
@@ -24,6 +30,15 @@ ALLOWLIST = {
     "mat_mul": "the reference that test_mat_mul_and_inv checks mat_inv against",
     "invariants_degree": "exact invariants from the bracket alone, cross-checked with sympy",
     "check_form_invariant": "checks the stored invariant form of the built-in algebras",
+}
+
+# (definition, parameter) set by no call, kept for the reason given
+PARAM_ALLOWLIST = {
+    ("index_report", "samples"): "the sampled-rank protocol: samples per batch",
+    ("index_report", "bound"): "the sampled-rank protocol: the starting coordinate bound",
+    ("trdeg_estimate", "samples"): "the sampled-rank protocol: samples per batch",
+    ("trdeg_estimate", "bound"): "the sampled-rank protocol: the starting coordinate bound",
+    ("build_Z", "f_list"): "how an algebra outside sl, gl and abelian gives its invariants",
 }
 
 
@@ -91,3 +106,79 @@ def test_allowlist_holds_only_otherwise_unreached_definitions():
     assert set(ALLOWLIST) <= set(public)
     reached = _reached(defs, _roots(defs))
     assert sorted(set(ALLOWLIST) & reached) == []
+
+
+def _defaulted(fn, skip: int) -> dict:
+    """Defaulted parameters of fn -> call position (None: keyword only);
+    skip drops self or cls from the positions."""
+    pos = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    first = len(pos) - len(fn.args.defaults)
+    out = {name: k - skip for k, name in enumerate(pos) if k >= first}
+    out.update({a.arg: None for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None})
+    return out
+
+
+def _defaulted_parameters() -> list:
+    """(called name, parameter, position) for every defaulted parameter of a
+    public function, method or constructor; a constructor is called by the
+    class name."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                methods = [(node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                methods = []
+                for sub in node.body:
+                    if not isinstance(sub, ast.FunctionDef):
+                        continue
+                    if sub.name == "__init__":
+                        methods.append((node.name, sub, 1))
+                    elif not sub.name.startswith("_"):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in sub.decorator_list)
+                        methods.append((sub.name, sub, 0 if static else 1))
+            else:
+                continue
+            for name, fn, skip in methods:
+                out.extend((name, p, k) for p, k in _defaulted(fn, skip).items())
+    return out
+
+
+def _calls() -> dict:
+    """Called name -> [(positional count, keyword names)]; a *args call sets
+    every position and a **kwargs call every keyword (None)."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            out.setdefault(name, []).append((
+                float("inf") if starred else len(node.args),
+                {k.arg for k in node.keywords},
+            ))
+    return out
+
+
+def _unset_parameters() -> set:
+    calls = _calls()
+    return {
+        (name, p) for name, p, k in _defaulted_parameters()
+        if not any(p in kws or None in kws or (k is not None and npos > k)
+                   for npos, kws in calls.get(name, ()))
+    }
+
+
+def test_every_defaulted_parameter_is_set():
+    assert sorted(_unset_parameters() - set(PARAM_ALLOWLIST)) == []
+
+
+def test_parameter_allowlist_holds_only_unset_parameters():
+    assert sorted(set(PARAM_ALLOWLIST) - _unset_parameters()) == []

@@ -155,6 +155,21 @@ def test_cli_output_bytes_are_pinned(runner, args, exit_code, digest):
     assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
+# sha256 of seed-0 canonical reports, taken while q[t] still had a bracket of
+# its own; a truncation bound one too low turns the range-1 report to ok: false
+@pytest.mark.parametrize("name, params, digest", [
+    ("quad-family", {"range": 1},
+     "40aa83d9b16685c2b4dca020600b2f1fcc8407fe08c74e6ea0c286af29c428bf"),
+    ("quad-family", {"range": 2},
+     "a02960150da1642bc0526bd95c1e0b70a3603975cdc27841a3d8479287a91a19"),
+    ("forms", {"kvecs": [[0, 5], [2, 4]]},
+     "f4f34ef2b83c476f7a3b44ac4b4a0ddd008fc51b1e4c9df55919dd144eaf7b2d"),
+])
+def test_truncated_current_bracket_reports_are_pinned(name, params, digest):
+    report = canonical_json(run_suite(name, params, seed=0))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
 def test_cli_zz_build_json(runner):
     res = runner.invoke(main, [
         "zz", "build", "--q", "sl2", "--p1", "t^2", "--p2", "t^2+t",
@@ -234,6 +249,13 @@ def test_cli_jacobi_scan_and_takiff_exit_on_budget(runner, monkeypatch):
 def test_cli_huge_degree_exits_on_budget(runner):
     res = runner.invoke(main, ["jacobi", "--p", "t^10000000000"])
     assert res.exit_code == 3
+
+
+def test_cli_crt_root_search_exits_on_budget(runner):
+    # trial division would run to sqrt(10^16) before saying "does not split"
+    res = runner.invoke(main, ["crt", "--p", "t^2-10000000000000061"])
+    assert res.exit_code == 3
+    assert res.output.startswith("budget exceeded: root search by trial division")
 
 
 def test_cli_same_seed_same_bytes(runner):
