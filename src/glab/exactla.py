@@ -4,9 +4,10 @@ All exact elimination goes through one fraction-free (Bareiss) routine on
 integer rows, ``_echelon``: rational input is cleared to integers row by
 row, every division in it is exact, and no ``fractions.Fraction`` is made
 until the answer is read out.  Rank and determinant use its echelon form;
-rref, nullspace, solve, mat_inv and RowSpace use its reduced form.  Kernel
-bases are themselves put in reduced row echelon form, so the answer is a
-canonical basis, reproducible byte for byte.
+rref, nullspace, solve, mat_inv and RowSpace use its reduced form.  A
+kernel takes one elimination, of the rows with their columns reversed,
+which yields its reduced row echelon basis directly: a canonical basis,
+reproducible byte for byte.
 
 ``rank_mod_p`` is the one routine that does not stay exact: it ranks the
 integer rows over GF(PRIME), which can only under-count, so a sampled rank
@@ -76,7 +77,7 @@ def rat_str(q) -> str:
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Immutable rational matrix, entries stored row major."""
+    """Immutable rational matrix, entries (int or Fraction) stored row major."""
 
     rows: int
     cols: int
@@ -257,36 +258,33 @@ def rref(rows: list) -> tuple:
 
 
 def nullspace(m: QMatrix) -> list:
-    """Canonical kernel basis of m as row vectors.
+    """Canonical kernel basis of m as row vectors: its reduced row echelon
+    form (leading entries equal 1), from one elimination (see _kernel)."""
+    return _kernel(_int_rows(m), m.cols)
 
-    The usual free-variable vectors are re-reduced so the result is the
-    reduced row echelon basis of the kernel (leading entries equal 1).
+
+def _kernel(int_rows: list, ncols: int) -> list:
+    """Kernel basis, in reduced row echelon form, of the integer rows.
+
+    The rows are reduced with their columns reversed, so each pivot is the
+    rightmost entry it can be.  The free column f then gives the vector with
+    1 at f and minus each row's entry in column f, over d, at that row's
+    pivot: it is 0 at every other free column and nonzero only right of f,
+    so in ascending f these vectors already are the kernel's reduced row
+    echelon form.
     """
-    rows, pivots, d, _ = _echelon(_int_rows(m), m.cols, True)
-    return _kernel_of_rref(rows, pivots, d, m.cols)
-
-
-def _kernel_of_rref(rows: list, pivots: list, d: int, ncols: int) -> list:
-    """Kernel basis, in reduced row echelon form, of the RREF rows / d.
-
-    The free column f gives the integer vector with d at f and -row[f] at
-    each row's pivot, which is d times the usual free-variable vector.
-    Each is divided by its content before the second elimination, which
-    keeps the entries that elimination multiplies small.
-    """
-    pivot_cols = set(pivots)
+    rows, pivots, d, _ = _echelon([r[::-1] for r in int_rows], ncols, True)
+    pivots = [ncols - 1 - c for c in pivots]
     basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        v = [0] * ncols
-        v[f] = d
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [_ZERO] * ncols
+        v[f] = Fraction(1)
         for row, pc in zip(rows, pivots):
-            v[pc] = -row[f]
-        g = math.gcd(*v)
-        basis.append([x // g for x in v])
-    kern, _, dk, _ = _echelon(basis, ncols, True)
-    return [tuple(r) for r in _rationals(kern, dk)]
+            x = row[ncols - 1 - f]
+            if x:
+                v[pc] = Fraction(-x, d)
+        basis.append(tuple(v))
+    return basis
 
 
 def solve(m: QMatrix, b: Sequence) -> tuple | None:
@@ -352,21 +350,18 @@ class RowSpace:
         self._pivots.insert(at, pc)
         return True
 
-    def _rref(self) -> tuple:
-        return _echelon(list(self._rows), self.width, True)
-
     def basis(self) -> list:
-        rows, _, d, _ = self._rref()
+        rows, _, d, _ = _echelon(list(self._rows), self.width, True)
         return [tuple(r) for r in _rationals(rows, d)]
 
     def kernel(self) -> list:
-        """Canonical kernel basis of the accepted rows, as nullspace gives it.
+        """Canonical kernel basis of the accepted rows, as nullspace gives it,
+        from one elimination of the rows with their columns reversed.
 
         The kernel depends only on the row space, so this equals nullspace
         of any matrix whose rows were added here.
         """
-        rows, pivots, d, _ = self._rref()
-        return _kernel_of_rref(rows, pivots, d, self.width)
+        return _kernel(self._rows, self.width)
 
 
 def row_space(rows: Iterable, width: int) -> RowSpace:

@@ -708,8 +708,8 @@ class BracketTable:
     def neighbours(self) -> dict:
         """u -> ((v, [x_u, x_v]), ...) over the nonzero pairs, both orders.
 
-        Built on first use, so tables that never bracket polynomials
-        (index computations, pencil merges) do not pay for it.
+        Built on first use, through scaled_neighbours, so tables that are
+        only merged into pencils do not pay for it.
         """
         out = {}
         for (u, v), ent in self.table.items():
@@ -724,7 +724,8 @@ class BracketTable:
 
         D is the lcm of the entry denominators, so every scaled entry is an
         integer and [x_u, x_v] = sum_w (D * c) / D * x_w.  Built on first
-        bracket, like neighbours.
+        use and read by poisson_bracket, structure_matrix_at and
+        check_table_jacobi, so one integer index serves all three.
         """
         den = 1
         for ent in self.table.values():
@@ -793,11 +794,8 @@ def make_quotient(q: LieAlgebra, p: UniPoly) -> BracketTable:
                     for k, c in base_ent:
                         for deg, coef in enumerate(rem.coeffs):
                             if coef:
-                                w = (k, deg)
-                                acc[w] = acc.get(w, Fraction(0)) + c * coef
-                    ent = tuple((w, c) for w, c in acc.items() if c != 0)
-                    if ent:
-                        table[(u, v)] = ent
+                                acc[(k, deg)] = acc.get((k, deg), 0) + c * coef
+                    table[(u, v)] = tuple(acc.items())
     return BracketTable(q, n, table, p=p, kind="quotient")
 
 
@@ -822,17 +820,14 @@ def make_direct_power(q: LieAlgebra, n: int) -> BracketTable:
 
 
 def _table_merge(t1: dict, t2: dict, c1: Fraction, c2: Fraction) -> dict:
+    """c1 * t1 + c2 * t2, pair by pair; BracketTable drops the zeros."""
     out = {}
-    keys = set(t1) | set(t2)
-    for key in keys:
-        acc = {}
+    for key in set(t1) | set(t2):
+        acc = out[key] = {}
         for ent, c in ((t1.get(key, ()), c1), (t2.get(key, ()), c2)):
             for w, cf in ent:
                 acc[w] = acc.get(w, Fraction(0)) + c * cf
-        ent = tuple((w, cf) for w, cf in acc.items() if cf != 0)
-        if ent:
-            out[key] = ent
-    return out
+    return {key: tuple(acc.items()) for key, acc in out.items()}
 
 
 def make_difference_bracket(q: LieAlgebra, p1: UniPoly, p2: UniPoly) -> BracketTable:
@@ -882,23 +877,24 @@ def check_table_jacobi(T: BracketTable):
     """First flat triple (u, v, w) violating Jacobi, else None.
 
     BudgetError, before the scan, when the N(N-1)(N-2)/6 triples of the
-    N variables exceed the term budget.
+    N variables exceed the term budget.  Brackets are read on integers from
+    T.scaled_neighbours, which scales each cyclic term by D^2.
     """
     vs = T.var_list()
     N = len(vs)
     budget = term_budget()
     if N * (N - 1) * (N - 2) // 6 > budget:
         raise BudgetError(f"Jacobi scan of {N} variables has more than {budget} triples")
-    for iu in range(N):
-        for iv in range(iu + 1, N):
-            for iw in range(iv + 1, N):
-                u, v, w = vs[iu], vs[iv], vs[iw]
+    br = {u: dict(T.scaled_neighbours[1].get(u, ())) for u in vs}
+    for iu, u in enumerate(vs):
+        for iv, v in enumerate(vs[iu + 1:], iu + 1):
+            for w in vs[iv + 1:]:
                 acc = {}
                 for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
-                    for m, c in T.pair_bracket(x, y):
-                        for r, c2 in T.pair_bracket(m, z):
-                            acc[r] = acc.get(r, Fraction(0)) + c * c2
-                if any(val != 0 for val in acc.values()):
+                    for m, c in br[x].get(y, ()):
+                        for r, c2 in br[m].get(z, ()):
+                            acc[r] = acc.get(r, 0) + c * c2
+                if any(acc.values()):
                     return (u, v, w)
     return None
 
@@ -983,17 +979,21 @@ class IndexReport:
 def structure_matrix_at(T: BracketTable, point: dict) -> QMatrix:
     """Matrix of the bracket paired against a point of the dual space.
 
-    Entry (u, v) is the point evaluated on [x_u, x_v].
+    Entry (u, v) is the point evaluated on [x_u, x_v], summed on integers
+    from T.scaled_neighbours and the point times its lcm denominator L: an
+    int when D * L == 1, as at every sampled point, else over D * L.
     """
-    vs = T.var_list()
-    N = len(vs)
-    ent = [[Fraction(0)] * N for _ in range(N)]
-    for (u, v), ents in T.table.items():
-        val = sum((c * point.get(w, Fraction(0)) for w, c in ents), Fraction(0))
-        iu, iv = T.flat(u), T.flat(v)
-        ent[iu][iv] = val
-        ent[iv][iu] = -val
-    return QMatrix.from_rows(ent)
+    D, index = T.scaled_neighbours
+    L = math.lcm(*(x.denominator for x in point.values()))
+    pt = {w: x.numerator * (L // x.denominator) for w, x in point.items()}
+    pos = {v: k for k, v in enumerate(T.var_list())}
+    N, den = len(pos), D * L
+    ent = [0] * (N * N)
+    for u, pairs in index.items():
+        for v, scaled in pairs:
+            val = sum(c * pt.get(w, 0) for w, c in scaled)
+            ent[pos[u] * N + pos[v]] = val if den == 1 else Fraction(val, den)
+    return QMatrix(N, N, tuple(ent))
 
 
 def sampled_max_rank(matrix_at, nvars: int, seed: int = 0, samples: int = 4,

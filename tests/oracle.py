@@ -54,6 +54,45 @@ def reference_bracket(F, G, T):
     return acc
 
 
+def reference_structure_matrix(T, point):
+    """Matrix of the bracket paired against a point, summed in Fraction.
+
+    Entry (u, v) is the point evaluated on [x_u, x_v], read from the stored
+    pair with flat(u) < flat(v); entry (v, u) is its negative.
+    """
+    vs = T.var_list()
+    N = len(vs)
+    ent = [[Fraction(0)] * N for _ in range(N)]
+    for (u, v), ents in T.table.items():
+        val = sum((c * point.get(w, Fraction(0)) for w, c in ents), Fraction(0))
+        iu, iv = T.flat(u), T.flat(v)
+        ent[iu][iv] = val
+        ent[iv][iu] = -val
+    return QMatrix.from_rows(ent)
+
+
+def reference_jacobi(T):
+    """First flat triple (u, v, w) violating Jacobi, else None.
+
+    Every bracket is read through T.pair_bracket on Fraction, one triple
+    at a time, in ascending flat order.
+    """
+    vs = T.var_list()
+    N = len(vs)
+    for iu in range(N):
+        for iv in range(iu + 1, N):
+            for iw in range(iv + 1, N):
+                u, v, w = vs[iu], vs[iv], vs[iw]
+                acc = {}
+                for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
+                    for m, c in T.pair_bracket(x, y):
+                        for r, c2 in T.pair_bracket(m, z):
+                            acc[r] = acc.get(r, Fraction(0)) + c * c2
+                if any(val != 0 for val in acc.values()):
+                    return (u, v, w)
+    return None
+
+
 def reference_rref(rows):
     """Reduced row echelon form by Gauss-Jordan over Fraction.
 

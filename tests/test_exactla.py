@@ -1,4 +1,5 @@
 """Exact linear algebra over the rationals."""
+import hashlib
 import itertools
 import math
 import random
@@ -368,3 +369,43 @@ def test_sampled_max_rank_is_exact_at_the_witness(a):
     assert r == rank(a)
     assert witness == tuple(Fraction(x) for x in points[0])
     assert (bound, rounds, len(points)) == (1000, 1, 8)
+
+
+@pytest.mark.parametrize("qname, ptxt, digest", [
+    # sha256 taken when the kernel was re-reduced by a second elimination
+    ("sl4", "t^3+t+1", "2f567794c689bc22575a05aa0bc06a6e48119779ad9ef5618196f028cb1bee36"),
+    ("sl5", "t^2-t", "2bac78a269889579c139d2d4c933cb38193ea4a09eec939762628e82e1f6a2d9"),
+    ("gl4", "t^4-t", "e8e56faa0ac598336bf81b0ed17eedde40d1b6e5576f92603ebb0c382a89d7a8"),
+    ("sl3", "t^6-t", "c81fe0f88c04df595dd133f378560cef03cbada6c316c4aab987cff39e00aa2e"),
+])
+def test_stabilizer_kernels_are_pinned(qname, ptxt, digest):
+    T = make_quotient(builtin_algebra(qname), parse_poly(ptxt))
+    point = dict(zip(T.var_list(), index_report(T, seed=0).witness))
+    text = repr(nullspace(structure_matrix_at(T, point)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_kernel_edge_cases_match_the_reference():
+    def eye(n):
+        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+
+    cases = [
+        QMatrix.zero(3, 4),  # the identity rows, in order
+        QMatrix.from_rows([[1, 2], [3, 4], [5, 6]]),  # full column rank
+        QMatrix(2, 0, ()),  # zero width
+        QMatrix(0, 3, ()),  # no rows
+        QMatrix.from_rows([[0, 1, 2, 0], [0, 2, 4, 0]]),  # zero first and last column
+        QMatrix.from_rows([[0, 0, 3], [0, 0, -1]]),
+    ]
+    for m in cases:
+        assert repr(nullspace(m)) == repr(reference_nullspace(m.row_lists(), m.cols))
+    assert nullspace(cases[0]) == eye(4)
+    assert nullspace(cases[1]) == nullspace(cases[2]) == []
+    assert nullspace(cases[3]) == eye(3)
+    assert RowSpace(3).kernel() == eye(3) == reference_nullspace([], 3)
+    rs = RowSpace(4)
+    for r in cases[4].row_lists():
+        rs.add(r)
+    before = rs.basis()
+    assert rs.kernel() == rs.kernel() == nullspace(cases[4])
+    assert rs.basis() == before  # kernel() leaves the accepted rows as they were

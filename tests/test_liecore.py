@@ -1,5 +1,7 @@
 """Polynomials, Lie algebra data, quotient brackets, index sampling."""
+import functools
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from glab.exactla import BudgetError, InputError
 from glab.liecore import (
+    BracketTable,
     UniPoly,
     algebra_from_json,
     algebra_to_json,
@@ -31,7 +34,7 @@ from glab.liecore import (
     wrap_algebra,
 )
 from glab.invariantlab import _slot_gram, basic_invariants
-from oracle import reference_sampled_max_rank
+from oracle import reference_jacobi, reference_sampled_max_rank, reference_structure_matrix
 
 small_coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=4),
@@ -409,7 +412,7 @@ def test_index_report_matches_the_exact_sampling_oracle(case):
     vs = T.var_list()
 
     def matrix(point):
-        return structure_matrix_at(T, dict(zip(vs, point)))
+        return reference_structure_matrix(T, dict(zip(vs, point)))
 
     for seed in range(12):
         rep = index_report(T, seed=seed)
@@ -417,6 +420,65 @@ def test_index_report_matches_the_exact_sampling_oracle(case):
         assert got == reference_sampled_max_rank(matrix, T.dim_total, seed=seed)
     if case == "abelian:3":
         assert rep.rank == 0
+
+
+@pytest.mark.parametrize("case", list(ORACLE_TABLES))
+def test_structure_matrix_matches_the_fraction_reference(case):
+    T = ORACLE_TABLES[case]()
+    D = T.scaled_neighbours[0]
+    assert (D > 1) == case.startswith("sl3 member")
+    vs = T.var_list()
+    rng = random.Random(case)
+    for _ in range(3):
+        ints = dict(zip(vs, (rng.randint(-1000, 1000) for _ in vs)))
+        got = structure_matrix_at(T, ints)
+        assert got == reference_structure_matrix(T, ints)
+        if D == 1:
+            assert all(type(x) is int for x in got.entries)
+        points = [
+            {w: Fraction(x) for w, x in ints.items()},
+            # some variables left out, mixed denominators
+            {w: Fraction(rng.randint(-50, 50), rng.randint(1, 7)) for w in vs[::2]},
+        ]
+        for point in points:
+            assert structure_matrix_at(T, point) == reference_structure_matrix(T, point)
+
+
+@pytest.mark.parametrize("name", [
+    "sl2", "sl3", "sl4", "gl2", "gl3", "sum:sl2,gl2", "abelian:3", "takiff:sl2:2",
+    "sl4 t^2 - t^2+t", "sl3 t^4 - t^4+1",
+])
+def test_jacobi_scan_passes_with_the_reference(name):
+    T = (ORACLE_TABLES[name]() if name in ORACLE_TABLES
+         else wrap_algebra(builtin_algebra(name)))
+    assert check_table_jacobi(T) is None
+    assert reference_jacobi(T) is None
+
+
+@functools.cache
+def _jacobi_quotient(case):
+    qname, ptxt = case.split()
+    return make_quotient(builtin_algebra(qname), parse_poly(ptxt))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["sl3 t^2", "sl3 t^3-t", "sl4 t^2+1"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool),
+)
+def test_jacobi_scan_finds_the_reference_first_triple(case, i, j, delta):
+    # one stored coefficient moved by delta (to zero, possibly)
+    T = _jacobi_quotient(case)
+    table = dict(T.table)
+    key = sorted(table)[i % len(table)]
+    ent = list(table[key])
+    w, c = ent[j % len(ent)]
+    ent[j % len(ent)] = (w, c + delta)
+    table[key] = tuple(ent)
+    bad = BracketTable(T.base, T.n, table, p=T.p)
+    assert check_table_jacobi(bad) == reference_jacobi(bad)
 
 
 def test_wrap_algebra_matches_quotient_by_t():
