@@ -102,13 +102,6 @@ class QMatrix:
         return cls(len(rows), width, flat)
 
     @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        ent = tuple(
-            Fraction(1) if i == j else Fraction(0) for i in range(n) for j in range(n)
-        )
-        return cls(n, n, ent)
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
         return cls(rows, cols, tuple(Fraction(0) for _ in range(rows * cols)))
 
@@ -122,10 +115,6 @@ class QMatrix:
 
     def row_lists(self) -> list:
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> "QMatrix":
-        ent = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return QMatrix(self.cols, self.rows, ent)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -335,9 +324,6 @@ class RowSpace:
                 a, b = row[pc] // g, x // g
                 v = [a * y - b * z for y, z in zip(v, row)]
         return v
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self._reduce(vec))
 
     def add(self, vec: Sequence) -> bool:
         v = self._reduce(vec)

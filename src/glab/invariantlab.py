@@ -39,7 +39,7 @@ from .psring import (
     mono_sort_key,
     poisson_bracket,
     psi_p,
-    substitute_vars,
+    substitute_levels,
 )
 
 
@@ -166,9 +166,11 @@ def basic_invariants(q: LieAlgebra) -> list:
     """Free generators of the invariant ring for the supported families.
 
     sl_n and gl_n get characteristic polynomial coefficients; an abelian
-    algebra gets its variables.  Anything else must supply its own family.
+    algebra (one with no structure constants, whatever its name) gets its
+    variables, all of them central.  Anything else must supply its own
+    family.
     """
-    if q.name.startswith("abelian:"):
+    if not q.sc:
         return [MPoly.variable((i, 0)) for i in range(q.dim)]
     return list(_char_invariants(q))
 
@@ -282,14 +284,13 @@ def f_bracket_j(F: MPoly, j: int, n: int) -> MPoly:
 
 def attach_poly(F: MPoly, r: UniPoly, p: UniPoly | None = None) -> MPoly:
     """Substitute x_i -> x_i (x) r(t) into a t-degree-zero polynomial."""
-    entries = [(k, c) for k, c in enumerate(r.coeffs) if c]
-    mapping = {}
-    for v in F.vars():
-        i, a = v
+
+    def level_image(a):
         if a != 0:
             raise InputError("attach_poly input must have t degree zero")
-        mapping[v] = MPoly.from_entries(((i, k), c) for k, c in entries)
-    out = substitute_vars(F, mapping)
+        return r
+
+    out = substitute_levels(F, level_image)
     if p is not None:
         out = psi_p(out, p)
     return out
@@ -307,16 +308,13 @@ def phi_transport(F: MPoly, p: UniPoly, comp: PrimaryComponent) -> MPoly:
     for u in range(comp.mult):
         shifted[u] = cur
         cur = (cur * base).mod(p)
-    mapping = {}
-    for v in F.vars():
-        i, u = v
+
+    def level_image(u):
         if u >= comp.mult:
             raise InputError("variable t degree exceeds component multiplicity")
-        r = shifted[u]
-        mapping[v] = MPoly.from_entries(
-            ((i, k), c) for k, c in enumerate(r.coeffs) if c
-        )
-    return substitute_vars(F, mapping)
+        return shifted[u]
+
+    return substitute_levels(F, level_image)
 
 
 @dataclass(frozen=True)
@@ -597,15 +595,7 @@ def copies_to_quotient(F: MPoly, p: UniPoly, roots: Sequence) -> MPoly:
     """Send copy a to the idempotent class r_a inside the quotient by p."""
     from .liecore import crt_idempotents
 
-    idems = crt_idempotents(p, roots)
-    mapping = {}
-    for v in F.vars():
-        i, a = v
-        r = idems[a]
-        mapping[v] = MPoly.from_entries(
-            ((i, k), c) for k, c in enumerate(r.coeffs) if c
-        )
-    return substitute_vars(F, mapping)
+    return substitute_levels(F, crt_idempotents(p, roots).__getitem__)
 
 
 # ---------------------------------------------------------------------------

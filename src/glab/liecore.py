@@ -166,20 +166,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly.make(
-            [k * c for k, c in enumerate(self.coeffs)][1:]
-        )
-
-    def shift(self, c) -> "UniPoly":
-        """Substitution t -> t + c."""
-        c = rat(c)
-        acc = UniPoly.zero()
-        lin = UniPoly.make([c, 1])
-        for a in reversed(self.coeffs):
-            acc = acc * lin + UniPoly.make([a])
-        return acc
-
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
@@ -705,39 +691,26 @@ class BracketTable:
         return [self.unflat(k) for k in range(self.dim_total)]
 
     @cached_property
-    def neighbours(self) -> dict:
-        """u -> ((v, [x_u, x_v]), ...) over the nonzero pairs, both orders.
-
-        Built on first use, through scaled_neighbours, so tables that are
-        only merged into pencils do not pay for it.
-        """
-        out = {}
-        for (u, v), ent in self.table.items():
-            out.setdefault(u, []).append((v, ent))
-            out.setdefault(v, []).append((u, tuple((w, -c) for w, c in ent)))
-        return {u: tuple(pairs) for u, pairs in out.items()}
-
-    @cached_property
     def scaled_neighbours(self) -> tuple:
         """(D, u -> ((v, ((w, D * c), ...)), ...)): the neighbour index over
-        one common denominator.
+        the nonzero pairs, both orders, on one common denominator.
 
         D is the lcm of the entry denominators, so every scaled entry is an
         integer and [x_u, x_v] = sum_w (D * c) / D * x_w.  Built on first
-        use and read by poisson_bracket, structure_matrix_at and
+        use, so tables that are only merged into pencils do not pay for it,
+        and read by poisson_bracket, structure_matrix_at and
         check_table_jacobi, so one integer index serves all three.
         """
         den = 1
         for ent in self.table.values():
             for _, c in ent:
                 den = math.lcm(den, c.denominator)
-        return den, {
-            u: tuple(
-                (v, tuple((w, c.numerator * (den // c.denominator)) for w, c in ent))
-                for v, ent in pairs
-            )
-            for u, pairs in self.neighbours.items()
-        }
+        out = {}
+        for (u, v), ent in self.table.items():
+            scaled = tuple((w, c.numerator * (den // c.denominator)) for w, c in ent)
+            out.setdefault(u, []).append((v, scaled))
+            out.setdefault(v, []).append((u, tuple((w, -c) for w, c in scaled)))
+        return den, {u: tuple(pairs) for u, pairs in out.items()}
 
     def pair_bracket(self, u: Var, v: Var) -> tuple:
         if u == v:
@@ -746,10 +719,6 @@ class BracketTable:
             return self.table.get((u, v), ())
         ent = self.table.get((v, u), ())
         return tuple((w, -c) for w, c in ent)
-
-    def var_label(self, u: Var) -> str:
-        i, a = u
-        return self.base.labels[i] if self.n == 1 else f"{self.base.labels[i]}.t{a}"
 
     def __eq__(self, other) -> bool:
         return (

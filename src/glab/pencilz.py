@@ -18,12 +18,10 @@ from typing import Sequence
 
 from .exactla import InputError, QMatrix, rat, rat_str, row_space
 from .liecore import (
-    BracketTable,
     LieAlgebra,
     UniPoly,
     index_report,
     make_quotient,
-    pencil_combination,
     rational_roots,
     sampled_max_rank,
 )
@@ -90,10 +88,6 @@ class Pencil:
         """a * p1 + (1 - a) * p2, the modulus of the line member at a."""
         a = rat(a)
         return self.p1.scale(a) + self.p2.scale(1 - a)
-
-    def member(self, a, b) -> BracketTable:
-        t1, t2 = self.end_tables
-        return pencil_combination(t1, t2, a, b)
 
     def normalization(self) -> dict:
         """How t -> t + c turns the difference into a pure form.

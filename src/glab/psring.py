@@ -8,10 +8,14 @@ derivation tau, reductions mod p, and exact span/rank utilities.  The
 bracket table is the one bracket representation: q[t] is bracketed
 through its truncation q[t]/(t^N), N above every t degree reached.
 
-The bracket and the Hamiltonian images run on integer numerators over one
-common denominator: F, G and the bracket entries are each scaled to
-integers, the Leibniz rule is summed in ints, and only the result's
-coefficients become Fractions.
+Every derivation goes through one integer Leibniz kernel: the bracket,
+the Hamiltonian images, apply_derivation (and through it tau and the
+directional derivatives) scale their polynomials and images to integers
+over one common denominator, take all partials in one pass (_partials),
+sum the products in ints (_mul_acc, _contract), and turn only the
+result's coefficients into Fractions.  Every map of t-levels, x_i t^a ->
+x_i * r(t) (t -> r(t), psi_p, the shift down, and the transports of
+invariantlab), goes through substitute_levels.
 
 Products guard against term blowup: when an operation would exceed the
 term budget (GLAB_BUDGET_TERMS, default 2 * 10^6) it raises BudgetError
@@ -130,10 +134,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1
@@ -248,26 +248,7 @@ class MPoly:
     # -- calculus ------------------------------------------------------
 
     def diff(self, v: Var) -> "MPoly":
-        v = tuple(v)
-        acc = {}
-        for m, c in self.terms.items():
-            for idx, (w, e) in enumerate(m):
-                if w == v:
-                    rest = list(m)
-                    if e == 1:
-                        del rest[idx]
-                    else:
-                        rest[idx] = (w, e - 1)
-                    mm = tuple(rest)
-                    s = acc.get(mm, Fraction(0)) + c * e
-                    if s:
-                        acc[mm] = s
-                    else:
-                        acc.pop(mm, None)
-                    break
-        out = MPoly.__new__(MPoly)
-        out.terms = acc
-        return out
+        return MPoly(_partials(self.terms).get(tuple(v)))
 
     def eval_at(self, point: dict) -> Fraction:
         total = Fraction(0)
@@ -284,30 +265,101 @@ class MPoly:
         return total
 
 
-def apply_derivation(F: MPoly, image: Callable) -> MPoly:
-    """Extend the variable map x_v -> image(v) as a derivation (Leibniz):
-    sum_v dF/dx_v * image(v)."""
-    acc: dict = {}
-    for v in F.vars():
-        img = image(v)
-        if not img.is_zero():
-            _add_terms(acc, (F.diff(v) * img).terms)
+# ---------------------------------------------------------------------------
+# the Leibniz kernel: integer numerators over one common denominator
+
+
+def _numerators(F: MPoly) -> tuple:
+    """(d, {m: n}) with F = sum_m (n / d) * m, d the lcm of the denominators."""
+    den = 1
+    for c in F.terms.values():
+        den = math.lcm(den, c.denominator)
+    return den, {m: c.numerator * (den // c.denominator) for m, c in F.terms.items()}
+
+
+def _from_numerators(nums: dict, den: int) -> MPoly:
     out = MPoly.__new__(MPoly)
-    out.terms = acc
+    out.terms = {m: Fraction(n, den) for m, n in nums.items() if n}
     return out
 
 
-def _add_terms(acc: dict, terms: dict) -> None:
+def _partials(terms: dict) -> dict:
+    """u -> {m: c}, the terms of dF/dx_u for every u in vars(F), from the
+    terms {m: c} of F, on integer numerators or on Fractions alike.
+
+    Dividing a monomial by x_u is injective, so no term cancels here.
+    """
+    out: dict = {}
     for m, c in terms.items():
-        old = acc.get(m)
-        if old is None:
-            acc[m] = c
-            continue
-        s = old + c
-        if s:
-            acc[m] = s
-        else:
-            del acc[m]
+        for k, (u, e) in enumerate(m):
+            if e == 1:
+                rest = m[:k] + m[k + 1:]
+            else:
+                rest = m[:k] + ((u, e - 1),) + m[k + 1:]
+            out.setdefault(u, {})[rest] = c * e
+    return out
+
+
+def _mul_acc(acc: dict, a: dict, b: dict, budget: int) -> None:
+    """acc += a * b on terms {m: n}; a product over the budget is refused."""
+    _check_budget(len(a), len(b), budget)
+    for m1, n1 in a.items():
+        for m2, n2 in b.items():
+            key = mono_mul(m1, m2)
+            acc[key] = acc.get(key, 0) + n1 * n2
+
+
+def _contract(partials: dict, images: dict, budget: int) -> dict:
+    """sum_v images[v] * partials[v]: the Leibniz rule, each images[v] the
+    image of x_v and partials[v] the numerators of dF/dx_v."""
+    acc: dict = {}
+    for v, img in images.items():
+        _mul_acc(acc, img, partials[v], budget)
+    return acc
+
+
+def apply_derivation(F: MPoly, image: Callable) -> MPoly:
+    """Extend the variable map x_v -> image(v) as a derivation (Leibniz):
+    sum_v dF/dx_v * image(v).
+
+    F and the nonzero images are each cleared to integers, the images over
+    one common denominator, so the contraction runs on ints.
+    """
+    dF, nums = _numerators(F)
+    partials = _partials(nums)
+    cleared = {}
+    for v in partials:
+        img = image(v)
+        if not img.is_zero():
+            cleared[v] = _numerators(img)
+    den = math.lcm(*(d for d, _ in cleared.values()))
+    images = {v: {m: n * (den // d) for m, n in img.items()}
+              for v, (d, img) in cleared.items()}
+    return _from_numerators(_contract(partials, images, term_budget()), dF * den)
+
+
+def directional_derivative(F: MPoly, gamma: dict) -> MPoly:
+    """Derivative of F in the constant direction gamma (variable -> value)."""
+    return apply_derivation(F, lambda v: MPoly.const(gamma.get(v, 0)))
+
+
+def tau_apply(F: MPoly, times: int = 1) -> MPoly:
+    """Apply the raising derivation x_i t^a -> a * x_i t^(a+1)."""
+
+    def image(v):
+        i, a = v
+        if a == 0:
+            return MPoly.zero()
+        return MPoly.variable((i, a + 1), coef=a)
+
+    out = F
+    for _ in range(times):
+        out = apply_derivation(out, image)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# substitutions
 
 
 def substitute_vars(F: MPoly, mapping: dict) -> MPoly:
@@ -338,23 +390,29 @@ def substitute_vars(F: MPoly, mapping: dict) -> MPoly:
     return acc
 
 
-def substitute_t(F: MPoly, r: UniPoly) -> MPoly:
-    """Substitute t -> r(t), so x_i t^a becomes x_i * r(t)^a expanded."""
-    powers = {0: UniPoly.one()}
+def substitute_levels(F: MPoly, level_image: Callable) -> MPoly:
+    """Algebra map x_i t^a -> x_i * r(t) = sum_k r_k x_i t^k, r = level_image(a).
 
-    def rpow(a):
-        if a not in powers:
-            powers[a] = rpow(a - 1) * r
-        return powers[a]
-
+    A level whose image is None keeps its variables.  level_image is called
+    once per distinct level of F; F itself is returned when nothing maps.
+    """
+    images: dict = {}
     mapping = {}
     for v in F.vars():
         i, a = v
-        ra = rpow(a)
-        mapping[v] = MPoly.from_entries(
-            ((i, k), c) for k, c in enumerate(ra.coeffs) if c
-        )
-    return substitute_vars(F, mapping)
+        if a not in images:
+            images[a] = level_image(a)
+        r = images[a]
+        if r is not None:
+            mapping[v] = MPoly.from_entries(
+                ((i, k), c) for k, c in enumerate(r.coeffs) if c
+            )
+    return substitute_vars(F, mapping) if mapping else F
+
+
+def substitute_t(F: MPoly, r: UniPoly) -> MPoly:
+    """Substitute t -> r(t), so x_i t^a becomes x_i * r(t)^a expanded."""
+    return substitute_levels(F, lambda a: r ** a)
 
 
 def psi_p(F: MPoly, p: UniPoly) -> MPoly:
@@ -362,51 +420,20 @@ def psi_p(F: MPoly, p: UniPoly) -> MPoly:
     if p.is_zero() or not p.is_monic() or p.degree < 1:
         raise InputError("modulus must be monic of degree >= 1")
     n = p.degree
-    rems = {}
-
-    def rem(a):
-        if a not in rems:
-            rems[a] = UniPoly.monomial(a).mod(p)
-        return rems[a]
-
-    mapping = {}
-    for v in F.vars():
-        i, a = v
-        if a < n:
-            continue
-        ra = rem(a)
-        mapping[v] = MPoly.from_entries(
-            ((i, k), c) for k, c in enumerate(ra.coeffs) if c
-        )
-    if not mapping:
-        return F
-    return substitute_vars(F, mapping)
-
-
-def tau_apply(F: MPoly, times: int = 1) -> MPoly:
-    """Apply the raising derivation x_i t^a -> a * x_i t^(a+1)."""
-
-    def image(v):
-        i, a = v
-        if a == 0:
-            return MPoly.zero()
-        return MPoly.variable((i, a + 1), coef=a)
-
-    out = F
-    for _ in range(times):
-        out = apply_derivation(out, image)
-    return out
+    return substitute_levels(
+        F, lambda a: UniPoly.monomial(a).mod(p) if a >= n else None
+    )
 
 
 def shift_t_down(F: MPoly) -> MPoly:
     """Algebra map x_i t^a -> x_i t^(a-1); requires every a >= 1."""
-    mapping = {}
-    for v in F.vars():
-        i, a = v
+
+    def level_image(a):
         if a < 1:
             raise InputError("shift_t_down needs all t degrees >= 1")
-        mapping[v] = MPoly.variable((i, a - 1))
-    return substitute_vars(F, mapping)
+        return UniPoly.monomial(a - 1)
+
+    return substitute_levels(F, level_image)
 
 
 def t_components(F: MPoly) -> dict:
@@ -426,43 +453,8 @@ def lowest_t_component(F: MPoly) -> tuple:
     return d, comps[d]
 
 
-def directional_derivative(F: MPoly, gamma: dict) -> MPoly:
-    """Derivative of F in the constant direction gamma (variable -> value)."""
-    acc = MPoly.zero()
-    for v, g in gamma.items():
-        g = rat(g)
-        if g == 0:
-            continue
-        acc = acc + F.diff(v).scale(g)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Poisson bracket
-
-
-def _numerators(F: MPoly) -> tuple:
-    """(d, {m: n}) with F = sum_m (n / d) * m, d the lcm of the denominators."""
-    den = 1
-    for c in F.terms.values():
-        den = math.lcm(den, c.denominator)
-    return den, {m: c.numerator * (den // c.denominator) for m, c in F.terms.items()}
-
-
-def _partials(nums: dict) -> dict:
-    """u -> {m: n}, the numerators of dF/dx_u for every u in vars(F).
-
-    Dividing a monomial by x_u is injective, so no term cancels here.
-    """
-    out: dict = {}
-    for m, n in nums.items():
-        for k, (u, e) in enumerate(m):
-            if e == 1:
-                rest = m[:k] + m[k + 1:]
-            else:
-                rest = m[:k] + ((u, e - 1),) + m[k + 1:]
-            out.setdefault(u, {})[rest] = n * e
-    return out
 
 
 def _int_images(partials: dict, index: dict, targets, budget: int) -> dict:
@@ -478,25 +470,14 @@ def _int_images(partials: dict, index: dict, targets, budget: int) -> dict:
         for v, ent in index.get(u, ()):
             if targets is not None and v not in targets:
                 continue
-            _check_budget(len(du), len(ent), budget)
-            acc = out.setdefault(v, {})
-            for w, c in ent:
-                xw = ((w, 1),)
-                for m, n in du.items():
-                    key = mono_mul(m, xw)
-                    acc[key] = acc.get(key, 0) + n * c
+            _mul_acc(out.setdefault(v, {}), {((w, 1),): c for w, c in ent}, du,
+                     budget)
     images = {}
     for v, acc in out.items():
         nz = {m: n for m, n in acc.items() if n}
         if nz:
             images[v] = nz
     return images
-
-
-def _from_numerators(nums: dict, den: int) -> MPoly:
-    out = MPoly.__new__(MPoly)
-    out.terms = {m: Fraction(n, den) for m, n in nums.items() if n}
-    return out
 
 
 def hamiltonian_images(polys: Sequence, T: BracketTable) -> list:
@@ -533,18 +514,11 @@ def poisson_bracket(F: MPoly, G: MPoly, T: BracketTable) -> MPoly:
         return MPoly.zero()
     dF, nf = _numerators(F)
     dG, ng = _numerators(G)
-    pf, pg = _partials(nf), _partials(ng)
+    pg = _partials(ng)
     D, index = T.scaled_neighbours
     budget = term_budget()
-    acc: dict = {}
-    for v, img in _int_images(pf, index, pg, budget).items():
-        dv = pg[v]
-        _check_budget(len(img), len(dv), budget)
-        for m1, n1 in img.items():
-            for m2, n2 in dv.items():
-                key = mono_mul(m1, m2)
-                acc[key] = acc.get(key, 0) + n1 * n2
-    return _from_numerators(acc, D * dF * dG)
+    images = _int_images(_partials(nf), index, pg, budget)
+    return _from_numerators(_contract(pg, images, budget), D * dF * dG)
 
 
 def image_rows(*families: Sequence):
@@ -564,7 +538,8 @@ def image_rows(*families: Sequence):
 
 
 def differential_at(F: MPoly, point: dict, vars_order: Sequence) -> list:
-    return [F.diff(v).eval_at(point) for v in vars_order]
+    partials = _partials(F.terms)
+    return [MPoly(partials.get(v)).eval_at(point) for v in vars_order]
 
 
 def jacobian_at(polys: Sequence, point: dict, vars_order: Sequence) -> QMatrix:

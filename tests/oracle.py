@@ -22,6 +22,39 @@ def reference_kron(a, b):
     return QMatrix(a.rows * b.rows, a.cols * b.cols, tuple(ent))
 
 
+def reference_diff(F, v):
+    """dF/dx_v, one term at a time in Fraction arithmetic."""
+    v = tuple(v)
+    acc = {}
+    for m, c in F.terms.items():
+        for idx, (w, e) in enumerate(m):
+            if w == v:
+                rest = list(m)
+                if e == 1:
+                    del rest[idx]
+                else:
+                    rest[idx] = (w, e - 1)
+                mm = tuple(rest)
+                s = acc.get(mm, Fraction(0)) + c * e
+                if s:
+                    acc[mm] = s
+                else:
+                    acc.pop(mm, None)
+                break
+    return MPoly(acc)
+
+
+def reference_derivation(F, image):
+    """The derivation extending x_v -> image(v): sum_v dF/dx_v * image(v),
+    on reference_diff and MPoly products."""
+    acc = MPoly.zero()
+    for v in F.vars():
+        img = image(v)
+        if not img.is_zero():
+            acc = acc + reference_diff(F, v) * img
+    return acc
+
+
 def reference_bracket(F, G, T):
     """{F, G} under a BracketTable by walking every stored pair.
 
@@ -36,7 +69,7 @@ def reference_bracket(F, G, T):
 
     def d(poly, cache, v):
         if v not in cache:
-            cache[v] = poly.diff(v)
+            cache[v] = reference_diff(poly, v)
         return cache[v]
 
     acc = MPoly.zero()

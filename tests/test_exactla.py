@@ -85,8 +85,7 @@ def test_rat_parsing():
 def test_matrix_basics():
     m = QMatrix.from_rows([[1, 2], [3, 4]])
     assert m.at(1, 0) == 3
-    assert m.transpose().at(0, 1) == 3
-    assert QMatrix.identity(3).at(2, 2) == 1
+    assert m.row_lists() == [[1, 2], [3, 4]]
     assert QMatrix.zero(2, 3).rows == 2
     with pytest.raises(InputError):
         QMatrix.from_rows([[1], [2, 3]])
@@ -125,7 +124,8 @@ def test_det_requires_square():
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_transpose_invariant(m):
-    assert rank(m) == rank(m.transpose())
+    transposed = QMatrix.from_rows([list(col) for col in zip(*m.row_lists())])
+    assert rank(m) == rank(transposed)
 
 
 @given(matrices())
@@ -183,16 +183,16 @@ def test_rowspace_contains():
     rs = RowSpace(3)
     rs.add([1, 0, 1])
     rs.add([0, 1, 1])
-    assert rs.contains([1, 1, 2])
-    assert not rs.contains([1, 1, 0])
-    assert rs.add([1, 1, 2]) is False
+    assert rs.add([1, 1, 2]) is False  # in the span: nothing is added
     assert rs.dim == 2
+    assert rs.add([1, 1, 0]) is True
+    assert rs.dim == 3
 
 
 def test_mat_mul_and_inv():
     a = QMatrix.from_rows([[2, 1], [1, 1]])
     inv = mat_inv(a)
-    assert mat_mul(a, inv) == QMatrix.identity(2)
+    assert mat_mul(a, inv) == QMatrix.from_rows([[1, 0], [0, 1]])
     with pytest.raises(InputError):
         mat_inv(QMatrix.from_rows([[1, 1], [2, 2]]))
 
@@ -239,7 +239,7 @@ def test_solve_and_inverse_match_fraction_oracle(rows, data):
         assert solve(m, b) == tuple(want)
     if m.is_square():
         n = m.rows
-        eye = QMatrix.identity(n).row_lists()
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
         red, pivots = reference_rref([r + e for r, e in zip(rows, eye)])
         if pivots[:n] == list(range(n)):
             assert mat_inv(m) == QMatrix.from_rows([r[n:] for r in red])
@@ -259,7 +259,7 @@ def test_rowspace_matches_fraction_oracle(rows):
     want = reference_rref(rows)[0]
     assert rs.basis() == [tuple(r) for r in want]
     assert rs.kernel() == reference_nullspace(rows, width)
-    assert all(rs.contains(row) for row in rows)
+    assert not any(rs.add(row) for row in rows)
 
 
 @given(awkward_rows())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glab.exactla import InputError, QMatrix, nullspace
-from glab.liecore import UniPoly, parse_poly, rational_roots
+from glab.liecore import UniPoly, parse_poly, pencil_combination, rational_roots
 from glab.psring import (
     MPoly,
     coeff_rows,
@@ -288,7 +288,7 @@ def mpolys3():
 @settings(max_examples=40, deadline=None)
 def test_member_images_are_linear_in_the_ends(sl2, a, polys):
     P = Pencil(sl2, parse_poly("t^3"), parse_poly("t^3+t"))
-    got = hamiltonian_images(polys, P.member(a, 1 - a))
+    got = hamiltonian_images(polys, pencil_combination(*P.end_tables, a, 1 - a))
     m1, m2 = (hamiltonian_images(polys, T) for T in P.end_tables)
     zero = MPoly.zero()
     for k in range(len(polys)):
@@ -320,7 +320,7 @@ def test_streamed_kernel_matches_dense_block_matrix(sl3):
     members = [a for a in _sample_sequence(12) if rational_roots(P.member_poly(a)) is None]
     assert len(members) == 9
     for a in members:
-        T = P.member(a, 1 - a)
+        T = pencil_combination(*P.end_tables, a, 1 - a)
         for pols, r in zip(spaces, rows):
             got = _annihilator_combos(r, a, len(pols))
             assert got

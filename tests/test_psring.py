@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exactla import InputError
+from glab.exactla import InputError, QMatrix
 from glab.liecore import (
     UniPoly,
     builtin_algebra,
@@ -23,6 +23,7 @@ from glab.psring import (
     echelon_basis,
     hamiltonian_images,
     independent_subset,
+    jacobian_at,
     jacobian_rank_at,
     lowest_t_component,
     mono_sort_key,
@@ -39,7 +40,9 @@ from glab.psring import (
     term_budget,
 )
 
-from oracle import reference_bracket
+from glab.invariantlab import centralizer_in_span
+
+from oracle import reference_bracket, reference_derivation, reference_diff
 
 VARS = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
 
@@ -249,16 +252,86 @@ def test_neighbour_index_is_built_on_first_bracket():
     sl2 = builtin_algebra("sl2")
     T = make_quotient(sl2, parse_poly("t^2"))
     pencil_combination(T, T, 1, 1)
-    assert "neighbours" not in vars(T) and "scaled_neighbours" not in vars(T)
+    assert "scaled_neighbours" not in vars(T)
     poisson_bracket(MPoly.variable((0, 0)), MPoly.variable((2, 1)), T)
-    assert "neighbours" in vars(T)
-    for u, pairs in T.neighbours.items():
+    assert "scaled_neighbours" in vars(T)
+    # both orders of every stored pair, in the order of T.table
+    want = {}
+    for (u, v), ent in T.table.items():
+        want.setdefault(u, []).append((v, list(ent)))
+        want.setdefault(v, []).append((u, [(w, -c) for w, c in ent]))
+    for u, pairs in want.items():
         for v, ent in pairs:
-            assert ent == T.pair_bracket(u, v)
+            assert tuple(ent) == T.pair_bracket(u, v)
     D, scaled = T.scaled_neighbours
-    assert {u: [(v, [(w, Fraction(c, D)) for w, c in ent]) for v, ent in pairs]
-            for u, pairs in scaled.items()} == {
-        u: [(v, list(ent)) for v, ent in pairs] for u, pairs in T.neighbours.items()}
+    got = {u: [(v, [(w, Fraction(c, D)) for w, c in ent]) for v, ent in pairs]
+           for u, pairs in scaled.items()}
+    assert list(got.items()) == list(want.items())
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz kernel against the Fraction oracle, denominators up to 12
+
+
+def coefficients():
+    return st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+def derivation_images():
+    """x_v -> a variable, a constant or a quadratic, for every v in VARS."""
+    linear = st.lists(st.tuples(st.sampled_from(VARS), coefficients()), max_size=3).map(
+        MPoly.from_entries)
+    one_image = st.one_of(
+        st.tuples(st.sampled_from(VARS), coefficients()).map(
+            lambda wc: MPoly.variable(wc[0], coef=wc[1])),
+        coefficients().map(MPoly.const),
+        st.tuples(linear, linear, coefficients()).map(
+            lambda abc: abc[0] * abc[1] + MPoly.const(abc[2])),
+    )
+    return st.fixed_dictionaries({v: one_image for v in VARS})
+
+
+def tau_image(v):
+    i, a = v
+    return MPoly.variable((i, a + 1), coef=a)
+
+
+@given(table_mpolys(VARS), st.sampled_from(VARS + [(5, 0)]))
+@settings(max_examples=80, deadline=None)
+def test_diff_matches_reference(F, v):
+    assert F.diff(v) == reference_diff(F, v)
+
+
+@given(table_mpolys(VARS), derivation_images())
+@settings(max_examples=120, deadline=None)
+def test_apply_derivation_matches_reference(F, images):
+    assert apply_derivation(F, images.__getitem__) == reference_derivation(
+        F, images.__getitem__)
+
+
+@given(table_mpolys(VARS), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_tau_matches_reference(F, times):
+    want = F
+    for _ in range(times):
+        want = reference_derivation(want, tau_image)
+    assert tau_apply(F, times) == want
+
+
+@given(table_mpolys(VARS), st.dictionaries(st.sampled_from(VARS), coefficients()))
+@settings(max_examples=80, deadline=None)
+def test_directional_derivative_matches_reference(F, gamma):
+    want = sum((reference_diff(F, v).scale(g) for v, g in gamma.items()), MPoly.zero())
+    assert directional_derivative(F, gamma) == want
+
+
+@given(st.lists(table_mpolys(VARS), max_size=4), st.lists(coefficients(), min_size=6, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_jacobian_matches_reference(polys, coords):
+    point = dict(zip(VARS, coords))
+    want = QMatrix.from_rows(
+        [[reference_diff(F, v).eval_at(point) for v in VARS] for F in polys])
+    assert jacobian_at(polys, point, VARS) == want
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +395,7 @@ def test_budget(monkeypatch):
 
 def test_bracket_kernel_keeps_the_term_budget(monkeypatch):
     # every product of the Leibniz rule is checked against the budget:
-    # dF/dx_u * [x_u, x_v] and {F, x_v} * dG/dx_v
+    # dF/dx_u * [x_u, x_v], {F, x_v} * dG/dx_v and image(v) * dF/dx_v
     sl2 = builtin_algebra("sl2")
     T = make_quotient(sl2, parse_poly("t^2"))
     F = sum((MPoly.variable(v) for v in T.var_list()), MPoly.zero()) ** 2
@@ -331,6 +404,9 @@ def test_bracket_kernel_keeps_the_term_budget(monkeypatch):
     assert not poisson_bracket(F, G, T).is_zero()
     assert not poisson_bracket(h, F, T).is_zero()
     assert any(hamiltonian_images([F], T)[0])
+    assert not tau_apply(F).is_zero()
+    assert not apply_derivation(F, MPoly.variable).is_zero()
+    assert centralizer_in_span(h, [F, h], T)
     monkeypatch.setenv("GLAB_BUDGET_TERMS", "5")
     with pytest.raises(BudgetError):  # 6 terms in dF/dx_u
         poisson_bracket(F, G, T)
@@ -338,3 +414,10 @@ def test_bracket_kernel_keeps_the_term_budget(monkeypatch):
         poisson_bracket(h, F, T)
     with pytest.raises(BudgetError):
         hamiltonian_images([F], T)
+    # the derivations run on the same kernel: image(v) * dF/dx_v, 1 x 6 terms
+    with pytest.raises(BudgetError):
+        tau_apply(F)
+    with pytest.raises(BudgetError):
+        apply_derivation(F, MPoly.variable)
+    with pytest.raises(BudgetError):
+        centralizer_in_span(h, [F, h], T)

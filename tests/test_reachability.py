@@ -1,11 +1,15 @@
-"""Every public function or class in glab is reached by the program, and
-every defaulted parameter of one is set by some call.
+"""Every public function, class, method or property in glab is reached by
+the program, and every defaulted parameter of one is set by some call.
 
 A name-level scan: the roots are everything cli.py names, the suite bodies
 in the registry, the identifiers in the benchmark's workloads and tracer,
-and the short allowlist below.  From there, each reached top-level
-definition of src/glab reaches every name its body mentions.  A public
-top-level definition left unreached is code only its own tests run.
+and the short allowlists below.  From there, each reached top-level
+definition of src/glab reaches every name its body mentions.  A reached
+class reaches the names of its class body and of its dunder methods, which
+Python calls implicitly; every other method or property is reached only
+through an attribute of its name (``x.name``, or the word in a benchmark
+file), and then reaches the names its own body mentions.  A public
+definition left unreached is code only its own tests run.
 
 The parameter scan reads every call in src/glab and bench/*.py by the
 called name.  A defaulted parameter of a public function, method or
@@ -32,6 +36,12 @@ ALLOWLIST = {
     "check_form_invariant": "checks the stored invariant form of the built-in algebras",
 }
 
+# (class, method or property) reached by no command or suite, kept for the
+# reason given
+METHOD_ALLOWLIST = {
+    ("MFReport", "contained"): "the verdict of the allowlisted mf_image, read by its tests",
+}
+
 # (definition, parameter) set by no call, kept for the reason given
 PARAM_ALLOWLIST = {
     ("index_report", "samples"): "the sampled-rank protocol: samples per batch",
@@ -48,36 +58,55 @@ def _names(node) -> set:
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out.update((sub.attr, "." + sub.attr))
         elif isinstance(sub, ast.ImportFrom):
             out.update(a.name for a in sub.names)
     return out
 
 
+def _by_name(node) -> list:
+    """The methods and properties of a class that are reached by name: all
+    but the dunder methods, which Python calls implicitly."""
+    return [sub for sub in node.body if isinstance(sub, ast.FunctionDef)
+            and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+
+
 def _definitions() -> tuple:
-    """(name -> top-level nodes defining it, public def name -> module)."""
-    defs, public = {}, {}
+    """(name -> [names each definition of it mentions], public def name ->
+    module, (class, public method or property) -> module)."""
+    defs, public, methods = {}, {}, {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.FunctionDef):
+                names, mentioned = [node.name], _names(node)
+            elif isinstance(node, ast.ClassDef):
+                by_name = _by_name(node)
                 names = [node.name]
-                if not node.name.startswith("_"):
-                    public[node.name] = path.stem
+                mentioned = set().union(*(_names(sub) for sub in ast.iter_child_nodes(node)
+                                          if sub not in by_name))
+                for sub in by_name:
+                    defs.setdefault("." + sub.name, []).append(_names(sub))
+                    if not sub.name.startswith("_"):
+                        methods[(node.name, sub.name)] = path.stem
             elif isinstance(node, ast.Assign):
                 names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                mentioned = _names(node)
             else:
                 continue
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public[node.name] = path.stem
             for name in names:
-                defs.setdefault(name, []).append(node)
-    return defs, public
+                defs.setdefault(name, []).append(mentioned)
+    return defs, public, methods
 
 
 def _roots(defs) -> set:
     roots = _names(ast.parse((SRC / "cli.py").read_text()))
-    for node in defs["_BODIES"]:
-        roots |= _names(node)
+    for mentioned in defs["_BODIES"]:
+        roots |= mentioned
     for name in ("workloads.py", "tracer.py"):
-        roots |= set(re.findall(r"\w+", (BENCH / name).read_text()))
+        words = set(re.findall(r"\w+", (BENCH / name).read_text()))
+        roots |= words | {"." + w for w in words}
     return roots
 
 
@@ -88,13 +117,13 @@ def _reached(defs, roots) -> set:
         if name in seen:
             continue
         seen.add(name)
-        for node in defs.get(name, ()):
-            todo.extend(_names(node) - seen)
+        for mentioned in defs.get(name, ()):
+            todo.extend(mentioned - seen)
     return seen
 
 
 def test_every_public_definition_is_reached():
-    defs, public = _definitions()
+    defs, public, _ = _definitions()
     reached = _reached(defs, _roots(defs) | set(ALLOWLIST))
     unreached = sorted(f"{mod}.{name}" for name, mod in public.items()
                        if name not in reached and mod != "cli")
@@ -102,10 +131,26 @@ def test_every_public_definition_is_reached():
 
 
 def test_allowlist_holds_only_otherwise_unreached_definitions():
-    defs, public = _definitions()
+    defs, public, _ = _definitions()
     assert set(ALLOWLIST) <= set(public)
     reached = _reached(defs, _roots(defs))
     assert sorted(set(ALLOWLIST) & reached) == []
+
+
+def test_every_public_method_is_reached():
+    defs, _, methods = _definitions()
+    roots = _roots(defs) | set(ALLOWLIST) | {"." + m for _, m in METHOD_ALLOWLIST}
+    reached = _reached(defs, roots)
+    unreached = sorted(f"{mod}.{cls}.{name}" for (cls, name), mod in methods.items()
+                       if "." + name not in reached and mod != "cli")
+    assert unreached == []
+
+
+def test_method_allowlist_holds_only_otherwise_unreached_methods():
+    defs, _, methods = _definitions()
+    assert set(METHOD_ALLOWLIST) <= set(methods)
+    reached = _reached(defs, _roots(defs) | set(ALLOWLIST))
+    assert sorted(m for _, m in METHOD_ALLOWLIST if "." + m in reached) == []
 
 
 def _defaulted(fn, skip: int) -> dict:

@@ -13,8 +13,11 @@ from glab.suites import (
     canonical_json,
     report_markdown,
     run_suite,
+    z_case,
 )
 from glab.cli import main
+from glab.liecore import builtin_algebra, parse_poly
+from glab.pencilz import expected_trdeg
 
 
 def test_registry_names():
@@ -179,6 +182,15 @@ def test_cli_zz_build_json(runner):
     payload = json.loads(res.output)
     assert payload["counts"] == {"0": 3}
     assert payload["seed"] == 0
+
+
+def test_z_case_on_a_sum_of_abelian_algebras():
+    # the invariants of an abelian sum come from its structure, not its name
+    q = builtin_algebra("sum:abelian:1,abelian:2")
+    Z, commutes, rep = z_case(q, parse_poly("t^2"), parse_poly("t^2+t"), seed=0)
+    assert Z.counts() == {0: 2, 1: 2, 2: 2}
+    assert commutes
+    assert rep.rank == expected_trdeg(q, 2) == 6
 
 
 def test_cli_zz_verify(runner):
