@@ -17,7 +17,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactla import InputError, QMatrix, mat_inv, rat, row_space
+from .exactla import (
+    BudgetError,
+    InputError,
+    QMatrix,
+    mat_inv,
+    rat,
+    row_space,
+    term_budget,
+)
 from .liecore import (
     BracketTable,
     LieAlgebra,
@@ -31,6 +39,7 @@ from .liecore import (
 )
 from .psring import (
     MPoly,
+    _numerators,
     apply_derivation,
     coeff_rows,
     echelon_basis,
@@ -75,13 +84,8 @@ def _normalize_primitive(F: MPoly) -> MPoly:
     """Scale to integer coefficients with gcd 1 and positive leading term."""
     if F.is_zero():
         return F
-    den = 1
-    for c in F.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    nums = [int(c * den) for c in F.terms.values()]
-    g = 0
-    for v in nums:
-        g = math.gcd(g, abs(v))
+    den, nums = _numerators(F)
+    g = math.gcd(*nums.values())
     first = min(F.terms, key=mono_sort_key)
     sign = 1 if F.terms[first] > 0 else -1
     return F.scale(Fraction(sign * den, g))
@@ -100,6 +104,12 @@ def _char_invariants(q: LieAlgebra) -> tuple:
     if not m:
         raise InputError(f"no characteristic invariants for {q.name}")
     kind, n = m.group(1), int(m.group(2))
+    # n! permutations, each expanded over the 2^n subsets of its fixed points
+    budget = term_budget()
+    if math.factorial(n) * 2 ** n > budget:
+        raise BudgetError(
+            f"characteristic invariants of {q.name}: {n}! * 2^{n} products "
+            f"exceed budget {budget}")
     _, mats = _matrix_basis(kind, n)
     ginv = q.form_inverse
     # entries of the generic matrix as linear polynomials

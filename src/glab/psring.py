@@ -8,14 +8,15 @@ derivation tau, reductions mod p, and exact span/rank utilities.  The
 bracket table is the one bracket representation: q[t] is bracketed
 through its truncation q[t]/(t^N), N above every t degree reached.
 
-Every derivation goes through one integer Leibniz kernel: the bracket,
-the Hamiltonian images, apply_derivation (and through it tau and the
-directional derivatives) scale their polynomials and images to integers
-over one common denominator, take all partials in one pass (_partials),
-sum the products in ints (_mul_acc, _contract), and turn only the
-result's coefficients into Fractions.  Every map of t-levels, x_i t^a ->
-x_i * r(t) (t -> r(t), psi_p, the shift down, and the transports of
-invariantlab), goes through substitute_levels.
+Every product runs on one integer kernel, _mul_acc: MPoly products and
+powers, substitute_vars, and the derivations (the bracket, the Hamiltonian
+images, apply_derivation and through it tau and the directional
+derivatives) scale their polynomials and images to integers over one
+common denominator, multiply in ints, and turn only the result's
+coefficients into Fractions.  The derivations take all partials in one
+pass (_partials) and sum the Leibniz rule with _contract.  Every map of
+t-levels, x_i t^a -> x_i * r(t) (t -> r(t), psi_p, the shift down, and
+the transports of invariantlab), goes through substitute_levels.
 
 Products guard against term blowup: when an operation would exceed the
 term budget (GLAB_BUDGET_TERMS, default 2 * 10^6) it raises BudgetError
@@ -43,12 +44,6 @@ from .liecore import BracketTable, UniPoly
 
 Var = tuple
 Mono = tuple
-
-
-def _check_budget(a: int, b: int, budget: int) -> None:
-    """Refuse a product of a x b terms over the term budget."""
-    if a * b > budget:
-        raise BudgetError(f"product of {a} x {b} terms exceeds budget {budget}")
 
 
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -113,12 +108,8 @@ class MPoly:
         return cls({(): c} if c else {})
 
     @classmethod
-    def variable(cls, v: Var, exp: int = 1, coef=1) -> "MPoly":
-        if exp < 0:
-            raise InputError("negative exponent")
-        if exp == 0:
-            return cls.const(coef)
-        return cls({((tuple(v), exp),): rat(coef)})
+    def variable(cls, v: Var, coef=1) -> "MPoly":
+        return cls({((tuple(v), 1),): rat(coef)})
 
     @classmethod
     def from_entries(cls, entries: Iterable) -> "MPoly":
@@ -210,24 +201,9 @@ class MPoly:
             return self.scale(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return MPoly.zero()
-        _check_budget(len(self.terms), len(other.terms), term_budget())
-        small, big = self.terms, other.terms
-        if len(small) > len(big):
-            small, big = big, small
-        acc = {}
-        for m1, c1 in small.items():
-            for m2, c2 in big.items():
-                m = mono_mul(m1, m2)
-                s = acc.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        out = MPoly.__new__(MPoly)
-        out.terms = acc
-        return out
+        da, a = _numerators(self)
+        db, b = _numerators(other)
+        return _from_numerators(_product(a, b, term_budget()), da * db)
 
     __rmul__ = __mul__
 
@@ -301,12 +277,22 @@ def _partials(terms: dict) -> dict:
 
 
 def _mul_acc(acc: dict, a: dict, b: dict, budget: int) -> None:
-    """acc += a * b on terms {m: n}; a product over the budget is refused."""
-    _check_budget(len(a), len(b), budget)
+    """acc += a * b on integer numerators {m: n}: the one polynomial product.
+    A product of more term pairs than the budget is refused."""
+    if len(a) * len(b) > budget:
+        raise BudgetError(
+            f"product of {len(a)} x {len(b)} terms exceeds budget {budget}")
     for m1, n1 in a.items():
         for m2, n2 in b.items():
             key = mono_mul(m1, m2)
             acc[key] = acc.get(key, 0) + n1 * n2
+
+
+def _product(a: dict, b: dict, budget: int) -> dict:
+    """a * b on integer numerators, without its zero terms."""
+    acc: dict = {}
+    _mul_acc(acc, a, b, budget)
+    return {m: n for m, n in acc.items() if n}
 
 
 def _contract(partials: dict, images: dict, budget: int) -> dict:
@@ -365,29 +351,39 @@ def tau_apply(F: MPoly, times: int = 1) -> MPoly:
 def substitute_vars(F: MPoly, mapping: dict) -> MPoly:
     """Algebra homomorphism determined by x_v -> mapping[v].
 
-    Variables absent from mapping are kept as themselves.
+    Variables absent from mapping are kept as themselves.  The images are
+    cleared to integers over one common denominator D, each term c * m is
+    lifted to the top mapped degree (D^(top - deg m)), and its image is
+    formed on the integer kernel; the result is divided by dF * D^top once.
     """
-    pow_cache = {}
+    dF, nums = _numerators(F)
+    cleared = {v: _numerators(img) for v, img in mapping.items()}
+    D = math.lcm(*(d for d, _ in cleared.values()))
+    powers = {(v, 1): {m: n * (D // d) for m, n in img.items()}
+              for v, (d, img) in cleared.items()}
+    budget = term_budget()
 
     def var_pow(v, e):
         key = (v, e)
-        if key not in pow_cache:
-            img = mapping.get(v)
-            if img is None:
-                pow_cache[key] = MPoly.variable(v, e)
+        if key not in powers:
+            if v not in mapping:
+                powers[key] = {((v, e),): 1}
             else:
-                pow_cache[key] = img ** e
-        return pow_cache[key]
+                powers[key] = _product(var_pow(v, e - 1), powers[(v, 1)], budget)
+        return powers[key]
 
-    acc = MPoly.zero()
-    for m, c in F.terms.items():
-        cur = MPoly.const(c)
+    def mapped_degree(m):
+        return sum(e for v, e in m if v in mapping)
+
+    top = max(map(mapped_degree, nums), default=0)
+    out: dict = {}
+    for m, n in nums.items():
+        cur = {(): n * D ** (top - mapped_degree(m))}
         for v, e in m:
-            cur = cur * var_pow(v, e)
-            if cur.is_zero():
-                break
-        acc = acc + cur
-    return acc
+            cur = _product(cur, var_pow(v, e), budget)
+        for k, x in cur.items():
+            out[k] = out.get(k, 0) + x
+    return _from_numerators(out, dF * D ** top)
 
 
 def substitute_levels(F: MPoly, level_image: Callable) -> MPoly:

@@ -10,6 +10,52 @@ from glab.exactla import QMatrix, rank
 from glab.psring import MPoly
 
 
+def reference_mul(F, G):
+    """F * G, one term pair at a time in Fraction arithmetic, each product
+    of monomials merged through a dict of exponents."""
+    acc = {}
+    for m1, c1 in F.terms.items():
+        for m2, c2 in G.terms.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = tuple(sorted(exps.items()))
+            acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+    return MPoly(acc)
+
+
+def reference_substitute(F, mapping):
+    """The algebra map x_v -> mapping.get(v, x_v), one factor at a time on
+    reference_mul."""
+    acc = MPoly.zero()
+    for m, c in F.terms.items():
+        cur = MPoly.const(c)
+        for v, e in m:
+            img = mapping.get(v, MPoly.variable(v))
+            for _ in range(e):
+                cur = reference_mul(cur, img)
+        acc = acc + cur
+    return acc
+
+
+def reference_psi(F, p):
+    """psi_p on reference_substitute: x_i t^a -> x_i (t^a mod p) for a at
+    or above deg p, the remainder formed by multiplying by t and cancelling
+    the top coefficient against the monic p, one degree at a time."""
+    n = len(p.coeffs) - 1
+    mapping = {}
+    for i, a in F.vars():
+        if a < n:
+            continue
+        r = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        for _ in range(a):
+            top = r[-1]
+            r = [Fraction(0)] + r[:-1]
+            r = [x - top * c for x, c in zip(r, p.coeffs)]
+        mapping[(i, a)] = MPoly.from_entries(((i, k), c) for k, c in enumerate(r))
+    return reference_substitute(F, mapping)
+
+
 def reference_kron(a, b):
     """Kronecker product a (x) b: entry (i*b.rows + k, j*b.cols + l) is
     a[i, j] * b[k, l]."""
@@ -46,12 +92,12 @@ def reference_diff(F, v):
 
 def reference_derivation(F, image):
     """The derivation extending x_v -> image(v): sum_v dF/dx_v * image(v),
-    on reference_diff and MPoly products."""
+    on reference_diff and reference_mul."""
     acc = MPoly.zero()
     for v in F.vars():
         img = image(v)
         if not img.is_zero():
-            acc = acc + reference_diff(F, v) * img
+            acc = acc + reference_mul(reference_diff(F, v), img)
     return acc
 
 
@@ -78,12 +124,10 @@ def reference_bracket(F, G, T):
         gv = d(G, dG, v) if v in vars_g else MPoly.zero()
         fv = d(F, dF, v) if v in vars_f else MPoly.zero()
         gu = d(G, dG, u) if u in vars_g else MPoly.zero()
-        first = MPoly.zero() if fu.is_zero() or gv.is_zero() else fu * gv
-        second = MPoly.zero() if fv.is_zero() or gu.is_zero() else fv * gu
-        diff = first - second
+        diff = reference_mul(fu, gv) - reference_mul(fv, gu)
         if diff.is_zero():
             continue
-        acc = acc + diff * MPoly.from_entries(ent)
+        acc = acc + reference_mul(diff, MPoly.from_entries(ent))
     return acc
 
 

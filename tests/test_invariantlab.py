@@ -6,7 +6,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exactla import InputError, QMatrix, det, solve
+from glab.exactla import BudgetError, InputError, QMatrix, det, solve
 from glab.liecore import (
     LieAlgebra,
     UniPoly,
@@ -24,6 +24,7 @@ from glab.psring import (
     substitute_vars,
 )
 from glab.invariantlab import (
+    _char_invariants,
     _slot_gram,
     _solve_slot_grams,
     attach_poly,
@@ -167,6 +168,18 @@ def test_basic_invariants_sl3(sl3):
     for f in fs:
         for i in range(sl3.dim):
             assert poisson_bracket(f, MPoly.variable((i, 0)), T).is_zero()
+
+
+def test_char_invariants_are_refused_over_the_budget(sl3, monkeypatch):
+    # det(lambda - X) for sl3: 3! permutations x 2^3 subsets of fixed points
+    want = basic_invariants(sl3)
+    _char_invariants.cache_clear()
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "48")
+    assert basic_invariants(sl3) == want
+    _char_invariants.cache_clear()
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "47")
+    with pytest.raises(BudgetError, match="3! \\* 2\\^3"):
+        basic_invariants(sl3)
 
 
 def test_basic_invariants_abelian():

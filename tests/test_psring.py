@@ -42,7 +42,14 @@ from glab.psring import (
 
 from glab.invariantlab import centralizer_in_span
 
-from oracle import reference_bracket, reference_derivation, reference_diff
+from oracle import (
+    reference_bracket,
+    reference_derivation,
+    reference_diff,
+    reference_mul,
+    reference_psi,
+    reference_substitute,
+)
 
 VARS = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
 
@@ -60,13 +67,13 @@ def mpolys():
 
 def test_mpoly_basics():
     x = MPoly.variable((0, 0))
-    y = MPoly.variable((1, 1), exp=2, coef=3)
+    y = (MPoly.variable((1, 1)) ** 2).scale(3)
     assert x.total_degree() == 1
     assert y.total_degree() == 2
     assert (x + x).coeff((((0, 0), 1),)) == 2
     assert (x - x).is_zero()
     assert x.scale(0).is_zero()
-    assert (x * x) == MPoly.variable((0, 0), exp=2)
+    assert (x * x) == x ** 2 == MPoly({(((0, 0), 2),): Fraction(1)})
     assert x.eval_at({(0, 0): Fraction(5)}) == 5
     with pytest.raises(InputError):
         x.eval_at({})
@@ -277,18 +284,23 @@ def coefficients():
     return st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 
-def derivation_images():
-    """x_v -> a variable, a constant or a quadratic, for every v in VARS."""
+def variable_images():
+    """A variable, a constant (zero included) or a quadratic over VARS."""
     linear = st.lists(st.tuples(st.sampled_from(VARS), coefficients()), max_size=3).map(
         MPoly.from_entries)
-    one_image = st.one_of(
+    return st.one_of(
         st.tuples(st.sampled_from(VARS), coefficients()).map(
             lambda wc: MPoly.variable(wc[0], coef=wc[1])),
+        st.just(MPoly.zero()),
         coefficients().map(MPoly.const),
         st.tuples(linear, linear, coefficients()).map(
-            lambda abc: abc[0] * abc[1] + MPoly.const(abc[2])),
+            lambda abc: reference_mul(abc[0], abc[1]) + MPoly.const(abc[2])),
     )
-    return st.fixed_dictionaries({v: one_image for v in VARS})
+
+
+def derivation_images():
+    """x_v -> a variable image for every v in VARS."""
+    return st.fixed_dictionaries({v: variable_images() for v in VARS})
 
 
 def tau_image(v):
@@ -332,6 +344,55 @@ def test_jacobian_matches_reference(polys, coords):
     want = QMatrix.from_rows(
         [[reference_diff(F, v).eval_at(point) for v in VARS] for F in polys])
     assert jacobian_at(polys, point, VARS) == want
+
+
+# ---------------------------------------------------------------------------
+# products and algebra maps on the integer kernel against reference_mul
+
+
+@given(table_mpolys(VARS), table_mpolys(VARS))
+@settings(max_examples=120, deadline=None)
+def test_mul_matches_reference(a, b):
+    assert a * b == reference_mul(a, b)
+
+
+@given(table_mpolys(VARS), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_pow_matches_reference(a, k):
+    want = MPoly.const(1)
+    for _ in range(k):
+        want = reference_mul(want, a)
+    assert a ** k == want
+
+
+@given(table_mpolys(VARS), st.dictionaries(st.sampled_from(VARS), variable_images()))
+@settings(max_examples=120, deadline=None)
+def test_substitute_vars_matches_reference(F, mapping):
+    # variables left out of mapping are kept as themselves
+    assert substitute_vars(F, mapping) == reference_substitute(F, mapping)
+
+
+PSI_VARS = [(0, 0), (1, 1), (0, 2), (2, 3), (1, 4)]
+
+
+@given(table_mpolys(PSI_VARS), st.lists(coefficients(), min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_psi_matches_reference(F, low):
+    p = UniPoly.make(low + [1])
+    assert psi_p(F, p) == reference_psi(F, p)
+
+
+def test_substitute_vars_keeps_the_term_budget(monkeypatch):
+    xs = MPoly.from_entries(((i, 0), 1) for i in range(3))
+    square = MPoly.variable((0, 1)) ** 2
+    pair = MPoly.variable((0, 1)) * MPoly.variable((1, 1))
+    mapping = {(0, 1): xs, (1, 1): xs}
+    assert substitute_vars(square, mapping) == substitute_vars(pair, mapping) == xs * xs
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "5")
+    with pytest.raises(BudgetError):  # the square of an image, 3 x 3 terms
+        substitute_vars(square, mapping)
+    with pytest.raises(BudgetError):  # the image of a term, 3 x 3 terms
+        substitute_vars(pair, mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,13 @@ def test_cli_jacobi_scan_and_takiff_exit_on_budget(runner, monkeypatch):
     assert res.exit_code == 3
 
 
+def test_cli_char_invariants_exit_on_budget(runner):
+    # 9! * 2^9 products to expand det(lambda - X): refused before any of them
+    res = runner.invoke(main, ["zz", "build", "--q", "sl9", "--p1", "t^2", "--p2", "t^2+t"])
+    assert res.exit_code == 3
+    assert "9! * 2^9" in res.output
+
+
 def test_cli_huge_degree_exits_on_budget(runner):
     res = runner.invoke(main, ["jacobi", "--p", "t^10000000000"])
     assert res.exit_code == 3
