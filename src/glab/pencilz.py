@@ -35,7 +35,8 @@ from .psring import (
     jacobian_at,
     lowest_t_component,
     mono_sort_key,
-    poisson_bracket,
+    mono_t_degree,
+    pairwise_commute,
     psi_p,
     shift_t_down,
     span_contains,
@@ -252,13 +253,7 @@ def verify_Z_commutes(Z: ZAlgebra) -> bool:
     settles the whole pencil.
     """
     polys = Z.all_basis()
-    t1, t2 = Z.pencil.end_tables
-    for T in (t1, t2):
-        for i in range(len(polys)):
-            for j in range(i + 1, len(polys)):
-                if not poisson_bracket(polys[i], polys[j], T).is_zero():
-                    return False
-    return True
+    return all(pairwise_commute(polys, T) for T in Z.pencil.end_tables)
 
 
 @dataclass(frozen=True)
@@ -434,7 +429,7 @@ def gzu_lowest_span(q: LieAlgebra, j: int) -> GzuLowest:
         rhs = []
         for w in range(j - 2):
             for m in mono_list:
-                if sum(v[1] * e for v, e in m) != w:
+                if mono_t_degree(m) != w:
                     continue
                 rows.append([
                     cols[u][w].terms.get(m, Fraction(0)) if w in cols[u] else Fraction(0)

@@ -1,12 +1,15 @@
 """Sparse multivariate polynomials over Q in variables x_i * t^a.
 
-A variable is a pair (i, a): base index i, t degree a.  Monomials are
-tuples of (variable, exponent) pairs sorted by variable; polynomials map
-monomials to Fraction coefficients.  On top of the arithmetic sit the
-Poisson bracket against a bracket table, substitutions in t, the raising
-derivation tau, reductions mod p, and exact span/rank utilities.  The
-bracket table is the one bracket representation: q[t] is bracketed
-through its truncation q[t]/(t^N), N above every t degree reached.
+A variable is a pair (i, a): base index i, t degree a.  An MPoly maps
+monomials, tuples of (variable, exponent) pairs sorted by variable, to
+Fraction coefficients.  Inside the kernel a monomial is packed into one
+int with an 8-bit field per variable, so a product of monomials is one
+integer addition (see "packed monomial keys" below).  On top of the
+arithmetic sit the Poisson bracket against a bracket table, substitutions
+in t, the raising derivation tau, reductions mod p, and exact span/rank
+utilities.  The bracket table is the one bracket representation: q[t] is
+bracketed through its truncation q[t]/(t^N), N above every t degree
+reached.
 
 Every product runs on one integer kernel, _mul_acc: MPoly products and
 powers, substitute_vars, and the derivations (the bracket, the Hamiltonian
@@ -20,8 +23,10 @@ the transports of invariantlab), goes through substitute_levels.
 
 Products guard against term blowup: when an operation would exceed the
 term budget (GLAB_BUDGET_TERMS, default 2 * 10^6) it raises BudgetError
-rather than grinding on.  The budget is defined in exactla, which the
-polynomial parser in liecore also reaches; psring re-exports it.
+rather than grinding on.  A monomial of total degree above FIELD_MAX =
+255, which would overflow its packed field, raises BudgetError too.  The
+budget is defined in exactla, which the polynomial parser in liecore also
+reaches; psring re-exports it.
 """
 from __future__ import annotations
 
@@ -44,30 +49,6 @@ from .liecore import BracketTable, UniPoly
 
 Var = tuple
 Mono = tuple
-
-
-def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    """Product of two monomials: one merge of their sorted variables."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        a, b = m1[i], m2[j]
-        if a[0] == b[0]:
-            out.append((a[0], a[1] + b[1]))
-            i += 1
-            j += 1
-        elif a[0] < b[0]:
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-    return tuple(out) + m1[i:] + m2[j:]
 
 
 def mono_degree(m: Mono) -> int:
@@ -224,7 +205,7 @@ class MPoly:
     # -- calculus ------------------------------------------------------
 
     def diff(self, v: Var) -> "MPoly":
-        return MPoly(_partials(self.terms).get(tuple(v)))
+        return MPoly(_unpacked(_partials(_packed(self.terms)).get(tuple(v), {})))
 
     def eval_at(self, point: dict) -> Fraction:
         total = Fraction(0)
@@ -242,65 +223,158 @@ class MPoly:
 
 
 # ---------------------------------------------------------------------------
-# the Leibniz kernel: integer numerators over one common denominator
+# packed monomial keys
+#
+# Inside the kernel a monomial is one int of 8-bit fields: the lowest holds
+# the total degree, and each variable owns the field at its unit, handed out
+# in order of first use for the life of the process (so at most one field
+# per distinct variable).  A product of monomials is then one addition, and
+# dividing by x_u subtracts unit(u) + 1.  No field may pass FIELD_MAX: as
+# every exponent is at most the total degree, checking the degree field of
+# each product and encoded monomial keeps every field from wrapping.  The
+# one-byte width lets int.to_bytes read all fields at once.  MPoly.terms
+# keeps its tuples; _encode / _decode convert at the kernel's boundary and
+# remember their answers, up to _MEMO_LIMIT monomials (then they start
+# over), and decoded monomials share their (variable, exponent) pairs.
+
+FIELD_MAX = 255
+_UNITS: dict = {}  # variable -> 1 << (8 * slot), slots from 1
+_VARS: list = []  # slot - 1 -> variable
+_MEMO_LIMIT = 1 << 12
+_ENCODED: dict = {}  # monomial -> key
+_DECODED: dict = {}  # key -> monomial
+_PAIRS: dict = {}  # (slot - 1) << 8 | exponent -> (variable, exponent)
+
+
+def _unit(v: Var) -> int:
+    u = _UNITS.get(v)
+    if u is None:
+        _VARS.append(v)
+        u = _UNITS[v] = 1 << (8 * len(_VARS))
+    return u
+
+
+def _remember(m: Mono, k: int) -> None:
+    if len(_DECODED) >= _MEMO_LIMIT:
+        _ENCODED.clear()
+        _DECODED.clear()
+    _ENCODED[m] = k
+    _DECODED[k] = m
+
+
+def _encode(m: Mono) -> int:
+    """The packed key of the monomial m; BudgetError past FIELD_MAX."""
+    k = _ENCODED.get(m)
+    if k is None:
+        if mono_degree(m) > FIELD_MAX:
+            raise BudgetError(
+                f"monomial of degree {mono_degree(m)} exceeds the packed "
+                f"field maximum {FIELD_MAX}")
+        k = sum(e * (_unit(v) + 1) for v, e in m)
+        _remember(m, k)
+    return k
+
+
+def _decode(k: int) -> Mono:
+    """The monomial of the packed key k, sorted by variable."""
+    m = _DECODED.get(k)
+    if m is None:
+        fields = (k >> 8).to_bytes(((k >> 8).bit_length() + 7) // 8, "little")
+        m = tuple(sorted(_pair(s, e) for s, e in enumerate(fields) if e))
+        _remember(m, k)
+    return m
+
+
+def _pair(s: int, e: int) -> tuple:
+    """The one (variable, exponent) tuple for exponent e in field s, shared
+    by every decoded monomial."""
+    p = _PAIRS.get((s << 8) | e)
+    if p is None:
+        p = _PAIRS[(s << 8) | e] = (_VARS[s], e)
+    return p
+
+
+def _packed(terms: dict) -> dict:
+    return {_encode(m): c for m, c in terms.items()}
+
+
+def _unpacked(terms: dict) -> dict:
+    return {_decode(k): c for k, c in terms.items()}
+
+
+def _top_degree(a: dict) -> int:
+    """The largest total degree among the packed keys of a (nonempty)."""
+    return max(map(FIELD_MAX.__and__, a))
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz kernel: integer numerators over one common denominator, on
+# packed keys
 
 
 def _numerators(F: MPoly) -> tuple:
-    """(d, {m: n}) with F = sum_m (n / d) * m, d the lcm of the denominators."""
+    """(d, {k: n}) with F = sum_k (n / d) * k over packed keys k, d the lcm
+    of the denominators."""
     den = 1
     for c in F.terms.values():
         den = math.lcm(den, c.denominator)
-    return den, {m: c.numerator * (den // c.denominator) for m, c in F.terms.items()}
+    return den, {_encode(m): c.numerator * (den // c.denominator)
+                 for m, c in F.terms.items()}
 
 
 def _from_numerators(nums: dict, den: int) -> MPoly:
     out = MPoly.__new__(MPoly)
-    out.terms = {m: Fraction(n, den) for m, n in nums.items() if n}
+    out.terms = {_decode(k): Fraction(n, den) for k, n in nums.items() if n}
     return out
 
 
 def _partials(terms: dict) -> dict:
-    """u -> {m: c}, the terms of dF/dx_u for every u in vars(F), from the
-    terms {m: c} of F, on integer numerators or on Fractions alike.
+    """u -> {k: c}, the terms of dF/dx_u for every u in vars(F), from the
+    packed terms {k: c} of F, on integer numerators or on Fractions alike.
 
     Dividing a monomial by x_u is injective, so no term cancels here.
     """
     out: dict = {}
-    for m, c in terms.items():
-        for k, (u, e) in enumerate(m):
-            if e == 1:
-                rest = m[:k] + m[k + 1:]
-            else:
-                rest = m[:k] + ((u, e - 1),) + m[k + 1:]
-            out.setdefault(u, {})[rest] = c * e
+    for k, c in terms.items():
+        for u, e in _decode(k):
+            out.setdefault(u, {})[k - _UNITS[u] - 1] = c * e
     return out
 
 
 def _mul_acc(acc: dict, a: dict, b: dict, budget: int) -> None:
-    """acc += a * b on integer numerators {m: n}: the one polynomial product.
-    A product of more term pairs than the budget is refused."""
+    """acc += a * b on packed keys and integer numerators {k: n}: the one
+    polynomial product.  A product of more term pairs than the budget, or
+    of a total degree past FIELD_MAX, is refused before any work."""
     if len(a) * len(b) > budget:
         raise BudgetError(
             f"product of {len(a)} x {len(b)} terms exceeds budget {budget}")
+    if a and b and _top_degree(a) + _top_degree(b) > FIELD_MAX:
+        raise BudgetError(
+            f"product of degree {_top_degree(a) + _top_degree(b)} exceeds the "
+            f"packed field maximum {FIELD_MAX}")
+    get = acc.get
     for m1, n1 in a.items():
         for m2, n2 in b.items():
-            key = mono_mul(m1, m2)
-            acc[key] = acc.get(key, 0) + n1 * n2
+            key = m1 + m2
+            acc[key] = get(key, 0) + n1 * n2
 
 
 def _product(a: dict, b: dict, budget: int) -> dict:
     """a * b on integer numerators, without its zero terms."""
     acc: dict = {}
     _mul_acc(acc, a, b, budget)
-    return {m: n for m, n in acc.items() if n}
+    return {k: n for k, n in acc.items() if n}
 
 
 def _contract(partials: dict, images: dict, budget: int) -> dict:
     """sum_v images[v] * partials[v]: the Leibniz rule, each images[v] the
-    image of x_v and partials[v] the numerators of dF/dx_v."""
+    image of x_v and partials[v] the numerators of dF/dx_v (absent when
+    x_v does not occur in F)."""
     acc: dict = {}
     for v, img in images.items():
-        _mul_acc(acc, img, partials[v], budget)
+        dv = partials.get(v)
+        if dv:
+            _mul_acc(acc, img, dv, budget)
     return acc
 
 
@@ -353,36 +427,32 @@ def substitute_vars(F: MPoly, mapping: dict) -> MPoly:
 
     Variables absent from mapping are kept as themselves.  The images are
     cleared to integers over one common denominator D, each term c * m is
-    lifted to the top mapped degree (D^(top - deg m)), and its image is
-    formed on the integer kernel; the result is divided by dF * D^top once.
+    lifted to the top mapped degree (D^(top - deg m)), and its image, the
+    kept part of m times the cached powers of the mapped images, is formed
+    on the integer kernel; the result is divided by dF * D^top once.
     """
     dF, nums = _numerators(F)
     cleared = {v: _numerators(img) for v, img in mapping.items()}
     D = math.lcm(*(d for d, _ in cleared.values()))
-    powers = {(v, 1): {m: n * (D // d) for m, n in img.items()}
+    powers = {(v, 1): {k: n * (D // d) for k, n in img.items()}
               for v, (d, img) in cleared.items()}
     budget = term_budget()
 
     def var_pow(v, e):
-        key = (v, e)
-        if key not in powers:
-            if v not in mapping:
-                powers[key] = {((v, e),): 1}
-            else:
-                powers[key] = _product(var_pow(v, e - 1), powers[(v, 1)], budget)
-        return powers[key]
+        if (v, e) not in powers:
+            powers[(v, e)] = _product(var_pow(v, e - 1), powers[(v, 1)], budget)
+        return powers[(v, e)]
 
-    def mapped_degree(m):
-        return sum(e for v, e in m if v in mapping)
-
-    top = max(map(mapped_degree, nums), default=0)
+    mapped = {k: [(v, e) for v, e in _decode(k) if v in mapping] for k in nums}
+    top = max(map(mono_degree, mapped.values()), default=0)
     out: dict = {}
-    for m, n in nums.items():
-        cur = {(): n * D ** (top - mapped_degree(m))}
-        for v, e in m:
+    for k, n in nums.items():
+        kept = k - sum(e * (_UNITS[v] + 1) for v, e in mapped[k])
+        cur = {kept: n * D ** (top - mono_degree(mapped[k]))}
+        for v, e in mapped[k]:
             cur = _product(cur, var_pow(v, e), budget)
-        for k, x in cur.items():
-            out[k] = out.get(k, 0) + x
+        for key, x in cur.items():
+            out[key] = out.get(key, 0) + x
     return _from_numerators(out, dF * D ** top)
 
 
@@ -453,24 +523,45 @@ def lowest_t_component(F: MPoly) -> tuple:
 # Poisson bracket
 
 
+def _packed_neighbours(T: BracketTable) -> tuple:
+    """(D, u -> ((v, {unit(w) + 1: D * c}), ...)): T.scaled_neighbours with
+    each [x_u, x_v] as a packed linear polynomial.
+
+    Built on the first bracket and kept in T's instance dictionary, next to
+    the scaled_neighbours it is made from, so it lives as long as T.  Equal
+    entries share one (read-only) polynomial.
+    """
+    packed = vars(T).get("packed_neighbours")
+    if packed is None:
+        D, index = T.scaled_neighbours
+        lin: dict = {}
+        for pairs in index.values():
+            for _, ent in pairs:
+                if ent not in lin:
+                    lin[ent] = {_unit(w) + 1: c for w, c in ent}
+        packed = vars(T)["packed_neighbours"] = (D, {
+            u: tuple((v, lin[ent]) for v, ent in pairs) for u, pairs in index.items()
+        })
+    return packed
+
+
 def _int_images(partials: dict, index: dict, targets, budget: int) -> dict:
-    """v -> {m: n} with n / D the coefficients of {F, x_v}.
+    """v -> {k: n} with n / D the coefficients of {F, x_v}.
 
     {F, x_v} = sum_u dF/dx_u * [x_u, x_v]; partials holds the integer
-    numerators of the dF/dx_u and index the pairs (v, [x_u, x_v]) scaled to
-    integers over D.  Only v in targets (when given) are formed, and only
-    nonzero terms and nonzero images are kept.
+    numerators of the dF/dx_u and index the packed pairs (v, [x_u, x_v])
+    scaled to integers over D.  Only v in targets (when given) are formed,
+    and only nonzero terms and nonzero images are kept.
     """
     out: dict = {}
     for u, du in partials.items():
-        for v, ent in index.get(u, ()):
+        for v, lin in index.get(u, ()):
             if targets is not None and v not in targets:
                 continue
-            _mul_acc(out.setdefault(v, {}), {((w, 1),): c for w, c in ent}, du,
-                     budget)
+            _mul_acc(out.setdefault(v, {}), lin, du, budget)
     images = {}
     for v, acc in out.items():
-        nz = {m: n for m, n in acc.items() if n}
+        nz = {k: n for k, n in acc.items() if n}
         if nz:
             images[v] = nz
     return images
@@ -486,7 +577,7 @@ def hamiltonian_images(polys: Sequence, T: BracketTable) -> list:
     plus b * images under T2.  The images come from T's scaled neighbour
     index.
     """
-    D, index = T.scaled_neighbours
+    D, index = _packed_neighbours(T)
     budget = term_budget()
     out = []
     for F in polys:
@@ -511,10 +602,29 @@ def poisson_bracket(F: MPoly, G: MPoly, T: BracketTable) -> MPoly:
     dF, nf = _numerators(F)
     dG, ng = _numerators(G)
     pg = _partials(ng)
-    D, index = T.scaled_neighbours
+    D, index = _packed_neighbours(T)
     budget = term_budget()
     images = _int_images(_partials(nf), index, pg, budget)
     return _from_numerators(_contract(pg, images, budget), D * dF * dG)
+
+
+def pairwise_commute(polys: Sequence, T: BracketTable) -> bool:
+    """Whether {F, G} = 0 under T for every pair F, G of polys.
+
+    The images {F, x_v} of each F, for the v of every later G, are formed
+    once and contracted with the partials of each later G, {F, G} =
+    sum_v {F, x_v} * dG/dx_v, on integer numerators; the common
+    denominators cannot make a sum vanish, so they are never applied.
+    """
+    _, index = _packed_neighbours(T)
+    budget = term_budget()
+    partials = [_partials(_numerators(F)[1]) for F in polys]
+    for i, pf in enumerate(partials[:-1]):
+        later = partials[i + 1:]
+        images = _int_images(pf, index, set().union(*later), budget)
+        if any(any(_contract(pg, images, budget).values()) for pg in later):
+            return False
+    return True
 
 
 def image_rows(*families: Sequence):
@@ -534,8 +644,8 @@ def image_rows(*families: Sequence):
 
 
 def differential_at(F: MPoly, point: dict, vars_order: Sequence) -> list:
-    partials = _partials(F.terms)
-    return [MPoly(partials.get(v)).eval_at(point) for v in vars_order]
+    partials = _partials(_packed(F.terms))
+    return [MPoly(_unpacked(partials.get(v, {}))).eval_at(point) for v in vars_order]
 
 
 def jacobian_at(polys: Sequence, point: dict, vars_order: Sequence) -> QMatrix:

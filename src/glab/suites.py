@@ -33,6 +33,7 @@ from .liecore import (
 from .psring import (
     MPoly,
     hamiltonian_images,
+    pairwise_commute,
     poisson_bracket,
     psi_p,
     span_dim,
@@ -358,12 +359,7 @@ def gaudin_commute_case(q, z) -> dict:
     """Whether the quadratic Gaudin elements of q at the points z pairwise
     Poisson-commute in the direct power q^len(z), and whether they sum to 0."""
     H = gaudin_hamiltonians(q, z)
-    T = make_direct_power(q, len(z))
-    commute = all(
-        poisson_bracket(H[i], H[j], T).is_zero()
-        for i in range(len(H))
-        for j in range(i + 1, len(H))
-    )
+    commute = pairwise_commute(H, make_direct_power(q, len(z)))
     total = MPoly.zero()
     for Hk in H:
         total = total + Hk

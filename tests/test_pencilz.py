@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glab.exactla import InputError, QMatrix, nullspace
-from glab.liecore import UniPoly, parse_poly, pencil_combination, rational_roots
+from glab.liecore import (
+    UniPoly,
+    builtin_algebra,
+    parse_poly,
+    pencil_combination,
+    rational_roots,
+)
 from glab.psring import (
     MPoly,
     coeff_rows,
@@ -14,9 +20,17 @@ from glab.psring import (
     poisson_bracket,
     span_equal,
 )
-from glab.invariantlab import basic_invariants, casimir, polarize, quad_H, weakly_increasing
+from glab.invariantlab import (
+    GeneratorSet,
+    basic_invariants,
+    casimir,
+    polarize,
+    quad_H,
+    weakly_increasing,
+)
 from glab.pencilz import (
     Pencil,
+    ZAlgebra,
     _annihilator_combos,
     _pencil_rows,
     _sample_sequence,
@@ -141,6 +155,28 @@ def test_sl3_pencil(sl3):
     Z = build_Z(pen)
     assert Z.counts() == {0: 3, 1: 4}
     assert trdeg_of_Z(Z).rank == 7
+
+
+def test_sl4_north_star_pencil():
+    pen = Pencil(builtin_algebra("sl4"), parse_poly("t^2+1"), parse_poly("t^2+t+1"))
+    Z = build_Z(pen)
+    assert Z.counts() == Z.expected_counts() == {0: 3, 1: 4, 2: 5}
+    assert verify_Z_commutes(Z)
+    assert trdeg_of_Z(Z).rank == 12
+
+
+def test_verify_Z_commutes_checks_both_ends(sl2, pen_1):
+    # [x t, y t] = [x, y] t^2 vanishes mod t^2 and is -[x, y] mod t^2 + 1,
+    # so e t and f t commute under the end t^2 and not under the other
+    e1, f1, h = MPoly.variable((0, 1)), MPoly.variable((2, 1)), MPoly.variable((1, 0))
+    t1, t2 = pen_1.end_tables
+    assert poisson_bracket(e1, f1, t1).is_zero()
+    assert poisson_bracket(e1, f1, t2) == -h
+    for pen in (pen_1, Pencil(sl2, parse_poly("t^2+1"), parse_poly("t^2"))):
+        Z = ZAlgebra(pen, [], GeneratorSet([]), {0: [e1, e1 * e1], 1: [f1]}, [])
+        assert verify_Z_commutes(Z) is False
+        Z.basis = {0: [e1, e1 * e1], 1: [MPoly.const(3)]}
+        assert verify_Z_commutes(Z) is True
 
 
 def test_trdeg_estimate_matches_the_exact_sampling_oracle(sl3):

@@ -15,8 +15,10 @@ from glab.liecore import (
     pencil_combination,
 )
 from glab.psring import (
+    FIELD_MAX,
     BudgetError,
     MPoly,
+    _numerators,
     apply_derivation,
     coeff_rows,
     directional_derivative,
@@ -27,6 +29,7 @@ from glab.psring import (
     jacobian_rank_at,
     lowest_t_component,
     mono_sort_key,
+    pairwise_commute,
     poisson_bracket,
     psi_p,
     shift_t_down,
@@ -52,6 +55,12 @@ from oracle import (
 )
 
 VARS = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+
+# sl3[t] below t^9 has 72 variables, so the kernel's packed keys hold more
+# than 64 one-byte fields and span several machine words
+WIDE_TABLE = make_quotient(builtin_algebra("sl3"), UniPoly.monomial(9))
+WIDE_VARS = WIDE_TABLE.var_list()
+FAMILIES = [VARS, WIDE_VARS]
 
 
 def mpolys():
@@ -255,6 +264,21 @@ def test_indexed_bracket_matches_table_walk(kind, data):
         assert (v in images) == (not want.is_zero())
 
 
+@given(st.sampled_from(sorted(TABLES)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_pairwise_commute_matches_table_walk(kind, data):
+    T = TABLES[kind]
+    var_list = T.var_list()
+    if kind == "current":
+        var_list = [(i, a) for i, a in var_list if a <= CURRENT_DEGREE]
+    polys = data.draw(st.lists(table_mpolys(var_list), max_size=3))
+    if polys and data.draw(st.booleans()):  # {F, F^2 + c} = 0
+        polys = [polys[0], polys[0] * polys[0] + MPoly.const(2)]
+    want = all(reference_bracket(F, G, T).is_zero()
+               for i, F in enumerate(polys) for G in polys[i + 1:])
+    assert pairwise_commute(polys, T) == want
+
+
 def test_neighbour_index_is_built_on_first_bracket():
     sl2 = builtin_algebra("sl2")
     T = make_quotient(sl2, parse_poly("t^2"))
@@ -284,12 +308,12 @@ def coefficients():
     return st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 
-def variable_images():
-    """A variable, a constant (zero included) or a quadratic over VARS."""
-    linear = st.lists(st.tuples(st.sampled_from(VARS), coefficients()), max_size=3).map(
+def variable_images(var_list=VARS):
+    """A variable, a constant (zero included) or a quadratic over var_list."""
+    linear = st.lists(st.tuples(st.sampled_from(var_list), coefficients()), max_size=3).map(
         MPoly.from_entries)
     return st.one_of(
-        st.tuples(st.sampled_from(VARS), coefficients()).map(
+        st.tuples(st.sampled_from(var_list), coefficients()).map(
             lambda wc: MPoly.variable(wc[0], coef=wc[1])),
         st.just(MPoly.zero()),
         coefficients().map(MPoly.const),
@@ -350,24 +374,29 @@ def test_jacobian_matches_reference(polys, coords):
 # products and algebra maps on the integer kernel against reference_mul
 
 
-@given(table_mpolys(VARS), table_mpolys(VARS))
-@settings(max_examples=120, deadline=None)
-def test_mul_matches_reference(a, b):
+@given(st.sampled_from(FAMILIES), st.data())
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_reference(var_list, data):
+    a, b = data.draw(table_mpolys(var_list)), data.draw(table_mpolys(var_list))
     assert a * b == reference_mul(a, b)
 
 
-@given(table_mpolys(VARS), st.integers(0, 3))
-@settings(max_examples=60, deadline=None)
-def test_pow_matches_reference(a, k):
+@given(st.sampled_from(FAMILIES), st.data(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_pow_matches_reference(var_list, data, k):
+    a = data.draw(table_mpolys(var_list))
     want = MPoly.const(1)
     for _ in range(k):
         want = reference_mul(want, a)
     assert a ** k == want
 
 
-@given(table_mpolys(VARS), st.dictionaries(st.sampled_from(VARS), variable_images()))
-@settings(max_examples=120, deadline=None)
-def test_substitute_vars_matches_reference(F, mapping):
+@given(st.sampled_from(FAMILIES), st.data())
+@settings(max_examples=200, deadline=None)
+def test_substitute_vars_matches_reference(var_list, data):
+    F = data.draw(table_mpolys(var_list))
+    mapping = data.draw(st.dictionaries(
+        st.sampled_from(var_list), variable_images(var_list), max_size=len(VARS)))
     # variables left out of mapping are kept as themselves
     assert substitute_vars(F, mapping) == reference_substitute(F, mapping)
 
@@ -380,6 +409,47 @@ PSI_VARS = [(0, 0), (1, 1), (0, 2), (2, 3), (1, 4)]
 def test_psi_matches_reference(F, low):
     p = UniPoly.make(low + [1])
     assert psi_p(F, p) == reference_psi(F, p)
+
+
+# ---------------------------------------------------------------------------
+# packed keys: several machine words, and the field maximum
+
+
+def test_wide_keys_span_several_words():
+    F = MPoly({tuple((v, 1) for v in WIDE_VARS): Fraction(1, 3)})
+    _, nums = _numerators(F)
+    assert len(WIDE_VARS) == 72
+    assert max(nums).bit_length() > 8 * len(WIDE_VARS)
+    assert F * F == reference_mul(F, F)
+
+
+@given(table_mpolys(WIDE_VARS), table_mpolys(WIDE_VARS))
+@settings(max_examples=40, deadline=None)
+def test_wide_bracket_matches_table_walk(F, G):
+    assert poisson_bracket(F, G, WIDE_TABLE) == reference_bracket(F, G, WIDE_TABLE)
+
+
+def test_packed_field_boundary():
+    # FIELD_MAX is the largest total degree, hence the largest exponent, a
+    # packed key holds; one more factor is refused, never wrapped
+    x, y, f = MPoly.variable((0, 0)), MPoly.variable((1, 0)), MPoly.variable((2, 0))
+    assert (x ** FIELD_MAX).terms == {(((0, 0), FIELD_MAX),): 1}
+    assert (x ** 200 * y ** 55).terms == {(((0, 0), 200), ((1, 0), 55)): 1}
+    assert (x ** 200).diff((0, 0)) == (x ** 199).scale(200)
+    with pytest.raises(BudgetError):
+        x ** FIELD_MAX * x
+    with pytest.raises(BudgetError):
+        x ** 200 * y ** 56
+    with pytest.raises(BudgetError):
+        x ** (FIELD_MAX + 1)
+    with pytest.raises(BudgetError):  # built past the field, refused on entry
+        MPoly({(((0, 0), FIELD_MAX + 1),): Fraction(1)}) * x
+    with pytest.raises(BudgetError):  # (x y + y)^200, degree 400
+        substitute_vars(x ** 200, {(0, 0): x * y + y})
+    T = make_quotient(builtin_algebra("sl2"), parse_poly("t"))
+    assert not poisson_bracket(x ** 100, f ** 100, T).is_zero()
+    with pytest.raises(BudgetError):  # {x^200, x_v} * d(f^100)/dx_v, degree 299
+        poisson_bracket(x ** 200, f ** 100, T)
 
 
 def test_substitute_vars_keeps_the_term_budget(monkeypatch):
