@@ -4,7 +4,7 @@ All exact elimination goes through one fraction-free (Bareiss) routine on
 integer rows, ``_echelon``: rational input is cleared to integers row by
 row, every division in it is exact, and no ``fractions.Fraction`` is made
 until the answer is read out.  Rank and determinant use its echelon form;
-rref, nullspace, solve, mat_inv and RowSpace use its reduced form.  A
+rref, nullspace, mat_inv and RowSpace use its reduced form.  A
 kernel takes one elimination, of the rows with their columns reversed,
 which yields its reduced row echelon basis directly: a canonical basis,
 reproducible byte for byte.
@@ -274,25 +274,6 @@ def _kernel(int_rows: list, ncols: int) -> list:
                 v[pc] = Fraction(-x, d)
         basis.append(tuple(v))
     return basis
-
-
-def solve(m: QMatrix, b: Sequence) -> tuple | None:
-    """One solution of m x = b, or None when the system is inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    b = [rat(x) for x in b]
-    if len(b) != m.rows:
-        raise InputError("right hand side has wrong length")
-    aug = [m.row(i) + [b[i]] for i in range(m.rows)]
-    rows, pivots = rref(aug)
-    nc = m.cols
-    if pivots and pivots[-1] == nc:  # pivots ascend; nc is the last column
-        return None
-    x = [Fraction(0)] * nc
-    for r, pc in zip(rows, pivots):
-        x[pc] = r[nc]
-    return tuple(x)
 
 
 class RowSpace:

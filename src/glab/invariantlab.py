@@ -659,14 +659,6 @@ def graded_H_sum(q: LieAlgebra, j: int) -> MPoly:
     return acc
 
 
-def padded_H_sum(q: LieAlgebra, j: int) -> MPoly:
-    """Unreduced sum of H[a, b] over ordered pairs a, b >= 0, a + b = j."""
-    acc = MPoly.zero()
-    for a in range(0, j + 1):
-        acc = acc + quad_H(q, a, j - a)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # form pairing and the universal decomposition
 

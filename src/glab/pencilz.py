@@ -5,9 +5,10 @@ whose difference has degree at most one.  Members along the line a + b = 1
 are again quotient brackets; their Poisson centers, pulled from either the
 split-modulus generators or an exact annihilation solve on polarization
 spaces, accumulate into one commutative subalgebra.  The remaining tools
-measure that subalgebra: transcendence degree by sampled Jacobian ranks,
-agreement with the raising-derivation ladders, lowest-component extraction
-after the unipotent substitution, and the evaluation picture in degree two.
+measure that subalgebra: transcendence degree by sampled Jacobian ranks
+against the paper's formula, agreement with the raising-derivation ladders,
+and the evaluation picture in degree two.  Two spans are compared by their
+canonical echelon bases.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exactla import InputError, QMatrix, rat, rat_str, row_space
+from .exactla import InputError, rat, rat_str, row_space
 from .liecore import (
     LieAlgebra,
     UniPoly,
@@ -33,15 +34,9 @@ from .psring import (
     image_rows,
     independent_subset,
     jacobian_at,
-    lowest_t_component,
-    mono_sort_key,
-    mono_t_degree,
     pairwise_commute,
     psi_p,
     shift_t_down,
-    span_contains,
-    span_equal,
-    substitute_t,
     substitute_vars,
     tau_apply,
 )
@@ -50,8 +45,6 @@ from .invariantlab import (
     GeneratorSet,
     basic_invariants,
     crt_generators,
-    graded_H_sum,
-    padded_H_sum,
     polarize,
     weakly_increasing,
 )
@@ -347,7 +340,8 @@ def check_sovp(q: LieAlgebra, p: UniPoly) -> SpanCheck:
     """Reduced tau ladders against the assembled center of the t pencil.
 
     Requires p(0) != 0.  For each invariant the two generator spaces must
-    coincide; that settles equality of the generated algebras.
+    coincide, that is have the same echelon basis; that settles equality of
+    the generated algebras.
     """
     if p.coeff(0) == 0:
         raise InputError("the t pencil comparison needs p(0) != 0")
@@ -356,7 +350,7 @@ def check_sovp(q: LieAlgebra, p: UniPoly) -> SpanCheck:
     ok = True
     for i, F in enumerate(Z.invariants):
         lad = tau_ladder_span(q, F, p)
-        same = span_equal(lad["family"], Z.basis[i])
+        same = echelon_basis(lad["family"]) == Z.basis[i]
         detail.append({
             "invariant": i,
             "ladder_dim": lad["dim"],
@@ -373,8 +367,8 @@ def check_ft_gzu(q: LieAlgebra, p: UniPoly) -> SpanCheck:
     detail = []
     ok = True
     for i, F in enumerate(Z.invariants):
-        fam = independent_subset(gzu_ladder(q, F, p))
-        same = span_equal(fam, Z.basis[i])
+        fam = echelon_basis(gzu_ladder(q, F, p))
+        same = fam == Z.basis[i]
         detail.append({
             "invariant": i,
             "ladder_dim": len(fam),
@@ -386,97 +380,7 @@ def check_ft_gzu(q: LieAlgebra, p: UniPoly) -> SpanCheck:
 
 
 # ---------------------------------------------------------------------------
-# lowest components after the unipotent substitution
-
-
-@dataclass
-class GzuLowest:
-    j: int
-    coeffs: dict
-    lowest_weight: int
-    component: MPoly
-    padded_match: bool
-    singular: bool
-
-
-def gzu_lowest_span(q: LieAlgebra, j: int) -> GzuLowest:
-    """Correct the graded quadratic sum so its unipotent image bottoms out.
-
-    Solves for c_u (2 <= u < j) killing every component of weight below
-    j - 2 in the t -> t + 1 image of H^[j] - sum c_u H^[u]; the surviving
-    lowest component is then compared against the padded sum of weight
-    j - 2.  A singular correction system is reported, not raised.
-    """
-    if j < 2:
-        raise InputError("need j >= 2")
-    shift = UniPoly.make([1, 1])
-    imgs = {u: substitute_t(graded_H_sum(q, u), shift) for u in range(2, j + 1)}
-    unknowns = list(range(2, j))
-    if unknowns:
-        from .psring import t_components
-
-        target = t_components(imgs[j])
-        cols = {u: t_components(imgs[u]) for u in unknowns}
-        monos = set()
-        for w in range(j - 2):
-            if w in target:
-                monos |= set(target[w].terms)
-            for u in unknowns:
-                if w in cols[u]:
-                    monos |= set(cols[u][w].terms)
-        mono_list = sorted(monos, key=mono_sort_key)
-        rows = []
-        rhs = []
-        for w in range(j - 2):
-            for m in mono_list:
-                if mono_t_degree(m) != w:
-                    continue
-                rows.append([
-                    cols[u][w].terms.get(m, Fraction(0)) if w in cols[u] else Fraction(0)
-                    for u in unknowns
-                ])
-                rhs.append(target[w].terms.get(m, Fraction(0)) if w in target else Fraction(0))
-        from .exactla import solve as _solve
-
-        sol = _solve(QMatrix.from_rows(rows), rhs) if rows else tuple()
-        if sol is None:
-            return GzuLowest(j=j, coeffs={}, lowest_weight=-1,
-                             component=MPoly.zero(), padded_match=False,
-                             singular=True)
-        coeffs = dict(zip(unknowns, sol))
-    else:
-        coeffs = {}
-    G = imgs[j]
-    for u, c in coeffs.items():
-        G = G - imgs[u].scale(c)
-    if G.is_zero():
-        return GzuLowest(j=j, coeffs=coeffs, lowest_weight=-1,
-                         component=MPoly.zero(), padded_match=False,
-                         singular=False)
-    w0, comp = lowest_t_component(G)
-    padded = padded_H_sum(q, j - 2)
-    match = False
-    if not padded.is_zero() and not comp.is_zero():
-        m0 = min(comp.terms, key=mono_sort_key)
-        if m0 in padded.terms:
-            ratio = comp.terms[m0] / padded.terms[m0]
-            match = comp == padded.scale(ratio)
-    return GzuLowest(j=j, coeffs=coeffs, lowest_weight=w0, component=comp,
-                     padded_match=match, singular=False)
-
-
-# ---------------------------------------------------------------------------
 # degree-two evaluation picture
-
-
-@dataclass
-class MFReport:
-    degenerate: bool
-    detail: list
-
-    @property
-    def contained(self) -> bool:
-        return all(d["contained"] for d in self.detail)
 
 
 def rho_gamma(F: MPoly, gamma: Sequence) -> MPoly:
@@ -494,29 +398,25 @@ def rho_gamma(F: MPoly, gamma: Sequence) -> MPoly:
     return substitute_vars(F, mapping)
 
 
-def mf_image(Z: ZAlgebra, gamma: Sequence) -> MFReport:
-    """Directional-derivative chains against the evaluated center.
+def mf_image(Z: ZAlgebra, gamma: Sequence) -> bool:
+    """Directional-derivative chains inside the evaluated center.
 
-    Works for degree-two pencils: each invariant's chain of derivatives in
-    the direction gamma must lie in the span of the evaluated basis.  The
-    zero direction collapses the evaluation and is flagged degenerate.
+    Works for degree-two pencils: for each invariant F, the derivatives of
+    F of every order in the direction gamma must lie in the span of the
+    evaluated basis of its part of Z, that is leave its echelon basis
+    unchanged.
     """
     if Z.pencil.n != 2:
         raise InputError("the evaluation picture needs a degree-two pencil")
     gamma = [rat(c) for c in gamma]
     if len(gamma) != Z.pencil.base.dim:
         raise InputError("gamma needs one coordinate per basis element")
-    degenerate = all(c == 0 for c in gamma)
     gdict = {(i, 0): c for i, c in enumerate(gamma)}
-    detail = []
     for i, F in enumerate(Z.invariants):
-        images = [rho_gamma(b, gamma) for b in Z.basis[i]]
-        chain = []
-        cur = F
-        for _ in range(F.total_degree() + 1):
-            chain.append(cur)
-            cur = directional_derivative(cur, gdict)
-        contained = all(span_contains(images, c) for c in chain if not c.is_zero())
-        detail.append({"invariant": i, "contained": contained,
-                       "chain_len": len([c for c in chain if not c.is_zero()])})
-    return MFReport(degenerate=degenerate, detail=detail)
+        images = echelon_basis([rho_gamma(b, gamma) for b in Z.basis[i]])
+        chain = [F]
+        for _ in range(F.total_degree()):
+            chain.append(directional_derivative(chain[-1], gdict))
+        if echelon_basis(images + chain) != images:
+            return False
+    return True

@@ -6,10 +6,10 @@ Fraction coefficients.  Inside the kernel a monomial is packed into one
 int with an 8-bit field per variable, so a product of monomials is one
 integer addition (see "packed monomial keys" below).  On top of the
 arithmetic sit the Poisson bracket against a bracket table, substitutions
-in t, the raising derivation tau, reductions mod p, and exact span/rank
-utilities.  The bracket table is the one bracket representation: q[t] is
-bracketed through its truncation q[t]/(t^N), N above every t degree
-reached.
+of variables and of t-levels, the raising derivation tau, reductions mod p,
+and exact span/rank utilities.  The bracket table is the one bracket
+representation: q[t] is bracketed through its truncation q[t]/(t^N), N
+above every t degree reached.
 
 Every product runs on one integer kernel, _mul_acc: MPoly products and
 powers, substitute_vars, and the derivations (the bracket, the Hamiltonian
@@ -18,8 +18,8 @@ derivatives) scale their polynomials and images to integers over one
 common denominator, multiply in ints, and turn only the result's
 coefficients into Fractions.  The derivations take all partials in one
 pass (_partials) and sum the Leibniz rule with _contract.  Every map of
-t-levels, x_i t^a -> x_i * r(t) (t -> r(t), psi_p, the shift down, and
-the transports of invariantlab), goes through substitute_levels.
+t-levels, x_i t^a -> x_i * r(t) (psi_p, the shift down, and the
+transports of invariantlab), goes through substitute_levels.
 
 Products guard against term blowup: when an operation would exceed the
 term budget (GLAB_BUDGET_TERMS, default 2 * 10^6) it raises BudgetError
@@ -53,10 +53,6 @@ Mono = tuple
 
 def mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
-
-
-def mono_t_degree(m: Mono) -> int:
-    return sum(v[1] * e for v, e in m)
 
 
 def mono_sort_key(m: Mono):
@@ -476,11 +472,6 @@ def substitute_levels(F: MPoly, level_image: Callable) -> MPoly:
     return substitute_vars(F, mapping) if mapping else F
 
 
-def substitute_t(F: MPoly, r: UniPoly) -> MPoly:
-    """Substitute t -> r(t), so x_i t^a becomes x_i * r(t)^a expanded."""
-    return substitute_levels(F, lambda a: r ** a)
-
-
 def psi_p(F: MPoly, p: UniPoly) -> MPoly:
     """Reduce every t power mod p; an algebra homomorphism."""
     if p.is_zero() or not p.is_monic() or p.degree < 1:
@@ -500,23 +491,6 @@ def shift_t_down(F: MPoly) -> MPoly:
         return UniPoly.monomial(a - 1)
 
     return substitute_levels(F, level_image)
-
-
-def t_components(F: MPoly) -> dict:
-    out = {}
-    for m, c in F.terms.items():
-        d = mono_t_degree(m)
-        out.setdefault(d, {})[m] = c
-    return {d: MPoly(t) for d, t in sorted(out.items())}
-
-
-def lowest_t_component(F: MPoly) -> tuple:
-    """(weight, component) of the minimal t degree; F must be nonzero."""
-    if F.is_zero():
-        raise InputError("zero polynomial has no lowest component")
-    comps = t_components(F)
-    d = min(comps)
-    return d, comps[d]
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +661,11 @@ def span_dim(polys: Sequence) -> int:
 
 
 def echelon_basis(polys: Sequence) -> list:
-    """Canonical basis of the span: reduced echelon over graded monomials."""
+    """Canonical basis of the span: reduced echelon over graded monomials.
+
+    The monomials are those of the span itself, so two families span the
+    same space exactly when their echelon bases are equal.
+    """
     polys = [F for F in polys if not F.is_zero()]
     if not polys:
         return []
@@ -706,18 +684,3 @@ def independent_subset(polys: Sequence) -> list:
     monos, rows = coeff_rows(nz)
     rs = RowSpace(len(monos))
     return [F for F, row in zip(nz, rows) if rs.add(row)]
-
-
-def span_equal(polys_a: Sequence, polys_b: Sequence) -> bool:
-    da = span_dim(polys_a)
-    db = span_dim(polys_b)
-    if da != db:
-        return False
-    return span_dim(list(polys_a) + list(polys_b)) == da
-
-
-def span_contains(polys: Sequence, F: MPoly) -> bool:
-    if F.is_zero():
-        return True
-    d = span_dim(polys)
-    return span_dim(list(polys) + [F]) == d

@@ -70,6 +70,8 @@ from .pencilz import (
     build_Z,
     check_ft_gzu,
     check_sovp,
+    expected_trdeg,
+    mf_image,
     tau_ladder_span,
     trdeg_estimate,
     trdeg_of_Z,
@@ -334,12 +336,15 @@ def z_case(q, p1, p2, seed: int, samples: int | None = None) -> tuple:
 def _suite_z_assembly(params, seed):
     checks = []
     for qa, p1txt, p2txt, counts, trdeg in params["cases"]:
-        Z, commutes, rep = z_case(
-            builtin_algebra(qa), parse_poly(p1txt), parse_poly(p2txt), seed
-        )
+        q = builtin_algebra(qa)
+        Z, commutes, rep = z_case(q, parse_poly(p1txt), parse_poly(p2txt), seed)
         got_counts = Z.counts()
         want_counts = {int(k): v for k, v in counts.items()} if isinstance(counts, dict) else dict(enumerate(counts))
-        ok = got_counts == want_counts and commutes and rep.rank == trdeg
+        # the sampled trdeg meets the paper's formula, and in degree two the
+        # center holds the evaluation picture
+        ok = (got_counts == want_counts and commutes
+              and rep.rank == trdeg == expected_trdeg(q, Z.pencil.n)
+              and (Z.pencil.n != 2 or mf_image(Z, [1] * q.dim)))
         checks.append(CheckResult(
             f"z[{qa}, {p1txt} / {p2txt}]", ok,
             {"counts": {str(k): v for k, v in got_counts.items()},
@@ -588,10 +593,8 @@ def _suite_forms(params, seed):
             {"pieces": len(dec.terms)},
         ))
     polys = [script_f(q, C2, (1, 1, 1), 0, j) for j in (1, 2)]
-    polys = [f for f in polys if not f.is_zero()]
-    checks.append(CheckResult(
-        "balanced-slot-line", span_dim(polys) == 1, {"dim": span_dim(polys)},
-    ))
+    dim = span_dim(polys)
+    checks.append(CheckResult("balanced-slot-line", dim == 1, {"dim": dim}))
     for ctxt in params["split_cs"]:
         c = rat(ctxt)
         res = example_split_family(q, C2, c)

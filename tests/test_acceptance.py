@@ -54,7 +54,9 @@ def test_criterion_05_takiff_generators():
 
 def test_criterion_06_z_assembly():
     """Generator counts, commutativity, and transcendence degrees of the
-    four pinned pencils, plus the non-commuting control pair."""
+    four pinned pencils, each trdeg equal to the paper's formula
+    (n-1)/2 dim q + (n+1)/2 ind q, and the evaluation picture of the three
+    degree-two pencils, plus the non-commuting control pair."""
     _criterion(6, "z-assembly")
 
 

@@ -33,7 +33,7 @@ from glab.liecore import (
     structure_matrix_at,
     wrap_algebra,
 )
-from glab.psring import MPoly, substitute_t
+from glab.psring import MPoly, substitute_levels
 from glab.invariantlab import _slot_gram, basic_invariants
 from oracle import reference_jacobi, reference_sampled_max_rank, reference_structure_matrix
 
@@ -100,8 +100,10 @@ def test_gcd_divides_both(a, b):
 @settings(max_examples=40, deadline=None)
 def test_shift_evaluates(p, c):
     # sum_a p_a x t^a under t -> t + c holds the coefficients of p(t + c)
-    F = substitute_t(MPoly.from_entries(((0, a), pa) for a, pa in enumerate(p.coeffs)),
-                     UniPoly.make([c, 1]))
+    r = UniPoly.make([c, 1])
+    F = substitute_levels(
+        MPoly.from_entries(((0, a), pa) for a, pa in enumerate(p.coeffs)), lambda a: r ** a
+    )
     shifted = UniPoly.make([F.coeff((((0, k), 1),)) for k in range(len(p.coeffs))])
     for x in (Fraction(0), Fraction(1), Fraction(-2)):
         assert shifted.eval(x) == p.eval(x + c)

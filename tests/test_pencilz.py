@@ -1,6 +1,4 @@
 """Pencils, joint-center assembly, ladders, and the evaluation picture."""
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,15 +15,14 @@ from glab.psring import (
     coeff_rows,
     hamiltonian_images,
     jacobian_at,
+    echelon_basis,
     poisson_bracket,
-    span_equal,
 )
 from glab.invariantlab import (
     GeneratorSet,
     basic_invariants,
     casimir,
     polarize,
-    quad_H,
     weakly_increasing,
 )
 from glab.pencilz import (
@@ -39,7 +36,6 @@ from glab.pencilz import (
     check_sovp,
     expected_trdeg,
     gzu_ladder,
-    gzu_lowest_span,
     mf_image,
     rho_gamma,
     tau_ladder_span,
@@ -200,8 +196,8 @@ def test_z_independent_of_second_modulus(sl2, pen_t, pen_1):
     Z1 = build_Z(pen_t)
     Z2 = build_Z(pen_1)
     Z3 = build_Z(pen_b)
-    assert span_equal(Z1.basis[0], Z2.basis[0])
-    assert span_equal(Z1.basis[0], Z3.basis[0])
+    # each basis is canonical, so equal spans give equal bases
+    assert Z1.basis[0] == Z2.basis[0] == Z3.basis[0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,34 +237,6 @@ def test_check_ft_gzu(sl2):
 
 
 # ---------------------------------------------------------------------------
-# lowest components
-
-
-def test_gzu_lowest_pinned(sl2):
-    rep = gzu_lowest_span(sl2, 3)
-    assert not rep.singular
-    assert rep.coeffs == {2: Fraction(2)}
-    assert rep.lowest_weight == 1
-    assert rep.component == quad_H(sl2, 0, 1).scale(2)
-    assert rep.padded_match
-
-
-def test_gzu_lowest_range(sl2):
-    for j in (2, 4, 5):
-        rep = gzu_lowest_span(sl2, j)
-        assert not rep.singular
-        assert rep.lowest_weight == j - 2
-        assert rep.padded_match
-    with pytest.raises(InputError):
-        gzu_lowest_span(sl2, 1)
-
-
-def test_gzu_lowest_sl3(sl3):
-    rep = gzu_lowest_span(sl3, 4)
-    assert rep.lowest_weight == 2 and rep.padded_match
-
-
-# ---------------------------------------------------------------------------
 # degree-two evaluation
 
 
@@ -283,23 +251,37 @@ def test_rho_gamma(sl2):
 def test_mf_image_contained(sl2, pen_t, pen_1):
     for pen in (pen_t, pen_1):
         Z = build_Z(pen)
-        rep = mf_image(Z, [1, 1, 1])
-        assert rep.contained and not rep.degenerate
-        # the full derivative chain of the degree-2 invariant shows up
-        assert rep.detail[0]["chain_len"] == 3
+        assert mf_image(Z, [1, 1, 1])
         # an isotropic direction shortens the chain but stays contained
-        rep2 = mf_image(Z, [1, 2, -1])
-        assert rep2.contained
+        assert mf_image(Z, [1, 2, -1])
 
 
 def test_mf_image_degenerate_and_errors(sl2, sl3, pen_t):
     Z = build_Z(pen_t)
-    assert mf_image(Z, [0, 0, 0]).degenerate
+    # the zero direction leaves only F itself, evaluated at t = 0
+    assert mf_image(Z, [0, 0, 0])
     with pytest.raises(InputError):
         mf_image(Z, [1, 2])
     pen3 = Pencil(sl2, parse_poly("t^3"), parse_poly("t^3+t"))
     with pytest.raises(InputError):
         mf_image(build_Z(pen3), [1, 1, 1])
+
+
+def test_mf_image_fails_without_any_one_basis_element(pen_t):
+    # negative control: the chain needs the whole evaluated center
+    Z = build_Z(pen_t)
+    full = Z.basis[0]
+    for k in range(len(full)):
+        Z.basis = {0: full[:k] + full[k + 1:]}
+        assert not mf_image(Z, [1, 1, 1])
+
+
+def test_mf_image_holds_on_every_degree_two_z_case():
+    for qa, p2txt in (("sl3", "t^2+t"), ("gl2", "t^2+1"), ("abelian:2", "t^2+t"),
+                      ("sum:abelian:1,abelian:2", "t^2+t")):
+        q = builtin_algebra(qa)
+        Z = build_Z(Pencil(q, parse_poly("t^2"), parse_poly(p2txt)))
+        assert mf_image(Z, [1] * q.dim), qa
 
 
 # ---------------------------------------------------------------------------

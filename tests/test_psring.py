@@ -27,18 +27,14 @@ from glab.psring import (
     independent_subset,
     jacobian_at,
     jacobian_rank_at,
-    lowest_t_component,
     mono_sort_key,
     pairwise_commute,
     poisson_bracket,
     psi_p,
     shift_t_down,
-    span_contains,
     span_dim,
-    span_equal,
-    substitute_t,
+    substitute_levels,
     substitute_vars,
-    t_components,
     tau_apply,
     term_budget,
 )
@@ -119,7 +115,7 @@ def test_substitutions():
     x1 = MPoly.variable((0, 1))
     F = x0 * x1
     # x_0 stays, x_0 t -> x_0 t + x_0 under t -> t + 1
-    G = substitute_t(F, parse_poly("t+1"))
+    G = substitute_levels(F, lambda a: parse_poly("t+1") ** a)
     assert G == x0 * x1 + x0 * x0
     # killing t entirely
     H = substitute_vars(F, {(0, 1): MPoly.const(2)})
@@ -147,17 +143,6 @@ def test_tau_and_shift():
         shift_t_down(x0)
     # tau then shift on a pure level-one factor is the identity
     assert shift_t_down(tau_apply(x1)) == x1
-
-
-def test_t_components():
-    x0 = MPoly.variable((0, 0))
-    x1 = MPoly.variable((0, 1))
-    F = x0 * x0 + x0 * x1 + x1 * x1
-    comps = t_components(F)
-    assert sorted(comps) == [0, 1, 2]
-    assert comps[1] == x0 * x1
-    w, low = lowest_t_component(F)
-    assert w == 0 and low == x0 * x0
 
 
 def test_apply_derivation_is_leibniz():
@@ -476,13 +461,25 @@ def test_span_utilities():
     assert span_dim(fam) == 2
     sub = independent_subset(fam)
     assert sub == [x, y]
-    assert span_contains([x, y], x.scale(3) - y)
-    assert not span_contains([x], y)
-    assert span_equal([x, y], [x + y, x - y])
-    assert not span_equal([x], [x, y])
     assert echelon_basis([x + y, x - y, MPoly.zero()]) == echelon_basis(fam) == [x, y]
     assert echelon_basis([y.scale(2) - x.scale(2), y - x]) == [x - y]
     assert echelon_basis([MPoly.zero()]) == []
+
+
+@given(st.lists(mpolys(), min_size=1, max_size=4),
+       st.lists(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                         min_size=4, max_size=4), max_size=3),
+       mpolys())
+@settings(max_examples=60, deadline=None)
+def test_echelon_basis_is_canonical_for_the_span(A, combos, G):
+    # what the span comparisons of pencilz rely on: combinations of A, in
+    # any order, leave the basis as it is, and G changes it exactly when it
+    # lies outside the span
+    base = echelon_basis(A)
+    extra = [sum((F.scale(c) for F, c in zip(A, cs)), MPoly.zero()) for cs in combos]
+    assert echelon_basis(extra + A[::-1]) == base
+    outside = span_dim(A + [G]) > span_dim(A)
+    assert (echelon_basis(A + [G]) != base) == outside
 
 
 def test_coeff_rows_alignment():

@@ -28,9 +28,6 @@ BENCH = ROOT / "bench"
 ALLOWLIST = {
     "algebra_to_json": "the reordered-basis regression test builds its sl2 with it",
     "algebra_from_json": "the reordered-basis regression test builds its sl2 with it",
-    "gzu_lowest_span": "carries the paper's psi_p image of Z(q^, t)",
-    "mf_image": "carries the paper's evaluation / Gaudin picture in degree two",
-    "expected_trdeg": "the paper's trdeg formula for Z, checked against the sampled one",
     "mat_mul": "the reference that test_mat_mul_and_inv checks mat_inv against",
     "invariants_degree": "exact invariants from the bracket alone, cross-checked with sympy",
     "check_form_invariant": "checks the stored invariant form of the built-in algebras",
@@ -38,9 +35,7 @@ ALLOWLIST = {
 
 # (class, method or property) reached by no command or suite, kept for the
 # reason given
-METHOD_ALLOWLIST = {
-    ("MFReport", "contained"): "the verdict of the allowlisted mf_image, read by its tests",
-}
+METHOD_ALLOWLIST = {}
 
 # (definition, parameter) set by no call, kept for the reason given
 PARAM_ALLOWLIST = {
@@ -227,3 +222,26 @@ def test_every_defaulted_parameter_is_set():
 
 def test_parameter_allowlist_holds_only_unset_parameters():
     assert sorted(set(PARAM_ALLOWLIST) - _unset_parameters()) == []
+
+
+def _unused_imports(tree) -> list:
+    """Names a module imports at top level and never mentions again."""
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.extend((a.asname or a.name).split(".")[0] for a in node.names)
+    used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_every_top_level_import_is_used():
+    unused = sorted(f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+                    for name in _unused_imports(ast.parse(path.read_text())))
+    assert unused == []
+
+
+def test_the_import_scan_sees_an_unused_name():
+    tree = ast.parse("from .exactla import QMatrix, rat\nimport math\nx = rat(math.pi)\n")
+    assert _unused_imports(tree) == ["QMatrix"]

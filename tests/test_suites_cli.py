@@ -6,6 +6,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from glab import suites
 from glab.exactla import InputError
 from glab.suites import (
     DEFAULTS,
@@ -191,6 +192,21 @@ def test_z_case_on_a_sum_of_abelian_algebras():
     assert Z.counts() == {0: 2, 1: 2, 2: 2}
     assert commutes
     assert rep.rank == expected_trdeg(q, 2) == 6
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("expected_trdeg", lambda q, n: 0),
+    ("mf_image", lambda Z, gamma: False),
+])
+def test_z_assembly_fails_when_a_paper_claim_disagrees(monkeypatch, name, wrong):
+    # negative control: the verdict reads the trdeg formula and, in degree
+    # two, the evaluation picture; the detail stays as it was
+    params = {"cases": [["sl2", "t^2", "t^2+t", {"0": 3}, 3]]}
+    want = run_suite("z-assembly", params).checks[0]
+    monkeypatch.setattr(suites, name, wrong)
+    got = run_suite("z-assembly", params).checks[0]
+    assert want.ok and not got.ok
+    assert got.detail == want.detail
 
 
 def test_cli_zz_verify(runner):
