@@ -3,15 +3,18 @@
 All exact elimination goes through one fraction-free (Bareiss) routine on
 integer rows, ``_echelon``: rational input is cleared to integers row by
 row, every division in it is exact, and no ``fractions.Fraction`` is made
-until the answer is read out.  Rank and determinant use its echelon form;
-rref, nullspace, mat_inv and RowSpace use its reduced form.  A
-kernel takes one elimination, of the rows with their columns reversed,
-which yields its reduced row echelon basis directly: a canonical basis,
-reproducible byte for byte.
+until the answer is read out.  Rank, determinant and kernels use its
+echelon form; rref, mat_inv and RowSpace.basis use its reduced form.  A
+kernel takes one forward elimination, of the rows with their columns
+reversed, and a fraction-free back-substitution per free column, which
+yields its reduced row echelon basis: a canonical basis, reproducible byte
+for byte.
 
 ``rank_mod_p`` is the one routine that does not stay exact: it ranks the
 integer rows over GF(PRIME), which can only under-count, so a sampled rank
-can be steered by it and certified by one exact ``rank`` at the end.
+can be steered by it and certified by one exact ``rank`` at the end.  It
+packs each row into one int, so that a row operation is one bigint
+multiply-add.
 
 The term budget (GLAB_BUDGET_TERMS) is read here, at the bottom of the
 package, so every layer that allocates by an input size can refuse it.
@@ -192,6 +195,19 @@ def rank(m: QMatrix) -> int:
 
 
 PRIME = 2**31 - 1
+_PBITS = PRIME.bit_length()
+# rank_mod_p folds a field mod PRIME by x -> (x >> 31) + (x & PRIME)
+assert PRIME == 2**_PBITS - 1, "rank_mod_p needs a Mersenne PRIME"
+
+
+def _fold_count(width: int) -> int:
+    """Folds x -> (x >> b) + (x & PRIME), b = PRIME's bit length, that take
+    any x below 2^width below 2^(b + 1)."""
+    folds = 0
+    while width > _PBITS + 1:
+        width = max(width - _PBITS, _PBITS) + 1
+        folds += 1
+    return folds
 
 
 def rank_mod_p(m: QMatrix) -> int:
@@ -200,26 +216,56 @@ def rank_mod_p(m: QMatrix) -> int:
     A minor that vanishes over the integers vanishes mod PRIME, and row
     scaling keeps the rank over Q, so the result is never above rank(m).
     It is below it only when PRIME divides every nonzero minor of size
-    rank(m) of the cleared rows.  Reduction is lazy: a step reduces only
-    the pivot row and the column it clears, so the other entries grow
-    unreduced by less than PRIME^2 per step.  Each row keeps only the
-    columns not yet cleared.
+    rank(m) of the cleared rows.
+
+    Each row, reduced mod PRIME, is packed into one int of W-bit fields,
+    column c at bits [W*c, W*(c+1)), so a row operation is one bigint
+    multiply-add rather than a loop over entries.  Every step drops the
+    lowest field of each row, so the field read is always the column being
+    cleared.  The pivot row's fields are folded below 2^(b+1), b = 31, all
+    at once with masks (PRIME = 2^b - 1, so x = (x >> b) + (x & PRIME) mod
+    PRIME); each other row R becomes (R >> W) + g * P, g = -f / lead mod
+    PRIME for its entry f in the cleared column.  Fields are never reduced
+    again, but each step adds less than 2^(2b+1) to them and they stay
+    nonnegative, so with W = 2b + ncols.bit_length() + 2 no field carries
+    into the next for all ncols steps.
     """
-    p = PRIME
-    rows = [[x % p for x in r] for r in _int_rows(m)]
+    p, ncols = PRIME, m.cols
+    width = 2 * _PBITS + ncols.bit_length() + 2
+    shifts = range(0, width * ncols, width)
+    rows = []
+    for r in _int_rows(m):
+        x = sum([(v % p) << s for v, s in zip(r, shifts) if v])
+        if x:
+            rows.append(x)
+    field = (1 << width) - 1
+    units = sum(1 << s for s in shifts)
+    low, high = units * p, units * ((1 << (width - _PBITS)) - 1)
+    folds = _fold_count(width)
     found = 0
-    for _ in range(m.cols):
+    for _ in range(ncols):
         if not rows:
             break
-        col = [r[0] % p for r in rows]
-        piv = next((i for i, f in enumerate(col) if f), None)
-        if piv is None:
-            rows = [r[1:] for r in rows]
+        for i, r in enumerate(rows):
+            lead = (r & field) % p
+            if lead:
+                break
+        else:
+            rows = [r >> width for r in rows]
             continue
-        inv = pow(col.pop(piv), -1, p)
-        ptail = [x * inv % p for x in rows.pop(piv)[1:]]
-        rows = [[x - f * y for x, y in zip(r[1:], ptail)] if f else r[1:]
-                for r, f in zip(rows, col)]
+        prow = rows.pop(i) >> width
+        for _ in range(folds):
+            prow = ((prow >> _PBITS) & high) + (prow & low)
+        neg_inv = p - pow(lead, -1, p)
+        out = []
+        for r in rows:
+            f = (r & field) % p
+            r >>= width
+            if f:
+                r += f * neg_inv % p * prow
+            if r:
+                out.append(r)
+        rows = out
         found += 1
     return found
 
@@ -248,30 +294,41 @@ def rref(rows: list) -> tuple:
 
 def nullspace(m: QMatrix) -> list:
     """Canonical kernel basis of m as row vectors: its reduced row echelon
-    form (leading entries equal 1), from one elimination (see _kernel)."""
+    form (leading entries equal 1), from one forward elimination and a
+    back-substitution per free column (see _kernel)."""
     return _kernel(_int_rows(m), m.cols)
 
 
 def _kernel(int_rows: list, ncols: int) -> list:
     """Kernel basis, in reduced row echelon form, of the integer rows.
 
-    The rows are reduced with their columns reversed, so each pivot is the
-    rightmost entry it can be.  The free column f then gives the vector with
-    1 at f and minus each row's entry in column f, over d, at that row's
-    pivot: it is 0 at every other free column and nonzero only right of f,
-    so in ascending f these vectors already are the kernel's reduced row
-    echelon form.
+    The rows are brought to echelon form U, without clearing above the
+    pivots, with their columns reversed, so each pivot is the rightmost
+    entry it can be.  Each free column f then gives the kernel vector X
+    with d at f, 0 at every other free column and, by back-substitution
+    from the last row up,
+        X_i = -(d * U[i][f] + sum_{j > i} U[i][p_j] * X_j) // U[i][p_i]
+    at the pivot p_i of row i.  d, the last pivot entry, is up to sign the
+    determinant of the input rows behind U in the pivot columns, so X is
+    integral by Cramer's rule; U X = 0 has the same solutions, so every
+    division is exact.  X is nonzero only at f and right of it, so in
+    ascending f the vectors X / d already are the kernel's reduced row
+    echelon form, which is unique.
     """
-    rows, pivots, d, _ = _echelon([r[::-1] for r in int_rows], ncols, True)
-    pivots = [ncols - 1 - c for c in pivots]
+    rows, pivots, d, _ = _echelon([r[::-1] for r in int_rows], ncols, False)
     basis = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
+    for f in sorted(set(range(ncols)) - {ncols - 1 - c for c in pivots}):
+        fr = ncols - 1 - f
         v = [_ZERO] * ncols
         v[f] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            x = row[ncols - 1 - f]
-            if x:
-                v[pc] = Fraction(-x, d)
+        top = bisect.bisect(pivots, fr)  # rows i >= top have X_i = 0
+        xs = [0] * top
+        for i in range(top - 1, -1, -1):
+            row = rows[i]
+            acc = d * row[fr] + sum([row[pivots[j]] * xs[j] for j in range(i + 1, top)])
+            xs[i] = -acc // row[pivots[i]]
+            if xs[i]:
+                v[ncols - 1 - pivots[i]] = Fraction(xs[i], d)
         basis.append(tuple(v))
     return basis
 
@@ -323,7 +380,8 @@ class RowSpace:
 
     def kernel(self) -> list:
         """Canonical kernel basis of the accepted rows, as nullspace gives it,
-        from one elimination of the rows with their columns reversed.
+        from one forward elimination of the rows with their columns reversed
+        and a back-substitution per free column (see _kernel).
 
         The kernel depends only on the row space, so this equals nullspace
         of any matrix whose rows were added here.
@@ -335,8 +393,9 @@ def row_space(rows: Iterable, width: int) -> RowSpace:
     """RowSpace of the rows, reduced one at a time as they arrive.
 
     The matrix is never held.  Reading stops once the rows span all of
-    Q^width, so row_space(rows, width).kernel() equals
-    nullspace(QMatrix.from_rows(rows)).
+    Q^width.  A kernel depends only on the row space and its reduced row
+    echelon basis is unique, so row_space(rows, width).kernel() equals
+    nullspace(QMatrix.from_rows(rows)) byte for byte.
     """
     rs = RowSpace(width)
     for r in rows:

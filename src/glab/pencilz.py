@@ -28,12 +28,12 @@ from .liecore import (
 )
 from .psring import (
     MPoly,
+    cleared_jacobian,
     directional_derivative,
     echelon_basis,
     hamiltonian_images,
     image_rows,
     independent_subset,
-    jacobian_at,
     pairwise_commute,
     psi_p,
     shift_t_down,
@@ -272,12 +272,9 @@ def trdeg_estimate(polys: Sequence, var_list: Sequence, seed: int = 0,
     """
     polys = [F for F in polys if not F.is_zero()]
     var_list = list(var_list)
-
-    def matrix(flat_point):
-        return jacobian_at(polys, dict(zip(var_list, flat_point)), var_list)
-
     r, witness, used_bound, rounds = sampled_max_rank(
-        matrix, len(var_list), seed=seed, samples=samples, bound=bound
+        cleared_jacobian(polys, var_list), len(var_list), seed=seed,
+        samples=samples, bound=bound
     )
     return TrdegReport(rank=r, bound=used_bound, rounds=rounds, seed=seed,
                        witness=witness)

@@ -628,6 +628,44 @@ def jacobian_at(polys: Sequence, point: dict, vars_order: Sequence) -> QMatrix:
     )
 
 
+def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
+    """point -> the Jacobian of polys at point, a tuple of ints in
+    vars_order, with each row cleared to integers as exactla clears it.
+
+    The partials are taken once, of each F's integer numerators over their
+    common denominator d, and evaluated on ints at each point.  Row F then
+    reads d * dF at the point, and dividing it by gcd(d, *row) gives the
+    row that clearing jacobian_at's Fraction row gives: the same rank over
+    Q and mod exactla.PRIME.
+    """
+    col = {v: j for j, v in enumerate(vars_order)}
+    monos: dict = {}  # packed key -> its index in the point's values
+    family = []
+    for F in polys:
+        den, nums = _numerators(F)
+        entries = [(col[u], [(c, monos.setdefault(k, len(monos))) for k, c in part.items()])
+                   for u, part in _partials(nums).items() if u in col]
+        family.append((den, entries))
+    missing = {v for k in monos for v, _ in _decode(k)} - col.keys()
+    if missing:
+        raise InputError(f"point misses variable {min(missing)}")
+    factors = [[(col[v], e) for v, e in _decode(k)] for k in monos]
+    width = len(col)
+
+    def at(point: Sequence) -> QMatrix:
+        vals = [math.prod([point[j] ** e for j, e in fs]) for fs in factors]
+        flat = []
+        for den, entries in family:
+            row = [0] * width
+            for j, terms in entries:
+                row[j] = sum([c * vals[i] for c, i in terms])
+            g = math.gcd(den, *row)
+            flat.extend([x // g for x in row])
+        return QMatrix(len(family), width, tuple(flat))
+
+    return at
+
+
 def jacobian_rank_at(polys: Sequence, point: dict, vars_order: Sequence) -> int:
     return rank(jacobian_at(polys, point, vars_order))
 

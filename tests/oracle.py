@@ -3,10 +3,11 @@
 They compute the same objects as glab's fast paths, by the plainest route,
 so a property test can compare the two.
 """
+import math
 import random
 from fractions import Fraction
 
-from glab.exactla import QMatrix, rank
+from glab.exactla import PRIME, QMatrix, rank
 from glab.psring import MPoly
 
 
@@ -211,6 +212,38 @@ def reference_nullspace(rows, ncols):
             v[pc] = -row[f]
         basis.append(v)
     return [tuple(v) for v in reference_rref(basis)[0]]
+
+
+def reference_rank_mod_p(m):
+    """Rank over GF(PRIME) of m with each row cleared to integers, on lists
+    of residues.
+
+    Each row is scaled by the lcm of its denominators.  Reduction is lazy:
+    a step reduces only the pivot row and the column it clears, so the
+    other entries grow unreduced by less than PRIME^2 per step.  Each row
+    keeps only the columns not yet cleared.
+    """
+    p = PRIME
+    rows = []
+    for i in range(m.rows):
+        row = [Fraction(x) for x in m.row(i)]
+        lcm = math.lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (lcm // x.denominator) % p for x in row])
+    found = 0
+    for _ in range(m.cols):
+        if not rows:
+            break
+        col = [r[0] % p for r in rows]
+        piv = next((i for i, f in enumerate(col) if f), None)
+        if piv is None:
+            rows = [r[1:] for r in rows]
+            continue
+        inv = pow(col.pop(piv), -1, p)
+        ptail = [x * inv % p for x in rows.pop(piv)[1:]]
+        rows = [[x - f * y for x, y in zip(r[1:], ptail)] if f else r[1:]
+                for r, f in zip(rows, col)]
+        found += 1
+    return found
 
 
 def reference_sampled_max_rank(matrix_at, nvars, seed=0, samples=4, bound=1000,

@@ -32,7 +32,12 @@ from glab.liecore import (
     sampled_max_rank,
     structure_matrix_at,
 )
-from oracle import reference_kron, reference_nullspace, reference_rref
+from oracle import (
+    reference_kron,
+    reference_nullspace,
+    reference_rank_mod_p,
+    reference_rref,
+)
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -304,21 +309,97 @@ def mod_p_matrices(draw):
                                            min_size=nr, max_size=nr)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(mod_p_matrices())
-def test_rank_mod_p_is_a_lower_bound_equal_to_sympy_over_gf_p(m):
+def _sympy_rank_mod_p(m):
+    """sympy's rank over GF(PRIME) of m with each row cleared to integers."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
-    r = rank_mod_p(m)
-    assert r <= rank(m)
     K = sympy.GF(PRIME)
     cleared = []
     for i in range(m.rows):
         row = m.row(i)
         lcm = math.lcm(*[x.denominator for x in row])
-        cleared.append([K(int(x * lcm)) for x in row])
-    assert r == DomainMatrix(cleared, (m.rows, m.cols), K).rank()
+        cleared.append([K(int(x * lcm) % PRIME) for x in row])
+    return DomainMatrix(cleared, (m.rows, m.cols), K).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mod_p_matrices())
+def test_rank_mod_p_is_a_lower_bound_equal_to_sympy_over_gf_p(m):
+    r = rank_mod_p(m)
+    assert r <= rank(m)
+    assert r == reference_rank_mod_p(m)
+    assert r == _sympy_rank_mod_p(m)
+
+
+def _packed_boundary_cases(n):
+    """Matrices of width n that push the packed fields of rank_mod_p:
+    widest residues, entries at and far past PRIME, negatives, and rows
+    that vanish mod PRIME only."""
+    p = PRIME
+    rng = random.Random(n)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    tall = min(n, 12) + 2
+
+    def randrows(k, lo, hi):
+        return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(k)]
+
+    a = randrows(tall, -9, 9)
+    b = randrows(n, -9, 9)
+    k = max(tall // 3, 1)  # below tall and n: rank k
+    low = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(tall)]
+    vanish = randrows(tall, -p, p)
+    for i in range(0, tall, 3):
+        vanish[i] = [p * rng.randint(-5, 5) for _ in range(n)]
+    vanish[1] = [p * (2 * j + 1) for j in range(n)]  # nonzero, 0 mod p
+    return {
+        "every residue p - 1": [[p - 1] * n for _ in range(n)],
+        # residue p - 1 off the diagonal, p - 2 on it: -(J + I), det (-1)^n (n + 1)
+        "full rank, residues p - 1 and p - 2": [[p - 1 - e for e in r] for r in eye],
+        "full rank, random residues": randrows(n, 0, p - 1),
+        "entries at and past PRIME": [[p * rng.randint(1, 9) + x for x in r] for r in eye]
+        + randrows(3, p, 2**40),
+        "negative entries": randrows(tall, -(p - 1), -1),
+        "entries of +-2^70": [[rng.choice((-1, 1)) * 2**70 + rng.randint(-3, 3)
+                               for _ in range(n)] for _ in range(tall)],
+        "rank-deficient products": low,
+        "rows that vanish mod p": vanish,
+    }
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 31, 32, 63, 64, 65, 127, 128))
+def test_packed_rank_mod_p_at_field_boundaries(n):
+    cases = _packed_boundary_cases(n)
+    for name, rows in cases.items():
+        m = QMatrix.from_rows(rows)
+        want = reference_rank_mod_p(m)
+        assert rank_mod_p(m) == want, name
+        assert rank_mod_p(QMatrix.from_rows([r[::-1] for r in rows])) == want, name
+    full = QMatrix.from_rows(cases["full rank, residues p - 1 and p - 2"])
+    assert rank_mod_p(full) == n
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 31, 32, 63, 64, 65, 127, 128))
+def test_packed_rank_mod_p_at_field_boundaries_agrees_with_sympy(n):
+    for name, rows in _packed_boundary_cases(n).items():
+        if n > 65 and name == "full rank, random residues":
+            continue  # sympy takes seconds on it; the reference test covers it
+        m = QMatrix.from_rows(rows)
+        assert rank_mod_p(m) == _sympy_rank_mod_p(m), name
+
+
+@pytest.mark.parametrize("qname, ptxt", [
+    ("sl4", "t^3+t+1"), ("sl5", "t^2-t"), ("gl4", "t^4-t"), ("sl3", "t^6-t"),
+])
+def test_rank_mod_p_of_the_stabilizer_samples_matches_the_reference(qname, ptxt):
+    # the first batch pair sampled_max_rank draws for index_report at seed 0
+    T = make_quotient(builtin_algebra(qname), parse_poly(ptxt))
+    vs = T.var_list()
+    rng = random.Random(0)
+    for _ in range(8):
+        point = dict(zip(vs, (rng.randint(-1000, 1000) for _ in vs)))
+        m = structure_matrix_at(T, point)
+        assert rank_mod_p(m) == reference_rank_mod_p(m)
 
 
 def test_rank_mod_p_falls_short_where_prime_divides_the_minors():
@@ -386,3 +467,26 @@ def test_kernel_edge_cases_match_the_reference():
     before = rs.basis()
     assert rs.kernel() == rs.kernel() == nullspace(cases[4])
     assert rs.basis() == before  # kernel() leaves the accepted rows as they were
+
+
+@st.composite
+def rank_deficient_products(draw):
+    """A B with A of size m x k and B of size k x n, k < n <= 12, entries
+    up to 2^40 in size, the product's columns permuted: a kernel of
+    dimension at least n - k, its pivots anywhere."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    k = draw(st.integers(0, n - 1))
+    entry = st.integers(-2**40, 2**40)
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    perm = draw(st.permutations(range(n)))
+    return [[sum(x * b[t][j] for t, x in enumerate(row)) for j in perm] for row in a]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_deficient_products())
+def test_kernels_of_rank_deficient_products_match_the_reference(rows):
+    width = len(rows[0])
+    want = reference_nullspace(rows, width)
+    assert nullspace(QMatrix.from_rows(rows)) == want
+    assert row_space(rows, width).kernel() == want

@@ -1,4 +1,5 @@
 """Sparse polynomials on current-algebra variables and Poisson brackets."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from glab.psring import (
     MPoly,
     _numerators,
     apply_derivation,
+    cleared_jacobian,
     coeff_rows,
     directional_derivative,
     echelon_basis,
@@ -353,6 +355,26 @@ def test_jacobian_matches_reference(polys, coords):
     want = QMatrix.from_rows(
         [[reference_diff(F, v).eval_at(point) for v in VARS] for F in polys])
     assert jacobian_at(polys, point, VARS) == want
+
+
+@given(st.lists(table_mpolys(VARS), max_size=4),
+       st.lists(st.integers(-1000, 1000), min_size=6, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_cleared_jacobian_is_the_jacobian_cleared_row_by_row(polys, coords):
+    # each row is jacobian_at's Fraction row times the lcm of its denominators
+    want = jacobian_at(polys, dict(zip(VARS, map(Fraction, coords))), VARS)
+    got = cleared_jacobian(polys, VARS)(tuple(coords))
+    assert (got.rows, got.cols) == (len(polys), len(VARS))
+    for i in range(got.rows):
+        row = want.row(i)
+        lcm = math.lcm(*[x.denominator for x in row])
+        assert got.row(i) == [x * lcm for x in row]
+
+
+def test_cleared_jacobian_refuses_a_point_that_misses_a_variable():
+    F = MPoly.variable((0, 0)) * MPoly.variable((1, 0))
+    with pytest.raises(InputError):
+        cleared_jacobian([F], [(0, 0)])
 
 
 # ---------------------------------------------------------------------------
