@@ -351,6 +351,12 @@ class RowSpace:
     def dim(self) -> int:
         return len(self._rows)
 
+    @property
+    def rows(self) -> tuple:
+        """The accepted rows as kept: primitive integer rows in echelon
+        form, in pivot order, spanning what basis() spans."""
+        return tuple(self._rows)
+
     def _reduce(self, vec: Sequence) -> list:
         v = _int_row(vec)[0]
         if len(v) != self.width:

@@ -40,11 +40,11 @@ from .liecore import (
 from .psring import (
     MPoly,
     _numerators,
+    annihilation_rows,
     apply_derivation,
     coeff_rows,
     echelon_basis,
     hamiltonian_images,
-    image_rows,
     mono_sort_key,
     poisson_bracket,
     psi_p,
@@ -75,8 +75,8 @@ def invariants_degree(q: LieAlgebra, d: int) -> list:
     if d == 0:
         return [MPoly.const(1)]
     monos = monomials_of_degree(q.dim, d)
-    images = hamiltonian_images([MPoly({m: Fraction(1)}) for m in monos], wrap_algebra(q))
-    kern = row_space(image_rows(images), len(monos)).kernel()
+    rows = annihilation_rows([MPoly({m: Fraction(1)}) for m in monos], [wrap_algebra(q)])
+    kern = row_space(rows, len(monos)).kernel()
     return echelon_basis([MPoly(dict(zip(monos, vec))) for vec in kern])
 
 

@@ -14,7 +14,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .exactla import (
@@ -566,8 +566,19 @@ def make_takiff(q: LieAlgebra, k: int) -> LieAlgebra:
 
 
 def builtin_algebra(name: str) -> LieAlgebra:
-    """Resolve names like sl3, abelian:4, takiff:sl2:2, sum:sl2,sl2."""
-    name = name.strip()
+    """Resolve names like sl3, abelian:4, takiff:sl2:2, sum:sl2,sl2.
+
+    Interned: one algebra per name, stripped, for the life of the process,
+    so the caches keyed by algebra (invariantlab's, the form pairings) hit
+    by identity rather than by comparing structure constants.  A name
+    already built is returned without rebuilding, so the term budget, which
+    bounds the building, is checked only the first time.
+    """
+    return _builtin_algebra(name.strip())
+
+
+@lru_cache(maxsize=None)
+def _builtin_algebra(name: str) -> LieAlgebra:
     if re.fullmatch(r"(sl|gl)[2-9]", name):
         kind, n = name[:2], int(name[2:])
         return make_sl(n) if kind == "sl" else make_gl(n)

@@ -28,11 +28,11 @@ from .liecore import (
 )
 from .psring import (
     MPoly,
+    annihilation_rows,
     cleared_jacobian,
+    combiner,
     directional_derivative,
     echelon_basis,
-    hamiltonian_images,
-    image_rows,
     independent_subset,
     pairwise_commute,
     psi_p,
@@ -144,25 +144,32 @@ def _sample_sequence(count: int) -> list:
     return out[:count]
 
 
-def _pencil_rows(pols: Sequence, P: Pencil) -> list:
-    """Echelon basis of the annihilation rows of pols under both ends.
+def _pencil_rows(pols: Sequence, P: Pencil) -> tuple:
+    """Integer echelon rows spanning the annihilation rows of pols under
+    both ends.
 
     Row r = (r1 | r2) holds the coefficients of one monomial of {pol, x_v}
-    under end 1, then under end 2.  The images are linear in the bracket,
-    so the member at a has rows a * r1 + (1 - a) * r2, and their span is
-    the image of the span of the r: a basis of that span serves every
-    member.
+    under end 1, then under end 2, scaled to a primitive integer row (see
+    annihilation_rows); only the distinct rows are reduced.  The images are
+    linear in the bracket, so the member at a has rows a * r1 + (1 - a) *
+    r2, and their span is the image of the span of the r: any basis of
+    that span serves every member, so the rows are kept as reduced, in
+    echelon form, and no reduced basis is formed.
     """
-    images = [hamiltonian_images(pols, T) for T in P.end_tables]
-    return row_space(image_rows(*images), 2 * len(pols)).basis()
+    return row_space(annihilation_rows(pols, P.end_tables), 2 * len(pols)).rows
 
 
-def _annihilator_combos(pencil_rows: list, a: Fraction, width: int) -> list:
+def _annihilator_combos(pencil_rows: Sequence, a: Fraction, width: int) -> list:
     """Coefficient vectors c with {sum c_k pols_k, x_v} = 0 for every v,
-    under the member a * [,]_1 + (1 - a) * [,]_2."""
-    b = 1 - a
+    under the member a * [,]_1 + (1 - a) * [,]_2.
+
+    With a = s / d, each integer row (r1 | r2) gives the integer member row
+    s * r1 + (d - s) * r2, d times the member's row, so the kernel, which
+    is canonical, is read off integer rows alone.
+    """
+    s, d = a.numerator, a.denominator
     return row_space(
-        ([a * x + b * y for x, y in zip(r[:width], r[width:])] for r in pencil_rows),
+        ([s * x + (d - s) * y for x, y in zip(r[:width], r[width:])] for r in pencil_rows),
         width,
     ).kernel()
 
@@ -175,9 +182,11 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     split-modulus generators; any other member contributes the exact
     solution space of bracket annihilation inside each polarization space.
     Member centres come from the two ends: each polarization space is
-    bracketed once under each end table, the rows of both ends are reduced
-    together once, and the member at a takes a * (end 1 part) +
-    (1 - a) * (end 2 part) of those few rows.  The a values walk
+    bracketed once under each end table, the distinct integer rows of both
+    ends are reduced together once, and the member at a takes a * (end 1
+    part) + (1 - a) * (end 2 part) of those few rows, on integers.  Each
+    kernel vector becomes one member polynomial as a single integer
+    combination of the space (see psring.combiner).  The a values walk
     1, 0, 2, -1, 3, -2, ... so both ends always participate.
     Deterministic for fixed inputs.
     """
@@ -197,6 +206,7 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     for i, F in enumerate(f_list):
         pol_spaces[i] = [polarize(F, kv) for kv in weakly_increasing(degs[i], n - 1)]
     pencil_rows = {}
+    combine = {}
     entries = []
     collected = {i: [] for i in range(len(f_list))}
     samples = _sample_sequence(sample_count)
@@ -215,12 +225,10 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
             for i in range(len(f_list)):
                 if i not in pencil_rows:
                     pencil_rows[i] = _pencil_rows(pol_spaces[i], P)
+                    combine[i] = combiner(pol_spaces[i])
                 combos = _annihilator_combos(pencil_rows[i], a, len(pol_spaces[i]))
                 for row, vec in enumerate(combos):
-                    poly = MPoly.zero()
-                    for c, pol in zip(vec, pol_spaces[i]):
-                        if c:
-                            poly = poly + pol.scale(c)
+                    poly = combine[i](vec)
                     if poly.is_zero():
                         continue
                     entry = GenEntry(

@@ -601,20 +601,72 @@ def pairwise_commute(polys: Sequence, T: BracketTable) -> bool:
     return True
 
 
-def image_rows(*families: Sequence):
-    """Coefficient rows of the linear system {sum_k c_k polys[k], x_v} = 0.
+def annihilation_rows(polys: Sequence, tables: Sequence):
+    """Integer rows of the linear system {sum_k c_k polys[k], x_v} = 0 under
+    each table, each distinct row once.
 
-    Each family is the hamiltonian_images result for the same polys under
-    its own table.  One row is yielded per variable v and monomial m that
-    occurs in some image at v: the coefficients of m in families[e][k][v],
-    for each family e in turn, k running fastest.
+    One row stands for a variable v and a monomial m that occurs in some
+    image at v.  Its entry (e, k), e running over the tables and k fastest,
+    is the coefficient of m in {polys[k], x_v} under tables[e], n / (D_e *
+    d_k) on the integer kernel (see _int_images), times L, the lcm of every
+    D_e * d_k.  Each row is made primitive with its first nonzero entry
+    positive, and a row yielded before is skipped: scaling a row keeps the
+    span and the kernel, so every canonical basis read from the rows stays
+    the same.  The images are formed once per polynomial and table; the
+    rows are built one variable at a time, variables ascending and
+    monomials graded, so only the distinct rows are ever held.
     """
-    zero = Fraction(0)
-    for v in sorted({v for fam in families for img in fam for v in img}):
-        col = [img.get(v) for fam in families for img in fam]
-        monos = {m for F in col if F is not None for m in F.terms}
-        for m in sorted(monos, key=mono_sort_key):
-            yield [zero if F is None else F.terms.get(m, zero) for F in col]
+    budget = term_budget()
+    partials = []
+    for F in polys:
+        d, nums = _numerators(F)
+        partials.append((d, _partials(nums)))
+    cols = []  # (D_e * d_k, v -> {k: n}) per column (e, k)
+    for T in tables:
+        D, index = _packed_neighbours(T)
+        for d, pf in partials:
+            cols.append((D * d, _int_images(pf, index, None, budget)))
+    lcm = math.lcm(*(den for den, _ in cols))
+    cols = [(lcm // den, images) for den, images in cols]
+    seen = set()
+    for v in sorted({v for _, images in cols for v in images}):
+        at = [(s, images.get(v, {})) for s, images in cols]
+        keys = set().union(*(img for _, img in at))
+        for k in sorted(keys, key=lambda k: mono_sort_key(_decode(k))):
+            row = [s * img.get(k, 0) for s, img in at]
+            g = math.gcd(*row)
+            if next(x for x in row if x) < 0:
+                g = -g
+            row = tuple([x // g for x in row])
+            if row not in seen:
+                seen.add(row)
+                yield row
+
+
+def combiner(polys: Sequence) -> Callable:
+    """coeffs -> sum_k coeffs[k] * polys[k], formed on integers.
+
+    The polys are cleared once, over one common denominator L.  Each call
+    clears coeffs over theirs, c, sums the integer products on packed keys
+    and makes one Fraction per nonzero coefficient of the result, over
+    c * L; terms that cancel are dropped.
+    """
+    cleared = [_numerators(F) for F in polys]
+    lcm = math.lcm(*(d for d, _ in cleared))
+    scaled = [{k: n * (lcm // d) for k, n in nums.items()} for d, nums in cleared]
+
+    def combine(coeffs: Sequence) -> MPoly:
+        den = math.lcm(*(c.denominator for c in coeffs))
+        acc: dict = {}
+        get = acc.get
+        for c, nums in zip(coeffs, scaled, strict=True):
+            if c:
+                a = c.numerator * (den // c.denominator)
+                for k, n in nums.items():
+                    acc[k] = get(k, 0) + a * n
+        return _from_numerators(acc, den * lcm)
+
+    return combine
 
 
 def differential_at(F: MPoly, point: dict, vars_order: Sequence) -> list:

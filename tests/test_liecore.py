@@ -20,8 +20,10 @@ from glab.liecore import (
     crt_idempotents,
     crt_primary,
     index_report,
+    make_abelian,
     make_difference_bracket,
     make_direct_power,
+    make_direct_sum,
     make_gl,
     make_quotient,
     make_sl,
@@ -196,6 +198,15 @@ def test_builtin_algebras():
         builtin_algebra("so5")
 
 
+def test_builtin_algebras_are_interned_by_stripped_name():
+    assert builtin_algebra("sl2") is builtin_algebra(" sl2 ")
+    assert builtin_algebra("takiff:sl2:2") is builtin_algebra("takiff:sl2:2 ")
+    assert builtin_algebra("takiff:sl2:2") == make_takiff(make_sl(2), 2)
+    assert builtin_algebra("sum:sl2,abelian:1") == make_direct_sum(make_sl(2), make_abelian(1))
+    assert builtin_algebra("sum:sl2, abelian:1") == builtin_algebra("sum:sl2,abelian:1")
+    assert builtin_algebra("gl2") is not builtin_algebra("sl2")
+
+
 def test_sl2_structure():
     sl2 = builtin_algebra("sl2")
     e, h, f = 0, 1, 2
@@ -235,7 +246,7 @@ def test_algebra_json_jacobi_scan_is_budgeted(monkeypatch):
 
 
 def test_algebra_hash_is_cached_and_follows_equality():
-    a, b = builtin_algebra("sl4"), builtin_algebra("sl4")
+    a, b = make_sl(4), make_sl(4)  # builtin_algebra would intern them
     assert a is not b and a == b and hash(a) == hash(b)
     q = algebra_from_json(algebra_to_json(a))
     assert q == a and hash(q) == hash(a)

@@ -1,8 +1,10 @@
 """Pencils, joint-center assembly, ladders, and the evaluation picture."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exactla import InputError, QMatrix, nullspace
+from glab.exactla import InputError, QMatrix, RowSpace, nullspace
 from glab.liecore import (
     UniPoly,
     builtin_algebra,
@@ -343,3 +345,36 @@ def test_streamed_kernel_matches_dense_block_matrix(sl3):
             got = _annihilator_combos(r, a, len(pols))
             assert got
             assert got == _dense_combos(pols, T)
+
+
+def test_member_kernel_at_fractional_a_matches_dense_block_matrix(sl2):
+    # a = s / d enters the integer member rows as s * r1 + (d - s) * r2
+    P = Pencil(sl2, parse_poly("t^3"), parse_poly("t^3+t"))
+    F = basic_invariants(sl2)[0]
+    pols = [polarize(F, kv) for kv in weakly_increasing(F.total_degree(), P.n - 1)]
+    rows = _pencil_rows(pols, P)
+    for a in (Fraction(1, 2), Fraction(-7, 3), Fraction(5, 4), Fraction(12, 5)):
+        T = pencil_combination(*P.end_tables, a, 1 - a)
+        got = _annihilator_combos(rows, a, len(pols))
+        assert got and got == _dense_combos(pols, T)
+
+
+def test_pencil_rows_reduce_only_the_distinct_rows(sl3, monkeypatch):
+    # 240 + 2040 annihilation rows over the two polarization spaces, of
+    # which 4 + 30 are distinct up to scaling: only those reach the RowSpace
+    P = Pencil(sl3, parse_poly("t^3"), parse_poly("t^3+t"))
+    spaces = [
+        [polarize(F, kv) for kv in weakly_increasing(F.total_degree(), P.n - 1)]
+        for F in basic_invariants(sl3)
+    ]
+    calls = []
+    add = RowSpace.add
+
+    def counted(self, vec):
+        calls.append(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(RowSpace, "add", counted)
+    rows = [_pencil_rows(pols, P) for pols in spaces]
+    assert len(calls) <= 34
+    assert all(isinstance(x, int) for r in rows for row in r for x in row)

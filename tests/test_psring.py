@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exactla import InputError, QMatrix
+from glab.exactla import InputError, QMatrix, row_space
 from glab.liecore import (
     UniPoly,
     builtin_algebra,
@@ -20,9 +20,11 @@ from glab.psring import (
     BudgetError,
     MPoly,
     _numerators,
+    annihilation_rows,
     apply_derivation,
     cleared_jacobian,
     coeff_rows,
+    combiner,
     directional_derivative,
     echelon_basis,
     hamiltonian_images,
@@ -48,6 +50,7 @@ from oracle import (
     reference_derivation,
     reference_diff,
     reference_mul,
+    reference_nullspace,
     reference_psi,
     reference_substitute,
 )
@@ -264,6 +267,79 @@ def test_pairwise_commute_matches_table_walk(kind, data):
     want = all(reference_bracket(F, G, T).is_zero()
                for i, F in enumerate(polys) for G in polys[i + 1:])
     assert pairwise_commute(polys, T) == want
+
+
+# the sl2 ends t^3 / t^3+t of a pencil, and one table alone
+ANNIHILATION_TABLES = {
+    "ends": (make_quotient(builtin_algebra("sl2"), parse_poly("t^3")),
+             make_quotient(builtin_algebra("sl2"), parse_poly("t^3+t"))),
+    "single": (TABLES["quotient"],),
+}
+
+
+def _dense_annihilation_kernel(polys, tables):
+    """Kernel of the block matrix with one row per variable v and monomial
+    m: the coefficients of m in reference_bracket(polys[k], x_v) under each
+    table, k running fastest; repeated rows kept."""
+    images = [[{v: reference_bracket(F, MPoly.variable(v), T) for v in T.var_list()}
+               for F in polys] for T in tables]
+    rows = []
+    for v in sorted({v for T in tables for v in T.var_list()}):
+        col = [img.get(v, MPoly.zero()) for fam in images for img in fam]
+        monos = {m for F in col for m in F.terms}
+        rows.extend([F.coeff(m) for F in col] for m in monos)
+    return reference_nullspace(rows, len(tables) * len(polys))
+
+
+@given(st.sampled_from(sorted(ANNIHILATION_TABLES)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_annihilation_rows_kernel_matches_the_dense_reference(kind, data):
+    tables = ANNIHILATION_TABLES[kind]
+    polys = data.draw(st.lists(table_mpolys(VARS), min_size=1, max_size=2))
+    if len(polys) < 3 and data.draw(st.booleans()):  # a repeated or scaled member
+        c = data.draw(st.fractions(min_value=-12, max_value=12, max_denominator=12))
+        polys.append(polys[0].scale(c) if c else polys[0])
+    rows = list(annihilation_rows(polys, tables))
+    width = len(tables) * len(polys)
+    assert len(set(rows)) == len(rows)
+    for r in rows:
+        assert len(r) == width and math.gcd(*r) == 1
+        assert next(x for x in r if x) > 0
+    kern = row_space(rows, width).kernel()
+    assert kern == _dense_annihilation_kernel(polys, tables)
+
+
+def test_annihilation_rows_skip_repeats():
+    T = ANNIHILATION_TABLES["single"][0]
+    F = MPoly.variable((0, 0), Fraction(3, 4)) * MPoly.variable((1, 1))
+    assert list(annihilation_rows([F], [T])) == [(1,)]
+    # every row of F and -5/12 F is a multiple of (12, -5): it is yielded once
+    assert list(annihilation_rows([F, F.scale(Fraction(-5, 12))], [T])) == [(12, -5)]
+    assert list(annihilation_rows([MPoly.const(3)], [T])) == []
+
+
+def test_combiner_matches_scaled_sums_on_edge_cases():
+    F = MPoly.variable((0, 0), Fraction(1, 6)) + MPoly.variable((1, 1), Fraction(-2, 9))
+    G = F * F + MPoly.const(Fraction(5, 4))
+    family = [F, G, F.scale(2)]
+    combine = combiner(family)
+    assert combine([0, 0, 0]).is_zero()
+    assert combine([2, 0, -1]).is_zero()  # cancels to zero
+    assert combine([Fraction(1, 3), Fraction(-7, 8), Fraction(5, 12)]) == (
+        F.scale(Fraction(1, 3)) + G.scale(Fraction(-7, 8)) + F.scale(Fraction(5, 6)))
+    assert combiner([])([]).is_zero()
+    with pytest.raises(ValueError):
+        combine([1, 2])
+
+
+@given(st.lists(table_mpolys(VARS), max_size=4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_combiner_matches_scaled_sums(family, data):
+    if family and data.draw(st.booleans()):  # a member that can cancel
+        family.append(family[0].scale(data.draw(coefficients())))
+    coeffs = data.draw(st.lists(coefficients(), min_size=len(family), max_size=len(family)))
+    want = sum((F.scale(c) for F, c in zip(family, coeffs)), MPoly.zero())
+    assert combiner(family)(coeffs) == want
 
 
 def test_neighbour_index_is_built_on_first_bracket():
