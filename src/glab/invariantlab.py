@@ -366,16 +366,14 @@ def takiff_generators(q: LieAlgebra, f_list: Sequence, n: int) -> GeneratorSet:
     return GeneratorSet(entries)
 
 
-def crt_generators(q: LieAlgebra, f_list: Sequence, p: UniPoly,
-                   root_data=None) -> GeneratorSet:
+def crt_generators(q: LieAlgebra, f_list: Sequence, p: UniPoly) -> GeneratorSet:
     """Central generators of S(q[t]/(p)) for a fully split modulus.
 
     Simple roots contribute the invariant evaluated on the idempotent;
     a root of multiplicity k contributes the k truncated generators
     carried through the primary-block isomorphism.
     """
-    if root_data is None:
-        root_data = rational_roots(p)
+    root_data = rational_roots(p)
     if root_data is None:
         raise InputError("modulus does not split over the rationals")
     comps = crt_primary(p, root_data)

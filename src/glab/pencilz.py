@@ -2,13 +2,12 @@
 
 A pencil is spanned by the brackets of two monic moduli of the same degree
 whose difference has degree at most one.  Members along the line a + b = 1
-are again quotient brackets; their Poisson centers, pulled from either the
-split-modulus generators or an exact annihilation solve on polarization
-spaces, accumulate into one commutative subalgebra.  The remaining tools
-measure that subalgebra: transcendence degree by sampled Jacobian ranks
-against the paper's formula, agreement with the raising-derivation ladders,
-and the evaluation picture in degree two.  Two spans are compared by their
-canonical echelon bases.
+are again quotient brackets; their Poisson centers, each the exact
+annihilation solve on polarization spaces, accumulate into one commutative
+subalgebra.  The remaining tools measure that subalgebra: transcendence
+degree by sampled Jacobian ranks against the paper's formula, agreement
+with the raising-derivation ladders, and the evaluation picture in degree
+two.  Two spans are compared by their canonical echelon bases.
 """
 from __future__ import annotations
 
@@ -23,7 +22,6 @@ from .liecore import (
     UniPoly,
     index_report,
     make_quotient,
-    rational_roots,
     sampled_max_rank,
 )
 from .psring import (
@@ -44,7 +42,6 @@ from .invariantlab import (
     GenEntry,
     GeneratorSet,
     basic_invariants,
-    crt_generators,
     polarize,
     weakly_increasing,
 )
@@ -78,11 +75,6 @@ class Pencil:
     def end_tables(self) -> tuple:
         return make_quotient(self.base, self.p1), make_quotient(self.base, self.p2)
 
-    def member_poly(self, a) -> UniPoly:
-        """a * p1 + (1 - a) * p2, the modulus of the line member at a."""
-        a = rat(a)
-        return self.p1.scale(a) + self.p2.scale(1 - a)
-
     def normalization(self) -> dict:
         """How t -> t + c turns the difference into a pure form.
 
@@ -104,9 +96,11 @@ class Pencil:
 class ZAlgebra:
     """Generators of the joint-center subalgebra of a pencil.
 
-    gens holds every raw generator with its recipe; basis holds one
-    canonical echelon basis per source invariant, which is what counting
-    and verification use.
+    gens holds every raw generator with its recipe ("MEMBER", a, "ANNIH",
+    source, row): kernel vector row of the annihilation solve for the
+    source invariant at the member a.  basis holds one canonical echelon
+    basis per source invariant, which is what counting and verification
+    use.
     """
 
     pencil: Pencil
@@ -178,22 +172,20 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
             sample_count: int | None = None, seed: int = 0) -> ZAlgebra:
     """Accumulate central elements of line members into one generator set.
 
-    Members whose modulus splits over Q contribute the transported
-    split-modulus generators; any other member contributes the exact
-    solution space of bracket annihilation inside each polarization space.
-    Member centres come from the two ends: each polarization space is
-    bracketed once under each end table, the distinct integer rows of both
-    ends are reduced together once, and the member at a takes a * (end 1
-    part) + (1 - a) * (end 2 part) of those few rows, on integers.  Each
-    kernel vector becomes one member polynomial as a single integer
-    combination of the space (see psring.combiner).  The a values walk
-    1, 0, 2, -1, 3, -2, ... so both ends always participate.
-    Deterministic for fixed inputs.
+    Every member contributes the exact solution space of bracket
+    annihilation inside each polarization space, whether or not its
+    modulus splits over Q.  Member centres come from the two ends: each
+    polarization space is bracketed once under each end table, the
+    distinct integer rows of both ends are reduced together once, and the
+    member at a takes a * (end 1 part) + (1 - a) * (end 2 part) of those
+    few rows, on integers.  Each kernel vector becomes one member
+    polynomial as a single integer combination of the space (see
+    psring.combiner).  The a values walk 1, 0, 2, -1, 3, -2, ... so both
+    ends always participate.  Deterministic for fixed inputs.
     """
-    q = P.base
     n = P.n
     if f_list is None:
-        f_list = basic_invariants(q)
+        f_list = basic_invariants(P.base)
     f_list = list(f_list)
     if not f_list:
         raise InputError("need at least one invariant to polarize")
@@ -202,40 +194,21 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
         sample_count = max(degs) * n + 3
     if sample_count < 1:
         raise InputError("sample count must be positive")
-    pol_spaces = {}
+    spaces = []
     for i, F in enumerate(f_list):
-        pol_spaces[i] = [polarize(F, kv) for kv in weakly_increasing(degs[i], n - 1)]
-    pencil_rows = {}
-    combine = {}
+        pols = [polarize(F, kv) for kv in weakly_increasing(degs[i], n - 1)]
+        spaces.append((_pencil_rows(pols, P), len(pols), combiner(pols)))
     entries = []
     collected = {i: [] for i in range(len(f_list))}
     samples = _sample_sequence(sample_count)
     for a in samples:
-        ptilde = P.member_poly(a)
-        rd = rational_roots(ptilde)
-        if rd is not None:
-            gs = crt_generators(q, f_list, ptilde, rd)
-            for e in gs.entries:
-                entry = GenEntry(
-                    e.poly, e.source, ("MEMBER", rat_str(a)) + e.recipe
-                )
-                entries.append(entry)
-                collected[e.source].append(e.poly)
-        else:
-            for i in range(len(f_list)):
-                if i not in pencil_rows:
-                    pencil_rows[i] = _pencil_rows(pol_spaces[i], P)
-                    combine[i] = combiner(pol_spaces[i])
-                combos = _annihilator_combos(pencil_rows[i], a, len(pol_spaces[i]))
-                for row, vec in enumerate(combos):
-                    poly = combine[i](vec)
-                    if poly.is_zero():
-                        continue
-                    entry = GenEntry(
-                        poly, i, ("MEMBER", rat_str(a), "ANNIH", i, row)
-                    )
-                    entries.append(entry)
-                    collected[i].append(poly)
+        for i, (rows, width, combine) in enumerate(spaces):
+            for row, vec in enumerate(_annihilator_combos(rows, a, width)):
+                poly = combine(vec)
+                if poly.is_zero():
+                    continue
+                entries.append(GenEntry(poly, i, ("MEMBER", rat_str(a), "ANNIH", i, row)))
+                collected[i].append(poly)
     basis = {i: echelon_basis(polys) for i, polys in collected.items()}
     return ZAlgebra(
         pencil=P,

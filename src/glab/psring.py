@@ -613,8 +613,10 @@ def annihilation_rows(polys: Sequence, tables: Sequence):
     positive, and a row yielded before is skipped: scaling a row keeps the
     span and the kernel, so every canonical basis read from the rows stays
     the same.  The images are formed once per polynomial and table; the
-    rows are built one variable at a time, variables ascending and
-    monomials graded, so only the distinct rows are ever held.
+    rows are built one variable at a time, variables and monomials in the
+    order the images first hold them, so only the distinct rows are ever
+    held.  Every consumer reads a kernel off the rows, and no row order
+    changes a kernel.
     """
     budget = term_budget()
     partials = []
@@ -629,10 +631,9 @@ def annihilation_rows(polys: Sequence, tables: Sequence):
     lcm = math.lcm(*(den for den, _ in cols))
     cols = [(lcm // den, images) for den, images in cols]
     seen = set()
-    for v in sorted({v for _, images in cols for v in images}):
+    for v in dict.fromkeys(v for _, images in cols for v in images):
         at = [(s, images.get(v, {})) for s, images in cols]
-        keys = set().union(*(img for _, img in at))
-        for k in sorted(keys, key=lambda k: mono_sort_key(_decode(k))):
+        for k in dict.fromkeys(k for _, img in at for k in img):
             row = [s * img.get(k, 0) for s, img in at]
             g = math.gcd(*row)
             if next(x for x in row if x) < 0:

@@ -15,6 +15,7 @@ from glab.liecore import (
 from glab.psring import (
     MPoly,
     coeff_rows,
+    combiner,
     hamiltonian_images,
     jacobian_at,
     echelon_basis,
@@ -24,6 +25,7 @@ from glab.invariantlab import (
     GeneratorSet,
     basic_invariants,
     casimir,
+    crt_generators,
     polarize,
     weakly_increasing,
 )
@@ -67,12 +69,6 @@ def test_pencil_validation(sl2):
         Pencil(sl2, parse_poly("t^3"), parse_poly("t^3+t^2"))
     with pytest.raises(InputError):
         Pencil(sl2, UniPoly.make([1, 2]), parse_poly("t+1"))
-
-
-def test_member_poly(pen_t):
-    assert pen_t.member_poly(1) == parse_poly("t^2")
-    assert pen_t.member_poly(0) == parse_poly("t^2+t")
-    assert pen_t.member_poly(-1) == parse_poly("t^2+2t")
 
 
 def test_normalization(sl2, pen_t, pen_1):
@@ -330,21 +326,50 @@ def _dense_combos(pols, T):
     return nullspace(QMatrix.from_rows(blocks))
 
 
-def test_streamed_kernel_matches_dense_block_matrix(sl3):
-    P = Pencil(sl3, parse_poly("t^3"), parse_poly("t^3+t"))
-    spaces = [
+def _polarization_spaces(P, f_list):
+    return [
         [polarize(F, kv) for kv in weakly_increasing(F.total_degree(), P.n - 1)]
-        for F in basic_invariants(sl3)
+        for F in f_list
     ]
+
+
+def test_streamed_kernel_matches_dense_block_matrix(sl3):
+    # every member, split moduli included
+    P = Pencil(sl3, parse_poly("t^3"), parse_poly("t^3+t"))
+    spaces = _polarization_spaces(P, basic_invariants(sl3))
     rows = [_pencil_rows(pols, P) for pols in spaces]
-    members = [a for a in _sample_sequence(12) if rational_roots(P.member_poly(a)) is None]
-    assert len(members) == 9
-    for a in members:
+    for a in _sample_sequence(12):
         T = pencil_combination(*P.end_tables, a, 1 - a)
         for pols, r in zip(spaces, rows):
             got = _annihilator_combos(r, a, len(pols))
             assert got
             assert got == _dense_combos(pols, T)
+
+
+@pytest.mark.parametrize("qname, p1, p2, split", [
+    ("sl3", "t^3", "t^3+t", [1, 2, 5]),  # a = 1: the triple root of t^3
+    ("gl3", "t^3", "t^3+1", [1]),
+])
+def test_split_member_kernel_matches_crt_generators(qname, p1, p2, split):
+    # at a member whose modulus splits over Q, the annihilation kernel spans
+    # the transported split-modulus generators of each source invariant
+    q = builtin_algebra(qname)
+    P = Pencil(q, parse_poly(p1), parse_poly(p2))
+    f_list = basic_invariants(q)
+    spaces = _polarization_spaces(P, f_list)
+    solves = [(_pencil_rows(pols, P), len(pols), combiner(pols)) for pols in spaces]
+    found = []
+    for a in _sample_sequence(12):
+        ptilde = P.p1.scale(a) + P.p2.scale(1 - a)
+        if rational_roots(ptilde) is None:
+            continue
+        found.append(a)
+        crt = crt_generators(q, f_list, ptilde)
+        for i, (rows, width, combine) in enumerate(solves):
+            kernel = [combine(vec) for vec in _annihilator_combos(rows, a, width)]
+            expected = [e.poly for e in crt.entries if e.source == i]
+            assert echelon_basis(kernel) == echelon_basis(expected)
+    assert found == split
 
 
 def test_member_kernel_at_fractional_a_matches_dense_block_matrix(sl2):
@@ -363,10 +388,7 @@ def test_pencil_rows_reduce_only_the_distinct_rows(sl3, monkeypatch):
     # 240 + 2040 annihilation rows over the two polarization spaces, of
     # which 4 + 30 are distinct up to scaling: only those reach the RowSpace
     P = Pencil(sl3, parse_poly("t^3"), parse_poly("t^3+t"))
-    spaces = [
-        [polarize(F, kv) for kv in weakly_increasing(F.total_degree(), P.n - 1)]
-        for F in basic_invariants(sl3)
-    ]
+    spaces = _polarization_spaces(P, basic_invariants(sl3))
     calls = []
     add = RowSpace.add
 

@@ -217,6 +217,18 @@ def test_cli_zz_verify(runner):
     assert "commutes: ok" in res.output
 
 
+def test_cli_zz_verify_needs_no_root_search(runner):
+    # no member's modulus is searched for rational roots, so a constant
+    # term whose divisors would take trial division to 10^8 costs nothing
+    res = runner.invoke(main, [
+        "zz", "verify", "--q", "sl3",
+        "--p1", "t^3-10000000000000061", "--p2", "t^3+t-10000000000000061",
+    ])
+    assert res.exit_code == 0
+    assert re.search(r"^counts: .* ok$", res.output, re.M)
+    assert "commutes: ok" in res.output
+
+
 def test_cli_gaudin(runner):
     res = runner.invoke(main, ["gaudin", "--q", "sl2", "--z", "1,2,5"])
     assert res.exit_code == 0
