@@ -21,6 +21,7 @@ from .exactla import (
     BudgetError,
     InputError,
     QMatrix,
+    RowSpace,
     rank,
     rank_mod_p,
     rat,
@@ -361,6 +362,36 @@ class LieAlgebra:
         if i < j:
             return self._sc_map.get((i, j), ())
         return tuple((k, -c) for k, c in self._sc_map.get((j, i), ()))
+
+    @cached_property
+    def module_generators(self) -> tuple:
+        """Indices of basis elements that generate q as an ad(q)-module.
+
+        Chosen greedily in basis order: x_i is taken when it lies outside
+        the submodule generated by the earlier choices, and that submodule
+        is then closed exactly under every ad(x_j), from the structure
+        constants alone.  A simple algebra needs one generator, an abelian
+        one every basis element.
+        """
+        span = RowSpace(self.dim)
+        gens = []
+        for i in range(self.dim):
+            unit = [int(k == i) for k in range(self.dim)]
+            if not span.add(unit):
+                continue
+            gens.append(i)
+            todo = [unit]
+            while todo and span.dim < self.dim:
+                w = todo.pop()
+                for j in range(self.dim):
+                    v = [Fraction(0)] * self.dim
+                    for k, c in enumerate(w):
+                        if c:
+                            for m, s in self.bracket(j, k):
+                                v[m] += c * s
+                    if any(v) and span.add(v):
+                        todo.append(v)
+        return tuple(gens)
 
     @cached_property
     def form_inverse(self) -> QMatrix:

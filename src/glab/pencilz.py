@@ -16,13 +16,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exactla import InputError, rat, rat_str, row_space
+from .exactla import InputError, RowSpace, rat, rat_str, row_space
 from .liecore import (
     LieAlgebra,
     UniPoly,
     index_report,
     make_quotient,
     sampled_max_rank,
+    wrap_algebra,
 )
 from .psring import (
     MPoly,
@@ -31,6 +32,7 @@ from .psring import (
     combiner,
     directional_derivative,
     echelon_basis,
+    hamiltonian_images,
     independent_subset,
     pairwise_commute,
     psi_p,
@@ -39,8 +41,6 @@ from .psring import (
     tau_apply,
 )
 from .invariantlab import (
-    GenEntry,
-    GeneratorSet,
     basic_invariants,
     polarize,
     weakly_increasing,
@@ -96,16 +96,16 @@ class Pencil:
 class ZAlgebra:
     """Generators of the joint-center subalgebra of a pencil.
 
-    gens holds every raw generator with its recipe ("MEMBER", a, "ANNIH",
-    source, row): kernel vector row of the annihilation solve for the
-    source invariant at the member a.  basis holds one canonical echelon
-    basis per source invariant, which is what counting and verification
-    use.
+    gens holds one recipe ("MEMBER", a, "ANNIH", source, row) per raw
+    generator: kernel vector row of the annihilation solve for the source
+    invariant at the member a.  The raw generator itself is not formed;
+    the recipe reproduces it.  basis holds one canonical echelon basis per
+    source invariant, which is what counting and verification use.
     """
 
     pencil: Pencil
     invariants: list
-    gens: GeneratorSet
+    gens: list
     basis: dict
     samples: list
     attrs: dict = field(default_factory=dict)
@@ -139,8 +139,8 @@ def _sample_sequence(count: int) -> list:
 
 
 def _pencil_rows(pols: Sequence, P: Pencil) -> tuple:
-    """Integer echelon rows spanning the annihilation rows of pols under
-    both ends.
+    """Integer echelon rows whose kernel, at every member, is that of the
+    annihilation rows of pols, polarizations of one invariant of q.
 
     Row r = (r1 | r2) holds the coefficients of one monomial of {pol, x_v}
     under end 1, then under end 2, scaled to a primitive integer row (see
@@ -149,8 +149,16 @@ def _pencil_rows(pols: Sequence, P: Pencil) -> tuple:
     r2, and their span is the image of the span of the r: any basis of
     that span serves every member, so the rows are kept as reduced, in
     echelon form, and no reduced basis is formed.
+
+    Only v = x_j t^k with j in q.module_generators and 1 <= k < n are
+    bracketed.  Every member is a quotient bracket in which x_i t^0 acts on
+    each level k < n as ad(x_i), with no reduction mod p, and kills every
+    polarization of an invariant.  By Jacobi, when F kills x_i t^0 it
+    kills {x_i t^0, v} along with v, so a combination that kills the
+    generators at level k kills all of q t^k, and level 0 needs no rows.
     """
-    return row_space(annihilation_rows(pols, P.end_tables), 2 * len(pols)).rows
+    targets = {(j, k) for j in P.base.module_generators for k in range(1, P.n)}
+    return row_space(annihilation_rows(pols, P.end_tables, targets), 2 * len(pols)).rows
 
 
 def _annihilator_combos(pencil_rows: Sequence, a: Fraction, width: int) -> list:
@@ -178,15 +186,32 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     polarization space is bracketed once under each end table, the
     distinct integer rows of both ends are reduced together once, and the
     member at a takes a * (end 1 part) + (1 - a) * (end 2 part) of those
-    few rows, on integers.  Each kernel vector becomes one member
-    polynomial as a single integer combination of the space (see
-    psring.combiner).  The a values walk 1, 0, 2, -1, 3, -2, ... so both
-    ends always participate.  Deterministic for fixed inputs.
+    few rows, on integers.  The a values walk 1, 0, 2, -1, 3, -2, ... so
+    both ends always participate.  Deterministic for fixed inputs.
+
+    Z lies in S(W)^(q.1): each polarization of an invariant is killed by
+    every x_i t^0, so by Jacobi a combination that kills the ad(q)-module
+    generators of q at a level kills the whole level, and the rows are
+    taken at those generators alone (see _pencil_rows).  That needs every
+    F in f_list to be q-invariant, which is checked here (InputError
+    otherwise); basic_invariants are central by construction.
+
+    Each kernel vector is one raw generator, kept as its recipe.  The
+    member polynomials are linear in the kernel vectors and the
+    polarizations of a nonzero F have disjoint supports, so they are
+    independent: the kernel vectors of all members span a space that
+    combine maps one to one onto the span of the member polynomials, and
+    only a basis of it is combined (see psring.combiner).
     """
     n = P.n
     if f_list is None:
         f_list = basic_invariants(P.base)
-    f_list = list(f_list)
+    else:
+        f_list = list(f_list)
+        if any(F.is_zero() for F in f_list) or any(
+                hamiltonian_images(f_list, wrap_algebra(P.base))):
+            raise InputError("every invariant to polarize must be a nonzero "
+                             f"invariant of {P.base.name}")
     if not f_list:
         raise InputError("need at least one invariant to polarize")
     degs = [F.total_degree() for F in f_list]
@@ -197,23 +222,28 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     spaces = []
     for i, F in enumerate(f_list):
         pols = [polarize(F, kv) for kv in weakly_increasing(degs[i], n - 1)]
-        spaces.append((_pencil_rows(pols, P), len(pols), combiner(pols)))
-    entries = []
-    collected = {i: [] for i in range(len(f_list))}
+        # nonzero with disjoint supports, hence independent, so that a
+        # nonzero kernel vector is a nonzero member polynomial
+        terms = [G.terms for G in pols]
+        if not all(terms) or sum(map(len, terms)) != len(set().union(*terms)):
+            raise InputError(f"the polarizations of invariant {i} are not independent")
+        spaces.append((pols, _pencil_rows(pols, P)))
+    recipes = []
+    kernels = [RowSpace(len(pols)) for pols, _ in spaces]
     samples = _sample_sequence(sample_count)
     for a in samples:
-        for i, (rows, width, combine) in enumerate(spaces):
-            for row, vec in enumerate(_annihilator_combos(rows, a, width)):
-                poly = combine(vec)
-                if poly.is_zero():
-                    continue
-                entries.append(GenEntry(poly, i, ("MEMBER", rat_str(a), "ANNIH", i, row)))
-                collected[i].append(poly)
-    basis = {i: echelon_basis(polys) for i, polys in collected.items()}
+        for i, (pols, rows) in enumerate(spaces):
+            for row, vec in enumerate(_annihilator_combos(rows, a, len(pols))):
+                recipes.append(("MEMBER", rat_str(a), "ANNIH", i, row))
+                kernels[i].add(vec)
+    basis = {}
+    for i, (pols, _) in enumerate(spaces):
+        combine = combiner(pols)
+        basis[i] = echelon_basis([combine(vec) for vec in kernels[i].basis()])
     return ZAlgebra(
         pencil=P,
         invariants=f_list,
-        gens=GeneratorSet(entries),
+        gens=recipes,
         basis=basis,
         samples=samples,
         attrs={"normalization": P.normalization(), "seed": seed},

@@ -337,17 +337,24 @@ def _partials(terms: dict) -> dict:
     return out
 
 
-def _mul_acc(acc: dict, a: dict, b: dict, budget: int) -> None:
+def _tops(parts: dict) -> dict:
+    """v -> _top_degree(parts[v]): the degree of each factor, taken once
+    however many products it enters."""
+    return {v: _top_degree(p) for v, p in parts.items()}
+
+
+def _mul_acc(acc: dict, a: dict, b: dict, degree: int, budget: int) -> None:
     """acc += a * b on packed keys and integer numerators {k: n}: the one
-    polynomial product.  A product of more term pairs than the budget, or
-    of a total degree past FIELD_MAX, is refused before any work."""
+    polynomial product, degree being _top_degree(a) + _top_degree(b), which
+    the caller knows.  A product of more term pairs than the budget, or of
+    a total degree past FIELD_MAX, is refused before any work."""
     if len(a) * len(b) > budget:
         raise BudgetError(
             f"product of {len(a)} x {len(b)} terms exceeds budget {budget}")
-    if a and b and _top_degree(a) + _top_degree(b) > FIELD_MAX:
+    if degree > FIELD_MAX:
         raise BudgetError(
-            f"product of degree {_top_degree(a) + _top_degree(b)} exceeds the "
-            f"packed field maximum {FIELD_MAX}")
+            f"product of degree {degree} exceeds the packed field maximum "
+            f"{FIELD_MAX}")
     get = acc.get
     for m1, n1 in a.items():
         for m2, n2 in b.items():
@@ -358,19 +365,22 @@ def _mul_acc(acc: dict, a: dict, b: dict, budget: int) -> None:
 def _product(a: dict, b: dict, budget: int) -> dict:
     """a * b on integer numerators, without its zero terms."""
     acc: dict = {}
-    _mul_acc(acc, a, b, budget)
+    if a and b:
+        _mul_acc(acc, a, b, _top_degree(a) + _top_degree(b), budget)
     return {k: n for k, n in acc.items() if n}
 
 
-def _contract(partials: dict, images: dict, budget: int) -> dict:
+def _contract(partials: dict, ptops: dict, images: dict, itops: dict,
+              budget: int) -> dict:
     """sum_v images[v] * partials[v]: the Leibniz rule, each images[v] the
     image of x_v and partials[v] the numerators of dF/dx_v (absent when
-    x_v does not occur in F)."""
+    x_v does not occur in F).  ptops and itops are the _tops of partials
+    and images, so a family contracted again is not measured again."""
     acc: dict = {}
     for v, img in images.items():
         dv = partials.get(v)
         if dv:
-            _mul_acc(acc, img, dv, budget)
+            _mul_acc(acc, img, dv, itops[v] + ptops[v], budget)
     return acc
 
 
@@ -391,7 +401,9 @@ def apply_derivation(F: MPoly, image: Callable) -> MPoly:
     den = math.lcm(*(d for d, _ in cleared.values()))
     images = {v: {m: n * (den // d) for m, n in img.items()}
               for v, (d, img) in cleared.items()}
-    return _from_numerators(_contract(partials, images, term_budget()), dF * den)
+    return _from_numerators(
+        _contract(partials, _tops(partials), images, _tops(images), term_budget()),
+        dF * den)
 
 
 def directional_derivative(F: MPoly, gamma: dict) -> MPoly:
@@ -525,14 +537,17 @@ def _int_images(partials: dict, index: dict, targets, budget: int) -> dict:
     {F, x_v} = sum_u dF/dx_u * [x_u, x_v]; partials holds the integer
     numerators of the dF/dx_u and index the packed pairs (v, [x_u, x_v])
     scaled to integers over D.  Only v in targets (when given) are formed,
-    and only nonzero terms and nonzero images are kept.
+    and only nonzero terms and nonzero images are kept.  Each [x_u, x_v]
+    is linear, so a product's degree is that of dF/dx_u plus one, taken
+    once per u.
     """
     out: dict = {}
     for u, du in partials.items():
+        degree = _top_degree(du) + 1
         for v, lin in index.get(u, ()):
             if targets is not None and v not in targets:
                 continue
-            _mul_acc(out.setdefault(v, {}), lin, du, budget)
+            _mul_acc(out.setdefault(v, {}), lin, du, degree, budget)
     images = {}
     for v, acc in out.items():
         nz = {k: n for k, n in acc.items() if n}
@@ -579,7 +594,8 @@ def poisson_bracket(F: MPoly, G: MPoly, T: BracketTable) -> MPoly:
     D, index = _packed_neighbours(T)
     budget = term_budget()
     images = _int_images(_partials(nf), index, pg, budget)
-    return _from_numerators(_contract(pg, images, budget), D * dF * dG)
+    return _from_numerators(_contract(pg, _tops(pg), images, _tops(images), budget),
+                            D * dF * dG)
 
 
 def pairwise_commute(polys: Sequence, T: BracketTable) -> bool:
@@ -593,17 +609,29 @@ def pairwise_commute(polys: Sequence, T: BracketTable) -> bool:
     _, index = _packed_neighbours(T)
     budget = term_budget()
     partials = [_partials(_numerators(F)[1]) for F in polys]
+    tops = [_tops(pf) for pf in partials]
     for i, pf in enumerate(partials[:-1]):
-        later = partials[i + 1:]
-        images = _int_images(pf, index, set().union(*later), budget)
-        if any(any(_contract(pg, images, budget).values()) for pg in later):
+        images = _int_images(pf, index, set().union(*partials[i + 1:]), budget)
+        itops = _tops(images)
+        if any(any(_contract(pg, ptops, images, itops, budget).values())
+               for pg, ptops in zip(partials[i + 1:], tops[i + 1:])):
             return False
     return True
 
 
-def annihilation_rows(polys: Sequence, tables: Sequence):
+def annihilation_rows(polys: Sequence, tables: Sequence, targets=None):
     """Integer rows of the linear system {sum_k c_k polys[k], x_v} = 0 under
-    each table, each distinct row once.
+    each table, each distinct row once, for every variable v or, when
+    targets is given, for the v in targets alone.
+
+    Fewer targets can leave the same kernel.  By Jacobi, {F, {y, v}} =
+    {{F, y}, v} + {y, {F, v}}, so when F kills y, the v that F kills form
+    a subspace closed under ad(y).  For a combination F of polarizations
+    of invariants, which every x_i t^0 brackets to zero in a quotient
+    bracket, the rows at the ad(q)-module generators of q at each level
+    t^1 .. t^(n-1) therefore cut out the kernel of all the rows
+    (pencilz._pencil_rows).  Solving for the invariants themselves
+    (invariantlab.invariants_degree) needs every variable.
 
     One row stands for a variable v and a monomial m that occurs in some
     image at v.  Its entry (e, k), e running over the tables and k fastest,
@@ -627,7 +655,7 @@ def annihilation_rows(polys: Sequence, tables: Sequence):
     for T in tables:
         D, index = _packed_neighbours(T)
         for d, pf in partials:
-            cols.append((D * d, _int_images(pf, index, None, budget)))
+            cols.append((D * d, _int_images(pf, index, targets, budget)))
     lcm = math.lcm(*(den for den, _ in cols))
     cols = [(lcm // den, images) for den, images in cols]
     seen = set()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exactla import BudgetError, InputError
+from glab.exactla import BudgetError, InputError, rref
 from glab.liecore import (
     BracketTable,
     UniPoly,
@@ -230,6 +230,64 @@ def test_algebra_json_round_trip():
     bad["sc"].append([0, 2, 0, "1"])
     with pytest.raises(InputError, match=r"basis triple \(0, 1, 2\)"):
         algebra_from_json(bad)
+
+
+def _permuted(q, perm):
+    """q with basis element i renamed perm[i], through algebra_from_json."""
+    d = algebra_to_json(q)
+    inv = {p: i for i, p in enumerate(perm)}
+    d["basis"] = [q.labels[inv[k]] for k in range(q.dim)]
+    d["sc"] = [[perm[i], perm[j], perm[k], c] for i, j, k, c in d["sc"]]
+    d["form"] = [[d["form"][inv[a]][inv[b]] for b in range(q.dim)] for a in range(q.dim)]
+    return algebra_from_json(d)
+
+
+def _generated_dim(q, gens) -> int:
+    """Dimension of the ad(q)-module generated by the basis elements gens,
+    by bracketing a basis of the span with every x_j until it stops
+    growing."""
+    span = rref([[int(k == g) for k in range(q.dim)] for g in gens])[0]
+    while True:
+        brackets = []
+        for j in range(q.dim):
+            for w in span:
+                v = [Fraction(0)] * q.dim
+                for k, c in enumerate(w):
+                    for m, s in q.bracket(j, k):
+                        v[m] += c * s
+                brackets.append(v)
+        grown = rref(span + brackets)[0]
+        if len(grown) == len(span):
+            return len(span)
+        span = grown
+
+
+@pytest.mark.parametrize("name, want", [
+    ("sl2", (0,)), ("sl3", (0,)), ("sl4", (0,)), ("gl2", (0, 1)), ("gl3", (0, 3)),
+    ("abelian:3", (0, 1, 2)), ("sum:sl2,abelian:1", (0, 3)), ("sum:sl2,sl2", (0, 3)),
+    ("takiff:sl2:2", (0,)),
+])
+def test_module_generators_generate_q_greedily(name, want):
+    q = builtin_algebra(name)
+    assert q.module_generators == want
+    assert _generated_dim(q, want) == q.dim
+    # greedy in basis order: each generator lies outside what the earlier
+    # ones generate
+    for k, g in enumerate(want[1:], 1):
+        assert _generated_dim(q, want[:k]) < _generated_dim(q, want[:k] + (g,))
+
+
+def test_module_generators_come_from_the_structure_constants(sl3):
+    # a reordered basis, with its name kept, needs one generator all the same
+    for seed in range(4):
+        perm = list(range(sl3.dim))
+        random.Random(seed).shuffle(perm)
+        q = _permuted(sl3, perm)
+        assert q.sc != sl3.sc and q.name == sl3.name
+        assert q.module_generators == (0,)
+    # and a name says nothing: sl3's structure constants under another name
+    renamed = algebra_from_json(dict(algebra_to_json(sl3), name="abelian:8"))
+    assert renamed.module_generators == (0,)
 
 
 def test_algebra_json_jacobi_scan_is_budgeted(monkeypatch):

@@ -1,10 +1,13 @@
 """Pencils, joint-center assembly, ladders, and the evaluation picture."""
+import functools
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exactla import InputError, QMatrix, RowSpace, nullspace
+from glab.exactla import InputError, QMatrix, RowSpace, nullspace, rat_str, row_space
 from glab.liecore import (
     UniPoly,
     builtin_algebra,
@@ -12,8 +15,10 @@ from glab.liecore import (
     pencil_combination,
     rational_roots,
 )
+from glab import psring
 from glab.psring import (
     MPoly,
+    annihilation_rows,
     coeff_rows,
     combiner,
     hamiltonian_images,
@@ -22,10 +27,10 @@ from glab.psring import (
     poisson_bracket,
 )
 from glab.invariantlab import (
-    GeneratorSet,
     basic_invariants,
     casimir,
     crt_generators,
+    invariants_degree,
     polarize,
     weakly_increasing,
 )
@@ -88,17 +93,32 @@ def test_build_Z_counts_and_recipes(pen_t):
     assert Z.counts() == {0: 3}
     assert Z.expected_counts() == {0: 3}
     assert len(Z.samples) == 2 * 2 + 3
-    sources = {e.recipe[0] for e in Z.gens.entries}
-    assert sources == {"MEMBER"}
+    assert {r[0] for r in Z.gens} == {"MEMBER"}
     assert verify_Z_commutes(Z)
+
+
+def test_build_Z_recipes_reproduce_central_generators(sl3):
+    # each recipe names a kernel vector whose member polynomial is central
+    # for its member and lies in the basis span of its source
+    P = Pencil(sl3, parse_poly("t^2"), parse_poly("t^2+t"))
+    Z = build_Z(P)
+    spaces = [(pols, _pencil_rows(pols, P)) for pols in _polarization_spaces(P, Z.invariants)]
+    assert len(Z.gens) == 36
+    for kind, a, route, i, row in Z.gens:
+        assert (kind, route) == ("MEMBER", "ANNIH")
+        pols, rows = spaces[i]
+        a = Fraction(a)
+        poly = combiner(pols)(_annihilator_combos(rows, a, len(pols))[row])
+        assert not poly.is_zero()
+        assert not any(hamiltonian_images([poly], pencil_combination(*P.end_tables, a, 1 - a)))
+        assert echelon_basis(Z.basis[i] + [poly]) == Z.basis[i]
 
 
 def test_build_Z_annihilation_route(pen_1):
     # members t^2 + (1 - a) include irreducible moduli, so the exact
     # annihilation solve must participate
     Z = build_Z(pen_1)
-    kinds = {e.recipe[2] for e in Z.gens.entries}
-    assert "ANNIH" in kinds
+    assert "ANNIH" in {r[2] for r in Z.gens}
     assert Z.counts() == {0: 3}
     assert verify_Z_commutes(Z)
 
@@ -118,6 +138,44 @@ def test_build_Z_input_checks(pen_t):
         build_Z(pen_t, sample_count=0)
     with pytest.raises(InputError):
         build_Z(pen_t, f_list=[])
+
+
+def test_build_Z_refuses_invariants_that_are_not_central(sl2, pen_t):
+    # the rows are taken at q's module generators only, which is sound for
+    # polarizations of invariants alone
+    e, C = MPoly.variable((0, 0)), casimir(sl2)
+    for f_list in ([e], [C, e], [MPoly.zero()]):
+        with pytest.raises(InputError, match="invariant of sl2"):
+            build_Z(pen_t, f_list=f_list)
+    assert build_Z(pen_t, f_list=[C]).counts() == {0: 3}
+
+
+def _basis_text(Z) -> str:
+    """Canonical text of the Z basis: monomials and coefficients, sorted
+    (the layout the benchmark pins the Z basis in)."""
+    return json.dumps([
+        [sorted([repr(m), rat_str(c)] for m, c in F.terms.items()) for F in Z.basis[i]]
+        for i in sorted(Z.basis)
+    ], separators=(",", ":"))
+
+
+# sha256 of the basis text and the number of raw generators, taken while
+# build_Z still bracketed every variable and formed every member polynomial
+@pytest.mark.parametrize("qname, p1, p2, generators, digest", [
+    ("sl4", "t^2", "t^2+t", 66,
+     "ad83913375917b3363741705e330536173086a46008dd96d176178a3455a532b"),
+    ("gl3", "t^3", "t^3+1", 108,
+     "2899de8274b8a69c1c5521a3fc7e31a4f6ed6bfbab0f9fda8c616273a233cd86"),
+    ("sl3", "t^4", "t^4+t", 120,
+     "c5e2caf9fa7ee3fd2e77546eb00a31c01ed9e3f8b0788c6708c55f09d40bb8c7"),
+    ("sl4", "t^3", "t^3+t", 135,
+     "ea16e9beb62a92ed5a23d4ebd5068416a608305b87737a904d327566abeea666"),
+])
+def test_build_Z_bytes_are_pinned(qname, p1, p2, generators, digest):
+    Z = build_Z(Pencil(builtin_algebra(qname), parse_poly(p1), parse_poly(p2)))
+    assert len(Z.gens) == generators
+    assert Z.counts() == Z.expected_counts()
+    assert hashlib.sha256(_basis_text(Z).encode()).hexdigest() == digest
 
 
 def test_trdeg(pen_t, sl2):
@@ -167,7 +225,7 @@ def test_verify_Z_commutes_checks_both_ends(sl2, pen_1):
     assert poisson_bracket(e1, f1, t1).is_zero()
     assert poisson_bracket(e1, f1, t2) == -h
     for pen in (pen_1, Pencil(sl2, parse_poly("t^2+1"), parse_poly("t^2"))):
-        Z = ZAlgebra(pen, [], GeneratorSet([]), {0: [e1, e1 * e1], 1: [f1]}, [])
+        Z = ZAlgebra(pen, [], [], {0: [e1, e1 * e1], 1: [f1]}, [])
         assert verify_Z_commutes(Z) is False
         Z.basis = {0: [e1, e1 * e1], 1: [MPoly.const(3)]}
         assert verify_Z_commutes(Z) is True
@@ -384,19 +442,61 @@ def test_member_kernel_at_fractional_a_matches_dense_block_matrix(sl2):
         assert got and got == _dense_combos(pols, T)
 
 
+# algebras with characteristic invariants, then ones solved for their
+# invariants of degrees 1 and 2; sum:sl2,sl2 needs two module generators
+# that both bracket
+SOLVED = ("takiff:sl2:2", "sum:sl2,abelian:1", "sum:sl2,sl2")
+TARGETED = ["sl2", "sl3", "gl2", "gl3", "abelian:2", *SOLVED]
+
+
+@functools.lru_cache(maxsize=None)
+def _targeted_spaces(qname, p1, l):
+    q = builtin_algebra(qname)
+    if qname in SOLVED:
+        f_list = invariants_degree(q, 1) + invariants_degree(q, 2)
+    else:
+        f_list = basic_invariants(q)
+    P = Pencil(q, parse_poly(p1), parse_poly(f"{p1}+{l}"))
+    return P, [(pols, _pencil_rows(pols, P)) for pols in _polarization_spaces(P, f_list)]
+
+
+@given(st.sampled_from(TARGETED), st.sampled_from(["t^2", "t^3"]),
+       st.sampled_from(["t", "1", "2t-3"]),
+       st.fractions(min_value=-6, max_value=6, max_denominator=7))
+@settings(max_examples=60, deadline=None)
+def test_targeted_kernel_equals_the_all_variable_kernel(qname, p1, l, a):
+    # the rows at q's module generators, levels 1 .. n-1, have the kernel
+    # that the rows at every variable of the member a have
+    P, spaces = _targeted_spaces(qname, p1, l)
+    T = pencil_combination(*P.end_tables, a, 1 - a)
+    for pols, rows in spaces:
+        want = row_space(annihilation_rows(pols, [T]), len(pols)).kernel()
+        assert _annihilator_combos(rows, a, len(pols)) == want
+
+
 def test_pencil_rows_reduce_only_the_distinct_rows(sl3, monkeypatch):
-    # 240 + 2040 annihilation rows over the two polarization spaces, of
+    # 24 + 222 annihilation rows over the two polarization spaces, at the
+    # two bracketed variables x_0 t, x_0 t^2 (240 + 2040 at all 24), of
     # which 4 + 30 are distinct up to scaling: only those reach the RowSpace
     P = Pencil(sl3, parse_poly("t^3"), parse_poly("t^3+t"))
     spaces = _polarization_spaces(P, basic_invariants(sl3))
-    calls = []
-    add = RowSpace.add
+    # the ad-closure, once per algebra, is not part of the count
+    assert sl3.module_generators == (0,)
+    calls, bracketed = [], set()
+    add, images = RowSpace.add, psring._int_images
 
     def counted(self, vec):
         calls.append(vec)
         return add(self, vec)
 
+    def recorded(*args):
+        out = images(*args)
+        bracketed.update(out)
+        return out
+
     monkeypatch.setattr(RowSpace, "add", counted)
+    monkeypatch.setattr(psring, "_int_images", recorded)
     rows = [_pencil_rows(pols, P) for pols in spaces]
     assert len(calls) <= 34
+    assert len(bracketed) <= 2 and len(P.end_tables[0].var_list()) == 24
     assert all(isinstance(x, int) for r in rows for row in r for x in row)

@@ -531,8 +531,13 @@ def test_packed_field_boundary():
         substitute_vars(x ** 200, {(0, 0): x * y + y})
     T = make_quotient(builtin_algebra("sl2"), parse_poly("t"))
     assert not poisson_bracket(x ** 100, f ** 100, T).is_zero()
-    with pytest.raises(BudgetError):  # {x^200, x_v} * d(f^100)/dx_v, degree 299
+    # {x^200, x_v} * d(f^100)/dx_v, degree 299, whether the factors'
+    # degrees are taken per bracket or once for every pair
+    overflow = "product of degree 299 exceeds the packed field maximum 255"
+    with pytest.raises(BudgetError, match=overflow):
         poisson_bracket(x ** 200, f ** 100, T)
+    with pytest.raises(BudgetError, match=overflow):
+        pairwise_commute([x ** 200, f ** 100], T)
 
 
 def test_substitute_vars_keeps_the_term_budget(monkeypatch):

@@ -182,7 +182,20 @@ def test_cli_zz_build_json(runner):
     assert res.exit_code == 0
     payload = json.loads(res.output)
     assert payload["counts"] == {"0": 3}
+    assert payload["generators"] == 14
     assert payload["seed"] == 0
+
+
+def test_cli_zz_build_json_counts_every_member_kernel_vector(runner):
+    # one raw generator per kernel vector of every member, as when each
+    # was formed as a polynomial
+    res = runner.invoke(main, [
+        "zz", "build", "--q", "sl4", "--p1", "t^3", "--p2", "t^3+t", "--format", "json",
+    ])
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    assert payload["counts"] == payload["expected_counts"] == {"0": 5, "1": 7, "2": 9}
+    assert payload["generators"] == 135
 
 
 def test_z_case_on_a_sum_of_abelian_algebras():
