@@ -43,9 +43,9 @@ from .psring import (
     annihilation_rows,
     apply_derivation,
     coeff_rows,
+    combiner,
     echelon_basis,
     hamiltonian_images,
-    mono_sort_key,
     poisson_bracket,
     psi_p,
     substitute_levels,
@@ -54,12 +54,6 @@ from .psring import (
 
 # ---------------------------------------------------------------------------
 # invariants of S(q)
-
-
-def monomials_of_degree(nvars: int, d: int) -> list:
-    """Degree-d monomials in variables (0,0) .. (nvars-1,0)."""
-    return [_mono_of((i, 0) for i in combo)
-            for combo in itertools.combinations_with_replacement(range(nvars), d)]
 
 
 def invariants_degree(q: LieAlgebra, d: int) -> list:
@@ -74,21 +68,21 @@ def invariants_degree(q: LieAlgebra, d: int) -> list:
         raise InputError("degree must be nonnegative")
     if d == 0:
         return [MPoly.const(1)]
-    monos = monomials_of_degree(q.dim, d)
-    rows = annihilation_rows([MPoly({m: Fraction(1)}) for m in monos], [wrap_algebra(q)])
-    kern = row_space(rows, len(monos)).kernel()
-    return echelon_basis([MPoly(dict(zip(monos, vec))) for vec in kern])
+    monos = [MPoly.from_factors([([(i, 0) for i in combo], Fraction(1))])
+             for combo in itertools.combinations_with_replacement(range(q.dim), d)]
+    kern = row_space(annihilation_rows(monos, [wrap_algebra(q)]), len(monos)).kernel()
+    combine = combiner(monos)
+    return echelon_basis([combine(vec) for vec in kern])
 
 
 def _normalize_primitive(F: MPoly) -> MPoly:
     """Scale to integer coefficients with gcd 1 and positive leading term."""
     if F.is_zero():
         return F
-    den, nums = _numerators(F)
-    g = math.gcd(*nums.values())
-    first = min(F.terms, key=mono_sort_key)
-    sign = 1 if F.terms[first] > 0 else -1
-    return F.scale(Fraction(sign * den, g))
+    # the echelon basis of F alone is F over its leading coefficient
+    E = echelon_basis([F])[0]
+    den, nums = _numerators(E)
+    return E.scale(Fraction(den, math.gcd(*nums.values())))
 
 
 @lru_cache(maxsize=None)
@@ -197,21 +191,6 @@ def casimir(q: LieAlgebra) -> MPoly:
 # polarizations
 
 
-def _mono_of(factors) -> tuple:
-    """The monomial product of the variables in factors, repeats allowed."""
-    counts = {}
-    for v in factors:
-        counts[v] = counts.get(v, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
-def _expand_mono(m) -> list:
-    out = []
-    for v, e in m:
-        out.extend([v] * e)
-    return out
-
-
 def _distinct_perms(items: tuple):
     """Distinct permutations of a multiset, in sorted order."""
     items = sorted(items)
@@ -240,24 +219,17 @@ def polarize(F: MPoly, kvec: Sequence) -> MPoly:
     kvec, so repeated degrees are not overcounted.
     """
     kvec = tuple(int(k) for k in kvec)
-    d = len(kvec)
-    acc = {}
-    for m, c in F.terms.items():
-        if any(v[1] != 0 for v, _ in m):
+    perms = list(_distinct_perms(kvec))
+    out = []
+    for factors, c in F.factor_terms():
+        if any(a != 0 for _, a in factors):
             raise InputError("polarization input must have t degree zero")
-        factors = _expand_mono(m)
-        if len(factors) != d:
+        if len(factors) != len(kvec):
             raise InputError(
-                f"monomial degree {len(factors)} does not match arrangement of {d}"
+                f"monomial degree {len(factors)} does not match arrangement of {len(kvec)}"
             )
-        for perm in _distinct_perms(kvec):
-            mono = _mono_of((i, a) for (i, _), a in zip(factors, perm))
-            s = acc.get(mono, Fraction(0)) + c
-            if s:
-                acc[mono] = s
-            else:
-                acc.pop(mono, None)
-    return MPoly(acc)
+        out.extend(([(i, a) for (i, _), a in zip(factors, perm)], c) for perm in perms)
+    return MPoly.from_factors(out)
 
 
 def polarize_t(F: MPoly, kvec: Sequence) -> MPoly:
@@ -451,13 +423,8 @@ def quad_H(q: LieAlgebra, a: int, b: int) -> MPoly:
     if a < 0 or b < 0:
         raise InputError("t degrees must be nonnegative")
     ginv = q.form_inverse
-    acc = MPoly.zero()
-    for i in range(q.dim):
-        for j in range(q.dim):
-            c = ginv.at(i, j)
-            if c:
-                acc = acc + MPoly.variable((i, a)) * MPoly.variable((j, b)) * c
-    return acc
+    return MPoly.from_factors((((i, a), (j, b)), ginv.at(i, j))
+                              for i in range(q.dim) for j in range(q.dim) if ginv.at(i, j))
 
 
 def quad_h(q: LieAlgebra, a: int, b: int, p: UniPoly) -> MPoly:
@@ -481,15 +448,8 @@ def quad_h_bilinear(q: LieAlgebra, f: UniPoly, g: UniPoly, p: UniPoly) -> MPoly:
 
 def quad_X(q: LieAlgebra, a: int, b: int, c: int) -> MPoly:
     """X[a, b, c]: the raised bracket tensor spread over three t levels."""
-    acc = {}
-    for (i, j, k), val in _raised_bracket_tensor(q):
-        mono = _mono_of(((i, a), (j, b), (k, c)))
-        s = acc.get(mono, Fraction(0)) + val
-        if s:
-            acc[mono] = s
-        else:
-            acc.pop(mono, None)
-    return MPoly(acc)
+    return MPoly.from_factors((((i, a), (j, b), (k, c)), val)
+                              for (i, j, k), val in _raised_bracket_tensor(q))
 
 
 def y_xi(q: LieAlgebra, xi: Sequence, a: int, b: int) -> MPoly:
@@ -505,12 +465,8 @@ def y_xi(q: LieAlgebra, xi: Sequence, a: int, b: int) -> MPoly:
         raise InputError("xi must have one coordinate per basis element")
     g_xi = [sum((q.form.at(k, s) * c for s, c in enumerate(xi)), Fraction(0))
             for k in range(q.dim)]
-    acc = {}
-    for (j, i, k), val in _raised_bracket_tensor(q):
-        if g_xi[k]:
-            mono = _mono_of(((j, a), (i, b)))
-            acc[mono] = acc.get(mono, Fraction(0)) + val * g_xi[k]
-    return MPoly(acc)
+    return MPoly.from_factors((((j, a), (i, b)), val * g_xi[k])
+                              for (j, i, k), val in _raised_bracket_tensor(q) if g_xi[k])
 
 
 def xi_t(q: LieAlgebra, xi: Sequence) -> MPoly:
@@ -679,25 +635,6 @@ def _perm_pairing(q: LieAlgebra, ta: tuple, tb: tuple) -> Fraction:
     return total
 
 
-def sym_pairing(q: LieAlgebra, F: MPoly, G: MPoly) -> Fraction:
-    """Extend the permanent pairing bilinearly to polynomials over q.
-
-    Both arguments must live in t degree zero; monomials of different
-    degrees pair to zero.
-    """
-    total = Fraction(0)
-    for m1, c1 in F.terms.items():
-        t1 = tuple(v[0] for v in _expand_mono(m1))
-        for m2, c2 in G.terms.items():
-            t2 = tuple(v[0] for v in _expand_mono(m2))
-            if len(t1) != len(t2):
-                continue
-            val = _perm_pairing(q, t1, t2)
-            if val:
-                total += c1 * c2 * val
-    return total
-
-
 @lru_cache(maxsize=None)
 def _slot_basis(dim: int, k: int) -> tuple:
     return tuple(itertools.combinations_with_replacement(range(dim), k))
@@ -769,15 +706,23 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
         raise InputError(f"{q.name} carries no bilinear form")
     dim = q.dim
     slot_bases = [_slot_basis(dim, a) for a in alpha]
+    # F's monomials as base-index tuples (t degrees stripped), read once,
+    # and the permanent pairing of F with each sorted index tuple
+    left = [(tuple(k for k, _ in fs), c) for fs, c in F.factor_terms()]
+    paired = {}
+
+    def with_F(t2):
+        if t2 not in paired:
+            paired[t2] = sum((c1 * _perm_pairing(q, t1, t2)
+                              for t1, c1 in left if len(t1) == len(t2)), Fraction(0))
+        return paired[t2]
+
     rhs = []
     vees = list(itertools.product(*slot_bases))
     for v in vees:
         # bracket contraction between slot i and slot j, degrees stripped
-        total_counts = {}
-        for slot in v:
-            for idx in slot:
-                total_counts[idx] = total_counts.get(idx, 0) + 1
-        bt = MPoly.zero()
+        flat = [idx for slot in v for idx in slot]
+        bt = {}
         ci = {}
         for idx in v[i]:
             ci[idx] = ci.get(idx, 0) + 1
@@ -789,36 +734,18 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
                 ent = q.bracket(xi_idx, yj_idx)
                 if not ent:
                     continue
-                rem = dict(total_counts)
-                rem[xi_idx] -= 1
-                if rem[xi_idx] == 0:
-                    del rem[xi_idx]
-                rem[yj_idx] = rem.get(yj_idx, 0) - 1
-                if rem[yj_idx] == 0:
-                    del rem[yj_idx]
-                elif rem[yj_idx] < 0:
-                    continue
+                # x_i sits in slot i and y_j in slot j, so flat holds both
+                rest = list(flat)
+                rest.remove(xi_idx)
+                rest.remove(yj_idx)
                 for m, c in ent:
-                    counts = dict(rem)
-                    counts[m] = counts.get(m, 0) + 1
-                    mono = tuple(
-                        sorted(((idx, 0), e) for idx, e in counts.items())
-                    )
-                    bt = bt + MPoly({mono: Fraction(mu * nu) * c})
-        rhs.append(sym_pairing(q, F, bt))
+                    t2 = tuple(sorted(rest + [m]))
+                    bt[t2] = bt.get(t2, 0) + mu * nu * c
+        rhs.append(sum((x * with_F(t2) for t2, x in bt.items() if x), Fraction(0)))
     coeffs = _solve_slot_grams(q, alpha, rhs)
-    acc = MPoly.zero()
-    for cv, v in zip(coeffs, vees):
-        if cv == 0:
-            continue
-        counts = {}
-        for u, slot in enumerate(v):
-            for idx in slot:
-                key = (idx, u)
-                counts[key] = counts.get(key, 0) + 1
-        mono = tuple(sorted(counts.items()))
-        acc = acc + MPoly({mono: cv})
-    return acc
+    return MPoly.from_factors(
+        ([(idx, u) for u, slot in enumerate(v) for idx in slot], cv)
+        for cv, v in zip(coeffs, vees))
 
 
 def univ_sum(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int) -> MPoly:
@@ -833,7 +760,7 @@ def univ_sum(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int) -> MPoly:
 @dataclass
 class FFDecomposition:
     lhs: MPoly
-    terms: list
+    pieces: list
     rhs: MPoly
 
     @property
@@ -854,7 +781,7 @@ def ff_bracket_decomposition(q: LieAlgebra, Y: MPoly, kvec: Sequence) -> FFDecom
     T = make_quotient(q, UniPoly.monomial(max(kvec, default=0) + 2))
     lhs = poisson_bracket(polarize_t(Y, kvec), H, T).scale(Fraction(1, 2))
     bag = sorted((1,) + kvec)
-    terms = []
+    pieces = []
     rhs = MPoly.zero()
     top = max(bag) + 1
     for j in range(2, top + 1):
@@ -866,9 +793,9 @@ def ff_bracket_decomposition(q: LieAlgebra, Y: MPoly, kvec: Sequence) -> FFDecom
         width = max(promoted) + 1
         alpha = tuple(promoted.count(u) for u in range(width))
         piece = script_f(q, Y, alpha, 1, j)
-        terms.append((alpha, j, piece))
+        pieces.append((alpha, j, piece))
         rhs = rhs + piece
-    return FFDecomposition(lhs=lhs, terms=terms, rhs=rhs)
+    return FFDecomposition(lhs=lhs, pieces=pieces, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .psring import (
     cleared_jacobian,
     combiner,
     directional_derivative,
+    disjoint_supports,
     echelon_basis,
     hamiltonian_images,
     independent_subset,
@@ -224,8 +225,7 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
         pols = [polarize(F, kv) for kv in weakly_increasing(degs[i], n - 1)]
         # nonzero with disjoint supports, hence independent, so that a
         # nonzero kernel vector is a nonzero member polynomial
-        terms = [G.terms for G in pols]
-        if not all(terms) or sum(map(len, terms)) != len(set().union(*terms)):
+        if not disjoint_supports(pols):
             raise InputError(f"the polarizations of invariant {i} are not independent")
         spaces.append((pols, _pencil_rows(pols, P)))
     recipes = []

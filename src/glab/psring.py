@@ -1,15 +1,15 @@
 """Sparse multivariate polynomials over Q in variables x_i * t^a.
 
 A variable is a pair (i, a): base index i, t degree a.  An MPoly maps
-monomials, tuples of (variable, exponent) pairs sorted by variable, to
-Fraction coefficients.  Inside the kernel a monomial is packed into one
-int with an 8-bit field per variable, so a product of monomials is one
-integer addition (see "packed monomial keys" below).  On top of the
-arithmetic sit the Poisson bracket against a bracket table, substitutions
-of variables and of t-levels, the raising derivation tau, reductions mod p,
-and exact span/rank utilities.  The bracket table is the one bracket
-representation: q[t] is bracketed through its truncation q[t]/(t^N), N
-above every t degree reached.
+monomials, stored only as packed ints (see "packed monomial keys" below),
+to Fraction coefficients.  Tuples of (variable, exponent) pairs sorted by
+variable appear only at the edge: MPoly(dict) takes them, MPoly.terms is
+a decoded view, and from_factors / factor_terms build and read monomials
+as lists of variables.  On top of the arithmetic sit the Poisson bracket
+against a bracket table, substitutions of variables and of t-levels, the
+raising derivation tau, reductions mod p, and exact span/rank utilities.
+The bracket table is the one bracket representation: q[t] is bracketed
+through its truncation q[t]/(t^N), N above every t degree reached.
 
 Every product runs on one integer kernel, _mul_acc: MPoly products and
 powers, substitute_vars, and the derivations (the bracket, the Hamiltonian
@@ -51,33 +51,27 @@ Var = tuple
 Mono = tuple
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 def mono_sort_key(m: Mono):
     # graded, then lexicographic on the sorted (variable, exponent) pairs
-    return (mono_degree(m), m)
+    return (sum(e for _, e in m), m)
 
 
 class MPoly:
-    """Immutable-by-convention sparse polynomial."""
+    """Immutable-by-convention sparse polynomial: packed monomial keys to
+    nonzero coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict | None = None):
-        t = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    t[m] = c
-        self.terms = t
+    def __init__(self, terms: dict):
+        """From a dict of monomials, (variable, exponent) tuples sorted by
+        variable, to coefficients; zero coefficients are dropped."""
+        self._terms = {_key(m): c for m, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "MPoly":
-        return cls()
+        return cls({})
 
     @classmethod
     def const(cls, c) -> "MPoly":
@@ -91,46 +85,61 @@ class MPoly:
     @classmethod
     def from_entries(cls, entries: Iterable) -> "MPoly":
         """Linear polynomial sum of coef * x_v over (v, coef) pairs."""
-        acc = {}
-        for v, c in entries:
-            m = ((tuple(v), 1),)
-            acc[m] = acc.get(m, Fraction(0)) + rat(c)
-        return cls(acc)
+        return cls.from_factors(((tuple(v),), rat(c)) for v, c in entries)
+
+    @classmethod
+    def from_factors(cls, terms: Iterable) -> "MPoly":
+        """sum c * x_v1 * ... * x_vd over the (factors, c) pairs, factors
+        the variables v1 .. vd in any order, repeats allowed.  Equal
+        monomials add up and zero sums are dropped."""
+        acc: dict = {}
+        for factors, c in terms:
+            k = _key((v, 1) for v in factors)
+            acc[k] = acc.get(k, 0) + c
+        return _wrap({k: c for k, c in acc.items() if c})
 
     # -- basic queries -------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{monomial: coefficient}, each monomial decoded from its key into
+        (variable, exponent) pairs sorted by variable; a copy on each call."""
+        return {_decode(k): c for k, c in self._terms.items()}
+
+    def factor_terms(self) -> list:
+        """[(factors, c)] over the terms, factors the sorted tuple of the
+        monomial's variables, each repeated by its exponent."""
+        return [(tuple(v for v, e in _decode(k) for _ in range(e)), c)
+                for k, c in self._terms.items()]
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
+        return _top_degree(self._terms) if self._terms else -1
 
     def vars(self) -> set:
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        return _variables(self._terms)
 
     def coeff(self, m: Mono) -> Fraction:
-        return self.terms.get(tuple(m), Fraction(0))
+        # a variable never registered occurs in no polynomial
+        if any(v not in _UNITS for v, _ in m):
+            return Fraction(0)
+        return self._terms.get(_key(m), Fraction(0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         bits = []
-        for m in sorted(self.terms, key=mono_sort_key):
-            c = self.terms[m]
+        for m, c in sorted(self.terms.items(), key=lambda t: mono_sort_key(t[0])):
             factors = "".join(
                 f"(x{v[0]}.t{v[1]})" + (f"^{e}" if e > 1 else "") for v, e in m
             )
@@ -142,36 +151,30 @@ class MPoly:
     def __add__(self, other: "MPoly") -> "MPoly":
         if not isinstance(other, MPoly):
             return NotImplemented
-        if not self.terms:
+        if not self._terms:
             return other
-        if not other.terms:
+        if not other._terms:
             return self
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
+        acc = dict(self._terms)
+        for m, c in other._terms.items():
             s = acc.get(m, Fraction(0)) + c
             if s:
                 acc[m] = s
             else:
                 acc.pop(m, None)
-        out = MPoly.__new__(MPoly)
-        out.terms = acc
-        return out
+        return _wrap(acc)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __neg__(self) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _wrap({m: -c for m, c in self._terms.items()})
 
     def scale(self, c) -> "MPoly":
         c = rat(c)
         if c == 0:
             return MPoly.zero()
-        out = MPoly.__new__(MPoly)
-        out.terms = {m: c * v for m, v in self.terms.items()}
-        return out
+        return _wrap({m: c * v for m, v in self._terms.items()})
 
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
@@ -201,45 +204,46 @@ class MPoly:
     # -- calculus ------------------------------------------------------
 
     def diff(self, v: Var) -> "MPoly":
-        return MPoly(_unpacked(_partials(_packed(self.terms)).get(tuple(v), {})))
+        return _wrap(_partials(self._terms).get(tuple(v), {}))
 
     def eval_at(self, point: dict) -> Fraction:
         total = Fraction(0)
-        for m, c in self.terms.items():
+        for k, c in self._terms.items():
             val = c
-            for v, e in m:
-                pv = point.get(v)
+            for s, e in _fields(k):
+                pv = point.get(_VARS[s])
                 if pv is None:
-                    raise InputError(f"point misses variable {v}")
+                    raise InputError(f"point misses variable {_VARS[s]}")
                 val *= pv ** e
-                if val == 0:
-                    break
             total += val
         return total
+
+
+def _wrap(terms: dict) -> MPoly:
+    """The MPoly whose packed terms are terms (nonzero), without a copy."""
+    out = MPoly.__new__(MPoly)
+    out._terms = terms
+    return out
 
 
 # ---------------------------------------------------------------------------
 # packed monomial keys
 #
-# Inside the kernel a monomial is one int of 8-bit fields: the lowest holds
-# the total degree, and each variable owns the field at its unit, handed out
-# in order of first use for the life of the process (so at most one field
-# per distinct variable).  A product of monomials is then one addition, and
-# dividing by x_u subtracts unit(u) + 1.  No field may pass FIELD_MAX: as
-# every exponent is at most the total degree, checking the degree field of
-# each product and encoded monomial keeps every field from wrapping.  The
-# one-byte width lets int.to_bytes read all fields at once.  MPoly.terms
-# keeps its tuples; _encode / _decode convert at the kernel's boundary and
-# remember their answers, up to _MEMO_LIMIT monomials (then they start
-# over), and decoded monomials share their (variable, exponent) pairs.
+# A monomial is one int of 8-bit fields: the lowest holds the total degree,
+# and each variable owns the field at its unit, so a product of monomials is
+# one addition and dividing by x_u subtracts unit(u) + 1.  No field may pass
+# FIELD_MAX: as every exponent is at most the total degree, checking the
+# degree of each product and each monomial built keeps every field from
+# wrapping.  Slots are handed out in order of first use and kept for the
+# life of the process, since MPoly keys outlive every operation; so a key
+# is as wide as the registry, not the monomial.  Slot order is not variable
+# order: what reads monomials in mono_sort_key order (terms, repr,
+# coeff_rows, echelon_basis) decodes and sorts.  _fields walks the set
+# fields of a key, never its bytes.
 
 FIELD_MAX = 255
 _UNITS: dict = {}  # variable -> 1 << (8 * slot), slots from 1
 _VARS: list = []  # slot - 1 -> variable
-_MEMO_LIMIT = 1 << 12
-_ENCODED: dict = {}  # monomial -> key
-_DECODED: dict = {}  # key -> monomial
-_PAIRS: dict = {}  # (slot - 1) << 8 | exponent -> (variable, exponent)
 
 
 def _unit(v: Var) -> int:
@@ -250,52 +254,44 @@ def _unit(v: Var) -> int:
     return u
 
 
-def _remember(m: Mono, k: int) -> None:
-    if len(_DECODED) >= _MEMO_LIMIT:
-        _ENCODED.clear()
-        _DECODED.clear()
-    _ENCODED[m] = k
-    _DECODED[k] = m
+def _key(m: Iterable) -> int:
+    """The packed key of the monomial of the (variable, exponent) pairs m,
+    registering its variables; BudgetError past FIELD_MAX."""
+    degree = k = 0
+    for v, e in m:
+        degree += e
+        k += e * _unit(v)
+    if degree > FIELD_MAX:
+        raise BudgetError(f"monomial of degree {degree} exceeds the packed "
+                          f"field maximum {FIELD_MAX}")
+    return k + degree
 
 
-def _encode(m: Mono) -> int:
-    """The packed key of the monomial m; BudgetError past FIELD_MAX."""
-    k = _ENCODED.get(m)
-    if k is None:
-        if mono_degree(m) > FIELD_MAX:
-            raise BudgetError(
-                f"monomial of degree {mono_degree(m)} exceeds the packed "
-                f"field maximum {FIELD_MAX}")
-        k = sum(e * (_unit(v) + 1) for v, e in m)
-        _remember(m, k)
-    return k
+def _fields(k: int) -> list:
+    """[(slot - 1, exponent)] for each variable of the packed key k, in slot
+    order: the lowest set bit of what is left names the next field."""
+    out = []
+    r, s = k >> 8, 0
+    while r:
+        z = ((r & -r).bit_length() - 1) >> 3  # empty fields below the next
+        r >>= 8 * z
+        out.append((s + z, r & FIELD_MAX))
+        r >>= 8
+        s += z + 1
+    return out
 
 
 def _decode(k: int) -> Mono:
-    """The monomial of the packed key k, sorted by variable."""
-    m = _DECODED.get(k)
-    if m is None:
-        fields = (k >> 8).to_bytes(((k >> 8).bit_length() + 7) // 8, "little")
-        m = tuple(sorted(_pair(s, e) for s, e in enumerate(fields) if e))
-        _remember(m, k)
-    return m
+    """The monomial of the packed key k, its pairs sorted by variable."""
+    return tuple(sorted((_VARS[s], e) for s, e in _fields(k)))
 
 
-def _pair(s: int, e: int) -> tuple:
-    """The one (variable, exponent) tuple for exponent e in field s, shared
-    by every decoded monomial."""
-    p = _PAIRS.get((s << 8) | e)
-    if p is None:
-        p = _PAIRS[(s << 8) | e] = (_VARS[s], e)
-    return p
-
-
-def _packed(terms: dict) -> dict:
-    return {_encode(m): c for m, c in terms.items()}
-
-
-def _unpacked(terms: dict) -> dict:
-    return {_decode(k): c for k, c in terms.items()}
+def _variables(keys: Iterable) -> set:
+    """The variables of any of the keys: the set fields of their or."""
+    r = 0
+    for k in keys:
+        r |= k
+    return {_VARS[s] for s, _ in _fields(r)}
 
 
 def _top_degree(a: dict) -> int:
@@ -312,16 +308,13 @@ def _numerators(F: MPoly) -> tuple:
     """(d, {k: n}) with F = sum_k (n / d) * k over packed keys k, d the lcm
     of the denominators."""
     den = 1
-    for c in F.terms.values():
+    for c in F._terms.values():
         den = math.lcm(den, c.denominator)
-    return den, {_encode(m): c.numerator * (den // c.denominator)
-                 for m, c in F.terms.items()}
+    return den, {k: c.numerator * (den // c.denominator) for k, c in F._terms.items()}
 
 
 def _from_numerators(nums: dict, den: int) -> MPoly:
-    out = MPoly.__new__(MPoly)
-    out.terms = {_decode(k): Fraction(n, den) for k, n in nums.items() if n}
-    return out
+    return _wrap({k: Fraction(n, den) for k, n in nums.items() if n})
 
 
 def _partials(terms: dict) -> dict:
@@ -332,8 +325,8 @@ def _partials(terms: dict) -> dict:
     """
     out: dict = {}
     for k, c in terms.items():
-        for u, e in _decode(k):
-            out.setdefault(u, {})[k - _UNITS[u] - 1] = c * e
+        for s, e in _fields(k):
+            out.setdefault(_VARS[s], {})[k - (256 << 8 * s) - 1] = c * e
     return out
 
 
@@ -451,12 +444,13 @@ def substitute_vars(F: MPoly, mapping: dict) -> MPoly:
             powers[(v, e)] = _product(var_pow(v, e - 1), powers[(v, 1)], budget)
         return powers[(v, e)]
 
-    mapped = {k: [(v, e) for v, e in _decode(k) if v in mapping] for k in nums}
-    top = max(map(mono_degree, mapped.values()), default=0)
+    mask = sum(FIELD_MAX * _UNITS[v] for v in mapping if v in _UNITS)  # mapped fields
+    mapped = {k: [(_VARS[s], e) for s, e in _fields(k & mask)] for k in nums}
+    degree = {k: sum(e for _, e in fs) for k, fs in mapped.items()}
+    top = max(degree.values(), default=0)
     out: dict = {}
     for k, n in nums.items():
-        kept = k - sum(e * (_UNITS[v] + 1) for v, e in mapped[k])
-        cur = {kept: n * D ** (top - mono_degree(mapped[k]))}
+        cur = {k - (k & mask) - degree[k]: n * D ** (top - degree[k])}
         for v, e in mapped[k]:
             cur = _product(cur, var_pow(v, e), budget)
         for key, x in cur.items():
@@ -509,7 +503,7 @@ def shift_t_down(F: MPoly) -> MPoly:
 # Poisson bracket
 
 
-def _packed_neighbours(T: BracketTable) -> tuple:
+def _keyed_neighbours(T: BracketTable) -> tuple:
     """(D, u -> ((v, {unit(w) + 1: D * c}), ...)): T.scaled_neighbours with
     each [x_u, x_v] as a packed linear polynomial.
 
@@ -517,18 +511,18 @@ def _packed_neighbours(T: BracketTable) -> tuple:
     the scaled_neighbours it is made from, so it lives as long as T.  Equal
     entries share one (read-only) polynomial.
     """
-    packed = vars(T).get("packed_neighbours")
-    if packed is None:
+    keyed = vars(T).get("keyed_neighbours")
+    if keyed is None:
         D, index = T.scaled_neighbours
         lin: dict = {}
         for pairs in index.values():
             for _, ent in pairs:
                 if ent not in lin:
                     lin[ent] = {_unit(w) + 1: c for w, c in ent}
-        packed = vars(T)["packed_neighbours"] = (D, {
+        keyed = vars(T)["keyed_neighbours"] = (D, {
             u: tuple((v, lin[ent]) for v, ent in pairs) for u, pairs in index.items()
         })
-    return packed
+    return keyed
 
 
 def _int_images(partials: dict, index: dict, targets, budget: int) -> dict:
@@ -566,7 +560,7 @@ def hamiltonian_images(polys: Sequence, T: BracketTable) -> list:
     plus b * images under T2.  The images come from T's scaled neighbour
     index.
     """
-    D, index = _packed_neighbours(T)
+    D, index = _keyed_neighbours(T)
     budget = term_budget()
     out = []
     for F in polys:
@@ -591,7 +585,7 @@ def poisson_bracket(F: MPoly, G: MPoly, T: BracketTable) -> MPoly:
     dF, nf = _numerators(F)
     dG, ng = _numerators(G)
     pg = _partials(ng)
-    D, index = _packed_neighbours(T)
+    D, index = _keyed_neighbours(T)
     budget = term_budget()
     images = _int_images(_partials(nf), index, pg, budget)
     return _from_numerators(_contract(pg, _tops(pg), images, _tops(images), budget),
@@ -606,7 +600,7 @@ def pairwise_commute(polys: Sequence, T: BracketTable) -> bool:
     sum_v {F, x_v} * dG/dx_v, on integer numerators; the common
     denominators cannot make a sum vanish, so they are never applied.
     """
-    _, index = _packed_neighbours(T)
+    _, index = _keyed_neighbours(T)
     budget = term_budget()
     partials = [_partials(_numerators(F)[1]) for F in polys]
     tops = [_tops(pf) for pf in partials]
@@ -653,7 +647,7 @@ def annihilation_rows(polys: Sequence, tables: Sequence, targets=None):
         partials.append((d, _partials(nums)))
     cols = []  # (D_e * d_k, v -> {k: n}) per column (e, k)
     for T in tables:
-        D, index = _packed_neighbours(T)
+        D, index = _keyed_neighbours(T)
         for d, pf in partials:
             cols.append((D * d, _int_images(pf, index, targets, budget)))
     lcm = math.lcm(*(den for den, _ in cols))
@@ -699,8 +693,8 @@ def combiner(polys: Sequence) -> Callable:
 
 
 def differential_at(F: MPoly, point: dict, vars_order: Sequence) -> list:
-    partials = _partials(_packed(F.terms))
-    return [MPoly(_unpacked(partials.get(v, {}))).eval_at(point) for v in vars_order]
+    partials = _partials(F._terms)
+    return [_wrap(partials.get(v, {})).eval_at(point) for v in vars_order]
 
 
 def jacobian_at(polys: Sequence, point: dict, vars_order: Sequence) -> QMatrix:
@@ -727,10 +721,10 @@ def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
         entries = [(col[u], [(c, monos.setdefault(k, len(monos))) for k, c in part.items()])
                    for u, part in _partials(nums).items() if u in col]
         family.append((den, entries))
-    missing = {v for k in monos for v, _ in _decode(k)} - col.keys()
+    missing = _variables(monos) - col.keys()
     if missing:
         raise InputError(f"point misses variable {min(missing)}")
-    factors = [[(col[v], e) for v, e in _decode(k)] for k in monos]
+    factors = [[(col[_VARS[s]], e) for s, e in _fields(k)] for k in monos]
     width = len(col)
 
     def at(point: Sequence) -> QMatrix:
@@ -755,28 +749,40 @@ def jacobian_rank_at(polys: Sequence, point: dict, vars_order: Sequence) -> int:
 # spans
 
 
-def coeff_rows(polys: Sequence) -> tuple:
-    """Common monomial index and coefficient rows for a family of polys."""
-    monos = sorted({m for F in polys for m in F.terms}, key=mono_sort_key)
-    index = {m: k for k, m in enumerate(monos)}
+def _key_rows(polys: Sequence) -> tuple:
+    """(keys, rows): the family's packed keys in mono_sort_key order, and
+    each poly's coefficients on them as ints over one common denominator,
+    which keeps the span of the rows and the kernel of their transpose."""
+    cleared = [_numerators(F) for F in polys]
+    lcm = math.lcm(*(d for d, _ in cleared))
+    decoded = {k: _decode(k) for _, nums in cleared for k in nums}
+    keys = sorted(decoded, key=lambda k: (k & FIELD_MAX, decoded[k]))
+    index = {k: j for j, k in enumerate(keys)}
     rows = []
-    for F in polys:
-        row = [Fraction(0)] * len(monos)
-        for m, c in F.terms.items():
-            row[index[m]] = c
+    for d, nums in cleared:
+        row = [0] * len(keys)
+        for k, n in nums.items():
+            row[index[k]] = n * (lcm // d)
         rows.append(row)
-    return monos, rows
+    return keys, rows
+
+
+def coeff_rows(polys: Sequence) -> tuple:
+    """Common monomial index, in mono_sort_key order, and integer
+    coefficient rows, all over one common denominator."""
+    keys, rows = _key_rows(polys)
+    return [_decode(k) for k in keys], rows
+
+
+def disjoint_supports(polys: Sequence) -> bool:
+    """Whether the polys are nonzero and no two share a monomial, so that
+    every nonzero combination of them is nonzero."""
+    keys = [F._terms for F in polys]
+    return all(keys) and sum(map(len, keys)) == len(set().union(*keys))
 
 
 def span_dim(polys: Sequence) -> int:
-    polys = [F for F in polys if not F.is_zero()]
-    if not polys:
-        return 0
-    _, rows = coeff_rows(polys)
-    rs = RowSpace(len(rows[0]))
-    for r in rows:
-        rs.add(r)
-    return rs.dim
+    return len(independent_subset(polys))
 
 
 def echelon_basis(polys: Sequence) -> list:
@@ -785,21 +791,15 @@ def echelon_basis(polys: Sequence) -> list:
     The monomials are those of the span itself, so two families span the
     same space exactly when their echelon bases are equal.
     """
-    polys = [F for F in polys if not F.is_zero()]
-    if not polys:
-        return []
-    monos, rows = coeff_rows(polys)
+    keys, rows = _key_rows(polys)
     return [
-        MPoly({m: c for c, m in zip(vec, monos) if c})
-        for vec in row_space(rows, len(monos)).basis()
+        _wrap({k: c for c, k in zip(vec, keys) if c})
+        for vec in row_space(rows, len(keys)).basis()
     ]
 
 
 def independent_subset(polys: Sequence) -> list:
     """Greedy subfamily spanning the same space, in input order."""
-    nz = [F for F in polys if not F.is_zero()]
-    if not nz:
-        return []
-    monos, rows = coeff_rows(nz)
-    rs = RowSpace(len(monos))
-    return [F for F, row in zip(nz, rows) if rs.add(row)]
+    keys, rows = _key_rows(polys)
+    rs = RowSpace(len(keys))
+    return [F for F, row in zip(polys, rows) if rs.add(row)]

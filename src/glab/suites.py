@@ -590,7 +590,7 @@ def _suite_forms(params, seed):
         dec = ff_bracket_decomposition(q, C2, tuple(kvec))
         checks.append(CheckResult(
             f"bracket-decomposition[kvec={tuple(kvec)}]", dec.matches,
-            {"pieces": len(dec.terms)},
+            {"pieces": len(dec.pieces)},
         ))
     polys = [script_f(q, C2, (1, 1, 1), 0, j) for j in (1, 2)]
     dim = span_dim(polys)

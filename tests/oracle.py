@@ -7,7 +7,7 @@ import math
 import random
 from fractions import Fraction
 
-from glab.exactla import PRIME, QMatrix, rank
+from glab.exactla import PRIME, QMatrix, rank, rat_str
 from glab.psring import MPoly
 
 
@@ -193,6 +193,30 @@ def reference_rref(rows):
         pivots.append(c)
         r += 1
     return rows[:r], pivots
+
+
+def reference_monomials(polys):
+    """The monomials of the family, read from their tuples: graded, then
+    lexicographic on the sorted (variable, exponent) pairs."""
+    return sorted({m for F in polys for m in F.terms}, key=lambda m: (sum(e for _, e in m), m))
+
+
+def reference_repr(F):
+    """repr(F) from its tuples, the terms in reference_monomials order."""
+    bits = []
+    for m in reference_monomials([F]):
+        factors = "".join(f"(x{i}.t{a})" + (f"^{e}" if e > 1 else "") for (i, a), e in m)
+        c = rat_str(F.terms[m])
+        bits.append(f"{c}*{factors}" if factors else c)
+    return " + ".join(bits) or "0"
+
+
+def reference_echelon_basis(polys):
+    """The reduced row echelon basis of the span, by reference_rref of the
+    Fraction coefficient rows over reference_monomials."""
+    monos = reference_monomials(polys)
+    reduced, _ = reference_rref([[F.terms.get(m, 0) for m in monos] for F in polys])
+    return [MPoly({m: c for m, c in zip(monos, row) if c}) for row in reduced]
 
 
 def reference_nullspace(rows, ncols):

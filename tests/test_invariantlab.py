@@ -521,7 +521,7 @@ def test_ff_bracket_decomposition(sl2):
     assert dec.matches
     dec2 = ff_bracket_decomposition(sl2, C, (1, 2))
     assert dec2.matches
-    assert len(dec2.terms) >= 2
+    assert len(dec2.pieces) >= 2
 
 
 def test_balanced_slot_line(sl2):

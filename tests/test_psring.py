@@ -45,13 +45,18 @@ from glab.psring import (
 
 from glab.invariantlab import centralizer_in_span
 
+from glab import psring
+
 from oracle import (
     reference_bracket,
     reference_derivation,
     reference_diff,
+    reference_echelon_basis,
+    reference_monomials,
     reference_mul,
     reference_nullspace,
     reference_psi,
+    reference_repr,
     reference_substitute,
 )
 
@@ -87,6 +92,10 @@ def test_mpoly_basics():
     assert x.eval_at({(0, 0): Fraction(5)}) == 5
     with pytest.raises(InputError):
         x.eval_at({})
+    # looking up a variable no polynomial holds gives 0 and takes no slot
+    slots = len(psring._VARS)
+    assert x.coeff((((0, 0), 1), ((10 ** 6, 0), 1))) == 0
+    assert len(psring._VARS) == slots
 
 
 @given(mpolys(), mpolys(), mpolys())
@@ -583,6 +592,34 @@ def test_echelon_basis_is_canonical_for_the_span(A, combos, G):
     assert echelon_basis(extra + A[::-1]) == base
     outside = span_dim(A + [G]) > span_dim(A)
     assert (echelon_basis(A + [G]) != base) == outside
+
+
+# variables first used in reverse of their sort order, so the order of
+# their packed slots is the reverse of mono_sort_key order
+REVERSED_VARS = [(900 + i, 7) for i in range(6)]
+for _v in reversed(REVERSED_VARS):
+    MPoly.variable(_v)
+
+
+@given(st.lists(st.dictionaries(
+    st.lists(st.tuples(st.sampled_from(REVERSED_VARS + VARS[:2]), st.integers(1, 3)),
+             max_size=3).map(lambda pairs: tuple(sorted(dict(pairs).items()))),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=4),
+    min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_decoded_monomials_keep_tuple_order(dicts):
+    polys = [MPoly(d) for d in dicts]
+    for d, F in zip(dicts, polys):
+        assert F.terms == {m: c for m, c in d.items() if c}
+        assert repr(F) == reference_repr(F)
+    monos, rows = coeff_rows(polys)
+    assert monos == reference_monomials(polys)
+    # one common scale for every row
+    want = [[F.terms.get(m, 0) for m in monos] for F in polys]
+    scale = next((Fraction(r, w) for rr, ww in zip(rows, want)
+                  for r, w in zip(rr, ww) if w), 1)
+    assert rows == [[w * scale for w in ww] for ww in want]
+    assert echelon_basis(polys) == reference_echelon_basis(polys)
 
 
 def test_coeff_rows_alignment():
