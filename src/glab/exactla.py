@@ -10,11 +10,14 @@ reversed, and a fraction-free back-substitution per free column, which
 yields its reduced row echelon basis: a canonical basis, reproducible byte
 for byte.
 
-``rank_mod_p`` is the one routine that does not stay exact: it ranks the
+``rank_packed_mod_p`` is the one routine that does not stay exact: it ranks
 integer rows over GF(PRIME), which can only under-count, so a sampled rank
-can be steered by it and certified by one exact ``rank`` at the end.  It
-packs each row into one int, so that a row operation is one bigint
-multiply-add.
+can be steered by it and certified by one exact ``rank`` at the end.  Each
+row is one int of wide bit fields, one per column, so that a row operation
+is one bigint multiply-add.  ``rank_mod_p`` packs the cleared rows of a
+QMatrix into it; a caller that can form its rows packed, as the sampled
+structure matrices of liecore are formed from per-coordinate packed rows,
+feeds them to it directly.
 
 The term budget (GLAB_BUDGET_TERMS) is read here, at the bottom of the
 package, so every layer that allocates by an input size can refuse it.
@@ -210,38 +213,41 @@ def _fold_count(width: int) -> int:
     return folds
 
 
-def rank_mod_p(m: QMatrix) -> int:
-    """Rank over GF(PRIME) of m with each row cleared to integers.
+def packed_width(ncols: int) -> int:
+    """Bits per field of a packed GF(PRIME) row of ncols columns: room for
+    the ncols steps of rank_packed_mod_p on fields below ncols * PRIME^2."""
+    return 2 * _PBITS + ncols.bit_length() + 2
 
-    A minor that vanishes over the integers vanishes mod PRIME, and row
-    scaling keeps the rank over Q, so the result is never above rank(m).
-    It is below it only when PRIME divides every nonzero minor of size
-    rank(m) of the cleared rows.
 
-    Each row, reduced mod PRIME, is packed into one int of W-bit fields,
-    column c at bits [W*c, W*(c+1)), so a row operation is one bigint
-    multiply-add rather than a loop over entries.  Every step drops the
-    lowest field of each row, so the field read is always the column being
-    cleared.  The pivot row's fields are folded below 2^(b+1), b = 31, all
-    at once with masks (PRIME = 2^b - 1, so x = (x >> b) + (x & PRIME) mod
-    PRIME); each other row R becomes (R >> W) + g * P, g = -f / lead mod
-    PRIME for its entry f in the cleared column.  Fields are never reduced
-    again, but each step adds less than 2^(2b+1) to them and they stay
-    nonnegative, so with W = 2b + ncols.bit_length() + 2 no field carries
-    into the next for all ncols steps.
+def pack_mod_p(entries: Iterable, width: int) -> int:
+    """One packed row: x mod PRIME in the field of column c, at bits
+    [width*c, width*(c+1)), for each (c, x) in entries."""
+    return sum([(x % PRIME) << (width * c) for c, x in entries if x])
+
+
+def rank_packed_mod_p(rows: list, ncols: int) -> int:
+    """Rank over GF(PRIME) of packed rows, each an int of W-bit fields,
+    W = packed_width(ncols), column c at bits [W*c, W*(c+1)), with every
+    field nonnegative and below ncols * PRIME^2.
+
+    A row operation is one bigint multiply-add rather than a loop over
+    entries.  Every step drops the lowest field of each row, so the field
+    read is always the column being cleared.  The pivot row's fields are
+    folded below 2^(b+1), b = 31, all at once with masks (PRIME = 2^b - 1,
+    so x = (x >> b) + (x & PRIME) mod PRIME); each other row R becomes
+    (R >> W) + g * P, g = -f / lead mod PRIME for its entry f in the cleared
+    column.  Fields are never reduced again, but each step adds less than
+    2^(2b+1) to them and they stay nonnegative, so after all ncols steps
+    they are below 3 * ncols * 2^(2b) < 2^W, and no field carries into the
+    next.
     """
-    p, ncols = PRIME, m.cols
-    width = 2 * _PBITS + ncols.bit_length() + 2
-    shifts = range(0, width * ncols, width)
-    rows = []
-    for r in _int_rows(m):
-        x = sum([(v % p) << s for v, s in zip(r, shifts) if v])
-        if x:
-            rows.append(x)
+    p = PRIME
+    width = packed_width(ncols)
     field = (1 << width) - 1
-    units = sum(1 << s for s in shifts)
+    units = sum(1 << s for s in range(0, width * ncols, width))
     low, high = units * p, units * ((1 << (width - _PBITS)) - 1)
     folds = _fold_count(width)
+    rows = [r for r in rows if r]
     found = 0
     for _ in range(ncols):
         if not rows:
@@ -268,6 +274,20 @@ def rank_mod_p(m: QMatrix) -> int:
         rows = out
         found += 1
     return found
+
+
+def rank_mod_p(m: QMatrix) -> int:
+    """Rank over GF(PRIME) of m with each row cleared to integers.
+
+    A minor that vanishes over the integers vanishes mod PRIME, and row
+    scaling keeps the rank over Q, so the result is never above rank(m).
+    It is below it only when PRIME divides every nonzero minor of size
+    rank(m) of the cleared rows.  Each cleared row is reduced mod PRIME and
+    packed into one int (pack_mod_p), then ranked by rank_packed_mod_p.
+    """
+    width = packed_width(m.cols)
+    return rank_packed_mod_p([pack_mod_p(enumerate(r), width) for r in _int_rows(m)],
+                             m.cols)
 
 
 def det(m: QMatrix) -> Fraction:

@@ -19,11 +19,14 @@ from typing import Iterable, Sequence
 
 from .exactla import (
     BudgetError,
+    PRIME,
     InputError,
     QMatrix,
     RowSpace,
+    pack_mod_p,
+    packed_width,
     rank,
-    rank_mod_p,
+    rank_packed_mod_p,
     rat,
     rat_str,
     term_budget,
@@ -354,6 +357,24 @@ class LieAlgebra:
                 raise InputError("structure constants must use i < j")
             out[(i, j)] = tuple(entries)
         return out
+
+    @cached_property
+    def _int_brackets(self) -> tuple:
+        """(D, ((i, j, ((k, n), ...)), ...)): every nonzero [x_i, x_j],
+        i != j, in (i, j) order, with coefficients n / D on integers, D the
+        lcm of the sc denominators; entries merged by k, in ascending k."""
+        den = math.lcm(*(c.denominator for _, _, ent in self.sc for _, c in ent))
+        out = []
+        for i in range(self.dim):
+            for j in range(self.dim):
+                acc = {}
+                for k, c in self.bracket(i, j):
+                    acc[k] = acc.get(k, 0) + c
+                ent = tuple((k, c.numerator * (den // c.denominator))
+                            for k, c in sorted(acc.items()) if c)
+                if ent:
+                    out.append((i, j, ent))
+        return den, tuple(out)
 
     def bracket(self, i: int, j: int) -> tuple:
         """[x_i, x_j] as ((k, coef), ...)."""
@@ -738,10 +759,11 @@ class BracketTable:
         the nonzero pairs, both orders, on one common denominator.
 
         D is the lcm of the entry denominators, so every scaled entry is an
-        integer and [x_u, x_v] = sum_w (D * c) / D * x_w.  Built on first
-        use, so tables that are only merged into pencils do not pay for it,
-        and read by poisson_bracket, structure_matrix_at and
-        check_table_jacobi, so one integer index serves all three.
+        integer and [x_u, x_v] = sum_w (D * c) / D * x_w.  make_quotient
+        fills it in as it builds the table; any other table builds it on
+        first use, so tables that are only merged into pencils do not pay
+        for it.  Read by poisson_bracket, index_report, structure_matrix_at
+        and check_table_jacobi, so one integer index serves all of them.
         """
         den = 1
         for ent in self.table.values():
@@ -778,36 +800,53 @@ class BracketTable:
 
 
 def make_quotient(q: LieAlgebra, p: UniPoly) -> BracketTable:
-    """Bracket of q[t]/(p) on the basis x_i * t^a, 0 <= a < deg p."""
+    """Bracket of q[t]/(p) on the basis x_i * t^a, 0 <= a < deg p.
+
+    [x_i t^a, x_j t^b] = [x_i, x_j] * (t^(a+b) mod p), formed on integers:
+    the numerators of q's nonzero brackets (LieAlgebra._int_brackets) times
+    those of the remainders, over the product M of their denominators.  With
+    g the gcd of M and every such product, D = M / g is the lcm of the
+    reduced entry denominators, so the products divided by g are the scaled
+    index that scaled_neighbours would build from the table; both are
+    filled in one pass, and each distinct entry becomes one Fraction.
+    """
     if p.is_zero() or not p.is_monic() or p.degree < 1:
         raise InputError("modulus must be monic of degree >= 1")
     n = p.degree
-    dim = q.dim
     rems = []
     cur = UniPoly.one()
     for _ in range(2 * n - 1):
         rems.append(cur.mod(p))
         cur = cur * UniPoly.t()
-    table = {}
+    den_p = math.lcm(*(c.denominator for r in rems for c in r.coeffs))
+    rem_nums = [[(d, c.numerator * (den_p // c.denominator)) for d, c in enumerate(r.coeffs) if c]
+                for r in rems]
+    den_q, brackets = q._int_brackets
+    M = den_q * den_p
+    g = math.gcd(M, math.gcd(*(c for _, _, ent in brackets for _, c in ent))
+                 * math.gcd(*(c for r in rem_nums for _, c in r)))
+    D = M // g
+    fracs, table, index = {}, {}, {}
     for a in range(n):
         for b in range(a, n):
-            rem = rems[a + b]
-            if rem.is_zero():
+            rem = rem_nums[a + b]
+            if not rem:
                 continue
-            for i in range(dim):
-                lo = i + 1 if a == b else 0
-                for j in range(lo, dim):
-                    base_ent = q.bracket(i, j)
-                    if not base_ent:
-                        continue
-                    u, v = (i, a), (j, b)
-                    acc = {}
-                    for k, c in base_ent:
-                        for deg, coef in enumerate(rem.coeffs):
-                            if coef:
-                                acc[(k, deg)] = acc.get((k, deg), 0) + c * coef
-                    table[(u, v)] = tuple(acc.items())
-    return BracketTable(q, n, table, p=p, kind="quotient")
+            for i, j, ent in brackets:
+                if a == b and i > j:
+                    continue
+                u, v = (i, a), (j, b)
+                scaled = tuple(((k, d), c * r // g) for k, c in ent for d, r in rem)
+                for _, x in scaled:
+                    if x not in fracs:
+                        fracs[x] = Fraction(x, D)
+                table[(u, v)] = tuple((w, fracs[x]) for w, x in scaled)
+                index.setdefault(u, []).append((v, scaled))
+                index.setdefault(v, []).append((u, tuple((w, -x) for w, x in scaled)))
+    T = BracketTable(q, n, {}, p=p, kind="quotient")
+    T.table = table  # already canonical: entries nonzero, in ascending w
+    vars(T)["scaled_neighbours"] = (D, {u: tuple(pairs) for u, pairs in index.items()})
+    return T
 
 
 def wrap_algebra(q: LieAlgebra) -> BracketTable:
@@ -992,7 +1031,9 @@ def structure_matrix_at(T: BracketTable, point: dict) -> QMatrix:
 
     Entry (u, v) is the point evaluated on [x_u, x_v], summed on integers
     from T.scaled_neighbours and the point times its lcm denominator L: an
-    int when D * L == 1, as at every sampled point, else over D * L.
+    int when D * L == 1, else over D * L.  index_report ranks its samples
+    without it (see _structure_ranks_mod_p) and builds it only at the
+    witness, for the exact rank.
     """
     D, index = T.scaled_neighbours
     L = math.lcm(*(x.denominator for x in point.values()))
@@ -1007,80 +1048,129 @@ def structure_matrix_at(T: BracketTable, point: dict) -> QMatrix:
     return QMatrix(N, N, tuple(ent))
 
 
-def sampled_max_rank(matrix_at, nvars: int, seed: int = 0, samples: int = 4,
-                     bound: int = 1000):
-    """Generic rank of matrix_at(point), sampled at random integer points.
+def _structure_ranks_mod_p(T: BracketTable):
+    """point -> rank_mod_p(structure_matrix_at(T, point)) at an integer
+    point, a tuple in T.var_list() order, without building the matrix.
 
-    matrix_at takes a tuple of nvars ints and returns a QMatrix.  Two
-    batches of samples points, coordinates drawn from [-bound, bound], are
-    ranked; on disagreement the bound doubles and both batches rerun, up to
-    five rounds in all.  Returns (rank, witness, bound, rounds), the witness
-    a tuple of Fraction.
+    The matrix is linear in the point.  With K[u][w] the packed row
+    (exactla.pack_mod_p) of the scaled coefficients D * c^w_uv over the
+    columns v, sum_w (x_w mod PRIME) * K[u][w] is D times row u mod PRIME,
+    with every field below N * PRIME^2 as rank_packed_mod_p needs.
+    rank_mod_p clears row u by D / gcd(D, row), a unit mod PRIME unless
+    PRIME divides both D and the whole row; such a row vanishes mod PRIME
+    here but maybe not once cleared, so it is formed exactly and cleared as
+    rank_mod_p clears it.  The K rows are made once per call, equal ones
+    stored once (gl4 t^4-t: 180 distinct of 1,404), and not kept on T.
+    """
+    D, index = T.scaled_neighbours
+    N, p, flat = T.dim_total, PRIME, T.flat
+    width = packed_width(N)
+    rows, shared = [], {}
+    for pairs in index.values():
+        K: dict = {}
+        for v, scaled in pairs:
+            shift = width * flat(v)
+            for w, c in scaled:
+                j = flat(w)
+                K[j] = K.get(j, 0) + (c % p << shift)
+        rows.append((pairs, tuple((j, shared.setdefault(k, k)) for j, k in K.items())))
+    exact = D % p == 0
 
-    Samples are ranked over GF(exactla.PRIME), which never over-counts.
-    The witness is the first sample of highest rank mod p, and the returned
-    rank is its exact rank (not recomputed when the rank mod p is already
-    min(rows, cols)), so it is never above the generic rank r.  A sample
-    falls short of r with probability at most deg/(2*bound + 1), deg the
-    degree in the point of a nonzero r x r minor (Schwartz-Zippel holds
-    over GF(p) as over Q); the one other cause is a PRIME dividing every
-    generic r x r minor, a property of the input.  Witness, bound and
-    rounds are those exact ranks would give unless, at some sample, PRIME
-    divides every minor the size of its rank.
+    def rank_at(point):
+        xs = [x % p for x in point]
+        packed = []
+        for pairs, K in rows:
+            r = sum([xs[j] * k for j, k in K])
+            if exact:
+                vals = [(flat(v), sum([c * point[flat(w)] for w, c in scaled]))
+                        for v, scaled in pairs]
+                g = math.gcd(D, *(x for _, x in vals))
+                if g % p == 0:
+                    r = pack_mod_p([(j, x // g) for j, x in vals], width)
+            packed.append(r)
+        return rank_packed_mod_p(packed, N)
+
+    return rank_at
+
+
+def sampled_max_rank(rank_at, nvars: int, full: int, exact_rank_at, seed: int = 0,
+                     samples: int = 4, bound: int = 1000):
+    """Generic rank of a matrix M(point), sampled at random integer points.
+
+    rank_at takes a tuple of nvars ints and returns the rank over
+    GF(exactla.PRIME) of M(point) with each row cleared to integers, as
+    exactla.rank_mod_p gives it; exact_rank_at returns the rank of M(point)
+    over Q, and full is min(rows, cols) of M.  Two batches of samples
+    points, coordinates drawn from [-bound, bound], are ranked; on
+    disagreement the bound doubles and both batches rerun, up to five
+    rounds in all.  Returns (rank, witness, bound, rounds), the witness a
+    tuple of Fraction and bound the last one sampled.
+
+    A rank mod p never over-counts.  The witness is the first sample of
+    highest rank mod p, and the returned rank is its exact rank (not
+    recomputed when the rank mod p is already full), so it is never above
+    the generic rank r.  A sample falls short of r with probability at most
+    deg/(2*bound + 1), deg the degree in the point of a nonzero r x r minor
+    (Schwartz-Zippel holds over GF(p) as over Q); the one other cause is a
+    PRIME dividing every generic r x r minor, a property of the input.
+    Witness, bound and rounds are those exact ranks would give unless, at
+    some sample, PRIME divides every minor the size of its rank.
     """
     rng = random.Random(seed)
-    best = (-1, None, None)
+    best = (-1, None)
     for rounds in range(1, 6):
         batch_ranks = []
         for _ in range(2):
-            best_in_batch = (-1, None, None)
+            best_in_batch = (-1, None)
             for _ in range(samples):
                 pt = tuple(rng.randint(-bound, bound) for _ in range(nvars))
-                m = matrix_at(pt)
-                r = rank_mod_p(m)
+                r = rank_at(pt)
                 if r > best_in_batch[0]:
-                    best_in_batch = (r, pt, m)
+                    best_in_batch = (r, pt)
             batch_ranks.append(best_in_batch)
         b1, b2 = batch_ranks
         top = max(b1, b2, key=lambda x: x[0])
         if top[0] > best[0]:
             best = top
-        if b1[0] == b2[0]:
+        if b1[0] == b2[0] or rounds == 5:
             break
         bound *= 2
-    r, pt, m = best
-    if r < min(m.rows, m.cols):
-        r = rank(m)
+    r, pt = best
+    if r < full:
+        r = exact_rank_at(pt)
     return r, tuple(Fraction(x) for x in pt), bound, rounds
 
 
 def index_report(T, seed: int = 0, samples: int = 4, bound: int = 1000) -> IndexReport:
     """Index of the bracket as corank of the sampled structure matrix.
 
-    The samples are ranked over GF(exactla.PRIME) and the reported rank is
-    exact at the witness (see sampled_max_rank), so it is never above the
-    generic rank r.  The structure matrix is linear in the point, so a
-    sample falls short of r with probability at most r/(2*bound + 1); the
-    one other cause is a PRIME dividing every generic r x r minor, which is
-    a property of the table.
+    The samples are ranked over GF(exactla.PRIME) straight from packed rows
+    (_structure_ranks_mod_p); structure_matrix_at runs once, at the witness,
+    for its exact rank (see sampled_max_rank), and not at all when the
+    witness is of full rank mod p.  The rank is exact at the witness, so it
+    is never above the generic rank r.  The structure matrix is linear in
+    the point, so a sample falls short of r with probability at most
+    r/(2*bound + 1); the one other cause is a PRIME dividing every generic
+    r x r minor, which is a property of the table.
     """
     if isinstance(T, LieAlgebra):
         T = wrap_algebra(T)
     vs = T.var_list()
+    N = T.dim_total
 
-    def matrix(flat_point):
-        return structure_matrix_at(T, dict(zip(vs, flat_point)))
+    def exact_rank(flat_point):
+        return rank(structure_matrix_at(T, dict(zip(vs, flat_point))))
 
     r, witness, used_bound, rounds = sampled_max_rank(
-        matrix, T.dim_total, seed=seed, samples=samples, bound=bound
+        _structure_ranks_mod_p(T), N, N, exact_rank, seed=seed, samples=samples,
+        bound=bound
     )
     return IndexReport(
-        dim=T.dim_total,
+        dim=N,
         rank=r,
-        index=T.dim_total - r,
+        index=N - r,
         bound=used_bound,
         rounds=rounds,
         seed=seed,
         witness=witness,
     )
-

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exactla import InputError, RowSpace, rat, rat_str, row_space
+from .exactla import InputError, RowSpace, rank, rank_mod_p, rat, rat_str, row_space
 from .liecore import (
     LieAlgebra,
     UniPoly,
@@ -283,8 +283,10 @@ def trdeg_estimate(polys: Sequence, var_list: Sequence, seed: int = 0,
     """
     polys = [F for F in polys if not F.is_zero()]
     var_list = list(var_list)
+    jacobian = cleared_jacobian(polys, var_list)
     r, witness, used_bound, rounds = sampled_max_rank(
-        cleared_jacobian(polys, var_list), len(var_list), seed=seed,
+        lambda pt: rank_mod_p(jacobian(pt)), len(var_list),
+        min(len(polys), len(var_list)), lambda pt: rank(jacobian(pt)), seed=seed,
         samples=samples, bound=bound
     )
     return TrdegReport(rank=r, bound=used_bound, rounds=rounds, seed=seed,

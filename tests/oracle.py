@@ -7,7 +7,8 @@ import math
 import random
 from fractions import Fraction
 
-from glab.exactla import PRIME, QMatrix, rank, rat_str
+from glab.exactla import PRIME, InputError, QMatrix, rank, rat_str
+from glab.liecore import BracketTable, UniPoly
 from glab.psring import MPoly
 
 
@@ -130,6 +131,44 @@ def reference_bracket(F, G, T):
             continue
         acc = acc + reference_mul(diff, MPoly.from_entries(ent))
     return acc
+
+
+def reference_quotient(q, p):
+    """The bracket of q[t]/(p) on x_i * t^a, 0 <= a < deg p, in Fraction.
+
+    Every pair (i, j) of basis indices is bracketed through q.bracket for
+    each pair of levels a <= b, and [x_i, x_j] * (t^(a+b) mod p) is summed
+    one product of coefficients at a time.
+    """
+    if p.is_zero() or not p.is_monic() or p.degree < 1:
+        raise InputError("modulus must be monic of degree >= 1")
+    n = p.degree
+    dim = q.dim
+    rems = []
+    cur = UniPoly.one()
+    for _ in range(2 * n - 1):
+        rems.append(cur.mod(p))
+        cur = cur * UniPoly.t()
+    table = {}
+    for a in range(n):
+        for b in range(a, n):
+            rem = rems[a + b]
+            if rem.is_zero():
+                continue
+            for i in range(dim):
+                lo = i + 1 if a == b else 0
+                for j in range(lo, dim):
+                    base_ent = q.bracket(i, j)
+                    if not base_ent:
+                        continue
+                    u, v = (i, a), (j, b)
+                    acc = {}
+                    for k, c in base_ent:
+                        for deg, coef in enumerate(rem.coeffs):
+                            if coef:
+                                acc[(k, deg)] = acc.get((k, deg), 0) + c * coef
+                    table[(u, v)] = tuple(acc.items())
+    return BracketTable(q, n, table, p=p, kind="quotient")
 
 
 def reference_structure_matrix(T, point):
@@ -276,7 +315,8 @@ def reference_sampled_max_rank(matrix_at, nvars, seed=0, samples=4, bound=1000,
 
     Points are tuples of Fraction drawn in the same order; the first sample
     of highest rank in each batch is kept, and the bound doubles while the
-    two batches disagree.  Returns (rank, witness, bound, rounds).
+    two batches disagree, up to max_rounds rounds.  Returns (rank, witness,
+    bound, rounds), bound the last one sampled.
     """
     rng = random.Random(seed)
     best = (-1, None)
@@ -295,7 +335,7 @@ def reference_sampled_max_rank(matrix_at, nvars, seed=0, samples=4, bound=1000,
         top = max(b1, b2, key=lambda x: x[0])
         if top[0] > best[0]:
             best = top
-        if b1[0] == b2[0]:
-            return best[0], best[1], bound, rounds
+        if b1[0] == b2[0] or rounds == max_rounds:
+            break
         bound *= 2
     return best[0], best[1], bound, rounds

@@ -17,8 +17,10 @@ from glab.exactla import (
     mat_inv,
     mat_mul,
     nullspace,
+    packed_width,
     rank,
     rank_mod_p,
+    rank_packed_mod_p,
     rat,
     rat_str,
     row_space,
@@ -380,6 +382,19 @@ def test_packed_rank_mod_p_at_field_boundaries(n):
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 31, 32, 63, 64, 65, 127, 128))
+def test_packed_rank_takes_unreduced_fields_up_to_ncols_prime_squared(n):
+    # a sampled structure row is a sum of up to n products of residues, so
+    # its fields reach n * PRIME^2 unreduced: lift every residue to the
+    # largest field value below that bound with the same residue
+    width = packed_width(n)
+    top = n * PRIME * PRIME - 1
+    for name, rows in _packed_boundary_cases(n).items():
+        packed = [sum((e + PRIME * ((top - e) // PRIME)) << (width * c)
+                      for c, e in enumerate(x % PRIME for x in r)) for r in rows]
+        assert rank_packed_mod_p(packed, n) == reference_rank_mod_p(QMatrix.from_rows(rows)), name
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 31, 32, 63, 64, 65, 127, 128))
 def test_packed_rank_mod_p_at_field_boundaries_agrees_with_sympy(n):
     for name, rows in _packed_boundary_cases(n).items():
         if n > 65 and name == "full rank, random residues":
@@ -416,17 +431,43 @@ def test_sampled_max_rank_is_exact_at_the_witness(a):
     # every sample is p * A, so every mod-p rank is 0 and only the exact
     # rank of the witness's matrix can report rank(A)
     pa = QMatrix(a.rows, a.cols, tuple(PRIME * x for x in a.entries))
-    points = []
+    points, exact_points = [], []
 
-    def matrix_at(point):
+    def rank_at(point):
         points.append(point)
-        return pa
+        return rank_mod_p(pa)
+
+    def exact_rank_at(point):
+        exact_points.append(point)
+        return rank(pa)
 
     assert rank_mod_p(pa) == 0
-    r, witness, bound, rounds = sampled_max_rank(matrix_at, 3, seed=5)
+    r, witness, bound, rounds = sampled_max_rank(rank_at, 3, min(a.rows, a.cols),
+                                                 exact_rank_at, seed=5)
     assert r == rank(a)
     assert witness == tuple(Fraction(x) for x in points[0])
+    assert exact_points == points[:1]
     assert (bound, rounds, len(points)) == (1000, 1, 8)
+
+
+def test_sampled_max_rank_reports_the_last_bound_it_sampled():
+    # the second batch of every round ranks higher than the first, so all
+    # five rounds disagree; the bound doubles between rounds, not after
+    points, exact_points = [], []
+
+    def rank_at(point):
+        points.append(point)
+        return (len(points) - 1) // 4 % 2
+
+    def exact_rank_at(point):
+        exact_points.append(point)
+        return 1
+
+    r, witness, bound, rounds = sampled_max_rank(rank_at, 2, 2, exact_rank_at, seed=3)
+    assert (len(points), rounds, bound, r) == (40, 5, 16000, 1)
+    assert max(abs(x) for x in points[-1]) <= 16000
+    assert witness == tuple(Fraction(x) for x in points[4])
+    assert exact_points == [points[4]]
 
 
 @pytest.mark.parametrize("qname, ptxt, digest", [

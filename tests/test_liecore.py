@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from glab.exactla import BudgetError, InputError, rref
+from glab import liecore
+from glab.exactla import PRIME, BudgetError, InputError, rank_mod_p, rref
 from glab.liecore import (
     BracketTable,
+    LieAlgebra,
     UniPoly,
     algebra_from_json,
     algebra_to_json,
@@ -32,12 +34,18 @@ from glab.liecore import (
     pencil_combination,
     poly_egcd,
     rational_roots,
+    _structure_ranks_mod_p,
     structure_matrix_at,
     wrap_algebra,
 )
 from glab.psring import MPoly, substitute_levels
 from glab.invariantlab import _slot_gram, basic_invariants
-from oracle import reference_jacobi, reference_sampled_max_rank, reference_structure_matrix
+from oracle import (
+    reference_jacobi,
+    reference_quotient,
+    reference_sampled_max_rank,
+    reference_structure_matrix,
+)
 
 small_coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=4),
@@ -332,6 +340,43 @@ def test_quotient_table_sl2_t2():
     assert check_table_jacobi(T) is None
 
 
+def _indexed(T):
+    """T's table and scaled index as ordered lists, so order is compared."""
+    D, index = T.scaled_neighbours
+    return list(T.table.items()), D, list(index.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["sl2", "sl3", "gl2", "abelian:2", "takiff:sl2:2", "sum:sl2,abelian:1"]),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+@example("sl2", [Fraction(1, 3), Fraction(1, 2)], Fraction(0), Fraction(1), Fraction(1, 7))
+def test_integer_quotient_table_matches_the_fraction_reference(qname, low, c0, c1, a):
+    # p monic of degree 1-4 with small rational coefficients, so that D > 1
+    # occurs; p2 = p + c1 t + c0, monic too, is the second end of a
+    # difference bracket
+    q = builtin_algebra(qname)
+    p = UniPoly.make(low + [1])
+    p2 = p + UniPoly.make([c0, c1 if p.degree > 1 else 0])
+    T, R = make_quotient(q, p), reference_quotient(q, p)
+    assert _indexed(T) == _indexed(R)
+    assert (T.n, T.p, T.kind) == (R.n, R.p, R.kind)
+    T2, R2 = make_quotient(q, p2), reference_quotient(q, p2)
+    assert _indexed(T2) == _indexed(R2)
+    assert _indexed(pencil_combination(T, T2, a, 1 - a)) == _indexed(
+        pencil_combination(R, R2, a, 1 - a))
+    want = pencil_combination(R, R2, 1, -1)
+    if check_table_jacobi(want) is None:
+        assert _indexed(make_difference_bracket(q, p, p2)) == _indexed(want)
+    else:
+        with pytest.raises(InputError):
+            make_difference_bracket(q, p, p2)
+
+
 def test_quotient_reduction_wraps():
     sl2 = builtin_algebra("sl2")
     T = make_quotient(sl2, parse_poly("t^2-1"))
@@ -477,6 +522,8 @@ ORACLE_TABLES = {
     "abelian:3": lambda: wrap_algebra(builtin_algebra("abelian:3")),
     "takiff:sl2:2": lambda: wrap_algebra(builtin_algebra("takiff:sl2:2")),
     "sl3 member a=7919/1009": lambda: _member("sl3", "t^2", "t^2+t", Fraction(7919, 1009)),
+    # PRIME divides D: rows that vanish mod PRIME need not once cleared
+    "sl3 member a=1/PRIME": lambda: _member("sl3", "t^2", "t^2+t", Fraction(1, PRIME)),
 }
 
 
@@ -495,6 +542,49 @@ def test_index_report_matches_the_exact_sampling_oracle(case):
         assert got == reference_sampled_max_rank(matrix, T.dim_total, seed=seed)
     if case == "abelian:3":
         assert rep.rank == 0
+
+
+@pytest.mark.parametrize("case", list(ORACLE_TABLES))
+def test_packed_sample_ranks_match_rank_mod_p_of_the_structure_matrix(case):
+    T = ORACLE_TABLES[case]()
+    vs = T.var_list()
+    rank_at = _structure_ranks_mod_p(T)
+    rng = random.Random(case)
+    points = [tuple(rng.randint(-bound, bound) for _ in vs)
+              for bound in (1000, 1000, PRIME, 2**70)]
+    # every coordinate a multiple of PRIME, so every row vanishes mod PRIME
+    points.append(tuple(PRIME * rng.randint(-3, 3) for _ in vs))
+    points.append(tuple(PRIME * rng.randint(-3, 3) + (k == 0) for k in range(len(vs))))
+    for pt in points:
+        assert rank_at(pt) == rank_mod_p(structure_matrix_at(T, dict(zip(vs, pt))))
+
+
+def _counted_structure_matrices(monkeypatch):
+    calls = []
+
+    def counted(T, point):
+        calls.append(point)
+        return structure_matrix_at(T, point)
+
+    monkeypatch.setattr(liecore, "structure_matrix_at", counted)
+    return calls
+
+
+def test_index_report_builds_the_structure_matrix_only_at_the_witness(monkeypatch):
+    T = make_quotient(builtin_algebra("gl4"), parse_poly("t^4-t"))
+    calls = _counted_structure_matrices(monkeypatch)
+    rep = index_report(T, seed=0)
+    assert calls == [dict(zip(T.var_list(), rep.witness))]
+    assert rep.index == 16
+
+
+def test_index_report_builds_no_structure_matrix_at_full_rank(monkeypatch):
+    # the 2-dimensional Frobenius algebra [x, y] = y has index 0
+    aff = LieAlgebra("aff1", ("x", "y"), ((0, 1, ((1, Fraction(1)),)),))
+    calls = _counted_structure_matrices(monkeypatch)
+    for T in (wrap_algebra(aff), make_quotient(aff, parse_poly("t^2+1"))):
+        assert index_report(T, seed=0).index == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", list(ORACLE_TABLES))

@@ -352,8 +352,12 @@ def test_combiner_matches_scaled_sums(family, data):
 
 
 def test_neighbour_index_is_built_on_first_bracket():
+    # a quotient table gets its index from make_quotient; a table merged
+    # from two builds it on first use
     sl2 = builtin_algebra("sl2")
-    T = make_quotient(sl2, parse_poly("t^2"))
+    Q = make_quotient(sl2, parse_poly("t^2"))
+    assert "scaled_neighbours" in vars(Q)
+    T = pencil_combination(Q, Q, 1, 1)
     pencil_combination(T, T, 1, 1)
     assert "scaled_neighbours" not in vars(T)
     poisson_bracket(MPoly.variable((0, 0)), MPoly.variable((2, 1)), T)
