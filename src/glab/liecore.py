@@ -2,10 +2,11 @@
 
 The basic objects are a finite dimensional Lie algebra with a chosen basis
 (structure constants over Fraction, optionally an invariant symmetric form)
-and bracket tables on bases of the form x_i * t^a.  Quotients by a monic
-polynomial p give the truncated current algebras; differences and linear
-combinations of two such brackets are built on top of the same table
-representation.
+and bracket tables on bases of the form x_i * t^a.  A table stores one
+integer neighbour index over a canonical common denominator, and every
+constructor builds it on integers: quotients by a monic polynomial p (the
+truncated current algebras), direct powers, and linear combinations of two
+tables, the difference bracket among them.
 """
 from __future__ import annotations
 
@@ -719,25 +720,32 @@ Var = tuple  # (base index, t degree)
 class BracketTable:
     """Sparse bracket on variables (i, a) representing x_i * t^a.
 
-    table maps (u, v) with flat(u) < flat(v) to ((w, coef), ...); all other
-    pairs follow by antisymmetry.  p records the modulus when the table is a
-    genuine quotient bracket.
+    pairs maps (u, v) with flat(u) < flat(v) to ((w, n), ...) on integers,
+    [x_u, x_v] = sum_w n / den * x_w; all other pairs follow by
+    antisymmetry.  Zero entries are dropped, each entry is sorted by w, and
+    den and every n are divided by their gcd, so D below is canonical.
+    scaled_neighbours, the one stored form of the bracket, is
+    (D, u -> ((v, ((w, n), ...)), ...)): both orders of every pair, the
+    sign applied, in the order of pairs.  poisson_bracket, index_report,
+    structure_matrix_at and check_table_jacobi all read it.
     """
 
-    def __init__(self, base: LieAlgebra, n: int, table: dict, p=None,
-                 kind: str = "quotient"):
+    def __init__(self, base: LieAlgebra, n: int, den: int, pairs: dict):
         self.base = base
         self.n = n
-        self.p = p
-        self.kind = kind
-        canon = {}
-        for (u, v), entries in table.items():
-            ent = tuple(
-                sorted((w, c) for w, c in entries if c != 0)
-            )
+        kept = {}
+        for key, entries in pairs.items():
+            ent = tuple(sorted((w, c) for w, c in entries if c))
             if ent:
-                canon[(u, v)] = ent
-        self.table = canon
+                kept[key] = ent
+        g = math.gcd(den, *(c for ent in kept.values() for _, c in ent))
+        index = {}
+        for (u, v), ent in kept.items():
+            if g > 1:
+                ent = tuple((w, c // g) for w, c in ent)
+            index.setdefault(u, []).append((v, ent))
+            index.setdefault(v, []).append((u, tuple((w, -c) for w, c in ent)))
+        self.scaled_neighbours = (den // g, {u: tuple(nb) for u, nb in index.items()})
 
     @property
     def dim_total(self) -> int:
@@ -754,49 +762,26 @@ class BracketTable:
         return [self.unflat(k) for k in range(self.dim_total)]
 
     @cached_property
-    def scaled_neighbours(self) -> tuple:
-        """(D, u -> ((v, ((w, D * c), ...)), ...)): the neighbour index over
-        the nonzero pairs, both orders, on one common denominator.
-
-        D is the lcm of the entry denominators, so every scaled entry is an
-        integer and [x_u, x_v] = sum_w (D * c) / D * x_w.  make_quotient
-        fills it in as it builds the table; any other table builds it on
-        first use, so tables that are only merged into pencils do not pay
-        for it.  Read by poisson_bracket, index_report, structure_matrix_at
-        and check_table_jacobi, so one integer index serves all of them.
-        """
-        den = 1
-        for ent in self.table.values():
-            for _, c in ent:
-                den = math.lcm(den, c.denominator)
-        out = {}
-        for (u, v), ent in self.table.items():
-            scaled = tuple((w, c.numerator * (den // c.denominator)) for w, c in ent)
-            out.setdefault(u, []).append((v, scaled))
-            out.setdefault(v, []).append((u, tuple((w, -c) for w, c in scaled)))
-        return den, {u: tuple(pairs) for u, pairs in out.items()}
-
-    def pair_bracket(self, u: Var, v: Var) -> tuple:
-        if u == v:
-            return ()
-        if self.flat(u) < self.flat(v):
-            return self.table.get((u, v), ())
-        ent = self.table.get((v, u), ())
-        return tuple((w, -c) for w, c in ent)
+    def table(self) -> dict:
+        """(u, v) -> ((w, c), ...) over flat(u) < flat(v), c in Fraction: a
+        view derived from scaled_neighbours, for the reference oracles of
+        the tests and the pair counts of bench/tracer.py."""
+        D, index = self.scaled_neighbours
+        flat = self.flat
+        return {(u, v): tuple((w, Fraction(c, D)) for w, c in ent)
+                for u, nb in index.items() for v, ent in nb if flat(u) < flat(v)}
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BracketTable)
-            and self.base.labels == other.base.labels
-            and self.n == other.n
-            and self.table == other.table
-        )
+        if not (isinstance(other, BracketTable) and self.base.labels == other.base.labels
+                and self.n == other.n):
+            return False
+        (D1, i1), (D2, i2) = self.scaled_neighbours, other.scaled_neighbours
+        return D1 == D2 and {u: dict(nb) for u, nb in i1.items()} == {
+            u: dict(nb) for u, nb in i2.items()}
 
     def __repr__(self) -> str:
-        return (
-            f"BracketTable({self.base.name}, n={self.n}, kind={self.kind}, "
-            f"{len(self.table)} pairs)"
-        )
+        pairs = sum(map(len, self.scaled_neighbours[1].values())) // 2
+        return f"BracketTable({self.base.name}, n={self.n}, {pairs} pairs)"
 
 
 def make_quotient(q: LieAlgebra, p: UniPoly) -> BracketTable:
@@ -804,11 +789,8 @@ def make_quotient(q: LieAlgebra, p: UniPoly) -> BracketTable:
 
     [x_i t^a, x_j t^b] = [x_i, x_j] * (t^(a+b) mod p), formed on integers:
     the numerators of q's nonzero brackets (LieAlgebra._int_brackets) times
-    those of the remainders, over the product M of their denominators.  With
-    g the gcd of M and every such product, D = M / g is the lcm of the
-    reduced entry denominators, so the products divided by g are the scaled
-    index that scaled_neighbours would build from the table; both are
-    filled in one pass, and each distinct entry becomes one Fraction.
+    those of the remainders, over the product of their denominators, which
+    BracketTable reduces to the canonical D.
     """
     if p.is_zero() or not p.is_monic() or p.degree < 1:
         raise InputError("modulus must be monic of degree >= 1")
@@ -822,11 +804,7 @@ def make_quotient(q: LieAlgebra, p: UniPoly) -> BracketTable:
     rem_nums = [[(d, c.numerator * (den_p // c.denominator)) for d, c in enumerate(r.coeffs) if c]
                 for r in rems]
     den_q, brackets = q._int_brackets
-    M = den_q * den_p
-    g = math.gcd(M, math.gcd(*(c for _, _, ent in brackets for _, c in ent))
-                 * math.gcd(*(c for r in rem_nums for _, c in r)))
-    D = M // g
-    fracs, table, index = {}, {}, {}
+    pairs = {}
     for a in range(n):
         for b in range(a, n):
             rem = rem_nums[a + b]
@@ -835,18 +813,8 @@ def make_quotient(q: LieAlgebra, p: UniPoly) -> BracketTable:
             for i, j, ent in brackets:
                 if a == b and i > j:
                     continue
-                u, v = (i, a), (j, b)
-                scaled = tuple(((k, d), c * r // g) for k, c in ent for d, r in rem)
-                for _, x in scaled:
-                    if x not in fracs:
-                        fracs[x] = Fraction(x, D)
-                table[(u, v)] = tuple((w, fracs[x]) for w, x in scaled)
-                index.setdefault(u, []).append((v, scaled))
-                index.setdefault(v, []).append((u, tuple((w, -x) for w, x in scaled)))
-    T = BracketTable(q, n, {}, p=p, kind="quotient")
-    T.table = table  # already canonical: entries nonzero, in ascending w
-    vars(T)["scaled_neighbours"] = (D, {u: tuple(pairs) for u, pairs in index.items()})
-    return T
+                pairs[(i, a), (j, b)] = tuple(((k, d), c * r) for k, c in ent for d, r in rem)
+    return BracketTable(q, n, den_q * den_p, pairs)
 
 
 def wrap_algebra(q: LieAlgebra) -> BracketTable:
@@ -858,42 +826,35 @@ def make_direct_power(q: LieAlgebra, n: int) -> BracketTable:
     """n commuting copies of q; variable (i, a) lives in copy a."""
     if n < 1:
         raise InputError("need at least one copy")
-    dim = q.dim
-    table = {}
-    for a in range(n):
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                ent = q.bracket(i, j)
-                if ent:
-                    table[((i, a), (j, a))] = tuple(((k, a), c) for k, c in ent)
-    return BracketTable(q, n, table, p=None, kind="power")
+    den, brackets = q._int_brackets
+    pairs = {((i, a), (j, a)): tuple(((k, a), c) for k, c in ent)
+             for a in range(n) for i, j, ent in brackets if i < j}
+    return BracketTable(q, n, den, pairs)
 
 
-def _table_merge(t1: dict, t2: dict, c1: Fraction, c2: Fraction) -> dict:
-    """c1 * t1 + c2 * t2, pair by pair; BracketTable drops the zeros."""
-    out = {}
-    for key in set(t1) | set(t2):
-        acc = out[key] = {}
-        for ent, c in ((t1.get(key, ()), c1), (t2.get(key, ()), c2)):
-            for w, cf in ent:
-                acc[w] = acc.get(w, Fraction(0)) + c * cf
-    return {key: tuple(acc.items()) for key, acc in out.items()}
+def check_pencil_moduli(p1: UniPoly, p2: UniPoly) -> None:
+    """InputError unless p1 and p2 span a pencil: both monic of degree
+    >= 1, of the same degree, different, and deg(p1 - p2) <= 1."""
+    for p in (p1, p2):
+        if p.is_zero() or not p.is_monic() or p.degree < 1:
+            raise InputError("pencil moduli must be monic of degree >= 1")
+    if p1.degree != p2.degree:
+        raise InputError("pencil moduli must share a degree")
+    diff = p1 - p2
+    if diff.is_zero():
+        raise InputError("pencil moduli must differ")
+    if diff.degree > 1:
+        raise InputError("pencil needs deg(p1 - p2) <= 1")
 
 
 def make_difference_bracket(q: LieAlgebra, p1: UniPoly, p2: UniPoly) -> BracketTable:
     """Difference of the two quotient brackets on the same variables.
 
-    Requires deg(p1 - p2) <= 1; the result is checked to satisfy Jacobi
-    directly.
+    The moduli must span a pencil (check_pencil_moduli); the result is
+    checked to satisfy Jacobi directly.
     """
-    if p1.degree != p2.degree:
-        raise InputError("both moduli must have the same degree")
-    if (p1 - p2).degree > 1:
-        raise InputError("difference bracket needs deg(p1 - p2) <= 1")
-    t1 = make_quotient(q, p1)
-    t2 = make_quotient(q, p2)
-    merged = _table_merge(t1.table, t2.table, Fraction(1), Fraction(-1))
-    T = BracketTable(q, p1.degree, merged, p=None, kind="difference")
+    check_pencil_moduli(p1, p2)
+    T = pencil_combination(make_quotient(q, p1), make_quotient(q, p2), 1, -1)
     bad = check_table_jacobi(T)
     if bad is not None:
         raise InputError(f"difference bracket breaks Jacobi at {bad}")
@@ -901,26 +862,41 @@ def make_difference_bracket(q: LieAlgebra, p1: UniPoly, p2: UniPoly) -> BracketT
 
 
 def pencil_combination(t1: BracketTable, t2: BracketTable, a, b) -> BracketTable:
-    """a * [.,.]_1 + b * [.,.]_2 on shared variables."""
+    """a * [.,.]_1 + b * [.,.]_2 on shared variables.
+
+    The two integer indices are summed over L = lcm(D1 * den a, D2 * den b),
+    the pairs of t1 first, in its index order, then those only t2 has.
+    """
     a, b = rat(a), rat(b)
     if t1.base.labels != t2.base.labels or t1.n != t2.n:
         raise InputError("tables must share base and truncation order")
-    merged = _table_merge(t1.table, t2.table, a, b)
-    p = None
-    if a + b == 1 and t1.p is not None and t2.p is not None:
-        p = t1.p.scale(a) + t2.p.scale(b)
-    return BracketTable(t1.base, t1.n, merged, p=p, kind="pencil")
+    (D1, i1), (D2, i2) = t1.scaled_neighbours, t2.scaled_neighbours
+    L = math.lcm(D1 * a.denominator, D2 * b.denominator)
+    flat = t1.flat
+    pairs: dict = {}
+    for index, s in ((i1, a.numerator * (L // (D1 * a.denominator))),
+                     (i2, b.numerator * (L // (D2 * b.denominator)))):
+        if not s:
+            continue
+        for u, nb in index.items():
+            fu = flat(u)
+            for v, ent in nb:
+                if fu < flat(v):
+                    acc = pairs.setdefault((u, v), {})
+                    for w, c in ent:
+                        acc[w] = acc.get(w, 0) + s * c
+    return BracketTable(t1.base, t1.n, L, {key: acc.items() for key, acc in pairs.items()})
 
 
 def check_table_antisymmetry(T: BracketTable) -> bool:
-    """Structural by storage; re-checks pair_bracket on both orders."""
-    for (u, v) in T.table:
-        lhs = dict(T.pair_bracket(u, v))
-        rhs = dict(T.pair_bracket(v, u))
-        for w in set(lhs) | set(rhs):
-            if lhs.get(w, Fraction(0)) + rhs.get(w, Fraction(0)) != 0:
-                return False
-    return True
+    """Whether T.scaled_neighbours lists [x_v, x_u] = -[x_u, x_v] for every
+    pair (u, v) it holds, and no [x_u, x_u]."""
+    index = T.scaled_neighbours[1]
+    back = {u: dict(nb) for u, nb in index.items()}
+    return all(
+        u != v and back.get(v, {}).get(u) == tuple((w, -c) for w, c in ent)
+        for u, nb in index.items() for v, ent in nb
+    )
 
 
 def check_table_jacobi(T: BracketTable):

@@ -20,6 +20,7 @@ from .exactla import InputError, RowSpace, rank, rank_mod_p, rat, rat_str, row_s
 from .liecore import (
     LieAlgebra,
     UniPoly,
+    check_pencil_moduli,
     index_report,
     make_quotient,
     sampled_max_rank,
@@ -57,16 +58,7 @@ class Pencil:
     p2: UniPoly
 
     def __post_init__(self):
-        for p in (self.p1, self.p2):
-            if p.is_zero() or not p.is_monic() or p.degree < 1:
-                raise InputError("pencil moduli must be monic of degree >= 1")
-        if self.p1.degree != self.p2.degree:
-            raise InputError("pencil moduli must share a degree")
-        diff = self.p1 - self.p2
-        if diff.is_zero():
-            raise InputError("pencil moduli must differ")
-        if diff.degree > 1:
-            raise InputError("pencil needs deg(p1 - p2) <= 1")
+        check_pencil_moduli(self.p1, self.p2)
 
     @property
     def n(self) -> int:

@@ -504,12 +504,14 @@ def shift_t_down(F: MPoly) -> MPoly:
 
 
 def _keyed_neighbours(T: BracketTable) -> tuple:
-    """(D, u -> ((v, {unit(w) + 1: D * c}), ...)): T.scaled_neighbours with
-    each [x_u, x_v] as a packed linear polynomial.
+    """(D, u -> ((v, {unit(w) + 1: D * c}), ...)): T.scaled_neighbours, the
+    integer index every BracketTable constructor stores, with each
+    [x_u, x_v] as a packed linear polynomial.
 
     Built on the first bracket and kept in T's instance dictionary, next to
-    the scaled_neighbours it is made from, so it lives as long as T.  Equal
-    entries share one (read-only) polynomial.
+    the index it is made from, so it lives as long as T and a table that is
+    never bracketed does not pay for it.  Equal entries share one
+    (read-only) polynomial.
     """
     keyed = vars(T).get("keyed_neighbours")
     if keyed is None:

@@ -6,6 +6,7 @@ so a property test can compare the two.
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from glab.exactla import PRIME, InputError, QMatrix, rank, rat_str
 from glab.liecore import BracketTable, UniPoly
@@ -133,6 +134,57 @@ def reference_bracket(F, G, T):
     return acc
 
 
+class FractionTable(BracketTable):
+    """A BracketTable built from its Fraction pairs, (u, v) -> ((w, c), ...)
+    over flat(u) < flat(v), and holding them as table.
+
+    scaled_neighbours is built from table on first use, D the lcm of the
+    entry denominators, both orders of each pair in the order of table, so
+    the integer index of glab's constructors can be checked against it.
+    """
+
+    def __init__(self, base, n, table):
+        self.base = base
+        self.n = n
+        self.table = {}
+        for key, entries in table.items():
+            ent = tuple(sorted((w, Fraction(c)) for w, c in entries if c != 0))
+            if ent:
+                self.table[key] = ent
+
+    @cached_property
+    def scaled_neighbours(self):
+        den = math.lcm(*(c.denominator for ent in self.table.values() for _, c in ent))
+        out = {}
+        for (u, v), ent in self.table.items():
+            scaled = tuple((w, c.numerator * (den // c.denominator)) for w, c in ent)
+            out.setdefault(u, []).append((v, scaled))
+            out.setdefault(v, []).append((u, tuple((w, -c) for w, c in scaled)))
+        return den, {u: tuple(pairs) for u, pairs in out.items()}
+
+
+def pair_bracket(T, u, v):
+    """[x_u, x_v] as ((w, c), ...) in Fraction, read from T.table."""
+    if u == v:
+        return ()
+    if T.flat(u) < T.flat(v):
+        return T.table.get((u, v), ())
+    return tuple((w, -c) for w, c in T.table.get((v, u), ()))
+
+
+def reference_pencil(t1, t2, a, b):
+    """a * [.,.]_1 + b * [.,.]_2 as a FractionTable, the two Fraction
+    tables merged pair by pair."""
+    a, b = Fraction(a), Fraction(b)
+    out = {}
+    for key in set(t1.table) | set(t2.table):
+        acc = out[key] = {}
+        for ent, c in ((t1.table.get(key, ()), a), (t2.table.get(key, ()), b)):
+            for w, cf in ent:
+                acc[w] = acc.get(w, Fraction(0)) + c * cf
+    return FractionTable(t1.base, t1.n, {key: tuple(acc.items()) for key, acc in out.items()})
+
+
 def reference_quotient(q, p):
     """The bracket of q[t]/(p) on x_i * t^a, 0 <= a < deg p, in Fraction.
 
@@ -168,7 +220,7 @@ def reference_quotient(q, p):
                             if coef:
                                 acc[(k, deg)] = acc.get((k, deg), 0) + c * coef
                     table[(u, v)] = tuple(acc.items())
-    return BracketTable(q, n, table, p=p, kind="quotient")
+    return FractionTable(q, n, table)
 
 
 def reference_structure_matrix(T, point):
@@ -191,7 +243,7 @@ def reference_structure_matrix(T, point):
 def reference_jacobi(T):
     """First flat triple (u, v, w) violating Jacobi, else None.
 
-    Every bracket is read through T.pair_bracket on Fraction, one triple
+    Every bracket is read through pair_bracket on Fraction, one triple
     at a time, in ascending flat order.
     """
     vs = T.var_list()
@@ -202,8 +254,8 @@ def reference_jacobi(T):
                 u, v, w = vs[iu], vs[iv], vs[iw]
                 acc = {}
                 for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
-                    for m, c in T.pair_bracket(x, y):
-                        for r, c2 in T.pair_bracket(m, z):
+                    for m, c in pair_bracket(T, x, y):
+                        for r, c2 in pair_bracket(T, m, z):
                             acc[r] = acc.get(r, Fraction(0)) + c * c2
                 if any(val != 0 for val in acc.values()):
                     return (u, v, w)

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from glab import liecore
 from glab.exactla import PRIME, BudgetError, InputError, rank_mod_p, rref
 from glab.liecore import (
-    BracketTable,
     LieAlgebra,
     UniPoly,
     algebra_from_json,
@@ -41,7 +40,10 @@ from glab.liecore import (
 from glab.psring import MPoly, substitute_levels
 from glab.invariantlab import _slot_gram, basic_invariants
 from oracle import (
+    FractionTable,
+    pair_bracket,
     reference_jacobi,
+    reference_pencil,
     reference_quotient,
     reference_sampled_max_rank,
     reference_structure_matrix,
@@ -334,16 +336,24 @@ def test_quotient_table_sl2_t2():
     T = make_quotient(sl2, parse_poly("t^2"))
     assert T.dim_total == 6
     # [e t, f t] lands in degree 2 and dies mod t^2
-    assert T.pair_bracket((0, 1), (2, 1)) == ()
-    assert dict(T.pair_bracket((0, 0), (2, 1))) == {(1, 1): Fraction(1)}
+    assert pair_bracket(T, (0, 1), (2, 1)) == ()
+    assert dict(pair_bracket(T, (0, 0), (2, 1))) == {(1, 1): Fraction(1)}
     assert check_table_antisymmetry(T)
     assert check_table_jacobi(T) is None
 
 
 def _indexed(T):
-    """T's table and scaled index as ordered lists, so order is compared."""
+    """T's Fraction table, and its scaled index as an ordered list, so the
+    order of the index is compared."""
     D, index = T.scaled_neighbours
-    return list(T.table.items()), D, list(index.items())
+    return T.table, D, list(index.items())
+
+
+def _entries(T):
+    """D and every (u, v) -> [x_u, x_v] of T's scaled index, both orders,
+    compared independently of the order of the index."""
+    D, index = T.scaled_neighbours
+    return D, {(u, v): ent for u, nb in index.items() for v, ent in nb}
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,21 +368,21 @@ def _indexed(T):
 def test_integer_quotient_table_matches_the_fraction_reference(qname, low, c0, c1, a):
     # p monic of degree 1-4 with small rational coefficients, so that D > 1
     # occurs; p2 = p + c1 t + c0, monic too, is the second end of a
-    # difference bracket
+    # difference bracket unless p2 == p
     q = builtin_algebra(qname)
     p = UniPoly.make(low + [1])
     p2 = p + UniPoly.make([c0, c1 if p.degree > 1 else 0])
     T, R = make_quotient(q, p), reference_quotient(q, p)
     assert _indexed(T) == _indexed(R)
-    assert (T.n, T.p, T.kind) == (R.n, R.p, R.kind)
+    assert T.n == R.n
     T2, R2 = make_quotient(q, p2), reference_quotient(q, p2)
     assert _indexed(T2) == _indexed(R2)
-    assert _indexed(pencil_combination(T, T2, a, 1 - a)) == _indexed(
-        pencil_combination(R, R2, a, 1 - a))
-    want = pencil_combination(R, R2, 1, -1)
-    if check_table_jacobi(want) is None:
-        assert _indexed(make_difference_bracket(q, p, p2)) == _indexed(want)
-    else:
+    assert _entries(pencil_combination(T, T2, a, 1 - a)) == _entries(
+        reference_pencil(R, R2, a, 1 - a))
+    want = reference_pencil(R, R2, 1, -1)
+    if p2 != p and check_table_jacobi(want) is None:
+        assert _entries(make_difference_bracket(q, p, p2)) == _entries(want)
+    else:  # p2 == p spans no pencil
         with pytest.raises(InputError):
             make_difference_bracket(q, p, p2)
 
@@ -381,7 +391,7 @@ def test_quotient_reduction_wraps():
     sl2 = builtin_algebra("sl2")
     T = make_quotient(sl2, parse_poly("t^2-1"))
     # degree 2 reduces to the constant slot
-    assert dict(T.pair_bracket((0, 1), (2, 1))) == {(1, 0): Fraction(1)}
+    assert dict(pair_bracket(T, (0, 1), (2, 1))) == {(1, 0): Fraction(1)}
 
 
 def test_quotient_input_checks():
@@ -402,8 +412,8 @@ def test_flat_unflat_round_trip():
 def test_direct_power_blocks():
     sl2 = builtin_algebra("sl2")
     T = make_direct_power(sl2, 2)
-    assert dict(T.pair_bracket((0, 0), (2, 0))) == {(1, 0): Fraction(1)}
-    assert T.pair_bracket((0, 0), (2, 1)) == ()
+    assert dict(pair_bracket(T, (0, 0), (2, 0))) == {(1, 0): Fraction(1)}
+    assert pair_bracket(T, (0, 0), (2, 1)) == ()
     assert check_table_jacobi(T) is None
 
 
@@ -416,7 +426,6 @@ def test_pencil_combination_line_matches_quotient():
         fresh = make_quotient(sl2, p1.scale(a) + p2.scale(1 - a))
         assert combo == fresh
     off_line = pencil_combination(t1, t2, 1, 1)
-    assert off_line.p is None
     assert check_table_jacobi(off_line) is None
 
 
@@ -429,6 +438,62 @@ def test_difference_bracket():
         make_difference_bracket(sl2, parse_poly("t^2"), parse_poly("t^2+t^2"))
     with pytest.raises(InputError):
         make_difference_bracket(sl2, parse_poly("t^3"), parse_poly("t^2"))
+    with pytest.raises(InputError, match="differ"):  # the zero bracket
+        make_difference_bracket(sl2, parse_poly("t^2"), parse_poly("t^2"))
+    with pytest.raises(InputError, match="monic"):
+        make_difference_bracket(sl2, parse_poly("t^2"), parse_poly("2t^2"))
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["sl2", "gl2", "takiff:sl2:2", "sum:sl2,abelian:1"]),
+    st.lists(small_fractions, min_size=1, max_size=3),
+    st.lists(small_fractions, min_size=3, max_size=3),
+    st.one_of(st.just(Fraction(0)), small_fractions),
+    st.one_of(st.just(Fraction(0)), small_fractions),
+)
+@example("sl2", [Fraction(1, 3), Fraction(1, 2)], [Fraction(0)] * 3, Fraction(1, 2), Fraction(1, 2))
+@example("gl2", [Fraction(1, 2)], [Fraction(1, 3)] * 3, Fraction(0), Fraction(3))
+@example("gl2", [Fraction(1, 2)], [Fraction(1, 3)] * 3, Fraction(3), Fraction(0))
+def test_pencil_combination_matches_the_fraction_merge(qname, low1, low2, a, b):
+    # ends: quotients by two monic moduli of one degree with small rational
+    # coefficients, so that D > 1 occurs; a or b may be 0
+    q = builtin_algebra(qname)
+    t1 = make_quotient(q, UniPoly.make(low1 + [1]))
+    t2 = make_quotient(q, UniPoly.make(low2[:len(low1)] + [1]))
+    got = pencil_combination(t1, t2, a, b)
+    assert _entries(got) == _entries(reference_pencil(t1, t2, a, b))
+    assert check_table_antisymmetry(got)
+
+
+def test_pencil_combination_cancels_to_the_canonical_denominator():
+    T = make_quotient(builtin_algebra("sl2"), parse_poly("t^2+1/3*t+1/2"))
+    assert T.scaled_neighbours[0] == 6
+    half = Fraction(1, 2)
+    assert _entries(pencil_combination(T, T, half, half)) == _entries(T)
+    assert _entries(pencil_combination(T, T, 1, -1)) == (1, {})
+
+
+def test_antisymmetry_reads_both_orders_of_the_index():
+    def table():
+        return make_quotient(builtin_algebra("sl2"), parse_poly("t^2"))
+
+    assert check_table_antisymmetry(table())
+    # one order of one entry changed
+    T = table()
+    D, index = T.scaled_neighbours
+    u = next(iter(index))
+    (v, ((w, c), *rest)), *others = index[u]
+    T.scaled_neighbours = (D, {**index, u: ((v, ((w, c + 1), *rest)), *others)})
+    assert not check_table_antisymmetry(T)
+    # an added [x_u, x_u]
+    T = table()
+    D, index = T.scaled_neighbours
+    T.scaled_neighbours = (D, {**index, u: index[u] + ((u, ((w, 1),)),)})
+    assert not check_table_antisymmetry(T)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +707,7 @@ def test_jacobi_scan_finds_the_reference_first_triple(case, i, j, delta):
     w, c = ent[j % len(ent)]
     ent[j % len(ent)] = (w, c + delta)
     table[key] = tuple(ent)
-    bad = BracketTable(T.base, T.n, table, p=T.p)
+    bad = FractionTable(T.base, T.n, table)
     assert check_table_jacobi(bad) == reference_jacobi(bad)
 
 

@@ -351,29 +351,23 @@ def test_combiner_matches_scaled_sums(family, data):
     assert combiner(family)(coeffs) == want
 
 
-def test_neighbour_index_is_built_on_first_bracket():
-    # a quotient table gets its index from make_quotient; a table merged
-    # from two builds it on first use
+def test_every_table_stores_its_neighbour_index():
+    # quotient, merged and power tables carry the integer index from
+    # construction, both orders of every pair, and the Fraction table is
+    # a view derived from it only when read
     sl2 = builtin_algebra("sl2")
-    Q = make_quotient(sl2, parse_poly("t^2"))
-    assert "scaled_neighbours" in vars(Q)
-    T = pencil_combination(Q, Q, 1, 1)
-    pencil_combination(T, T, 1, 1)
-    assert "scaled_neighbours" not in vars(T)
-    poisson_bracket(MPoly.variable((0, 0)), MPoly.variable((2, 1)), T)
-    assert "scaled_neighbours" in vars(T)
-    # both orders of every stored pair, in the order of T.table
-    want = {}
-    for (u, v), ent in T.table.items():
-        want.setdefault(u, []).append((v, list(ent)))
-        want.setdefault(v, []).append((u, [(w, -c) for w, c in ent]))
-    for u, pairs in want.items():
-        for v, ent in pairs:
-            assert tuple(ent) == T.pair_bracket(u, v)
-    D, scaled = T.scaled_neighbours
-    got = {u: [(v, [(w, Fraction(c, D)) for w, c in ent]) for v, ent in pairs]
-           for u, pairs in scaled.items()}
-    assert list(got.items()) == list(want.items())
+    Q = make_quotient(sl2, parse_poly("t^2+1/3"))
+    for T in (Q, pencil_combination(Q, Q, 1, Fraction(1, 2)), make_direct_power(sl2, 2)):
+        assert "scaled_neighbours" in vars(T) and "table" not in vars(T)
+        D, index = T.scaled_neighbours
+        back = {u: dict(pairs) for u, pairs in index.items()}
+        for u, pairs in index.items():
+            for v, ent in pairs:
+                assert back[v][u] == tuple((w, -c) for w, c in ent)
+                if T.flat(u) < T.flat(v):
+                    assert T.table[u, v] == tuple((w, Fraction(c, D)) for w, c in ent)
+        assert len(T.table) == sum(map(len, index.values())) // 2
+    assert Q.scaled_neighbours[0] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,18 @@ def test_cli_index(runner):
     assert "index: 5" in res.output
 
 
+@pytest.mark.parametrize("p2, message", [
+    ("t^2", "must differ"),  # p = p2 gives the zero bracket, no pencil
+    ("2t^2", "must be monic"),
+])
+def test_cli_index_refuses_moduli_that_span_no_pencil(runner, p2, message):
+    for args in (["index", "--q", "sl2", "--p", "t^2", "--p2", p2],
+                 ["zz", "build", "--q", "sl2", "--p1", "t^2", "--p2", p2]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert message in res.output
+
+
 def test_cli_crt(runner):
     res = runner.invoke(main, ["crt", "--p", "t^2-t"])
     assert res.exit_code == 0
