@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -618,21 +619,36 @@ def graded_H_sum(q: LieAlgebra, j: int) -> MPoly:
 
 
 @lru_cache(maxsize=None)
-def _perm_pairing(q: LieAlgebra, ta: tuple, tb: tuple) -> Fraction:
-    """Permanent pairing of two factor tuples under the stored form."""
-    if len(ta) != len(tb):
-        return Fraction(0)
-    k = len(ta)
-    g = q.form
-    total = Fraction(0)
-    for perm in itertools.permutations(range(k)):
-        prod = Fraction(1)
-        for i in range(k):
-            prod *= g.at(ta[i], tb[perm[i]])
-            if prod == 0:
+def _form_rows(q: LieAlgebra) -> tuple:
+    """(d, rows): the stored form as integer rows over d, the lcm of its
+    denominators."""
+    g = q.form.row_lists()
+    d = math.lcm(*(c.denominator for row in g for c in row))
+    return d, tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in g)
+
+
+@lru_cache(maxsize=None)
+def _perm_pairing(q: LieAlgebra, ta: tuple, tb: tuple) -> int:
+    """Permanent pairing of two factor tuples of one length k under the
+    stored form, an integer over d^k (d from _form_rows)."""
+    g = _form_rows(q)[1]
+    total = 0
+    for perm in itertools.permutations(tb):
+        prod = 1
+        for a, b in zip(ta, perm):
+            prod *= g[a][b]
+            if not prod:
                 break
         total += prod
     return total
+
+
+@lru_cache(maxsize=None)
+def _int_bracket_map(q: LieAlgebra) -> tuple:
+    """(D, {(i, j): ((k, n), ...)}): every nonzero [x_i, x_j] with
+    coefficients n / D, read from q's integer structure constants."""
+    den, brackets = q._int_brackets
+    return den, {(i, j): ent for i, j, ent in brackets}
 
 
 @lru_cache(maxsize=None)
@@ -643,44 +659,52 @@ def _slot_basis(dim: int, k: int) -> tuple:
 @lru_cache(maxsize=None)
 def _slot_gram(q: LieAlgebra, k: int) -> QMatrix:
     basis = _slot_basis(q.dim, k)
+    scale = _form_rows(q)[0] ** k
     return QMatrix.from_rows(
-        [[_perm_pairing(q, a, b) for b in basis] for a in basis]
+        [[Fraction(_perm_pairing(q, a, b), scale) for b in basis] for a in basis]
     )
 
 
 @lru_cache(maxsize=None)
-def _slot_gram_inverse(q: LieAlgebra, k: int) -> QMatrix:
+def _slot_gram_inverse(q: LieAlgebra, k: int) -> tuple:
+    """(d, rows): the inverse of the slot-k Gram as integer rows over d,
+    the lcm of its denominators."""
     try:
-        return mat_inv(_slot_gram(q, k))
+        inv = mat_inv(_slot_gram(q, k)).row_lists()
     except InputError as exc:
         raise InputError("pairing matrix is singular") from exc
+    d = math.lcm(*(c.denominator for row in inv for c in row))
+    return d, tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in inv)
 
 
-def _solve_slot_grams(q: LieAlgebra, alpha: tuple, rhs: list) -> list:
-    """x with (G_1 (x) ... (x) G_s) x = rhs, G_u the Gram of slot u.
+def _slot_solve(q: LieAlgebra, alpha: tuple, rhs: list) -> tuple:
+    """(x, d) with (G_1 (x) ... (x) G_s)(x / d) = rhs on integers, G_u the
+    Gram of slot u.
 
     Entries are indexed as itertools.product of the slot bases, the last
     slot running fastest.  The inverse of a Kronecker product is the
     Kronecker product of the inverses (Van Loan 2000), so each slot's
-    inverse is applied along its own axis in turn and the full matrix is
-    never formed: N * (n_1 + ... + n_s) products for N = n_1 * ... * n_s.
+    inverse, d_u times an integer matrix, is applied along its own axis in
+    turn and the full matrix is never formed: N * (n_1 + ... + n_s)
+    integer products for N = n_1 * ... * n_s, and d the product of the d_u.
     """
     x = rhs
+    den = 1
     inner = 1  # stride of slot u: the product of the sizes after it
     for k in reversed(alpha):
-        inv = _slot_gram_inverse(q, k).row_lists()
+        d, inv = _slot_gram_inverse(q, k)
         n = len(inv)
-        y = [Fraction(0)] * len(x)
+        y = [0] * len(x)
         for start in range(0, len(x), n * inner):
             for off in range(start, start + inner):
                 col = x[off : off + n * inner : inner]
-                for r, row in enumerate(inv):
-                    y[off + r * inner] = sum(
-                        (a * b for a, b in zip(row, col) if b), Fraction(0)
-                    )
+                if any(col):
+                    for r, row in enumerate(inv):
+                        y[off + r * inner] = sum(map(operator.mul, row, col))
         x = y
+        den *= d
         inner *= n
-    return x
+    return x, den
 
 
 def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
@@ -691,6 +715,12 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
     equals the pairing of F with the bracket contraction of W's slot-i and
     slot-j factors (t degrees stripped).  Zero when either slot is empty;
     antisymmetric in (i, j).
+
+    All of it runs on integers: F over the lcm dF of its denominators, the
+    pairings over a power of the form's denominator, the bracket over the
+    structure constants' denominator, and each slot's inverse Gram over its
+    own (_slot_solve); one Fraction is made per nonzero coefficient of the
+    result.
     """
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
@@ -704,19 +734,21 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
         return MPoly.zero()
     if q.form is None:
         raise InputError(f"{q.name} carries no bilinear form")
-    dim = q.dim
-    slot_bases = [_slot_basis(dim, a) for a in alpha]
-    # F's monomials as base-index tuples (t degrees stripped), read once,
-    # and the permanent pairing of F with each sorted index tuple
-    left = [(tuple(k for k, _ in fs), c) for fs, c in F.factor_terms()]
+    slot_bases = [_slot_basis(q.dim, a) for a in alpha]
+    # F's terms of degree d as base-index tuples (t degrees stripped), read
+    # once: only they pair with a contraction, which has d factors
+    terms = F.factor_terms()
+    dF = math.lcm(*(c.denominator for _, c in terms))
+    left = [(tuple(k for k, _ in fs), c.numerator * (dF // c.denominator))
+            for fs, c in terms if len(fs) == d]
     paired = {}
 
     def with_F(t2):
         if t2 not in paired:
-            paired[t2] = sum((c1 * _perm_pairing(q, t1, t2)
-                              for t1, c1 in left if len(t1) == len(t2)), Fraction(0))
+            paired[t2] = sum([c1 * _perm_pairing(q, t1, t2) for t1, c1 in left])
         return paired[t2]
 
+    dq, brackets = _int_bracket_map(q)
     rhs = []
     vees = list(itertools.product(*slot_bases))
     for v in vees:
@@ -731,7 +763,7 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
             cj[idx] = cj.get(idx, 0) + 1
         for xi_idx, mu in ci.items():
             for yj_idx, nu in cj.items():
-                ent = q.bracket(xi_idx, yj_idx)
+                ent = brackets.get((xi_idx, yj_idx))
                 if not ent:
                     continue
                 # x_i sits in slot i and y_j in slot j, so flat holds both
@@ -741,11 +773,12 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
                 for m, c in ent:
                     t2 = tuple(sorted(rest + [m]))
                     bt[t2] = bt.get(t2, 0) + mu * nu * c
-        rhs.append(sum((x * with_F(t2) for t2, x in bt.items() if x), Fraction(0)))
-    coeffs = _solve_slot_grams(q, alpha, rhs)
+        rhs.append(sum([x * with_F(t2) for t2, x in bt.items() if x]))
+    coeffs, den = _slot_solve(q, alpha, rhs)
+    den *= dq * dF * _form_rows(q)[0] ** d
     return MPoly.from_factors(
-        ([(idx, u) for u, slot in enumerate(v) for idx in slot], cv)
-        for cv, v in zip(coeffs, vees))
+        ([(idx, u) for u, slot in enumerate(v) for idx in slot], Fraction(cv, den))
+        for cv, v in zip(coeffs, vees) if cv)
 
 
 def univ_sum(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int) -> MPoly:

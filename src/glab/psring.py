@@ -19,7 +19,12 @@ common denominator, multiply in ints, and turn only the result's
 coefficients into Fractions.  The derivations take all partials in one
 pass (_partials) and sum the Leibniz rule with _contract.  Every map of
 t-levels, x_i t^a -> x_i * r(t) (psi_p, the shift down, and the
-transports of invariantlab), goes through substitute_levels.
+transports of invariantlab), goes through substitute_levels and on to
+substitute_vars, as does pencilz.rho_gamma.  A substitution multiplies
+each term by the cached power of each mapped factor's image; where that
+power is one term, as for the shift down, rho_gamma, and psi_p wherever
+t^a mod p is a monomial, the map only shifts the packed key and scales
+the numerator.
 
 Products guard against term blowup: when an operation would exceed the
 term budget (GLAB_BUDGET_TERMS, default 2 * 10^6) it raises BudgetError
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .exactla import (
@@ -156,12 +162,17 @@ class MPoly:
         if not other._terms:
             return self
         acc = dict(self._terms)
+        get = acc.get
         for m, c in other._terms.items():
-            s = acc.get(m, Fraction(0)) + c
+            s = get(m)
+            if s is None:
+                acc[m] = c
+                continue
+            s += c
             if s:
                 acc[m] = s
             else:
-                acc.pop(m, None)
+                del acc[m]
         return _wrap(acc)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
@@ -426,35 +437,58 @@ def tau_apply(F: MPoly, times: int = 1) -> MPoly:
 def substitute_vars(F: MPoly, mapping: dict) -> MPoly:
     """Algebra homomorphism determined by x_v -> mapping[v].
 
-    Variables absent from mapping are kept as themselves.  The images are
-    cleared to integers over one common denominator D, each term c * m is
-    lifted to the top mapped degree (D^(top - deg m)), and its image, the
-    kept part of m times the cached powers of the mapped images, is formed
-    on the integer kernel; the result is divided by dF * D^top once.
+    Variables absent from mapping are kept as themselves, and the images
+    of variables F does not hold are never read.  The images are cleared
+    to integers over one common denominator D, and each term c * m is
+    lifted to the top mapped degree (D^(top - deg m)) and multiplied, one
+    mapped factor x_v^e at a time, by the cached power image(v)^e on the
+    integer kernel.  Where that power is one term (a scalar times a
+    monomial, or a nonzero constant: the shift down, rho_gamma, psi_p
+    where t^a mod p is a monomial), the factor costs a key shift and one
+    multiply.  The result is divided by dF * D^top once.
     """
     dF, nums = _numerators(F)
-    cleared = {v: _numerators(img) for v, img in mapping.items()}
-    D = math.lcm(*(d for d, _ in cleared.values()))
-    powers = {(v, 1): {k: n * (D // d) for k, n in img.items()}
-              for v, (d, img) in cleared.items()}
+    held = 0
+    for k in nums:
+        held |= k
+    # slot - 1 -> the terms of the image of each mapped variable F holds
+    images = {s: mapping[_VARS[s]]._terms for s, _ in _fields(held)
+              if _VARS[s] in mapping}
+    D = math.lcm(*(c.denominator for img in images.values() for c in img.values()))
+    # slot - 1 -> [None, image, image^2, ...], the e-th power on integer
+    # numerators over D^e, extended as far as a term needs it
+    powers = {s: [None, {k: c.numerator * (D // c.denominator) for k, c in img.items()}]
+              for s, img in images.items()}
+    tops = {s: _top_degree(img) if img else 0 for s, img in images.items()}
+    mask = sum(FIELD_MAX << 8 * (s + 1) for s in images)
     budget = term_budget()
-
-    def var_pow(v, e):
-        if (v, e) not in powers:
-            powers[(v, e)] = _product(var_pow(v, e - 1), powers[(v, 1)], budget)
-        return powers[(v, e)]
-
-    mask = sum(FIELD_MAX * _UNITS[v] for v in mapping if v in _UNITS)  # mapped fields
-    mapped = {k: [(_VARS[s], e) for s, e in _fields(k & mask)] for k in nums}
-    degree = {k: sum(e for _, e in fs) for k, fs in mapped.items()}
-    top = max(degree.values(), default=0)
-    out: dict = {}
+    mapped = []
     for k, n in nums.items():
-        cur = {k - (k & mask) - degree[k]: n * D ** (top - degree[k])}
-        for v, e in mapped[k]:
-            cur = _product(cur, var_pow(v, e), budget)
-        for key, x in cur.items():
-            out[key] = out.get(key, 0) + x
+        fs = _fields(k & mask)
+        mapped.append((k, n, fs, sum(e for _, e in fs)))
+    top = max((dm for *_, dm in mapped), default=0)
+    lift = [D ** j for j in range(top + 1)]
+    out: dict = {}
+    get = out.get
+    for k, n, fs, dm in mapped:
+        cur = {k - (k & mask) - dm: n * lift[top - dm]}
+        degree = (k & FIELD_MAX) - dm  # the top degree of cur
+        for s, e in fs:
+            pw = powers[s]
+            while len(pw) <= e:
+                pw.append(_product(pw[-1], pw[1], budget))
+            pw = pw[e]
+            if not (cur and pw):
+                cur = {}
+                continue
+            degree += e * tops[s]
+            acc: dict = {}
+            _mul_acc(acc, cur, pw, degree, budget)
+            # a term can cancel only where two products share a key
+            cur = acc if len(acc) == len(cur) * len(pw) else {
+                m: x for m, x in acc.items() if x}
+        for m, x in cur.items():
+            out[m] = get(m, 0) + x
     return _from_numerators(out, dF * D ** top)
 
 
@@ -463,6 +497,7 @@ def substitute_levels(F: MPoly, level_image: Callable) -> MPoly:
 
     A level whose image is None keeps its variables.  level_image is called
     once per distinct level of F; F itself is returned when nothing maps.
+    Each image is built on packed keys, sharing the coefficients of r.
     """
     images: dict = {}
     mapping = {}
@@ -472,9 +507,7 @@ def substitute_levels(F: MPoly, level_image: Callable) -> MPoly:
             images[a] = level_image(a)
         r = images[a]
         if r is not None:
-            mapping[v] = MPoly.from_entries(
-                ((i, k), c) for k, c in enumerate(r.coeffs) if c
-            )
+            mapping[v] = _wrap({_unit((i, k)) + 1: c for k, c in enumerate(r.coeffs) if c})
     return substitute_vars(F, mapping) if mapping else F
 
 
@@ -483,9 +516,14 @@ def psi_p(F: MPoly, p: UniPoly) -> MPoly:
     if p.is_zero() or not p.is_monic() or p.degree < 1:
         raise InputError("modulus must be monic of degree >= 1")
     n = p.degree
-    return substitute_levels(
-        F, lambda a: UniPoly.monomial(a).mod(p) if a >= n else None
-    )
+    return substitute_levels(F, lambda a: _power_mod(a, p) if a >= n else None)
+
+
+@lru_cache(maxsize=1024)
+def _power_mod(a: int, p: UniPoly) -> UniPoly:
+    """t^a mod p, kept because the ladders reduce many polynomials by one p
+    and each division costs far more than the substitution it feeds."""
+    return UniPoly.monomial(a).mod(p)
 
 
 def shift_t_down(F: MPoly) -> MPoly:

@@ -3,12 +3,13 @@
 They compute the same objects as glab's fast paths, by the plainest route,
 so a property test can compare the two.
 """
+import itertools
 import math
 import random
 from fractions import Fraction
 from functools import cached_property
 
-from glab.exactla import PRIME, InputError, QMatrix, rank, rat_str
+from glab.exactla import PRIME, InputError, QMatrix, mat_inv, rank, rat_str
 from glab.liecore import BracketTable, UniPoly
 from glab.psring import MPoly
 
@@ -57,6 +58,93 @@ def reference_psi(F, p):
             r = [x - top * c for x, c in zip(r, p.coeffs)]
         mapping[(i, a)] = MPoly.from_entries(((i, k), c) for k, c in enumerate(r))
     return reference_substitute(F, mapping)
+
+
+def reference_perm_pairing(q, ta, tb):
+    """Permanent pairing of two factor tuples under q.form, in Fraction."""
+    if len(ta) != len(tb):
+        return Fraction(0)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(ta))):
+        prod = Fraction(1)
+        for a, b in zip(ta, perm):
+            prod *= q.form.at(a, tb[b])
+        total += prod
+    return total
+
+
+def reference_slot_gram(q, k):
+    """The Gram of the permanent pairing on the degree-k monomials of
+    q.dim indices, each a sorted index tuple, in combinations order."""
+    basis = list(itertools.combinations_with_replacement(range(q.dim), k))
+    return QMatrix.from_rows([[reference_perm_pairing(q, a, b) for b in basis] for a in basis])
+
+
+def reference_solve_slot_grams(q, alpha, rhs):
+    """x with (G_1 (x) ... (x) G_s) x = rhs, G_u the Gram of slot u, in
+    Fraction: each slot's inverse applied along its own axis in turn,
+    the last slot running fastest."""
+    x = list(rhs)
+    inner = 1  # stride of slot u: the product of the sizes after it
+    for k in reversed(alpha):
+        try:
+            inv = mat_inv(reference_slot_gram(q, k)).row_lists()
+        except InputError as exc:
+            raise InputError("pairing matrix is singular") from exc
+        n = len(inv)
+        y = [Fraction(0)] * len(x)
+        for start in range(0, len(x), n * inner):
+            for off in range(start, start + inner):
+                col = x[off : off + n * inner : inner]
+                for r, row in enumerate(inv):
+                    y[off + r * inner] = sum((a * b for a, b in zip(row, col)), Fraction(0))
+        x = y
+        inner *= n
+    return x
+
+
+def reference_script_f(q, F, alpha, i, j):
+    """script_f in Fraction: the pairing of F with the bracket contraction
+    of slots i and j against every basis product of the shape alpha, read
+    through q.bracket and q.form, then reference_solve_slot_grams."""
+    alpha = tuple(int(a) for a in alpha)
+    if any(a < 0 for a in alpha):
+        raise InputError("slot sizes must be nonnegative")
+    if not (0 <= i < len(alpha) and 0 <= j < len(alpha)) or i == j:
+        raise InputError("slot indices must be distinct and in range")
+    if sum(alpha) != F.total_degree() + 1:
+        raise InputError("slot sizes must total deg F + 1")
+    if alpha[i] == 0 or alpha[j] == 0:
+        return MPoly.zero()
+    if q.form is None:
+        raise InputError(f"{q.name} carries no bilinear form")
+    left = [(tuple(k for (k, _), e in m for _ in range(e)), c) for m, c in F.terms.items()]
+    slot_bases = [list(itertools.combinations_with_replacement(range(q.dim), a)) for a in alpha]
+    vees = list(itertools.product(*slot_bases))
+    rhs = []
+    for v in vees:
+        flat = [idx for slot in v for idx in slot]
+        total = Fraction(0)
+        for x in v[i]:
+            for y in v[j]:
+                rest = list(flat)
+                rest.remove(x)
+                rest.remove(y)
+                for m, c in q.bracket(x, y):
+                    t2 = tuple(sorted(rest + [m]))
+                    for t1, c1 in left:
+                        total += c * c1 * reference_perm_pairing(q, t1, t2)
+        rhs.append(total)
+    coeffs = reference_solve_slot_grams(q, alpha, rhs)
+    acc = MPoly.zero()
+    for cv, v in zip(coeffs, vees):
+        if cv:
+            mono = {}
+            for u, slot in enumerate(v):
+                for idx in slot:
+                    mono[(idx, u)] = mono.get((idx, u), 0) + 1
+            acc = acc + MPoly({tuple(sorted(mono.items())): cv})
+    return acc
 
 
 def reference_kron(a, b):

@@ -26,7 +26,7 @@ from glab.psring import (
 from glab.invariantlab import (
     _char_invariants,
     _slot_gram,
-    _solve_slot_grams,
+    _slot_solve,
     attach_poly,
     basic_invariants,
     binom_identity_check,
@@ -59,7 +59,12 @@ from glab.invariantlab import (
     xi_t,
     y_xi,
 )
-from oracle import reference_kron
+from oracle import (
+    reference_kron,
+    reference_script_f,
+    reference_slot_gram,
+    reference_solve_slot_grams,
+)
 
 E, H, F = (MPoly.variable((i, 0)) for i in range(3))
 
@@ -463,14 +468,23 @@ def test_predicted_basis_other_modulus_spans_but_does_not_commute(sl2):
 
 def test_script_f_validation(sl2):
     C = casimir(sl2)
-    with pytest.raises(InputError):
-        script_f(sl2, C, (1, 1), 0, 1)
-    with pytest.raises(InputError):
-        script_f(sl2, C, (1, 1, 1), 0, 0)
-    assert script_f(sl2, C, (0, 2, 1), 0, 1).is_zero()
     degenerate = LieAlgebra("ab2", ("a", "b"), (), QMatrix.from_rows([[1, 0], [0, 0]]))
-    with pytest.raises(InputError, match="pairing matrix is singular"):
-        script_f(degenerate, MPoly.variable((0, 0)), (1, 1), 0, 1)
+    formless = LieAlgebra("ab1", ("a",), ())
+    # the fraction reference refuses the same inputs with the same errors
+    for slot_f in (script_f, reference_script_f):
+        with pytest.raises(InputError, match="slot sizes must total deg F \\+ 1"):
+            slot_f(sl2, C, (1, 1), 0, 1)
+        with pytest.raises(InputError, match="slot indices must be distinct and in range"):
+            slot_f(sl2, C, (1, 1, 1), 0, 0)
+        with pytest.raises(InputError, match="slot indices must be distinct and in range"):
+            slot_f(sl2, C, (1, 1, 1), 0, 3)
+        with pytest.raises(InputError, match="slot sizes must be nonnegative"):
+            slot_f(sl2, C, (4, -1), 0, 1)
+        assert slot_f(sl2, C, (0, 2, 1), 0, 1).is_zero()
+        with pytest.raises(InputError, match="pairing matrix is singular"):
+            slot_f(degenerate, MPoly.variable((0, 0)), (1, 1), 0, 1)
+        with pytest.raises(InputError, match="ab1 carries no bilinear form"):
+            slot_f(formless, MPoly.variable((0, 0)), (1, 1), 0, 1)
 
 
 # every slot shape the forms suite enumerates for the sl2 Casimir: lengths
@@ -488,13 +502,60 @@ FORMS_SHAPES = [
 def test_slot_gram_solve_matches_full_kronecker(sl2, data):
     alpha = data.draw(st.sampled_from(FORMS_SHAPES))
     grams = [_slot_gram(sl2, k) for k in alpha]
+    assert grams == [reference_slot_gram(sl2, k) for k in alpha]
     full = reduce(reference_kron, grams)
     rhs = data.draw(st.lists(
-        st.fractions(min_value=-20, max_value=20, max_denominator=12),
-        min_size=full.rows, max_size=full.rows,
+        st.integers(min_value=-60, max_value=60), min_size=full.rows, max_size=full.rows,
     ))
-    want = mat_mul(mat_inv(full), QMatrix.from_rows([[x] for x in rhs])).entries
-    assert _solve_slot_grams(sl2, alpha, rhs) == list(want)
+    want = list(mat_mul(mat_inv(full), QMatrix.from_rows([[x] for x in rhs])).entries)
+    x, den = _slot_solve(sl2, alpha, rhs)
+    assert all(isinstance(n, int) for n in x)
+    assert [Fraction(n, den) for n in x] == want
+    assert reference_solve_slot_grams(sl2, alpha, rhs) == want
+
+
+# sl2 in the basis (e/3, f, h/2), whose structure constants and form both
+# carry denominators: [a, b] = 2/3 c, [a, c] = -a, [b, c] = b,
+# (a, b) = 1/3, (c, c) = 1/2
+SL2_RESCALED = algebra_from_json({
+    "name": "sl2-rescaled", "dim": 3, "basis": ["a", "b", "c"],
+    "sc": [[0, 1, 2, "2/3"], [0, 2, 0, "-1"], [1, 2, 1, "1"]],
+    "form": [["0", "1/3", "0"], ["1/3", "0", "0"], ["0", "0", "1/2"]],
+})
+SLOT_ALGEBRAS = ["sl2", "sl3", "gl2", "takiff:sl2:2", "sum:sl2,sl2", "sl2-rescaled"]
+# every slot shape of 2 to 4 slots and total 2 to 4, and every ordered
+# pair of distinct slots; sl3 (dimension 8) keeps to totals up to 3
+SLOT_CASES = [
+    (alpha, i, j)
+    for n in (2, 3, 4)
+    for alpha in itertools.product(range(5), repeat=n)
+    if 2 <= sum(alpha) <= 4
+    for i in range(n)
+    for j in range(n)
+    if i != j
+]
+
+
+@given(st.sampled_from(SLOT_ALGEBRAS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_script_f_matches_the_fraction_reference(name, data):
+    q = SL2_RESCALED if name == "sl2-rescaled" else builtin_algebra(name)
+    cases = [c for c in SLOT_CASES if q.dim < 8 or sum(c[0]) <= 3]
+    alpha, i, j = data.draw(st.sampled_from(cases))
+    d = sum(alpha) - 1
+    # a rational polynomial of degree d, not invariant in general, on
+    # levels 0 and 1, which script_f strips
+    var = st.tuples(st.integers(0, q.dim - 1), st.integers(0, 1))
+    factors = st.lists(var, max_size=d)
+    coef = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    terms = {}
+    for idx, c in data.draw(st.lists(st.tuples(factors, coef), max_size=4)):
+        terms[tuple(sorted(idx))] = c
+    top = data.draw(st.lists(var, min_size=d, max_size=d))
+    terms[tuple(sorted(top))] = data.draw(coef)
+    F = MPoly.from_factors(terms.items())
+    assert F.total_degree() == d
+    assert script_f(q, F, alpha, i, j) == reference_script_f(q, F, alpha, i, j)
 
 
 def test_script_f_antisymmetry(sl2):

@@ -501,6 +501,68 @@ def test_psi_matches_reference(F, low):
     assert psi_p(F, p) == reference_psi(F, p)
 
 
+def single_term_images(var_list):
+    """A nonzero scalar times a variable of var_list, or a nonzero constant."""
+    nonzero = coefficients().filter(bool)
+    return st.one_of(
+        st.tuples(st.sampled_from(var_list), nonzero).map(
+            lambda wc: MPoly.variable(wc[0], coef=wc[1])),
+        nonzero.map(MPoly.const),
+    )
+
+
+@given(st.sampled_from(FAMILIES), st.data(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_single_term_substitutions_match_reference(var_list, data, mixed):
+    # maps whose images are each one term only move keys and scale
+    # numerators; with mixed, multi-term images sit beside them
+    F = data.draw(table_mpolys(var_list))
+    images = single_term_images(var_list)
+    if mixed:
+        images = st.one_of(images, variable_images(var_list))
+    mapping = data.draw(st.dictionaries(st.sampled_from(var_list), images, max_size=6))
+    # two variables sent to one target, a variable F already holds if any
+    u, w = data.draw(st.lists(st.sampled_from(var_list), min_size=2, max_size=2, unique=True))
+    target = data.draw(st.sampled_from(sorted(F.vars()) or var_list))
+    nonzero = coefficients().filter(bool)
+    mapping[u] = MPoly.variable(target, coef=data.draw(nonzero))
+    mapping[w] = MPoly.variable(target, coef=data.draw(nonzero))
+    assert substitute_vars(F, mapping) == reference_substitute(F, mapping)
+
+
+SHIFT_VARS = [v for v in PSI_VARS if v[1] >= 1]
+
+
+@given(table_mpolys(SHIFT_VARS), table_mpolys(PSI_VARS))
+@settings(max_examples=80, deadline=None)
+def test_level_relabels_match_reference(F, G):
+    # every image of the shift down and of psi mod t^2 - 1 is one term
+    shift = {(i, a): MPoly.variable((i, a - 1)) for i, a in SHIFT_VARS}
+    assert shift_t_down(F) == reference_substitute(F, shift)
+    p = parse_poly("t^2-1")
+    assert psi_p(G, p) == reference_psi(G, p)
+
+
+def test_single_term_substitutions_keep_the_field_maximum():
+    x, y, z, w = (MPoly.variable((i, 0)) for i in range(4))
+    # a relabel keeps the degree, a constant lowers it, a monomial raises it
+    assert substitute_vars(x ** FIELD_MAX, {(0, 0): y.scale(2)}) == (y ** FIELD_MAX).scale(2 ** FIELD_MAX)
+    assert substitute_vars(x ** 127, {(0, 0): y * z}) == y ** 127 * z ** 127
+    with pytest.raises(BudgetError):  # degree 256
+        substitute_vars(x ** 128, {(0, 0): y * z})
+    with pytest.raises(BudgetError):  # degree 256, x kept
+        substitute_vars(x ** 254 * y, {(1, 0): z * w})
+    with pytest.raises(BudgetError):  # degree 260, each power below the maximum
+        substitute_vars(x ** 200 * y ** 30, {(0, 0): z, (1, 0): z * w})
+    assert substitute_vars(x ** 254 * y, {(1, 0): MPoly.const(5)}) == (x ** 254).scale(5)
+    # x^200 y^50 -> 2^200 (z w u)^50, degree 150, whichever factor comes first
+    u = MPoly.variable((4, 0))
+    assert substitute_vars(x ** 200 * y ** 50, {(0, 0): MPoly.const(2), (1, 0): z * w * u}) == (
+        (z * w * u) ** 50).scale(2 ** 200)
+    with pytest.raises(BudgetError):  # degree 258 after the constant
+        substitute_vars(x ** 100 * y ** 86, {(0, 0): MPoly.const(2), (1, 0): z * w * u})
+
+
 # ---------------------------------------------------------------------------
 # packed keys: several machine words, and the field maximum
 
