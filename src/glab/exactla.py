@@ -140,6 +140,14 @@ def _int_row(r) -> tuple:
     return [x.numerator * (lcm // x.denominator) for x in r], lcm
 
 
+def int_matrix(m: QMatrix) -> tuple:
+    """(d, rows): m as integer row tuples over d, the lcm of all its
+    denominators."""
+    flat, d = _int_row(m.entries)
+    c = m.cols
+    return d, tuple(tuple(flat[i * c : (i + 1) * c]) for i in range(m.rows))
+
+
 def _int_rows(m: QMatrix) -> list:
     """Rows of m cleared to integers; row scaling keeps rank and kernel."""
     return [_int_row(m.row(i))[0] for i in range(m.rows)]

@@ -22,6 +22,7 @@ from .exactla import (
     BudgetError,
     InputError,
     QMatrix,
+    int_matrix,
     mat_inv,
     rat,
     row_space,
@@ -622,9 +623,7 @@ def graded_H_sum(q: LieAlgebra, j: int) -> MPoly:
 def _form_rows(q: LieAlgebra) -> tuple:
     """(d, rows): the stored form as integer rows over d, the lcm of its
     denominators."""
-    g = q.form.row_lists()
-    d = math.lcm(*(c.denominator for row in g for c in row))
-    return d, tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in g)
+    return int_matrix(q.form)
 
 
 @lru_cache(maxsize=None)
@@ -670,11 +669,10 @@ def _slot_gram_inverse(q: LieAlgebra, k: int) -> tuple:
     """(d, rows): the inverse of the slot-k Gram as integer rows over d,
     the lcm of its denominators."""
     try:
-        inv = mat_inv(_slot_gram(q, k)).row_lists()
+        inv = mat_inv(_slot_gram(q, k))
     except InputError as exc:
         raise InputError("pairing matrix is singular") from exc
-    d = math.lcm(*(c.denominator for row in inv for c in row))
-    return d, tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in inv)
+    return int_matrix(inv)
 
 
 def _slot_solve(q: LieAlgebra, alpha: tuple, rhs: list) -> tuple:

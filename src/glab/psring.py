@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .exactla import (
@@ -516,14 +515,9 @@ def psi_p(F: MPoly, p: UniPoly) -> MPoly:
     if p.is_zero() or not p.is_monic() or p.degree < 1:
         raise InputError("modulus must be monic of degree >= 1")
     n = p.degree
-    return substitute_levels(F, lambda a: _power_mod(a, p) if a >= n else None)
-
-
-@lru_cache(maxsize=1024)
-def _power_mod(a: int, p: UniPoly) -> UniPoly:
-    """t^a mod p, kept because the ladders reduce many polynomials by one p
-    and each division costs far more than the substitution it feeds."""
-    return UniPoly.monomial(a).mod(p)
+    return substitute_levels(
+        F, lambda a: UniPoly.monomial(a).mod(p) if a >= n else None
+    )
 
 
 def shift_t_down(F: MPoly) -> MPoly:

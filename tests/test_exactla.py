@@ -14,6 +14,7 @@ from glab.exactla import (
     QMatrix,
     RowSpace,
     det,
+    int_matrix,
     mat_inv,
     mat_mul,
     nullspace,
@@ -120,6 +121,14 @@ def _det_cofactor(m):
 def test_det_matches_cofactor_expansion(rows):
     m = QMatrix.from_rows(rows)
     assert det(m) == _det_cofactor(m)
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_int_matrix_clears_over_the_least_denominator(m):
+    d, rows = int_matrix(m)
+    assert [[Fraction(x, d) for x in r] for r in rows] == m.row_lists()
+    assert d == math.lcm(*(Fraction(x).denominator for x in m.entries))
 
 
 def test_det_requires_square():
