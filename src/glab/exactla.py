@@ -1,18 +1,26 @@
 """Exact linear algebra over the rationals.
 
-All exact elimination goes through one fraction-free (Bareiss) routine on
-integer rows, ``_echelon``: rational input is cleared to integers row by
-row, every division in it is exact, and no ``fractions.Fraction`` is made
-until the answer is read out.  Rank, determinant and kernels use its
-echelon form; rref, mat_inv and RowSpace.basis use its reduced form.  A
-kernel takes one forward elimination, of the rows with their columns
-reversed, and a fraction-free back-substitution per free column, which
-yields its reduced row echelon basis: a canonical basis, reproducible byte
-for byte.
+All exact elimination but one goes through one fraction-free (Bareiss)
+routine on integer rows, ``_echelon``: rational input is cleared to
+integers row by row, every division in it is exact, and no
+``fractions.Fraction`` is made until the answer is read out.  Rank,
+determinant and kernels use its echelon form; rref, mat_inv and
+RowSpace.basis use its reduced form.  A kernel takes one forward
+elimination, of the rows with their columns reversed, and a fraction-free
+back-substitution per free column, which yields its reduced row echelon
+basis: a canonical basis, reproducible byte for byte.
+
+The exception is ``rank_skew``, the rank of an integer skew-symmetric
+matrix from its strict upper triangle, as the structure matrices of Lie
+brackets are.  Its fraction-free Pfaffian elimination pivots on pairs of
+indices: every entry it holds is a Pfaffian of a principal submatrix, so
+every division is still exact, and a Pfaffian is a square root of the
+determinant, so the numbers have about half the bits of Bareiss minors,
+and only half the matrix is updated.
 
 ``rank_packed_mod_p`` is the one routine that does not stay exact: it ranks
 integer rows over GF(PRIME), which can only under-count, so a sampled rank
-can be steered by it and certified by one exact ``rank`` at the end.  Each
+can be steered by it and certified by one exact rank at the end.  Each
 row is one int of wide bit fields, one per column, so that a row operation
 is one bigint multiply-add.  ``rank_mod_p`` packs the cleared rows of a
 QMatrix into it; a caller that can form its rows packed, as the sampled
@@ -203,6 +211,57 @@ def _echelon(rows: list, ncols: int, full: bool) -> tuple:
 def rank(m: QMatrix) -> int:
     """Matrix rank by fraction-free elimination on integers."""
     return len(_echelon(_int_rows(m), m.cols, False)[1])
+
+
+def rank_skew(upper: Sequence) -> int:
+    """Rank of an integer skew-symmetric n x n matrix A, given by its strict
+    upper triangle: upper[i] lists A[i][j] for j = i+1 .. n-1.
+
+    Fraction-free Pfaffian elimination (Knuth, "Overlapping Pfaffians",
+    1996).  Each step pivots on the pair (0, b): 0 the first active index,
+    b the first nonzero entry of its row, lead = A[0][b]; an index whose
+    row is zero is dropped.  With f = A[0][.] and g = A[b][.], every other
+    entry becomes (lead * A[x][y] - f[x] * g[y] + g[x] * f[y]) // prev,
+    prev the lead of the step before: lead times the skew Schur complement
+    of the pivot pair.  After k steps each entry is, up to sign, the
+    Pfaffian of the principal submatrix on the 2k pivot indices and x, y,
+    so every division is exact and the entries have about half the bits of
+    the Bareiss minors.  Each step adds 2 to the rank.  upper is not
+    changed.
+    """
+    n = len(upper)
+    if any(len(r) != n - 1 - i for i, r in enumerate(upper)):
+        raise InputError("rank_skew needs the strict upper triangle of a square matrix")
+    rows = [list(r) for r in upper]
+    prev = 1
+    found = 0
+    while rows:
+        top = rows.pop(0)
+        j = next((j for j, x in enumerate(top) if x), None)
+        if j is None:
+            continue
+        # pivot pair (0, b), b = j + 1; rows[i] is now row i + 1, so row b
+        # is rows[j], and column b lies at j - i - 1 in each row above it
+        lead = top[j]
+        above, below = rows[:j], rows[j + 1:]
+        f = top[:j] + top[j + 1:]
+        g = [-r[j - i - 1] for i, r in enumerate(above)] + rows[j]
+        out = []
+        for i, r in enumerate(above + below):
+            if i < j:
+                r = r[:j - i - 1] + r[j - i:]
+            fx, gx = f[i], g[i]
+            if fx or gx:
+                out.append([(lead * a - fx * gy + gx * fy) // prev
+                            for a, fy, gy in zip(r, f[i + 1:], g[i + 1:])])
+            elif lead == prev:
+                out.append(r)
+            else:
+                out.append([lead * a // prev for a in r])
+        rows = out
+        prev = lead
+        found += 2
+    return found
 
 
 PRIME = 2**31 - 1

@@ -10,6 +10,7 @@ tables, the difference bracket among them.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -26,8 +27,8 @@ from .exactla import (
     RowSpace,
     pack_mod_p,
     packed_width,
-    rank,
     rank_packed_mod_p,
+    rank_skew,
     rat,
     rat_str,
     term_budget,
@@ -194,6 +195,25 @@ class UniPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def t_powers_mod(p: UniPoly):
+    """t^0 mod p, t^1 mod p, ... for p monic of degree n >= 1, without end.
+
+    Each power comes from the one before with no division: t * r has
+    degree at most n, and subtracting its t^n coefficient times p leaves
+    t^(a+1) mod p.
+    """
+    n = p.degree
+    low = p.coeffs[:n]
+    cur = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    while True:
+        yield UniPoly.make(cur)
+        top = cur[-1]
+        if top:
+            cur = [-top * low[0]] + [c - top * b for c, b in zip(cur, low[1:])]
+        else:
+            cur = [top] + cur[:-1]
 
 
 def poly_egcd(a: UniPoly, b: UniPoly) -> tuple:
@@ -795,11 +815,7 @@ def make_quotient(q: LieAlgebra, p: UniPoly) -> BracketTable:
     if p.is_zero() or not p.is_monic() or p.degree < 1:
         raise InputError("modulus must be monic of degree >= 1")
     n = p.degree
-    rems = []
-    cur = UniPoly.one()
-    for _ in range(2 * n - 1):
-        rems.append(cur.mod(p))
-        cur = cur * UniPoly.t()
+    rems = list(itertools.islice(t_powers_mod(p), 2 * n - 1))
     den_p = math.lcm(*(c.denominator for r in rems for c in r.coeffs))
     rem_nums = [[(d, c.numerator * (den_p // c.denominator)) for d, c in enumerate(r.coeffs) if c]
                 for r in rems]
@@ -905,6 +921,13 @@ def check_table_jacobi(T: BracketTable):
     BudgetError, before the scan, when the N(N-1)(N-2)/6 triples of the
     N variables exceed the term budget.  Brackets are read on integers from
     T.scaled_neighbours, which scales each cyclic term by D^2.
+
+    For u < v only some w > v can fail.  When w brackets neither x_u nor
+    x_v (the index holds both orders of each pair), two cyclic terms vanish
+    and the third is the sum of the [x_m, x_w] over the x_m in [x_u, x_v],
+    zero unless w is a neighbour of such an m.  So for each pair only the
+    neighbours of u, v and those m are visited, in flat order, and the
+    first failing triple is the one a scan of all triples finds.
     """
     vs = T.var_list()
     N = len(vs)
@@ -912,9 +935,16 @@ def check_table_jacobi(T: BracketTable):
     if N * (N - 1) * (N - 2) // 6 > budget:
         raise BudgetError(f"Jacobi scan of {N} variables has more than {budget} triples")
     br = {u: dict(T.scaled_neighbours[1].get(u, ())) for u in vs}
+    flat = T.flat
+    nbrs = {u: {flat(v) for v in br[u]} for u in vs}
     for iu, u in enumerate(vs):
-        for iv, v in enumerate(vs[iu + 1:], iu + 1):
-            for w in vs[iv + 1:]:
+        for iv in range(iu + 1, N):
+            v = vs[iv]
+            near = nbrs[u] | nbrs[v]
+            for m, _ in br[u].get(v, ()):
+                near |= nbrs[m]
+            for iw in sorted(k for k in near if k > iv):
+                w = vs[iw]
                 acc = {}
                 for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
                     for m, c in br[x].get(y, ()):
@@ -1002,25 +1032,45 @@ class IndexReport:
     witness: tuple
 
 
+def _structure_upper(T: BracketTable, point: dict) -> list:
+    """Strict upper triangle of D * M(point), D = T.scaled_neighbours[0],
+    at an integer point (variable -> int, absent variables 0): row u lists
+    D * point([x_u, x_v]) for flat(v) > flat(u), summed on integers from
+    T.scaled_neighbours.  One global scale keeps the skew symmetry and the
+    rank of M, so exactla.rank_skew ranks it as it stands.
+    """
+    D, index = T.scaled_neighbours
+    N, flat = T.dim_total, T.flat
+    rows = [[0] * (N - 1 - k) for k in range(N)]
+    for u, pairs in index.items():
+        fu = flat(u)
+        row = rows[fu]
+        for v, scaled in pairs:
+            k = flat(v) - fu - 1
+            if k >= 0:
+                row[k] = sum([c * point.get(w, 0) for w, c in scaled])
+    return rows
+
+
 def structure_matrix_at(T: BracketTable, point: dict) -> QMatrix:
     """Matrix of the bracket paired against a point of the dual space.
 
-    Entry (u, v) is the point evaluated on [x_u, x_v], summed on integers
-    from T.scaled_neighbours and the point times its lcm denominator L: an
-    int when D * L == 1, else over D * L.  index_report ranks its samples
-    without it (see _structure_ranks_mod_p) and builds it only at the
-    witness, for the exact rank.
+    Entry (u, v) is the point evaluated on [x_u, x_v]: _structure_upper at
+    the point times its lcm denominator L, entry (v, u) its negative, an
+    int when D * L == 1, else over D * L.  index_report never builds it:
+    its samples are ranked from packed rows (_structure_ranks_mod_p) and
+    its witness from _structure_upper by exactla.rank_skew.
     """
-    D, index = T.scaled_neighbours
+    D = T.scaled_neighbours[0]
     L = math.lcm(*(x.denominator for x in point.values()))
     pt = {w: x.numerator * (L // x.denominator) for w, x in point.items()}
-    pos = {v: k for k, v in enumerate(T.var_list())}
-    N, den = len(pos), D * L
+    N, den = T.dim_total, D * L
     ent = [0] * (N * N)
-    for u, pairs in index.items():
-        for v, scaled in pairs:
-            val = sum(c * pt.get(w, 0) for w, c in scaled)
-            ent[pos[u] * N + pos[v]] = val if den == 1 else Fraction(val, den)
+    for u, row in enumerate(_structure_upper(T, pt)):
+        for v, val in enumerate(row, u + 1):
+            if val:
+                x = val if den == 1 else Fraction(val, den)
+                ent[u * N + v], ent[v * N + u] = x, -x
     return QMatrix(N, N, tuple(ent))
 
 
@@ -1121,13 +1171,16 @@ def index_report(T, seed: int = 0, samples: int = 4, bound: int = 1000) -> Index
     """Index of the bracket as corank of the sampled structure matrix.
 
     The samples are ranked over GF(exactla.PRIME) straight from packed rows
-    (_structure_ranks_mod_p); structure_matrix_at runs once, at the witness,
-    for its exact rank (see sampled_max_rank), and not at all when the
-    witness is of full rank mod p.  The rank is exact at the witness, so it
-    is never above the generic rank r.  The structure matrix is linear in
-    the point, so a sample falls short of r with probability at most
-    r/(2*bound + 1); the one other cause is a PRIME dividing every generic
-    r x r minor, which is a property of the table.
+    (_structure_ranks_mod_p).  The exact rank at the witness (see
+    sampled_max_rank) is taken once, and not at all when the witness is of
+    full rank mod p: the integer upper triangle of D * M(witness) is read
+    from T.scaled_neighbours (_structure_upper) and ranked by fraction-free
+    Pfaffian elimination (exactla.rank_skew), so no Fraction and no QMatrix
+    is made.  The rank is exact at the witness, so it is never above the
+    generic rank r.  The structure matrix is linear in the point, so a
+    sample falls short of r with probability at most r/(2*bound + 1); the
+    one other cause is a PRIME dividing every generic r x r minor, which is
+    a property of the table.
     """
     if isinstance(T, LieAlgebra):
         T = wrap_algebra(T)
@@ -1135,7 +1188,7 @@ def index_report(T, seed: int = 0, samples: int = 4, bound: int = 1000) -> Index
     N = T.dim_total
 
     def exact_rank(flat_point):
-        return rank(structure_matrix_at(T, dict(zip(vs, flat_point))))
+        return rank_skew(_structure_upper(T, dict(zip(vs, flat_point))))
 
     r, witness, used_bound, rounds = sampled_max_rank(
         _structure_ranks_mod_p(T), N, N, exact_rank, seed=seed, samples=samples,

@@ -50,7 +50,7 @@ from .exactla import (
     row_space,
     term_budget,
 )
-from .liecore import BracketTable, UniPoly
+from .liecore import BracketTable, UniPoly, t_powers_mod
 
 Var = tuple
 Mono = tuple
@@ -511,13 +511,24 @@ def substitute_levels(F: MPoly, level_image: Callable) -> MPoly:
 
 
 def psi_p(F: MPoly, p: UniPoly) -> MPoly:
-    """Reduce every t power mod p; an algebra homomorphism."""
+    """Reduce every t power mod p; an algebra homomorphism.
+
+    The remainders t^a mod p are built in turn, each from the one before
+    (liecore.t_powers_mod), up to the highest level of F.
+    """
     if p.is_zero() or not p.is_monic() or p.degree < 1:
         raise InputError("modulus must be monic of degree >= 1")
     n = p.degree
-    return substitute_levels(
-        F, lambda a: UniPoly.monomial(a).mod(p) if a >= n else None
-    )
+    powers, rems = t_powers_mod(p), []
+
+    def level_image(a):
+        if a < n:
+            return None
+        while len(rems) <= a:
+            rems.append(next(powers))
+        return rems[a]
+
+    return substitute_levels(F, level_image)
 
 
 def shift_t_down(F: MPoly) -> MPoly:

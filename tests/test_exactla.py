@@ -22,6 +22,7 @@ from glab.exactla import (
     rank,
     rank_mod_p,
     rank_packed_mod_p,
+    rank_skew,
     rat,
     rat_str,
     row_space,
@@ -305,6 +306,62 @@ def test_elimination_agrees_with_sympy():
         if m.is_square():
             d = dm.det()
             assert det(m) == Fraction(int(d.numerator), int(d.denominator))
+
+
+@st.composite
+def planted_skew(draw):
+    """(A, k): an integer skew-symmetric n x n matrix, n in 0..16, the sum
+    of k terms c * (u v^T - v u^T), so of rank at most 2k; some indices
+    are left out of every u and v (zero rows and columns), and c or the
+    vector entries reach 2^70."""
+    n = draw(st.integers(0, 16))
+    k = draw(st.integers(0, n // 2))
+    live = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    big = draw(st.sampled_from((9, 2**35, 2**70)))
+    coord = st.integers(-big, big)
+    A = [[0] * n for _ in range(n)]
+    for _ in range(k):
+        u = [draw(coord) if on else 0 for on in live]
+        v = [draw(coord) if on and draw(st.booleans()) else 0 for on in live]
+        c = draw(st.sampled_from((1, -1, 3, 2**70)))
+        for i in range(n):
+            for j in range(n):
+                A[i][j] += c * (u[i] * v[j] - u[j] * v[i])
+    return A, k
+
+
+def _upper(A):
+    return [A[i][i + 1:] for i in range(len(A))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_skew())
+def test_rank_skew_matches_bareiss_and_the_fraction_reference(case):
+    A, k = case
+    r = rank_skew(_upper(A))
+    assert r == rank(QMatrix.from_rows(A)) if A else r == 0
+    assert r == len(reference_rref(A)[1])
+    assert r <= 2 * k
+    assert r % 2 == 0
+
+
+def test_rank_skew_edge_cases():
+    assert rank_skew([]) == 0
+    assert rank_skew([[]]) == 0
+    assert rank_skew([[0], []]) == 0
+    assert rank_skew([[5], []]) == 2
+    # zero first row, pivots found past it
+    assert rank_skew([[0, 0, 0], [1, 0], [2], []]) == 2
+    # the first nonzero entry of row 0 is its last one
+    assert rank_skew([[0, 0, 7], [1, 0], [0], []]) == 4
+    upper = [[1, 2, 3], [4, 5], [6], []]
+    before = [list(r) for r in upper]
+    assert rank_skew(upper) == 4
+    assert upper == before
+    with pytest.raises(InputError):
+        rank_skew([[1, 2], [3]])
+    with pytest.raises(InputError):
+        rank_skew([[1], [2]])
 
 
 @st.composite

@@ -1,14 +1,18 @@
 """Polynomials, Lie algebra data, quotient brackets, index sampling."""
 import functools
 import hashlib
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from glab import liecore
-from glab.exactla import PRIME, BudgetError, InputError, rank_mod_p, rref
+from glab import exactla, liecore, suites
+from glab.exactla import (
+    PRIME, BudgetError, InputError, QMatrix, rank, rank_mod_p, rank_skew, rref,
+)
 from glab.liecore import (
     LieAlgebra,
     UniPoly,
@@ -34,7 +38,9 @@ from glab.liecore import (
     poly_egcd,
     rational_roots,
     _structure_ranks_mod_p,
+    _structure_upper,
     structure_matrix_at,
+    t_powers_mod,
     wrap_algebra,
 )
 from glab.psring import MPoly, substitute_levels
@@ -45,6 +51,7 @@ from oracle import (
     reference_jacobi,
     reference_pencil,
     reference_quotient,
+    reference_rref,
     reference_sampled_max_rank,
     reference_structure_matrix,
 )
@@ -97,6 +104,17 @@ def test_divmod_invariant(a, d):
     q, r = a.divmod_by(d)
     assert a == q * d + r
     assert r.is_zero() or r.degree < d.degree
+
+
+@given(polys, st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_t_powers_mod_match_division(low, count):
+    # p monic of degree 1-6 with rational coefficients below t^deg
+    n = low.degree + 2 if not low.is_zero() else 1
+    p = low + UniPoly.monomial(n)
+    powers = itertools.islice(t_powers_mod(p), 2 * n + count)
+    for a, r in enumerate(powers):
+        assert r == UniPoly.monomial(a).mod(p)
 
 
 @given(nonzero_polys, nonzero_polys)
@@ -629,9 +647,9 @@ def _counted_structure_matrices(monkeypatch):
 
     def counted(T, point):
         calls.append(point)
-        return structure_matrix_at(T, point)
+        return _structure_upper(T, point)
 
-    monkeypatch.setattr(liecore, "structure_matrix_at", counted)
+    monkeypatch.setattr(liecore, "_structure_upper", counted)
     return calls
 
 
@@ -640,6 +658,7 @@ def test_index_report_builds_the_structure_matrix_only_at_the_witness(monkeypatc
     calls = _counted_structure_matrices(monkeypatch)
     rep = index_report(T, seed=0)
     assert calls == [dict(zip(T.var_list(), rep.witness))]
+    assert all(type(x) is int for x in calls[0].values())
     assert rep.index == 16
 
 
@@ -650,6 +669,57 @@ def test_index_report_builds_no_structure_matrix_at_full_rank(monkeypatch):
     for T in (wrap_algebra(aff), make_quotient(aff, parse_poly("t^2+1"))):
         assert index_report(T, seed=0).index == 0
     assert calls == []
+
+
+def _refuse(*args):
+    raise AssertionError("index_report reached the general exact rank or a QMatrix")
+
+
+@pytest.mark.parametrize("case", list(ORACLE_TABLES))
+def test_index_report_ranks_the_witness_without_bareiss_or_qmatrix(case, monkeypatch):
+    T = ORACLE_TABLES[case]()
+    want = [index_report(T, seed=seed) for seed in range(3)]
+    # liecore holds no binding of its own, so every call would go through here
+    assert not hasattr(liecore, "rank")
+    monkeypatch.setattr(exactla, "rank", _refuse)
+    monkeypatch.setattr(liecore, "structure_matrix_at", _refuse)
+    monkeypatch.setattr(QMatrix, "__post_init__", _refuse)
+    assert [index_report(T, seed=seed) for seed in range(3)] == want
+
+
+WITNESS_TABLES = {
+    # the six index_report calls of the elimination benchmark workload
+    "sl4 t^3+t+1": lambda: make_quotient(builtin_algebra("sl4"), parse_poly("t^3+t+1")),
+    "sl5 t^2-t": lambda: make_quotient(builtin_algebra("sl5"), parse_poly("t^2-t")),
+    "gl4 t^4-t": lambda: make_quotient(builtin_algebra("gl4"), parse_poly("t^4-t")),
+    "sl3 t^6-t": lambda: make_quotient(builtin_algebra("sl3"), parse_poly("t^6-t")),
+    "sl4 t^2 - t^2+t": ORACLE_TABLES["sl4 t^2 - t^2+t"],
+    "sl3 t^4 - t^4+1": ORACLE_TABLES["sl3 t^4 - t^4+1"],
+    "sl3 member a=1/PRIME": ORACLE_TABLES["sl3 member a=1/PRIME"],
+}
+
+
+@pytest.mark.parametrize("case", list(WITNESS_TABLES))
+def test_witness_rank_skew_matches_bareiss(case):
+    T = WITNESS_TABLES[case]()
+    vs = T.var_list()
+    rep = index_report(T, seed=0)
+    ints = dict(zip(vs, map(int, rep.witness)))
+    upper = _structure_upper(T, ints)
+    assert all(type(x) is int for row in upper for x in row)
+    m = structure_matrix_at(T, dict(zip(vs, rep.witness)))
+    assert rank_skew(upper) == rank(m) == rep.rank
+    # D * L > 1: a rational point, scaled by L to integers, over D * L
+    rng = random.Random(case)
+    point = {w: Fraction(rng.randint(-50, 50), rng.randint(1, 7)) for w in vs}
+    L = math.lcm(*(x.denominator for x in point.values()))
+    D = T.scaled_neighbours[0]
+    assert D * L > 1
+    scaled = {w: int(x * L) for w, x in point.items()}
+    assert rank_skew(_structure_upper(T, scaled)) == rank(structure_matrix_at(T, point))
+    if case == "sl3 member a=1/PRIME":
+        assert D % PRIME == 0
+        assert rank_skew(upper) == len(reference_rref(m.row_lists())[1])
 
 
 @pytest.mark.parametrize("case", list(ORACLE_TABLES))
@@ -677,12 +747,50 @@ def test_structure_matrix_matches_the_fraction_reference(case):
 @pytest.mark.parametrize("name", [
     "sl2", "sl3", "sl4", "gl2", "gl3", "sum:sl2,gl2", "abelian:3", "takiff:sl2:2",
     "sl4 t^2 - t^2+t", "sl3 t^4 - t^4+1",
+    # every table the jacobi suite scans, and the index-laws differences
+    *(f"{qa} {p}" for qa in suites.DEFAULTS["jacobi"]["algebras"]
+      for p in suites.DEFAULTS["jacobi"]["moduli"]),
+    *(f"{qa} {p1} - {p2}" for qa, p1, p2 in suites.DEFAULTS["index-laws"]["difference_cases"]),
 ])
 def test_jacobi_scan_passes_with_the_reference(name):
-    T = (ORACLE_TABLES[name]() if name in ORACLE_TABLES
-         else wrap_algebra(builtin_algebra(name)))
+    if name in ORACLE_TABLES:
+        T = ORACLE_TABLES[name]()
+    elif " - " in name:
+        qa, p1, _, p2 = name.split()
+        T = make_difference_bracket(builtin_algebra(qa), parse_poly(p1), parse_poly(p2))
+    elif " " in name:
+        T = _jacobi_quotient(name)
+    else:
+        T = wrap_algebra(builtin_algebra(name))
     assert check_table_jacobi(T) is None
     assert reference_jacobi(T) is None
+
+
+def _planted(order, N, spare):
+    """A table on N variables of an abelian algebra with only
+    [x_a, x_b] = x_c and [x_c, x_d] = x_e, (a, b, d) = order and
+    (c, e) = spare: Jacobi fails exactly on the triples {a, b, d}."""
+    a, b, d = order
+    c, e = spare
+    table = {}
+    for (x, y), w in (((a, b), c), ((c, d), e)):
+        sign = 1 if x < y else -1
+        table[(min(x, y), 0), (max(x, y), 0)] = (((w, 0), Fraction(sign)),)
+    return FractionTable(make_abelian(N), 1, table)
+
+
+@pytest.mark.parametrize("triple, spare", [
+    ((0, 1, 2), (7, 8)),  # the first triple
+    ((2, 4, 6), (3, 8)),  # a middle one
+    ((6, 7, 8), (0, 1)),  # the last one
+])
+def test_jacobi_scan_finds_a_planted_violation(triple, spare):
+    N = 9
+    for order in itertools.permutations(triple):
+        T = _planted(order, N, spare)
+        want = tuple(T.unflat(k) for k in sorted(triple))
+        assert reference_jacobi(T) == want
+        assert check_table_jacobi(T) == want
 
 
 @functools.cache
