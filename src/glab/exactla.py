@@ -1,22 +1,26 @@
 """Exact linear algebra over the rationals.
 
-All exact elimination but one goes through one fraction-free (Bareiss)
-routine on integer rows, ``_echelon``: rational input is cleared to
-integers row by row, every division in it is exact, and no
-``fractions.Fraction`` is made until the answer is read out.  Rank,
-determinant and kernels use its echelon form; rref, mat_inv and
-RowSpace.basis use its reduced form.  A kernel takes one forward
-elimination, of the rows with their columns reversed, and a fraction-free
-back-substitution per free column, which yields its reduced row echelon
-basis: a canonical basis, reproducible byte for byte.
+Exact elimination goes through two fraction-free routines on integers,
+every division in them exact, and no ``fractions.Fraction`` is made until
+the answer is read out.
 
-The exception is ``rank_skew``, the rank of an integer skew-symmetric
-matrix from its strict upper triangle, as the structure matrices of Lie
-brackets are.  Its fraction-free Pfaffian elimination pivots on pairs of
-indices: every entry it holds is a Pfaffian of a principal submatrix, so
-every division is still exact, and a Pfaffian is a square root of the
-determinant, so the numbers have about half the bits of Bareiss minors,
-and only half the matrix is updated.
+``_echelon`` is Bareiss elimination of integer rows, rational input
+cleared to integers row by row.  Rank, determinant and kernels use its
+echelon form; rref, mat_inv and RowSpace.basis use its reduced form.  A
+kernel takes one forward elimination, of the rows with their columns
+reversed, and a fraction-free back-substitution per free column, which
+yields its reduced row echelon basis: a canonical basis, reproducible byte
+for byte.
+
+``_pfaffian`` is Pfaffian elimination of a skew-symmetric integer matrix
+from its strict upper triangle, as the structure matrices of Lie brackets
+are.  It pivots on pairs of indices: every entry it holds is a Pfaffian of
+a principal submatrix, and a Pfaffian is a square root of the determinant,
+so the numbers have about half the bits of Bareiss minors, and only half
+the matrix is updated.  ``rank_skew`` counts its pivots, and ``nullspace``
+of a skew-symmetric matrix reads the same canonical kernel basis off its
+steps, one back-substitution per free index; every other kernel is
+Bareiss's.
 
 ``rank_packed_mod_p`` is the one routine that does not stay exact: it ranks
 integer rows over GF(PRIME), which can only under-count, so a sampled rank
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,36 +218,49 @@ def rank(m: QMatrix) -> int:
     return len(_echelon(_int_rows(m), m.cols, False)[1])
 
 
-def rank_skew(upper: Sequence) -> int:
-    """Rank of an integer skew-symmetric n x n matrix A, given by its strict
+def _pfaffian(upper: Sequence) -> tuple:
+    """Fraction-free Pfaffian elimination (Knuth, "Overlapping Pfaffians",
+    1996) of the integer skew-symmetric n x n matrix A given by its strict
     upper triangle: upper[i] lists A[i][j] for j = i+1 .. n-1.
 
-    Fraction-free Pfaffian elimination (Knuth, "Overlapping Pfaffians",
-    1996).  Each step pivots on the pair (0, b): 0 the first active index,
-    b the first nonzero entry of its row, lead = A[0][b]; an index whose
-    row is zero is dropped.  With f = A[0][.] and g = A[b][.], every other
-    entry becomes (lead * A[x][y] - f[x] * g[y] + g[x] * f[y]) // prev,
+    The indices are met in descending order.  At each step a is the largest
+    active index.  If its row is zero, a is dropped as free.  Otherwise a
+    is paired with b, the largest active index with A'[a][b] != 0, and
+    lead = A'[a][b].  With f = A'[a][.] and g = A'[b][.] over the other
+    active indices, every other entry becomes
+        (lead * A'[x][y] - f[x] * g[y] + g[x] * f[y]) // prev,
     prev the lead of the step before: lead times the skew Schur complement
     of the pivot pair.  After k steps each entry is, up to sign, the
     Pfaffian of the principal submatrix on the 2k pivot indices and x, y,
-    so every division is exact and the entries have about half the bits of
-    the Bareiss minors.  Each step adds 2 to the rank.  upper is not
-    changed.
+    so every division is exact, and the last lead is +-Pf of A on all the
+    pivot indices.  upper is not changed.
+
+    Returns (steps, frees, d), each index given by its position in the
+    order met, p for index n - 1 - p: steps lists (a, b, lead, rest, f, g),
+    rest the ascending positions of the active indices that f and g range
+    over; frees lists the free indices; d is the last lead, 1 if there is
+    no step.  A has rank 2 * len(steps).
     """
     n = len(upper)
-    if any(len(r) != n - 1 - i for i, r in enumerate(upper)):
-        raise InputError("rank_skew needs the strict upper triangle of a square matrix")
-    rows = [list(r) for r in upper]
+    # rows[p] lists A[i][j] for j = i-1 .. 0, i = n - 1 - p: each row over
+    # the positions after its own
+    rows = [[-upper[j][i - j - 1] for j in range(i - 1, -1, -1)]
+            for i in range(n - 1, -1, -1)]
+    idx = list(range(n))
+    steps, frees = [], []
     prev = 1
-    found = 0
     while rows:
         top = rows.pop(0)
         j = next((j for j, x in enumerate(top) if x), None)
         if j is None:
+            frees.append(idx[0])
+            idx = idx[1:]
             continue
-        # pivot pair (0, b), b = j + 1; rows[i] is now row i + 1, so row b
-        # is rows[j], and column b lies at j - i - 1 in each row above it
+        # pivot pair (a, b) at positions (idx[0], idx[j + 1]); rows[i] is now
+        # the row of idx[i + 1], so b's row is rows[j], and b's column lies
+        # at j - i - 1 in each row above it
         lead = top[j]
+        rest = idx[1:j + 1] + idx[j + 2:]
         above, below = rows[:j], rows[j + 1:]
         f = top[:j] + top[j + 1:]
         g = [-r[j - i - 1] for i, r in enumerate(above)] + rows[j]
@@ -258,10 +276,22 @@ def rank_skew(upper: Sequence) -> int:
                 out.append(r)
             else:
                 out.append([lead * a // prev for a in r])
-        rows = out
-        prev = lead
-        found += 2
-    return found
+        steps.append((idx[0], idx[j + 1], lead, rest, f, g))
+        rows, idx, prev = out, rest, lead
+    return steps, frees, prev
+
+
+def rank_skew(upper: Sequence) -> int:
+    """Rank of an integer skew-symmetric n x n matrix A, given by its strict
+    upper triangle: upper[i] lists A[i][j] for j = i+1 .. n-1.
+
+    Twice the number of pivot pairs of its fraction-free Pfaffian
+    elimination (_pfaffian).  upper is not changed.
+    """
+    n = len(upper)
+    if any(len(r) != n - 1 - i for i, r in enumerate(upper)):
+        raise InputError("rank_skew needs the strict upper triangle of a square matrix")
+    return 2 * len(_pfaffian(upper)[0])
 
 
 PRIME = 2**31 - 1
@@ -382,8 +412,61 @@ def rref(rows: list) -> tuple:
 def nullspace(m: QMatrix) -> list:
     """Canonical kernel basis of m as row vectors: its reduced row echelon
     form (leading entries equal 1), from one forward elimination and a
-    back-substitution per free column (see _kernel)."""
+    back-substitution per free column.
+
+    A skew-symmetric m (square, zero diagonal, m[i][j] == -m[j][i]) is
+    cleared to integers over the lcm of all its denominators, which keeps
+    the skew symmetry that clearing row by row would break, and its kernel
+    is read off its Pfaffian elimination (see _skew_kernel).  Every other
+    matrix is cleared row by row and eliminated by Bareiss (see _kernel).
+    """
+    if m.is_square():
+        _, rows = int_matrix(m)
+        if all(list(r) == [-x for x in c] for r, c in zip(rows, zip(*rows))):
+            return _skew_kernel(rows)
     return _kernel(_int_rows(m), m.cols)
+
+
+def _skew_kernel(rows: Sequence) -> list:
+    """Kernel basis, in reduced row echelon form, of the skew-symmetric
+    integer matrix A with these rows.
+
+    _pfaffian meets A's indices in descending order and pairs each a with
+    b, the largest active index with A'[a][b] != 0.  Let S be the pivot
+    indices and d the last lead, +-Pf(A_SS).  Each free index phi gives the
+    kernel vector X with d at phi, 0 at every other free index and, walking
+    the steps in reverse, from rows a and b of each step,
+        X_b = -sum_y f[y] * X_y // lead,  X_a = sum_y g[y] * X_y // lead.
+    X_S = -d * A_SS^-1 A_S,phi, and Pf(A_SS) * A_SS^-1 is integral, so
+    every division is exact.
+
+    The pivot rule makes X / d the reduced row echelon basis.  For an
+    active c between b and a, A'[a][c] = 0, so b's row never enters c's
+    Schur row, which stays A's row c plus multiples of rows of larger
+    indices.  The Schur row of a free phi is zero: A's row phi is a
+    combination of rows of larger indices, hence, A being skew, column phi
+    one of the columns right of it, so phi is a pivot of the kernel's
+    reduced row echelon form.  There are as many free indices as such
+    pivots, so they are exactly these pivots, and X / d, 1 at phi and 0 at
+    the other pivots, is that form's row of phi, zero left of phi.  That is
+    checked on every vector: a basis in echelon form whose pivot columns
+    hold a unit matrix is the unique reduced one, so the check certifies it.
+    """
+    n = len(rows)
+    steps, frees, d = _pfaffian([r[i + 1:] for i, r in enumerate(rows)])
+    basis = []
+    for phi in reversed(frees):
+        # X by position, position p is index n - 1 - p
+        x = [0] * n
+        x[phi] = d
+        for a, b, lead, rest, f, g in reversed(steps):
+            xs = [x[y] for y in rest]
+            x[b] = -sum(map(operator.mul, f, xs)) // lead
+            x[a] = sum(map(operator.mul, g, xs)) // lead
+        if any(x[phi + 1:]):
+            raise AssertionError("skew kernel vector is not zero left of its free index")
+        basis.append(tuple(Fraction(v, d) if v else _ZERO for v in reversed(x)))
+    return basis
 
 
 def _kernel(int_rows: list, ncols: int) -> list:

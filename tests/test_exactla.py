@@ -6,8 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from glab import exactla
 from glab.exactla import (
     PRIME,
     InputError,
@@ -350,9 +351,12 @@ def test_rank_skew_edge_cases():
     assert rank_skew([[]]) == 0
     assert rank_skew([[0], []]) == 0
     assert rank_skew([[5], []]) == 2
-    # zero first row, pivots found past it
+    # a zero row met first (index 3), pivots found past it
+    assert rank_skew([[1, 2, 0], [3, 0], [0], []]) == 2
+    # a zero row met last (index 0)
     assert rank_skew([[0, 0, 0], [1, 0], [2], []]) == 2
-    # the first nonzero entry of row 0 is its last one
+    # rows 0 and 3 are nonzero only at each other: the pivot is the first
+    # entry of row 3 and the last of row 0
     assert rank_skew([[0, 0, 7], [1, 0], [0], []]) == 4
     upper = [[1, 2, 3], [4, 5], [6], []]
     before = [list(r) for r in upper]
@@ -536,18 +540,86 @@ def test_sampled_max_rank_reports_the_last_bound_it_sampled():
     assert exact_points == [points[4]]
 
 
-@pytest.mark.parametrize("qname, ptxt, digest", [
-    # sha256 taken when the kernel was re-reduced by a second elimination
+PINNED_STABILIZER_KERNELS = [
+    # sha256 of repr(nullspace(...)) of the structure matrix at the seed-0
+    # witness: the canonical basis, the same bytes from any correct kernel
+    # routine; these skew matrices take the Pfaffian one
     ("sl4", "t^3+t+1", "2f567794c689bc22575a05aa0bc06a6e48119779ad9ef5618196f028cb1bee36"),
     ("sl5", "t^2-t", "2bac78a269889579c139d2d4c933cb38193ea4a09eec939762628e82e1f6a2d9"),
     ("gl4", "t^4-t", "e8e56faa0ac598336bf81b0ed17eedde40d1b6e5576f92603ebb0c382a89d7a8"),
     ("sl3", "t^6-t", "c81fe0f88c04df595dd133f378560cef03cbada6c316c4aab987cff39e00aa2e"),
-])
+]
+
+
+@pytest.mark.parametrize("qname, ptxt, digest", PINNED_STABILIZER_KERNELS)
 def test_stabilizer_kernels_are_pinned(qname, ptxt, digest):
     T = make_quotient(builtin_algebra(qname), parse_poly(ptxt))
     point = dict(zip(T.var_list(), index_report(T, seed=0).witness))
     text = repr(nullspace(structure_matrix_at(T, point)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _refuse_bareiss(*args):
+    raise AssertionError("a skew-symmetric kernel reached Bareiss elimination")
+
+
+@pytest.mark.parametrize("qname, ptxt, digest", PINNED_STABILIZER_KERNELS)
+def test_stabilizer_kernels_take_no_bareiss_step(qname, ptxt, digest, monkeypatch):
+    T = make_quotient(builtin_algebra(qname), parse_poly(ptxt))
+    point = dict(zip(T.var_list(), index_report(T, seed=0).witness))
+    m = structure_matrix_at(T, point)
+    monkeypatch.setattr(exactla, "_echelon", _refuse_bareiss)
+    text = repr(nullspace(m))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _skew_copies(A):
+    """A, A scaled by 7/12 (entries over 1, 2, 3, 4, 6 or 12) and D A D,
+    D diagonal over 2, 3, 5 and 12: skew-symmetric, with mixed denominators
+    that only a common one clears without breaking the symmetry."""
+    n = len(A)
+    D = [Fraction(i + 1, (2, 3, 5, 12)[i % 4]) for i in range(n)]
+    return [A, [[Fraction(7, 12) * x for x in row] for row in A],
+            [[D[i] * x * D[j] for j, x in enumerate(row)] for i, row in enumerate(A)]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(planted_skew())
+def test_skew_nullspace_is_pfaffian_and_matches_the_reference(case):
+    corank = len(case[0]) - rank_skew(_upper(case[0]))
+    for A in _skew_copies(case[0]):
+        want = reference_nullspace(A, len(A))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactla, "_echelon", _refuse_bareiss)
+            got = nullspace(QMatrix.from_rows(A))
+        assert repr(got) == repr(want)
+        assert len(got) == corank
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_skew(), st.data())
+def test_near_skew_nullspace_matches_the_reference_through_bareiss(case, data):
+    A = [row[:] for row in case[0]]
+    n = len(A)
+    assume(n > 0)
+    delta = data.draw(st.sampled_from((1, -1, 2**70)))
+    i = data.draw(st.integers(0, n - 1))
+    if i and data.draw(st.booleans()):
+        A[i][data.draw(st.integers(0, i - 1))] += delta  # one lower entry
+    else:
+        A[i][i] = delta  # one nonzero diagonal entry
+    calls = []
+    echelon = exactla._echelon
+
+    def counted(*args):
+        calls.append(args)
+        return echelon(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_echelon", counted)
+        got = nullspace(QMatrix.from_rows(A))
+    assert repr(got) == repr(reference_nullspace(A, n))
+    assert len(calls) == 1
 
 
 def test_kernel_edge_cases_match_the_reference():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from glab import exactla, liecore, suites
 from glab.exactla import (
-    PRIME, BudgetError, InputError, QMatrix, rank, rank_mod_p, rank_skew, rref,
+    PRIME, BudgetError, InputError, QMatrix, nullspace, rank, rank_mod_p, rank_skew, rref,
 )
 from glab.liecore import (
     LieAlgebra,
@@ -49,6 +49,7 @@ from oracle import (
     FractionTable,
     pair_bracket,
     reference_jacobi,
+    reference_nullspace,
     reference_pencil,
     reference_quotient,
     reference_rref,
@@ -720,6 +721,27 @@ def test_witness_rank_skew_matches_bareiss(case):
     if case == "sl3 member a=1/PRIME":
         assert D % PRIME == 0
         assert rank_skew(upper) == len(reference_rref(m.row_lists())[1])
+
+
+def _refuse_bareiss(*args):
+    raise AssertionError("a structure matrix kernel reached Bareiss elimination")
+
+
+@pytest.mark.parametrize("case", list(ORACLE_TABLES))
+def test_structure_kernels_are_pfaffian_and_match_the_reference(case, monkeypatch):
+    T = ORACLE_TABLES[case]()
+    vs = T.var_list()
+    rep = index_report(T, seed=0)
+    # the witness, and a rational point (D * L > 1)
+    rng = random.Random(case)
+    point = {w: Fraction(rng.randint(-50, 50), rng.randint(1, 7)) for w in vs}
+    assert T.scaled_neighbours[0] * math.lcm(*(x.denominator for x in point.values())) > 1
+    mats = [structure_matrix_at(T, dict(zip(vs, rep.witness))), structure_matrix_at(T, point)]
+    wants = [reference_nullspace(m.row_lists(), m.cols) for m in mats]
+    assert len(wants[0]) == rep.index
+    monkeypatch.setattr(exactla, "_echelon", _refuse_bareiss)
+    for m, want in zip(mats, wants):
+        assert repr(nullspace(m)) == repr(want)
 
 
 @pytest.mark.parametrize("case", list(ORACLE_TABLES))
