@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +35,7 @@ from .liecore import (
     PrimaryComponent,
     UniPoly,
     _matrix_basis,
+    crt_idempotents,
     crt_primary,
     make_quotient,
     rational_roots,
@@ -94,9 +96,7 @@ def _char_invariants(q: LieAlgebra) -> tuple:
     The generic element is X = sum_k x_k * D_k with D_k the basis dual to
     the stored form, so the coefficients are adjoint invariants.
     """
-    import re as _re
-
-    m = _re.fullmatch(r"(sl|gl)(\d+)", q.name)
+    m = re.fullmatch(r"(sl|gl)(\d+)", q.name)
     if not m:
         raise InputError(f"no characteristic invariants for {q.name}")
     kind, n = m.group(1), int(m.group(2))
@@ -559,8 +559,6 @@ def gaudin_hamiltonians(q: LieAlgebra, z: Sequence) -> list:
 
 def copies_to_quotient(F: MPoly, p: UniPoly, roots: Sequence) -> MPoly:
     """Send copy a to the idempotent class r_a inside the quotient by p."""
-    from .liecore import crt_idempotents
-
     return substitute_levels(F, crt_idempotents(p, roots).__getitem__)
 
 
@@ -640,14 +638,6 @@ def _perm_pairing(q: LieAlgebra, ta: tuple, tb: tuple) -> int:
                 break
         total += prod
     return total
-
-
-@lru_cache(maxsize=None)
-def _int_bracket_map(q: LieAlgebra) -> tuple:
-    """(D, {(i, j): ((k, n), ...)}): every nonzero [x_i, x_j] with
-    coefficients n / D, read from q's integer structure constants."""
-    den, brackets = q._int_brackets
-    return den, {(i, j): ent for i, j, ent in brackets}
 
 
 @lru_cache(maxsize=None)
@@ -746,7 +736,7 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
             paired[t2] = sum([c1 * _perm_pairing(q, t1, t2) for t1, c1 in left])
         return paired[t2]
 
-    dq, brackets = _int_bracket_map(q)
+    dq, brackets = q._int_brackets
     rhs = []
     vees = list(itertools.product(*slot_bases))
     for v in vees:

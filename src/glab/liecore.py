@@ -25,6 +25,7 @@ from .exactla import (
     InputError,
     QMatrix,
     RowSpace,
+    mat_inv,
     pack_mod_p,
     packed_width,
     rank_packed_mod_p,
@@ -371,39 +372,28 @@ class LieAlgebra:
         return hash((self.name, self.labels, self.sc, self.form))
 
     @cached_property
-    def _sc_map(self) -> dict:
+    def _int_brackets(self) -> tuple:
+        """(D, {(i, j): ((k, n), ...)}): every nonzero [x_i, x_j], i != j,
+        keyed in (i, j) order, with coefficients n / D on integers, D the
+        lcm of the sc denominators; entries merged by k, in ascending k.
+        Read once from sc, whose pairs must have i < j."""
+        den = math.lcm(*(c.denominator for _, _, ent in self.sc for _, c in ent))
         out = {}
         for i, j, entries in self.sc:
             if not (0 <= i < j < self.dim):
                 raise InputError("structure constants must use i < j")
-            out[(i, j)] = tuple(entries)
-        return out
-
-    @cached_property
-    def _int_brackets(self) -> tuple:
-        """(D, ((i, j, ((k, n), ...)), ...)): every nonzero [x_i, x_j],
-        i != j, in (i, j) order, with coefficients n / D on integers, D the
-        lcm of the sc denominators; entries merged by k, in ascending k."""
-        den = math.lcm(*(c.denominator for _, _, ent in self.sc for _, c in ent))
-        out = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                acc = {}
-                for k, c in self.bracket(i, j):
-                    acc[k] = acc.get(k, 0) + c
-                ent = tuple((k, c.numerator * (den // c.denominator))
-                            for k, c in sorted(acc.items()) if c)
-                if ent:
-                    out.append((i, j, ent))
-        return den, tuple(out)
+            acc = {}
+            for k, c in entries:
+                acc[k] = acc.get(k, 0) + c
+            ent = tuple((k, c.numerator * (den // c.denominator))
+                        for k, c in sorted(acc.items()) if c)
+            out[i, j], out[j, i] = ent, tuple((k, -n) for k, n in ent)
+        return den, {key: ent for key, ent in sorted(out.items()) if ent}
 
     def bracket(self, i: int, j: int) -> tuple:
         """[x_i, x_j] as ((k, coef), ...)."""
-        if i == j:
-            return ()
-        if i < j:
-            return self._sc_map.get((i, j), ())
-        return tuple((k, -c) for k, c in self._sc_map.get((j, i), ()))
+        den, brackets = self._int_brackets
+        return tuple((k, Fraction(n, den)) for k, n in brackets.get((i, j), ()))
 
     @cached_property
     def module_generators(self) -> tuple:
@@ -415,6 +405,7 @@ class LieAlgebra:
         constants alone.  A simple algebra needs one generator, an abelian
         one every basis element.
         """
+        brackets = self._int_brackets[1]
         span = RowSpace(self.dim)
         gens = []
         for i in range(self.dim):
@@ -426,10 +417,10 @@ class LieAlgebra:
             while todo and span.dim < self.dim:
                 w = todo.pop()
                 for j in range(self.dim):
-                    v = [Fraction(0)] * self.dim
+                    v = [0] * self.dim
                     for k, c in enumerate(w):
                         if c:
-                            for m, s in self.bracket(j, k):
+                            for m, s in brackets.get((j, k), ()):
                                 v[m] += c * s
                     if any(v) and span.add(v):
                         todo.append(v)
@@ -437,8 +428,6 @@ class LieAlgebra:
 
     @cached_property
     def form_inverse(self) -> QMatrix:
-        from .exactla import mat_inv
-
         if self.form is None:
             raise InputError(f"{self.name} carries no bilinear form")
         return mat_inv(self.form)
@@ -593,7 +582,10 @@ def make_takiff(q: LieAlgebra, k: int) -> LieAlgebra:
     """q[t]/(t^k) flattened to a plain Lie algebra; towers are allowed.
 
     BudgetError, before anything is built, when its dim^2 bracket pairs
-    exceed the term budget.
+    exceed the term budget.  The structure constants are the pairs of the
+    quotient table by t^k (make_quotient), x_i t^a labelled by its flat
+    index a * dim + i; each bracket lands on one level, so the entries of
+    a pair stay in ascending index.
     """
     if k < 1:
         raise InputError("truncation order must be positive")
@@ -601,27 +593,12 @@ def make_takiff(q: LieAlgebra, k: int) -> LieAlgebra:
     if (q.dim * k) ** 2 > budget:
         raise BudgetError(f"takiff of dimension {q.dim} * {k} has more than "
                           f"{budget} bracket pairs")
-    labels = tuple(
-        f"{lab}.t{a}" for a in range(k) for lab in q.labels
-    )
-    dim = q.dim
-    sc = []
-    for a in range(k):
-        for b in range(a, k):
-            if a + b >= k:
-                continue
-            for i in range(dim):
-                lo = i + 1 if a == b else 0
-                for j in range(lo, dim):
-                    u = a * dim + i
-                    v = b * dim + j
-                    if u >= v:
-                        continue
-                    entries = tuple(
-                        ((a + b) * dim + m, c) for m, c in q.bracket(i, j)
-                    )
-                    if entries:
-                        sc.append((u, v, entries))
+    T = make_quotient(q, UniPoly.monomial(k))
+    D, index = T.scaled_neighbours
+    flat, dim = T.flat, q.dim
+    labels = tuple(f"{lab}.t{a}" for a in range(k) for lab in q.labels)
+    sc = tuple(sorted((flat(u), flat(v), tuple((flat(w), Fraction(c, D)) for w, c in ent))
+                      for u, nb in index.items() for v, ent in nb if flat(u) < flat(v)))
     form = None
     if q.form is not None:
         rows = []
@@ -635,7 +612,7 @@ def make_takiff(q: LieAlgebra, k: int) -> LieAlgebra:
                         )
                 rows.append(row)
         form = QMatrix.from_rows(rows)
-    return LieAlgebra(f"takiff:{q.name}:{k}", labels, tuple(sorted(sc)), form)
+    return LieAlgebra(f"takiff:{q.name}:{k}", labels, sc, form)
 
 
 def builtin_algebra(name: str) -> LieAlgebra:
@@ -826,7 +803,7 @@ def make_quotient(q: LieAlgebra, p: UniPoly) -> BracketTable:
             rem = rem_nums[a + b]
             if not rem:
                 continue
-            for i, j, ent in brackets:
+            for (i, j), ent in brackets.items():
                 if a == b and i > j:
                     continue
                 pairs[(i, a), (j, b)] = tuple(((k, d), c * r) for k, c in ent for d, r in rem)
@@ -844,7 +821,7 @@ def make_direct_power(q: LieAlgebra, n: int) -> BracketTable:
         raise InputError("need at least one copy")
     den, brackets = q._int_brackets
     pairs = {((i, a), (j, a)): tuple(((k, a), c) for k, c in ent)
-             for a in range(n) for i, j, ent in brackets if i < j}
+             for a in range(n) for (i, j), ent in brackets.items() if i < j}
     return BracketTable(q, n, den, pairs)
 
 
@@ -970,22 +947,9 @@ class PrimaryComponent:
 
 
 def crt_idempotents(p: UniPoly, roots: Sequence) -> tuple:
-    """Orthogonal idempotents for distinct roots (all multiplicities 1)."""
-    roots = [rat(a) for a in roots]
-    if len(set(roots)) != len(roots):
-        raise InputError("roots must be distinct")
-    if UniPoly.from_roots(roots) != p:
-        raise InputError("roots do not factor p")
-    out = []
-    for a in roots:
-        num = UniPoly.one()
-        den = Fraction(1)
-        for b in roots:
-            if b != a:
-                num = num * UniPoly.make([-b, 1])
-                den *= a - b
-        out.append(num.scale(1 / den).mod(p))
-    return tuple(out)
+    """Orthogonal idempotents for distinct roots (all multiplicities 1): the
+    r0 of each component of crt_primary."""
+    return tuple(c.r0 for c in crt_primary(p, [(a, 1) for a in roots]))
 
 
 def crt_primary(p: UniPoly, root_data: Sequence) -> tuple:
@@ -1119,18 +1083,20 @@ def _structure_ranks_mod_p(T: BracketTable):
     return rank_at
 
 
-def sampled_max_rank(rank_at, nvars: int, full: int, exact_rank_at, seed: int = 0,
-                     samples: int = 4, bound: int = 1000):
+_SAMPLES, _BOUND, _ROUNDS = 4, 1000, 5  # the sampled-rank protocol
+
+
+def sampled_max_rank(rank_at, nvars: int, full: int, exact_rank_at, seed: int = 0):
     """Generic rank of a matrix M(point), sampled at random integer points.
 
     rank_at takes a tuple of nvars ints and returns the rank over
     GF(exactla.PRIME) of M(point) with each row cleared to integers, as
     exactla.rank_mod_p gives it; exact_rank_at returns the rank of M(point)
-    over Q, and full is min(rows, cols) of M.  Two batches of samples
-    points, coordinates drawn from [-bound, bound], are ranked; on
-    disagreement the bound doubles and both batches rerun, up to five
-    rounds in all.  Returns (rank, witness, bound, rounds), the witness a
-    tuple of Fraction and bound the last one sampled.
+    over Q, and full is min(rows, cols) of M.  Two batches of _SAMPLES
+    points, coordinates drawn from [-bound, bound], bound = _BOUND, are
+    ranked; on disagreement the bound doubles and both batches rerun, up
+    to _ROUNDS rounds in all.  Returns (rank, witness, bound, rounds), the
+    witness a tuple of Fraction and bound the last one sampled.
 
     A rank mod p never over-counts.  The witness is the first sample of
     highest rank mod p, and the returned rank is its exact rank (not
@@ -1143,12 +1109,12 @@ def sampled_max_rank(rank_at, nvars: int, full: int, exact_rank_at, seed: int = 
     some sample, PRIME divides every minor the size of its rank.
     """
     rng = random.Random(seed)
-    best = (-1, None)
-    for rounds in range(1, 6):
+    best, bound = (-1, None), _BOUND
+    for rounds in range(1, _ROUNDS + 1):
         batch_ranks = []
         for _ in range(2):
             best_in_batch = (-1, None)
-            for _ in range(samples):
+            for _ in range(_SAMPLES):
                 pt = tuple(rng.randint(-bound, bound) for _ in range(nvars))
                 r = rank_at(pt)
                 if r > best_in_batch[0]:
@@ -1158,7 +1124,7 @@ def sampled_max_rank(rank_at, nvars: int, full: int, exact_rank_at, seed: int = 
         top = max(b1, b2, key=lambda x: x[0])
         if top[0] > best[0]:
             best = top
-        if b1[0] == b2[0] or rounds == 5:
+        if b1[0] == b2[0] or rounds == _ROUNDS:
             break
         bound *= 2
     r, pt = best
@@ -1167,7 +1133,7 @@ def sampled_max_rank(rank_at, nvars: int, full: int, exact_rank_at, seed: int = 
     return r, tuple(Fraction(x) for x in pt), bound, rounds
 
 
-def index_report(T, seed: int = 0, samples: int = 4, bound: int = 1000) -> IndexReport:
+def index_report(T, seed: int = 0) -> IndexReport:
     """Index of the bracket as corank of the sampled structure matrix.
 
     The samples are ranked over GF(exactla.PRIME) straight from packed rows
@@ -1191,9 +1157,7 @@ def index_report(T, seed: int = 0, samples: int = 4, bound: int = 1000) -> Index
         return rank_skew(_structure_upper(T, dict(zip(vs, flat_point))))
 
     r, witness, used_bound, rounds = sampled_max_rank(
-        _structure_ranks_mod_p(T), N, N, exact_rank, seed=seed, samples=samples,
-        bound=bound
-    )
+        _structure_ranks_mod_p(T), N, N, exact_rank, seed=seed)
     return IndexReport(
         dim=N,
         rank=r,

@@ -261,8 +261,7 @@ class TrdegReport:
     witness: tuple
 
 
-def trdeg_estimate(polys: Sequence, var_list: Sequence, seed: int = 0,
-                   samples: int = 4, bound: int = 1000) -> TrdegReport:
+def trdeg_estimate(polys: Sequence, var_list: Sequence, seed: int = 0) -> TrdegReport:
     """Sampled Jacobian rank of the family, with the doubling retry rule.
 
     The samples are ranked over GF(exactla.PRIME) and the reported rank is
@@ -278,9 +277,7 @@ def trdeg_estimate(polys: Sequence, var_list: Sequence, seed: int = 0,
     jacobian = cleared_jacobian(polys, var_list)
     r, witness, used_bound, rounds = sampled_max_rank(
         lambda pt: rank_mod_p(jacobian(pt)), len(var_list),
-        min(len(polys), len(var_list)), lambda pt: rank(jacobian(pt)), seed=seed,
-        samples=samples, bound=bound
-    )
+        min(len(polys), len(var_list)), lambda pt: rank(jacobian(pt)), seed=seed)
     return TrdegReport(rank=r, bound=used_bound, rounds=rounds, seed=seed,
                        witness=witness)
 

@@ -608,9 +608,10 @@ def _suite_forms(params, seed):
 
 def _suite_determinism(params, seed):
     inner = params["inner"]
-    inner_params = dict(DEFAULTS[inner])
-    r1 = run_suite(inner, inner_params, seed=seed)
-    r2 = run_suite(inner, inner_params, seed=seed)
+    if inner not in _BODIES:
+        raise InputError(f"suite 'determinism': inner {inner!r} is not a suite")
+    r1 = run_suite(inner, seed=seed)
+    r2 = run_suite(inner, seed=seed)
     b1, b2 = canonical_json(r1), canonical_json(r2)
     checks = [
         CheckResult(
@@ -699,15 +700,31 @@ _BODIES = {
 SUITE_NAMES = tuple(_BODIES)
 
 
+_JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string",
+               list: "array", tuple: "array", dict: "object", type(None): "null"}
+
+
 def run_suite(name: str, params: dict | None = None, seed: int = 0) -> Report:
-    """Run one named suite; unknown names and bad params raise InputError."""
+    """Run one named suite; unknown names and bad params raise InputError.
+
+    An override must have the JSON type of its default.  A KeyError,
+    TypeError, ValueError or IndexError that the body raises on overridden
+    params is bad input too; on the defaults it is a fault and propagates.
+    """
     if name not in _BODIES:
         raise InputError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     merged = dict(DEFAULTS[name])
-    if params:
-        for k, v in params.items():
-            if k not in merged:
-                raise InputError(f"suite {name!r} takes no parameter {k!r}")
-            merged[k] = v
-    checks = _BODIES[name](merged, seed)
+    for k, v in (params or {}).items():
+        if k not in merged:
+            raise InputError(f"suite {name!r} takes no parameter {k!r}")
+        want = _JSON_TYPES[type(merged[k])]
+        if _JSON_TYPES.get(type(v)) != want:
+            raise InputError(f"suite {name!r}: parameter {k!r} must be a JSON {want}")
+        merged[k] = v
+    try:
+        checks = _BODIES[name](merged, seed)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        if not params or isinstance(exc, InputError):
+            raise
+        raise InputError(f"suite {name!r}: bad params: {exc!r}") from exc
     return Report(suite=name, seed=seed, params=merged, checks=checks)

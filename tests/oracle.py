@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from glab.exactla import PRIME, InputError, QMatrix, mat_inv, rank, rat_str
-from glab.liecore import BracketTable, UniPoly
+from glab.liecore import BracketTable, UniPoly, algebra_from_json
 from glab.psring import MPoly
 
 
@@ -271,6 +271,60 @@ def reference_pencil(t1, t2, a, b):
             for w, cf in ent:
                 acc[w] = acc.get(w, Fraction(0)) + c * cf
     return FractionTable(t1.base, t1.n, {key: tuple(acc.items()) for key, acc in out.items()})
+
+
+# sl2 in the basis (e/3, f, h/2), whose structure constants and form both
+# carry denominators: [a, b] = 2/3 c, [a, c] = -a, [b, c] = b,
+# (a, b) = 1/3, (c, c) = 1/2
+SL2_RESCALED = algebra_from_json({
+    "name": "sl2-rescaled", "dim": 3, "basis": ["a", "b", "c"],
+    "sc": [[0, 1, 2, "2/3"], [0, 2, 0, "-1"], [1, 2, 1, "1"]],
+    "form": [["0", "1/3", "0"], ["1/3", "0", "0"], ["0", "0", "1/2"]],
+})
+
+
+def reference_sc_bracket(q, i, j):
+    """[x_i, x_j] as ((k, c), ...) read straight from q.sc: the entries
+    stored for the pair, negated when i > j, merged by k in ascending k."""
+    sign = 1 if i < j else -1
+    acc = {}
+    for a, b, ent in q.sc:
+        if (a, b) == (min(i, j), max(i, j)):
+            for k, c in ent:
+                acc[k] = acc.get(k, 0) + sign * c
+    return tuple((k, Fraction(c)) for k, c in sorted(acc.items()) if c)
+
+
+def reference_takiff_sc(q, k):
+    """Structure constants of q[t]/(t^k) flattened, x_i t^a at a * dim + i:
+    for every pair of levels a <= b with a + b < k, each pair of basis
+    indices (i < j when a == b) bracketed by reference_sc_bracket and lifted
+    to level a + b."""
+    dim = q.dim
+    sc = []
+    for a in range(k):
+        for b in range(a, k - a):
+            for i in range(dim):
+                for j in range(i + 1 if a == b else 0, dim):
+                    entries = tuple(((a + b) * dim + m, c)
+                                    for m, c in reference_sc_bracket(q, i, j))
+                    if entries:
+                        sc.append((a * dim + i, b * dim + j, entries))
+    return tuple(sorted(sc))
+
+
+def reference_crt_idempotents(p, roots):
+    """The Lagrange idempotents: for each root a, the product over the
+    other roots b of (t - b) / (a - b), mod p."""
+    out = []
+    for a in map(Fraction, roots):
+        num, den = UniPoly.one(), Fraction(1)
+        for b in map(Fraction, roots):
+            if b != a:
+                num = num * UniPoly.make([-b, 1])
+                den *= a - b
+        out.append(num.scale(1 / den).mod(p))
+    return tuple(out)
 
 
 def reference_quotient(q, p):

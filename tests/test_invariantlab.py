@@ -60,6 +60,7 @@ from glab.invariantlab import (
     y_xi,
 )
 from oracle import (
+    SL2_RESCALED,
     reference_kron,
     reference_script_f,
     reference_slot_gram,
@@ -514,14 +515,6 @@ def test_slot_gram_solve_matches_full_kronecker(sl2, data):
     assert reference_solve_slot_grams(sl2, alpha, rhs) == want
 
 
-# sl2 in the basis (e/3, f, h/2), whose structure constants and form both
-# carry denominators: [a, b] = 2/3 c, [a, c] = -a, [b, c] = b,
-# (a, b) = 1/3, (c, c) = 1/2
-SL2_RESCALED = algebra_from_json({
-    "name": "sl2-rescaled", "dim": 3, "basis": ["a", "b", "c"],
-    "sc": [[0, 1, 2, "2/3"], [0, 2, 0, "-1"], [1, 2, 1, "1"]],
-    "form": [["0", "1/3", "0"], ["1/3", "0", "0"], ["0", "0", "1/2"]],
-})
 SLOT_ALGEBRAS = ["sl2", "sl3", "gl2", "takiff:sl2:2", "sum:sl2,sl2", "sl2-rescaled"]
 # every slot shape of 2 to 4 slots and total 2 to 4, and every ordered
 # pair of distinct slots; sl3 (dimension 8) keeps to totals up to 3

@@ -46,15 +46,19 @@ from glab.liecore import (
 from glab.psring import MPoly, substitute_levels
 from glab.invariantlab import _slot_gram, basic_invariants
 from oracle import (
+    SL2_RESCALED,
     FractionTable,
     pair_bracket,
+    reference_crt_idempotents,
     reference_jacobi,
     reference_nullspace,
     reference_pencil,
     reference_quotient,
     reference_rref,
     reference_sampled_max_rank,
+    reference_sc_bracket,
     reference_structure_matrix,
+    reference_takiff_sc,
 )
 
 small_coeffs = st.lists(
@@ -234,6 +238,46 @@ def test_builtin_algebras_are_interned_by_stripped_name():
     assert builtin_algebra("sum:sl2,abelian:1") == make_direct_sum(make_sl(2), make_abelian(1))
     assert builtin_algebra("sum:sl2, abelian:1") == builtin_algebra("sum:sl2,abelian:1")
     assert builtin_algebra("gl2") is not builtin_algebra("sl2")
+
+
+BRACKET_ALGEBRAS = {
+    **{name: builtin_algebra(name) for name in (
+        "sl2", "sl3", "sl4", "gl2", "gl3", "abelian:3", "sum:sl2,sl2", "sum:sl2,abelian:1",
+        "takiff:sl2:2", "takiff:sl3:2", "takiff:takiff:sl2:2:3")},
+    "aff1": LieAlgebra("aff1", ("x", "y"), ((0, 1, ((1, Fraction(1)),)),)),
+    "json:sl3": algebra_from_json(algebra_to_json(builtin_algebra("sl3"))),
+    "sl2-rescaled": SL2_RESCALED,
+}
+
+
+@pytest.mark.parametrize("name", list(BRACKET_ALGEBRAS))
+def test_bracket_matches_the_structure_constants(name):
+    q = BRACKET_ALGEBRAS[name]
+    for i, j in itertools.product(range(q.dim), repeat=2):
+        assert q.bracket(i, j) == reference_sc_bracket(q, i, j)
+    # make_quotient and make_direct_power walk the pairs in (i, j) order
+    keys = list(q._int_brackets[1])
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("sc", [
+    ((1, 0, ((0, Fraction(1)),)),),
+    ((0, 0, ((1, Fraction(1)),)),),
+])
+def test_structure_constants_need_i_below_j_on_first_use(sc):
+    q = LieAlgebra("bad", ("x", "y"), sc)
+    with pytest.raises(InputError, match="i < j"):
+        q.bracket(0, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", [
+    "sl2", "sl3", "gl2", "gl3", "sum:sl2,sl2", "takiff:sl2:2", "abelian:2", "sl2-rescaled",
+    "takiff:takiff:sl2:2:3",
+])
+def test_make_takiff_matches_the_reference_loop(name, k):
+    q = SL2_RESCALED if name == "sl2-rescaled" else builtin_algebra(name)
+    assert make_takiff(q, k).sc == reference_takiff_sc(q, k)
 
 
 def test_sl2_structure():
@@ -533,6 +577,22 @@ def test_crt_idempotents_identities():
         for j in range(3):
             if i != j:
                 assert (idems[i] * idems[j]).mod(p).is_zero()
+
+
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5),
+                min_size=1, max_size=5, unique=True))
+@example([Fraction(0), Fraction(1, 2)])
+@settings(max_examples=40, deadline=None)
+def test_crt_idempotents_match_the_lagrange_reference(roots):
+    p = UniPoly.from_roots(roots)
+    assert crt_idempotents(p, roots) == reference_crt_idempotents(p, roots)
+
+
+def test_crt_idempotents_refuse_repeated_or_foreign_roots():
+    with pytest.raises(InputError):
+        crt_idempotents(UniPoly.from_roots([1, 1]), [1, 1])
+    with pytest.raises(InputError):
+        crt_idempotents(parse_poly("t^2-1"), [1, 2])
 
 
 def test_crt_primary_repeated_roots():

@@ -39,10 +39,6 @@ METHOD_ALLOWLIST = {}
 
 # (definition, parameter) set by no call, kept for the reason given
 PARAM_ALLOWLIST = {
-    ("index_report", "samples"): "the sampled-rank protocol: samples per batch",
-    ("index_report", "bound"): "the sampled-rank protocol: the starting coordinate bound",
-    ("trdeg_estimate", "samples"): "the sampled-rank protocol: samples per batch",
-    ("trdeg_estimate", "bound"): "the sampled-rank protocol: the starting coordinate bound",
     ("build_Z", "f_list"): "how an algebra outside sl, gl and abelian gives its invariants",
 }
 
@@ -245,3 +241,20 @@ def test_every_top_level_import_is_used():
 def test_the_import_scan_sees_an_unused_name():
     tree = ast.parse("from .exactla import QMatrix, rat\nimport math\nx = rat(math.pi)\n")
     assert _unused_imports(tree) == ["QMatrix"]
+
+
+def _nested_imports(tree) -> list:
+    """Line numbers of the imports below the top level of a module."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+
+
+def test_every_import_is_at_module_level():
+    nested = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
+              for line in _nested_imports(ast.parse(path.read_text()))]
+    assert nested == []
+
+
+def test_the_import_scan_sees_a_nested_import():
+    tree = ast.parse("import math\ndef f():\n    import re\n    return re.I\n")
+    assert _nested_imports(tree) == [3]

@@ -290,6 +290,35 @@ def test_cli_suite_bad_params(runner):
     assert res2.exit_code == 2
 
 
+@pytest.mark.parametrize("name, params", [
+    ("determinism", {"inner": "nope"}),
+    ("jacobi", {"algebras": 3}),
+    ("z-assembly", {"cases": [["sl2"]]}),
+])
+def test_cli_suite_malformed_params_exit_2(runner, name, params):
+    res = runner.invoke(main, ["suite", "run", name, "--params", json.dumps(params)])
+    assert res.exit_code == 2
+    assert res.output.startswith(f"input error: suite {name!r}")
+
+
+def test_suite_param_types_follow_the_defaults():
+    with pytest.raises(InputError, match="must be a JSON number"):
+        run_suite("pencil-closure", {"count": True})
+    with pytest.raises(InputError, match="must be a JSON string"):
+        run_suite("crt", {"algebra": ["sl2"]})
+
+
+def test_body_errors_are_input_errors_only_on_overrides(monkeypatch):
+    def body(params, seed):
+        raise KeyError("missing")
+
+    monkeypatch.setitem(suites._BODIES, "det-A", body)
+    with pytest.raises(KeyError):
+        run_suite("det-A")
+    with pytest.raises(InputError, match="suite 'det-A'"):
+        run_suite("det-A", {"j_min": 4})
+
+
 def test_cli_budget_exit(runner, monkeypatch):
     monkeypatch.setenv("GLAB_BUDGET_TERMS", "10")
     res = runner.invoke(main, [
