@@ -144,10 +144,10 @@ def zz_build(qname, p1txt, p2txt, samples, seed, fmt):
         "samples": [rat_str(a) for a in Z.samples],
         "counts": {str(i): c for i, c in Z.counts().items()},
         "expected_counts": {str(i): c for i, c in Z.expected_counts().items()},
-        "generators": len(Z.gens),
+        "generators": Z.raw_generators,
         "normalization": {
             k: rat_str(v) if hasattr(v, "denominator") else v
-            for k, v in Z.attrs["normalization"].items()
+            for k, v in pen.normalization().items()
         },
     }
     if fmt == "json":

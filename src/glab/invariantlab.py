@@ -301,27 +301,7 @@ def phi_transport(F: MPoly, p: UniPoly, comp: PrimaryComponent) -> MPoly:
     return substitute_levels(F, level_image)
 
 
-@dataclass(frozen=True)
-class GenEntry:
-    """One generator with the recipe that reproduces it."""
-
-    poly: MPoly
-    source: int
-    recipe: tuple
-
-
-@dataclass
-class GeneratorSet:
-    entries: list
-
-    def polys(self) -> list:
-        return [e.poly for e in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def takiff_generators(q: LieAlgebra, f_list: Sequence, n: int) -> GeneratorSet:
+def takiff_generators(f_list: Sequence, n: int) -> list:
     """Central generators of the nilpotent truncation at order n.
 
     For each generator F of degree d, the graded polarization sums F^[j]
@@ -329,18 +309,15 @@ def takiff_generators(q: LieAlgebra, f_list: Sequence, n: int) -> GeneratorSet:
     """
     if n < 1:
         raise InputError("truncation order must be positive")
-    entries = []
-    for idx, F in enumerate(f_list):
+    out = []
+    for F in f_list:
         d = F.total_degree()
-        lo = (n - 1) * d - n
-        for j in range(max(lo + 1, 0), (n - 1) * d + 1):
-            entries.append(
-                GenEntry(f_bracket_j(F, j, n), idx, ("TAKIFF", idx, j))
-            )
-    return GeneratorSet(entries)
+        for j in range(max((n - 1) * d - n + 1, 0), (n - 1) * d + 1):
+            out.append(f_bracket_j(F, j, n))
+    return out
 
 
-def crt_generators(q: LieAlgebra, f_list: Sequence, p: UniPoly) -> GeneratorSet:
+def crt_generators(f_list: Sequence, p: UniPoly) -> list:
     """Central generators of S(q[t]/(p)) for a fully split modulus.
 
     Simple roots contribute the invariant evaluated on the idempotent;
@@ -351,31 +328,15 @@ def crt_generators(q: LieAlgebra, f_list: Sequence, p: UniPoly) -> GeneratorSet:
     if root_data is None:
         raise InputError("modulus does not split over the rationals")
     comps = crt_primary(p, root_data)
-    entries = []
-    for idx, F in enumerate(f_list):
-        d = F.total_degree()
+    out = []
+    for F in f_list:
         for comp in comps:
             if comp.mult == 1:
-                entries.append(
-                    GenEntry(
-                        attach_poly(F, comp.r0, p),
-                        idx,
-                        ("CRT", idx, str(comp.root)),
-                    )
-                )
+                out.append(attach_poly(F, comp.r0, p))
             else:
-                k = comp.mult
-                lo = (k - 1) * d - k
-                for j in range(max(lo + 1, 0), (k - 1) * d + 1):
-                    local = f_bracket_j(F, j, k)
-                    entries.append(
-                        GenEntry(
-                            phi_transport(local, p, comp),
-                            idx,
-                            ("CRT", idx, str(comp.root), j),
-                        )
-                    )
-    return GeneratorSet(entries)
+                out.extend(phi_transport(G, p, comp)
+                           for G in takiff_generators([F], comp.mult))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -384,38 +345,20 @@ def crt_generators(q: LieAlgebra, f_list: Sequence, p: UniPoly) -> GeneratorSet:
 
 @lru_cache(maxsize=None)
 def _raised_bracket_tensor(q: LieAlgebra) -> tuple:
-    """T^{ijk} built from structure constants lowered by the form and
-    raised on all three slots; fully antisymmetric for an invariant form."""
-    g = q.form
+    """T^{abk} = sum_ij g^{ia} g^{jb} c_ij^k: the structure constants
+    lowered by the form and raised on all three slots, where lowering and
+    raising the third slot cancel; fully antisymmetric for an invariant
+    form."""
+    den, brackets = q._int_brackets
     ginv = q.form_inverse
-    dim = q.dim
-    lowered = {}
-    for i in range(dim):
-        for j in range(dim):
-            ent = q.bracket(i, j)
-            if not ent:
-                continue
-            for k in range(dim):
-                val = sum((c * g.at(m, k) for m, c in ent), Fraction(0))
-                if val:
-                    lowered[(i, j, k)] = val
+    cols = [[(a, x) for a in range(q.dim) if (x := ginv.at(i, a))] for i in range(q.dim)]
     raised = {}
-    for (i, j, k), val in lowered.items():
-        for ii in range(dim):
-            a = ginv.at(i, ii)
-            if a == 0:
-                continue
-            for jj in range(dim):
-                b = ginv.at(j, jj)
-                if b == 0:
-                    continue
-                for kk in range(dim):
-                    c = ginv.at(k, kk)
-                    if c == 0:
-                        continue
-                    key = (ii, jj, kk)
-                    raised[key] = raised.get(key, Fraction(0)) + val * a * b * c
-    return tuple(sorted((k, v) for k, v in raised.items() if v))
+    for (i, j), ent in brackets.items():
+        for a, x in cols[i]:
+            for b, y in cols[j]:
+                for k, c in ent:
+                    raised[(a, b, k)] = raised.get((a, b, k), 0) + x * y * c
+    return tuple(sorted((key, v / den) for key, v in raised.items() if v))
 
 
 def quad_H(q: LieAlgebra, a: int, b: int) -> MPoly:
@@ -471,23 +414,13 @@ def y_xi(q: LieAlgebra, xi: Sequence, a: int, b: int) -> MPoly:
                               for (j, i, k), val in _raised_bracket_tensor(q) if g_xi[k])
 
 
-def xi_t(q: LieAlgebra, xi: Sequence) -> MPoly:
+def xi_t(xi: Sequence) -> MPoly:
     """The linear element xi (x) t."""
     return MPoly.from_entries(((i, 1), c) for i, c in enumerate(xi) if rat(c))
 
 
 # ---------------------------------------------------------------------------
 # the distinguished central element of the quadratic family
-
-
-@dataclass
-class XElement:
-    """The corrected quadratic element and its building blocks."""
-
-    x: MPoly
-    h: MPoly
-    chain: dict
-    p: UniPoly
 
 
 def _chain_x_k(q: LieAlgebra, k: int, p: UniPoly) -> MPoly:
@@ -506,7 +439,7 @@ def _chain_x_k(q: LieAlgebra, k: int, p: UniPoly) -> MPoly:
     return acc
 
 
-def lemma_x_element(q: LieAlgebra, p: UniPoly) -> XElement:
+def lemma_x_element(q: LieAlgebra, p: UniPoly) -> MPoly:
     """Central quadratic element for a monic modulus of degree >= 3.
 
     Writing p = t^n - (c_{n-1} t^{n-1} + ... + c_0), the element is
@@ -520,13 +453,10 @@ def lemma_x_element(q: LieAlgebra, p: UniPoly) -> XElement:
     if n < 3:
         raise InputError("the corrected element needs degree >= 3")
     c = [-p.coeff(k) for k in range(n)]
-    h = quad_h(q, 1, 1, p)
-    chain = {k: _chain_x_k(q, k, p) for k in range(3, n + 1)}
-    x = quad_h(q, 1, 0, p).scale(c[0]) + h.scale(Fraction(c[1], 2))
+    x = quad_h(q, 1, 0, p).scale(c[0]) + quad_h(q, 1, 1, p).scale(Fraction(c[1], 2))
     for k in range(3, n):
-        x = x - chain[k].scale(c[k])
-    x = x + chain[n]
-    return XElement(x=x, h=h, chain=chain, p=p)
+        x = x - _chain_x_k(q, k, p).scale(c[k])
+    return x + _chain_x_k(q, n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +795,7 @@ def binom_identity_check(u: int, b: int) -> bool:
 # the split family t^n - c t in the lowest open case
 
 
-def example_split_family(q: LieAlgebra, F: MPoly, c) -> dict:
+def example_split_family(F: MPoly, c) -> dict:
     """Exact identities for the modulus t^3 - c t when c is a square.
 
     Only the cubic case is covered: beyond it the nonzero roots involve

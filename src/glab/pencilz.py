@@ -11,12 +11,21 @@ two.  Two spans are compared by their canonical echelon bases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .exactla import InputError, RowSpace, rank, rank_mod_p, rat, rat_str, row_space
+from .exactla import (
+    BudgetError,
+    InputError,
+    RowSpace,
+    rank,
+    rank_mod_p,
+    rat,
+    row_space,
+    term_budget,
+)
 from .liecore import (
     LieAlgebra,
     UniPoly,
@@ -35,7 +44,6 @@ from .psring import (
     disjoint_supports,
     echelon_basis,
     hamiltonian_images,
-    independent_subset,
     pairwise_commute,
     psi_p,
     shift_t_down,
@@ -89,19 +97,18 @@ class Pencil:
 class ZAlgebra:
     """Generators of the joint-center subalgebra of a pencil.
 
-    gens holds one recipe ("MEMBER", a, "ANNIH", source, row) per raw
-    generator: kernel vector row of the annihilation solve for the source
-    invariant at the member a.  The raw generator itself is not formed;
-    the recipe reproduces it.  basis holds one canonical echelon basis per
-    source invariant, which is what counting and verification use.
+    raw_generators counts the kernel vectors of the annihilation solves,
+    one per raw generator, over every member and invariant; the raw
+    generators themselves are not formed.  basis holds one canonical
+    echelon basis per source invariant, which is what counting and
+    verification use.
     """
 
     pencil: Pencil
     invariants: list
-    gens: list
+    raw_generators: int
     basis: dict
     samples: list
-    attrs: dict = field(default_factory=dict)
 
     def counts(self) -> dict:
         return {i: len(b) for i, b in self.basis.items()}
@@ -180,7 +187,9 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     distinct integer rows of both ends are reduced together once, and the
     member at a takes a * (end 1 part) + (1 - a) * (end 2 part) of those
     few rows, on integers.  The a values walk 1, 0, 2, -1, 3, -2, ... so
-    both ends always participate.  Deterministic for fixed inputs.
+    both ends always participate.  Deterministic for fixed inputs: no
+    random number is drawn, so seed changes nothing.  A sample count above
+    the term budget raises BudgetError before any member is solved.
 
     Z lies in S(W)^(q.1): each polarization of an invariant is killed by
     every x_i t^0, so by Jacobi a combination that kills the ad(q)-module
@@ -189,7 +198,7 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     F in f_list to be q-invariant, which is checked here (InputError
     otherwise); basic_invariants are central by construction.
 
-    Each kernel vector is one raw generator, kept as its recipe.  The
+    Each kernel vector is one raw generator, and only counted.  The
     member polynomials are linear in the kernel vectors and the
     polarizations of a nonzero F have disjoint supports, so they are
     independent: the kernel vectors of all members span a space that
@@ -212,6 +221,9 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
         sample_count = max(degs) * n + 3
     if sample_count < 1:
         raise InputError("sample count must be positive")
+    budget = term_budget()
+    if sample_count > budget:
+        raise BudgetError(f"sample count {sample_count} exceeds budget {budget}")
     spaces = []
     for i, F in enumerate(f_list):
         pols = [polarize(F, kv) for kv in weakly_increasing(degs[i], n - 1)]
@@ -220,26 +232,20 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
         if not disjoint_supports(pols):
             raise InputError(f"the polarizations of invariant {i} are not independent")
         spaces.append((pols, _pencil_rows(pols, P)))
-    recipes = []
+    raw = 0
     kernels = [RowSpace(len(pols)) for pols, _ in spaces]
     samples = _sample_sequence(sample_count)
     for a in samples:
         for i, (pols, rows) in enumerate(spaces):
-            for row, vec in enumerate(_annihilator_combos(rows, a, len(pols))):
-                recipes.append(("MEMBER", rat_str(a), "ANNIH", i, row))
+            for vec in _annihilator_combos(rows, a, len(pols)):
+                raw += 1
                 kernels[i].add(vec)
     basis = {}
     for i, (pols, _) in enumerate(spaces):
         combine = combiner(pols)
         basis[i] = echelon_basis([combine(vec) for vec in kernels[i].basis()])
-    return ZAlgebra(
-        pencil=P,
-        invariants=f_list,
-        gens=recipes,
-        basis=basis,
-        samples=samples,
-        attrs={"normalization": P.normalization(), "seed": seed},
-    )
+    return ZAlgebra(pencil=P, invariants=f_list, raw_generators=raw, basis=basis,
+                    samples=samples)
 
 
 def verify_Z_commutes(Z: ZAlgebra) -> bool:
@@ -307,23 +313,17 @@ def _raised_ladder(F: MPoly, p: UniPoly):
         cur = tau_apply(cur)
 
 
-def tau_ladder_span(q: LieAlgebra, F: MPoly, p: UniPoly) -> dict:
-    """Span of the reduced raising-derivation ladder of F attached to t.
+def tau_ladder_span(F: MPoly, p: UniPoly) -> list:
+    """Canonical echelon basis of the span of the reduced raising-derivation
+    ladder of F attached to t.
 
-    Returns the dimension, a canonical independent subfamily, and whether
-    the constant term of p is nonzero (the dimension reaches
-    d(n - 1) + 1 exactly in that case).
+    Its length, the dimension of the span, reaches d(n - 1) + 1 exactly
+    when the constant term of p is nonzero.
     """
-    fam = independent_subset([psi_p(cur, p) for cur in _raised_ladder(F, p)])
-    return {
-        "dim": len(fam),
-        "family": fam,
-        "expected": F.total_degree() * (p.degree - 1) + 1,
-        "p0_nonzero": p.coeff(0) != 0,
-    }
+    return echelon_basis([psi_p(cur, p) for cur in _raised_ladder(F, p)])
 
 
-def gzu_ladder(q: LieAlgebra, F: MPoly, p: UniPoly) -> list:
+def gzu_ladder(F: MPoly, p: UniPoly) -> list:
     """Reduced images of the lowered ladder: drop every t degree by one
     after k raising steps, then reduce mod p."""
     return [psi_p(shift_t_down(cur), p) for cur in _raised_ladder(F, p)]
@@ -335,6 +335,22 @@ class SpanCheck:
     detail: list
 
 
+def _ladders_against_Z(P: Pencil, ladder: Callable) -> SpanCheck:
+    """For each invariant F of the assembled center of P, whether the
+    echelon basis ladder(F) equals that of F's part of Z."""
+    Z = build_Z(P)
+    detail = []
+    for i, F in enumerate(Z.invariants):
+        fam = ladder(F)
+        detail.append({
+            "invariant": i,
+            "ladder_dim": len(fam),
+            "z_dim": len(Z.basis[i]),
+            "equal": fam == Z.basis[i],
+        })
+    return SpanCheck(ok=all(d["equal"] for d in detail), detail=detail)
+
+
 def check_sovp(q: LieAlgebra, p: UniPoly) -> SpanCheck:
     """Reduced tau ladders against the assembled center of the t pencil.
 
@@ -344,38 +360,13 @@ def check_sovp(q: LieAlgebra, p: UniPoly) -> SpanCheck:
     """
     if p.coeff(0) == 0:
         raise InputError("the t pencil comparison needs p(0) != 0")
-    Z = build_Z(Pencil(q, p, p + UniPoly.t()))
-    detail = []
-    ok = True
-    for i, F in enumerate(Z.invariants):
-        lad = tau_ladder_span(q, F, p)
-        same = echelon_basis(lad["family"]) == Z.basis[i]
-        detail.append({
-            "invariant": i,
-            "ladder_dim": lad["dim"],
-            "z_dim": len(Z.basis[i]),
-            "equal": same,
-        })
-        ok = ok and same
-    return SpanCheck(ok=ok, detail=detail)
+    return _ladders_against_Z(Pencil(q, p, p + UniPoly.t()), lambda F: tau_ladder_span(F, p))
 
 
 def check_ft_gzu(q: LieAlgebra, p: UniPoly) -> SpanCheck:
     """Lowered ladders against the assembled center of the constant pencil."""
-    Z = build_Z(Pencil(q, p, p + UniPoly.one()))
-    detail = []
-    ok = True
-    for i, F in enumerate(Z.invariants):
-        fam = echelon_basis(gzu_ladder(q, F, p))
-        same = fam == Z.basis[i]
-        detail.append({
-            "invariant": i,
-            "ladder_dim": len(fam),
-            "z_dim": len(Z.basis[i]),
-            "equal": same,
-        })
-        ok = ok and same
-    return SpanCheck(ok=ok, detail=detail)
+    return _ladders_against_Z(Pencil(q, p, p + UniPoly.one()),
+                              lambda F: echelon_basis(gzu_ladder(F, p)))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from .exactla import (
     BudgetError,
     InputError,
     QMatrix,
-    RowSpace,
     rank,
     rat,
     rat_str,
@@ -215,18 +214,6 @@ class MPoly:
 
     def diff(self, v: Var) -> "MPoly":
         return _wrap(_partials(self._terms).get(tuple(v), {}))
-
-    def eval_at(self, point: dict) -> Fraction:
-        total = Fraction(0)
-        for k, c in self._terms.items():
-            val = c
-            for s, e in _fields(k):
-                pv = point.get(_VARS[s])
-                if pv is None:
-                    raise InputError(f"point misses variable {_VARS[s]}")
-                val *= pv ** e
-            total += val
-        return total
 
 
 def _wrap(terms: dict) -> MPoly:
@@ -737,17 +724,6 @@ def combiner(polys: Sequence) -> Callable:
     return combine
 
 
-def differential_at(F: MPoly, point: dict, vars_order: Sequence) -> list:
-    partials = _partials(F._terms)
-    return [_wrap(partials.get(v, {})).eval_at(point) for v in vars_order]
-
-
-def jacobian_at(polys: Sequence, point: dict, vars_order: Sequence) -> QMatrix:
-    return QMatrix.from_rows(
-        [differential_at(F, point, vars_order) for F in polys]
-    )
-
-
 def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
     """point -> the Jacobian of polys at point, a tuple of ints in
     vars_order, with each row cleared to integers as exactla clears it.
@@ -755,8 +731,8 @@ def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
     The partials are taken once, of each F's integer numerators over their
     common denominator d, and evaluated on ints at each point.  Row F then
     reads d * dF at the point, and dividing it by gcd(d, *row) gives the
-    row that clearing jacobian_at's Fraction row gives: the same rank over
-    Q and mod exactla.PRIME.
+    row that clearing the Fraction row of dF at the point gives: the same
+    rank over Q and mod exactla.PRIME.
     """
     col = {v: j for j, v in enumerate(vars_order)}
     monos: dict = {}  # packed key -> its index in the point's values
@@ -786,8 +762,10 @@ def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
     return at
 
 
-def jacobian_rank_at(polys: Sequence, point: dict, vars_order: Sequence) -> int:
-    return rank(jacobian_at(polys, point, vars_order))
+def jacobian_rank_at(polys: Sequence, point: Sequence, vars_order: Sequence) -> int:
+    """Rank of the Jacobian of polys at the integer point, its coordinates
+    in vars_order."""
+    return rank(cleared_jacobian(polys, vars_order)(point))
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +805,8 @@ def disjoint_supports(polys: Sequence) -> bool:
 
 
 def span_dim(polys: Sequence) -> int:
-    return len(independent_subset(polys))
+    keys, rows = _key_rows(polys)
+    return row_space(rows, len(keys)).dim
 
 
 def echelon_basis(polys: Sequence) -> list:
@@ -841,10 +820,3 @@ def echelon_basis(polys: Sequence) -> list:
         _wrap({k: c for c, k in zip(vec, keys) if c})
         for vec in row_space(rows, len(keys)).basis()
     ]
-
-
-def independent_subset(polys: Sequence) -> list:
-    """Greedy subfamily spanning the same space, in input order."""
-    keys, rows = _key_rows(polys)
-    rs = RowSpace(len(keys))
-    return [F for F, row in zip(polys, rows) if rs.add(row)]

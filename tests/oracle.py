@@ -181,6 +181,24 @@ def reference_diff(F, v):
     return MPoly(acc)
 
 
+def reference_eval(F, point):
+    """F at the point (variable -> value), one term at a time."""
+    total = Fraction(0)
+    for m, c in F.terms.items():
+        for v, e in m:
+            c *= point[v] ** e
+        total += c
+    return total
+
+
+def reference_jacobian_at(polys, point, vars_order):
+    """The Jacobian of polys at the point (variable -> value) in Fraction
+    arithmetic, one row per polynomial and one column per variable of
+    vars_order, each entry a reference_diff evaluated term by term."""
+    return QMatrix.from_rows(
+        [[reference_eval(reference_diff(F, v), point) for v in vars_order] for F in polys])
+
+
 def reference_derivation(F, image):
     """The derivation extending x_v -> image(v): sum_v dF/dx_v * image(v),
     on reference_diff and reference_mul."""
@@ -281,6 +299,36 @@ SL2_RESCALED = algebra_from_json({
     "sc": [[0, 1, 2, "2/3"], [0, 2, 0, "-1"], [1, 2, 1, "1"]],
     "form": [["0", "1/3", "0"], ["1/3", "0", "0"], ["0", "0", "1/2"]],
 })
+
+
+def reference_raised_bracket_tensor(q):
+    """T^{ijk} as ((i, j, k), value) in sorted order: the structure
+    constants lowered by q.form to c_ijk = sum_m c_ij^m g_mk, then raised
+    by the form inverse on all three slots, in Fraction arithmetic."""
+    g, ginv, dim = q.form, q.form_inverse, q.dim
+    lowered = {}
+    for i in range(dim):
+        for j in range(dim):
+            ent = q.bracket(i, j)
+            for k in range(dim):
+                val = sum((c * g.at(m, k) for m, c in ent), Fraction(0))
+                if val:
+                    lowered[(i, j, k)] = val
+    raised = {}
+    for (i, j, k), val in lowered.items():
+        for a in range(dim):
+            x = ginv.at(i, a)
+            if x == 0:
+                continue
+            for b in range(dim):
+                y = ginv.at(j, b)
+                if y == 0:
+                    continue
+                for c in range(dim):
+                    z = ginv.at(k, c)
+                    if z:
+                        raised[(a, b, c)] = raised.get((a, b, c), Fraction(0)) + val * x * y * z
+    return tuple(sorted((key, v) for key, v in raised.items() if v))
 
 
 def reference_sc_bracket(q, i, j):

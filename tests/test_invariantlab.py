@@ -15,7 +15,9 @@ from glab.liecore import (
     builtin_algebra,
     make_direct_power,
     make_quotient,
+    crt_primary,
     parse_poly,
+    rational_roots,
 )
 from glab.psring import (
     MPoly,
@@ -25,6 +27,7 @@ from glab.psring import (
 )
 from glab.invariantlab import (
     _char_invariants,
+    _raised_bracket_tensor,
     _slot_gram,
     _slot_solve,
     attach_poly,
@@ -62,6 +65,7 @@ from glab.invariantlab import (
 from oracle import (
     SL2_RESCALED,
     reference_kron,
+    reference_raised_bracket_tensor,
     reference_script_f,
     reference_slot_gram,
     reference_solve_slot_grams,
@@ -258,22 +262,23 @@ def test_attach_poly(sl2):
 
 def test_takiff_generators_sl2(sl2):
     fs = basic_invariants(sl2)
-    gens = takiff_generators(sl2, fs, 2)
+    gens = takiff_generators(fs, 2)
     assert len(gens) == 2
     T = make_quotient(sl2, parse_poly("t^2"))
-    for g in gens.polys():
+    for g in gens:
         for v in T.var_list():
             assert poisson_bracket(g, MPoly.variable(v), T).is_zero()
-    recipes = [e.recipe for e in gens.entries]
-    assert all(r[0] == "TAKIFF" for r in recipes)
+    # F^[1] then F^[2], the graded polarization sums in order
+    C = fs[0]
+    assert gens == [f_bracket_j(C, 1, 2), f_bracket_j(C, 2, 2)]
 
 
 def test_crt_generators_split_modulus(sl2):
     p = parse_poly("t^2-1")
-    gens = crt_generators(sl2, basic_invariants(sl2), p)
+    gens = crt_generators(basic_invariants(sl2), p)
     assert len(gens) == 2
     T = make_quotient(sl2, p)
-    for g in gens.polys():
+    for g in gens:
         for v in T.var_list():
             assert poisson_bracket(g, MPoly.variable(v), T).is_zero()
     # the root -1 generator written out by hand
@@ -281,27 +286,34 @@ def test_crt_generators_split_modulus(sl2):
     h0, h1 = MPoly.variable((1, 0)), MPoly.variable((1, 1))
     f0, f1 = MPoly.variable((2, 0)), MPoly.variable((2, 1))
     expected = ((e0 - e1) * (f0 - f1)).scale(4) + (h0 - h1) * (h0 - h1)
-    by_root = {e.recipe[2]: e.poly for e in gens.entries}
-    assert by_root["-1"] == expected.scale(Fraction(1, 4))
+    # one generator per root, in the order rational_roots lists the roots
+    assert [r for r, _ in rational_roots(p)] == [-1, 1]
+    assert gens[0] == expected.scale(Fraction(1, 4))
 
 
 def test_crt_generators_repeated_root(sl2):
     p = UniPoly.from_roots([1, 1, -2])
-    gens = crt_generators(sl2, basic_invariants(sl2), p)
+    C = casimir(sl2)
+    gens = crt_generators([C], p)
     assert len(gens) == 3
     T = make_quotient(sl2, p)
-    for g in gens.polys():
+    for g in gens:
         for v in T.var_list():
             assert poisson_bracket(g, MPoly.variable(v), T).is_zero()
+    # the double root -2 < 1 comes second: its two truncated generators,
+    # transported, follow the idempotent image of C at -2
+    (r0, m0), (r1, m1) = rational_roots(p)
+    assert (r0, m0, r1, m1) == (-2, 1, 1, 2)
+    comps = crt_primary(p, rational_roots(p))
+    assert gens == [attach_poly(C, comps[0].r0, p)] + [
+        phi_transport(G, p, comps[1]) for G in takiff_generators([C], 2)]
 
 
 def test_phi_transport_inputs(sl2):
-    from glab.liecore import crt_primary
-
     p = UniPoly.from_roots([1, 1, -2])
     comps = crt_primary(p, ((Fraction(1), 2), (Fraction(-2), 1)))
-    local = takiff_generators(sl2, [casimir(sl2)], 2)
-    moved = phi_transport(local.polys()[0], p, comps[0])
+    local = takiff_generators([casimir(sl2)], 2)
+    moved = phi_transport(local[0], p, comps[0])
     T = make_quotient(sl2, p)
     for v in T.var_list():
         assert poisson_bracket(moved, MPoly.variable(v), T).is_zero()
@@ -336,6 +348,15 @@ def test_quad_X_symmetries(sl2):
     assert quad_X(sl2, 1, 1, 2).is_zero()
 
 
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "gl2", "gl3", "takiff:sl2:2",
+                                  "takiff:sl3:2", "sum:sl2,sl2", "sl2-rescaled"])
+def test_raised_bracket_tensor_matches_the_reference_loop(name):
+    # lowering by the form and raising the third slot cancel, so the
+    # tensor is read off the brackets and two form inverses alone
+    q = SL2_RESCALED if name == "sl2-rescaled" else builtin_algebra(name)
+    assert repr(_raised_bracket_tensor(q)) == repr(reference_raised_bracket_tensor(q))
+
+
 def test_y_xi_diagonal_vanishes(sl2):
     xi = [Fraction(1), Fraction(-2), Fraction(3)]
     for a in range(3):
@@ -359,7 +380,7 @@ def test_bracket_against_linear_subset(sl2):
     T = make_quotient(sl2, parse_poly("t^6"))  # sl2[t] below level 6
     xi = [Fraction(1), Fraction(0), Fraction(0)]
     for a, b in ((0, 0), (1, 2), (2, 1)):
-        lhs = poisson_bracket(quad_H(sl2, a, b), xi_t(sl2, xi), T)
+        lhs = poisson_bracket(quad_H(sl2, a, b), xi_t(xi), T)
         assert lhs == y_xi(sl2, xi, a + 1, b) + y_xi(sl2, xi, b + 1, a)
 
 
@@ -370,18 +391,18 @@ def test_graded_sums(sl2):
 def test_corrected_element_central(sl2):
     for ptxt in ("t^3", "t^4-t^2+2"):
         p = parse_poly(ptxt)
-        xe = lemma_x_element(sl2, p)
+        x = lemma_x_element(sl2, p)
         T = make_quotient(sl2, p)
         for v in T.var_list():
-            assert poisson_bracket(xe.x, MPoly.variable(v), T).is_zero()
+            assert poisson_bracket(x, MPoly.variable(v), T).is_zero()
     with pytest.raises(InputError):
         lemma_x_element(sl2, parse_poly("t^2"))
 
 
 def test_corrected_element_shift(sl2):
     p = parse_poly("t^3-1")
-    xe = lemma_x_element(sl2, p)
-    shifted = xe.x - quad_h(sl2, 1, 1, p).scale(Fraction(1, 2))
+    x = lemma_x_element(sl2, p)
+    shifted = x - quad_h(sl2, 1, 1, p).scale(Fraction(1, 2))
     T = make_quotient(sl2, p + UniPoly.t())
     for v in T.var_list():
         assert poisson_bracket(shifted, MPoly.variable(v), T).is_zero()
@@ -612,12 +633,12 @@ def test_binom_identity():
 
 def test_split_family_identities(sl2):
     C = casimir(sl2)
-    res = example_split_family(sl2, C, Fraction(1))
+    res = example_split_family(C, Fraction(1))
     assert set(res) == {"zero_root", "root_2", "root_3"}
     for lhs, rhs in res.values():
         assert lhs == rhs
-    res2 = example_split_family(sl2, C, Fraction(9, 4))
+    res2 = example_split_family(C, Fraction(9, 4))
     for lhs, rhs in res2.values():
         assert lhs == rhs
     with pytest.raises(InputError):
-        example_split_family(sl2, C, Fraction(2))
+        example_split_family(C, Fraction(2))

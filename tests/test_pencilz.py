@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exactla import InputError, QMatrix, RowSpace, nullspace, rat_str, row_space
+from glab.exactla import BudgetError, InputError, QMatrix, RowSpace, nullspace, rat_str, row_space
 from glab.liecore import (
     UniPoly,
     builtin_algebra,
@@ -15,14 +15,13 @@ from glab.liecore import (
     pencil_combination,
     rational_roots,
 )
-from glab import psring
+from glab import pencilz, psring
 from glab.psring import (
     MPoly,
     annihilation_rows,
     coeff_rows,
     combiner,
     hamiltonian_images,
-    jacobian_at,
     echelon_basis,
     poisson_bracket,
 )
@@ -52,7 +51,7 @@ from glab.pencilz import (
     trdeg_of_Z,
     verify_Z_commutes,
 )
-from oracle import reference_sampled_max_rank
+from oracle import reference_jacobian_at, reference_sampled_max_rank
 
 
 @pytest.fixture(scope="module")
@@ -93,32 +92,34 @@ def test_build_Z_counts_and_recipes(pen_t):
     assert Z.counts() == {0: 3}
     assert Z.expected_counts() == {0: 3}
     assert len(Z.samples) == 2 * 2 + 3
-    assert {r[0] for r in Z.gens} == {"MEMBER"}
+    assert Z.raw_generators == 14
     assert verify_Z_commutes(Z)
 
 
 def test_build_Z_recipes_reproduce_central_generators(sl3):
-    # each recipe names a kernel vector whose member polynomial is central
-    # for its member and lies in the basis span of its source
+    # every member kernel vector gives a nonzero polynomial that is central
+    # for its member and lies in the basis span of its source, and
+    # raw_generators counts them
     P = Pencil(sl3, parse_poly("t^2"), parse_poly("t^2+t"))
     Z = build_Z(P)
     spaces = [(pols, _pencil_rows(pols, P)) for pols in _polarization_spaces(P, Z.invariants)]
-    assert len(Z.gens) == 36
-    for kind, a, route, i, row in Z.gens:
-        assert (kind, route) == ("MEMBER", "ANNIH")
-        pols, rows = spaces[i]
-        a = Fraction(a)
-        poly = combiner(pols)(_annihilator_combos(rows, a, len(pols))[row])
-        assert not poly.is_zero()
-        assert not any(hamiltonian_images([poly], pencil_combination(*P.end_tables, a, 1 - a)))
-        assert echelon_basis(Z.basis[i] + [poly]) == Z.basis[i]
+    raw = 0
+    for a in Z.samples:
+        member = pencil_combination(*P.end_tables, a, 1 - a)
+        for i, (pols, rows) in enumerate(spaces):
+            for vec in _annihilator_combos(rows, a, len(pols)):
+                poly = combiner(pols)(vec)
+                assert not poly.is_zero()
+                assert not any(hamiltonian_images([poly], member))
+                assert echelon_basis(Z.basis[i] + [poly]) == Z.basis[i]
+                raw += 1
+    assert raw == Z.raw_generators == 36
 
 
 def test_build_Z_annihilation_route(pen_1):
     # members t^2 + (1 - a) include irreducible moduli, so the exact
     # annihilation solve must participate
     Z = build_Z(pen_1)
-    assert "ANNIH" in {r[2] for r in Z.gens}
     assert Z.counts() == {0: 3}
     assert verify_Z_commutes(Z)
 
@@ -138,6 +139,18 @@ def test_build_Z_input_checks(pen_t):
         build_Z(pen_t, sample_count=0)
     with pytest.raises(InputError):
         build_Z(pen_t, f_list=[])
+
+
+def test_build_Z_refuses_a_sample_count_above_the_budget(pen_t, monkeypatch):
+    # refused before the samples are listed or any member is solved
+    def unreachable(*args):
+        raise AssertionError("build_Z went past the sample count check")
+
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "100")
+    monkeypatch.setattr(pencilz, "_sample_sequence", unreachable)
+    monkeypatch.setattr(pencilz, "_annihilator_combos", unreachable)
+    with pytest.raises(BudgetError, match="sample count 101 exceeds budget 100"):
+        build_Z(pen_t, sample_count=101)
 
 
 def test_build_Z_refuses_invariants_that_are_not_central(sl2, pen_t):
@@ -173,7 +186,7 @@ def _basis_text(Z) -> str:
 ])
 def test_build_Z_bytes_are_pinned(qname, p1, p2, generators, digest):
     Z = build_Z(Pencil(builtin_algebra(qname), parse_poly(p1), parse_poly(p2)))
-    assert len(Z.gens) == generators
+    assert Z.raw_generators == generators
     assert Z.counts() == Z.expected_counts()
     assert hashlib.sha256(_basis_text(Z).encode()).hexdigest() == digest
 
@@ -225,7 +238,7 @@ def test_verify_Z_commutes_checks_both_ends(sl2, pen_1):
     assert poisson_bracket(e1, f1, t1).is_zero()
     assert poisson_bracket(e1, f1, t2) == -h
     for pen in (pen_1, Pencil(sl2, parse_poly("t^2+1"), parse_poly("t^2"))):
-        Z = ZAlgebra(pen, [], [], {0: [e1, e1 * e1], 1: [f1]}, [])
+        Z = ZAlgebra(pen, [], 0, {0: [e1, e1 * e1], 1: [f1]}, [])
         assert verify_Z_commutes(Z) is False
         Z.basis = {0: [e1, e1 * e1], 1: [MPoly.const(3)]}
         assert verify_Z_commutes(Z) is True
@@ -238,7 +251,7 @@ def test_trdeg_estimate_matches_the_exact_sampling_oracle(sl3):
     vs = Z.pencil.end_tables[0].var_list()
 
     def matrix(point):
-        return jacobian_at(polys, dict(zip(vs, point)), vs)
+        return reference_jacobian_at(polys, dict(zip(vs, point)), vs)
 
     for seed in range(12):
         rep = trdeg_estimate(polys, vs, seed=seed)
@@ -262,19 +275,22 @@ def test_z_independent_of_second_modulus(sl2, pen_t, pen_1):
 
 def test_tau_ladder_span_dims(sl2):
     C = casimir(sl2)
+    # the span reaches d(n - 1) + 1 exactly when p(0) != 0
     for ptxt, want in (("t^2-1", 3), ("t^3-1", 5), ("t^3+t+1", 5)):
-        lad = tau_ladder_span(sl2, C, parse_poly(ptxt))
-        assert lad["dim"] == want == lad["expected"]
-        assert lad["p0_nonzero"]
-    degenerate = tau_ladder_span(sl2, C, parse_poly("t^2"))
-    assert not degenerate["p0_nonzero"]
-    assert degenerate["dim"] < degenerate["expected"]
+        p = parse_poly(ptxt)
+        assert p.coeff(0) != 0
+        lad = tau_ladder_span(C, p)
+        assert len(lad) == want == C.total_degree() * (p.degree - 1) + 1
+        assert lad == echelon_basis(lad)
+    p = parse_poly("t^2")
+    assert p.coeff(0) == 0
+    assert len(tau_ladder_span(C, p)) < C.total_degree() * (p.degree - 1) + 1
 
 
 def test_gzu_ladder_members_reduce(sl2):
     C = casimir(sl2)
     p = parse_poly("t^2-1")
-    fam = gzu_ladder(sl2, C, p)
+    fam = gzu_ladder(C, p)
     assert all(f.vars() <= {(i, a) for i in range(3) for a in range(2)}
                for f in fam if not f.is_zero())
 
@@ -422,11 +438,9 @@ def test_split_member_kernel_matches_crt_generators(qname, p1, p2, split):
         if rational_roots(ptilde) is None:
             continue
         found.append(a)
-        crt = crt_generators(q, f_list, ptilde)
-        for i, (rows, width, combine) in enumerate(solves):
+        for F, (rows, width, combine) in zip(f_list, solves):
             kernel = [combine(vec) for vec in _annihilator_combos(rows, a, width)]
-            expected = [e.poly for e in crt.entries if e.source == i]
-            assert echelon_basis(kernel) == echelon_basis(expected)
+            assert echelon_basis(kernel) == echelon_basis(crt_generators([F], ptilde))
     assert found == split
 
 

@@ -14,7 +14,8 @@ definition left unreached is code only its own tests run.
 The parameter scan reads every call in src/glab and bench/*.py by the
 called name.  A defaulted parameter of a public function, method or
 constructor that no call sets, by keyword or by position, is an option
-only its own tests use.
+only its own tests use.  A parameter of a public function or method that
+its own body never reads is an input that changes nothing.
 """
 import ast
 import re
@@ -40,6 +41,12 @@ METHOD_ALLOWLIST = {}
 # (definition, parameter) set by no call, kept for the reason given
 PARAM_ALLOWLIST = {
     ("build_Z", "f_list"): "how an algebra outside sl, gl and abelian gives its invariants",
+}
+
+# (definition, parameter) that its body never reads, kept for the reason given
+UNREAD_ALLOWLIST = {
+    ("build_Z", "seed"): "the benchmark's pencil workload passes it; build_Z draws "
+                         "no random number",
 }
 
 
@@ -258,3 +265,47 @@ def test_every_import_is_at_module_level():
 def test_the_import_scan_sees_a_nested_import():
     tree = ast.parse("import math\ndef f():\n    import re\n    return re.I\n")
     assert _nested_imports(tree) == [3]
+
+
+def _unread_parameters(tree) -> list:
+    """(definition, parameter) for each parameter of a public function, or
+    of a method of a public class (dunders included, self and cls not),
+    that the body never reads."""
+    out = []
+    for node in tree.body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            fns = [(node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            fns = [(sub, 0 if any(getattr(d, "id", None) == "staticmethod"
+                                  for d in sub.decorator_list) else 1)
+                   for sub in node.body if isinstance(sub, ast.FunctionDef)
+                   and not (sub.name.startswith("_") and not sub.name.startswith("__"))]
+        else:
+            continue
+        for fn, skip in fns:
+            a = fn.args
+            names = [x.arg for x in a.posonlyargs + a.args][skip:]
+            names += [x.arg for x in a.kwonlyargs + [a.vararg, a.kwarg] if x is not None]
+            read = {sub.id for sub in ast.walk(fn)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            out.extend((fn.name, p) for p in names if p not in read)
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = [pair for path in sorted(SRC.glob("*.py"))
+              for pair in _unread_parameters(ast.parse(path.read_text()))]
+    assert sorted(set(unread) - set(UNREAD_ALLOWLIST)) == []
+    assert sorted(set(UNREAD_ALLOWLIST) - set(unread)) == []
+
+
+def test_the_parameter_scan_sees_an_unread_parameter():
+    tree = ast.parse(
+        "def f(q, x, *, k=1):\n    return [x + k for _ in range(2)]\n"
+        "def _g(q):\n    return 0\n"
+        "class C:\n    def m(self, a, b):\n        return lambda: a\n"
+        "    @staticmethod\n    def s(c):\n        return 1\n"
+        "    def _h(self, z):\n        return 0\n")
+    assert _unread_parameters(tree) == [("f", "q"), ("m", "b"), ("s", "c")]

@@ -327,6 +327,16 @@ def test_cli_budget_exit(runner, monkeypatch):
     assert res.exit_code == 3
 
 
+def test_cli_samples_above_the_budget_exit_3(runner, monkeypatch):
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "100")
+    for cmd in ("build", "verify"):
+        args = ["zz", cmd, "--q", "sl2", "--p1", "t^2", "--p2", "t^2+t", "--samples"]
+        assert runner.invoke(main, args + ["100"]).exit_code == 0
+        res = runner.invoke(main, args + ["101"])
+        assert res.exit_code == 3
+        assert "sample count 101 exceeds budget 100" in res.output
+
+
 def test_cli_jacobi_scan_and_takiff_exit_on_budget(runner, monkeypatch):
     monkeypatch.setenv("GLAB_BUDGET_TERMS", "1000")
     assert runner.invoke(main, ["jacobi", "--q", "sl2", "--p", "t^3"]).exit_code == 0
