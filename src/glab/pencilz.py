@@ -32,6 +32,7 @@ from .liecore import (
     check_pencil_moduli,
     index_report,
     make_quotient,
+    pencil_combination,
     sampled_max_rank,
     wrap_algebra,
 )
@@ -75,6 +76,32 @@ class Pencil:
     @cached_property
     def end_tables(self) -> tuple:
         return make_quotient(self.base, self.p1), make_quotient(self.base, self.p2)
+
+    @cached_property
+    def spanning_tables(self) -> tuple:
+        """(B, D): B the end with fewer scaled-neighbour entries (the p1 end
+        on a tie), D = [,]_2 - [,]_1 the difference.
+
+        The two span the pencil, each end being B or B + D.  D is zero on
+        every level pair a + b < n, so its images are sparse, and B is the
+        sparser end.  D is not scanned for Jacobi (make_difference_bracket
+        does that): only its linear relation to the ends is read.
+        """
+        t1, t2 = self.end_tables
+
+        def entries(T):
+            return sum(len(ent) for nb in T.scaled_neighbours[1].values() for _, ent in nb)
+
+        return (t2 if entries(t2) < entries(t1) else t1,
+                pencil_combination(t2, t1, 1, -1))
+
+    def member_weights(self, a: Fraction) -> tuple:
+        """Integers (x, y) with x * B + y * D = d * (a * [,]_1 + (1 - a) *
+        [,]_2) for a = s / d and (B, D) = spanning_tables: (d, d - s) when B
+        is the p1 end, the member then being B + (1 - a) * D, and (d, -s)
+        when it is the p2 end, the member being B - a * D."""
+        s, d = a.numerator, a.denominator
+        return (d, d - s) if self.spanning_tables[0] is self.end_tables[0] else (d, -s)
 
     def normalization(self) -> dict:
         """How t -> t + c turns the difference into a pure form.
@@ -142,13 +169,15 @@ def _pencil_rows(pols: Sequence, P: Pencil) -> tuple:
     """Integer echelon rows whose kernel, at every member, is that of the
     annihilation rows of pols, polarizations of one invariant of q.
 
-    Row r = (r1 | r2) holds the coefficients of one monomial of {pol, x_v}
-    under end 1, then under end 2, scaled to a primitive integer row (see
-    annihilation_rows); only the distinct rows are reduced.  The images are
-    linear in the bracket, so the member at a has rows a * r1 + (1 - a) *
-    r2, and their span is the image of the span of the r: any basis of
-    that span serves every member, so the rows are kept as reduced, in
-    echelon form, and no reduced basis is formed.
+    Row r = (rB | rD) holds the coefficients of one monomial of {pol, x_v}
+    under B, then under D, the spanning tables of P, scaled to a primitive
+    integer row (see annihilation_rows); only the distinct rows are
+    reduced.  The images are linear in the bracket, so the member at a has
+    rows x * rB + y * rD, (x, y) = P.member_weights(a), and their span is
+    the image of the span of the r: any basis of that span serves every
+    member, so the rows are kept as reduced, in echelon form, and no
+    reduced basis is formed.  D vanishes on the low level pairs, so its
+    images cost less than those of the other end.
 
     Only v = x_j t^k with j in q.module_generators and 1 <= k < n are
     bracketed.  Every member is a quotient bracket in which x_i t^0 acts on
@@ -158,20 +187,22 @@ def _pencil_rows(pols: Sequence, P: Pencil) -> tuple:
     generators at level k kills all of q t^k, and level 0 needs no rows.
     """
     targets = {(j, k) for j in P.base.module_generators for k in range(1, P.n)}
-    return row_space(annihilation_rows(pols, P.end_tables, targets), 2 * len(pols)).rows
+    return row_space(annihilation_rows(pols, P.spanning_tables, targets), 2 * len(pols)).rows
 
 
-def _annihilator_combos(pencil_rows: Sequence, a: Fraction, width: int) -> list:
+def _annihilator_combos(pencil_rows: Sequence, weights: tuple, width: int) -> list:
     """Coefficient vectors c with {sum c_k pols_k, x_v} = 0 for every v,
-    under the member a * [,]_1 + (1 - a) * [,]_2.
+    under the member a * [,]_1 + (1 - a) * [,]_2 whose weights (x, y) are
+    P.member_weights(a).
 
-    With a = s / d, each integer row (r1 | r2) gives the integer member row
-    s * r1 + (d - s) * r2, d times the member's row, so the kernel, which
-    is canonical, is read off integer rows alone.
+    With a = s / d, each integer row (rB | rD) of _pencil_rows gives the
+    integer member row x * rB + y * rD, d times the member's row: d * rB +
+    (d - s) * rD when B is the p1 end, d * rB - s * rD when it is the p2
+    end.  So the kernel, which is canonical, is read off integer rows alone.
     """
-    s, d = a.numerator, a.denominator
+    x, y = weights
     return row_space(
-        ([s * x + (d - s) * y for x, y in zip(r[:width], r[width:])] for r in pencil_rows),
+        ([x * b + y * c for b, c in zip(r[:width], r[width:])] for r in pencil_rows),
         width,
     ).kernel()
 
@@ -182,12 +213,13 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
 
     Every member contributes the exact solution space of bracket
     annihilation inside each polarization space, whether or not its
-    modulus splits over Q.  Member centres come from the two ends: each
-    polarization space is bracketed once under each end table, the
-    distinct integer rows of both ends are reduced together once, and the
-    member at a takes a * (end 1 part) + (1 - a) * (end 2 part) of those
-    few rows, on integers.  The a values walk 1, 0, 2, -1, 3, -2, ... so
-    both ends always participate.  Deterministic for fixed inputs: no
+    modulus splits over Q.  Member centres come from the spanning tables
+    (B, D) of the pencil, the sparser end and the difference: each
+    polarization space is bracketed once under each, the distinct integer
+    rows of both are reduced together once, and the member at a takes the
+    combination P.member_weights(a) of the B and D parts of those few
+    rows, on integers.  The a values walk 1, 0, 2, -1, 3, -2, ... so both
+    ends always participate.  Deterministic for fixed inputs: no
     random number is drawn, so seed changes nothing.  A sample count above
     the term budget raises BudgetError before any member is solved.
 
@@ -236,8 +268,9 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     kernels = [RowSpace(len(pols)) for pols, _ in spaces]
     samples = _sample_sequence(sample_count)
     for a in samples:
+        weights = P.member_weights(a)
         for i, (pols, rows) in enumerate(spaces):
-            for vec in _annihilator_combos(rows, a, len(pols)):
+            for vec in _annihilator_combos(rows, weights, len(pols)):
                 raw += 1
                 kernels[i].add(vec)
     basis = {}
@@ -249,13 +282,17 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
 
 
 def verify_Z_commutes(Z: ZAlgebra) -> bool:
-    """All basis pairs Poisson-commute under both end brackets.
+    """All basis pairs Poisson-commute under the spanning tables (B, D) of
+    the pencil, the sparser end and the difference of the ends.
 
-    Every line member is a combination of the ends, so vanishing there
-    settles the whole pencil.
+    Each end is B or B + D, so vanishing under B and D is vanishing under
+    both ends, and every member is a combination of the ends: that settles
+    the whole pencil.  D is zero on the low level pairs, so its images,
+    and the pairs contracted from them, are few (see
+    psring.pairwise_commute).  A pair whose product would pass the term
+    budget raises BudgetError before any pair is contracted.
     """
-    polys = Z.all_basis()
-    return all(pairwise_commute(polys, T) for T in Z.pencil.end_tables)
+    return pairwise_commute(Z.all_basis(), *Z.pencil.spanning_tables)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ reaches; psring re-exports it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -624,25 +625,62 @@ def poisson_bracket(F: MPoly, G: MPoly, T: BracketTable) -> MPoly:
                             D * dF * dG)
 
 
-def pairwise_commute(polys: Sequence, T: BracketTable) -> bool:
-    """Whether {F, G} = 0 under T for every pair F, G of polys.
+def _side_cost(images: dict, partials: dict) -> tuple:
+    """(total, (m, k)): the term products of _contract(partials, .,
+    images, .), sum_v |images[v]| * |partials[v]| over the v both hold,
+    read off the sizes alone, and the sizes m x k of its largest product."""
+    total, largest = 0, (0, 0)
+    for v, img in images.items():
+        dv = partials.get(v)
+        if dv:
+            m, k = len(img), len(dv)
+            total += m * k
+            if m * k > largest[0] * largest[1]:
+                largest = (m, k)
+    return total, largest
 
-    The images {F, x_v} of each F, for the v of every later G, are formed
-    once and contracted with the partials of each later G, {F, G} =
-    sum_v {F, x_v} * dG/dx_v, on integer numerators; the common
+
+def pairwise_commute(polys: Sequence, *tables: BracketTable) -> bool:
+    """Whether {F, G} = 0 under every one of the tables for every pair F, G
+    of polys.
+
+    The images {F, x_v} of every F under each table are formed once, on
+    integer numerators, at every variable the family holds.  Each pair is
+    then contracted from its cheaper side, {F, G} = sum_v {F, x_v} *
+    dG/dx_v = -sum_u {G, x_u} * dF/dx_u, the cost of a side being its term
+    products, sum_v |{F, x_v}| * |dG/dx_v|.  A side of cost 0 is an empty
+    sum, so the pair commutes and no product is formed; a central F, with
+    no images at all, costs nothing against any G.  The common
     denominators cannot make a sum vanish, so they are never applied.
+
+    Every chosen product is held against the term budget once the images
+    under all the tables are formed and before the first contraction, so a
+    family that would pass the budget raises BudgetError before that work.
+    The first pair that does not commute, table by table and in pair
+    order, ends the check.
     """
-    _, index = _keyed_neighbours(T)
     budget = term_budget()
     partials = [_partials(_numerators(F)[1]) for F in polys]
-    tops = [_tops(pf) for pf in partials]
-    for i, pf in enumerate(partials[:-1]):
-        images = _int_images(pf, index, set().union(*partials[i + 1:]), budget)
-        itops = _tops(images)
-        if any(any(_contract(pg, ptops, images, itops, budget).values())
-               for pg, ptops in zip(partials[i + 1:], tops[i + 1:])):
-            return False
-    return True
+    held = set().union(*partials)
+    plan = []  # (images of F, their tops, j): contract with the partials of G = polys[j]
+    for T in tables:
+        _, index = _keyed_neighbours(T)
+        images = [_int_images(pf, index, held, budget) for pf in partials]
+        itops = [_tops(img) for img in images]
+        for i, j in itertools.combinations(range(len(polys)), 2):
+            forward = _side_cost(images[i], partials[j])
+            backward = _side_cost(images[j], partials[i])
+            if not (forward[0] and backward[0]):
+                continue
+            if backward[0] < forward[0]:
+                i, j, forward = j, i, backward
+            m, k = forward[1]
+            if m * k > budget:
+                raise BudgetError(f"product of {m} x {k} terms exceeds budget {budget}")
+            plan.append((images[i], itops[i], j))
+    ptops = [_tops(pf) for pf in partials]
+    return not any(any(_contract(partials[j], ptops[j], img, tops, budget).values())
+                   for img, tops, j in plan)
 
 
 def annihilation_rows(polys: Sequence, tables: Sequence, targets=None):

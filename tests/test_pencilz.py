@@ -11,6 +11,7 @@ from glab.exactla import BudgetError, InputError, QMatrix, RowSpace, nullspace, 
 from glab.liecore import (
     UniPoly,
     builtin_algebra,
+    make_difference_bracket,
     parse_poly,
     pencil_combination,
     rational_roots,
@@ -107,7 +108,7 @@ def test_build_Z_recipes_reproduce_central_generators(sl3):
     for a in Z.samples:
         member = pencil_combination(*P.end_tables, a, 1 - a)
         for i, (pols, rows) in enumerate(spaces):
-            for vec in _annihilator_combos(rows, a, len(pols)):
+            for vec in _annihilator_combos(rows, P.member_weights(a), len(pols)):
                 poly = combiner(pols)(vec)
                 assert not poly.is_zero()
                 assert not any(hamiltonian_images([poly], member))
@@ -222,6 +223,15 @@ def test_sl3_pencil(sl3):
     assert trdeg_of_Z(Z).rank == 7
 
 
+def test_sl4_cubic_pencil():
+    # the exact check contracts each pair from its cheaper side under the
+    # sparser end and the difference (7 s when it walked both ends)
+    pen = Pencil(builtin_algebra("sl4"), parse_poly("t^3"), parse_poly("t^3+t"))
+    Z = build_Z(pen)
+    assert Z.counts() == Z.expected_counts() == {0: 5, 1: 7, 2: 9}
+    assert verify_Z_commutes(Z)
+
+
 def test_sl4_north_star_pencil():
     pen = Pencil(builtin_algebra("sl4"), parse_poly("t^2+1"), parse_poly("t^2+t+1"))
     Z = build_Z(pen)
@@ -232,16 +242,73 @@ def test_sl4_north_star_pencil():
 
 def test_verify_Z_commutes_checks_both_ends(sl2, pen_1):
     # [x t, y t] = [x, y] t^2 vanishes mod t^2 and is -[x, y] mod t^2 + 1,
-    # so e t and f t commute under the end t^2 and not under the other
+    # so e t and f t commute under the end t^2, the sparser one, and not
+    # under the other; the polarized Casimir C(x_0) - C(x_1) is central
+    # mod t^2 + 1 and does not commute with e t mod t^2
     e1, f1, h = MPoly.variable((0, 1)), MPoly.variable((2, 1)), MPoly.variable((1, 0))
+    C = casimir(sl2)
+    central = polarize(C, (0, 0)) - polarize(C, (1, 1))
     t1, t2 = pen_1.end_tables
     assert poisson_bracket(e1, f1, t1).is_zero()
     assert poisson_bracket(e1, f1, t2) == -h
+    assert not any(hamiltonian_images([central], t2)[0])
+    assert not poisson_bracket(central, e1, t1).is_zero()
     for pen in (pen_1, Pencil(sl2, parse_poly("t^2+1"), parse_poly("t^2"))):
+        sparse = pen.end_tables[0 if pen.p1 == parse_poly("t^2") else 1]
+        assert pen.spanning_tables[0] is sparse
         Z = ZAlgebra(pen, [], 0, {0: [e1, e1 * e1], 1: [f1]}, [])
-        assert verify_Z_commutes(Z) is False
+        assert verify_Z_commutes(Z) is False  # fails under the other end alone
         Z.basis = {0: [e1, e1 * e1], 1: [MPoly.const(3)]}
         assert verify_Z_commutes(Z) is True
+        Z.basis = {0: [central], 1: [e1]}
+        assert verify_Z_commutes(Z) is False  # fails under the sparser end alone
+
+
+def test_spanning_tables_are_the_sparser_end_and_the_difference(sl2):
+    # t^2 + t and t^2 + 2t have equally many entries: the tie goes to p1
+    for p1, p2, first in (("t^2", "t^2+1", True), ("t^2+1", "t^2", False),
+                          ("t^3", "t^3+t", True), ("t^3+t", "t^3", False),
+                          ("t^2+t", "t^2+2t", True), ("t^2+2t", "t^2+t", True)):
+        P = Pencil(sl2, parse_poly(p1), parse_poly(p2))
+        t1, t2 = P.end_tables
+        B, D = P.spanning_tables
+        assert B is (t1 if first else t2)
+        assert D == make_difference_bracket(sl2, P.p2, P.p1)
+        for a in (Fraction(1), Fraction(0), Fraction(-7, 3)):
+            # x * B + y * D is d times the member at a
+            x, y = P.member_weights(a)
+            d = a.denominator
+            assert pencil_combination(B, D, Fraction(x, d), Fraction(y, d)) == \
+                pencil_combination(t1, t2, a, 1 - a)
+
+
+VARS2 = [(i, a) for a in range(2) for i in range(3)]
+
+
+def mpolys2():
+    mono = st.lists(
+        st.tuples(st.sampled_from(VARS2), st.integers(1, 2)), min_size=0, max_size=3,
+    ).map(lambda pairs: tuple(sorted(dict(pairs).items())))
+    term = st.tuples(mono, st.fractions(min_value=-6, max_value=6, max_denominator=3))
+    return st.lists(term, min_size=0, max_size=4).map(
+        lambda ts: sum((MPoly({m: c}) for m, c in ts if c), MPoly.zero())
+    )
+
+
+@given(st.booleans(), st.lists(mpolys2(), max_size=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_verify_Z_commutes_agrees_with_the_two_ends(sl2, reverse, polys, data):
+    # the sparser end is p1 on t^2 / t^2+1 and p2 on the reversed pencil
+    p1, p2 = parse_poly("t^2"), parse_poly("t^2+1")
+    P = Pencil(sl2, p2, p1) if reverse else Pencil(sl2, p1, p2)
+    # members central under one end alone: C(x_1) under t^2, C(x_0) -
+    # C(x_1) under t^2 + 1
+    C1 = polarize(casimir(sl2), (1, 1))
+    C01 = polarize(casimir(sl2), (0, 0)) - C1
+    polys = polys + data.draw(st.lists(st.sampled_from([C1, C01]), max_size=2))
+    Z = ZAlgebra(P, [], 0, {0: polys}, [])
+    want = all(psring.pairwise_commute(polys, T) for T in P.end_tables)
+    assert verify_Z_commutes(Z) == want
 
 
 def test_trdeg_estimate_matches_the_exact_sampling_oracle(sl3):
@@ -415,7 +482,7 @@ def test_streamed_kernel_matches_dense_block_matrix(sl3):
     for a in _sample_sequence(12):
         T = pencil_combination(*P.end_tables, a, 1 - a)
         for pols, r in zip(spaces, rows):
-            got = _annihilator_combos(r, a, len(pols))
+            got = _annihilator_combos(r, P.member_weights(a), len(pols))
             assert got
             assert got == _dense_combos(pols, T)
 
@@ -439,21 +506,47 @@ def test_split_member_kernel_matches_crt_generators(qname, p1, p2, split):
             continue
         found.append(a)
         for F, (rows, width, combine) in zip(f_list, solves):
-            kernel = [combine(vec) for vec in _annihilator_combos(rows, a, width)]
+            kernel = [combine(vec)
+                      for vec in _annihilator_combos(rows, P.member_weights(a), width)]
             assert echelon_basis(kernel) == echelon_basis(crt_generators([F], ptilde))
     assert found == split
 
 
 def test_member_kernel_at_fractional_a_matches_dense_block_matrix(sl2):
-    # a = s / d enters the integer member rows as s * r1 + (d - s) * r2
-    P = Pencil(sl2, parse_poly("t^3"), parse_poly("t^3+t"))
+    # a = s / d enters the integer member rows as d * rB + (d - s) * rD,
+    # or as d * rB - s * rD when the sparser end B is p2
     F = basic_invariants(sl2)[0]
-    pols = [polarize(F, kv) for kv in weakly_increasing(F.total_degree(), P.n - 1)]
-    rows = _pencil_rows(pols, P)
-    for a in (Fraction(1, 2), Fraction(-7, 3), Fraction(5, 4), Fraction(12, 5)):
-        T = pencil_combination(*P.end_tables, a, 1 - a)
-        got = _annihilator_combos(rows, a, len(pols))
-        assert got and got == _dense_combos(pols, T)
+    for p1, p2 in (("t^3", "t^3+t"), ("t^3+t", "t^3")):
+        P = Pencil(sl2, parse_poly(p1), parse_poly(p2))
+        pols = [polarize(F, kv) for kv in weakly_increasing(F.total_degree(), P.n - 1)]
+        rows = _pencil_rows(pols, P)
+        for a in (Fraction(1, 2), Fraction(-7, 3), Fraction(5, 4), Fraction(12, 5)):
+            T = pencil_combination(*P.end_tables, a, 1 - a)
+            got = _annihilator_combos(rows, P.member_weights(a), len(pols))
+            assert got and got == _dense_combos(pols, T)
+
+
+@pytest.mark.parametrize("qname, p1, p2", [
+    ("sl3", "t^3", "t^3+t"),
+    ("sl3", "t^3+t", "t^3"),
+    ("sl4", "t^2+1", "t^2+t+1"),
+])
+def test_spanning_rows_keep_the_member_kernels_of_the_end_rows(qname, p1, p2):
+    # rows over (B, D) and rows over the two ends, where the member at
+    # a = s / d is s * r1 + (d - s) * r2, give equal kernels at every sample
+    P = Pencil(builtin_algebra(qname), parse_poly(p1), parse_poly(p2))
+    f_list = basic_invariants(P.base)
+    samples = _sample_sequence(max(F.total_degree() for F in f_list) * P.n + 3)
+    targets = {(j, k) for j in P.base.module_generators for k in range(1, P.n)}
+    for pols in _polarization_spaces(P, f_list):
+        w = len(pols)
+        ends = row_space(annihilation_rows(pols, P.end_tables, targets), 2 * w).rows
+        spanning = _pencil_rows(pols, P)
+        for a in samples:
+            s, d = a.numerator, a.denominator
+            want = row_space(([s * x + (d - s) * y for x, y in zip(r[:w], r[w:])]
+                              for r in ends), w).kernel()
+            assert _annihilator_combos(spanning, P.member_weights(a), w) == want
 
 
 # algebras with characteristic invariants, then ones solved for their
@@ -485,7 +578,7 @@ def test_targeted_kernel_equals_the_all_variable_kernel(qname, p1, l, a):
     T = pencil_combination(*P.end_tables, a, 1 - a)
     for pols, rows in spaces:
         want = row_space(annihilation_rows(pols, [T]), len(pols)).kernel()
-        assert _annihilator_combos(rows, a, len(pols)) == want
+        assert _annihilator_combos(rows, P.member_weights(a), len(pols)) == want
 
 
 def test_pencil_rows_reduce_only_the_distinct_rows(sl3, monkeypatch):

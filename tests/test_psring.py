@@ -41,7 +41,7 @@ from glab.psring import (
     term_budget,
 )
 
-from glab.invariantlab import centralizer_in_span
+from glab.invariantlab import casimir, centralizer_in_span
 
 from glab import psring
 
@@ -272,6 +272,101 @@ def test_pairwise_commute_matches_table_walk(kind, data):
     want = all(reference_bracket(F, G, T).is_zero()
                for i, F in enumerate(polys) for G in polys[i + 1:])
     assert pairwise_commute(polys, T) == want
+
+
+def _commute_by_reference(polys, tables):
+    return all(reference_bracket(F, G, T).is_zero()
+               for T in tables for i, F in enumerate(polys) for G in polys[i + 1:])
+
+
+def _central_members(T):
+    """Members that bracket to zero with everything under T: constants, and
+    under the direct power the Casimir of each copy."""
+    out = [MPoly.zero(), MPoly.const(Fraction(-3, 2))]
+    if T is TABLES["power"]:
+        C = casimir(T.base)
+        out += [substitute_levels(C, lambda a, k=k: UniPoly.monomial(k)) for k in range(T.n)]
+    return out
+
+
+@given(st.sampled_from(sorted(TABLES)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_pairwise_commute_from_the_cheaper_side_matches_the_reference(kind, data):
+    # central members, which no pair is contracted against, and a pair that
+    # does not commute placed late, in both orders of the family
+    T = TABLES[kind]
+    var_list = T.var_list()
+    if kind == "current":
+        var_list = [(i, a) for i, a in var_list if a <= CURRENT_DEGREE]
+    polys = data.draw(st.lists(table_mpolys(var_list), max_size=3))
+    central = _central_members(T)
+    polys += data.draw(st.lists(st.sampled_from(central), max_size=2))
+    if data.draw(st.booleans()):
+        u, (v, _) = data.draw(st.sampled_from(
+            [(u, nb[0]) for u, nb in T.scaled_neighbours[1].items() if u in var_list
+             and nb[0][0] in var_list]))
+        polys += [MPoly.variable(u), MPoly.variable(v)]
+    polys = data.draw(st.permutations(polys)) if data.draw(st.booleans()) else polys
+    want = _commute_by_reference(polys, [T])
+    assert pairwise_commute(polys, T) == pairwise_commute(polys[::-1], T) == want
+    if polys:
+        F = polys[0] * polys[-1]  # any polynomial commutes with the central ones
+        assert pairwise_commute([F, *central], T)
+
+
+@given(st.lists(st.sampled_from(sorted(set(TABLES) - {"current", "power"})),
+                min_size=2, max_size=2, unique=True),
+       st.data())
+@settings(max_examples=30, deadline=None)
+def test_pairwise_commute_under_several_tables_needs_every_one(kinds, data):
+    tables = [TABLES[k] for k in kinds]
+    polys = data.draw(st.lists(table_mpolys(tables[0].var_list()), max_size=3))
+    want = _commute_by_reference(polys, tables)
+    assert pairwise_commute(polys, *tables) == want
+    assert want == all(pairwise_commute(polys, T) for T in tables)
+
+
+def test_pairwise_commute_refuses_an_over_budget_pair_before_contracting(monkeypatch):
+    # {e, f} = h is the first pair and does not commute, yet the later pair
+    # of powers of one linear form, which would commute, is over the budget:
+    # it is refused before e and f are contracted
+    e, f = MPoly.variable((0, 0)), MPoly.variable((2, 0))
+    L = e + f + MPoly.variable((1, 0))
+    T = make_quotient(builtin_algebra("sl2"), parse_poly("t"))
+    polys = [e, f, L ** 6, L ** 5]
+    assert not pairwise_commute(polys, T)
+    assert pairwise_commute(polys[2:], T)
+
+    def unreachable(*args):
+        raise AssertionError("contracted before the budget check")
+
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "100")
+    monkeypatch.setattr(psring, "_contract", unreachable)
+    with pytest.raises(BudgetError, match="terms exceeds budget 100"):
+        pairwise_commute(polys, T)
+
+
+def test_pairwise_commute_skips_pairs_with_an_empty_side(monkeypatch):
+    # a central member has no images, so no pair with it is contracted,
+    # whichever side it is on
+    sl3 = builtin_algebra("sl3")
+    T = make_direct_power(sl3, 2)
+    C = casimir(sl3)
+    x = MPoly.variable((0, 0))
+    contracted = []
+    contract = psring._contract
+
+    def counted(*args):
+        contracted.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(psring, "_contract", counted)
+    assert pairwise_commute([C, x, C * C], T)
+    assert pairwise_commute([x, C], T) and pairwise_commute([C, x], T)
+    assert contracted == []
+    y = MPoly.variable(T.scaled_neighbours[1][(0, 0)][0][0])  # [x, y] != 0
+    assert not pairwise_commute([C, x, y], T)
+    assert len(contracted) == 1
 
 
 # the sl2 ends t^3 / t^3+t of a pencil, and one table alone

@@ -6,7 +6,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from glab import suites
+from glab import psring, suites
 from glab.exactla import InputError
 from glab.suites import (
     DEFAULTS,
@@ -325,6 +325,20 @@ def test_cli_budget_exit(runner, monkeypatch):
         "zz", "verify", "--q", "sl3", "--p1", "t^2", "--p2", "t^2+t",
     ])
     assert res.exit_code == 3
+
+
+def test_cli_verify_refuses_an_over_budget_pair_before_contracting(runner, monkeypatch):
+    # sl5 t^2 / t^2+t: one pair under the difference bracket would take a
+    # product of 3194 x 940 terms, past the default budget; it is refused
+    # once the images are formed, before any pair is contracted
+    def unreachable(*args):
+        raise AssertionError("pairwise_commute contracted before the budget check")
+
+    monkeypatch.delenv("GLAB_BUDGET_TERMS", raising=False)
+    monkeypatch.setattr(psring, "_contract", unreachable)
+    res = runner.invoke(main, ["zz", "verify", "--q", "sl5", "--p1", "t^2", "--p2", "t^2+t"])
+    assert res.exit_code == 3
+    assert "product of 3194 x 940 terms exceeds budget 2000000" in res.output
 
 
 def test_cli_samples_above_the_budget_exit_3(runner, monkeypatch):
