@@ -79,29 +79,22 @@ class Pencil:
 
     @cached_property
     def spanning_tables(self) -> tuple:
-        """(B, D): B the end with fewer scaled-neighbour entries (the p1 end
-        on a tie), D = [,]_2 - [,]_1 the difference.
+        """(T1, D): the p1 end and D = [,]_2 - [,]_1, the difference.
 
-        The two span the pencil, each end being B or B + D.  D is zero on
-        every level pair a + b < n, so its images are sparse, and B is the
-        sparser end.  D is not scanned for Jacobi (make_difference_bracket
-        does that): only its linear relation to the ends is read.
+        The two span the pencil, the ends being T1 and T1 + D.  D is zero on
+        every level pair a + b < n, so its images are sparse.  D is not
+        scanned for Jacobi (make_difference_bracket does that): only its
+        linear relation to the ends is read.
         """
         t1, t2 = self.end_tables
-
-        def entries(T):
-            return sum(len(ent) for nb in T.scaled_neighbours[1].values() for _, ent in nb)
-
-        return (t2 if entries(t2) < entries(t1) else t1,
-                pencil_combination(t2, t1, 1, -1))
+        return t1, pencil_combination(t2, t1, 1, -1)
 
     def member_weights(self, a: Fraction) -> tuple:
-        """Integers (x, y) with x * B + y * D = d * (a * [,]_1 + (1 - a) *
-        [,]_2) for a = s / d and (B, D) = spanning_tables: (d, d - s) when B
-        is the p1 end, the member then being B + (1 - a) * D, and (d, -s)
-        when it is the p2 end, the member being B - a * D."""
+        """Integers (d, d - s) with d * T1 + (d - s) * D = d * (a * [,]_1 +
+        (1 - a) * [,]_2) for a = s / d and (T1, D) = spanning_tables: the
+        member is T1 + (1 - a) * D."""
         s, d = a.numerator, a.denominator
-        return (d, d - s) if self.spanning_tables[0] is self.end_tables[0] else (d, -s)
+        return d, d - s
 
     def normalization(self) -> dict:
         """How t -> t + c turns the difference into a pure form.
@@ -169,11 +162,11 @@ def _pencil_rows(pols: Sequence, P: Pencil) -> tuple:
     """Integer echelon rows whose kernel, at every member, is that of the
     annihilation rows of pols, polarizations of one invariant of q.
 
-    Row r = (rB | rD) holds the coefficients of one monomial of {pol, x_v}
-    under B, then under D, the spanning tables of P, scaled to a primitive
+    Row r = (r1 | rD) holds the coefficients of one monomial of {pol, x_v}
+    under T1, then under D, the spanning tables of P, scaled to a primitive
     integer row (see annihilation_rows); only the distinct rows are
     reduced.  The images are linear in the bracket, so the member at a has
-    rows x * rB + y * rD, (x, y) = P.member_weights(a), and their span is
+    rows x * r1 + y * rD, (x, y) = P.member_weights(a), and their span is
     the image of the span of the r: any basis of that span serves every
     member, so the rows are kept as reduced, in echelon form, and no
     reduced basis is formed.  D vanishes on the low level pairs, so its
@@ -195,10 +188,9 @@ def _annihilator_combos(pencil_rows: Sequence, weights: tuple, width: int) -> li
     under the member a * [,]_1 + (1 - a) * [,]_2 whose weights (x, y) are
     P.member_weights(a).
 
-    With a = s / d, each integer row (rB | rD) of _pencil_rows gives the
-    integer member row x * rB + y * rD, d times the member's row: d * rB +
-    (d - s) * rD when B is the p1 end, d * rB - s * rD when it is the p2
-    end.  So the kernel, which is canonical, is read off integer rows alone.
+    With a = s / d, each integer row (r1 | rD) of _pencil_rows gives the
+    integer member row d * r1 + (d - s) * rD, d times the member's row, so
+    the kernel, which is canonical, is read off integer rows alone.
     """
     x, y = weights
     return row_space(
@@ -214,10 +206,10 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     Every member contributes the exact solution space of bracket
     annihilation inside each polarization space, whether or not its
     modulus splits over Q.  Member centres come from the spanning tables
-    (B, D) of the pencil, the sparser end and the difference: each
+    (T1, D) of the pencil, the p1 end and the difference: each
     polarization space is bracketed once under each, the distinct integer
     rows of both are reduced together once, and the member at a takes the
-    combination P.member_weights(a) of the B and D parts of those few
+    combination P.member_weights(a) of the T1 and D parts of those few
     rows, on integers.  The a values walk 1, 0, 2, -1, 3, -2, ... so both
     ends always participate.  Deterministic for fixed inputs: no
     random number is drawn, so seed changes nothing.  A sample count above
@@ -282,15 +274,16 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
 
 
 def verify_Z_commutes(Z: ZAlgebra) -> bool:
-    """All basis pairs Poisson-commute under the spanning tables (B, D) of
-    the pencil, the sparser end and the difference of the ends.
+    """All basis pairs Poisson-commute under the spanning tables (T1, D) of
+    the pencil, the p1 end and the difference of the ends.
 
-    Each end is B or B + D, so vanishing under B and D is vanishing under
-    both ends, and every member is a combination of the ends: that settles
-    the whole pencil.  D is zero on the low level pairs, so its images,
-    and the pairs contracted from them, are few (see
+    The ends are T1 and T1 + D, so vanishing under T1 and D is vanishing
+    under both ends, and every member is a combination of the ends: that
+    settles the whole pencil.  D is zero on the low level pairs, so its
+    images, and the pairs contracted from them, are few (see
     psring.pairwise_commute).  A pair whose product would pass the term
-    budget raises BudgetError before any pair is contracted.
+    budget or the packed degree limit raises BudgetError before any pair
+    is contracted, even when an earlier pair does not commute.
     """
     return pairwise_commute(Z.all_basis(), *Z.pencil.spanning_tables)
 

@@ -334,18 +334,23 @@ def _tops(parts: dict) -> dict:
     return {v: _top_degree(p) for v, p in parts.items()}
 
 
+def _refuse(m: int, k: int, degree: int, budget: int) -> None:
+    """BudgetError for a product of m x k terms past the budget, or of a
+    total degree past FIELD_MAX."""
+    if m * k > budget:
+        raise BudgetError(f"product of {m} x {k} terms exceeds budget {budget}")
+    if degree > FIELD_MAX:
+        raise BudgetError(
+            f"product of degree {degree} exceeds the packed field maximum "
+            f"{FIELD_MAX}")
+
+
 def _mul_acc(acc: dict, a: dict, b: dict, degree: int, budget: int) -> None:
     """acc += a * b on packed keys and integer numerators {k: n}: the one
     polynomial product, degree being _top_degree(a) + _top_degree(b), which
     the caller knows.  A product of more term pairs than the budget, or of
     a total degree past FIELD_MAX, is refused before any work."""
-    if len(a) * len(b) > budget:
-        raise BudgetError(
-            f"product of {len(a)} x {len(b)} terms exceeds budget {budget}")
-    if degree > FIELD_MAX:
-        raise BudgetError(
-            f"product of degree {degree} exceeds the packed field maximum "
-            f"{FIELD_MAX}")
+    _refuse(len(a), len(b), degree, budget)
     get = acc.get
     for m1, n1 in a.items():
         for m2, n2 in b.items():
@@ -625,11 +630,12 @@ def poisson_bracket(F: MPoly, G: MPoly, T: BracketTable) -> MPoly:
                             D * dF * dG)
 
 
-def _side_cost(images: dict, partials: dict) -> tuple:
-    """(total, (m, k)): the term products of _contract(partials, .,
-    images, .), sum_v |images[v]| * |partials[v]| over the v both hold,
-    read off the sizes alone, and the sizes m x k of its largest product."""
-    total, largest = 0, (0, 0)
+def _side_cost(images: dict, itops: dict, partials: dict, ptops: dict) -> tuple:
+    """(total, (m, k), degree): the term products of _contract(partials,
+    ptops, images, itops), sum_v |images[v]| * |partials[v]| over the v
+    both hold, read off the sizes alone; the sizes m x k of its largest
+    product; and the largest total degree of its products."""
+    total, largest, degree = 0, (0, 0), 0
     for v, img in images.items():
         dv = partials.get(v)
         if dv:
@@ -637,7 +643,8 @@ def _side_cost(images: dict, partials: dict) -> tuple:
             total += m * k
             if m * k > largest[0] * largest[1]:
                 largest = (m, k)
-    return total, largest
+            degree = max(degree, itops[v] + ptops[v])
+    return total, largest, degree
 
 
 def pairwise_commute(polys: Sequence, *tables: BracketTable) -> bool:
@@ -653,14 +660,18 @@ def pairwise_commute(polys: Sequence, *tables: BracketTable) -> bool:
     no images at all, costs nothing against any G.  The common
     denominators cannot make a sum vanish, so they are never applied.
 
-    Every chosen product is held against the term budget once the images
-    under all the tables are formed and before the first contraction, so a
-    family that would pass the budget raises BudgetError before that work.
-    The first pair that does not commute, table by table and in pair
-    order, ends the check.
+    Every chosen product is held against the term budget and the packed
+    degree limit once the images under all the tables are formed and
+    before the first contraction, so a family that would pass either
+    raises BudgetError before that work.  The first pair that does not
+    commute, table by table and in pair order, ends the contractions.  So
+    every answer, False included, costs the images of the whole family
+    under every table, and a family with a pair that does not commute and
+    a pair past the budget raises BudgetError rather than returning False.
     """
     budget = term_budget()
     partials = [_partials(_numerators(F)[1]) for F in polys]
+    ptops = [_tops(pf) for pf in partials]
     held = set().union(*partials)
     plan = []  # (images of F, their tops, j): contract with the partials of G = polys[j]
     for T in tables:
@@ -668,17 +679,15 @@ def pairwise_commute(polys: Sequence, *tables: BracketTable) -> bool:
         images = [_int_images(pf, index, held, budget) for pf in partials]
         itops = [_tops(img) for img in images]
         for i, j in itertools.combinations(range(len(polys)), 2):
-            forward = _side_cost(images[i], partials[j])
-            backward = _side_cost(images[j], partials[i])
+            forward = _side_cost(images[i], itops[i], partials[j], ptops[j])
+            backward = _side_cost(images[j], itops[j], partials[i], ptops[i])
             if not (forward[0] and backward[0]):
                 continue
             if backward[0] < forward[0]:
                 i, j, forward = j, i, backward
-            m, k = forward[1]
-            if m * k > budget:
-                raise BudgetError(f"product of {m} x {k} terms exceeds budget {budget}")
+            _, (m, k), degree = forward
+            _refuse(m, k, degree, budget)
             plan.append((images[i], itops[i], j))
-    ptops = [_tops(pf) for pf in partials]
     return not any(any(_contract(partials[j], ptops[j], img, tops, budget).values())
                    for img, tops, j in plan)
 

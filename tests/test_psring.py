@@ -344,6 +344,10 @@ def test_pairwise_commute_refuses_an_over_budget_pair_before_contracting(monkeyp
     monkeypatch.setattr(psring, "_contract", unreachable)
     with pytest.raises(BudgetError, match="terms exceeds budget 100"):
         pairwise_commute(polys, T)
+    # {e^200, f^100} would take a product of degree 299, past the packed
+    # field maximum: it is refused before contracting too
+    with pytest.raises(BudgetError, match="product of degree 299 exceeds"):
+        pairwise_commute([e, f, e ** 200, f ** 100], T)
 
 
 def test_pairwise_commute_skips_pairs_with_an_empty_side(monkeypatch):
