@@ -1,19 +1,19 @@
 """Symmetric invariants and the generator families built from them.
 
-Covers: exact computation of adjoint invariants in a fixed degree,
-characteristic-polynomial invariants for the matrix algebras, degree
-polarizations and their graded sums, generator families for truncated and
-split quotients, the quadratic family attached to an invariant bilinear
-form, Gaudin Hamiltonians, the form-pairing decomposition of bracket
-images, and two families of unimodular integer matrices that control the
-triangular eliminations used throughout.
+Covers: exact computation of adjoint invariants in a fixed degree, the
+characteristic-polynomial invariants of an algebra's own matrices (by
+Berkowitz's division-free algorithm; central, as checked, and free generators
+for sl_n and gl_n), degree polarizations and their graded sums, generator
+families for truncated and split quotients, the quadratic family attached
+to an invariant bilinear form, Gaudin Hamiltonians, the form-pairing
+decomposition of bracket images, and two families of unimodular integer
+matrices that control the triangular eliminations used throughout.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +34,6 @@ from .liecore import (
     LieAlgebra,
     PrimaryComponent,
     UniPoly,
-    _matrix_basis,
     crt_idempotents,
     crt_primary,
     make_quotient,
@@ -91,90 +90,77 @@ def _normalize_primitive(F: MPoly) -> MPoly:
 
 @lru_cache(maxsize=None)
 def _char_invariants(q: LieAlgebra) -> tuple:
-    """Coefficients of the characteristic polynomial of the generic element.
-
-    The generic element is X = sum_k x_k * D_k with D_k the basis dual to
-    the stored form, so the coefficients are adjoint invariants.
-    """
-    m = re.fullmatch(r"(sl|gl)(\d+)", q.name)
-    if not m:
+    """The nonzero coefficients of det(lambda - X) below the leading one,
+    each made primitive, X the generic element of q's matrices.  They are
+    adjoint invariants when the matrices represent q's basis, which is
+    checked, since the matrices come from the input."""
+    if q.matrices is None:
         raise InputError(f"no characteristic invariants for {q.name}")
-    kind, n = m.group(1), int(m.group(2))
-    # n! permutations, each expanded over the 2^n subsets of its fixed points
+    n = 1 + max((max(i, j) for m in q.matrices for i, j, _ in m), default=-1)
+    # det X has n! terms for gl_n, so n! * 2^n follows the size of the output,
+    # as no single product of Berkowitz's does: it refuses sl8, which would
+    # run minutes.  n at or above the budget's bit length forms no factorial.
     budget = term_budget()
-    if math.factorial(n) * 2 ** n > budget:
+    if n >= budget.bit_length() or math.factorial(n) * 2 ** n > budget:
         raise BudgetError(
             f"characteristic invariants of {q.name}: {n}! * 2^{n} products "
             f"exceed budget {budget}")
-    _, mats = _matrix_basis(kind, n)
-    ginv = q.form_inverse
-    # entries of the generic matrix as linear polynomials
-    X = [[MPoly.zero() for _ in range(n)] for _ in range(n)]
-    for k in range(q.dim):
-        xk = MPoly.variable((k, 0))
-        for l in range(q.dim):
-            c = ginv.at(k, l)
-            if c == 0:
-                continue
-            for i, j, val in mats[l]:
-                X[i][j] = X[i][j] + xk.scale(c * val)
-    # det(lambda * I - X) expanded over permutations, tracking lambda degree
-    bylam = {}
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        fixed = [i for i in range(n) if perm[i] == i]
-        moving = [i for i in range(n) if perm[i] != i]
-        base = MPoly.const(sign)
-        for i in moving:
-            base = base * (-X[i][perm[i]])
-        if base.is_zero():
-            continue
-        for take in range(len(fixed) + 1):
-            for subset in itertools.combinations(fixed, take):
-                part = base
-                for i in fixed:
-                    if i not in subset:
-                        part = part * (-X[i][i])
-                lam = take
-                bylam[lam] = bylam.get(lam, MPoly.zero()) + part
-    out = tuple(
-        _normalize_primitive(bylam.get(n - k, MPoly.zero()))
-        for k in range(2 if kind == "sl" else 1, n + 1)
-    )
-    # the matrices are those of the built-in basis; an algebra that only
-    # shares the name (say, loaded with its basis reordered) fails here
+    out = tuple(_normalize_primitive(c) for c in _berkowitz(_generic_matrix(q, n))[1:]
+                if not c.is_zero())
     if any(hamiltonian_images(out, wrap_algebra(q))):
         raise InputError(
             f"characteristic invariants of {q.name} are not central: its "
-            f"basis does not match the built-in {q.name}"
+            f"matrices do not represent its basis"
         )
     return out
 
 
-def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+def _generic_matrix(q: LieAlgebra, n: int) -> list:
+    """X = sum_k x_k * D_k, n x n, with D_k the combination of q.matrices
+    dual to the basis under the stored form."""
+    ginv = q.form_inverse
+    X = [[MPoly.zero()] * n for _ in range(n)]
+    for l, mat in enumerate(q.matrices):
+        dual = MPoly.from_entries(((k, 0), ginv.at(k, l)) for k in range(q.dim))
+        for i, j, val in mat:
+            X[i][j] = X[i][j] + dual.scale(val)
+    return X
+
+
+def _dot(xs, ys) -> MPoly:
+    return sum((x * y for x, y in zip(xs, ys)), MPoly.zero())
+
+
+def _berkowitz(A: list) -> list:
+    """[c_0, ..., c_n] with det(lambda - A) = sum_k c_k lambda^(n - k), A
+    square with MPoly entries, by Berkowitz's division-free algorithm (Inf.
+    Process. Lett. 18, 1984) in O(n^4) products.  Up the diagonal: with
+    A[k:, k:] = [[a, R], [C, M]] and p the coefficients for M, of size m,
+    those for A[k:, k:] are p convolved with (1, -a, -RC, ..., -RM^(m-1)C).
+    """
+    n = len(A)
+    p = [MPoly.const(1)]
+    for k in range(n - 1, -1, -1):
+        R = A[k][k + 1:]
+        M = [row[k + 1:] for row in A[k + 1:]]
+        v = [row[k] for row in A[k + 1:]]
+        col = [MPoly.const(1), -A[k][k]]
+        for step in range(n - k - 1):
+            if step:
+                v = [_dot(row, v) for row in M]
+            col.append(-_dot(R, v))
+        p = [_dot(col[i::-1], p) for i in range(len(p) + 1)]
+    return p
 
 
 def basic_invariants(q: LieAlgebra) -> list:
-    """Free generators of the invariant ring for the supported families.
+    """Central elements of S(q) read off q's structure, not its name.
 
-    sl_n and gl_n get characteristic polynomial coefficients; an abelian
-    algebra (one with no structure constants, whatever its name) gets its
-    variables, all of them central.  Anything else must supply its own
-    family.
+    An algebra with matrices gets the characteristic polynomial coefficients
+    of its generic element: checked central, free generators of the
+    invariant ring for sl_n and gl_n, not necessarily for other matrices.
+    An abelian algebra (no structure constants) gets its variables, all of
+    them central.  Anything else must supply its own family.
     """
     if not q.sc:
         return [MPoly.variable((i, 0)) for i in range(q.dim)]

@@ -350,12 +350,15 @@ class LieAlgebra:
     sc holds entries (i, j, ((k, coef), ...)) for i < j only; brackets with
     i > j follow by antisymmetry and [x, x] = 0.  form, when present, is the
     Gram matrix of an invariant nondegenerate symmetric bilinear form.
+    matrices, when present, holds one matrix per basis element as its entries
+    (i, j, c), for the characteristic invariants.  name is for messages.
     """
 
     name: str
     labels: tuple
     sc: tuple
     form: QMatrix | None = None
+    matrices: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -367,9 +370,9 @@ class LieAlgebra:
     @cached_property
     def _hash(self) -> int:
         """Hash of every field, computed once per instance: algebras key
-        the lru caches of invariantlab, and hashing all of sc and form on
-        every lookup costs more than many of the cached calls."""
-        return hash((self.name, self.labels, self.sc, self.form))
+        the lru caches of invariantlab, and hashing all of sc, form and
+        matrices on every lookup costs more than many of the cached calls."""
+        return hash((self.name, self.labels, self.sc, self.form, self.matrices))
 
     @cached_property
     def _int_brackets(self) -> tuple:
@@ -536,7 +539,7 @@ def _algebra_from_matrices(name, kind, n):
     gram = QMatrix.from_rows(
         [[_mat_trace_prod(mats[i], mats[j]) for j in range(dim)] for i in range(dim)]
     )
-    return LieAlgebra(name, labels, tuple(sc), gram)
+    return LieAlgebra(name, labels, tuple(sc), gram, mats)
 
 
 def make_sl(n: int) -> LieAlgebra:
@@ -647,58 +650,67 @@ def _builtin_algebra(name: str) -> LieAlgebra:
 
 
 def algebra_to_json(q: LieAlgebra) -> dict:
-    sc = []
-    for i, j, entries in q.sc:
-        for k, c in entries:
-            sc.append([i, j, k, rat_str(c)])
-    d = {
+    return {
         "name": q.name,
         "dim": q.dim,
         "basis": list(q.labels),
-        "sc": sc,
-        "form": None,
+        "sc": [[i, j, k, rat_str(c)] for i, j, entries in q.sc for k, c in entries],
+        "form": None if q.form is None else [
+            [rat_str(q.form.at(i, j)) for j in range(q.dim)] for i in range(q.dim)],
+        "matrices": None if q.matrices is None else [
+            [[i, j, rat_str(c)] for i, j, c in m] for m in q.matrices],
     }
-    if q.form is not None:
-        d["form"] = [
-            [rat_str(q.form.at(i, j)) for j in range(q.dim)] for i in range(q.dim)
-        ]
-    return d
+
+
+def _json_rows(rows, width: int, what: str) -> tuple:
+    """rows as tuples of width - 1 JSON integers >= 0 and a rational."""
+    if not isinstance(rows, (list, tuple)):
+        raise InputError(f"{what} entries must be a list")
+    out = []
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            raise InputError(f"{what} entry {row!r} is not a list of {width} values")
+        *idx, c = row
+        if not all(type(x) is int and x >= 0 for x in idx):
+            raise InputError(f"{what} entry {row!r} needs nonnegative integer indices")
+        out.append((*idx, rat(c)))
+    return tuple(out)
 
 
 def algebra_from_json(d: dict) -> LieAlgebra:
+    """Inverse of algebra_to_json, Jacobi checked; InputError if malformed."""
     try:
         labels = tuple(d["basis"])
-        dim = int(d["dim"])
+        dim = d["dim"]
     except (KeyError, TypeError) as exc:
         raise InputError("algebra json needs 'dim' and 'basis'") from exc
-    if len(labels) != dim or len(set(labels)) != dim:
-        raise InputError("basis labels must be distinct and match dim")
+    if type(dim) is not int or len(labels) != dim or len(set(labels)) != dim:
+        raise InputError("basis labels must be distinct and match an integer dim")
     acc = {}
-    for row in d.get("sc", []):
-        i, j, k, c = row
-        i, j, k = int(i), int(j), int(k)
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+    for i, j, k, c in _json_rows(d.get("sc", []), 4, "structure constant"):
+        if not (i < dim and j < dim and k < dim):
             raise InputError("structure constant index out of range")
         if i == j:
             raise InputError("[x, x] entries must be omitted")
-        c = rat(c)
         if i > j:
             i, j, c = j, i, -c
-        key = (i, j, k)
-        acc[key] = acc.get(key, Fraction(0)) + c
+        acc[i, j, k] = acc.get((i, j, k), 0) + c
     by_pair = {}
-    for (i, j, k), c in acc.items():
-        if c != 0:
+    for (i, j, k), c in sorted(acc.items()):
+        if c:
             by_pair.setdefault((i, j), []).append((k, c))
-    sc = tuple(
-        (i, j, tuple(sorted(entries))) for (i, j), entries in sorted(by_pair.items())
-    )
+    sc = tuple((i, j, tuple(entries)) for (i, j), entries in by_pair.items())
     form = None
     if d.get("form") is not None:
         form = QMatrix.from_rows(d["form"])
         if form.rows != dim or form.cols != dim:
             raise InputError("form shape must be dim x dim")
-    q = LieAlgebra(str(d.get("name", "custom")), labels, sc, form)
+    matrices = d.get("matrices")
+    if matrices is not None:
+        if not isinstance(matrices, (list, tuple)) or len(matrices) != dim:
+            raise InputError("matrices must be a list of dim matrices")
+        matrices = tuple(_json_rows(m, 3, "matrix") for m in matrices)
+    q = LieAlgebra(str(d.get("name", "custom")), labels, sc, form, matrices)
     bad = check_table_jacobi(wrap_algebra(q))
     if bad is not None:
         raise InputError(

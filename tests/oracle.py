@@ -60,6 +60,48 @@ def reference_psi(F, p):
     return reference_substitute(F, mapping)
 
 
+def _perm_sign(perm) -> int:
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        clen = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def reference_char_poly(A):
+    """[c_0, ..., c_n] with det(lambda - A) = sum_k c_k lambda^(n - k), A a
+    square list of MPoly entries: expanded over the n! permutations and,
+    for each, the 2^f subsets of its f fixed points at which lambda is
+    taken."""
+    n = len(A)
+    bylam = {}
+    for perm in itertools.permutations(range(n)):
+        fixed = [i for i in range(n) if perm[i] == i]
+        base = MPoly.const(_perm_sign(perm))
+        for i in range(n):
+            if perm[i] != i:
+                base = base * (-A[i][perm[i]])
+        if base.is_zero():
+            continue
+        for take in range(len(fixed) + 1):
+            for subset in itertools.combinations(fixed, take):
+                part = base
+                for i in fixed:
+                    if i not in subset:
+                        part = part * (-A[i][i])
+                bylam[take] = bylam.get(take, MPoly.zero()) + part
+    return [bylam.get(n - k, MPoly.zero()) for k in range(n + 1)]
+
+
 def reference_perm_pairing(q, ta, tb):
     """Permanent pairing of two factor tuples under q.form, in Fraction."""
     if len(ta) != len(tb):

@@ -26,7 +26,9 @@ from glab.psring import (
     substitute_vars,
 )
 from glab.invariantlab import (
+    _berkowitz,
     _char_invariants,
+    _generic_matrix,
     _raised_bracket_tensor,
     _slot_gram,
     _slot_solve,
@@ -64,6 +66,7 @@ from glab.invariantlab import (
 )
 from oracle import (
     SL2_RESCALED,
+    reference_char_poly,
     reference_kron,
     reference_raised_bracket_tensor,
     reference_script_f,
@@ -179,8 +182,30 @@ def test_basic_invariants_sl3(sl3):
             assert poisson_bracket(f, MPoly.variable((i, 0)), T).is_zero()
 
 
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4", "sl5", "gl2", "gl3", "gl4"])
+def test_berkowitz_matches_the_permutation_expansion(name):
+    q = builtin_algebra(name)
+    X = _generic_matrix(q, int(name[2:]))
+    assert _berkowitz(X) == reference_char_poly(X)
+
+
+def _linear(coeffs):
+    return MPoly.const(coeffs[0]) + MPoly.from_entries(
+        ((v, 0), c) for v, c in enumerate(coeffs[1:]))
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_berkowitz_matches_the_permutation_expansion_on_random_matrices(rows):
+    # entries c + a*x0 + b*x1 + d*x2 with small integer coefficients
+    A = [[_linear(e) for e in row] for row in rows]
+    assert _berkowitz(A) == reference_char_poly(A)
+
+
 def test_char_invariants_are_refused_over_the_budget(sl3, monkeypatch):
-    # det(lambda - X) for sl3: 3! permutations x 2^3 subsets of fixed points
+    # the side n = 3 of sl3's matrices gives 3! * 2^3 = 48
     want = basic_invariants(sl3)
     _char_invariants.cache_clear()
     monkeypatch.setenv("GLAB_BUDGET_TERMS", "48")
@@ -189,6 +214,13 @@ def test_char_invariants_are_refused_over_the_budget(sl3, monkeypatch):
     monkeypatch.setenv("GLAB_BUDGET_TERMS", "47")
     with pytest.raises(BudgetError, match="3! \\* 2\\^3"):
         basic_invariants(sl3)
+
+
+def test_char_invariants_refuse_a_huge_matrix_side_before_any_factorial(sl2):
+    d = algebra_to_json(sl2)
+    d["matrices"][0].append([10 ** 9, 0, "1"])
+    with pytest.raises(BudgetError, match=r"1000000001! \* 2\^1000000001"):
+        basic_invariants(algebra_from_json(d))
 
 
 def test_basic_invariants_abelian():

@@ -43,8 +43,8 @@ from glab.liecore import (
     t_powers_mod,
     wrap_algebra,
 )
-from glab.psring import MPoly, substitute_levels
-from glab.invariantlab import _slot_gram, basic_invariants
+from glab.psring import MPoly, substitute_levels, substitute_vars
+from glab.invariantlab import _normalize_primitive, _slot_gram, basic_invariants
 from oracle import (
     SL2_RESCALED,
     FractionTable,
@@ -305,6 +305,26 @@ def test_algebra_json_round_trip():
         algebra_from_json(bad)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("dim", "two", "match an integer dim"),
+    ("dim", 3.0, "match an integer dim"),
+    ("sc", [[0, 1, 1]], "not a list of 4 values"),
+    ("sc", [[0, 1.0, 1, "2"]], "nonnegative integer indices"),
+    ("sc", [[0, "1", 1, "2"]], "nonnegative integer indices"),
+    ("sc", [[0, 1, 1, "two"]], "not a rational literal"),
+    ("sc", {"0": 1}, "entries must be a list"),
+    ("matrices", [[[0, 1, "1"]]], "list of dim matrices"),
+    ("matrices", [[[0, 1]], [], []], "not a list of 3 values"),
+    ("matrices", [[[0, -1, "1"]], [], []], "nonnegative integer indices"),
+    ("matrices", [[[0, 1, 0.5]], [], []], "not a rational value"),
+    ("matrices", [[[0, 1, "1/0"]], [], []], "not a rational literal"),
+])
+def test_algebra_json_refuses_malformed_input(key, value, message):
+    d = dict(algebra_to_json(builtin_algebra("sl2")), **{key: value})
+    with pytest.raises(InputError, match=message):
+        algebra_from_json(d)
+
+
 def _permuted(q, perm):
     """q with basis element i renamed perm[i], through algebra_from_json."""
     d = algebra_to_json(q)
@@ -312,7 +332,21 @@ def _permuted(q, perm):
     d["basis"] = [q.labels[inv[k]] for k in range(q.dim)]
     d["sc"] = [[perm[i], perm[j], perm[k], c] for i, j, k, c in d["sc"]]
     d["form"] = [[d["form"][inv[a]][inv[b]] for b in range(q.dim)] for a in range(q.dim)]
+    d["matrices"] = [d["matrices"][inv[k]] for k in range(q.dim)]
     return algebra_from_json(d)
+
+
+@pytest.mark.parametrize("name, seed", [("sl2", 0), ("sl3", 1), ("gl2", 2)])
+def test_invariants_of_a_reordered_basis_are_the_renamed_invariants(name, seed):
+    # the matrices are reordered with the basis and the name is kept: the
+    # invariants are those of the built-in basis, x_i renamed x_perm[i]
+    q = builtin_algebra(name)
+    perm = list(range(q.dim))
+    random.Random(seed).shuffle(perm)
+    assert perm != sorted(perm)
+    rename = {(i, 0): MPoly.variable((perm[i], 0)) for i in range(q.dim)}
+    want = [_normalize_primitive(substitute_vars(F, rename)) for F in basic_invariants(q)]
+    assert basic_invariants(_permuted(q, perm)) == want
 
 
 def _generated_dim(q, gens) -> int:

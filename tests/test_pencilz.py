@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from glab.exactla import BudgetError, InputError, QMatrix, RowSpace, nullspace, rat_str, row_space
 from glab.liecore import (
     UniPoly,
+    algebra_from_json,
+    algebra_to_json,
     builtin_algebra,
     make_difference_bracket,
     parse_poly,
@@ -95,6 +97,14 @@ def test_build_Z_counts_and_recipes(pen_t):
     assert len(Z.samples) == 2 * 2 + 3
     assert Z.raw_generators == 14
     assert verify_Z_commutes(Z)
+
+
+def test_build_Z_reads_no_name(sl3):
+    # sl3 loaded under another name: the invariants come from its matrices
+    renamed = algebra_from_json(dict(algebra_to_json(sl3), name="custom"))
+    assert basic_invariants(renamed) == basic_invariants(sl3)
+    p1, p2 = parse_poly("t^2"), parse_poly("t^2+t")
+    assert build_Z(Pencil(renamed, p1, p2)).basis == build_Z(Pencil(sl3, p1, p2)).basis
 
 
 def test_build_Z_recipes_reproduce_central_generators(sl3):

@@ -27,8 +27,10 @@ BENCH = ROOT / "bench"
 
 # reached by no command or suite, kept for the reason given
 ALLOWLIST = {
-    "algebra_to_json": "the reordered-basis regression test builds its sl2 with it",
-    "algebra_from_json": "the reordered-basis regression test builds its sl2 with it",
+    "algebra_to_json": "writes an algebra with its form and matrices; the name-free "
+                       "invariant tests load sl2 and sl3 back from it",
+    "algebra_from_json": "loads an algebra whose invariants come from its matrices, "
+                         "under any name; no command reads an algebra file yet",
     "mat_mul": "the reference that test_mat_mul_and_inv checks mat_inv against",
     "invariants_degree": "exact invariants from the bracket alone, cross-checked with sympy",
     "check_form_invariant": "checks the stored invariant form of the built-in algebras",

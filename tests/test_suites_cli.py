@@ -2,11 +2,12 @@
 import hashlib
 import json
 import re
+import time
 
 import pytest
 from click.testing import CliRunner
 
-from glab import psring, suites
+from glab import invariantlab, psring, suites
 from glab.exactla import InputError
 from glab.suites import (
     DEFAULTS,
@@ -364,11 +365,20 @@ def test_cli_jacobi_scan_and_takiff_exit_on_budget(runner, monkeypatch):
     assert res.exit_code == 3
 
 
-def test_cli_char_invariants_exit_on_budget(runner):
-    # 9! * 2^9 products to expand det(lambda - X): refused before any of them
-    res = runner.invoke(main, ["zz", "build", "--q", "sl9", "--p1", "t^2", "--p2", "t^2+t"])
-    assert res.exit_code == 3
-    assert "9! * 2^9" in res.output
+def test_cli_char_invariants_exit_on_budget(runner, monkeypatch):
+    # n! * 2^n over the default budget: refused before the expansion, which
+    # for sl8 would run for minutes with every product under the budget
+    def unreachable(*args):
+        raise AssertionError("the expansion started before the budget check")
+
+    monkeypatch.delenv("GLAB_BUDGET_TERMS", raising=False)
+    monkeypatch.setattr(invariantlab, "_berkowitz", unreachable)
+    for q, n in (("sl8", 8), ("gl8", 8), ("sl9", 9)):
+        start = time.perf_counter()
+        res = runner.invoke(main, ["zz", "build", "--q", q, "--p1", "t^2", "--p2", "t^2+t"])
+        assert time.perf_counter() - start < 1
+        assert res.exit_code == 3
+        assert f"{n}! * 2^{n} products exceed budget 2000000" in res.output
 
 
 def test_cli_huge_degree_exits_on_budget(runner):
