@@ -42,7 +42,6 @@ from .liecore import (
 )
 from .psring import (
     MPoly,
-    _numerators,
     annihilation_rows,
     apply_derivation,
     coeff_rows,
@@ -50,6 +49,7 @@ from .psring import (
     echelon_basis,
     hamiltonian_images,
     poisson_bracket,
+    primitive,
     psi_p,
     substitute_levels,
 )
@@ -78,16 +78,6 @@ def invariants_degree(q: LieAlgebra, d: int) -> list:
     return echelon_basis([combine(vec) for vec in kern])
 
 
-def _normalize_primitive(F: MPoly) -> MPoly:
-    """Scale to integer coefficients with gcd 1 and positive leading term."""
-    if F.is_zero():
-        return F
-    # the echelon basis of F alone is F over its leading coefficient
-    E = echelon_basis([F])[0]
-    den, nums = _numerators(E)
-    return E.scale(Fraction(den, math.gcd(*nums.values())))
-
-
 @lru_cache(maxsize=None)
 def _char_invariants(q: LieAlgebra) -> tuple:
     """The nonzero coefficients of det(lambda - X) below the leading one,
@@ -105,7 +95,7 @@ def _char_invariants(q: LieAlgebra) -> tuple:
         raise BudgetError(
             f"characteristic invariants of {q.name}: {n}! * 2^{n} products "
             f"exceed budget {budget}")
-    out = tuple(_normalize_primitive(c) for c in _berkowitz(_generic_matrix(q, n))[1:]
+    out = tuple(primitive(c) for c in _berkowitz(_generic_matrix(q, n))[1:]
                 if not c.is_zero())
     if any(hamiltonian_images(out, wrap_algebra(q))):
         raise InputError(

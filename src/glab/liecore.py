@@ -684,8 +684,13 @@ def algebra_from_json(d: dict) -> LieAlgebra:
         dim = d["dim"]
     except (KeyError, TypeError) as exc:
         raise InputError("algebra json needs 'dim' and 'basis'") from exc
-    if type(dim) is not int or len(labels) != dim or len(set(labels)) != dim:
-        raise InputError("basis labels must be distinct and match an integer dim")
+    if (type(dim) is not int or not isinstance(d["basis"], (list, tuple))
+            or not all(isinstance(x, str) for x in labels)
+            or len(labels) != dim or len(set(labels)) != dim):
+        raise InputError("basis labels must be distinct strings and match an integer dim")
+    name = d.get("name", "custom")
+    if not isinstance(name, str):
+        raise InputError("algebra name must be a string")
     acc = {}
     for i, j, k, c in _json_rows(d.get("sc", []), 4, "structure constant"):
         if not (i < dim and j < dim and k < dim):
@@ -702,7 +707,11 @@ def algebra_from_json(d: dict) -> LieAlgebra:
     sc = tuple((i, j, tuple(entries)) for (i, j), entries in by_pair.items())
     form = None
     if d.get("form") is not None:
-        form = QMatrix.from_rows(d["form"])
+        rows = d["form"]
+        if not (isinstance(rows, (list, tuple))
+                and all(isinstance(r, (list, tuple)) for r in rows)):
+            raise InputError("form must be a list of rows")
+        form = QMatrix.from_rows(rows)
         if form.rows != dim or form.cols != dim:
             raise InputError("form shape must be dim x dim")
     matrices = d.get("matrices")
@@ -710,7 +719,7 @@ def algebra_from_json(d: dict) -> LieAlgebra:
         if not isinstance(matrices, (list, tuple)) or len(matrices) != dim:
             raise InputError("matrices must be a list of dim matrices")
         matrices = tuple(_json_rows(m, 3, "matrix") for m in matrices)
-    q = LieAlgebra(str(d.get("name", "custom")), labels, sc, form, matrices)
+    q = LieAlgebra(name, labels, sc, form, matrices)
     bad = check_table_jacobi(wrap_algebra(q))
     if bad is not None:
         raise InputError(

@@ -212,8 +212,10 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     combination P.member_weights(a) of the T1 and D parts of those few
     rows, on integers.  The a values walk 1, 0, 2, -1, 3, -2, ... so both
     ends always participate.  Deterministic for fixed inputs: no
-    random number is drawn, so seed changes nothing.  A sample count above
-    the term budget raises BudgetError before any member is solved.
+    random number is drawn, so seed changes nothing.  BudgetError is raised
+    before anything is polarized when terms(F) * n^deg F, a bound on the
+    terms of all polarizations of F, passes the term budget for some F,
+    and before any member is solved when the sample count does.
 
     Z lies in S(W)^(q.1): each polarization of an invariant is killed by
     every x_i t^0, so by Jacobi a combination that kills the ad(q)-module
@@ -241,11 +243,19 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     if not f_list:
         raise InputError("need at least one invariant to polarize")
     degs = [F.total_degree() for F in f_list]
+    budget = term_budget()
+    for i, F in enumerate(f_list):
+        # each monomial of F polarizes into at most n^deg F terms in all,
+        # so this bounds what the polarizations of F hold together
+        size = F.num_terms() * n ** degs[i]
+        if size > budget:
+            raise BudgetError(
+                f"polarizations of invariant {i} ({F.num_terms()} terms of degree "
+                f"{degs[i]}, n = {n}) may hold {size} terms, past budget {budget}")
     if sample_count is None:
         sample_count = max(degs) * n + 3
     if sample_count < 1:
         raise InputError("sample count must be positive")
-    budget = term_budget()
     if sample_count > budget:
         raise BudgetError(f"sample count {sample_count} exceeds budget {budget}")
     spaces = []

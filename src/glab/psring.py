@@ -1,30 +1,34 @@
 """Sparse multivariate polynomials over Q in variables x_i * t^a.
 
-A variable is a pair (i, a): base index i, t degree a.  An MPoly maps
-monomials, stored only as packed ints (see "packed monomial keys" below),
-to Fraction coefficients.  Tuples of (variable, exponent) pairs sorted by
-variable appear only at the edge: MPoly(dict) takes them, MPoly.terms is
-a decoded view, and from_factors / factor_terms build and read monomials
-as lists of variables.  On top of the arithmetic sit the Poisson bracket
-against a bracket table, substitutions of variables and of t-levels, the
-raising derivation tau, reductions mod p, and exact span/rank utilities.
-The bracket table is the one bracket representation: q[t] is bracketed
-through its truncation q[t]/(t^N), N above every t degree reached.
+A variable is a pair (i, a): base index i, t degree a.  An MPoly is int
+numerators over one positive denominator, on monomials stored only as
+packed ints (see "packed monomial keys" below), in canonical form: the gcd
+of the denominator and the numerators is 1 and zero is (1, {}), so equal
+polynomials have equal fields and hashes.  Fractions and (variable,
+exponent) tuples appear only at the edge: MPoly(dict), const, variable and
+scale clear their rational inputs; terms, coeff and factor_terms (and repr,
+through terms) are decoded views with Fraction coefficients; from_factors
+builds monomials from lists of variables.  On top of the arithmetic sit the
+Poisson bracket against a bracket table, substitutions of variables and of
+t-levels, the raising derivation tau, reductions mod p, and exact span/rank
+utilities.  The bracket table is the one bracket representation: q[t] is
+bracketed through its truncation q[t]/(t^N), N above every t degree reached.
 
-Every product runs on one integer kernel, _mul_acc: MPoly products and
-powers, substitute_vars, and the derivations (the bracket, the Hamiltonian
-images, apply_derivation and through it tau and the directional
-derivatives) scale their polynomials and images to integers over one
-common denominator, multiply in ints, and turn only the result's
-coefficients into Fractions.  The derivations take all partials in one
-pass (_partials) and sum the Leibniz rule with _contract.  Every map of
-t-levels, x_i t^a -> x_i * r(t) (psi_p, the shift down, and the
-transports of invariantlab), goes through substitute_levels and on to
-substitute_vars, as does pencilz.rho_gamma.  A substitution multiplies
-each term by the cached power of each mapped factor's image; where that
-power is one term, as for the shift down, rho_gamma, and psi_p wherever
-t^a mod p is a monomial, the map only shifts the packed key and scales
-the numerator.
+All arithmetic runs on the numerators.  Sums, negation, scale and diff work
+on them directly; every product runs on one integer kernel, _mul_acc: MPoly
+products and powers, substitute_vars, and the derivations (the bracket, the
+Hamiltonian images, apply_derivation and through it tau and the directional
+derivatives), which take all partials in one pass (_partials) and sum the
+Leibniz rule with _contract.  A kernel brings its inputs over one common
+denominator only where it sums them, and hands its result to
+_from_numerators, the one normalizer: it drops zero terms and divides out
+the gcd once.  Every map of t-levels, x_i t^a -> x_i * r(t) (psi_p, the
+shift down, and the transports of invariantlab), goes through
+substitute_levels and on to substitute_vars, as does pencilz.rho_gamma.  A
+substitution multiplies each term by the cached power of each mapped
+factor's image; where that power is one term, as for the shift down,
+rho_gamma, and psi_p wherever t^a mod p is a monomial, the map only shifts
+the packed key and scales the numerator.
 
 Products guard against term blowup: when an operation would exceed the
 term budget (GLAB_BUDGET_TERMS, default 2 * 10^6) it raises BudgetError
@@ -63,25 +67,25 @@ def mono_sort_key(m: Mono):
 
 class MPoly:
     """Immutable-by-convention sparse polynomial: packed monomial keys to
-    nonzero coefficients."""
+    nonzero int numerators over the denominator _den, in canonical form."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, terms: dict):
         """From a dict of monomials, (variable, exponent) tuples sorted by
-        variable, to coefficients; zero coefficients are dropped."""
-        self._terms = {_key(m): c for m, c in terms.items() if c}
+        variable, to rational coefficients; zero coefficients are dropped."""
+        F = _from_rationals({_key(m): c for m, c in terms.items() if c})
+        self._den, self._nums = F._den, F._nums
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "MPoly":
-        return cls({})
+        return _wrap(1, {})
 
     @classmethod
     def const(cls, c) -> "MPoly":
-        c = rat(c)
-        return cls({(): c} if c else {})
+        return _from_rationals({0: rat(c)})
 
     @classmethod
     def variable(cls, v: Var, coef=1) -> "MPoly":
@@ -95,53 +99,57 @@ class MPoly:
     @classmethod
     def from_factors(cls, terms: Iterable) -> "MPoly":
         """sum c * x_v1 * ... * x_vd over the (factors, c) pairs, factors
-        the variables v1 .. vd in any order, repeats allowed.  Equal
-        monomials add up and zero sums are dropped."""
+        the variables v1 .. vd in any order, repeats allowed, c rational.
+        Equal monomials add up and zero sums are dropped."""
         acc: dict = {}
         for factors, c in terms:
             k = _key((v, 1) for v in factors)
             acc[k] = acc.get(k, 0) + c
-        return _wrap({k: c for k, c in acc.items() if c})
+        return _from_rationals(acc)
 
     # -- basic queries -------------------------------------------------
 
     @property
     def terms(self) -> dict:
         """{monomial: coefficient}, each monomial decoded from its key into
-        (variable, exponent) pairs sorted by variable; a copy on each call."""
-        return {_decode(k): c for k, c in self._terms.items()}
+        (variable, exponent) pairs sorted by variable and each coefficient a
+        Fraction; a copy on each call."""
+        return {_decode(k): Fraction(n, self._den) for k, n in self._nums.items()}
 
     def factor_terms(self) -> list:
         """[(factors, c)] over the terms, factors the sorted tuple of the
-        monomial's variables, each repeated by its exponent."""
-        return [(tuple(v for v, e in _decode(k) for _ in range(e)), c)
-                for k, c in self._terms.items()]
+        monomial's variables, each repeated by its exponent, c a Fraction."""
+        return [(tuple(v for v, e in _decode(k) for _ in range(e)), Fraction(n, self._den))
+                for k, n in self._nums.items()]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
+
+    def num_terms(self) -> int:
+        return len(self._nums)
 
     def total_degree(self) -> int:
-        return _top_degree(self._terms) if self._terms else -1
+        return _top_degree(self._nums) if self._nums else -1
 
     def vars(self) -> set:
-        return _variables(self._terms)
+        return _variables(self._nums)
 
     def coeff(self, m: Mono) -> Fraction:
         # a variable never registered occurs in no polynomial
         if any(v not in _UNITS for v, _ in m):
             return Fraction(0)
-        return self._terms.get(_key(m), Fraction(0))
+        return Fraction(self._nums.get(_key(m), 0), self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
         bits = []
         for m, c in sorted(self.terms.items(), key=lambda t: mono_sort_key(t[0])):
@@ -156,44 +164,35 @@ class MPoly:
     def __add__(self, other: "MPoly") -> "MPoly":
         if not isinstance(other, MPoly):
             return NotImplemented
-        if not self._terms:
+        if not self._nums:
             return other
-        if not other._terms:
+        if not other._nums:
             return self
-        acc = dict(self._terms)
+        den, (a, b) = _common((self, other))
+        acc = dict(a)
         get = acc.get
-        for m, c in other._terms.items():
-            s = get(m)
-            if s is None:
-                acc[m] = c
-                continue
-            s += c
-            if s:
-                acc[m] = s
-            else:
-                del acc[m]
-        return _wrap(acc)
+        for k, n in b.items():
+            acc[k] = get(k, 0) + n
+        return _from_numerators(acc, den)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __neg__(self) -> "MPoly":
-        return _wrap({m: -c for m, c in self._terms.items()})
+        return _wrap(self._den, {k: -n for k, n in self._nums.items()})
 
     def scale(self, c) -> "MPoly":
         c = rat(c)
-        if c == 0:
-            return MPoly.zero()
-        return _wrap({m: c * v for m, v in self._terms.items()})
+        return _from_numerators({k: c.numerator * n for k, n in self._nums.items()},
+                                self._den * c.denominator)
 
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        da, a = _numerators(self)
-        db, b = _numerators(other)
-        return _from_numerators(_product(a, b, term_budget()), da * db)
+        return _from_numerators(_product(self._nums, other._nums, term_budget()),
+                                self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -214,14 +213,45 @@ class MPoly:
     # -- calculus ------------------------------------------------------
 
     def diff(self, v: Var) -> "MPoly":
-        return _wrap(_partials(self._terms).get(tuple(v), {}))
+        return _from_numerators(_partials(self._nums).get(tuple(v), {}), self._den)
 
 
-def _wrap(terms: dict) -> MPoly:
-    """The MPoly whose packed terms are terms (nonzero), without a copy."""
+def _wrap(den: int, nums: dict) -> MPoly:
+    """The MPoly of nums over den, already canonical, without a copy."""
     out = MPoly.__new__(MPoly)
-    out._terms = terms
+    out._den = den
+    out._nums = nums
     return out
+
+
+def _from_numerators(nums: dict, den: int) -> MPoly:
+    """The MPoly sum_k (n / den) * k over packed keys k, den positive, in
+    canonical form: the zero terms dropped, then the numerators and den
+    divided by their gcd."""
+    if 0 in nums.values():
+        nums = {k: n for k, n in nums.items() if n}
+    g = math.gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {k: n // g for k, n in nums.items()}
+    return _wrap(den, nums)
+
+
+def _from_rationals(coeffs: dict) -> MPoly:
+    """The MPoly of packed keys to rational (int or Fraction) coefficients,
+    cleared over their least common denominator: the input coercion."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return _from_numerators(
+        {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den)
+
+
+def _common(polys: Iterable) -> tuple:
+    """(L, [the numerators of each poly over L]), L the lcm of their
+    denominators; a poly already over L gives its own dict, not a copy."""
+    polys = list(polys)
+    L = math.lcm(*(F._den for F in polys))
+    return L, [F._nums if F._den == L else {k: n * (L // F._den) for k, n in F._nums.items()}
+               for F in polys]
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +332,9 @@ def _top_degree(a: dict) -> int:
 # packed keys
 
 
-def _numerators(F: MPoly) -> tuple:
-    """(d, {k: n}) with F = sum_k (n / d) * k over packed keys k, d the lcm
-    of the denominators."""
-    den = 1
-    for c in F._terms.values():
-        den = math.lcm(den, c.denominator)
-    return den, {k: c.numerator * (den // c.denominator) for k, c in F._terms.items()}
-
-
-def _from_numerators(nums: dict, den: int) -> MPoly:
-    return _wrap({k: Fraction(n, den) for k, n in nums.items() if n})
-
-
 def _partials(terms: dict) -> dict:
-    """u -> {k: c}, the terms of dF/dx_u for every u in vars(F), from the
-    packed terms {k: c} of F, on integer numerators or on Fractions alike.
+    """u -> {k: n}, the numerators of dF/dx_u for every u in vars(F), from
+    the numerators {k: n} of F, over the same denominator.
 
     Dividing a monomial by x_u is injective, so no term cancels here.
     """
@@ -384,22 +401,16 @@ def apply_derivation(F: MPoly, image: Callable) -> MPoly:
     """Extend the variable map x_v -> image(v) as a derivation (Leibniz):
     sum_v dF/dx_v * image(v).
 
-    F and the nonzero images are each cleared to integers, the images over
-    one common denominator, so the contraction runs on ints.
+    The nonzero images are brought over one common denominator, so the
+    contraction with F's numerators runs on ints.
     """
-    dF, nums = _numerators(F)
-    partials = _partials(nums)
-    cleared = {}
-    for v in partials:
-        img = image(v)
-        if not img.is_zero():
-            cleared[v] = _numerators(img)
-    den = math.lcm(*(d for d, _ in cleared.values()))
-    images = {v: {m: n * (den // d) for m, n in img.items()}
-              for v, (d, img) in cleared.items()}
+    partials = _partials(F._nums)
+    held = {v: img for v in partials if (img := image(v))._nums}
+    den, nums = _common(held.values())
+    images = dict(zip(held, nums))
     return _from_numerators(
         _contract(partials, _tops(partials), images, _tops(images), term_budget()),
-        dF * den)
+        F._den * den)
 
 
 def directional_derivative(F: MPoly, gamma: dict) -> MPoly:
@@ -431,28 +442,26 @@ def substitute_vars(F: MPoly, mapping: dict) -> MPoly:
 
     Variables absent from mapping are kept as themselves, and the images
     of variables F does not hold are never read.  The images are cleared
-    to integers over one common denominator D, and each term c * m is
-    lifted to the top mapped degree (D^(top - deg m)) and multiplied, one
-    mapped factor x_v^e at a time, by the cached power image(v)^e on the
-    integer kernel.  Where that power is one term (a scalar times a
+    over one common denominator D, and each term n * m of F's numerators
+    is lifted to the top mapped degree (D^(top - deg m)) and multiplied,
+    one mapped factor x_v^e at a time, by the cached power image(v)^e on
+    the integer kernel.  Where that power is one term (a scalar times a
     monomial, or a nonzero constant: the shift down, rho_gamma, psi_p
     where t^a mod p is a monomial), the factor costs a key shift and one
-    multiply.  The result is divided by dF * D^top once.
+    multiply.  The result is divided by F's denominator times D^top once.
     """
-    dF, nums = _numerators(F)
+    nums = F._nums
     held = 0
     for k in nums:
         held |= k
-    # slot - 1 -> the terms of the image of each mapped variable F holds
-    images = {s: mapping[_VARS[s]]._terms for s, _ in _fields(held)
-              if _VARS[s] in mapping}
-    D = math.lcm(*(c.denominator for img in images.values() for c in img.values()))
+    # slot - 1 -> the image of each mapped variable F holds
+    slots = [s for s, _ in _fields(held) if _VARS[s] in mapping]
+    D, images = _common(mapping[_VARS[s]] for s in slots)
     # slot - 1 -> [None, image, image^2, ...], the e-th power on integer
     # numerators over D^e, extended as far as a term needs it
-    powers = {s: [None, {k: c.numerator * (D // c.denominator) for k, c in img.items()}]
-              for s, img in images.items()}
-    tops = {s: _top_degree(img) if img else 0 for s, img in images.items()}
-    mask = sum(FIELD_MAX << 8 * (s + 1) for s in images)
+    powers = {s: [None, img] for s, img in zip(slots, images)}
+    tops = {s: _top_degree(img) if img else 0 for s, img in zip(slots, images)}
+    mask = sum(FIELD_MAX << 8 * (s + 1) for s in slots)
     budget = term_budget()
     mapped = []
     for k, n in nums.items():
@@ -481,7 +490,7 @@ def substitute_vars(F: MPoly, mapping: dict) -> MPoly:
                 m: x for m, x in acc.items() if x}
         for m, x in cur.items():
             out[m] = get(m, 0) + x
-    return _from_numerators(out, dF * D ** top)
+    return _from_numerators(out, F._den * D ** top)
 
 
 def substitute_levels(F: MPoly, level_image: Callable) -> MPoly:
@@ -489,7 +498,7 @@ def substitute_levels(F: MPoly, level_image: Callable) -> MPoly:
 
     A level whose image is None keeps its variables.  level_image is called
     once per distinct level of F; F itself is returned when nothing maps.
-    Each image is built on packed keys, sharing the coefficients of r.
+    Each image is built on packed keys from the coefficients of r.
     """
     images: dict = {}
     mapping = {}
@@ -499,7 +508,8 @@ def substitute_levels(F: MPoly, level_image: Callable) -> MPoly:
             images[a] = level_image(a)
         r = images[a]
         if r is not None:
-            mapping[v] = _wrap({_unit((i, k)) + 1: c for k, c in enumerate(r.coeffs) if c})
+            mapping[v] = _from_rationals(
+                {_unit((i, k)) + 1: c for k, c in enumerate(r.coeffs) if c})
     return substitute_vars(F, mapping) if mapping else F
 
 
@@ -602,9 +612,8 @@ def hamiltonian_images(polys: Sequence, T: BracketTable) -> list:
     budget = term_budget()
     out = []
     for F in polys:
-        dF, nums = _numerators(F)
-        images = _int_images(_partials(nums), index, None, budget)
-        out.append({v: _from_numerators(img, D * dF) for v, img in images.items()})
+        images = _int_images(_partials(F._nums), index, None, budget)
+        out.append({v: _from_numerators(img, D * F._den) for v, img in images.items()})
     return out
 
 
@@ -615,19 +624,15 @@ def poisson_bracket(F: MPoly, G: MPoly, T: BracketTable) -> MPoly:
     visits only the pairs [x_u, x_v] with u in vars(F), read from T's
     scaled neighbour index.  A variable outside T brackets to zero, so
     q[t] is bracketed as q[t]/(t^N) with N above every t degree a
-    bracket reaches.  All of it runs on integer numerators over one
-    common denominator; the result's coefficients are the only Fractions.
+    bracket reaches.  All of it runs on the integer numerators of F, of G
+    and of T's scaled index, over the product of their denominators.
     """
-    if F.is_zero() or G.is_zero():
-        return MPoly.zero()
-    dF, nf = _numerators(F)
-    dG, ng = _numerators(G)
-    pg = _partials(ng)
+    pg = _partials(G._nums)
     D, index = _keyed_neighbours(T)
     budget = term_budget()
-    images = _int_images(_partials(nf), index, pg, budget)
+    images = _int_images(_partials(F._nums), index, pg, budget)
     return _from_numerators(_contract(pg, _tops(pg), images, _tops(images), budget),
-                            D * dF * dG)
+                            D * F._den * G._den)
 
 
 def _side_cost(images: dict, itops: dict, partials: dict, ptops: dict) -> tuple:
@@ -670,7 +675,7 @@ def pairwise_commute(polys: Sequence, *tables: BracketTable) -> bool:
     a pair past the budget raises BudgetError rather than returning False.
     """
     budget = term_budget()
-    partials = [_partials(_numerators(F)[1]) for F in polys]
+    partials = [_partials(F._nums) for F in polys]
     ptops = [_tops(pf) for pf in partials]
     held = set().union(*partials)
     plan = []  # (images of F, their tops, j): contract with the partials of G = polys[j]
@@ -720,10 +725,7 @@ def annihilation_rows(polys: Sequence, tables: Sequence, targets=None):
     changes a kernel.
     """
     budget = term_budget()
-    partials = []
-    for F in polys:
-        d, nums = _numerators(F)
-        partials.append((d, _partials(nums)))
+    partials = [(F._den, _partials(F._nums)) for F in polys]
     cols = []  # (D_e * d_k, v -> {k: n}) per column (e, k)
     for T in tables:
         D, index = _keyed_neighbours(T)
@@ -748,14 +750,12 @@ def annihilation_rows(polys: Sequence, tables: Sequence, targets=None):
 def combiner(polys: Sequence) -> Callable:
     """coeffs -> sum_k coeffs[k] * polys[k], formed on integers.
 
-    The polys are cleared once, over one common denominator L.  Each call
+    The polys are brought over one common denominator L once.  Each call
     clears coeffs over theirs, c, sums the integer products on packed keys
-    and makes one Fraction per nonzero coefficient of the result, over
-    c * L; terms that cancel are dropped.
+    and normalizes the result over c * L once; terms that cancel are
+    dropped.
     """
-    cleared = [_numerators(F) for F in polys]
-    lcm = math.lcm(*(d for d, _ in cleared))
-    scaled = [{k: n * (lcm // d) for k, n in nums.items()} for d, nums in cleared]
+    lcm, scaled = _common(polys)
 
     def combine(coeffs: Sequence) -> MPoly:
         den = math.lcm(*(c.denominator for c in coeffs))
@@ -775,8 +775,8 @@ def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
     """point -> the Jacobian of polys at point, a tuple of ints in
     vars_order, with each row cleared to integers as exactla clears it.
 
-    The partials are taken once, of each F's integer numerators over their
-    common denominator d, and evaluated on ints at each point.  Row F then
+    The partials are taken once, of each F's integer numerators over its
+    denominator d, and evaluated on ints at each point.  Row F then
     reads d * dF at the point, and dividing it by gcd(d, *row) gives the
     row that clearing the Fraction row of dF at the point gives: the same
     rank over Q and mod exactla.PRIME.
@@ -785,10 +785,9 @@ def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
     monos: dict = {}  # packed key -> its index in the point's values
     family = []
     for F in polys:
-        den, nums = _numerators(F)
         entries = [(col[u], [(c, monos.setdefault(k, len(monos))) for k, c in part.items()])
-                   for u, part in _partials(nums).items() if u in col]
-        family.append((den, entries))
+                   for u, part in _partials(F._nums).items() if u in col]
+        family.append((F._den, entries))
     missing = _variables(monos) - col.keys()
     if missing:
         raise InputError(f"point misses variable {min(missing)}")
@@ -823,16 +822,15 @@ def _key_rows(polys: Sequence) -> tuple:
     """(keys, rows): the family's packed keys in mono_sort_key order, and
     each poly's coefficients on them as ints over one common denominator,
     which keeps the span of the rows and the kernel of their transpose."""
-    cleared = [_numerators(F) for F in polys]
-    lcm = math.lcm(*(d for d, _ in cleared))
-    decoded = {k: _decode(k) for _, nums in cleared for k in nums}
+    _, scaled = _common(polys)
+    decoded = {k: _decode(k) for nums in scaled for k in nums}
     keys = sorted(decoded, key=lambda k: (k & FIELD_MAX, decoded[k]))
     index = {k: j for j, k in enumerate(keys)}
     rows = []
-    for d, nums in cleared:
+    for nums in scaled:
         row = [0] * len(keys)
         for k, n in nums.items():
-            row[index[k]] = n * (lcm // d)
+            row[index[k]] = n
         rows.append(row)
     return keys, rows
 
@@ -847,7 +845,7 @@ def coeff_rows(polys: Sequence) -> tuple:
 def disjoint_supports(polys: Sequence) -> bool:
     """Whether the polys are nonzero and no two share a monomial, so that
     every nonzero combination of them is nonzero."""
-    keys = [F._terms for F in polys]
+    keys = [F._nums for F in polys]
     return all(keys) and sum(map(len, keys)) == len(set().union(*keys))
 
 
@@ -864,6 +862,17 @@ def echelon_basis(polys: Sequence) -> list:
     """
     keys, rows = _key_rows(polys)
     return [
-        _wrap({k: c for c, k in zip(vec, keys) if c})
+        _from_rationals({k: c for c, k in zip(vec, keys) if c})
         for vec in row_space(rows, len(keys)).basis()
     ]
+
+
+def primitive(F: MPoly) -> MPoly:
+    """F scaled to coprime integer coefficients, the coefficient of its
+    first monomial in mono_sort_key order positive; zero stays zero."""
+    nums = F._nums
+    if not nums:
+        return F
+    first = min(nums, key=lambda k: (k & FIELD_MAX, _decode(k)))
+    g = math.gcd(*nums.values()) * (1 if nums[first] > 0 else -1)
+    return _wrap(1, {k: n // g for k, n in nums.items()})

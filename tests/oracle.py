@@ -28,6 +28,22 @@ def reference_mul(F, G):
     return MPoly(acc)
 
 
+def reference_add(F, G):
+    """The terms of F + G, one monomial at a time in Fraction arithmetic
+    on .terms, zero sums dropped."""
+    acc = F.terms
+    for m, c in G.terms.items():
+        acc[m] = acc.get(m, Fraction(0)) + c
+    return {m: c for m, c in acc.items() if c}
+
+
+def reference_scale(F, c):
+    """The terms of c * F, one coefficient at a time in Fraction
+    arithmetic on .terms."""
+    c = Fraction(c)
+    return {m: c * x for m, x in F.terms.items()} if c else {}
+
+
 def reference_substitute(F, mapping):
     """The algebra map x_v -> mapping.get(v, x_v), one factor at a time on
     reference_mul."""

@@ -43,8 +43,8 @@ from glab.liecore import (
     t_powers_mod,
     wrap_algebra,
 )
-from glab.psring import MPoly, substitute_levels, substitute_vars
-from glab.invariantlab import _normalize_primitive, _slot_gram, basic_invariants
+from glab.psring import MPoly, primitive, substitute_levels, substitute_vars
+from glab.invariantlab import _slot_gram, basic_invariants
 from oracle import (
     SL2_RESCALED,
     FractionTable,
@@ -318,6 +318,11 @@ def test_algebra_json_round_trip():
     ("matrices", [[[0, -1, "1"]], [], []], "nonnegative integer indices"),
     ("matrices", [[[0, 1, 0.5]], [], []], "not a rational value"),
     ("matrices", [[[0, 1, "1/0"]], [], []], "not a rational literal"),
+    ("form", 5, "form must be a list of rows"),
+    ("form", [5, 6, 7], "form must be a list of rows"),
+    ("basis", ["e", ["h"], "f"], "distinct strings"),
+    ("basis", "efh", "distinct strings"),
+    ("name", None, "name must be a string"),
 ])
 def test_algebra_json_refuses_malformed_input(key, value, message):
     d = dict(algebra_to_json(builtin_algebra("sl2")), **{key: value})
@@ -345,7 +350,7 @@ def test_invariants_of_a_reordered_basis_are_the_renamed_invariants(name, seed):
     random.Random(seed).shuffle(perm)
     assert perm != sorted(perm)
     rename = {(i, 0): MPoly.variable((perm[i], 0)) for i in range(q.dim)}
-    want = [_normalize_primitive(substitute_vars(F, rename)) for F in basic_invariants(q)]
+    want = [primitive(substitute_vars(F, rename)) for F in basic_invariants(q)]
     assert basic_invariants(_permuted(q, perm)) == want
 
 

@@ -164,6 +164,20 @@ def test_build_Z_refuses_a_sample_count_above_the_budget(pen_t, monkeypatch):
         build_Z(pen_t, sample_count=101)
 
 
+def test_build_Z_bounds_the_polarizations_by_the_budget(monkeypatch):
+    # terms(F) * n^deg F bounds the terms of all polarizations of F: for
+    # sl4's quartic invariant at n = 3 that is 80 * 81 = 6480, which the
+    # budget admits at 6480 and refuses below, before any polarization
+    pen = Pencil(builtin_algebra("sl4"), parse_poly("t^3"), parse_poly("t^3+t"))
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "6480")
+    assert build_Z(pen).counts() == {0: 5, 1: 7, 2: 9}
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "6479")
+    monkeypatch.setattr(pencilz, "polarize", None)
+    with pytest.raises(BudgetError, match="invariant 2 .80 terms of degree 4, n = 3. "
+                                          "may hold 6480 terms, past budget 6479"):
+        build_Z(pen)
+
+
 def test_build_Z_refuses_invariants_that_are_not_central(sl2, pen_t):
     # the rows are taken at q's module generators only, which is sound for
     # polarizations of invariants alone

@@ -19,7 +19,6 @@ from glab.psring import (
     FIELD_MAX,
     BudgetError,
     MPoly,
-    _numerators,
     annihilation_rows,
     apply_derivation,
     cleared_jacobian,
@@ -46,6 +45,7 @@ from glab.invariantlab import casimir, centralizer_in_span
 from glab import psring
 
 from oracle import (
+    reference_add,
     reference_bracket,
     reference_derivation,
     reference_diff,
@@ -56,6 +56,7 @@ from oracle import (
     reference_nullspace,
     reference_psi,
     reference_repr,
+    reference_scale,
     reference_substitute,
 )
 
@@ -497,6 +498,51 @@ def tau_image(v):
     return MPoly.variable((i, a + 1), coef=a)
 
 
+def assert_canonical(F):
+    # one denominator, positive and coprime to the numerators, none of
+    # them zero; zero is (1, {})
+    assert F._den > 0
+    assert math.gcd(F._den, *F._nums.values()) == 1
+    assert all(F._nums.values())
+    if F.is_zero():
+        assert (F._den, F._nums) == (1, {})
+
+
+@given(table_mpolys(VARS), table_mpolys(VARS), coefficients(), st.integers(0, 3))
+@settings(max_examples=120, deadline=None)
+def test_arithmetic_matches_the_fraction_reference(a, b, c, k):
+    total = a + b
+    assert total.terms == reference_add(a, b)
+    assert (a - b).terms == reference_add(a, MPoly(reference_scale(b, -1)))
+    assert (-a).terms == reference_scale(a, -1)
+    assert a.scale(c).terms == reference_scale(a, c)
+    want = MPoly.const(1)
+    for _ in range(k):
+        want = reference_mul(want, a)
+    assert (a ** k).terms == want.terms
+    for m, x in reference_add(a, b).items():
+        assert total.coeff(m) == x
+    assert total.coeff(((VARS[0], 3),)) == 0  # exponents here stay at most 2
+    for F in (a, b, total, a - b, a - a, a.scale(c), a ** k, a * b):
+        assert_canonical(F)
+    back = total - b
+    assert back == a and hash(back) == hash(a)
+
+
+def test_zero_and_integer_inputs_are_canonical():
+    x = MPoly.variable((0, 0))
+    for F in (MPoly.zero(), MPoly.const(0), x.scale(0), x - x, MPoly({}),
+              MPoly.variable((0, 0), 0), MPoly.from_entries([((0, 0), 0)])):
+        assert_canonical(F)
+        assert F == MPoly.zero() and hash(F) == hash(MPoly.zero())
+    # 2x + 4y over 1 and x/3 + 2y/3 scaled by 6 are stored alike
+    F = MPoly({(((0, 0), 1),): 2, (((1, 0), 1),): Fraction(4)})
+    G = MPoly({(((0, 0), 1),): Fraction(1, 3), (((1, 0), 1),): Fraction(2, 3)}).scale(6)
+    assert (F._den, F._nums) == (G._den, G._nums) and hash(F) == hash(G)
+    assert_canonical(F.scale(Fraction(1, 2)))
+    assert F.scale(Fraction(1, 2))._den == 1
+
+
 @given(table_mpolys(VARS), st.sampled_from(VARS + [(5, 0)]))
 @settings(max_examples=80, deadline=None)
 def test_diff_matches_reference(F, v):
@@ -663,9 +709,8 @@ def test_single_term_substitutions_keep_the_field_maximum():
 
 def test_wide_keys_span_several_words():
     F = MPoly({tuple((v, 1) for v in WIDE_VARS): Fraction(1, 3)})
-    _, nums = _numerators(F)
     assert len(WIDE_VARS) == 72
-    assert max(nums).bit_length() > 8 * len(WIDE_VARS)
+    assert max(F._nums).bit_length() > 8 * len(WIDE_VARS)
     assert F * F == reference_mul(F, F)
 
 

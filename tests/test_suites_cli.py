@@ -7,7 +7,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from glab import invariantlab, psring, suites
+from glab import invariantlab, pencilz, psring, suites
 from glab.exactla import InputError
 from glab.suites import (
     DEFAULTS,
@@ -350,6 +350,21 @@ def test_cli_samples_above_the_budget_exit_3(runner, monkeypatch):
         res = runner.invoke(main, args + ["101"])
         assert res.exit_code == 3
         assert "sample count 101 exceeds budget 100" in res.output
+
+
+def test_cli_build_refuses_polarizations_past_the_budget(runner, monkeypatch):
+    # sl4's quartic invariant has 80 terms, so at n = 3 its polarizations
+    # hold at most 80 * 3^4 = 6480 terms: refused before any is formed
+    def unreachable(*args):
+        raise AssertionError("build_Z polarized before the budget check")
+
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "5000")
+    monkeypatch.setattr(pencilz, "polarize", unreachable)
+    start = time.perf_counter()
+    res = runner.invoke(main, ["zz", "build", "--q", "sl4", "--p1", "t^3", "--p2", "t^3+t"])
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 3
+    assert "may hold 6480 terms, past budget 5000" in res.output
 
 
 def test_cli_jacobi_scan_and_takiff_exit_on_budget(runner, monkeypatch):
