@@ -508,8 +508,9 @@ class RowSpace:
 
     Accepted rows are kept as primitive integer rows in echelon form, in
     pivot order.  add() reduces the vector against them and reports whether
-    it enlarged the span.  basis() returns the canonical reduced row
-    echelon basis of everything accepted.
+    it enlarged the span.  reduced() returns the canonical reduced row
+    echelon basis of everything accepted, as integer rows over one
+    denominator.
     """
 
     def __init__(self, width: int):
@@ -524,7 +525,7 @@ class RowSpace:
     @property
     def rows(self) -> tuple:
         """The accepted rows as kept: primitive integer rows in echelon
-        form, in pivot order, spanning what basis() spans."""
+        form, in pivot order, spanning what reduced() spans."""
         return tuple(self._rows)
 
     def _reduce(self, vec: Sequence) -> list:
@@ -550,9 +551,14 @@ class RowSpace:
         self._pivots.insert(at, pc)
         return True
 
-    def basis(self) -> list:
+    def reduced(self) -> tuple:
+        """(rows, d): new integer row tuples, in pivot order, and d > 0
+        such that rows / d is the canonical reduced row echelon basis of
+        everything accepted; every pivot entry equals d."""
         rows, _, d, _ = _echelon(list(self._rows), self.width, True)
-        return [tuple(r) for r in _rationals(rows, d)]
+        if d < 0:
+            return [tuple(-x for x in r) for r in rows], -d
+        return [tuple(r) for r in rows], d
 
     def kernel(self) -> list:
         """Canonical kernel basis of the accepted rows, as nullspace gives it,

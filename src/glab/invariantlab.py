@@ -45,10 +45,10 @@ from .psring import (
     annihilation_rows,
     apply_derivation,
     coeff_rows,
-    combiner,
-    echelon_basis,
+    combination_basis,
     hamiltonian_images,
     poisson_bracket,
+    polarize,
     primitive,
     psi_p,
     substitute_levels,
@@ -74,8 +74,7 @@ def invariants_degree(q: LieAlgebra, d: int) -> list:
     monos = [MPoly.from_factors([([(i, 0) for i in combo], Fraction(1))])
              for combo in itertools.combinations_with_replacement(range(q.dim), d)]
     kern = row_space(annihilation_rows(monos, [wrap_algebra(q)]), len(monos)).kernel()
-    combine = combiner(monos)
-    return echelon_basis([combine(vec) for vec in kern])
+    return combination_basis(monos, kern)
 
 
 @lru_cache(maxsize=None)
@@ -169,58 +168,15 @@ def casimir(q: LieAlgebra) -> MPoly:
 # polarizations
 
 
-def _distinct_perms(items: tuple):
-    """Distinct permutations of a multiset, in sorted order."""
-    items = sorted(items)
-    n = len(items)
-
-    def rec(rest):
-        if not rest:
-            yield ()
-            return
-        prev = object()
-        for idx in range(len(rest)):
-            if rest[idx] == prev:
-                continue
-            prev = rest[idx]
-            for tail in rec(rest[:idx] + rest[idx + 1 :]):
-                yield (rest[idx],) + tail
-
-    return rec(list(items))
-
-
-def polarize(F: MPoly, kvec: Sequence) -> MPoly:
-    """Distribute t degrees kvec over the factors of each monomial of F.
-
-    F must be homogeneous of degree len(kvec) in t-degree-zero variables.
-    Each monomial contributes one summand per distinct arrangement of
-    kvec, so repeated degrees are not overcounted.
-    """
-    kvec = tuple(int(k) for k in kvec)
-    perms = list(_distinct_perms(kvec))
-    out = []
-    for factors, c in F.factor_terms():
-        if any(a != 0 for _, a in factors):
-            raise InputError("polarization input must have t degree zero")
-        if len(factors) != len(kvec):
-            raise InputError(
-                f"monomial degree {len(factors)} does not match arrangement of {len(kvec)}"
-            )
-        out.extend(([(i, a) for (i, _), a in zip(factors, perm)], c) for perm in perms)
-    return MPoly.from_factors(out)
-
-
 def polarize_t(F: MPoly, kvec: Sequence) -> MPoly:
     """Full symmetric-group version: every permutation of kvec counts.
 
     Equals polarize(F, kvec) times the product of multiplicity factorials
-    of kvec.
+    of kvec; polarize refuses a kvec that is not nonnegative integers.
     """
-    kvec = tuple(int(k) for k in kvec)
-    mult = Fraction(1)
-    for k in set(kvec):
-        mult *= math.factorial(kvec.count(k))
-    return polarize(F, kvec).scale(mult)
+    kvec = tuple(kvec)
+    P = polarize(F, kvec)
+    return P.scale(math.prod(math.factorial(kvec.count(k)) for k in set(kvec)))
 
 
 def weakly_increasing(d: int, top: int) -> list:
@@ -610,11 +566,11 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
     slot-j factors (t degrees stripped).  Zero when either slot is empty;
     antisymmetric in (i, j).
 
-    All of it runs on integers: F over the lcm dF of its denominators, the
+    All of it runs on integers: F's numerators over its denominator dF, the
     pairings over a power of the form's denominator, the bracket over the
     structure constants' denominator, and each slot's inverse Gram over its
-    own (_slot_solve); one Fraction is made per nonzero coefficient of the
-    result.
+    own (_slot_solve); the result is built on its integer coefficients and
+    scaled by the one Fraction of their common denominator.
     """
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
@@ -631,10 +587,8 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
     slot_bases = [_slot_basis(q.dim, a) for a in alpha]
     # F's terms of degree d as base-index tuples (t degrees stripped), read
     # once: only they pair with a contraction, which has d factors
-    terms = F.factor_terms()
-    dF = math.lcm(*(c.denominator for _, c in terms))
-    left = [(tuple(k for k, _ in fs), c.numerator * (dF // c.denominator))
-            for fs, c in terms if len(fs) == d]
+    dF, terms = F.factor_terms()
+    left = [(tuple(k for k, _ in fs), n) for fs, n in terms if len(fs) == d]
     paired = {}
 
     def with_F(t2):
@@ -671,8 +625,8 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
     coeffs, den = _slot_solve(q, alpha, rhs)
     den *= dq * dF * _form_rows(q)[0] ** d
     return MPoly.from_factors(
-        ([(idx, u) for u, slot in enumerate(v) for idx in slot], Fraction(cv, den))
-        for cv, v in zip(coeffs, vees) if cv)
+        ([(idx, u) for u, slot in enumerate(v) for idx in slot], cv)
+        for cv, v in zip(coeffs, vees) if cv).scale(Fraction(1, den))
 
 
 def univ_sum(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int) -> MPoly:

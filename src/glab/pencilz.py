@@ -40,22 +40,19 @@ from .psring import (
     MPoly,
     annihilation_rows,
     cleared_jacobian,
-    combiner,
+    combination_basis,
     directional_derivative,
     disjoint_supports,
     echelon_basis,
     hamiltonian_images,
     pairwise_commute,
+    polarize,
     psi_p,
     shift_t_down,
     substitute_vars,
     tau_apply,
 )
-from .invariantlab import (
-    basic_invariants,
-    polarize,
-    weakly_increasing,
-)
+from .invariantlab import basic_invariants, weakly_increasing
 
 
 @dataclass(frozen=True)
@@ -227,9 +224,11 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     Each kernel vector is one raw generator, and only counted.  The
     member polynomials are linear in the kernel vectors and the
     polarizations of a nonzero F have disjoint supports, so they are
-    independent: the kernel vectors of all members span a space that
-    combine maps one to one onto the span of the member polynomials, and
-    only a basis of it is combined (see psring.combiner).
+    independent: the kernel vectors of all members span a space that maps
+    one to one onto the span of the member polynomials.  The echelon basis
+    of that span is read off the kept integer echelon rows of the kernel
+    vectors, and each basis polynomial is formed once (see
+    psring.combination_basis).
     """
     n = P.n
     if f_list is None:
@@ -275,10 +274,8 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
             for vec in _annihilator_combos(rows, weights, len(pols)):
                 raw += 1
                 kernels[i].add(vec)
-    basis = {}
-    for i, (pols, _) in enumerate(spaces):
-        combine = combiner(pols)
-        basis[i] = echelon_basis([combine(vec) for vec in kernels[i].basis()])
+    basis = {i: combination_basis(pols, kernels[i].rows)
+             for i, (pols, _) in enumerate(spaces)}
     return ZAlgebra(pencil=P, invariants=f_list, raw_generators=raw, basis=basis,
                     samples=samples)
 

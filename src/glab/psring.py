@@ -6,13 +6,21 @@ packed ints (see "packed monomial keys" below), in canonical form: the gcd
 of the denominator and the numerators is 1 and zero is (1, {}), so equal
 polynomials have equal fields and hashes.  Fractions and (variable,
 exponent) tuples appear only at the edge: MPoly(dict), const, variable and
-scale clear their rational inputs; terms, coeff and factor_terms (and repr,
-through terms) are decoded views with Fraction coefficients; from_factors
-builds monomials from lists of variables.  On top of the arithmetic sit the
+scale clear their rational inputs; terms and coeff (and repr, through
+terms) are decoded views with Fraction coefficients; from_factors builds
+monomials from lists of variables and factor_terms reads them back, with
+integer numerators over the denominator.  On top of the arithmetic sit the
 Poisson bracket against a bracket table, substitutions of variables and of
-t-levels, the raising derivation tau, reductions mod p, and exact span/rank
-utilities.  The bracket table is the one bracket representation: q[t] is
-bracketed through its truncation q[t]/(t^N), N above every t degree reached.
+t-levels, the raising derivation tau, reductions mod p, polarization, and
+exact span/rank utilities.  The bracket table is the one bracket
+representation: q[t] is bracketed through its truncation q[t]/(t^N), N
+above every t degree reached.
+
+A span is compared by its canonical echelon basis.  echelon_basis reduces
+the coefficient rows of any family; combination_basis reads the basis of
+the combinations of polys with disjoint supports, such as the polarizations
+of one invariant, off the coefficient vectors alone (pencilz.build_Z,
+invariantlab.invariants_degree).
 
 All arithmetic runs on the numerators.  Sums, negation, scale and diff work
 on them directly; every product runs on one integer kernel, _mul_acc: MPoly
@@ -116,11 +124,12 @@ class MPoly:
         Fraction; a copy on each call."""
         return {_decode(k): Fraction(n, self._den) for k, n in self._nums.items()}
 
-    def factor_terms(self) -> list:
-        """[(factors, c)] over the terms, factors the sorted tuple of the
-        monomial's variables, each repeated by its exponent, c a Fraction."""
-        return [(tuple(v for v, e in _decode(k) for _ in range(e)), Fraction(n, self._den))
-                for k, n in self._nums.items()]
+    def factor_terms(self) -> tuple:
+        """(den, [(factors, n)]): the terms as int numerators n over the
+        positive denominator den, factors the sorted tuple of the monomial's
+        variables, each repeated by its exponent."""
+        return self._den, [(tuple(v for v, e in _decode(k) for _ in range(e)), n)
+                           for k, n in self._nums.items()]
 
     def is_zero(self) -> bool:
         return not self._nums
@@ -266,8 +275,9 @@ def _common(polys: Iterable) -> tuple:
 # life of the process, since MPoly keys outlive every operation; so a key
 # is as wide as the registry, not the monomial.  Slot order is not variable
 # order: what reads monomials in mono_sort_key order (terms, repr,
-# coeff_rows, echelon_basis) decodes and sorts.  _fields walks the set
-# fields of a key, never its bytes.
+# coeff_rows, echelon_basis) decodes and sorts, and _first_key walks the
+# variables in order.  _fields walks the set fields of a key, never its
+# bytes.
 
 FIELD_MAX = 255
 _UNITS: dict = {}  # variable -> 1 << (8 * slot), slots from 1
@@ -332,15 +342,20 @@ def _top_degree(a: dict) -> int:
 # packed keys
 
 
-def _partials(terms: dict) -> dict:
-    """u -> {k: n}, the numerators of dF/dx_u for every u in vars(F), from
-    the numerators {k: n} of F, over the same denominator.
+def _partials(terms: dict, wanted=None) -> dict:
+    """u -> {k: n}, the numerators of dF/dx_u for every u in vars(F), or
+    for the u in wanted alone when it is given, from the numerators {k: n}
+    of F, over the same denominator.
 
     Dividing a monomial by x_u is injective, so no term cancels here.
     """
+    # the fields of the wanted variables; a variable never registered
+    # occurs in no key
+    mask = -1 if wanted is None else sum(
+        FIELD_MAX * _UNITS[u] for u in wanted if u in _UNITS)
     out: dict = {}
     for k, c in terms.items():
-        for s, e in _fields(k):
+        for s, e in _fields(k & mask):
             out.setdefault(_VARS[s], {})[k - (256 << 8 * s) - 1] = c * e
     return out
 
@@ -546,6 +561,79 @@ def shift_t_down(F: MPoly) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
+# polarizations
+
+
+def _distinct_perms(items: tuple):
+    """Distinct permutations of a multiset, in sorted order."""
+    items = sorted(items)
+
+    def rec(rest):
+        if not rest:
+            yield ()
+            return
+        prev = object()
+        for idx in range(len(rest)):
+            if rest[idx] == prev:
+                continue
+            prev = rest[idx]
+            for tail in rec(rest[:idx] + rest[idx + 1 :]):
+                yield (rest[idx],) + tail
+
+    return rec(list(items))
+
+
+def polarize(F: MPoly, kvec: Sequence) -> MPoly:
+    """Distribute t degrees kvec over the factors of each monomial of F.
+
+    F must be homogeneous of degree len(kvec) in t-degree-zero variables,
+    and kvec must hold nonnegative integers; InputError otherwise.  Each
+    monomial contributes one summand per distinct arrangement of kvec, so
+    repeated degrees are not overcounted; a repeated factor meets two
+    arrangements that give one monomial, and those add up.
+
+    Runs on packed keys: each term's fields are read once and expanded by
+    multiplicity, each unit of x_i t^a is taken once per call, and the
+    summed numerators are normalized once over F's denominator.  Every key
+    built has the degree of a key of F, so no field passes FIELD_MAX.
+    """
+    levels = []
+    for k in kvec:
+        try:
+            a = int(k)
+        except (TypeError, ValueError, OverflowError):
+            a = None
+        if a is None or a != k or a < 0:
+            raise InputError(f"t degree {k!r} is not a nonnegative integer")
+        levels.append(a)
+    d = len(levels)
+    terms = []
+    for k, n in F._nums.items():
+        factors = []
+        for s, e in _fields(k):
+            i, a = _VARS[s]
+            if a:
+                raise InputError("polarization input must have t degree zero")
+            factors += [i] * e
+        if len(factors) != d:
+            raise InputError(
+                f"monomial degree {len(factors)} does not match arrangement of {d}")
+        terms.append((factors, n))
+    # level -> {i: the unit of x_i t^level}, for every i of F; each such
+    # variable occurs in some arrangement
+    bases = sorted({i for factors, _ in terms for i in factors})
+    units = {a: {i: _unit((i, a)) for i in bases} for a in sorted(set(levels))}
+    arrangements = [[units[a] for a in perm] for perm in _distinct_perms(levels)]
+    acc: dict = {}
+    get = acc.get
+    for factors, n in terms:
+        for cols in arrangements:
+            key = d + sum([col[i] for col, i in zip(cols, factors)])
+            acc[key] = get(key, 0) + n
+    return _from_numerators(acc, F._den)
+
+
+# ---------------------------------------------------------------------------
 # Poisson bracket
 
 
@@ -722,13 +810,18 @@ def annihilation_rows(polys: Sequence, tables: Sequence, targets=None):
     rows are built one variable at a time, variables and monomials in the
     order the images first hold them, so only the distinct rows are ever
     held.  Every consumer reads a kernel off the rows, and no row order
-    changes a kernel.
+    changes a kernel.  With targets, a partial dF/dx_u is taken only where
+    [x_u, x_v] != 0 under some table for some v in targets, the only u at
+    which an image reads it.
     """
     budget = term_budget()
-    partials = [(F._den, _partials(F._nums)) for F in polys]
+    keyed = [_keyed_neighbours(T) for T in tables]
+    wanted = None if targets is None else {
+        u for _, index in keyed for u, pairs in index.items()
+        if any(v in targets for v, _ in pairs)}
+    partials = [(F._den, _partials(F._nums, wanted)) for F in polys]
     cols = []  # (D_e * d_k, v -> {k: n}) per column (e, k)
-    for T in tables:
-        D, index = _keyed_neighbours(T)
+    for D, index in keyed:
         for d, pf in partials:
             cols.append((D * d, _int_images(pf, index, targets, budget)))
     lcm = math.lcm(*(den for den, _ in cols))
@@ -745,30 +838,6 @@ def annihilation_rows(polys: Sequence, tables: Sequence, targets=None):
             if row not in seen:
                 seen.add(row)
                 yield row
-
-
-def combiner(polys: Sequence) -> Callable:
-    """coeffs -> sum_k coeffs[k] * polys[k], formed on integers.
-
-    The polys are brought over one common denominator L once.  Each call
-    clears coeffs over theirs, c, sums the integer products on packed keys
-    and normalizes the result over c * L once; terms that cancel are
-    dropped.
-    """
-    lcm, scaled = _common(polys)
-
-    def combine(coeffs: Sequence) -> MPoly:
-        den = math.lcm(*(c.denominator for c in coeffs))
-        acc: dict = {}
-        get = acc.get
-        for c, nums in zip(coeffs, scaled, strict=True):
-            if c:
-                a = c.numerator * (den // c.denominator)
-                for k, n in nums.items():
-                    acc[k] = get(k, 0) + a * n
-        return _from_numerators(acc, den * lcm)
-
-    return combine
 
 
 def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
@@ -858,13 +927,83 @@ def echelon_basis(polys: Sequence) -> list:
     """Canonical basis of the span: reduced echelon over graded monomials.
 
     The monomials are those of the span itself, so two families span the
-    same space exactly when their echelon bases are equal.
+    same space exactly when their echelon bases are equal.  Each basis
+    poly is its reduced integer row over the common pivot entry.
     """
     keys, rows = _key_rows(polys)
-    return [
-        _from_rationals({k: c for c, k in zip(vec, keys) if c})
-        for vec in row_space(rows, len(keys)).basis()
-    ]
+    reduced, d = row_space(rows, len(keys)).reduced()
+    return [_from_numerators({k: x for x, k in zip(row, keys) if x}, d) for row in reduced]
+
+
+def _first_key(keys) -> int:
+    """The first of the (distinct) packed keys in mono_sort_key order, read
+    off their fields without decoding them.
+
+    The keys of the least degree are kept, and the variables they hold are
+    walked in variable order; at each v the kept keys agree on every
+    variable before it.  A kept key that holds v to the exponent e goes on
+    with the pair (v, e), which sorts before (v, e') for e' > e and before
+    any pair of a later variable.  A kept key that holds no variable from v
+    on has spent the degree, so then every kept key agrees with it and none
+    holds v.  So where some kept key holds v, those that hold it to the
+    least exponent are kept.
+    """
+    low = min(k & FIELD_MAX for k in keys)
+    cand = [k for k in keys if k & FIELD_MAX == low]
+    held = 0
+    for k in cand:
+        held |= k
+    for s in sorted((s for s, _ in _fields(held)), key=_VARS.__getitem__):
+        if len(cand) == 1:
+            break
+        shift = 8 * (s + 1)
+        exps = [k >> shift & FIELD_MAX for k in cand]
+        least = min(filter(None, exps), default=0)
+        if least:
+            cand = [k for k, e in zip(cand, exps) if e == least]
+    return cand[0]
+
+
+def combination_basis(polys: Sequence, vectors: Iterable) -> list:
+    """echelon_basis([sum_k v[k] * polys[k] for v in vectors]) for nonzero
+    polys with disjoint supports, read off the vectors (int or Fraction).
+
+    Let lead_k be the first key of polys[k] in mono_sort_key order and c_k
+    its coefficient.  The supports being disjoint, the leads are distinct
+    and lead_k occurs in polys[k] alone.  So with the polys ordered by lead
+    and column k of the vectors scaled by c_k, each row w of the reduced
+    echelon form of the vectors gives sum_k (w_k / c_k) * polys[k], with
+    coefficient 1 at the lead of its pivot column, which the poly of no
+    other row holds, and nothing before it: the reduced echelon basis of
+    the span, which is unique.  Each basis poly is the union of the
+    numerators of the polys it holds, each scaled by one int, normalized
+    once.  Only the leads are decoded (see _first_key).
+    """
+    nums = [F._nums for F in polys]
+    if not all(nums):
+        raise InputError("combination_basis needs nonzero polys")
+    leads = [_first_key(a) for a in nums]
+    cols = sorted(range(len(nums)), key=lambda j: mono_sort_key(_decode(leads[j])))
+    lc = [nums[j][leads[j]] for j in cols]  # c_j times the den of polys[j]
+    L = math.lcm(*(F._den for F in polys))
+    scale = [n * (L // polys[j]._den) for n, j in zip(lc, cols)]  # L * c_j
+    rows = []
+    for v in vectors:
+        if len(v) != len(cols):
+            raise InputError("vector width mismatch")
+        rows.append([v[j] * s for j, s in zip(cols, scale)])
+    reduced, d = row_space(rows, len(cols)).reduced()
+    # (w_k / c_k) * polys[k] = w_k * nums[k] / (the numerator of c_k)
+    out = []
+    for w in reduced:
+        M = math.lcm(*(n for x, n in zip(w, lc) if x))
+        acc: dict = {}
+        for x, n, j in zip(w, lc, cols):
+            if x:
+                a = x * (M // n)
+                acc.update({k: a * m for k, m in nums[j].items()})
+        out.append(_from_numerators(acc, d * M))
+    return out
 
 
 def primitive(F: MPoly) -> MPoly:
@@ -873,6 +1012,5 @@ def primitive(F: MPoly) -> MPoly:
     nums = F._nums
     if not nums:
         return F
-    first = min(nums, key=lambda k: (k & FIELD_MAX, _decode(k)))
-    g = math.gcd(*nums.values()) * (1 if nums[first] > 0 else -1)
+    g = math.gcd(*nums.values()) * (1 if nums[_first_key(nums)] > 0 else -1)
     return _wrap(1, {k: n // g for k, n in nums.items()})

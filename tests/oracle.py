@@ -558,6 +558,45 @@ def reference_echelon_basis(polys):
     return [MPoly({m: c for m, c in zip(monos, row) if c}) for row in reduced]
 
 
+def reference_combine(polys, coeffs):
+    """sum_k coeffs[k] * polys[k] in Fraction arithmetic on .terms, one
+    scaled poly at a time."""
+    if len(coeffs) != len(polys):
+        raise ValueError("one coefficient per poly")
+    acc = MPoly.zero()
+    for F, c in zip(polys, coeffs):
+        acc = acc + MPoly(reference_scale(F, c))
+    return acc
+
+
+def reference_combination_basis(polys, vectors):
+    """The basis that combination_basis reads off the vectors, by forming
+    every combination and reducing them all over their monomials."""
+    return reference_echelon_basis([reference_combine(polys, v) for v in vectors])
+
+
+def reference_polarize(F, kvec):
+    """Polarization in Fraction arithmetic on .terms: for each monomial of F,
+    one summand per distinct arrangement of kvec over its factors, the
+    arrangements read off set(itertools.permutations(kvec))."""
+    kvec = tuple(kvec)
+    arrangements = set(itertools.permutations(kvec))
+    acc = {}
+    for m, c in F.terms.items():
+        if any(a for (_, a), _ in m):
+            raise InputError("polarization input must have t degree zero")
+        factors = [i for (i, _), e in m for _ in range(e)]
+        if len(factors) != len(kvec):
+            raise InputError("monomial degree does not match the arrangement")
+        for perm in arrangements:
+            exps = {}
+            for i, a in zip(factors, perm):
+                exps[(i, a)] = exps.get((i, a), 0) + 1
+            mono = tuple(sorted(exps.items()))
+            acc[mono] = acc.get(mono, Fraction(0)) + c
+    return MPoly(acc)
+
+
 def reference_nullspace(rows, ncols):
     """Kernel of the matrix as the reduced row echelon basis, as tuples.
 

@@ -68,6 +68,7 @@ from oracle import (
     SL2_RESCALED,
     reference_char_poly,
     reference_kron,
+    reference_polarize,
     reference_raised_bracket_tensor,
     reference_script_f,
     reference_slot_gram,
@@ -257,6 +258,48 @@ def test_polarize_validation(sl2):
         polarize(E * F, (0, 1, 2))
     with pytest.raises(InputError):
         polarize(MPoly.variable((0, 1)), (0,))
+    # t degrees outside W: negative or not integral, never truncated
+    C = casimir(sl2)
+    for kvec in ((-1, 0), (0.7, 1.2), (Fraction(1, 2), 1), ("1", 0), (float("nan"), 0)):
+        with pytest.raises(InputError, match="not a nonnegative integer"):
+            polarize(C, kvec)
+        with pytest.raises(InputError, match="not a nonnegative integer"):
+            polarize_t(C, kvec)
+    # integral values of another type are the same degrees
+    assert polarize(C, (Fraction(0), 1.0)) == polarize(C, (0, 1))
+    assert polarize_t(C, (Fraction(1), 1.0)) == polarize_t(C, (1, 1))
+
+
+def _t0_monomials(dim, d):
+    return st.lists(st.integers(0, dim - 1), min_size=d, max_size=d).map(
+        lambda idx: tuple(sorted({(i, 0): idx.count(i) for i in idx}.items())))
+
+
+@st.composite
+def homogeneous_and_levels(draw):
+    """(F, kvec): F homogeneous of degree d in t-degree-zero variables with
+    rational coefficients, kvec d levels drawn from few values, so that
+    levels repeat."""
+    d = draw(st.integers(0, 4))
+    terms = draw(st.dictionaries(_t0_monomials(4, d), st.fractions(
+        min_value=-6, max_value=6, max_denominator=12), max_size=5))
+    kvec = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
+    return MPoly(terms), kvec
+
+
+@given(homogeneous_and_levels())
+@settings(max_examples=150, deadline=None)
+def test_polarize_matches_the_fraction_reference(case):
+    F, kvec = case
+    assert polarize(F, kvec) == reference_polarize(F, kvec)
+
+
+@pytest.mark.parametrize("qname", ["sl2", "sl3", "gl2"])
+def test_polarize_invariants_matches_the_fraction_reference(qname):
+    for F in basic_invariants(builtin_algebra(qname)):
+        d = F.total_degree()
+        for kvec in itertools.product(range(3), repeat=d):
+            assert polarize(F, kvec) == reference_polarize(F, kvec)
 
 
 def test_weakly_increasing_counts():

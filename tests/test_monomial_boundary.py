@@ -4,8 +4,9 @@ No module of src/glab other than psring reads or writes the attribute
 ``terms`` (the decoded view), ``_den`` or ``_nums`` (the denominator and
 the numerators on packed keys), nor reaches a private name of psring, by
 import or as an attribute of the module.  Elsewhere monomials are built
-with MPoly.from_factors and read with MPoly.factor_terms, so a change of
-the format touches one module.
+with MPoly.from_factors and read with MPoly.factor_terms, which gives the
+denominator and each term's integer numerator, so a change of the format
+touches one module.
 """
 import ast
 from pathlib import Path

@@ -23,7 +23,7 @@ from glab.psring import (
     apply_derivation,
     cleared_jacobian,
     coeff_rows,
-    combiner,
+    combination_basis,
     directional_derivative,
     echelon_basis,
     hamiltonian_images,
@@ -47,6 +47,7 @@ from glab import psring
 from oracle import (
     reference_add,
     reference_bracket,
+    reference_combination_basis,
     reference_derivation,
     reference_diff,
     reference_echelon_basis,
@@ -423,28 +424,62 @@ def test_annihilation_rows_skip_repeats():
     assert list(annihilation_rows([MPoly.const(3)], [T])) == []
 
 
-def test_combiner_matches_scaled_sums_on_edge_cases():
-    F = MPoly.variable((0, 0), Fraction(1, 6)) + MPoly.variable((1, 1), Fraction(-2, 9))
-    G = F * F + MPoly.const(Fraction(5, 4))
-    family = [F, G, F.scale(2)]
-    combine = combiner(family)
-    assert combine([0, 0, 0]).is_zero()
-    assert combine([2, 0, -1]).is_zero()  # cancels to zero
-    assert combine([Fraction(1, 3), Fraction(-7, 8), Fraction(5, 12)]) == (
-        F.scale(Fraction(1, 3)) + G.scale(Fraction(-7, 8)) + F.scale(Fraction(5, 6)))
-    assert combiner([])([]).is_zero()
-    with pytest.raises(ValueError):
-        combine([1, 2])
+def test_combination_basis_on_edge_cases():
+    # polys over different denominators with negative leads, vectors of
+    # ints and Fractions, a zero vector and a repeated direction
+    x, y, z, w = (MPoly.variable(v) for v in VARS[:4])
+    P = x.scale(Fraction(-2, 3)) + (y * z).scale(Fraction(5, 4))
+    Q = (z * z).scale(-7) + w.scale(Fraction(1, 6))
+    R = y.scale(Fraction(3, 10))
+    family = [P, Q, R]
+    vectors = [(0, 0, 0), (1, Fraction(-1, 2), 3), (2, -1, 6), (Fraction(1, 3), 0, 0)]
+    got = combination_basis(family, vectors)
+    assert got == reference_combination_basis(family, vectors)
+    assert got == echelon_basis([P, Q.scale(Fraction(-1, 2)) + R.scale(3)])
+    assert combination_basis(family, []) == combination_basis([], []) == []
+    assert combination_basis(family, [(0, 0, 0)]) == []
+    assert combination_basis([x, y], [(5, 0), (0, Fraction(-2, 7))]) == [x, y]
+    with pytest.raises(InputError):
+        combination_basis(family, [(1, 2)])
+    with pytest.raises(InputError):
+        combination_basis([x, MPoly.zero()], [(1, 1)])
 
 
-@given(st.lists(table_mpolys(VARS), max_size=4), st.data())
-@settings(max_examples=80, deadline=None)
-def test_combiner_matches_scaled_sums(family, data):
-    if family and data.draw(st.booleans()):  # a member that can cancel
-        family.append(family[0].scale(data.draw(coefficients())))
-    coeffs = data.draw(st.lists(coefficients(), min_size=len(family), max_size=len(family)))
-    want = sum((F.scale(c) for F, c in zip(family, coeffs)), MPoly.zero())
-    assert combiner(family)(coeffs) == want
+@st.composite
+def disjoint_families(draw):
+    """Nonzero polys with disjoint supports: distinct monomials dealt out to
+    the polys, each with a nonzero rational coefficient."""
+    monos = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(VARS), st.integers(1, 2)), min_size=0, max_size=3)
+        .map(lambda pairs: tuple(sorted(dict(pairs).items()))),
+        min_size=1, max_size=9, unique=True))
+    size = draw(st.integers(1, min(4, len(monos))))
+    owner = list(range(size)) + draw(st.lists(
+        st.integers(0, size - 1), min_size=len(monos) - size, max_size=len(monos) - size))
+    nonzero = coefficients().filter(bool)
+    terms = [{} for _ in range(size)]
+    for m, k in zip(monos, owner):
+        terms[k][m] = draw(nonzero)
+    return [MPoly(t) for t in terms]
+
+
+@given(disjoint_families(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_combination_basis_matches_the_reference(family, data):
+    # rational vectors, rank-deficient ones included: combinations of
+    # earlier vectors and zero vectors
+    width = len(family)
+    vectors = data.draw(st.lists(
+        st.lists(coefficients(), min_size=width, max_size=width), max_size=4))
+    for _ in range(data.draw(st.integers(0, 2))):
+        a, b = data.draw(coefficients()), data.draw(coefficients())
+        if vectors:
+            u, v = data.draw(st.sampled_from(vectors)), data.draw(st.sampled_from(vectors))
+            vectors.append([a * p + b * q for p, q in zip(u, v)])
+    got = combination_basis(family, vectors)
+    assert got == reference_combination_basis(family, vectors)
+    for F in got:
+        assert_canonical(F)
 
 
 def test_every_table_stores_its_neighbour_index():
@@ -810,6 +845,8 @@ def test_decoded_monomials_keep_tuple_order(dicts):
     for d, F in zip(dicts, polys):
         assert F.terms == {m: c for m, c in d.items() if c}
         assert repr(F) == reference_repr(F)
+        if not F.is_zero():  # the lead that combination_basis and primitive read
+            assert psring._decode(psring._first_key(F._nums)) == reference_monomials([F])[0]
     monos, rows = coeff_rows(polys)
     assert monos == reference_monomials(polys)
     # one common scale for every row
