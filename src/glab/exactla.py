@@ -120,10 +120,6 @@ class QMatrix:
         flat = tuple(rat(x) for r in rows for x in r)
         return cls(len(rows), width, flat)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, tuple(Fraction(0) for _ in range(rows * cols)))
-
     def at(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise InputError(f"index ({i},{j}) out of range")
@@ -137,12 +133,6 @@ class QMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __str__(self) -> str:
-        return "\n".join(
-            "[" + ", ".join(rat_str(x) for x in self.row(i)) + "]"
-            for i in range(self.rows)
-        )
 
 
 def _int_row(r) -> tuple:

@@ -3,7 +3,8 @@
 The basic objects are a finite dimensional Lie algebra with a chosen basis
 (structure constants over Fraction, optionally an invariant symmetric form)
 and bracket tables on bases of the form x_i * t^a.  A table stores one
-integer neighbour index over a canonical common denominator, and every
+integer neighbour index, keyed by the positions a * dim + i of its basis,
+over a canonical common denominator, and every
 constructor builds it on integers: quotients by a monic polynomial p (the
 truncated current algebras), direct powers, and linear combinations of two
 tables, the difference bracket among them.
@@ -556,9 +557,20 @@ def make_gl(n: int) -> LieAlgebra:
     return _algebra_from_matrices(f"gl{n}", "gl", n)
 
 
+def _check_pairs(what: str, n: int) -> None:
+    """BudgetError when the n^2 bracket pairs of n variables exceed the
+    term budget: the bound on every algebra or table built from a name."""
+    budget = term_budget()
+    if n * n > budget:
+        raise BudgetError(f"{what} on {n} variables has more than {budget} bracket pairs")
+
+
 def make_abelian(k: int) -> LieAlgebra:
+    """The abelian algebra on k generators; BudgetError, before any label
+    is made, when its k^2 bracket pairs exceed the term budget."""
     if k < 1:
         raise InputError("need at least one generator")
+    _check_pairs(f"abelian:{k}", k)
     return LieAlgebra(
         f"abelian:{k}", tuple(f"a{i + 1}" for i in range(k)), (), None
     )
@@ -586,22 +598,18 @@ def make_takiff(q: LieAlgebra, k: int) -> LieAlgebra:
 
     BudgetError, before anything is built, when its dim^2 bracket pairs
     exceed the term budget.  The structure constants are the pairs of the
-    quotient table by t^k (make_quotient), x_i t^a labelled by its flat
-    index a * dim + i; each bracket lands on one level, so the entries of
-    a pair stay in ascending index.
+    quotient table by t^k (make_quotient), read as they are stored: x_i t^a
+    is labelled by its position a * dim + i.
     """
     if k < 1:
         raise InputError("truncation order must be positive")
-    budget = term_budget()
-    if (q.dim * k) ** 2 > budget:
-        raise BudgetError(f"takiff of dimension {q.dim} * {k} has more than "
-                          f"{budget} bracket pairs")
+    _check_pairs(f"takiff:{q.name}:{k}", q.dim * k)
     T = make_quotient(q, UniPoly.monomial(k))
     D, index = T.scaled_neighbours
-    flat, dim = T.flat, q.dim
+    dim = q.dim
     labels = tuple(f"{lab}.t{a}" for a in range(k) for lab in q.labels)
-    sc = tuple(sorted((flat(u), flat(v), tuple((flat(w), Fraction(c, D)) for w, c in ent))
-                      for u, nb in index.items() for v, ent in nb if flat(u) < flat(v)))
+    sc = tuple(sorted((u, v, tuple((w, Fraction(c, D)) for w, c in ent))
+                      for u, nb in index.items() for v, ent in nb if u < v))
     form = None
     if q.form is not None:
         rows = []
@@ -636,17 +644,31 @@ def _builtin_algebra(name: str) -> LieAlgebra:
         kind, n = name[:2], int(name[2:])
         return make_sl(n) if kind == "sl" else make_gl(n)
     if name.startswith("abelian:"):
-        return make_abelian(int(name.split(":", 1)[1]))
+        return make_abelian(_name_count(name, name[8:]))
     if name.startswith("takiff:"):
-        _, rest = name.split(":", 1)
-        base, k = rest.rsplit(":", 1)
-        return make_takiff(builtin_algebra(base), int(k))
+        base, sep, k = name[7:].rpartition(":")
+        if not sep:
+            raise InputError(f"{name!r} is not of the form takiff:<algebra>:<order>")
+        return make_takiff(builtin_algebra(base), _name_count(name, k))
     if name.startswith("sum:"):
         parts = name[4:].split(",")
         if len(parts) != 2:
             raise InputError("sum:<a>,<b> takes exactly two names")
         return make_direct_sum(builtin_algebra(parts[0]), builtin_algebra(parts[1]))
     raise InputError(f"unknown algebra name {name!r}")
+
+
+def _name_count(name: str, digits: str) -> int:
+    """The count that a built-in name ends in; InputError unless it is
+    written in ASCII digits.  A count longer than the term budget exceeds
+    it, and so does its square: BudgetError before int() reads it."""
+    if not (digits.isascii() and digits.isdigit()):
+        raise InputError(f"{name!r} must end in a count, not {digits!r}")
+    digits = digits.lstrip("0") or "0"
+    budget = term_budget()
+    if len(digits) > len(str(budget)):
+        raise BudgetError(f"a count of {len(digits)} digits exceeds budget {budget}")
+    return int(digits)
 
 
 def algebra_to_json(q: LieAlgebra) -> dict:
@@ -736,9 +758,11 @@ Var = tuple  # (base index, t degree)
 
 
 class BracketTable:
-    """Sparse bracket on variables (i, a) representing x_i * t^a.
+    """Sparse bracket on the basis x_i * t^a of q[t]/(p), n = deg p levels.
 
-    pairs maps (u, v) with flat(u) < flat(v) to ((w, n), ...) on integers,
+    Every index is a position a * dim + i in 0..N-1, N = dim * n, the
+    order of var_list(); unflat and var_list give the variable (i, a) of a
+    position.  pairs maps positions u < v to ((w, n), ...) on integers,
     [x_u, x_v] = sum_w n / den * x_w; all other pairs follow by
     antisymmetry.  Zero entries are dropped, each entry is sorted by w, and
     den and every n are divided by their gcd, so D below is canonical.
@@ -769,10 +793,6 @@ class BracketTable:
     def dim_total(self) -> int:
         return self.base.dim * self.n
 
-    def flat(self, u: Var) -> int:
-        i, a = u
-        return a * self.base.dim + i
-
     def unflat(self, k: int) -> Var:
         return (k % self.base.dim, k // self.base.dim)
 
@@ -781,13 +801,14 @@ class BracketTable:
 
     @cached_property
     def table(self) -> dict:
-        """(u, v) -> ((w, c), ...) over flat(u) < flat(v), c in Fraction: a
-        view derived from scaled_neighbours, for the reference oracles of
-        the tests and the pair counts of bench/tracer.py."""
+        """(u, v) -> ((w, c), ...) on variables, c in Fraction, over the
+        stored pairs of positions u < v: a view derived from
+        scaled_neighbours, for the reference oracles of the tests and the
+        pair counts of bench/tracer.py."""
         D, index = self.scaled_neighbours
-        flat = self.flat
-        return {(u, v): tuple((w, Fraction(c, D)) for w, c in ent)
-                for u, nb in index.items() for v, ent in nb if flat(u) < flat(v)}
+        vs = self.var_list()
+        return {(vs[u], vs[v]): tuple((vs[w], Fraction(c, D)) for w, c in ent)
+                for u, nb in index.items() for v, ent in nb if u < v}
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, BracketTable) and self.base.labels == other.base.labels
@@ -812,7 +833,8 @@ def make_quotient(q: LieAlgebra, p: UniPoly) -> BracketTable:
     """
     if p.is_zero() or not p.is_monic() or p.degree < 1:
         raise InputError("modulus must be monic of degree >= 1")
-    n = p.degree
+    n, dim = p.degree, q.dim
+    _check_pairs(f"{q.name}[t]/(p) of degree {n}", dim * n)
     rems = list(itertools.islice(t_powers_mod(p), 2 * n - 1))
     den_p = math.lcm(*(c.denominator for r in rems for c in r.coeffs))
     rem_nums = [[(d, c.numerator * (den_p // c.denominator)) for d, c in enumerate(r.coeffs) if c]
@@ -827,7 +849,8 @@ def make_quotient(q: LieAlgebra, p: UniPoly) -> BracketTable:
             for (i, j), ent in brackets.items():
                 if a == b and i > j:
                     continue
-                pairs[(i, a), (j, b)] = tuple(((k, d), c * r) for k, c in ent for d, r in rem)
+                pairs[a * dim + i, b * dim + j] = tuple(
+                    (d * dim + k, c * r) for k, c in ent for d, r in rem)
     return BracketTable(q, n, den_q * den_p, pairs)
 
 
@@ -841,8 +864,8 @@ def make_direct_power(q: LieAlgebra, n: int) -> BracketTable:
     if n < 1:
         raise InputError("need at least one copy")
     den, brackets = q._int_brackets
-    pairs = {((i, a), (j, a)): tuple(((k, a), c) for k, c in ent)
-             for a in range(n) for (i, j), ent in brackets.items() if i < j}
+    pairs = {(o + i, o + j): tuple((o + k, c) for k, c in ent)
+             for o in range(0, n * q.dim, q.dim) for (i, j), ent in brackets.items() if i < j}
     return BracketTable(q, n, den, pairs)
 
 
@@ -886,16 +909,14 @@ def pencil_combination(t1: BracketTable, t2: BracketTable, a, b) -> BracketTable
         raise InputError("tables must share base and truncation order")
     (D1, i1), (D2, i2) = t1.scaled_neighbours, t2.scaled_neighbours
     L = math.lcm(D1 * a.denominator, D2 * b.denominator)
-    flat = t1.flat
     pairs: dict = {}
     for index, s in ((i1, a.numerator * (L // (D1 * a.denominator))),
                      (i2, b.numerator * (L // (D2 * b.denominator)))):
         if not s:
             continue
         for u, nb in index.items():
-            fu = flat(u)
             for v, ent in nb:
-                if fu < flat(v):
+                if u < v:
                     acc = pairs.setdefault((u, v), {})
                     for w, c in ent:
                         acc[w] = acc.get(w, 0) + s * c
@@ -914,42 +935,41 @@ def check_table_antisymmetry(T: BracketTable) -> bool:
 
 
 def check_table_jacobi(T: BracketTable):
-    """First flat triple (u, v, w) violating Jacobi, else None.
+    """First triple of variables (u, v, w), in ascending position, that
+    violates Jacobi, else None.
 
     BudgetError, before the scan, when the N(N-1)(N-2)/6 triples of the
-    N variables exceed the term budget.  Brackets are read on integers from
-    T.scaled_neighbours, which scales each cyclic term by D^2.
+    N positions exceed the term budget.  Brackets are read on integers from
+    T.scaled_neighbours, which scales each cyclic term by D^2, and the
+    scan runs on positions; only the failing triple is turned back into
+    variables (T.unflat).
 
     For u < v only some w > v can fail.  When w brackets neither x_u nor
     x_v (the index holds both orders of each pair), two cyclic terms vanish
     and the third is the sum of the [x_m, x_w] over the x_m in [x_u, x_v],
     zero unless w is a neighbour of such an m.  So for each pair only the
-    neighbours of u, v and those m are visited, in flat order, and the
-    first failing triple is the one a scan of all triples finds.
+    neighbours of u, v and those m are visited, in ascending position, and
+    the first failing triple is the one a scan of all triples finds.
     """
-    vs = T.var_list()
-    N = len(vs)
+    N = T.dim_total
     budget = term_budget()
     if N * (N - 1) * (N - 2) // 6 > budget:
         raise BudgetError(f"Jacobi scan of {N} variables has more than {budget} triples")
-    br = {u: dict(T.scaled_neighbours[1].get(u, ())) for u in vs}
-    flat = T.flat
-    nbrs = {u: {flat(v) for v in br[u]} for u in vs}
-    for iu, u in enumerate(vs):
-        for iv in range(iu + 1, N):
-            v = vs[iv]
-            near = nbrs[u] | nbrs[v]
+    index = T.scaled_neighbours[1]
+    br = [dict(index.get(u, ())) for u in range(N)]
+    for u in range(N):
+        for v in range(u + 1, N):
+            near = br[u].keys() | br[v].keys()
             for m, _ in br[u].get(v, ()):
-                near |= nbrs[m]
-            for iw in sorted(k for k in near if k > iv):
-                w = vs[iw]
+                near |= br[m].keys()
+            for w in sorted(k for k in near if k > v):
                 acc = {}
                 for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
                     for m, c in br[x].get(y, ()):
                         for r, c2 in br[m].get(z, ()):
                             acc[r] = acc.get(r, 0) + c * c2
                 if any(acc.values()):
-                    return (u, v, w)
+                    return tuple(map(T.unflat, (u, v, w)))
     return None
 
 
@@ -1017,30 +1037,31 @@ class IndexReport:
     witness: tuple
 
 
-def _structure_upper(T: BracketTable, point: dict) -> list:
+def _structure_upper(T: BracketTable, point) -> list:
     """Strict upper triangle of D * M(point), D = T.scaled_neighbours[0],
-    at an integer point (variable -> int, absent variables 0): row u lists
-    D * point([x_u, x_v]) for flat(v) > flat(u), summed on integers from
-    T.scaled_neighbours.  One global scale keeps the skew symmetry and the
-    rank of M, so exactla.rank_skew ranks it as it stands.
+    at an integer point, the N ints of its coordinates in position order
+    as sampled_max_rank draws them: row u lists D * point([x_u, x_v]) for
+    positions v > u, summed on integers from T.scaled_neighbours.  One
+    global scale keeps the skew symmetry and the rank of M, so
+    exactla.rank_skew ranks it as it stands.
     """
-    D, index = T.scaled_neighbours
-    N, flat = T.dim_total, T.flat
+    index = T.scaled_neighbours[1]
+    N = T.dim_total
     rows = [[0] * (N - 1 - k) for k in range(N)]
     for u, pairs in index.items():
-        fu = flat(u)
-        row = rows[fu]
+        row = rows[u]
         for v, scaled in pairs:
-            k = flat(v) - fu - 1
-            if k >= 0:
-                row[k] = sum([c * point.get(w, 0) for w, c in scaled])
+            if v > u:
+                row[v - u - 1] = sum([c * point[w] for w, c in scaled])
     return rows
 
 
 def structure_matrix_at(T: BracketTable, point: dict) -> QMatrix:
     """Matrix of the bracket paired against a point of the dual space.
 
-    Entry (u, v) is the point evaluated on [x_u, x_v]: _structure_upper at
+    The point maps variables to rationals, absent variables 0; it is read
+    once into position order.  Entry (u, v), at positions u and v, is the
+    point evaluated on [x_u, x_v]: _structure_upper at
     the point times its lcm denominator L, entry (v, u) its negative, an
     int when D * L == 1, else over D * L.  index_report never builds it:
     its samples are ranked from packed rows (_structure_ranks_mod_p) and
@@ -1048,7 +1069,8 @@ def structure_matrix_at(T: BracketTable, point: dict) -> QMatrix:
     """
     D = T.scaled_neighbours[0]
     L = math.lcm(*(x.denominator for x in point.values()))
-    pt = {w: x.numerator * (L // x.denominator) for w, x in point.items()}
+    xs = [point.get(v, 0) for v in T.var_list()]
+    pt = [x.numerator * (L // x.denominator) for x in xs]
     N, den = T.dim_total, D * L
     ent = [0] * (N * N)
     for u, row in enumerate(_structure_upper(T, pt)):
@@ -1061,7 +1083,7 @@ def structure_matrix_at(T: BracketTable, point: dict) -> QMatrix:
 
 def _structure_ranks_mod_p(T: BracketTable):
     """point -> rank_mod_p(structure_matrix_at(T, point)) at an integer
-    point, a tuple in T.var_list() order, without building the matrix.
+    point, its coordinates in position order, without building the matrix.
 
     The matrix is linear in the point.  With K[u][w] the packed row
     (exactla.pack_mod_p) of the scaled coefficients D * c^w_uv over the
@@ -1074,17 +1096,16 @@ def _structure_ranks_mod_p(T: BracketTable):
     stored once (gl4 t^4-t: 180 distinct of 1,404), and not kept on T.
     """
     D, index = T.scaled_neighbours
-    N, p, flat = T.dim_total, PRIME, T.flat
+    N, p = T.dim_total, PRIME
     width = packed_width(N)
     rows, shared = [], {}
     for pairs in index.values():
         K: dict = {}
         for v, scaled in pairs:
-            shift = width * flat(v)
+            shift = width * v
             for w, c in scaled:
-                j = flat(w)
-                K[j] = K.get(j, 0) + (c % p << shift)
-        rows.append((pairs, tuple((j, shared.setdefault(k, k)) for j, k in K.items())))
+                K[w] = K.get(w, 0) + (c % p << shift)
+        rows.append((pairs, tuple((w, shared.setdefault(k, k)) for w, k in K.items())))
     exact = D % p == 0
 
     def rank_at(point):
@@ -1093,8 +1114,7 @@ def _structure_ranks_mod_p(T: BracketTable):
         for pairs, K in rows:
             r = sum([xs[j] * k for j, k in K])
             if exact:
-                vals = [(flat(v), sum([c * point[flat(w)] for w, c in scaled]))
-                        for v, scaled in pairs]
+                vals = [(v, sum([c * point[w] for w, c in scaled])) for v, scaled in pairs]
                 g = math.gcd(D, *(x for _, x in vals))
                 if g % p == 0:
                     r = pack_mod_p([(j, x // g) for j, x in vals], width)
@@ -1171,14 +1191,10 @@ def index_report(T, seed: int = 0) -> IndexReport:
     """
     if isinstance(T, LieAlgebra):
         T = wrap_algebra(T)
-    vs = T.var_list()
     N = T.dim_total
-
-    def exact_rank(flat_point):
-        return rank_skew(_structure_upper(T, dict(zip(vs, flat_point))))
-
     r, witness, used_bound, rounds = sampled_max_rank(
-        _structure_ranks_mod_p(T), N, N, exact_rank, seed=seed)
+        _structure_ranks_mod_p(T), N, N, lambda pt: rank_skew(_structure_upper(T, pt)),
+        seed=seed)
     return IndexReport(
         dim=N,
         rank=r,

@@ -639,8 +639,9 @@ def polarize(F: MPoly, kvec: Sequence) -> MPoly:
 
 def _keyed_neighbours(T: BracketTable) -> tuple:
     """(D, u -> ((v, {unit(w) + 1: D * c}), ...)): T.scaled_neighbours, the
-    integer index every BracketTable constructor stores, with each
-    [x_u, x_v] as a packed linear polynomial.
+    integer index every BracketTable constructor stores, with its positions
+    u and v read as variables and each [x_u, x_v] as a packed linear
+    polynomial.
 
     Built on the first bracket and kept in T's instance dictionary, next to
     the index it is made from, so it lives as long as T and a table that is
@@ -650,13 +651,14 @@ def _keyed_neighbours(T: BracketTable) -> tuple:
     keyed = vars(T).get("keyed_neighbours")
     if keyed is None:
         D, index = T.scaled_neighbours
+        vs = T.var_list()
         lin: dict = {}
         for pairs in index.values():
             for _, ent in pairs:
                 if ent not in lin:
-                    lin[ent] = {_unit(w) + 1: c for w, c in ent}
+                    lin[ent] = {_unit(vs[w]) + 1: c for w, c in ent}
         keyed = vars(T)["keyed_neighbours"] = (D, {
-            u: tuple((v, lin[ent]) for v, ent in pairs) for u, pairs in index.items()
+            vs[u]: tuple((vs[v], lin[ent]) for v, ent in pairs) for u, pairs in index.items()
         })
     return keyed
 

@@ -298,13 +298,21 @@ def reference_bracket(F, G, T):
     return acc
 
 
-class FractionTable(BracketTable):
-    """A BracketTable built from its Fraction pairs, (u, v) -> ((w, c), ...)
-    over flat(u) < flat(v), and holding them as table.
+def position(T, v):
+    """The position a * dim + i of the variable v = (i, a) of T."""
+    i, a = v
+    return a * T.base.dim + i
 
-    scaled_neighbours is built from table on first use, D the lcm of the
-    entry denominators, both orders of each pair in the order of table, so
-    the integer index of glab's constructors can be checked against it.
+
+class FractionTable(BracketTable):
+    """A BracketTable built from its Fraction pairs on variables,
+    (u, v) -> ((w, c), ...) over position(u) < position(v), and holding
+    them as table, each entry sorted by the position of w.
+
+    scaled_neighbours is derived from table on first use, its variables
+    turned into positions, D the lcm of the entry denominators, both orders
+    of each pair in the order of table, so the integer index of glab's
+    constructors can be checked against it.
     """
 
     def __init__(self, base, n, table):
@@ -312,7 +320,8 @@ class FractionTable(BracketTable):
         self.n = n
         self.table = {}
         for key, entries in table.items():
-            ent = tuple(sorted((w, Fraction(c)) for w, c in entries if c != 0))
+            ent = tuple(sorted(((w, Fraction(c)) for w, c in entries if c != 0),
+                               key=lambda e: position(self, e[0])))
             if ent:
                 self.table[key] = ent
 
@@ -321,7 +330,9 @@ class FractionTable(BracketTable):
         den = math.lcm(*(c.denominator for ent in self.table.values() for _, c in ent))
         out = {}
         for (u, v), ent in self.table.items():
-            scaled = tuple((w, c.numerator * (den // c.denominator)) for w, c in ent)
+            scaled = tuple((position(self, w), c.numerator * (den // c.denominator))
+                           for w, c in ent)
+            u, v = position(self, u), position(self, v)
             out.setdefault(u, []).append((v, scaled))
             out.setdefault(v, []).append((u, tuple((w, -c) for w, c in scaled)))
         return den, {u: tuple(pairs) for u, pairs in out.items()}
@@ -331,7 +342,7 @@ def pair_bracket(T, u, v):
     """[x_u, x_v] as ((w, c), ...) in Fraction, read from T.table."""
     if u == v:
         return ()
-    if T.flat(u) < T.flat(v):
+    if position(T, u) < position(T, v):
         return T.table.get((u, v), ())
     return tuple((w, -c) for w, c in T.table.get((v, u), ()))
 
@@ -475,24 +486,24 @@ def reference_structure_matrix(T, point):
     """Matrix of the bracket paired against a point, summed in Fraction.
 
     Entry (u, v) is the point evaluated on [x_u, x_v], read from the stored
-    pair with flat(u) < flat(v); entry (v, u) is its negative.
+    pair with position(u) < position(v); entry (v, u) is its negative.
     """
-    vs = T.var_list()
-    N = len(vs)
+    N = T.dim_total
     ent = [[Fraction(0)] * N for _ in range(N)]
     for (u, v), ents in T.table.items():
         val = sum((c * point.get(w, Fraction(0)) for w, c in ents), Fraction(0))
-        iu, iv = T.flat(u), T.flat(v)
+        iu, iv = position(T, u), position(T, v)
         ent[iu][iv] = val
         ent[iv][iu] = -val
     return QMatrix.from_rows(ent)
 
 
 def reference_jacobi(T):
-    """First flat triple (u, v, w) violating Jacobi, else None.
+    """First triple of variables (u, v, w), in ascending position, that
+    violates Jacobi, else None.
 
     Every bracket is read through pair_bracket on Fraction, one triple
-    at a time, in ascending flat order.
+    at a time, in ascending position.
     """
     vs = T.var_list()
     N = len(vs)

@@ -205,16 +205,18 @@ def test_berkowitz_matches_the_permutation_expansion_on_random_matrices(rows):
     assert _berkowitz(A) == reference_char_poly(A)
 
 
-def test_char_invariants_are_refused_over_the_budget(sl3, monkeypatch):
-    # the side n = 3 of sl3's matrices gives 3! * 2^3 = 48
-    want = basic_invariants(sl3)
+def test_char_invariants_are_refused_over_the_budget(monkeypatch):
+    # the side n = 4 of sl4's matrices gives 4! * 2^4 = 384, above the
+    # 15^2 bracket pairs of the table their centrality is checked on
+    sl4 = builtin_algebra("sl4")
+    want = basic_invariants(sl4)
     _char_invariants.cache_clear()
-    monkeypatch.setenv("GLAB_BUDGET_TERMS", "48")
-    assert basic_invariants(sl3) == want
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "384")
+    assert basic_invariants(sl4) == want
     _char_invariants.cache_clear()
-    monkeypatch.setenv("GLAB_BUDGET_TERMS", "47")
-    with pytest.raises(BudgetError, match="3! \\* 2\\^3"):
-        basic_invariants(sl3)
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "383")
+    with pytest.raises(BudgetError, match="4! \\* 2\\^4"):
+        basic_invariants(sl4)
 
 
 def test_char_invariants_refuse_a_huge_matrix_side_before_any_factorial(sl2):

@@ -14,6 +14,7 @@ from glab.exactla import (
     PRIME, BudgetError, InputError, QMatrix, nullspace, rank, rank_mod_p, rank_skew, rref,
 )
 from glab.liecore import (
+    BracketTable,
     LieAlgebra,
     UniPoly,
     algebra_from_json,
@@ -207,6 +208,26 @@ def test_jacobi_scan_and_takiff_keep_the_term_budget(monkeypatch):
         make_takiff(sl2, 2)
     with pytest.raises(BudgetError):  # refused before anything is allocated
         builtin_algebra("takiff:sl2:" + "9" * 30)
+
+
+def test_quotients_and_abelian_algebras_are_bounded_before_they_are_built(monkeypatch):
+    # sl2 mod t^3 and abelian:9 both have 9 variables, 9^2 = 81 bracket pairs
+    sl2, t3 = builtin_algebra("sl2"), parse_poly("t^3")
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "81")
+    assert make_quotient(sl2, t3).dim_total == 9
+    assert make_abelian(9).dim == 9
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "80")
+
+    def unreachable(*args):
+        raise AssertionError("t^a mod p was formed before the budget check")
+
+    monkeypatch.setattr(liecore, "t_powers_mod", unreachable)
+    for build in (lambda: make_quotient(sl2, t3), lambda: make_abelian(9)):
+        with pytest.raises(BudgetError, match="on 9 variables has more than 80 bracket pairs"):
+            build()
+    # more digits than int() accepts, refused before it reads them
+    with pytest.raises(BudgetError, match="count of 5000 digits"):
+        builtin_algebra("abelian:" + "9" * 5000)
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +424,15 @@ def test_module_generators_come_from_the_structure_constants(sl3):
 
 
 def test_algebra_json_jacobi_scan_is_budgeted(monkeypatch):
-    # sl3 has 8 * 7 * 6 / 6 = 56 basis triples; a broken constant would be
-    # an InputError, so the BudgetError shows the scan never started
-    bad = algebra_to_json(builtin_algebra("sl3"))
+    # gl3 has 9 * 8 * 7 / 6 = 84 basis triples and 9^2 = 81 bracket pairs,
+    # within the budget; a broken constant would be an InputError, so the
+    # BudgetError shows the scan never started
+    bad = algebra_to_json(builtin_algebra("gl3"))
     bad["sc"][0][3] = "5"
-    monkeypatch.setenv("GLAB_BUDGET_TERMS", "55")
-    with pytest.raises(BudgetError, match="more than 55 triples"):
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "83")
+    with pytest.raises(BudgetError, match="more than 83 triples"):
         algebra_from_json(bad)
-    monkeypatch.setenv("GLAB_BUDGET_TERMS", "56")
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "84")
     with pytest.raises(InputError, match="Jacobi identity fails"):
         algebra_from_json(bad)
 
@@ -507,8 +529,48 @@ def test_quotient_input_checks():
 def test_flat_unflat_round_trip():
     sl2 = builtin_algebra("sl2")
     T = make_quotient(sl2, parse_poly("t^3"))
-    for k in range(T.dim_total):
-        assert T.flat(T.unflat(k)) == k
+    assert T.var_list() == [T.unflat(k) for k in range(T.dim_total)]
+    for k, (i, a) in enumerate(T.var_list()):
+        assert k == a * sl2.dim + i
+
+
+def test_the_index_holds_positions_and_decodes_to_the_reference(monkeypatch):
+    # every constructor hands BracketTable pairs of positions u < v, and
+    # every key, neighbour and entry of the index is a position in 0..N-1
+    pairs_seen = []
+    init = BracketTable.__init__
+
+    def recording(self, base, n, den, pairs):
+        pairs_seen.extend(pairs)
+        init(self, base, n, den, pairs)
+
+    monkeypatch.setattr(BracketTable, "__init__", recording)
+    q = builtin_algebra("gl2")
+    p1, p2 = parse_poly("t^3+1/2*t"), parse_poly("t^3+t+1/3")
+    t1, t2 = make_quotient(q, p1), make_quotient(q, p2)
+    r1, r2 = reference_quotient(q, p1), reference_quotient(q, p2)
+    power = {((i, a), (j, a)): tuple(((k, a), c) for k, c in q.bracket(i, j))
+             for a in range(3) for i in range(q.dim) for j in range(i + 1, q.dim)}
+    cases = [
+        (t1, r1), (t2, r2),
+        (pencil_combination(t1, t2, Fraction(2, 3), 5), reference_pencil(r1, r2, Fraction(2, 3), 5)),
+        (make_difference_bracket(q, p1, p2), reference_pencil(r1, r2, 1, -1)),
+        (make_direct_power(q, 3), FractionTable(q, 3, power)),
+        (wrap_algebra(builtin_algebra("takiff:sl2:2")), None),
+    ]
+    assert pairs_seen and all(type(u) is int and type(v) is int and u < v
+                              for u, v in pairs_seen)
+    for T, R in cases:
+        D, index = T.scaled_neighbours
+        N = T.dim_total
+        positions = list(index)
+        positions += [v for nb in index.values() for v, _ in nb]
+        positions += [w for nb in index.values() for _, ent in nb for w, _ in ent]
+        assert all(type(k) is int and 0 <= k < N for k in positions)
+        assert all(type(c) is int for nb in index.values() for _, ent in nb for _, c in ent)
+        if R is not None:
+            assert T.table == R.table
+            assert _entries(T) == _entries(R)
 
 
 def test_direct_power_blocks():
@@ -757,8 +819,8 @@ def test_index_report_builds_the_structure_matrix_only_at_the_witness(monkeypatc
     T = make_quotient(builtin_algebra("gl4"), parse_poly("t^4-t"))
     calls = _counted_structure_matrices(monkeypatch)
     rep = index_report(T, seed=0)
-    assert calls == [dict(zip(T.var_list(), rep.witness))]
-    assert all(type(x) is int for x in calls[0].values())
+    assert calls == [rep.witness]
+    assert all(type(x) is int for x in calls[0])
     assert rep.index == 16
 
 
@@ -804,8 +866,7 @@ def test_witness_rank_skew_matches_bareiss(case):
     T = WITNESS_TABLES[case]()
     vs = T.var_list()
     rep = index_report(T, seed=0)
-    ints = dict(zip(vs, map(int, rep.witness)))
-    upper = _structure_upper(T, ints)
+    upper = _structure_upper(T, tuple(map(int, rep.witness)))
     assert all(type(x) is int for row in upper for x in row)
     m = structure_matrix_at(T, dict(zip(vs, rep.witness)))
     assert rank_skew(upper) == rank(m) == rep.rank
@@ -815,7 +876,7 @@ def test_witness_rank_skew_matches_bareiss(case):
     L = math.lcm(*(x.denominator for x in point.values()))
     D = T.scaled_neighbours[0]
     assert D * L > 1
-    scaled = {w: int(x * L) for w, x in point.items()}
+    scaled = [int(point[w] * L) for w in vs]
     assert rank_skew(_structure_upper(T, scaled)) == rank(structure_matrix_at(T, point))
     if case == "sl3 member a=1/PRIME":
         assert D % PRIME == 0

@@ -304,10 +304,11 @@ def test_pairwise_commute_from_the_cheaper_side_matches_the_reference(kind, data
     central = _central_members(T)
     polys += data.draw(st.lists(st.sampled_from(central), max_size=2))
     if data.draw(st.booleans()):
+        vs = T.var_list()
         u, (v, _) = data.draw(st.sampled_from(
-            [(u, nb[0]) for u, nb in T.scaled_neighbours[1].items() if u in var_list
-             and nb[0][0] in var_list]))
-        polys += [MPoly.variable(u), MPoly.variable(v)]
+            [(vs[u], nb[0]) for u, nb in T.scaled_neighbours[1].items() if vs[u] in var_list
+             and vs[nb[0][0]] in var_list]))
+        polys += [MPoly.variable(u), MPoly.variable(vs[v])]
     polys = data.draw(st.permutations(polys)) if data.draw(st.booleans()) else polys
     want = _commute_by_reference(polys, [T])
     assert pairwise_commute(polys, T) == pairwise_commute(polys[::-1], T) == want
@@ -370,7 +371,7 @@ def test_pairwise_commute_skips_pairs_with_an_empty_side(monkeypatch):
     assert pairwise_commute([C, x, C * C], T)
     assert pairwise_commute([x, C], T) and pairwise_commute([C, x], T)
     assert contracted == []
-    y = MPoly.variable(T.scaled_neighbours[1][(0, 0)][0][0])  # [x, y] != 0
+    y = MPoly.variable(T.unflat(T.scaled_neighbours[1][0][0][0]))  # [x, y] != 0
     assert not pairwise_commute([C, x, y], T)
     assert len(contracted) == 1
 
@@ -492,11 +493,12 @@ def test_every_table_stores_its_neighbour_index():
         assert "scaled_neighbours" in vars(T) and "table" not in vars(T)
         D, index = T.scaled_neighbours
         back = {u: dict(pairs) for u, pairs in index.items()}
+        vs = T.var_list()
         for u, pairs in index.items():
             for v, ent in pairs:
                 assert back[v][u] == tuple((w, -c) for w, c in ent)
-                if T.flat(u) < T.flat(v):
-                    assert T.table[u, v] == tuple((w, Fraction(c, D)) for w, c in ent)
+                if u < v:
+                    assert T.table[vs[u], vs[v]] == tuple((vs[w], Fraction(c, D)) for w, c in ent)
         assert len(T.table) == sum(map(len, index.values())) // 2
     assert Q.scaled_neighbours[0] == 3
 

@@ -380,6 +380,31 @@ def test_cli_jacobi_scan_and_takiff_exit_on_budget(runner, monkeypatch):
     assert res.exit_code == 3
 
 
+def test_cli_malformed_algebra_names_exit_2(runner):
+    for name in ("abelian:x", "abelian:", "takiff:sl2", "takiff:sl2:x"):
+        res = runner.invoke(main, ["index", "--q", name, "--p", "t^2"])
+        assert res.exit_code == 2, name
+        assert res.output.startswith("input error:")
+
+
+def test_cli_refuses_oversized_algebras_and_quotients_before_building(runner, monkeypatch):
+    # a count longer than the budget, 1415^2 > 2000000 bracket pairs, and
+    # 3 * 3000 variables of sl2 mod t^3000
+    monkeypatch.delenv("GLAB_BUDGET_TERMS", raising=False)
+    for args, why in (
+            (["index", "--q", "abelian:99999999999", "--p", "t^2"],
+             "a count of 11 digits exceeds budget 2000000"),
+            (["index", "--q", "abelian:1415", "--p", "t^2"],
+             "abelian:1415 on 1415 variables has more than 2000000 bracket pairs"),
+            (["jacobi", "--q", "sl2", "--p", "t^3000"],
+             "on 9000 variables has more than 2000000 bracket pairs")):
+        start = time.perf_counter()
+        res = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1
+        assert res.exit_code == 3
+        assert why in res.output
+
+
 def test_cli_char_invariants_exit_on_budget(runner, monkeypatch):
     # n! * 2^n over the default budget: refused before the expansion, which
     # for sl8 would run for minutes with every product under the budget
