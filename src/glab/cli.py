@@ -155,11 +155,10 @@ def zz_build(qname, p1txt, p2txt, samples, seed, fmt):
     else:
         click.echo(f"pencil: {p1txt} / {p2txt} over {qname}")
         click.echo(f"members sampled: {len(Z.samples)}")
-        for i in sorted(Z.basis):
-            click.echo(
-                f"invariant {i}: {len(Z.basis[i])} independent generators "
-                f"(expected {Z.expected_counts()[i]})"
-            )
+        expected = Z.expected_counts()
+        for i, c in Z.counts().items():
+            click.echo(f"invariant {i}: {c} independent generators "
+                       f"(expected {expected[i]})")
 
 
 @zz.command("verify")

@@ -6,7 +6,7 @@ the answer is read out.
 
 ``_echelon`` is Bareiss elimination of integer rows, rational input
 cleared to integers row by row.  Rank, determinant and kernels use its
-echelon form; rref, mat_inv and RowSpace.basis use its reduced form.  A
+echelon form; rref, mat_inv and RowSpace.reduced use its reduced form.  A
 kernel takes one forward elimination, of the rows with their columns
 reversed, and a fraction-free back-substitution per free column, which
 yields its reduced row echelon basis: a canonical basis, reproducible byte

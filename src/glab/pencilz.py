@@ -42,7 +42,6 @@ from .psring import (
     cleared_jacobian,
     combination_basis,
     directional_derivative,
-    disjoint_supports,
     echelon_basis,
     hamiltonian_images,
     pairwise_commute,
@@ -112,23 +111,33 @@ class Pencil:
 
 @dataclass
 class ZAlgebra:
-    """Generators of the joint-center subalgebra of a pencil.
+    """Generators of the joint-center subalgebra of a pencil, held in
+    polarization coordinates.
 
     raw_generators counts the kernel vectors of the annihilation solves,
     one per raw generator, over every member and invariant; the raw
-    generators themselves are not formed.  basis holds one canonical
-    echelon basis per source invariant, which is what counting and
-    verification use.
+    generators themselves are not formed.  spaces holds, per source
+    invariant F, (pols, rows): its polarizations in
+    weakly_increasing(deg F, n - 1) order and the primitive integer
+    echelon rows, in that column order, of the kernel vectors of every
+    member.  The polarizations are independent (see build_Z), so the rows
+    count Z's part for F, and basis, one canonical echelon basis per
+    invariant, is formed from them only when first read.
     """
 
     pencil: Pencil
     invariants: list
     raw_generators: int
-    basis: dict
+    spaces: list
     samples: list
 
     def counts(self) -> dict:
-        return {i: len(b) for i, b in self.basis.items()}
+        return {i: len(rows) for i, (_, rows) in enumerate(self.spaces)}
+
+    @cached_property
+    def basis(self) -> dict:
+        return {i: combination_basis(pols, rows)
+                for i, (pols, rows) in enumerate(self.spaces)}
 
     def all_basis(self) -> list:
         out = []
@@ -222,13 +231,15 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     otherwise); basic_invariants are central by construction.
 
     Each kernel vector is one raw generator, and only counted.  The
-    member polynomials are linear in the kernel vectors and the
-    polarizations of a nonzero F have disjoint supports, so they are
-    independent: the kernel vectors of all members span a space that maps
-    one to one onto the span of the member polynomials.  The echelon basis
-    of that span is read off the kept integer echelon rows of the kernel
-    vectors, and each basis polynomial is formed once (see
-    psring.combination_basis).
+    member polynomials are linear in the kernel vectors, and the
+    polarizations of a nonzero F are independent: a polarized key gives
+    back the monomial of F when its levels are dropped and kvec, as a
+    multiset, when its indices are, so distinct kvecs have disjoint
+    supports, and each coefficient is that of a monomial of F times a
+    count of arrangements, never 0.  The kernel vectors of all members
+    thus span a space that maps one to one onto the span of the member
+    polynomials, and Z keeps that space as the integer echelon rows of the
+    kernel vectors (see ZAlgebra); no basis polynomial is formed here.
     """
     n = P.n
     if f_list is None:
@@ -257,26 +268,20 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
         raise InputError("sample count must be positive")
     if sample_count > budget:
         raise BudgetError(f"sample count {sample_count} exceeds budget {budget}")
-    spaces = []
-    for i, F in enumerate(f_list):
-        pols = [polarize(F, kv) for kv in weakly_increasing(degs[i], n - 1)]
-        # nonzero with disjoint supports, hence independent, so that a
-        # nonzero kernel vector is a nonzero member polynomial
-        if not disjoint_supports(pols):
-            raise InputError(f"the polarizations of invariant {i} are not independent")
-        spaces.append((pols, _pencil_rows(pols, P)))
+    families = [[polarize(F, kv) for kv in weakly_increasing(d, n - 1)]
+                for F, d in zip(f_list, degs)]
+    solves = [_pencil_rows(pols, P) for pols in families]
     raw = 0
-    kernels = [RowSpace(len(pols)) for pols, _ in spaces]
+    kernels = [RowSpace(len(pols)) for pols in families]
     samples = _sample_sequence(sample_count)
     for a in samples:
         weights = P.member_weights(a)
-        for i, (pols, rows) in enumerate(spaces):
-            for vec in _annihilator_combos(rows, weights, len(pols)):
+        for kernel, rows in zip(kernels, solves):
+            for vec in _annihilator_combos(rows, weights, kernel.width):
                 raw += 1
-                kernels[i].add(vec)
-    basis = {i: combination_basis(pols, kernels[i].rows)
-             for i, (pols, _) in enumerate(spaces)}
-    return ZAlgebra(pencil=P, invariants=f_list, raw_generators=raw, basis=basis,
+                kernel.add(vec)
+    spaces = [(pols, kernel.rows) for pols, kernel in zip(families, kernels)]
+    return ZAlgebra(pencil=P, invariants=f_list, raw_generators=raw, spaces=spaces,
                     samples=samples)
 
 

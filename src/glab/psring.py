@@ -19,8 +19,8 @@ above every t degree reached.
 A span is compared by its canonical echelon basis.  echelon_basis reduces
 the coefficient rows of any family; combination_basis reads the basis of
 the combinations of polys with disjoint supports, such as the polarizations
-of one invariant, off the coefficient vectors alone (pencilz.build_Z,
-invariantlab.invariants_degree).
+of one invariant, off the coefficient vectors alone (pencilz.ZAlgebra.basis,
+on its first read, and invariantlab.invariants_degree).
 
 All arithmetic runs on the numerators.  Sums, negation, scale and diff work
 on them directly; every product runs on one integer kernel, _mul_acc: MPoly
@@ -911,13 +911,6 @@ def coeff_rows(polys: Sequence) -> tuple:
     coefficient rows, all over one common denominator."""
     keys, rows = _key_rows(polys)
     return [_decode(k) for k in keys], rows
-
-
-def disjoint_supports(polys: Sequence) -> bool:
-    """Whether the polys are nonzero and no two share a monomial, so that
-    every nonzero combination of them is nonzero."""
-    keys = [F._nums for F in polys]
-    return all(keys) and sum(map(len, keys)) == len(set().union(*keys))
 
 
 def span_dim(polys: Sequence) -> int:

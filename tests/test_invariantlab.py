@@ -1,7 +1,7 @@
 """Invariants, polarizations, central generators, quadratic family."""
 import itertools
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -302,6 +302,35 @@ def test_polarize_invariants_matches_the_fraction_reference(qname):
         d = F.total_degree()
         for kvec in itertools.product(range(3), repeat=d):
             assert polarize(F, kvec) == reference_polarize(F, kvec)
+
+
+@lru_cache(maxsize=None)
+def _invariants(qname):
+    return tuple(basic_invariants(builtin_algebra(qname)))
+
+
+@st.composite
+def nonzero_homogeneous(draw):
+    """A nonzero F, homogeneous of degree d in t-degree-zero variables."""
+    d = draw(st.integers(0, 4))
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool)
+    return MPoly(draw(st.dictionaries(_t0_monomials(4, d), coeffs, min_size=1, max_size=5)))
+
+
+@given(st.one_of(nonzero_homogeneous(),
+                 st.sampled_from(["sl2", "sl3", "gl2", "gl3"]).flatmap(
+                     lambda qname: st.sampled_from(_invariants(qname)))),
+       st.integers(2, 4))
+@settings(max_examples=80, deadline=None)
+def test_polarizations_of_a_nonzero_F_have_disjoint_supports(F, n):
+    # what build_Z's independence of each polarization family rests on: a
+    # polarized monomial gives back F's monomial without its levels and
+    # kvec without its indices, and each coefficient is F's times a count
+    pols = [polarize(F, kv) for kv in weakly_increasing(F.total_degree(), n - 1)]
+    supports = [set(P.terms) for P in pols]
+    assert all(supports)
+    assert sum(map(len, supports)) == len(set().union(*supports))
+    assert span_dim(pols) == len(pols)
 
 
 def test_weakly_increasing_counts():

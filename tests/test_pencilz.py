@@ -199,7 +199,7 @@ def _basis_text(Z) -> str:
 # sha256 of the basis text and the number of raw generators, taken while
 # build_Z still bracketed every variable and formed every member polynomial
 # (sl5: while it still formed every basis combination and reduced them over
-# their monomials)
+# their monomials; sl6: while build_Z still formed every basis polynomial)
 @pytest.mark.parametrize("qname, p1, p2, generators, digest", [
     ("sl4", "t^2", "t^2+t", 66,
      "ad83913375917b3363741705e330536173086a46008dd96d176178a3455a532b"),
@@ -211,12 +211,29 @@ def _basis_text(Z) -> str:
      "ea16e9beb62a92ed5a23d4ebd5068416a608305b87737a904d327566abeea666"),
     ("sl5", "t^2", "t^2+t", 104,
      "d1f6f0bdd7a917fb9d018dd5f52628aa07daf18a8fdf835839e5c7302a8c8c1c"),
+    ("sl6", "t^2", "t^2+t", 150,
+     "2ce8281b07030b74f201a42ad93ce06f2da43a204f203f2916e7eeeb78b71b8e"),
 ])
 def test_build_Z_bytes_are_pinned(qname, p1, p2, generators, digest):
     Z = build_Z(Pencil(builtin_algebra(qname), parse_poly(p1), parse_poly(p2)))
     assert Z.raw_generators == generators
     assert Z.counts() == Z.expected_counts()
     assert hashlib.sha256(_basis_text(Z).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("qname, p1, p2", [
+    ("sl2", "t^2", "t^2+t"),
+    ("sl3", "t^2", "t^2+t"),
+    ("gl3", "t^2", "t^2+1"),
+    ("sl3", "t^3", "t^3+t"),
+])
+def test_build_Z_does_not_depend_on_which_end_comes_first(qname, p1, p2):
+    # the pencil of p1, p2 is that of p2, p1: the member at a of one is the
+    # member at 1 - a of the other, and the bases are canonical
+    q, p1, p2 = builtin_algebra(qname), parse_poly(p1), parse_poly(p2)
+    Z, W = build_Z(Pencil(q, p1, p2)), build_Z(Pencil(q, p2, p1))
+    assert Z.counts() == W.counts() == Z.expected_counts()
+    assert Z.basis == W.basis
 
 
 def test_trdeg(pen_t, sl2):
@@ -282,7 +299,8 @@ def test_verify_Z_commutes_checks_both_ends(sl2, pen_1):
     assert not any(hamiltonian_images([central], t2)[0])
     assert not poisson_bracket(central, e1, t1).is_zero()
     for pen in (pen_1, Pencil(sl2, parse_poly("t^2+1"), parse_poly("t^2"))):
-        Z = ZAlgebra(pen, [], 0, {0: [e1, e1 * e1], 1: [f1]}, [])
+        Z = ZAlgebra(pen, [], 0, [], [])
+        Z.basis = {0: [e1, e1 * e1], 1: [f1]}
         assert verify_Z_commutes(Z) is False  # fails under t^2 + 1 alone
         Z.basis = {0: [e1, e1 * e1], 1: [MPoly.const(3)]}
         assert verify_Z_commutes(Z) is True
@@ -329,7 +347,8 @@ def test_verify_Z_commutes_agrees_with_the_two_ends(sl2, reverse, polys, data):
     C1 = polarize(casimir(sl2), (1, 1))
     C01 = polarize(casimir(sl2), (0, 0)) - C1
     polys = polys + data.draw(st.lists(st.sampled_from([C1, C01]), max_size=2))
-    Z = ZAlgebra(P, [], 0, {0: polys}, [])
+    Z = ZAlgebra(P, [], 0, [], [])
+    Z.basis = {0: polys}
     want = all(psring.pairwise_commute(polys, T) for T in P.end_tables)
     assert verify_Z_commutes(Z) == want
 

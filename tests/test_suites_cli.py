@@ -211,6 +211,23 @@ def test_cli_zz_build_json_counts_every_member_kernel_vector(runner):
     assert payload["generators"] == 135
 
 
+def test_cli_zz_build_forms_no_basis_polynomial(runner, monkeypatch):
+    # the counts are the number of kept kernel rows; Z's basis polynomials
+    # are formed only when something reads them
+    def unreachable(*args):
+        raise AssertionError("zz build formed a basis polynomial")
+
+    monkeypatch.setattr(pencilz, "combination_basis", unreachable)
+    args = ["zz", "build", "--q", "sl3", "--p1", "t^2", "--p2", "t^2+t"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert "invariant 0: 3 independent generators (expected 3)" in res.output
+    assert "invariant 1: 4 independent generators (expected 4)" in res.output
+    res = runner.invoke(main, args + ["--format", "json"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["counts"] == {"0": 3, "1": 4}
+
+
 def test_z_case_on_a_sum_of_abelian_algebras():
     # the invariants of an abelian sum come from its structure, not its name
     q = builtin_algebra("sum:abelian:1,abelian:2")
