@@ -128,9 +128,6 @@ class QMatrix:
     def row(self, i: int) -> list:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
-    def row_lists(self) -> list:
-        return [self.row(i) for i in range(self.rows)]
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -574,18 +571,6 @@ def row_space(rows: Iterable, width: int) -> RowSpace:
         if any(r) and rs.add(r) and rs.dim == width:
             break
     return rs
-
-
-def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
-    if a.cols != b.rows:
-        raise InputError("shape mismatch in product")
-    ent = []
-    brows = b.row_lists()
-    for i in range(a.rows):
-        ra = a.row(i)
-        for j in range(b.cols):
-            ent.append(sum((ra[k] * brows[k][j] for k in range(a.cols)), Fraction(0)))
-    return QMatrix(a.rows, b.cols, tuple(ent))
 
 
 def mat_inv(m: QMatrix) -> QMatrix:

@@ -43,10 +43,8 @@ from .liecore import (
 from .psring import (
     MPoly,
     annihilation_rows,
-    apply_derivation,
     coeff_rows,
     combination_basis,
-    hamiltonian_images,
     poisson_bracket,
     polarize,
     primitive,
@@ -96,7 +94,7 @@ def _char_invariants(q: LieAlgebra) -> tuple:
             f"exceed budget {budget}")
     out = tuple(primitive(c) for c in _berkowitz(_generic_matrix(q, n))[1:]
                 if not c.is_zero())
-    if any(hamiltonian_images(out, wrap_algebra(q))):
+    if any(annihilation_rows(out, [wrap_algebra(q)])):
         raise InputError(
             f"characteristic invariants of {q.name} are not central: its "
             f"matrices do not represent its basis"
@@ -441,13 +439,10 @@ def h_span(q: LieAlgebra, p: UniPoly) -> list:
 def centralizer_in_span(target: MPoly, span: Sequence, T: BracketTable) -> list:
     """Combinations of the span that Poisson-commute with target under T.
 
-    Returns coefficient vectors (canonical echelon basis) over the span.
+    Returns coefficient vectors (canonical echelon basis) over the span:
+    the kernel of the transposed coefficient rows of the {target, s}.
     """
-    # {target, s} = sum_u ds/dx_u * {target, x_u}: one image set serves
-    # the whole span, and the sign does not change the kernel
-    H = hamiltonian_images([target], T)[0]
-    images = [apply_derivation(s, lambda u: H.get(u, MPoly.zero())) for s in span]
-    _, rows = coeff_rows(images)
+    _, rows = coeff_rows([poisson_bracket(target, s, T) for s in span])
     return row_space(zip(*rows), len(span)).kernel()
 
 

@@ -43,7 +43,6 @@ from .psring import (
     combination_basis,
     directional_derivative,
     echelon_basis,
-    hamiltonian_images,
     pairwise_commute,
     polarize,
     psi_p,
@@ -247,7 +246,7 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     else:
         f_list = list(f_list)
         if any(F.is_zero() for F in f_list) or any(
-                hamiltonian_images(f_list, wrap_algebra(P.base))):
+                annihilation_rows(f_list, [wrap_algebra(P.base)])):
             raise InputError("every invariant to polarize must be a nonzero "
                              f"invariant of {P.base.name}")
     if not f_list:

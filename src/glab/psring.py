@@ -24,10 +24,11 @@ on its first read, and invariantlab.invariants_degree).
 
 All arithmetic runs on the numerators.  Sums, negation, scale and diff work
 on them directly; every product runs on one integer kernel, _mul_acc: MPoly
-products and powers, substitute_vars, and the derivations (the bracket, the
-Hamiltonian images, apply_derivation and through it tau and the directional
-derivatives), which take all partials in one pass (_partials) and sum the
-Leibniz rule with _contract.  A kernel brings its inputs over one common
+products and powers, substitute_vars, the images {F, x_v} behind
+annihilation_rows and pairwise_commute, and the derivations (the bracket,
+apply_derivation and through it tau and the directional derivatives), which
+take all partials in one pass (_partials) and sum the Leibniz rule with
+_contract.  A kernel brings its inputs over one common
 denominator only where it sums them, and hands its result to
 _from_numerators, the one normalizer: it drops zero terms and divides out
 the gcd once.  Every map of t-levels, x_i t^a -> x_i * r(t) (psi_p, the
@@ -688,25 +689,6 @@ def _int_images(partials: dict, index: dict, targets, budget: int) -> dict:
     return images
 
 
-def hamiltonian_images(polys: Sequence, T: BracketTable) -> list:
-    """images[k][v] = {polys[k], x_v} under the table T.
-
-    Each images[k] maps a variable v to its nonzero image, so polys[k] is
-    central for T exactly when images[k] is empty.  The condition
-    {sum c_k polys[k], x_v} = 0 is linear in c and in the bracket: the
-    images under a pencil member a * T1 + b * T2 are a * images under T1
-    plus b * images under T2.  The images come from T's scaled neighbour
-    index.
-    """
-    D, index = _keyed_neighbours(T)
-    budget = term_budget()
-    out = []
-    for F in polys:
-        images = _int_images(_partials(F._nums), index, None, budget)
-        out.append({v: _from_numerators(img, D * F._den) for v, img in images.items()})
-    return out
-
-
 def poisson_bracket(F: MPoly, G: MPoly, T: BracketTable) -> MPoly:
     """{F, G} extending the bracket of T by the Leibniz rule.
 
@@ -808,24 +790,33 @@ def annihilation_rows(polys: Sequence, tables: Sequence, targets=None):
     D_e * d_k.  Each row is made primitive with its first nonzero entry
     positive, and a row yielded before is skipped: scaling a row keeps the
     span and the kernel, so every canonical basis read from the rows stays
-    the same.  The images are formed once per polynomial and table; the
-    rows are built one variable at a time, variables and monomials in the
-    order the images first hold them, so only the distinct rows are ever
-    held.  Every consumer reads a kernel off the rows, and no row order
-    changes a kernel.  With targets, a partial dF/dx_u is taken only where
-    [x_u, x_v] != 0 under some table for some v in targets, the only u at
-    which an image reads it.
+    the same.  The partials of each polynomial are taken once, its images
+    formed under every table, and the partials dropped before the next
+    polynomial; the rows are built one variable at a time, variables and
+    monomials in the order the images first hold them, so only the
+    distinct rows are ever held.  No row order changes a kernel.  With
+    targets, a partial dF/dx_u is taken only where [x_u, x_v] != 0 under
+    some table for some v in targets, the only u at which an image reads
+    it.
+
+    The consumers read a kernel off the rows (pencilz._pencil_rows,
+    invariantlab.invariants_degree) or only whether there is one: every row
+    is nonzero, so the polys are all central for a table T exactly when
+    any(annihilation_rows(polys, [T])) is False, which is the one
+    centrality test.
     """
     budget = term_budget()
     keyed = [_keyed_neighbours(T) for T in tables]
     wanted = None if targets is None else {
         u for _, index in keyed for u, pairs in index.items()
         if any(v in targets for v, _ in pairs)}
-    partials = [(F._den, _partials(F._nums, wanted)) for F in polys]
-    cols = []  # (D_e * d_k, v -> {k: n}) per column (e, k)
-    for D, index in keyed:
-        for d, pf in partials:
-            cols.append((D * d, _int_images(pf, index, targets, budget)))
+    K = len(polys)
+    cols = [None] * (len(keyed) * K)  # (D_e * d_k, v -> {k: n}) per column (e, k)
+    for k, F in enumerate(polys):
+        pf = _partials(F._nums, wanted)
+        for e, (D, index) in enumerate(keyed):
+            cols[e * K + k] = (D * F._den, _int_images(pf, index, targets, budget))
+        del pf
     lcm = math.lcm(*(den for den, _ in cols))
     cols = [(lcm // den, images) for den, images in cols]
     seen = set()

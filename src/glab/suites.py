@@ -32,7 +32,7 @@ from .liecore import (
 )
 from .psring import (
     MPoly,
-    hamiltonian_images,
+    annihilation_rows,
     pairwise_commute,
     poisson_bracket,
     psi_p,
@@ -313,7 +313,7 @@ def _suite_takiff(params, seed):
         gens = takiff_generators(fs, n)
         p = UniPoly.monomial(n)
         T = make_quotient(q, p)
-        central = not any(hamiltonian_images(gens, T))
+        central = not any(annihilation_rows(gens, [T]))
         want = n * len(fs)
         rep = trdeg_estimate(gens, T.var_list(), seed=seed)
         checks.append(CheckResult(
@@ -466,10 +466,10 @@ def _suite_quad_family(params, seed):
     for ptxt in params["x_moduli"]:
         p = parse_poly(ptxt)
         x = lemma_x_element(q, p)
-        central = not any(hamiltonian_images([x], make_quotient(q, p)))
+        central = not any(annihilation_rows([x], [make_quotient(q, p)]))
         shifted = x - quad_h(q, 1, 1, p).scale(Fraction(1, 2))
         central_t = not any(
-            hamiltonian_images([shifted], make_quotient(q, p + UniPoly.t()))
+            annihilation_rows([shifted], [make_quotient(q, p + UniPoly.t())])
         )
         checks.append(CheckResult(
             f"corrected-element[{ptxt}]", central and central_t,

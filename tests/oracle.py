@@ -146,7 +146,7 @@ def reference_solve_slot_grams(q, alpha, rhs):
     inner = 1  # stride of slot u: the product of the sizes after it
     for k in reversed(alpha):
         try:
-            inv = mat_inv(reference_slot_gram(q, k)).row_lists()
+            inv = matrix_rows(mat_inv(reference_slot_gram(q, k)))
         except InputError as exc:
             raise InputError("pairing matrix is singular") from exc
         n = len(inv)
@@ -215,6 +215,21 @@ def reference_kron(a, b):
                 for l in range(b.cols):
                     ent.append(a.at(i, j) * b.at(k, l))
     return QMatrix(a.rows * b.rows, a.cols * b.cols, tuple(ent))
+
+
+def matrix_rows(m):
+    """The rows of a QMatrix as lists."""
+    return [m.row(i) for i in range(m.rows)]
+
+
+def reference_mat_mul(a, b):
+    """The product of two QMatrix, entry by entry in Fraction arithmetic."""
+    if a.cols != b.rows:
+        raise InputError("shape mismatch in product")
+    cols = list(zip(*matrix_rows(b)))
+    ent = [sum((x * y for x, y in zip(ra, cb)), Fraction(0))
+           for ra in matrix_rows(a) for cb in cols]
+    return QMatrix(a.rows, b.cols, tuple(ent))
 
 
 def reference_diff(F, v):
@@ -296,6 +311,25 @@ def reference_bracket(F, G, T):
             continue
         acc = acc + reference_mul(diff, MPoly.from_entries(ent))
     return acc
+
+
+def reference_images(F, T):
+    """v -> {F, x_v} under a BracketTable for every v with a nonzero image,
+    by walking every stored pair once.
+
+    The pair (u, v) of T.table adds dF/du [x_u, x_v] to the image at v and
+    -dF/dv [x_u, x_v] to the image at u: reference_bracket(F, x_v, T) for
+    all v in one walk.
+    """
+    vars_f = F.vars()
+    dF = {u: reference_diff(F, u) for u in vars_f}
+    out: dict = {}
+    for (u, v), ent in T.table.items():
+        lin = MPoly.from_entries(ent)
+        for a, b, sign in ((u, v, 1), (v, u, -1)):
+            if a in vars_f:
+                out[b] = out.get(b, MPoly.zero()) + reference_mul(dF[a], lin).scale(sign)
+    return {v: img for v, img in out.items() if not img.is_zero()}
 
 
 def position(T, v):

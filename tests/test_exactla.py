@@ -17,7 +17,6 @@ from glab.exactla import (
     det,
     int_matrix,
     mat_inv,
-    mat_mul,
     nullspace,
     packed_width,
     rank,
@@ -38,7 +37,9 @@ from glab.liecore import (
     structure_matrix_at,
 )
 from oracle import (
+    matrix_rows,
     reference_kron,
+    reference_mat_mul,
     reference_nullspace,
     reference_rank_mod_p,
     reference_rref,
@@ -94,7 +95,7 @@ def test_rat_parsing():
 def test_matrix_basics():
     m = QMatrix.from_rows([[1, 2], [3, 4]])
     assert m.at(1, 0) == 3
-    assert m.row_lists() == [[1, 2], [3, 4]]
+    assert [m.row(i) for i in range(m.rows)] == [[1, 2], [3, 4]]
     with pytest.raises(InputError):
         QMatrix.from_rows([[1], [2, 3]])
 
@@ -128,7 +129,7 @@ def test_det_matches_cofactor_expansion(rows):
 @settings(max_examples=60, deadline=None)
 def test_int_matrix_clears_over_the_least_denominator(m):
     d, rows = int_matrix(m)
-    assert [[Fraction(x, d) for x in r] for r in rows] == m.row_lists()
+    assert [[Fraction(x, d) for x in r] for r in rows] == matrix_rows(m)
     assert d == math.lcm(*(Fraction(x).denominator for x in m.entries))
 
 
@@ -140,7 +141,7 @@ def test_det_requires_square():
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_transpose_invariant(m):
-    transposed = QMatrix.from_rows([list(col) for col in zip(*m.row_lists())])
+    transposed = QMatrix.from_rows([list(col) for col in zip(*matrix_rows(m))])
     assert rank(m) == rank(transposed)
 
 
@@ -161,7 +162,7 @@ def test_nullspace_annihilates(m):
 @given(matrices())
 @settings(max_examples=40, deadline=None)
 def test_rref_idempotent(m):
-    rows1, piv1 = rref(m.row_lists())
+    rows1, piv1 = rref(matrix_rows(m))
     rows2, piv2 = rref(rows1)
     assert rows1 == rows2
     assert piv1 == piv2
@@ -171,7 +172,7 @@ def test_rref_idempotent(m):
 @settings(max_examples=40, deadline=None)
 def test_rowspace_dim_equals_rank(m):
     rs = RowSpace(m.cols)
-    for row in m.row_lists():
+    for row in matrix_rows(m):
         rs.add(row)
     assert rs.dim == rank(m)
 
@@ -179,7 +180,7 @@ def test_rowspace_dim_equals_rank(m):
 @given(matrices())
 @settings(max_examples=40, deadline=None)
 def test_row_space_kernel_equals_nullspace(m):
-    assert row_space(m.row_lists(), m.cols).kernel() == nullspace(m)
+    assert row_space(matrix_rows(m), m.cols).kernel() == nullspace(m)
 
 
 def test_rowspace_contains():
@@ -195,7 +196,7 @@ def test_rowspace_contains():
 def test_mat_mul_and_inv():
     a = QMatrix.from_rows([[2, 1], [1, 1]])
     inv = mat_inv(a)
-    assert mat_mul(a, inv) == QMatrix.from_rows([[1, 0], [0, 1]])
+    assert reference_mat_mul(a, inv) == QMatrix.from_rows([[1, 0], [0, 1]])
     with pytest.raises(InputError):
         mat_inv(QMatrix.from_rows([[1, 1], [2, 2]]))
 
@@ -643,13 +644,13 @@ def test_kernel_edge_cases_match_the_reference():
         QMatrix.from_rows([[0, 0, 3], [0, 0, -1]]),
     ]
     for m in cases:
-        assert repr(nullspace(m)) == repr(reference_nullspace(m.row_lists(), m.cols))
+        assert repr(nullspace(m)) == repr(reference_nullspace(matrix_rows(m), m.cols))
     assert nullspace(cases[0]) == eye(4)
     assert nullspace(cases[1]) == nullspace(cases[2]) == []
     assert nullspace(cases[3]) == eye(3)
     assert RowSpace(3).kernel() == eye(3) == reference_nullspace([], 3)
     rs = RowSpace(4)
-    for r in cases[4].row_lists():
+    for r in matrix_rows(cases[4]):
         rs.add(r)
     before = rs.reduced()
     assert rs.kernel() == rs.kernel() == nullspace(cases[4])

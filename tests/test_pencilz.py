@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exactla import BudgetError, InputError, QMatrix, RowSpace, nullspace, rat_str, row_space
+from glab.exactla import (
+    BudgetError, InputError, QMatrix, RowSpace, mat_inv, nullspace, rat_str, row_space,
+)
 from glab.liecore import (
     UniPoly,
     algebra_from_json,
     algebra_to_json,
     builtin_algebra,
+    index_report,
     make_difference_bracket,
     parse_poly,
     pencil_combination,
@@ -23,9 +26,11 @@ from glab.psring import (
     MPoly,
     annihilation_rows,
     coeff_rows,
-    hamiltonian_images,
     echelon_basis,
     poisson_bracket,
+    primitive,
+    substitute_levels,
+    substitute_vars,
 )
 from glab.invariantlab import (
     basic_invariants,
@@ -53,7 +58,12 @@ from glab.pencilz import (
     trdeg_of_Z,
     verify_Z_commutes,
 )
-from oracle import reference_combine, reference_jacobian_at, reference_sampled_max_rank
+from oracle import (
+    reference_combine,
+    reference_images,
+    reference_jacobian_at,
+    reference_sampled_max_rank,
+)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +130,8 @@ def test_build_Z_recipes_reproduce_central_generators(sl3):
             for vec in _annihilator_combos(rows, P.member_weights(a), len(pols)):
                 poly = reference_combine(pols, vec)
                 assert not poly.is_zero()
-                assert not any(hamiltonian_images([poly], member))
+                assert all(poisson_bracket(poly, MPoly.variable(v), member).is_zero()
+                           for v in member.var_list())
                 assert echelon_basis(Z.basis[i] + [poly]) == Z.basis[i]
                 raw += 1
     assert raw == Z.raw_generators == 36
@@ -221,12 +232,16 @@ def test_build_Z_bytes_are_pinned(qname, p1, p2, generators, digest):
     assert hashlib.sha256(_basis_text(Z).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("qname, p1, p2", [
+# small pencils on which Z must not depend on a choice the paper does not make
+METAMORPHIC_CASES = [
     ("sl2", "t^2", "t^2+t"),
     ("sl3", "t^2", "t^2+t"),
     ("gl3", "t^2", "t^2+1"),
     ("sl3", "t^3", "t^3+t"),
-])
+]
+
+
+@pytest.mark.parametrize("qname, p1, p2", METAMORPHIC_CASES)
 def test_build_Z_does_not_depend_on_which_end_comes_first(qname, p1, p2):
     # the pencil of p1, p2 is that of p2, p1: the member at a of one is the
     # member at 1 - a of the other, and the bases are canonical
@@ -234,6 +249,105 @@ def test_build_Z_does_not_depend_on_which_end_comes_first(qname, p1, p2):
     Z, W = build_Z(Pencil(q, p1, p2)), build_Z(Pencil(q, p2, p1))
     assert Z.counts() == W.counts() == Z.expected_counts()
     assert Z.basis == W.basis
+
+
+def _pencil_summary(q, p1, p2):
+    """What the choice of a basis of q must not change: the index of q and
+    of both ends, Z's counts, whether Z commutes, and its trdeg."""
+    P = Pencil(q, parse_poly(p1), parse_poly(p2))
+    Z = build_Z(P)
+    return (index_report(q).index, [index_report(T).index for T in P.end_tables],
+            Z.counts(), verify_Z_commutes(Z), trdeg_of_Z(Z).rank)
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin_summary(qname, p1, p2):
+    return _pencil_summary(builtin_algebra(qname), p1, p2)
+
+
+def invertible_matrices(dim):
+    """Invertible rational dim x dim matrices: a product of elementary row
+    operations row_i += c * row_j, then one row halved or none."""
+    op = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                   st.sampled_from([-2, -1, 1, 2])).filter(lambda o: o[0] != o[1])
+
+    def build(ops, halved):
+        g = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+        for i, j, c in ops:
+            g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+        if halved is not None:
+            g[halved] = [x / 2 for x in g[halved]]
+        return g
+
+    return st.builds(build, st.lists(op, min_size=1, max_size=dim),
+                     st.none() | st.integers(0, dim - 1))
+
+
+def _changed_basis(q, g):
+    """q in the basis y_a = sum_i g[a][i] x_i, its structure constants,
+    form and matrices carried over and loaded through algebra_from_json."""
+    n = q.dim
+    # x_k = sum_c ginv[k][c] y_c
+    ginv = [mat_inv(QMatrix.from_rows(g)).row(i) for i in range(n)]
+    sc = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            acc = [Fraction(0)] * n  # [y_a, y_b] on the y_c
+            for i, j, ent in q.sc:
+                w = g[a][i] * g[b][j] - g[a][j] * g[b][i]
+                if w:
+                    for k, x in ent:
+                        acc = [s + w * x * y for s, y in zip(acc, ginv[k])]
+            sc.extend([a, b, c, rat_str(x)] for c, x in enumerate(acc) if x)
+    form = [[sum(g[a][i] * q.form.at(i, j) * g[b][j] for i in range(n) for j in range(n))
+             for b in range(n)] for a in range(n)]
+    matrices = []
+    for a in range(n):
+        entries = {}
+        for i, m in enumerate(q.matrices):
+            for r, c, x in m:
+                entries[r, c] = entries.get((r, c), 0) + g[a][i] * x
+        matrices.append([[r, c, rat_str(x)] for (r, c), x in sorted(entries.items()) if x])
+    return algebra_from_json(dict(
+        algebra_to_json(q), sc=sc, form=[[rat_str(x) for x in row] for row in form],
+        matrices=matrices))
+
+
+@pytest.mark.parametrize("qname, p1, p2", METAMORPHIC_CASES + [("gl2", "t^2", "t^2+t")])
+@given(st.data())
+@settings(max_examples=3, deadline=None)
+def test_a_change_of_basis_of_q_changes_nothing_but_coordinates(qname, p1, p2, data):
+    # the invariants of q in the basis y = g x are those of q with
+    # x_k = sum_c g^-1[k][c] y_c, up to primitive; the index, Z's counts,
+    # its commutation and its trdeg are the same
+    q = builtin_algebra(qname)
+    g = data.draw(invertible_matrices(q.dim))
+    qg = _changed_basis(q, g)
+    ginv = mat_inv(QMatrix.from_rows(g))
+    to_y = {(k, 0): sum((MPoly.variable((c, 0), ginv.at(k, c)) for c in range(q.dim)),
+                        MPoly.zero()) for k in range(q.dim)}
+    want = [primitive(substitute_vars(F, to_y)) for F in basic_invariants(q)]
+    assert basic_invariants(qg) == want
+    assert _pencil_summary(qg, p1, p2) == _builtin_summary(qname, p1, p2)
+
+
+@pytest.mark.parametrize("qname, p1, p2", METAMORPHIC_CASES)
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(-2, 3)])
+def test_shifting_t_maps_Z_level_by_level(qname, p1, p2, c):
+    # x t^a -> x (t + c)^a carries q[t]/(p) onto q[t]/(p(t + c)), so Z of
+    # the shifted pencil is the image of Z, span by span.  At n = 3 the
+    # other direction, (t - c)^a, gives another span
+    q, p1, p2 = builtin_algebra(qname), parse_poly(p1), parse_poly(p2)
+    r = UniPoly.make([c, 1])  # t + c
+
+    def shifted(p):
+        return sum(((r ** k).scale(p.coeff(k)) for k in range(p.degree + 1)), UniPoly.zero())
+
+    Z = build_Z(Pencil(q, p1, p2))
+    W = build_Z(Pencil(q, shifted(p1), shifted(p2)))
+    for i, basis in Z.basis.items():
+        assert W.basis[i] == echelon_basis([substitute_levels(F, lambda a: r ** a)
+                                            for F in basis])
 
 
 def test_trdeg(pen_t, sl2):
@@ -296,7 +410,8 @@ def test_verify_Z_commutes_checks_both_ends(sl2, pen_1):
     t1, t2 = pen_1.end_tables
     assert poisson_bracket(e1, f1, t1).is_zero()
     assert poisson_bracket(e1, f1, t2) == -h
-    assert not any(hamiltonian_images([central], t2)[0])
+    assert all(poisson_bracket(central, MPoly.variable(v), t2).is_zero()
+               for v in t2.var_list())
     assert not poisson_bracket(central, e1, t1).is_zero()
     for pen in (pen_1, Pencil(sl2, parse_poly("t^2+1"), parse_poly("t^2"))):
         Z = ZAlgebra(pen, [], 0, [], [])
@@ -486,19 +601,21 @@ def mpolys3():
        st.lists(mpolys3(), min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_member_images_are_linear_in_the_ends(sl2, a, polys):
+    # {F, x_v} under a * T1 + (1 - a) * T2, as _pencil_rows reads it
     P = Pencil(sl2, parse_poly("t^3"), parse_poly("t^3+t"))
-    got = hamiltonian_images(polys, pencil_combination(*P.end_tables, a, 1 - a))
-    m1, m2 = (hamiltonian_images(polys, T) for T in P.end_tables)
-    zero = MPoly.zero()
-    for k in range(len(polys)):
+    t1, t2 = P.end_tables
+    member = pencil_combination(t1, t2, a, 1 - a)
+    for F in polys:
         for v in VARS3:
-            want = m1[k].get(v, zero).scale(a) + m2[k].get(v, zero).scale(1 - a)
-            assert got[k].get(v, zero) == want
+            x = MPoly.variable(v)
+            want = poisson_bracket(F, x, t1).scale(a) + poisson_bracket(F, x, t2).scale(1 - a)
+            assert poisson_bracket(F, x, member) == want
 
 
 def _dense_combos(pols, T):
-    """The annihilation kernel from the tall block matrix of one member."""
-    images = hamiltonian_images(pols, T)
+    """The annihilation kernel from the tall block matrix of one member,
+    its images {pol, x_v} from the oracle's table walk."""
+    images = [reference_images(F, T) for F in pols]
     blocks = []
     for v in T.var_list():
         col = [img.get(v, MPoly.zero()) for img in images]

@@ -31,7 +31,6 @@ ALLOWLIST = {
                        "invariant tests load sl2 and sl3 back from it",
     "algebra_from_json": "loads an algebra whose invariants come from its matrices, "
                          "under any name; no command reads an algebra file yet",
-    "mat_mul": "the reference that test_mat_mul_and_inv checks mat_inv against",
     "invariants_degree": "exact invariants from the bracket alone, cross-checked with sympy",
     "check_form_invariant": "checks the stored invariant form of the built-in algebras",
 }
