@@ -46,6 +46,7 @@ from .psring import (
     coeff_rows,
     combination_basis,
     poisson_bracket,
+    poisson_brackets,
     polarize,
     primitive,
     psi_p,
@@ -440,9 +441,11 @@ def centralizer_in_span(target: MPoly, span: Sequence, T: BracketTable) -> list:
     """Combinations of the span that Poisson-commute with target under T.
 
     Returns coefficient vectors (canonical echelon basis) over the span:
-    the kernel of the transposed coefficient rows of the {target, s}.
+    the kernel of the transposed coefficient rows of the {target, s}, with
+    the images of target formed once.
     """
-    _, rows = coeff_rows([poisson_bracket(target, s, T) for s in span])
+    (brackets,) = poisson_brackets((target,), span, T)
+    _, rows = coeff_rows(brackets)
     return row_space(zip(*rows), len(span)).kernel()
 
 

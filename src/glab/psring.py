@@ -25,10 +25,12 @@ on its first read, and invariantlab.invariants_degree).
 All arithmetic runs on the numerators.  Sums, negation, scale and diff work
 on them directly; every product runs on one integer kernel, _mul_acc: MPoly
 products and powers, substitute_vars, the images {F, x_v} behind
-annihilation_rows and pairwise_commute, and the derivations (the bracket,
-apply_derivation and through it tau and the directional derivatives), which
-take all partials in one pass (_partials) and sum the Leibniz rule with
-_contract.  A kernel brings its inputs over one common
+poisson_brackets, annihilation_rows and pairwise_commute, and the
+derivations (the bracket, apply_derivation and through it tau and the
+directional derivatives), which take all partials in one pass (_partials)
+and sum the Leibniz rule with _contract.  poisson_brackets brackets a family
+against a family, forming each left-hand side's images once; poisson_bracket
+is its one-pair case.  A kernel brings its inputs over one common
 denominator only where it sums them, and hands its result to
 _from_numerators, the one normalizer: it drops zero terms and divides out
 the gcd once.  Every map of t-levels, x_i t^a -> x_i * r(t) (psi_p, the
@@ -689,22 +691,37 @@ def _int_images(partials: dict, index: dict, targets, budget: int) -> dict:
     return images
 
 
-def poisson_bracket(F: MPoly, G: MPoly, T: BracketTable) -> MPoly:
-    """{F, G} extending the bracket of T by the Leibniz rule.
+def poisson_brackets(Fs: Iterable, Gs: Sequence, T: BracketTable):
+    """For each F of Fs, in order, the list [{F, G} for G in Gs]: the
+    bracket of T extended by the Leibniz rule, a family at a time.
 
-    This is sum_v {F, x_v} * dG/dx_v over v in vars(G), where {F, x_v}
+    {F, G} = sum_v {F, x_v} * dG/dx_v over v in vars(G), where {F, x_v}
     visits only the pairs [x_u, x_v] with u in vars(F), read from T's
-    scaled neighbour index.  A variable outside T brackets to zero, so
-    q[t] is bracketed as q[t]/(t^N) with N above every t degree a
-    bracket reaches.  All of it runs on the integer numerators of F, of G
-    and of T's scaled index, over the product of their denominators.
+    scaled neighbour index.  The partials of each G are taken once; the
+    images {F, x_v} of each F are formed once, at every variable some G
+    holds, and contracted with the partials of every G.  One row is
+    yielded at a time, so only one row is held.  A variable outside T
+    brackets to zero, so q[t] is bracketed as q[t]/(t^N) with N above
+    every t degree a bracket reaches.  All of it runs on the integer
+    numerators of F, of G and of T's scaled index, over the product of
+    their denominators.
     """
-    pg = _partials(G._nums)
     D, index = _keyed_neighbours(T)
     budget = term_budget()
-    images = _int_images(_partials(F._nums), index, pg, budget)
-    return _from_numerators(_contract(pg, _tops(pg), images, _tops(images), budget),
-                            D * F._den * G._den)
+    partials = [_partials(G._nums) for G in Gs]
+    ptops = [_tops(pg) for pg in partials]
+    held = set().union(*partials)
+    for F in Fs:
+        images = _int_images(_partials(F._nums), index, held, budget)
+        itops = _tops(images)
+        yield [_from_numerators(_contract(pg, pt, images, itops, budget), D * F._den * G._den)
+               for G, pg, pt in zip(Gs, partials, ptops)]
+
+
+def poisson_bracket(F: MPoly, G: MPoly, T: BracketTable) -> MPoly:
+    """{F, G} under T: the one-pair case of poisson_brackets."""
+    (row,) = poisson_brackets((F,), (G,), T)
+    return row[0]
 
 
 def _side_cost(images: dict, itops: dict, partials: dict, ptops: dict) -> tuple:

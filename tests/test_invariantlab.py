@@ -19,6 +19,7 @@ from glab.liecore import (
     parse_poly,
     rational_roots,
 )
+from glab import psring
 from glab.psring import (
     MPoly,
     poisson_bracket,
@@ -567,6 +568,21 @@ def test_centralizer_dims(sl2):
             span = [s for _, s in h_span(sl2, p)]
             combos = centralizer_in_span(quad_h(sl2, 1, 1, p), span, T)
             assert len(combos) == 2 * n - 1
+
+
+def test_centralizer_in_span_forms_the_target_images_once(sl2, monkeypatch):
+    p = parse_poly("t^3")
+    T = make_quotient(sl2, p)
+    span = [s for _, s in h_span(sl2, p)]
+    images, calls = psring._int_images, []
+
+    def counted(*args):
+        calls.append(args)
+        return images(*args)
+
+    monkeypatch.setattr(psring, "_int_images", counted)
+    assert len(centralizer_in_span(quad_h(sl2, 1, 1, p), span, T)) == 5
+    assert len(span) == 6 and len(calls) == 1
 
 
 def test_predicted_basis_power_modulus(sl2):

@@ -30,6 +30,7 @@ from glab.psring import (
     mono_sort_key,
     pairwise_commute,
     poisson_bracket,
+    poisson_brackets,
     psi_p,
     shift_t_down,
     span_dim,
@@ -257,6 +258,27 @@ def test_indexed_bracket_matches_table_walk(kind, data):
     for v in T.var_list():
         x = MPoly.variable(v)
         assert poisson_bracket(F, x, T) == reference_bracket(F, x, T)
+
+
+@given(st.sampled_from(sorted(TABLES)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_family_brackets_match_the_oracle(kind, data):
+    # each row is the oracle's row and each entry the one-pair bracket, for
+    # empty families, zero, constants and an F that is also among the Gs
+    T = TABLES[kind]
+    var_list = T.var_list()
+    if kind == "current":
+        var_list = [(i, a) for i, a in var_list if a <= CURRENT_DEGREE]
+    polys = st.lists(table_mpolys(var_list), max_size=3)
+    Fs, Gs = data.draw(polys), data.draw(polys)
+    c = data.draw(st.fractions(min_value=-6, max_value=6, max_denominator=12))
+    edges = [MPoly.zero(), MPoly.const(c)]
+    cases = [(Fs, Gs), ([], Gs), (Fs, []), (Fs + edges, Gs + edges + Fs)]
+    for fs, gs in cases:
+        rows = list(poisson_brackets(iter(fs), gs, T))
+        assert rows == [[reference_bracket(F, G, T) for G in gs] for F in fs]
+        assert all(B == poisson_bracket(F, G, T)
+                   for F, row in zip(fs, rows) for G, B in zip(gs, row))
 
 
 @given(st.sampled_from(sorted(TABLES)), st.data())
@@ -936,6 +958,11 @@ def test_bracket_kernel_keeps_the_term_budget(monkeypatch):
         poisson_bracket(F, G, T)
     with pytest.raises(BudgetError):  # {h, x_v} * dF/dx_v, 1 x 6 terms
         poisson_bracket(h, F, T)
+    # the family bracket runs the same products
+    with pytest.raises(BudgetError):
+        list(poisson_brackets([F], [G], T))
+    with pytest.raises(BudgetError):
+        list(poisson_brackets([h], [F], T))
     with pytest.raises(BudgetError):
         any(annihilation_rows([F], [T]))
     # the derivations run on the same kernel: image(v) * dF/dx_v, 1 x 6 terms

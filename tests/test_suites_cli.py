@@ -187,6 +187,24 @@ def test_truncated_current_bracket_reports_are_pinned(name, params, digest):
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
+def test_quad_family_forms_each_quadratic_images_once(monkeypatch):
+    # range 2 has 4 H[a, b], whose images the bracket checks form once each,
+    # not once per pair; per n: centralizer[t^n], [t^n-1], [t^n+t+1], the
+    # predicted basis and centralizer-of-h01 form one image set each, and
+    # per x modulus so do the central and the shifted-central checks
+    images, calls = psring._int_images, []
+
+    def counted(*args):
+        calls.append(args)
+        return images(*args)
+
+    monkeypatch.setattr(psring, "_int_images", counted)
+    assert run_suite("quad-family", {"range": 2}).ok
+    params = DEFAULTS["quad-family"]
+    rest = 5 * len(params["centralizer_ns"]) + 2 * len(params["x_moduli"])
+    assert len(calls) == 4 + rest
+
+
 def test_cli_zz_build_json(runner):
     res = runner.invoke(main, [
         "zz", "build", "--q", "sl2", "--p1", "t^2", "--p2", "t^2+t",
