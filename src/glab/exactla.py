@@ -86,6 +86,17 @@ def rat(x) -> Fraction:
     raise InputError(f"not a rational value: {x!r}")
 
 
+def as_int(x):
+    """x as an int when it equals one (an int, or a float or Fraction of
+    integral value), else None; a caller refuses 1.7, "1" or nan rather
+    than truncating them."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == x else None
+
+
 def rat_str(q) -> str:
     """Render a rational as "num" or "num/den" with positive denominator."""
     q = Fraction(q)

@@ -5,15 +5,16 @@ characteristic-polynomial invariants of an algebra's own matrices (by
 Berkowitz's division-free algorithm; central, as checked, and free generators
 for sl_n and gl_n), degree polarizations and their graded sums, generator
 families for truncated and split quotients, the quadratic family attached
-to an invariant bilinear form, Gaudin Hamiltonians, the form-pairing
-decomposition of bracket images, and two families of unimodular integer
+to an invariant bilinear form, Gaudin Hamiltonians, the slot decomposition
+of bracket images (in closed form: polarized gradients times the bracket
+tensor raised by the form's inverse and lowered once by the form, the one
+lowering that y_xi also reads), and two families of unimodular integer
 matrices that control the triangular eliminations used throughout.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,8 +24,7 @@ from .exactla import (
     BudgetError,
     InputError,
     QMatrix,
-    int_matrix,
-    mat_inv,
+    as_int,
     rat,
     row_space,
     term_budget,
@@ -51,6 +51,7 @@ from .psring import (
     primitive,
     psi_p,
     substitute_levels,
+    substitute_vars,
 )
 
 
@@ -292,6 +293,19 @@ def _raised_bracket_tensor(q: LieAlgebra) -> tuple:
     return tuple(sorted((key, v / den) for key, v in raised.items() if v))
 
 
+@lru_cache(maxsize=None)
+def _lowered_bracket_tensor(q: LieAlgebra) -> tuple:
+    """S^{ab}_c = sum_m T^{abm} g_cm, the raised tensor T with its third
+    slot lowered by the form: for each c, the ((a, b), S^{ab}_c) with a
+    nonzero value, sorted."""
+    lowered = [{} for _ in range(q.dim)]
+    for (a, b, m), v in _raised_bracket_tensor(q):
+        for c in range(q.dim):
+            if g := q.form.at(c, m):
+                lowered[c][a, b] = lowered[c].get((a, b), 0) + v * g
+    return tuple(tuple(sorted((ab, v) for ab, v in row.items() if v)) for row in lowered)
+
+
 def quad_H(q: LieAlgebra, a: int, b: int) -> MPoly:
     """H[a, b]: the form-inverse pairing of the level-a and level-b copies."""
     if q.form is None:
@@ -330,7 +344,7 @@ def quad_X(q: LieAlgebra, a: int, b: int, c: int) -> MPoly:
 
 def y_xi(q: LieAlgebra, xi: Sequence, a: int, b: int) -> MPoly:
     """Y_xi[a, b]: the bracket-with-xi pairing over levels a and b,
-    sum of T^{jik} (g xi)_k x_(j, a) x_(i, b) over the raised tensor T.
+    sum of S^{ji}_c xi_c x_(j, a) x_(i, b) over the lowered tensor S.
 
     Antisymmetric under swapping the levels; zero when a == b.
     """
@@ -339,10 +353,9 @@ def y_xi(q: LieAlgebra, xi: Sequence, a: int, b: int) -> MPoly:
     xi = [rat(c) for c in xi]
     if len(xi) != q.dim:
         raise InputError("xi must have one coordinate per basis element")
-    g_xi = [sum((q.form.at(k, s) * c for s, c in enumerate(xi)), Fraction(0))
-            for k in range(q.dim)]
-    return MPoly.from_factors((((j, a), (i, b)), val * g_xi[k])
-                              for (j, i, k), val in _raised_bracket_tensor(q) if g_xi[k])
+    return MPoly.from_factors((((j, a), (i, b)), val * x)
+                              for x, entries in zip(xi, _lowered_bracket_tensor(q)) if x
+                              for (j, i), val in entries)
 
 
 def xi_t(xi: Sequence) -> MPoly:
@@ -477,84 +490,6 @@ def graded_H_sum(q: LieAlgebra, j: int) -> MPoly:
 # form pairing and the universal decomposition
 
 
-@lru_cache(maxsize=None)
-def _form_rows(q: LieAlgebra) -> tuple:
-    """(d, rows): the stored form as integer rows over d, the lcm of its
-    denominators."""
-    return int_matrix(q.form)
-
-
-@lru_cache(maxsize=None)
-def _perm_pairing(q: LieAlgebra, ta: tuple, tb: tuple) -> int:
-    """Permanent pairing of two factor tuples of one length k under the
-    stored form, an integer over d^k (d from _form_rows)."""
-    g = _form_rows(q)[1]
-    total = 0
-    for perm in itertools.permutations(tb):
-        prod = 1
-        for a, b in zip(ta, perm):
-            prod *= g[a][b]
-            if not prod:
-                break
-        total += prod
-    return total
-
-
-@lru_cache(maxsize=None)
-def _slot_basis(dim: int, k: int) -> tuple:
-    return tuple(itertools.combinations_with_replacement(range(dim), k))
-
-
-@lru_cache(maxsize=None)
-def _slot_gram(q: LieAlgebra, k: int) -> QMatrix:
-    basis = _slot_basis(q.dim, k)
-    scale = _form_rows(q)[0] ** k
-    return QMatrix.from_rows(
-        [[Fraction(_perm_pairing(q, a, b), scale) for b in basis] for a in basis]
-    )
-
-
-@lru_cache(maxsize=None)
-def _slot_gram_inverse(q: LieAlgebra, k: int) -> tuple:
-    """(d, rows): the inverse of the slot-k Gram as integer rows over d,
-    the lcm of its denominators."""
-    try:
-        inv = mat_inv(_slot_gram(q, k))
-    except InputError as exc:
-        raise InputError("pairing matrix is singular") from exc
-    return int_matrix(inv)
-
-
-def _slot_solve(q: LieAlgebra, alpha: tuple, rhs: list) -> tuple:
-    """(x, d) with (G_1 (x) ... (x) G_s)(x / d) = rhs on integers, G_u the
-    Gram of slot u.
-
-    Entries are indexed as itertools.product of the slot bases, the last
-    slot running fastest.  The inverse of a Kronecker product is the
-    Kronecker product of the inverses (Van Loan 2000), so each slot's
-    inverse, d_u times an integer matrix, is applied along its own axis in
-    turn and the full matrix is never formed: N * (n_1 + ... + n_s)
-    integer products for N = n_1 * ... * n_s, and d the product of the d_u.
-    """
-    x = rhs
-    den = 1
-    inner = 1  # stride of slot u: the product of the sizes after it
-    for k in reversed(alpha):
-        d, inv = _slot_gram_inverse(q, k)
-        n = len(inv)
-        y = [0] * len(x)
-        for start in range(0, len(x), n * inner):
-            for off in range(start, start + inner):
-                col = x[off : off + n * inner : inner]
-                if any(col):
-                    for r, row in enumerate(inv):
-                        y[off + r * inner] = sum(map(operator.mul, row, col))
-        x = y
-        den *= d
-        inner *= n
-    return x, den
-
-
 def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
     """The component of F's bracket image supported on the slot shape alpha.
 
@@ -564,13 +499,23 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
     slot-j factors (t degrees stripped).  Zero when either slot is empty;
     antisymmetric in (i, j).
 
-    All of it runs on integers: F's numerators over its denominator dF, the
-    pairings over a power of the form's denominator, the bracket over the
-    structure constants' denominator, and each slot's inverse Gram over its
-    own (_slot_solve); the result is built on its integer coefficients and
-    scaled by the one Fraction of their common denominator.
+    In closed form, with d = sum(alpha) - 1, Fbar the degree-d part of F
+    with its t degrees stripped, and kvec holding level u as often as
+    alpha - e_i - e_j has it:
+
+        script_f = sum_c polarize(dFbar/dx_c, kvec) * sum_ab S^ab_c x_(a,i) x_(b,j)
+
+    with S^ab_c = sum h_a'a h_b'b c^m_a'b' g_cm, h the inverse of the form
+    g (_lowered_bracket_tensor).  Under the permanent pairing <P, Q> =
+    P(D)Q, D_a = sum_b g_ab d/dx_b, multiplication by x_m is adjoint to D_m,
+    d/dx_(a,u) to multiplication by sum_b h_ab x_(b,u), and stripping the t
+    degrees to polarize, which sums over distinct arrangements; so the
+    pairing condition above is met by this element of the shape.
     """
-    alpha = tuple(int(a) for a in alpha)
+    sizes = [as_int(a) for a in alpha]
+    if None in sizes:
+        raise InputError("slot sizes must be integers")
+    alpha = tuple(sizes)
     if any(a < 0 for a in alpha):
         raise InputError("slot sizes must be nonnegative")
     if not (0 <= i < len(alpha) and 0 <= j < len(alpha)) or i == j:
@@ -582,49 +527,22 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
         return MPoly.zero()
     if q.form is None:
         raise InputError(f"{q.name} carries no bilinear form")
-    slot_bases = [_slot_basis(q.dim, a) for a in alpha]
-    # F's terms of degree d as base-index tuples (t degrees stripped), read
-    # once: only they pair with a contraction, which has d factors
+    try:
+        q.form_inverse
+    except InputError as exc:
+        raise InputError("pairing matrix is singular") from exc
+    # F's terms of degree d, t degrees stripped: only they pair with a
+    # contraction, which has d factors
     dF, terms = F.factor_terms()
-    left = [(tuple(k for k, _ in fs), n) for fs, n in terms if len(fs) == d]
-    paired = {}
-
-    def with_F(t2):
-        if t2 not in paired:
-            paired[t2] = sum([c1 * _perm_pairing(q, t1, t2) for t1, c1 in left])
-        return paired[t2]
-
-    dq, brackets = q._int_brackets
-    rhs = []
-    vees = list(itertools.product(*slot_bases))
-    for v in vees:
-        # bracket contraction between slot i and slot j, degrees stripped
-        flat = [idx for slot in v for idx in slot]
-        bt = {}
-        ci = {}
-        for idx in v[i]:
-            ci[idx] = ci.get(idx, 0) + 1
-        cj = {}
-        for idx in v[j]:
-            cj[idx] = cj.get(idx, 0) + 1
-        for xi_idx, mu in ci.items():
-            for yj_idx, nu in cj.items():
-                ent = brackets.get((xi_idx, yj_idx))
-                if not ent:
-                    continue
-                # x_i sits in slot i and y_j in slot j, so flat holds both
-                rest = list(flat)
-                rest.remove(xi_idx)
-                rest.remove(yj_idx)
-                for m, c in ent:
-                    t2 = tuple(sorted(rest + [m]))
-                    bt[t2] = bt.get(t2, 0) + mu * nu * c
-        rhs.append(sum([x * with_F(t2) for t2, x in bt.items() if x]))
-    coeffs, den = _slot_solve(q, alpha, rhs)
-    den *= dq * dF * _form_rows(q)[0] ** d
-    return MPoly.from_factors(
-        ([(idx, u) for u, slot in enumerate(v) for idx in slot], cv)
-        for cv, v in zip(coeffs, vees) if cv).scale(Fraction(1, den))
+    Fbar = MPoly.from_factors((((k, 0) for k, _ in fs), n) for fs, n in terms if len(fs) == d)
+    # polarizing over kvec and one more level, mark, that no slot uses gives
+    # sum_c x_(c, mark) polarize(dFbar/dx_c, kvec); each x_(c, mark) then
+    # becomes its pairing sum_ab S^ab_c x_(a,i) x_(b,j)
+    mark = len(alpha)
+    kvec = [u for u, a in enumerate(alpha) for _ in range(a - (u == i) - (u == j))]
+    pairs = {(c, mark): MPoly.from_factors((((a, i), (b, j)), v) for (a, b), v in entries)
+             for c, entries in enumerate(_lowered_bracket_tensor(q))}
+    return substitute_vars(polarize(Fbar, kvec + [mark]), pairs).scale(Fraction(1, dF))
 
 
 def univ_sum(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int) -> MPoly:
@@ -654,7 +572,10 @@ def ff_bracket_decomposition(q: LieAlgebra, Y: MPoly, kvec: Sequence) -> FFDecom
     The multiset {1, k_1, ..., k_d} drives the shapes: for each j >= 2
     with j - 1 present, one shape arises by promoting a j - 1 to j.
     """
-    kvec = tuple(int(k) for k in kvec)
+    levels = tuple(as_int(k) for k in kvec)
+    if None in levels or min(levels, default=0) < 0:
+        raise InputError(f"t degrees {tuple(kvec)!r} are not nonnegative integers")
+    kvec = levels
     H = quad_H(q, 1, 1)
     # H sits at level 1, so its bracket with levels kvec reaches max(kvec) + 1
     T = make_quotient(q, UniPoly.monomial(max(kvec, default=0) + 2))

@@ -438,24 +438,18 @@ class LieAlgebra:
 
 
 def check_form_invariant(q: LieAlgebra) -> bool:
-    """Whether the stored form satisfies ([x,y],z) = (x,[y,z])."""
+    """Whether the stored form satisfies ([x,y],z) = (x,[y,z]): each
+    nonzero [x_i, x_j] = sum_m c x_m adds c g_mk to ([x_i, x_j], x_k) and
+    takes g_km c from (x_k, [x_i, x_j]), and no sum may be left over."""
     if q.form is None:
         raise InputError(f"{q.name} carries no bilinear form")
-    n = q.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = sum(
-                    (c * q.form.at(m, k) for m, c in q.bracket(i, j)),
-                    Fraction(0),
-                )
-                rhs = sum(
-                    (c * q.form.at(i, m) for m, c in q.bracket(j, k)),
-                    Fraction(0),
-                )
-                if lhs != rhs:
-                    return False
-    return True
+    acc = {}
+    for (i, j), ent in q._int_brackets[1].items():
+        for m, c in ent:
+            for k in range(q.dim):
+                acc[i, j, k] = acc.get((i, j, k), 0) + c * q.form.at(m, k)
+                acc[k, i, j] = acc.get((k, i, j), 0) - q.form.at(k, m) * c
+    return not any(acc.values())
 
 
 def _mat_comm(a, b, n):
@@ -700,7 +694,9 @@ def _json_rows(rows, width: int, what: str) -> tuple:
 
 
 def algebra_from_json(d: dict) -> LieAlgebra:
-    """Inverse of algebra_to_json, Jacobi checked; InputError if malformed."""
+    """Inverse of algebra_to_json, Jacobi checked, and the form, when given,
+    checked symmetric, nondegenerate and invariant as LieAlgebra requires;
+    InputError if malformed."""
     try:
         labels = tuple(d["basis"])
         dim = d["dim"]
@@ -736,6 +732,8 @@ def algebra_from_json(d: dict) -> LieAlgebra:
         form = QMatrix.from_rows(rows)
         if form.rows != dim or form.cols != dim:
             raise InputError("form shape must be dim x dim")
+        if any(form.at(i, j) != form.at(j, i) for i in range(dim) for j in range(i)):
+            raise InputError("form must be symmetric")
     matrices = d.get("matrices")
     if matrices is not None:
         if not isinstance(matrices, (list, tuple)) or len(matrices) != dim:
@@ -747,6 +745,13 @@ def algebra_from_json(d: dict) -> LieAlgebra:
         raise InputError(
             f"Jacobi identity fails on basis triple {tuple(i for i, _ in bad)}"
         )
+    if form is not None:
+        try:
+            q.form_inverse
+        except InputError as exc:
+            raise InputError("form is degenerate") from exc
+        if not check_form_invariant(q):
+            raise InputError("form is not invariant under the bracket")
     return q
 
 

@@ -59,6 +59,7 @@ from .exactla import (
     BudgetError,
     InputError,
     QMatrix,
+    as_int,
     rank,
     rat,
     rat_str,
@@ -602,11 +603,8 @@ def polarize(F: MPoly, kvec: Sequence) -> MPoly:
     """
     levels = []
     for k in kvec:
-        try:
-            a = int(k)
-        except (TypeError, ValueError, OverflowError):
-            a = None
-        if a is None or a != k or a < 0:
+        a = as_int(k)
+        if a is None or a < 0:
             raise InputError(f"t degree {k!r} is not a nonnegative integer")
         levels.append(a)
     d = len(levels)

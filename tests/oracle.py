@@ -165,7 +165,13 @@ def reference_script_f(q, F, alpha, i, j):
     """script_f in Fraction: the pairing of F with the bracket contraction
     of slots i and j against every basis product of the shape alpha, read
     through q.bracket and q.form, then reference_solve_slot_grams."""
-    alpha = tuple(int(a) for a in alpha)
+    try:
+        sizes = tuple(int(a) for a in alpha)
+    except (TypeError, ValueError, OverflowError):
+        sizes = None
+    if sizes != tuple(alpha):
+        raise InputError("slot sizes must be integers")
+    alpha = sizes
     if any(a < 0 for a in alpha):
         raise InputError("slot sizes must be nonnegative")
     if not (0 <= i < len(alpha) and 0 <= j < len(alpha)) or i == j:
@@ -432,6 +438,18 @@ def reference_raised_bracket_tensor(q):
                     if z:
                         raised[(a, b, c)] = raised.get((a, b, c), Fraction(0)) + val * x * y * z
     return tuple(sorted((key, v) for key, v in raised.items() if v))
+
+
+def reference_form_invariant(q):
+    """Whether ([x_i, x_j], x_k) = (x_i, [x_j, x_k]) for every basis triple,
+    each side summed in Fraction through q.bracket and q.form."""
+    n = q.dim
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = sum((c * q.form.at(m, k) for m, c in q.bracket(i, j)), Fraction(0))
+        rhs = sum((c * q.form.at(i, m) for m, c in q.bracket(j, k)), Fraction(0))
+        if lhs != rhs:
+            return False
+    return True
 
 
 def reference_sc_bracket(q, i, j):

@@ -1,12 +1,12 @@
 """Invariants, polarizations, central generators, quadratic family."""
 import itertools
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exactla import BudgetError, InputError, QMatrix, det, mat_inv
+from glab.exactla import BudgetError, InputError, QMatrix, det
 from glab.liecore import (
     LieAlgebra,
     UniPoly,
@@ -31,8 +31,6 @@ from glab.invariantlab import (
     _char_invariants,
     _generic_matrix,
     _raised_bracket_tensor,
-    _slot_gram,
-    _slot_solve,
     attach_poly,
     basic_invariants,
     binom_identity_check,
@@ -68,13 +66,9 @@ from glab.invariantlab import (
 from oracle import (
     SL2_RESCALED,
     reference_char_poly,
-    reference_kron,
-    reference_mat_mul,
     reference_polarize,
     reference_raised_bracket_tensor,
     reference_script_f,
-    reference_slot_gram,
-    reference_solve_slot_grams,
 )
 
 E, H, F = (MPoly.variable((i, 0)) for i in range(3))
@@ -625,6 +619,11 @@ def test_script_f_validation(sl2):
             slot_f(sl2, C, (1, 1, 1), 0, 3)
         with pytest.raises(InputError, match="slot sizes must be nonnegative"):
             slot_f(sl2, C, (4, -1), 0, 1)
+        # refused, never truncated: (1.7, 1, 1) is not (1, 1, 1)
+        for alpha in ((1.7, 1, 1), (Fraction(3, 2), 1, 1), ("1", 1, 1), (float("nan"), 1, 2)):
+            with pytest.raises(InputError, match="slot sizes must be integers"):
+                slot_f(sl2, C, alpha, 0, 1)
+        assert slot_f(sl2, C, (1.0, Fraction(1), 1), 0, 1) == slot_f(sl2, C, (1, 1, 1), 0, 1)
         assert slot_f(sl2, C, (0, 2, 1), 0, 1).is_zero()
         with pytest.raises(InputError, match="pairing matrix is singular"):
             slot_f(degenerate, MPoly.variable((0, 0)), (1, 1), 0, 1)
@@ -633,7 +632,7 @@ def test_script_f_validation(sl2):
 
 
 # every slot shape the forms suite enumerates for the sl2 Casimir: lengths
-# 2 to 4, slot sizes up to 3, total 3; Gram sizes 10, 18 and 27
+# 2 to 4, slot sizes up to 3, total 3
 FORMS_SHAPES = [
     alpha
     for n in (2, 3, 4)
@@ -642,21 +641,11 @@ FORMS_SHAPES = [
 ]
 
 
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_slot_gram_solve_matches_full_kronecker(sl2, data):
-    alpha = data.draw(st.sampled_from(FORMS_SHAPES))
-    grams = [_slot_gram(sl2, k) for k in alpha]
-    assert grams == [reference_slot_gram(sl2, k) for k in alpha]
-    full = reduce(reference_kron, grams)
-    rhs = data.draw(st.lists(
-        st.integers(min_value=-60, max_value=60), min_size=full.rows, max_size=full.rows,
-    ))
-    want = list(reference_mat_mul(mat_inv(full), QMatrix.from_rows([[x] for x in rhs])).entries)
-    x, den = _slot_solve(sl2, alpha, rhs)
-    assert all(isinstance(n, int) for n in x)
-    assert [Fraction(n, den) for n in x] == want
-    assert reference_solve_slot_grams(sl2, alpha, rhs) == want
+def test_script_f_matches_the_reference_on_every_forms_shape(sl2):
+    C = casimir(sl2)
+    for alpha in FORMS_SHAPES:
+        for i, j in itertools.permutations(range(len(alpha)), 2):
+            assert script_f(sl2, C, alpha, i, j) == reference_script_f(sl2, C, alpha, i, j)
 
 
 SLOT_ALGEBRAS = ["sl2", "sl3", "gl2", "takiff:sl2:2", "sum:sl2,sl2", "sl2-rescaled"]
@@ -720,6 +709,11 @@ def test_ff_bracket_decomposition(sl2):
     dec2 = ff_bracket_decomposition(sl2, C, (1, 2))
     assert dec2.matches
     assert len(dec2.pieces) >= 2
+    # t degrees are refused, never truncated: (0.5, 1.9) is not (0, 1)
+    for kvec in ((0.5, 1.9), (Fraction(1, 2), 1), ("0", 1), (-1, 1)):
+        with pytest.raises(InputError, match="not nonnegative integers"):
+            ff_bracket_decomposition(sl2, C, kvec)
+    assert ff_bracket_decomposition(sl2, C, (0.0, Fraction(1))) == dec
 
 
 def test_balanced_slot_line(sl2):

@@ -45,13 +45,14 @@ from glab.liecore import (
     wrap_algebra,
 )
 from glab.psring import MPoly, primitive, substitute_levels, substitute_vars
-from glab.invariantlab import _slot_gram, basic_invariants
+from glab.invariantlab import _lowered_bracket_tensor, basic_invariants
 from oracle import (
     SL2_RESCALED,
     FractionTable,
     matrix_rows,
     pair_bracket,
     reference_crt_idempotents,
+    reference_form_invariant,
     reference_jacobi,
     reference_nullspace,
     reference_pencil,
@@ -272,6 +273,25 @@ BRACKET_ALGEBRAS = {
 }
 
 
+@pytest.mark.parametrize("name", [n for n, q in BRACKET_ALGEBRAS.items() if q.form is not None])
+def test_form_invariance_check_matches_the_reference(name):
+    # the stored form, then forms with one entry moved, symmetrically or not
+    q = BRACKET_ALGEBRAS[name]
+    rng = random.Random(name)
+    forms = [q.form]
+    for _ in range(6):
+        rows = [q.form.row(i) for i in range(q.dim)]
+        i, j = rng.randrange(q.dim), rng.randrange(q.dim)
+        rows[i][j] += rng.choice((1, -1, Fraction(1, 2)))
+        if rng.random() < 0.5:
+            rows[j][i] = rows[i][j]
+        forms.append(QMatrix.from_rows(rows))
+    for form in forms:
+        r = LieAlgebra(q.name, q.labels, q.sc, form)
+        assert check_form_invariant(r) == reference_form_invariant(r)
+    assert check_form_invariant(q)
+
+
 @pytest.mark.parametrize("name", list(BRACKET_ALGEBRAS))
 def test_bracket_matches_the_structure_constants(name):
     q = BRACKET_ALGEBRAS[name]
@@ -345,6 +365,10 @@ def test_algebra_json_round_trip():
     ("basis", ["e", ["h"], "f"], "distinct strings"),
     ("basis", "efh", "distinct strings"),
     ("name", None, "name must be a string"),
+    ("form", [[0, 1, 0], [0, 2, 0], [1, 0, 0]], "form must be symmetric"),
+    ("form", [[0, 0, 1], [0, 0, 0], [1, 0, 0]], "form is degenerate"),
+    ("form", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "form is not invariant under the bracket"),
+    ("form", [["1/2", 0, 0], [0, 1, 0], [0, 0, "1/2"]], "form is not invariant under the bracket"),
 ])
 def test_algebra_json_refuses_malformed_input(key, value, message):
     d = dict(algebra_to_json(builtin_algebra("sl2")), **{key: value})
@@ -443,7 +467,7 @@ def test_algebra_hash_is_cached_and_follows_equality():
     assert a is not b and a == b and hash(a) == hash(b)
     q = algebra_from_json(algebra_to_json(a))
     assert q == a and hash(q) == hash(a)
-    assert _slot_gram(q, 1) is _slot_gram(a, 1)  # one cache entry for both
+    assert _lowered_bracket_tensor(q) is _lowered_bracket_tensor(a)  # one cache entry for both
     r = algebra_from_json(algebra_to_json(a))
     assert "_hash" not in vars(r)
     h = hash(r)

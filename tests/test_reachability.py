@@ -32,7 +32,6 @@ ALLOWLIST = {
     "algebra_from_json": "loads an algebra whose invariants come from its matrices, "
                          "under any name; no command reads an algebra file yet",
     "invariants_degree": "exact invariants from the bracket alone, cross-checked with sympy",
-    "check_form_invariant": "checks the stored invariant form of the built-in algebras",
 }
 
 # (class, method or property) reached by no command or suite, kept for the

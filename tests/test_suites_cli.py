@@ -69,6 +69,15 @@ def test_crt_suite_refuses_moduli_without_distinct_rational_roots(ptxt, message)
     assert res.output == f"input error: {message}\n"
 
 
+def test_forms_suite_refuses_non_integral_levels():
+    # the decomposition is refused, not run for the truncated (0, 1)
+    res = CliRunner().invoke(
+        main, ["suite", "run", "forms", "--params", json.dumps({"kvecs": [[0.5, 1.9]]})]
+    )
+    assert res.exit_code == 2
+    assert res.output == "input error: t degrees (0.5, 1.9) are not nonnegative integers\n"
+
+
 def test_markdown_rendering():
     rep = run_suite("crt")
     md = report_markdown(rep, elapsed=0.5)
