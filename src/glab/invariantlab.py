@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Sequence
 
 from .exactla import (
@@ -306,6 +307,16 @@ def _lowered_bracket_tensor(q: LieAlgebra) -> tuple:
     return tuple(tuple(sorted((ab, v) for ab, v in row.items() if v)) for row in lowered)
 
 
+@lru_cache(maxsize=None)
+def _slot_pairings(q: LieAlgebra, i: int, j: int, mark: int) -> MappingProxyType:
+    """x_(c, mark) -> sum_ab S^ab_c x_(a,i) x_(b,j), the pairing script_f
+    puts in place of each marked factor; formed once per (q, i, j, mark)
+    and read-only, as every call shares it."""
+    return MappingProxyType({
+        (c, mark): MPoly.from_factors((((a, i), (b, j)), v) for (a, b), v in entries)
+        for c, entries in enumerate(_lowered_bracket_tensor(q))})
+
+
 def quad_H(q: LieAlgebra, a: int, b: int) -> MPoly:
     """H[a, b]: the form-inverse pairing of the level-a and level-b copies."""
     if q.form is None:
@@ -540,9 +551,8 @@ def script_f(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int, j: int) -> MPoly:
     # becomes its pairing sum_ab S^ab_c x_(a,i) x_(b,j)
     mark = len(alpha)
     kvec = [u for u, a in enumerate(alpha) for _ in range(a - (u == i) - (u == j))]
-    pairs = {(c, mark): MPoly.from_factors((((a, i), (b, j)), v) for (a, b), v in entries)
-             for c, entries in enumerate(_lowered_bracket_tensor(q))}
-    return substitute_vars(polarize(Fbar, kvec + [mark]), pairs).scale(Fraction(1, dF))
+    return substitute_vars(polarize(Fbar, kvec + [mark]),
+                           _slot_pairings(q, i, j, mark)).scale(Fraction(1, dF))
 
 
 def univ_sum(q: LieAlgebra, F: MPoly, alpha: Sequence, i: int) -> MPoly:

@@ -7,14 +7,33 @@ annihilation solve on polarization spaces, accumulate into one commutative
 subalgebra.  The remaining tools measure that subalgebra: transcendence
 degree by sampled Jacobian ranks against the paper's formula, agreement
 with the raising-derivation ladders, and the evaluation picture in degree
-two.  Two spans are compared by their canonical echelon bases.
+two.  Two spans of polynomials are compared by their canonical echelon
+bases, and the ladders in polarization coordinates.
+
+The ladders form no polynomial.  tau is a derivation, so exp(s tau) is an
+automorphism, and tau^k(x t) = k! x t^(k+1).  So for F of degree d in
+t-degree-zero variables and F_1 = F attached to t, psi_p(tau^k F_1) / k!
+is the s^k coefficient of psi_p(exp(s tau) F_1) = F(sum_j U_j(s) xi_j),
+with xi_j the copy of the variables at level j < n = deg p and U_j(s) =
+sum_{a >= 1} s^(a - 1) (t^a mod p)_j.  Expanding F(sum_j c_j xi_j) factor
+by factor and gathering the levels into multisets m gives sum_m prod_{j in
+m} c_j * polarize(F, m), m over weakly_increasing(d, n - 1), as polarize
+sums over the distinct arrangements of m.  The shift down x t^a -> x
+t^(a - 1) is an algebra map too, so the lowered rung psi_p(shift(tau^k
+F_1)) / k! is the same with V_j(s) = sum_{b >= 0} s^b (t^b mod p)_j.  Each
+rung is thus a row of coefficients of univariate products on the
+polarizations of F, read off t_powers_mod alone.  Those polarizations are
+independent for F nonzero and homogeneous (see build_Z), so two spans of
+their combinations are equal exactly when their coordinate row spaces are.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exactla import (
     BudgetError,
@@ -34,6 +53,7 @@ from .liecore import (
     make_quotient,
     pencil_combination,
     sampled_max_rank,
+    t_powers_mod,
     wrap_algebra,
 )
 from .psring import (
@@ -45,10 +65,7 @@ from .psring import (
     echelon_basis,
     pairwise_commute,
     polarize,
-    psi_p,
-    shift_t_down,
     substitute_vars,
-    tau_apply,
 )
 from .invariantlab import basic_invariants, weakly_increasing
 
@@ -344,30 +361,58 @@ def expected_trdeg(q: LieAlgebra, n: int) -> int:
 # derivation ladders
 
 
-def _raised_ladder(F: MPoly, p: UniPoly):
-    """F attached to t (every factor at level 1), then its first
-    d(n - 1) + n + 1 images under tau, d = deg F and n = deg p."""
-    d, n = F.total_degree(), p.degree
-    cur = polarize(F, (1,) * d)
-    for _ in range(d * (n - 1) + n + 2):
-        yield cur
-        cur = tau_apply(cur)
+def _ladder_space(F: MPoly, p: UniPoly, first_level: int) -> RowSpace:
+    """Span of the reduced ladder of F from first_level, in the coordinates
+    of F's polarizations over weakly_increasing(d, n - 1), the columns of
+    Z.spaces; F is nonzero, d = deg F and n = deg p.
 
-
-def tau_ladder_span(F: MPoly, p: UniPoly) -> list:
-    """Canonical echelon basis of the span of the reduced raising-derivation
-    ladder of F attached to t.
-
-    Its length, the dimension of the span, reaches d(n - 1) + 1 exactly
-    when the constant term of p is nonzero.
+    Rung k, for k = 0 .. d(n - 1) + n + 1, is psi_p(tau^k F_1) / k! for
+    first_level 1 and psi_p of its shift down for 0, F_1 being F attached
+    to t.  By the identity in the module docstring its coordinate at the
+    column m is the s^k coefficient of prod_{j in m} W_j(s), W_j(s) =
+    sum_k s^k (t^(k + first_level) mod p)_j.  Row k is taken times
+    D^(k + d * first_level), D the lcm of the denominators of p: t^a mod p
+    holds no denominator past D^a (liecore.t_powers_mod), so each series
+    is held on ints and the products, formed once per prefix of m, are too.
     """
-    return echelon_basis([psi_p(cur, p) for cur in _raised_ladder(F, p)])
+    d, n = F.total_degree(), p.degree
+    rungs = d * (n - 1) + n + 2
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    series = [[] for _ in range(n)]
+    rems = itertools.islice(t_powers_mod(p), first_level, first_level + rungs)
+    for k, r in enumerate(rems):
+        scale = den ** (k + first_level)
+        for j, s in enumerate(series):
+            s.append((r.coeff(j) * scale).numerator)
+    products = {(): [1] + [0] * (rungs - 1)}
+
+    def product(m):
+        if m not in products:
+            head, tail = product(m[:-1]), series[m[-1]]
+            products[m] = [sum(head[a] * tail[k - a] for a in range(k + 1))
+                           for k in range(rungs)]
+        return products[m]
+
+    cols = [product(m) for m in weakly_increasing(d, n - 1)]
+    return row_space(([c[k] for c in cols] for k in range(rungs)), len(cols))
 
 
-def gzu_ladder(F: MPoly, p: UniPoly) -> list:
-    """Reduced images of the lowered ladder: drop every t degree by one
-    after k raising steps, then reduce mod p."""
-    return [psi_p(shift_t_down(cur), p) for cur in _raised_ladder(F, p)]
+def tau_ladder_span(F: MPoly, p: UniPoly) -> tuple:
+    """The span of the reduced raising-derivation ladder of F attached to
+    t, as the primitive integer echelon rows of its coordinates on F's
+    polarizations (see _ladder_space).
+
+    Their number, the dimension of the span, reaches d(n - 1) + 1 exactly
+    when the constant term of p is nonzero.  F must be homogeneous in
+    t-degree-zero variables, as polarize requires (InputError otherwise),
+    and p monic of degree >= 1; F = 0 spans nothing.
+    """
+    if p.is_zero() or not p.is_monic() or p.degree < 1:
+        raise InputError("modulus must be monic of degree >= 1")
+    polarize(F, [0] * F.total_degree())  # F itself, or InputError as polarize gives
+    if F.is_zero():
+        return ()
+    return _ladder_space(F, p, 1).rows
 
 
 @dataclass
@@ -376,18 +421,25 @@ class SpanCheck:
     detail: list
 
 
-def _ladders_against_Z(P: Pencil, ladder: Callable) -> SpanCheck:
+def _ladders_against_Z(P: Pencil, first_level: int) -> SpanCheck:
     """For each invariant F of the assembled center of P, whether the
-    echelon basis ladder(F) equals that of F's part of Z."""
+    ladder of F from first_level, reduced mod P.p1, spans F's part of Z.
+
+    Both are held in the coordinates of F's polarizations, which are
+    independent, so with L the ladder's rows and C = Z.spaces[i][1] the
+    spans are equal exactly when dim L = len(C) = dim(L + C).
+    """
     Z = build_Z(P)
     detail = []
-    for i, F in enumerate(Z.invariants):
-        fam = ladder(F)
+    for i, (F, (_, rows)) in enumerate(zip(Z.invariants, Z.spaces)):
+        ladder = _ladder_space(F, P.p1, first_level)
+        dim = ladder.dim
         detail.append({
             "invariant": i,
-            "ladder_dim": len(fam),
-            "z_dim": len(Z.basis[i]),
-            "equal": fam == Z.basis[i],
+            "ladder_dim": dim,
+            "z_dim": len(rows),
+            # equal when Z's rows add nothing to the ladder's span
+            "equal": dim == len(rows) and not any(ladder.add(r) for r in rows),
         })
     return SpanCheck(ok=all(d["equal"] for d in detail), detail=detail)
 
@@ -396,18 +448,16 @@ def check_sovp(q: LieAlgebra, p: UniPoly) -> SpanCheck:
     """Reduced tau ladders against the assembled center of the t pencil.
 
     Requires p(0) != 0.  For each invariant the two generator spaces must
-    coincide, that is have the same echelon basis; that settles equality of
-    the generated algebras.
+    coincide; that settles equality of the generated algebras.
     """
     if p.coeff(0) == 0:
         raise InputError("the t pencil comparison needs p(0) != 0")
-    return _ladders_against_Z(Pencil(q, p, p + UniPoly.t()), lambda F: tau_ladder_span(F, p))
+    return _ladders_against_Z(Pencil(q, p, p + UniPoly.t()), 1)
 
 
 def check_ft_gzu(q: LieAlgebra, p: UniPoly) -> SpanCheck:
     """Lowered ladders against the assembled center of the constant pencil."""
-    return _ladders_against_Z(Pencil(q, p, p + UniPoly.one()),
-                              lambda F: echelon_basis(gzu_ladder(F, p)))
+    return _ladders_against_Z(Pencil(q, p, p + UniPoly.one()), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,12 @@ against a family, forming each left-hand side's images once; poisson_bracket
 is its one-pair case.  A kernel brings its inputs over one common
 denominator only where it sums them, and hands its result to
 _from_numerators, the one normalizer: it drops zero terms and divides out
-the gcd once.  Every map of t-levels, x_i t^a -> x_i * r(t) (psi_p, the
-shift down, and the transports of invariantlab), goes through
-substitute_levels and on to substitute_vars, as does pencilz.rho_gamma.  A
-substitution multiplies each term by the cached power of each mapped
-factor's image; where that power is one term, as for the shift down,
-rho_gamma, and psi_p wherever t^a mod p is a monomial, the map only shifts
-the packed key and scales the numerator.
+the gcd once.  Every map of t-levels, x_i t^a -> x_i * r(t) (psi_p and
+the transports of invariantlab), goes through substitute_levels and on to
+substitute_vars, as does pencilz.rho_gamma.  A substitution multiplies each
+term by the cached power of each mapped factor's image; where that power is
+one term, as for rho_gamma and psi_p wherever t^a mod p is a monomial, the
+map only shifts the packed key and scales the numerator.
 
 Products guard against term blowup: when an operation would exceed the
 term budget (GLAB_BUDGET_TERMS, default 2 * 10^6) it raises BudgetError
@@ -465,9 +464,9 @@ def substitute_vars(F: MPoly, mapping: dict) -> MPoly:
     is lifted to the top mapped degree (D^(top - deg m)) and multiplied,
     one mapped factor x_v^e at a time, by the cached power image(v)^e on
     the integer kernel.  Where that power is one term (a scalar times a
-    monomial, or a nonzero constant: the shift down, rho_gamma, psi_p
-    where t^a mod p is a monomial), the factor costs a key shift and one
-    multiply.  The result is divided by F's denominator times D^top once.
+    monomial, or a nonzero constant: rho_gamma, psi_p where t^a mod p
+    is a monomial), the factor costs a key shift and one multiply.  The
+    result is divided by F's denominator times D^top once.
     """
     nums = F._nums
     held = 0
@@ -549,17 +548,6 @@ def psi_p(F: MPoly, p: UniPoly) -> MPoly:
         while len(rems) <= a:
             rems.append(next(powers))
         return rems[a]
-
-    return substitute_levels(F, level_image)
-
-
-def shift_t_down(F: MPoly) -> MPoly:
-    """Algebra map x_i t^a -> x_i t^(a-1); requires every a >= 1."""
-
-    def level_image(a):
-        if a < 1:
-            raise InputError("shift_t_down needs all t degrees >= 1")
-        return UniPoly.monomial(a - 1)
 
     return substitute_levels(F, level_image)
 

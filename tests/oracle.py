@@ -741,3 +741,26 @@ def reference_sampled_max_rank(matrix_at, nvars, seed=0, samples=4, bound=1000,
             break
         bound *= 2
     return best[0], best[1], bound, rounds
+
+
+def reference_ladder(F, p, first_level):
+    """The reduced ladder of F from first_level, as polynomials: F attached
+    to t (reference_polarize, every factor at level 1), its images under
+    tau^k for k = 0 .. d(n - 1) + n + 1 (reference_derivation), each moved
+    down 1 - first_level levels (reference_substitute) and reduced mod p
+    (reference_psi); d = deg F, n = deg p."""
+    d, n = F.total_degree(), len(p.coeffs) - 1
+
+    def tau(v):
+        i, a = v
+        return MPoly.variable((i, a + 1), coef=a) if a else MPoly.zero()
+
+    drop = 1 - first_level
+    cur = reference_polarize(F, (1,) * d)
+    out = []
+    for _ in range(d * (n - 1) + n + 2):
+        moved = reference_substitute(
+            cur, {(i, a): MPoly.variable((i, a - drop)) for i, a in cur.vars()}) if drop else cur
+        out.append(reference_psi(moved, p))
+        cur = reference_derivation(cur, tau)
+    return out

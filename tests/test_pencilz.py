@@ -21,11 +21,12 @@ from glab.liecore import (
     pencil_combination,
     rational_roots,
 )
-from glab import pencilz, psring
+from glab import invariantlab, pencilz, psring
 from glab.psring import (
     MPoly,
     annihilation_rows,
     coeff_rows,
+    combination_basis,
     echelon_basis,
     poisson_bracket,
     primitive,
@@ -44,13 +45,14 @@ from glab.pencilz import (
     Pencil,
     ZAlgebra,
     _annihilator_combos,
+    _ladder_space,
+    _ladders_against_Z,
     _pencil_rows,
     _sample_sequence,
     build_Z,
     check_ft_gzu,
     check_sovp,
     expected_trdeg,
-    gzu_ladder,
     mf_image,
     rho_gamma,
     tau_ladder_span,
@@ -62,6 +64,7 @@ from oracle import (
     reference_combine,
     reference_images,
     reference_jacobian_at,
+    reference_ladder,
     reference_sampled_max_rank,
 )
 
@@ -508,18 +511,76 @@ def test_tau_ladder_span_dims(sl2):
         assert p.coeff(0) != 0
         lad = tau_ladder_span(C, p)
         assert len(lad) == want == C.total_degree() * (p.degree - 1) + 1
-        assert lad == echelon_basis(lad)
+        # the rows are coordinates on the polarizations of C
+        pols = [polarize(C, m) for m in weakly_increasing(2, p.degree - 1)]
+        assert combination_basis(pols, lad) == echelon_basis(reference_ladder(C, p, 1))
     p = parse_poly("t^2")
     assert p.coeff(0) == 0
     assert len(tau_ladder_span(C, p)) < C.total_degree() * (p.degree - 1) + 1
 
 
+def test_tau_ladder_span_edge_cases(sl2):
+    p = parse_poly("t^3+t+1")
+    # zero spans nothing and a constant spans one line, as the polynomial
+    # ladder says
+    assert tau_ladder_span(MPoly.zero(), p) == ()
+    assert echelon_basis(reference_ladder(MPoly.zero(), p, 1)) == []
+    assert tau_ladder_span(MPoly.const(Fraction(-3, 2)), p) == ([1],)
+    assert len(echelon_basis(reference_ladder(MPoly.const(Fraction(-3, 2)), p, 1))) == 1
+    # InputError where polarize refuses F: not homogeneous, or a level > 0
+    x, y = MPoly.variable((0, 0)), MPoly.variable((1, 0))
+    for F in (x * y + x, x * MPoly.variable((1, 1))):
+        with pytest.raises(InputError):
+            polarize(F, [0] * F.total_degree())
+        with pytest.raises(InputError):
+            tau_ladder_span(F, p)
+    with pytest.raises(InputError):
+        tau_ladder_span(casimir(sl2), UniPoly.make([1, 0, 2]))
+
+
+@functools.cache
+def _ladder_inputs() -> list:
+    """The basic invariants of sl2, sl3, gl2 and gl3, a constant and 0."""
+    out = [F for name in ("sl2", "sl3", "gl2", "gl3")
+           for F in basic_invariants(builtin_algebra(name))]
+    return out + [MPoly.const(Fraction(-3, 2)), MPoly.zero()]
+
+
+@given(st.data(), st.integers(min_value=1, max_value=4), st.sampled_from([0, 1]),
+       st.booleans())
+@settings(max_examples=15, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+def test_ladder_coordinates_match_the_polynomial_ladder(data, n, first_level, at_zero):
+    # both ladders against the oracle's polynomial rungs, on a random monic
+    # p with small rational coefficients, p(0) = 0 among them
+    F = data.draw(st.sampled_from(_ladder_inputs()))
+    low = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                             min_size=n, max_size=n))
+    if at_zero:
+        low[0] = 0
+    p = UniPoly.make(low + [1])
+    want = echelon_basis(reference_ladder(F, p, first_level))
+    if F.is_zero():
+        assert want == [] and tau_ladder_span(F, p) == ()
+        return
+    rows = _ladder_space(F, p, first_level).rows
+    if first_level:
+        assert tau_ladder_span(F, p) == rows
+    pols = [polarize(F, m) for m in weakly_increasing(F.total_degree(), n - 1)]
+    assert len(rows) == len(want)
+    assert combination_basis(pols, rows) == want
+
+
 def test_gzu_ladder_members_reduce(sl2):
+    # the lowered rungs reduce below level n, and their span is the one the
+    # lowered ladder's coordinates give
     C = casimir(sl2)
     p = parse_poly("t^2-1")
-    fam = gzu_ladder(C, p)
+    fam = reference_ladder(C, p, 0)
     assert all(f.vars() <= {(i, a) for i in range(3) for a in range(2)}
                for f in fam if not f.is_zero())
+    pols = [polarize(C, m) for m in weakly_increasing(2, 1)]
+    assert combination_basis(pols, _ladder_space(C, p, 0).rows) == echelon_basis(fam)
 
 
 def test_check_sovp(sl2):
@@ -530,9 +591,67 @@ def test_check_sovp(sl2):
         check_sovp(sl2, parse_poly("t^2-t"))
 
 
+def _agreeing(dims) -> list:
+    return [{"invariant": i, "ladder_dim": d, "z_dim": d, "equal": True}
+            for i, d in enumerate(dims)]
+
+
 def test_check_ft_gzu(sl2):
     chk = check_ft_gzu(sl2, parse_poly("t^2-1"))
     assert chk.ok
+    # check_sovp refuses p(0) = 0; the constant pencil does not need it
+    assert check_ft_gzu(sl2, parse_poly("t^3")).detail == _agreeing([5])
+
+
+# (algebra, modulus, ladder dimension per invariant), as the polynomial
+# ladders gave them: every ladder spans its part of Z
+LADDER_DETAILS = [
+    ("sl3", "t^3-1", [5, 7]),
+    ("sl3", "t^3+t+1", [5, 7]),
+    ("gl2", "t^2+1", [2, 3]),
+    ("gl3", "t^2-2", [2, 3, 4]),
+    ("sl2", "t^4-1", [7]),
+]
+
+
+@pytest.mark.parametrize("name, ptxt, dims", LADDER_DETAILS)
+def test_ladder_checks_keep_their_detail(name, ptxt, dims):
+    q = builtin_algebra(name)
+    assert check_sovp(q, parse_poly(ptxt)).detail == _agreeing(dims)
+    assert check_ft_gzu(q, parse_poly(ptxt)).detail == _agreeing(dims)
+
+
+@pytest.mark.parametrize("ptxt, want", [
+    # equal dimensions, different spans
+    ("t^3+t+1", [{"invariant": 0, "ladder_dim": 5, "z_dim": 5, "equal": False}]),
+    # p(0) = 0: the raised ladder falls short
+    ("t^3", [{"invariant": 0, "ladder_dim": 3, "z_dim": 5, "equal": False}]),
+])
+def test_raised_ladder_against_the_constant_pencil_disagrees(sl2, ptxt, want):
+    # negative control: the raised ladder belongs to the t pencil, not to
+    # Z(p, p + 1)
+    p = parse_poly(ptxt)
+    chk = _ladders_against_Z(Pencil(sl2, p, p + UniPoly.one()), 1)
+    assert not chk.ok and chk.detail == want
+
+
+def test_ladder_checks_form_no_polynomial(monkeypatch, sl2, sl3):
+    # the ladders are compared with Z in polarization coordinates: no rung
+    # is raised, reduced or substituted, and Z's basis is not read
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a ladder check formed a polynomial")
+
+    names = ("tau_apply", "psi_p", "substitute_vars", "combination_basis")
+    patched = 0
+    for module in (pencilz, psring, invariantlab):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable)
+                patched += 1
+    assert patched > len(names)
+    assert check_sovp(sl3, parse_poly("t^3-1")).detail == _agreeing([5, 7])
+    assert check_ft_gzu(sl3, parse_poly("t^3+t+1")).detail == _agreeing([5, 7])
+    assert len(tau_ladder_span(casimir(sl2), parse_poly("t^3-1"))) == 5
 
 
 # ---------------------------------------------------------------------------
