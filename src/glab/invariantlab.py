@@ -469,7 +469,7 @@ def centralizer_in_span(target: MPoly, span: Sequence, T: BracketTable) -> list:
     the images of target formed once.
     """
     (brackets,) = poisson_brackets((target,), span, T)
-    _, rows = coeff_rows(brackets)
+    rows = coeff_rows(brackets)
     return row_space(zip(*rows), len(span)).kernel()
 
 

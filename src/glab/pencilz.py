@@ -7,8 +7,8 @@ annihilation solve on polarization spaces, accumulate into one commutative
 subalgebra.  The remaining tools measure that subalgebra: transcendence
 degree by sampled Jacobian ranks against the paper's formula, agreement
 with the raising-derivation ladders, and the evaluation picture in degree
-two.  Two spans of polynomials are compared by their canonical echelon
-bases, and the ladders in polarization coordinates.
+two.  Both comparisons with Z run in the polarization coordinates that Z
+holds and compare spans by rank (see _ladders_against_Z and mf_image).
 
 The ladders form no polynomial.  tau is a derivation, so exp(s tau) is an
 automorphism, and tau^k(x t) = k! x t^(k+1).  So for F of degree d in
@@ -60,12 +60,11 @@ from .psring import (
     MPoly,
     annihilation_rows,
     cleared_jacobian,
+    coeff_rows,
     combination_basis,
     directional_derivative,
-    echelon_basis,
     pairwise_commute,
     polarize,
-    substitute_vars,
 )
 from .invariantlab import basic_invariants, weakly_increasing
 
@@ -464,28 +463,18 @@ def check_ft_gzu(q: LieAlgebra, p: UniPoly) -> SpanCheck:
 # degree-two evaluation picture
 
 
-def rho_gamma(F: MPoly, gamma: Sequence) -> MPoly:
-    """Evaluate the t coordinate: x_i t^0 stays, x_i t^1 -> gamma_i."""
-    gamma = [rat(c) for c in gamma]
-    mapping = {}
-    for v in F.vars():
-        i, a = v
-        if a == 0:
-            continue
-        if a == 1:
-            mapping[v] = MPoly.const(gamma[i])
-        else:
-            raise InputError("evaluation defined only for t degrees 0 and 1")
-    return substitute_vars(F, mapping)
-
-
 def mf_image(Z: ZAlgebra, gamma: Sequence) -> bool:
     """Directional-derivative chains inside the evaluated center.
 
     Works for degree-two pencils: for each invariant F, the derivatives of
-    F of every order in the direction gamma must lie in the span of the
-    evaluated basis of its part of Z, that is leave its echelon basis
-    unchanged.
+    F of every order in the direction gamma must lie in Z's part for F with
+    x_i t^1 evaluated at gamma_i, read off Z.spaces.  Column k of its rows
+    C is the polarization P_k with k ones, which Taylor's formula on
+    F(xi_0 + s gamma) evaluates to g_k = D_gamma^k F / k!.  So the part is
+    the row span of C g, inside span(g), and the chain k! g_k lies in it
+    exactly when C g and g have one rank.  With Z's part at the paper's
+    count deg F + 1, C is invertible and the picture holds for every
+    gamma; the check bites only where Z's part is short.
     """
     if Z.pencil.n != 2:
         raise InputError("the evaluation picture needs a degree-two pencil")
@@ -493,11 +482,13 @@ def mf_image(Z: ZAlgebra, gamma: Sequence) -> bool:
     if len(gamma) != Z.pencil.base.dim:
         raise InputError("gamma needs one coordinate per basis element")
     gdict = {(i, 0): c for i, c in enumerate(gamma)}
-    for i, F in enumerate(Z.invariants):
-        images = echelon_basis([rho_gamma(b, gamma) for b in Z.basis[i]])
-        chain = [F]
-        for _ in range(F.total_degree()):
-            chain.append(directional_derivative(chain[-1], gdict))
-        if echelon_basis(images + chain) != images:
+    for F, (_, C) in zip(Z.invariants, Z.spaces):
+        g = [F]
+        for k in range(1, F.total_degree() + 1):
+            g.append(directional_derivative(g[-1], gdict).scale(Fraction(1, k)))
+        G = coeff_rows(g)
+        width = len(G[0])
+        images = ([sum(c * x for c, x in zip(r, col)) for col in zip(*G)] for r in C)
+        if row_space(images, width).dim != row_space(G, width).dim:
             return False
     return True

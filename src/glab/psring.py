@@ -16,11 +16,10 @@ exact span/rank utilities.  The bracket table is the one bracket
 representation: q[t] is bracketed through its truncation q[t]/(t^N), N
 above every t degree reached.
 
-A span is compared by its canonical echelon basis.  echelon_basis reduces
-the coefficient rows of any family; combination_basis reads the basis of
-the combinations of polys with disjoint supports, such as the polarizations
-of one invariant, off the coefficient vectors alone (pencilz.ZAlgebra.basis,
-on its first read, and invariantlab.invariants_degree).
+A span has one canonical basis, combination_basis, read for combinations
+of polys with disjoint supports off their coefficient vectors alone
+(pencilz.ZAlgebra.basis and invariantlab.invariants_degree).  Everything
+else compares spans by rank or reads a kernel, on coeff_rows.
 
 All arithmetic runs on the numerators.  Sums, negation, scale and diff work
 on them directly; every product runs on one integer kernel, _mul_acc: MPoly
@@ -35,10 +34,10 @@ denominator only where it sums them, and hands its result to
 _from_numerators, the one normalizer: it drops zero terms and divides out
 the gcd once.  Every map of t-levels, x_i t^a -> x_i * r(t) (psi_p and
 the transports of invariantlab), goes through substitute_levels and on to
-substitute_vars, as does pencilz.rho_gamma.  A substitution multiplies each
-term by the cached power of each mapped factor's image; where that power is
-one term, as for rho_gamma and psi_p wherever t^a mod p is a monomial, the
-map only shifts the packed key and scales the numerator.
+substitute_vars.  A substitution multiplies each term by the cached power
+of each mapped factor's image; where that power is one term, as for psi_p
+wherever t^a mod p is a monomial, the map only shifts the packed key and
+scales the numerator.
 
 Products guard against term blowup: when an operation would exceed the
 term budget (GLAB_BUDGET_TERMS, default 2 * 10^6) it raises BudgetError
@@ -277,10 +276,10 @@ def _common(polys: Iterable) -> tuple:
 # wrapping.  Slots are handed out in order of first use and kept for the
 # life of the process, since MPoly keys outlive every operation; so a key
 # is as wide as the registry, not the monomial.  Slot order is not variable
-# order: what reads monomials in mono_sort_key order (terms, repr,
-# coeff_rows, echelon_basis) decodes and sorts, and _first_key walks the
-# variables in order.  _fields walks the set fields of a key, never its
-# bytes.
+# order.  What needs monomials in mono_sort_key order decodes and sorts
+# (repr) or walks the variables in order (_first_key, behind the leads of
+# combination_basis and primitive); coeff_rows needs no order.  _fields
+# walks the set fields of a key, never its bytes.
 
 FIELD_MAX = 255
 _UNITS: dict = {}  # variable -> 1 << (8 * slot), slots from 1
@@ -464,8 +463,8 @@ def substitute_vars(F: MPoly, mapping: dict) -> MPoly:
     is lifted to the top mapped degree (D^(top - deg m)) and multiplied,
     one mapped factor x_v^e at a time, by the cached power image(v)^e on
     the integer kernel.  Where that power is one term (a scalar times a
-    monomial, or a nonzero constant: rho_gamma, psi_p where t^a mod p
-    is a monomial), the factor costs a key shift and one multiply.  The
+    monomial, or a nonzero constant: psi_p where t^a mod p is a
+    monomial), the factor costs a key shift and one multiply.  The
     result is divided by F's denominator times D^top once.
     """
     nums = F._nums
@@ -883,45 +882,25 @@ def jacobian_rank_at(polys: Sequence, point: Sequence, vars_order: Sequence) -> 
 # spans
 
 
-def _key_rows(polys: Sequence) -> tuple:
-    """(keys, rows): the family's packed keys in mono_sort_key order, and
-    each poly's coefficients on them as ints over one common denominator,
-    which keeps the span of the rows and the kernel of their transpose."""
+def coeff_rows(polys: Sequence) -> list:
+    """Each poly's coefficients, as ints over one common denominator, on
+    the family's packed keys in the order the family first holds them: a
+    rank (span_dim) or a kernel (invariantlab.centralizer_in_span) needs no
+    monomial order, so no key is decoded and nothing is sorted."""
     _, scaled = _common(polys)
-    decoded = {k: _decode(k) for nums in scaled for k in nums}
-    keys = sorted(decoded, key=lambda k: (k & FIELD_MAX, decoded[k]))
-    index = {k: j for j, k in enumerate(keys)}
+    index = {k: j for j, k in enumerate(dict.fromkeys(k for nums in scaled for k in nums))}
     rows = []
     for nums in scaled:
-        row = [0] * len(keys)
+        row = [0] * len(index)
         for k, n in nums.items():
             row[index[k]] = n
         rows.append(row)
-    return keys, rows
-
-
-def coeff_rows(polys: Sequence) -> tuple:
-    """Common monomial index, in mono_sort_key order, and integer
-    coefficient rows, all over one common denominator."""
-    keys, rows = _key_rows(polys)
-    return [_decode(k) for k in keys], rows
+    return rows
 
 
 def span_dim(polys: Sequence) -> int:
-    keys, rows = _key_rows(polys)
-    return row_space(rows, len(keys)).dim
-
-
-def echelon_basis(polys: Sequence) -> list:
-    """Canonical basis of the span: reduced echelon over graded monomials.
-
-    The monomials are those of the span itself, so two families span the
-    same space exactly when their echelon bases are equal.  Each basis
-    poly is its reduced integer row over the common pivot entry.
-    """
-    keys, rows = _key_rows(polys)
-    reduced, d = row_space(rows, len(keys)).reduced()
-    return [_from_numerators({k: x for x, k in zip(row, keys) if x}, d) for row in reduced]
+    rows = coeff_rows(polys)
+    return row_space(rows, len(rows[0]) if rows else 0).dim
 
 
 def _first_key(keys) -> int:
@@ -954,8 +933,9 @@ def _first_key(keys) -> int:
 
 
 def combination_basis(polys: Sequence, vectors: Iterable) -> list:
-    """echelon_basis([sum_k v[k] * polys[k] for v in vectors]) for nonzero
-    polys with disjoint supports, read off the vectors (int or Fraction).
+    """The canonical basis of span{sum_k v[k] * polys[k] : v in vectors},
+    its reduced row echelon form over monomials in mono_sort_key order, for
+    nonzero polys with disjoint supports, read off the vectors (int or Fraction).
 
     Let lead_k be the first key of polys[k] in mono_sort_key order and c_k
     its coefficient.  The supports being disjoint, the leads are distinct

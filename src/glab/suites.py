@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .exactla import InputError, det, rat, rat_str
+from .exactla import BudgetError, InputError, det, rat, rat_str, term_budget
 from .liecore import (
     UniPoly,
     builtin_algebra,
@@ -166,6 +166,17 @@ def report_markdown(report: Report, elapsed: float | None = None) -> str:
 # suite bodies
 
 
+def _refuse_work(suite: str, what: str, work) -> None:
+    """BudgetError when the work that a suite's params imply, counted as
+    loop passes times the cells or term products each pass may touch,
+    passes the term budget.  A body calls it before any work, so a short
+    --params cannot run for hours; the defaults stay far inside."""
+    budget = term_budget()
+    if work > budget:
+        raise BudgetError(f"suite {suite!r}: {what} implies {work} units of work, "
+                          f"past budget {budget}")
+
+
 def jacobi_case(q, p) -> tuple:
     """(antisymmetry holds, first Jacobi witness or None) for the quotient
     bracket of q[t] by p."""
@@ -190,6 +201,9 @@ def _suite_pencil_closure(params, seed):
     p1 = parse_poly(params["p1"])
     p2 = parse_poly(params["p2"])
     pen = Pencil(q, p1, p2)
+    N = q.dim * pen.n  # each member's Jacobi scan has N(N - 1)(N - 2)/6 triples
+    _refuse_work("pencil-closure", f"count {params['count']}",
+                 max(params["count"], 0) * (N * (N - 1) * (N - 2) // 6))
     t1, t2 = pen.end_tables
     rng = random.Random(seed)
     pts = []
@@ -402,6 +416,10 @@ def _suite_quad_family(params, seed):
     checks = []
     q = builtin_algebra("sl2")
     top = params["range"]
+    # top^2 quadratics H[a, b] against them all and the dim xi_t, each
+    # bracket of two quadratics contracting at most dim^2 x dim^2 term pairs
+    pairs = top ** 2 * (top ** 2 + q.dim) if top > 0 else 0
+    _refuse_work("quad-family", f"range {top}", pairs * q.dim ** 4)
     # H[a, b] sit at levels < top and xi_t at level 1: brackets stay below 2 * top
     current = make_quotient(q, UniPoly.monomial(2 * top))
     levels = range(top)
@@ -527,6 +545,15 @@ def _suite_sovp(params, seed):
 
 
 def _suite_det_a(params, seed):
+    # Bareiss on an m x m matrix updates about m^3 cells; matrix_A(j) is
+    # (j - 1) x (j - 1) and matrix_A_kd(k, d) is (k + 1) x (k + 1); the
+    # binomial identity at (u, b) sums u - b terms
+    j_min, j_max, kd_max, binom_max = (
+        params[k] for k in ("j_min", "j_max", "kd_max", "binom_max"))
+    _refuse_work("det-A", f"j_max {j_max}",
+                 max(j_max - j_min + 1, 0) * max(j_max - 1, 0) ** 3)
+    _refuse_work("det-A", f"kd_max {kd_max}", max(kd_max, 0) ** 2 * (kd_max + 1) ** 3)
+    _refuse_work("det-A", f"binom_max {binom_max}", max(binom_max, 0) ** 3)
     checks = []
     ok = True
     vals = {}
@@ -704,8 +731,9 @@ def run_suite(name: str, params: dict | None = None, seed: int = 0) -> Report:
     """Run one named suite; unknown names and bad params raise InputError.
 
     An override must have the JSON type of its default.  A KeyError,
-    TypeError, ValueError or IndexError that the body raises on overridden
-    params is bad input too; on the defaults it is a fault and propagates.
+    TypeError, ValueError, IndexError or OverflowError (a float param past
+    the range of floats) that the body raises on overridden params is bad
+    input too; on the defaults it is a fault and propagates.
     """
     if name not in _BODIES:
         raise InputError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
@@ -719,7 +747,7 @@ def run_suite(name: str, params: dict | None = None, seed: int = 0) -> Report:
         merged[k] = v
     try:
         checks = _BODIES[name](merged, seed)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         if not params or isinstance(exc, InputError):
             raise
         raise InputError(f"suite {name!r}: bad params: {exc!r}") from exc

@@ -764,3 +764,22 @@ def reference_ladder(F, p, first_level):
         out.append(reference_psi(moved, p))
         cur = reference_derivation(cur, tau)
     return out
+
+
+def reference_rho_gamma(F, gamma):
+    """Evaluate the t coordinate in Fraction arithmetic on .terms: x_i t^0
+    stays and x_i t^1 -> gamma_i, one term at a time; InputError at any
+    higher t degree."""
+    acc = {}
+    for m, c in F.terms.items():
+        kept = []
+        for (i, a), e in m:
+            if a > 1:
+                raise InputError("evaluation defined only for t degrees 0 and 1")
+            if a:
+                c *= Fraction(gamma[i]) ** e
+            else:
+                kept.append(((i, a), e))
+        if c:
+            acc[tuple(kept)] = acc.get(tuple(kept), Fraction(0)) + c
+    return MPoly(acc)

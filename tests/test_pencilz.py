@@ -1,7 +1,9 @@
 """Pencils, joint-center assembly, ladders, and the evaluation picture."""
+import dataclasses
 import functools
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,9 +29,10 @@ from glab.psring import (
     annihilation_rows,
     coeff_rows,
     combination_basis,
-    echelon_basis,
+    directional_derivative,
     poisson_bracket,
     primitive,
+    span_dim,
     substitute_levels,
     substitute_vars,
 )
@@ -54,7 +57,6 @@ from glab.pencilz import (
     check_sovp,
     expected_trdeg,
     mf_image,
-    rho_gamma,
     tau_ladder_span,
     trdeg_estimate,
     trdeg_of_Z,
@@ -62,9 +64,12 @@ from glab.pencilz import (
 )
 from oracle import (
     reference_combine,
+    reference_derivation,
+    reference_echelon_basis,
     reference_images,
     reference_jacobian_at,
     reference_ladder,
+    reference_rho_gamma,
     reference_sampled_max_rank,
 )
 
@@ -135,7 +140,7 @@ def test_build_Z_recipes_reproduce_central_generators(sl3):
                 assert not poly.is_zero()
                 assert all(poisson_bracket(poly, MPoly.variable(v), member).is_zero()
                            for v in member.var_list())
-                assert echelon_basis(Z.basis[i] + [poly]) == Z.basis[i]
+                assert span_dim(Z.basis[i] + [poly]) == span_dim(Z.basis[i])
                 raw += 1
     assert raw == Z.raw_generators == 36
 
@@ -352,8 +357,9 @@ def test_shifting_t_maps_Z_level_by_level(qname, p1, p2, c):
     Z = build_Z(Pencil(q, p1, p2))
     W = build_Z(Pencil(q, shifted(p1), shifted(p2)))
     for i, basis in Z.basis.items():
-        assert W.basis[i] == echelon_basis([substitute_levels(F, lambda a: r ** a)
-                                            for F in basis])
+        # equal spans: dim A = dim B = dim(A + B)
+        image = [substitute_levels(F, lambda a: r ** a) for F in basis]
+        assert span_dim(W.basis[i]) == span_dim(image) == span_dim(W.basis[i] + image)
 
 
 def test_trdeg(pen_t, sl2):
@@ -513,7 +519,7 @@ def test_tau_ladder_span_dims(sl2):
         assert len(lad) == want == C.total_degree() * (p.degree - 1) + 1
         # the rows are coordinates on the polarizations of C
         pols = [polarize(C, m) for m in weakly_increasing(2, p.degree - 1)]
-        assert combination_basis(pols, lad) == echelon_basis(reference_ladder(C, p, 1))
+        assert combination_basis(pols, lad) == reference_echelon_basis(reference_ladder(C, p, 1))
     p = parse_poly("t^2")
     assert p.coeff(0) == 0
     assert len(tau_ladder_span(C, p)) < C.total_degree() * (p.degree - 1) + 1
@@ -524,9 +530,9 @@ def test_tau_ladder_span_edge_cases(sl2):
     # zero spans nothing and a constant spans one line, as the polynomial
     # ladder says
     assert tau_ladder_span(MPoly.zero(), p) == ()
-    assert echelon_basis(reference_ladder(MPoly.zero(), p, 1)) == []
+    assert span_dim(reference_ladder(MPoly.zero(), p, 1)) == 0
     assert tau_ladder_span(MPoly.const(Fraction(-3, 2)), p) == ([1],)
-    assert len(echelon_basis(reference_ladder(MPoly.const(Fraction(-3, 2)), p, 1))) == 1
+    assert span_dim(reference_ladder(MPoly.const(Fraction(-3, 2)), p, 1)) == 1
     # InputError where polarize refuses F: not homogeneous, or a level > 0
     x, y = MPoly.variable((0, 0)), MPoly.variable((1, 0))
     for F in (x * y + x, x * MPoly.variable((1, 1))):
@@ -559,16 +565,17 @@ def test_ladder_coordinates_match_the_polynomial_ladder(data, n, first_level, at
     if at_zero:
         low[0] = 0
     p = UniPoly.make(low + [1])
-    want = echelon_basis(reference_ladder(F, p, first_level))
+    fam = reference_ladder(F, p, first_level)
     if F.is_zero():
-        assert want == [] and tau_ladder_span(F, p) == ()
+        assert span_dim(fam) == 0 and tau_ladder_span(F, p) == ()
         return
     rows = _ladder_space(F, p, first_level).rows
     if first_level:
         assert tau_ladder_span(F, p) == rows
     pols = [polarize(F, m) for m in weakly_increasing(F.total_degree(), n - 1)]
-    assert len(rows) == len(want)
-    assert combination_basis(pols, rows) == want
+    # equal spans: dim A = dim B = dim(A + B), A the polynomials of the rows
+    got = combination_basis(pols, rows)
+    assert len(rows) == span_dim(got) == span_dim(fam) == span_dim(got + fam)
 
 
 def test_gzu_ladder_members_reduce(sl2):
@@ -580,7 +587,7 @@ def test_gzu_ladder_members_reduce(sl2):
     assert all(f.vars() <= {(i, a) for i in range(3) for a in range(2)}
                for f in fam if not f.is_zero())
     pols = [polarize(C, m) for m in weakly_increasing(2, 1)]
-    assert combination_basis(pols, _ladder_space(C, p, 0).rows) == echelon_basis(fam)
+    assert combination_basis(pols, _ladder_space(C, p, 0).rows) == reference_echelon_basis(fam)
 
 
 def test_check_sovp(sl2):
@@ -659,11 +666,31 @@ def test_ladder_checks_form_no_polynomial(monkeypatch, sl2, sl3):
 
 
 def test_rho_gamma(sl2):
+    # the oracle's evaluation of the t coordinate: x_i t^0 stays, x_i t^1
+    # -> gamma_i, higher t degrees refused
     F = MPoly.variable((0, 0)) * MPoly.variable((2, 1))
-    img = rho_gamma(F, [1, 2, -1])
+    img = reference_rho_gamma(F, [1, 2, -1])
     assert img == MPoly.variable((0, 0)).scale(-1)
     with pytest.raises(InputError):
-        rho_gamma(MPoly.variable((0, 2)), [1, 2, 3])
+        reference_rho_gamma(MPoly.variable((0, 2)), [1, 2, 3])
+
+
+@pytest.mark.parametrize("qname", ["sl2", "sl3", "gl2", "gl3", "sl4"])
+def test_evaluated_polarizations_are_taylor_coefficients(qname):
+    # rho_gamma(P_k) = D_gamma^k F / k!, P_k the polarization with k ones:
+    # Taylor's formula on F(xi_0 + s gamma), which mf_image rests on
+    q = builtin_algebra(qname)
+    rng = random.Random(qname)
+    for F in basic_invariants(q):
+        d = F.total_degree()
+        for _ in range(2):
+            gamma = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(q.dim)]
+            gdict = {(i, 0): c for i, c in enumerate(gamma)}
+            g = F
+            for k in range(d + 1):
+                P_k = polarize(F, (0,) * (d - k) + (1,) * k)
+                assert reference_rho_gamma(P_k, gamma) == g, (qname, k)
+                g = directional_derivative(g, gdict).scale(Fraction(1, k + 1))
 
 
 def test_mf_image_contained(sl2, pen_t, pen_1):
@@ -685,13 +712,21 @@ def test_mf_image_degenerate_and_errors(sl2, sl3, pen_t):
         mf_image(build_Z(pen3), [1, 1, 1])
 
 
+def _without_row(Z: ZAlgebra, i: int, k: int) -> ZAlgebra:
+    """Z with row k of the rows C of invariant i dropped."""
+    spaces = list(Z.spaces)
+    pols, rows = spaces[i]
+    spaces[i] = (pols, rows[:k] + rows[k + 1:])
+    return dataclasses.replace(Z, spaces=spaces)
+
+
 def test_mf_image_fails_without_any_one_basis_element(pen_t):
-    # negative control: the chain needs the whole evaluated center
+    # negative control: the chain needs the whole evaluated center, so no
+    # row of C can go
     Z = build_Z(pen_t)
-    full = Z.basis[0]
-    for k in range(len(full)):
-        Z.basis = {0: full[:k] + full[k + 1:]}
-        assert not mf_image(Z, [1, 1, 1])
+    assert mf_image(Z, [1, 1, 1])
+    for k in range(len(Z.spaces[0][1])):
+        assert not mf_image(_without_row(Z, 0, k), [1, 1, 1])
 
 
 def test_mf_image_holds_on_every_degree_two_z_case():
@@ -700,6 +735,63 @@ def test_mf_image_holds_on_every_degree_two_z_case():
         q = builtin_algebra(qa)
         Z = build_Z(Pencil(q, parse_poly("t^2"), parse_poly(p2txt)))
         assert mf_image(Z, [1] * q.dim), qa
+
+
+def test_mf_image_forms_no_basis_polynomial(monkeypatch, sl3):
+    # mf_image reads Z.spaces: no basis polynomial of Z is formed and no
+    # polynomial is substituted
+    def unreachable(*args, **kwargs):
+        raise AssertionError("mf_image formed a basis polynomial")
+
+    monkeypatch.setattr(pencilz, "combination_basis", unreachable)
+    monkeypatch.setattr(psring, "substitute_vars", unreachable)
+    Z = build_Z(Pencil(sl3, parse_poly("t^2"), parse_poly("t^2+t")))
+    assert mf_image(Z, [1] * sl3.dim) and mf_image(Z, [0] * sl3.dim)
+    assert not mf_image(_without_row(Z, 1, 0), [1] * sl3.dim)
+    with pytest.raises(AssertionError, match="formed a basis polynomial"):
+        Z.basis
+
+
+@functools.cache
+def _degree_two_Z(qname: str, p2txt: str) -> ZAlgebra:
+    return build_Z(Pencil(builtin_algebra(qname), parse_poly("t^2"), parse_poly(p2txt)))
+
+
+def _mf_image_by_the_oracle(Z: ZAlgebra, gamma) -> bool:
+    """mf_image the long way: Z's basis polynomials evaluated by
+    reference_rho_gamma, and the chain D_gamma^k F inside their span when
+    adding it leaves reference_echelon_basis as it was."""
+    def direction(v):
+        return MPoly.const(gamma[v[0]]) if v[1] == 0 else MPoly.zero()
+
+    for i, F in enumerate(Z.invariants):
+        images = reference_echelon_basis([reference_rho_gamma(b, gamma) for b in Z.basis[i]])
+        chain = [F]
+        for _ in range(F.total_degree()):
+            chain.append(reference_derivation(chain[-1], direction))
+        if reference_echelon_basis(images + chain) != images:
+            return False
+    return True
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_mf_image_matches_the_oracle(data):
+    # random directions, with 0 and the isotropic [1, 2, -1] always among
+    # them, on Z and on Z with any one row of C dropped
+    qname = data.draw(st.sampled_from(
+        ["sl2", "sl3", "gl2", "gl3", "abelian:2", "sum:abelian:1,abelian:2"]))
+    Z = _degree_two_Z(qname, data.draw(st.sampled_from(["t^2+t", "t^2+1"])))
+    dim = Z.pencil.base.dim
+    gammas = [[Fraction(0)] * dim, data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=dim, max_size=dim))]
+    if dim == 3:
+        gammas.append([Fraction(c) for c in (1, 2, -1)])
+    variants = [Z] + [_without_row(Z, i, k) for i, (_, rows) in enumerate(Z.spaces)
+                      for k in range(len(rows))]
+    for W in variants:
+        for gamma in gammas:
+            assert mf_image(W, gamma) == _mf_image_by_the_oracle(W, gamma), (qname, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +835,7 @@ def _dense_combos(pols, T):
         col = [img.get(v, MPoly.zero()) for img in images]
         if all(F.is_zero() for F in col):
             continue
-        _, rows = coeff_rows(col)
+        rows = coeff_rows(col)
         blocks.extend([r[c] for r in rows] for c in range(len(rows[0])))
     return nullspace(QMatrix.from_rows(blocks))
 
@@ -789,7 +881,9 @@ def test_split_member_kernel_matches_crt_generators(qname, p1, p2, split):
         for F, (rows, pols) in zip(f_list, solves):
             kernel = [reference_combine(pols, vec)
                       for vec in _annihilator_combos(rows, P.member_weights(a), len(pols))]
-            assert echelon_basis(kernel) == echelon_basis(crt_generators([F], ptilde))
+            # equal spans: dim A = dim B = dim(A + B)
+            crt = crt_generators([F], ptilde)
+            assert span_dim(kernel) == span_dim(crt) == span_dim(kernel + crt)
     assert found == split
 
 

@@ -25,7 +25,6 @@ from glab.psring import (
     coeff_rows,
     combination_basis,
     directional_derivative,
-    echelon_basis,
     jacobian_rank_at,
     mono_sort_key,
     pairwise_commute,
@@ -477,7 +476,7 @@ def test_combination_basis_on_edge_cases():
     vectors = [(0, 0, 0), (1, Fraction(-1, 2), 3), (2, -1, 6), (Fraction(1, 3), 0, 0)]
     got = combination_basis(family, vectors)
     assert got == reference_combination_basis(family, vectors)
-    assert got == echelon_basis([P, Q.scale(Fraction(-1, 2)) + R.scale(3)])
+    assert got == reference_echelon_basis([P, Q.scale(Fraction(-1, 2)) + R.scale(3)])
     assert combination_basis(family, []) == combination_basis([], []) == []
     assert combination_basis(family, [(0, 0, 0)]) == []
     assert combination_basis([x, y], [(5, 0), (0, Fraction(-2, 7))]) == [x, y]
@@ -849,9 +848,9 @@ def test_span_utilities():
     fam = [x, y, x + y]
     assert span_dim(fam) == 2
     assert span_dim([MPoly.zero()]) == span_dim([]) == 0
-    assert echelon_basis([x + y, x - y, MPoly.zero()]) == echelon_basis(fam) == [x, y]
-    assert echelon_basis([y.scale(2) - x.scale(2), y - x]) == [x - y]
-    assert echelon_basis([MPoly.zero()]) == []
+    assert span_dim([x + y, x - y, MPoly.zero()]) == span_dim(fam + [x + y, x - y]) == 2
+    assert span_dim([y.scale(2) - x.scale(2), y - x]) == 1
+    assert span_dim([y.scale(2) - x.scale(2), y - x, x]) == 2
 
 
 @given(st.lists(mpolys(), min_size=1, max_size=4),
@@ -859,15 +858,16 @@ def test_span_utilities():
                          min_size=4, max_size=4), max_size=3),
        mpolys())
 @settings(max_examples=60, deadline=None)
-def test_echelon_basis_is_canonical_for_the_span(A, combos, G):
-    # what the span comparisons of pencilz rely on: combinations of A, in
-    # any order, leave the basis as it is, and G changes it exactly when it
-    # lies outside the span
-    base = echelon_basis(A)
+def test_span_dim_reads_the_span(A, combos, G):
+    # what the span comparisons of pencilz rely on: span_dim is the rank of
+    # the reference basis, combinations of A, in any order, leave it as it
+    # is, and G raises it exactly when G lies outside the span
+    base = reference_echelon_basis(A)
+    assert span_dim(A) == len(base)
     extra = [sum((F.scale(c) for F, c in zip(A, cs)), MPoly.zero()) for cs in combos]
-    assert echelon_basis(extra + A[::-1]) == base
+    assert span_dim(extra + A[::-1]) == span_dim(A + extra) == len(base)
     outside = span_dim(A + [G]) > span_dim(A)
-    assert (echelon_basis(A + [G]) != base) == outside
+    assert (reference_echelon_basis(A + [G]) != base) == outside
 
 
 # variables first used in reverse of their sort order, so the order of
@@ -890,28 +890,24 @@ def test_decoded_monomials_keep_tuple_order(dicts):
         assert repr(F) == reference_repr(F)
         if not F.is_zero():  # the lead that combination_basis and primitive read
             assert psring._decode(psring._first_key(F._nums)) == reference_monomials([F])[0]
-    monos, rows = coeff_rows(polys)
-    assert monos == reference_monomials(polys)
-    # one common scale for every row
-    want = [[F.terms.get(m, 0) for m in monos] for F in polys]
-    scale = next((Fraction(r, w) for rr, ww in zip(rows, want)
-                  for r, w in zip(rr, ww) if w), 1)
-    assert rows == [[w * scale for w in ww] for ww in want]
-    assert echelon_basis(polys) == reference_echelon_basis(polys)
+    # the rows hold the reference coefficients, in some column order, over
+    # the common denominator, and span as much as the reference basis
+    rows = coeff_rows(polys)
+    want = [[F.terms.get(m, 0) for m in reference_monomials(polys)] for F in polys]
+    scale = math.lcm(*(Fraction(w).denominator for ww in want for w in ww))
+    assert sorted(zip(*rows)) == sorted(tuple(w * scale for w in col) for col in zip(*want))
+    assert span_dim(polys) == len(reference_echelon_basis(polys))
 
 
 def test_coeff_rows_alignment():
     x = MPoly.variable((0, 0))
     y = MPoly.variable((1, 0))
-    monos, rows = coeff_rows([x + y.scale(2), y])
-    assert len(monos) == 2
+    rows = coeff_rows([x + y.scale(2), y])
     assert len(rows) == 2
-    idx = {m: k for k, m in enumerate(monos)}
-    xm = (((0, 0), 1),)
-    ym = (((1, 0), 1),)
-    assert rows[0][idx[xm]] == 1
-    assert rows[0][idx[ym]] == 2
-    assert rows[1][idx[xm]] == 0
+    # one column per monomial: x holds (1, 0) and y (2, 1), in either order
+    assert sorted(zip(*rows)) == [(1, 0), (2, 1)]
+    # over one common denominator
+    assert coeff_rows([x.scale(Fraction(1, 2)), y.scale(Fraction(1, 3))]) == [[3, 0], [0, 2]]
 
 
 def test_jacobian_rank():

@@ -396,6 +396,44 @@ def test_cli_samples_above_the_budget_exit_3(runner, monkeypatch):
         assert "sample count 101 exceeds budget 100" in res.output
 
 
+@pytest.mark.parametrize("name, params, why", [
+    ("det-A", {"binom_max": 1000000}, "binom_max 1000000 implies"),
+    ("det-A", {"j_max": 200}, "j_max 200 implies"),
+    ("quad-family", {"range": 30}, "range 30 implies"),
+    ("pencil-closure", {"count": 100000000}, "count 100000000 implies"),
+])
+def test_cli_suite_params_past_the_budget_exit_3(runner, monkeypatch, name, params, why):
+    # the work a suite's params imply is held against the term budget
+    # before any of it is done
+    monkeypatch.delenv("GLAB_BUDGET_TERMS", raising=False)
+    start = time.perf_counter()
+    res = runner.invoke(main, ["suite", "run", name, "--params", json.dumps(params)])
+    assert time.perf_counter() - start < 2
+    assert res.exit_code == 3
+    assert why in res.output and "past budget 2000000" in res.output
+
+
+@pytest.mark.parametrize("name, params", [
+    ("det-A", {}),
+    ("pencil-closure", {}),
+    ("quad-family", {}),
+    # the params the products benchmark runs
+    ("quad-family", {"range": 5, "centralizer_ns": [2, 3, 4, 5, 6]}),
+])
+def test_suite_params_stay_well_inside_the_budget(monkeypatch, name, params):
+    # the defaults, and the larger params that are benchmarked, still run
+    # at a tenth of the default budget
+    monkeypatch.setenv("GLAB_BUDGET_TERMS", "200000")
+    assert run_suite(name, params).ok
+
+
+def test_over_budget_float_params_are_bad_input(runner):
+    # a float past the range of floats overflows the work count: exit 2
+    res = runner.invoke(main, ["suite", "run", "det-A", "--params", '{"j_max": 1e300}'])
+    assert res.exit_code == 2
+    assert "bad params: OverflowError" in res.output
+
+
 def test_cli_build_refuses_polarizations_past_the_budget(runner, monkeypatch):
     # sl4's quartic invariant has 80 terms, so at n = 3 its polarizations
     # hold at most 80 * 3^4 = 6480 terms: refused before any is formed
