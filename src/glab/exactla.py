@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Exact elimination goes through two fraction-free routines on integers,
-every division in them exact, and no ``fractions.Fraction`` is made until
-the answer is read out.
+Exact elimination stays on integers, every division in it exact, and no
+``fractions.Fraction`` is made until the answer is read out.  ``RowSpace``
+is the one general exact rank: it reduces each new row against the
+primitive integer rows it holds, one gcd-scaled multiply-add per pivot; it
+ranks spans, span dimensions and the witnesses of sampled Jacobians.
 
 ``_echelon`` is Bareiss elimination of integer rows, rational input
-cleared to integers row by row.  Rank, determinant and kernels use its
-echelon form; rref, mat_inv and RowSpace.reduced use its reduced form.  A
-kernel takes one forward elimination, of the rows with their columns
-reversed, and a fraction-free back-substitution per free column, which
-yields its reduced row echelon basis: a canonical basis, reproducible byte
-for byte.
+cleared to integers row by row.  Determinants and kernels use its echelon
+form; rref, mat_inv and RowSpace.reduced use its reduced form.  A kernel
+takes one forward elimination, of the rows with their columns reversed,
+and a fraction-free back-substitution per free column, which yields its
+reduced row echelon basis: a canonical basis, reproducible byte for byte.
 
 ``_pfaffian`` is Pfaffian elimination of a skew-symmetric integer matrix
 from its strict upper triangle, as the structure matrices of Lie brackets
@@ -26,10 +27,10 @@ Bareiss's.
 integer rows over GF(PRIME), which can only under-count, so a sampled rank
 can be steered by it and certified by one exact rank at the end.  Each
 row is one int of wide bit fields, one per column, so that a row operation
-is one bigint multiply-add.  ``rank_mod_p`` packs the cleared rows of a
-QMatrix into it; a caller that can form its rows packed, as the sampled
-structure matrices of liecore are formed from per-coordinate packed rows,
-feeds them to it directly.
+is one bigint multiply-add.  ``rank_mod_p`` packs integer rows into it, as
+psring.cleared_jacobian forms them; a caller that can form its rows packed,
+as the sampled structure matrices of liecore are formed from
+per-coordinate packed rows, feeds them to it directly.
 
 The term budget (GLAB_BUDGET_TERMS) is read here, at the bottom of the
 package, so every layer that allocates by an input size can refuse it.
@@ -212,7 +213,7 @@ def _echelon(rows: list, ncols: int, full: bool) -> tuple:
 
 
 def rank(m: QMatrix) -> int:
-    """Matrix rank by fraction-free elimination on integers."""
+    """Matrix rank by Bareiss elimination; the program ranks by RowSpace."""
     return len(_echelon(_int_rows(m), m.cols, False)[1])
 
 
@@ -371,18 +372,19 @@ def rank_packed_mod_p(rows: list, ncols: int) -> int:
     return found
 
 
-def rank_mod_p(m: QMatrix) -> int:
-    """Rank over GF(PRIME) of m with each row cleared to integers.
+def rank_mod_p(rows: Sequence, ncols: int) -> int:
+    """Rank over GF(PRIME) of integer rows, each of ncols entries.
 
-    A minor that vanishes over the integers vanishes mod PRIME, and row
-    scaling keeps the rank over Q, so the result is never above rank(m).
-    It is below it only when PRIME divides every nonzero minor of size
-    rank(m) of the cleared rows.  Each cleared row is reduced mod PRIME and
-    packed into one int (pack_mod_p), then ranked by rank_packed_mod_p.
+    A minor that vanishes over the integers vanishes mod PRIME, so the
+    result is never above the rank over Q, and below it only when PRIME
+    divides every nonzero minor of that size.  Rational rows are cleared to
+    integers first, as psring.cleared_jacobian clears them.  Each row is
+    packed mod PRIME (pack_mod_p) and ranked by rank_packed_mod_p.
     """
-    width = packed_width(m.cols)
-    return rank_packed_mod_p([pack_mod_p(enumerate(r), width) for r in _int_rows(m)],
-                             m.cols)
+    if any(len(r) != ncols for r in rows):
+        raise InputError(f"rank_mod_p needs rows of {ncols} entries")
+    width = packed_width(ncols)
+    return rank_packed_mod_p([pack_mod_p(enumerate(r), width) for r in rows], ncols)
 
 
 def det(m: QMatrix) -> Fraction:

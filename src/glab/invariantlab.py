@@ -242,6 +242,12 @@ def takiff_generators(f_list: Sequence, n: int) -> list:
     """
     if n < 1:
         raise InputError("truncation order must be positive")
+    # the n sums of F each walk its polarizations, at most terms(F) * n^deg F
+    # terms in all: refused before any is formed
+    size = sum(F.num_terms() * n ** (F.total_degree() + 1) for F in f_list)
+    if size > (budget := term_budget()):
+        raise BudgetError(f"takiff generators of order {n} walk {size} terms, "
+                          f"past budget {budget}")
     out = []
     for F in f_list:
         d = F.total_degree()

@@ -70,6 +70,8 @@ class UniPoly:
     def monomial(cls, k: int, coef=1) -> "UniPoly":
         if k < 0:
             raise InputError("negative degree")
+        if k >= (budget := term_budget()):
+            raise BudgetError(f"t^{k} needs more than {budget} coefficients")
         return cls.make([0] * k + [coef])
 
     @classmethod
@@ -1087,17 +1089,17 @@ def structure_matrix_at(T: BracketTable, point: dict) -> QMatrix:
 
 
 def _structure_ranks_mod_p(T: BracketTable):
-    """point -> rank_mod_p(structure_matrix_at(T, point)) at an integer
-    point, its coordinates in position order, without building the matrix.
+    """point -> the rank over GF(PRIME) of structure_matrix_at(T, point),
+    each row cleared to integers, at an integer point in position order.
 
     The matrix is linear in the point.  With K[u][w] the packed row
     (exactla.pack_mod_p) of the scaled coefficients D * c^w_uv over the
     columns v, sum_w (x_w mod PRIME) * K[u][w] is D times row u mod PRIME,
     with every field below N * PRIME^2 as rank_packed_mod_p needs.
-    rank_mod_p clears row u by D / gcd(D, row), a unit mod PRIME unless
-    PRIME divides both D and the whole row; such a row vanishes mod PRIME
-    here but maybe not once cleared, so it is formed exactly and cleared as
-    rank_mod_p clears it.  The K rows are made once per call, equal ones
+    Clearing row u divides D times it by gcd(D, row), a unit mod PRIME
+    unless PRIME divides both D and the whole row; such a row vanishes mod
+    PRIME here but maybe not once cleared, so it is formed exactly, divided
+    by that gcd and packed.  The K rows are made once per call, equal ones
     stored once (gl4 t^4-t: 180 distinct of 1,404), and not kept on T.
     """
     D, index = T.scaled_neighbours
@@ -1137,8 +1139,8 @@ def sampled_max_rank(rank_at, nvars: int, full: int, exact_rank_at, seed: int = 
 
     rank_at takes a tuple of nvars ints and returns the rank over
     GF(exactla.PRIME) of M(point) with each row cleared to integers, as
-    exactla.rank_mod_p gives it; exact_rank_at returns the rank of M(point)
-    over Q, and full is min(rows, cols) of M.  Two batches of _SAMPLES
+    exactla.rank_mod_p ranks them; exact_rank_at returns the rank of
+    M(point) over Q, and full is min(rows, cols) of M.  Two batches of _SAMPLES
     points, coordinates drawn from [-bound, bound], bound = _BOUND, are
     ranked; on disagreement the bound doubles and both batches rerun, up
     to _ROUNDS rounds in all.  Returns (rank, witness, bound, rounds), the

@@ -39,7 +39,6 @@ from .exactla import (
     BudgetError,
     InputError,
     RowSpace,
-    rank,
     rank_mod_p,
     rat,
     row_space,
@@ -327,20 +326,21 @@ class TrdegReport:
 def trdeg_estimate(polys: Sequence, var_list: Sequence, seed: int = 0) -> TrdegReport:
     """Sampled Jacobian rank of the family, with the doubling retry rule.
 
-    The samples are ranked over GF(exactla.PRIME) and the reported rank is
-    exact at the witness (see sampled_max_rank), so it is never above the
-    transcendence degree r.  A sample falls short of r with probability at
-    most deg/(2*bound + 1), deg being the sum of deg F - 1 over the r
+    Each sample's integer rows (psring.cleared_jacobian) are ranked over
+    GF(exactla.PRIME) by rank_mod_p, and the witness's by its RowSpace (see
+    sampled_max_rank), so the rank is never above the transcendence degree
+    r.  A sample falls short of r with probability at most
+    deg/(2*bound + 1), deg being the sum of deg F - 1 over the r
     polynomials of a nonzero r x r minor of the Jacobian; the one other
     cause is a PRIME dividing every such generic minor, a property of the
     family.
     """
     polys = [F for F in polys if not F.is_zero()]
     var_list = list(var_list)
-    jacobian = cleared_jacobian(polys, var_list)
+    jacobian, width = cleared_jacobian(polys, var_list), len(var_list)
     r, witness, used_bound, rounds = sampled_max_rank(
-        lambda pt: rank_mod_p(jacobian(pt)), len(var_list),
-        min(len(polys), len(var_list)), lambda pt: rank(jacobian(pt)), seed=seed)
+        lambda pt: rank_mod_p(jacobian(pt), width), width, min(len(polys), width),
+        lambda pt: row_space(jacobian(pt), width).dim, seed=seed)
     return TrdegReport(rank=r, bound=used_bound, rounds=rounds, seed=seed,
                        witness=witness)
 

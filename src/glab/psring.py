@@ -56,9 +56,7 @@ from typing import Callable, Iterable, Sequence
 from .exactla import (
     BudgetError,
     InputError,
-    QMatrix,
     as_int,
-    rank,
     rat,
     rat_str,
     row_space,
@@ -836,14 +834,14 @@ def annihilation_rows(polys: Sequence, tables: Sequence, targets=None):
 
 
 def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
-    """point -> the Jacobian of polys at point, a tuple of ints in
-    vars_order, with each row cleared to integers as exactla clears it.
+    """point -> the Jacobian of polys at point, as a list of integer rows,
+    its columns in vars_order, each row cleared to integers.
 
     The partials are taken once, of each F's integer numerators over its
     denominator d, and evaluated on ints at each point.  Row F then
     reads d * dF at the point, and dividing it by gcd(d, *row) gives the
-    row that clearing the Fraction row of dF at the point gives: the same
-    rank over Q and mod exactla.PRIME.
+    Fraction row of dF at the point times the lcm of its denominators:
+    the same rank over Q, and the rows exactla.rank_mod_p ranks mod PRIME.
     """
     col = {v: j for j, v in enumerate(vars_order)}
     monos: dict = {}  # packed key -> its index in the point's values
@@ -858,16 +856,16 @@ def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
     factors = [[(col[_VARS[s]], e) for s, e in _fields(k)] for k in monos]
     width = len(col)
 
-    def at(point: Sequence) -> QMatrix:
+    def at(point: Sequence) -> list:
         vals = [math.prod([point[j] ** e for j, e in fs]) for fs in factors]
-        flat = []
+        rows = []
         for den, entries in family:
             row = [0] * width
             for j, terms in entries:
                 row[j] = sum([c * vals[i] for c, i in terms])
             g = math.gcd(den, *row)
-            flat.extend([x // g for x in row])
-        return QMatrix(len(family), width, tuple(flat))
+            rows.append([x // g for x in row])
+        return rows
 
     return at
 
@@ -875,7 +873,7 @@ def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
 def jacobian_rank_at(polys: Sequence, point: Sequence, vars_order: Sequence) -> int:
     """Rank of the Jacobian of polys at the integer point, its coordinates
     in vars_order."""
-    return rank(cleared_jacobian(polys, vars_order)(point))
+    return row_space(cleared_jacobian(polys, vars_order)(point), len(vars_order)).dim
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        """Every check passed, and there was one: no check shows nothing."""
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
     def counts(self) -> dict:
         passed = sum(1 for c in self.checks if c.ok)
@@ -170,9 +171,10 @@ def _refuse_work(suite: str, what: str, work) -> None:
     """BudgetError when the work that a suite's params imply, counted as
     loop passes times the cells or term products each pass may touch,
     passes the term budget.  A body calls it before any work, so a short
-    --params cannot run for hours; the defaults stay far inside."""
+    --params cannot run for hours; the defaults stay far inside.  A float
+    count can make work NaN (inf // 2), which is refused too."""
     budget = term_budget()
-    if work > budget:
+    if not work <= budget:
         raise BudgetError(f"suite {suite!r}: {what} implies {work} units of work, "
                           f"past budget {budget}")
 
@@ -231,30 +233,22 @@ def _suite_pencil_closure(params, seed):
 
 
 def _suite_index_laws(params, seed):
+    def check(name, T, want):
+        rep = index_report(T, seed=seed)
+        return CheckResult(name, rep.index == want, {
+            "index": rep.index, "expected": want, "bound": rep.bound, "rounds": rep.rounds})
+
     checks = []
     for qa, ptxt in params["split_cases"]:
-        q = builtin_algebra(qa)
-        p = parse_poly(ptxt)
+        q, p = builtin_algebra(qa), parse_poly(ptxt)
         ind_q = index_report(q, seed=seed).index
-        rep = index_report(make_quotient(q, p), seed=seed)
-        want = p.degree * ind_q
-        checks.append(CheckResult(
-            f"split-index[{qa}, {ptxt}]", rep.index == want,
-            {"index": rep.index, "expected": want, "bound": rep.bound,
-             "rounds": rep.rounds},
-        ))
+        checks.append(check(f"split-index[{qa}, {ptxt}]", make_quotient(q, p),
+                            p.degree * ind_q))
     for qa, p1txt, p2txt in params["difference_cases"]:
-        q = builtin_algebra(qa)
-        p1, p2 = parse_poly(p1txt), parse_poly(p2txt)
+        q, p1, p2 = builtin_algebra(qa), parse_poly(p1txt), parse_poly(p2txt)
         ind_q = index_report(q, seed=seed).index
-        T = make_difference_bracket(q, p1, p2)
-        rep = index_report(T, seed=seed)
-        want = q.dim + (p1.degree - 1) * ind_q
-        checks.append(CheckResult(
-            f"difference-index[{qa}, {p1txt} vs {p2txt}]", rep.index == want,
-            {"index": rep.index, "expected": want, "bound": rep.bound,
-             "rounds": rep.rounds},
-        ))
+        checks.append(check(f"difference-index[{qa}, {p1txt} vs {p2txt}]",
+                            make_difference_bracket(q, p1, p2), q.dim + (p1.degree - 1) * ind_q))
     return checks
 
 
@@ -351,7 +345,7 @@ def _suite_z_assembly(params, seed):
         q = builtin_algebra(qa)
         Z, commutes, rep = z_case(q, parse_poly(p1txt), parse_poly(p2txt), seed)
         got_counts = Z.counts()
-        want_counts = {int(k): v for k, v in counts.items()} if isinstance(counts, dict) else dict(enumerate(counts))
+        want_counts = {int(k): v for k, v in counts.items()}
         # the sampled trdeg meets the paper's formula, and in degree two the
         # center holds the evaluation picture
         ok = (got_counts == want_counts and commutes
@@ -397,6 +391,8 @@ def _suite_gaudin(params, seed):
     # quadratic element against weighted transported Hamiltonians
     q = builtin_algebra("sl2")
     roots = tuple(rat(r) for r in params["bridge_roots"])
+    if 0 in roots:
+        raise InputError("suite 'gaudin-commute': a bridge root is 0, and z is its inverse")
     p = UniPoly.from_roots(roots)
     idems = crt_idempotents(p, roots)
     h = quad_h(q, 1, 1, p)
@@ -420,6 +416,15 @@ def _suite_quad_family(params, seed):
     # bracket of two quadratics contracting at most dim^2 x dim^2 term pairs
     pairs = top ** 2 * (top ** 2 + q.dim) if top > 0 else 0
     _refuse_work("quad-family", f"range {top}", pairs * q.dim ** 4)
+    # each n runs four centralizer solves over the n(n + 1)/2 classes of
+    # h_span: their pairs times dim^2; lemma_x_element sums about d^2/4
+    # classes h[u, v] for a modulus of degree d, each reduced mod p through
+    # up to 2d remainders of dim^2 terms
+    ns, x_moduli = params["centralizer_ns"], [parse_poly(m) for m in params["x_moduli"]]
+    _refuse_work("quad-family", f"centralizer_ns {ns}",
+                 sum(4 * (max(n, 0) * (n + 1) // 2) ** 2 * q.dim ** 2 for n in ns))
+    _refuse_work("quad-family", f"x_moduli {params['x_moduli']}",
+                 sum(max(p.degree, 0) ** 3 * q.dim ** 2 // 2 for p in x_moduli))
     # H[a, b] sit at levels < top and xi_t at level 1: brackets stay below 2 * top
     current = make_quotient(q, UniPoly.monomial(2 * top))
     levels = range(top)
@@ -451,7 +456,7 @@ def _suite_quad_family(params, seed):
         "bracket-against-linear", bad_lin == 0,
         {"checked": q.dim * len(H), "failed": bad_lin},
     ))
-    for n in params["centralizer_ns"]:
+    for n in ns:
         for ptxt in (f"t^{n}", f"t^{n}-1", f"t^{n}+t+1"):
             p = parse_poly(ptxt)
             T = make_quotient(q, p)
@@ -477,8 +482,7 @@ def _suite_quad_family(params, seed):
             f"centralizer-of-h01[t^{n}]", dim == 2 * n - 1,
             {"dim": dim, "expected": 2 * n - 1},
         ))
-    for ptxt in params["x_moduli"]:
-        p = parse_poly(ptxt)
+    for ptxt, p in zip(params["x_moduli"], x_moduli):
         x = lemma_x_element(q, p)
         central = not any(annihilation_rows([x], [make_quotient(q, p)]))
         shifted = x - quad_h(q, 1, 1, p).scale(Fraction(1, 2))
@@ -502,16 +506,9 @@ def _suite_psi_tau(params, seed):
             f"ladder-span[{ptxt}]", dim == want,
             {"dim": dim, "expected": want},
         ))
-    ok_el = True
-    for n in (3, 4, 5):
-        p = UniPoly.monomial(n)
-        for k in range(3, n + 1):
-            img = tau_apply(quad_H(q, 1, 1), k - 2)
-            lhs = psi_p(img, p)
-            rhs_unred = graded_H_sum(q, k).scale(math.factorial(k - 2))
-            rhs = psi_p(rhs_unred, p)
-            if lhs != rhs:
-                ok_el = False
+    ok_el = all(psi_p(tau_apply(quad_H(q, 1, 1), k - 2), UniPoly.monomial(n))
+                == psi_p(graded_H_sum(q, k).scale(math.factorial(k - 2)), UniPoly.monomial(n))
+                for n in (3, 4, 5) for k in range(3, n + 1))
     checks.append(CheckResult("raised-quadratic-is-graded-sum", ok_el))
     for qa, p1txt, p2txt in params["bound_cases"]:
         qq = builtin_algebra(qa)
@@ -529,18 +526,11 @@ def _suite_psi_tau(params, seed):
 
 def _suite_sovp(params, seed):
     checks = []
-    for qa, ptxt in params["cases"]:
-        q = builtin_algebra(qa)
-        chk = check_sovp(q, parse_poly(ptxt))
-        checks.append(CheckResult(
-            f"shift-pencil-spans[{qa}, {ptxt}]", chk.ok, {"detail": chk.detail},
-        ))
-    for qa, ptxt in params["cases"]:
-        q = builtin_algebra(qa)
-        chk = check_ft_gzu(q, parse_poly(ptxt))
-        checks.append(CheckResult(
-            f"constant-pencil-spans[{qa}, {ptxt}]", chk.ok, {"detail": chk.detail},
-        ))
+    for label, check in (("shift", check_sovp), ("constant", check_ft_gzu)):
+        for qa, ptxt in params["cases"]:
+            chk = check(builtin_algebra(qa), parse_poly(ptxt))
+            checks.append(CheckResult(f"{label}-pencil-spans[{qa}, {ptxt}]", chk.ok,
+                                      {"detail": chk.detail}))
     return checks
 
 
@@ -554,33 +544,16 @@ def _suite_det_a(params, seed):
                  max(j_max - j_min + 1, 0) * max(j_max - 1, 0) ** 3)
     _refuse_work("det-A", f"kd_max {kd_max}", max(kd_max, 0) ** 2 * (kd_max + 1) ** 3)
     _refuse_work("det-A", f"binom_max {binom_max}", max(binom_max, 0) ** 3)
-    checks = []
-    ok = True
-    vals = {}
-    for j in range(params["j_min"], params["j_max"] + 1):
-        d = det(matrix_A(j))
-        vals[str(j)] = rat_str(d)
-        ok = ok and d == 1
-    checks.append(CheckResult("unimodular-square-family", ok, {"dets": vals}))
-    ok = True
-    bad = []
-    for k in range(1, params["kd_max"] + 1):
-        for dd in range(1, params["kd_max"] + 1):
-            v = det(matrix_A_kd(k, dd))
-            if v != 1:
-                ok = False
-                bad.append([k, dd, rat_str(v)])
-    checks.append(CheckResult(
-        "unimodular-rectangular-family", ok,
-        {"range": params["kd_max"], "failures": bad},
-    ))
-    ok = all(
-        binom_identity_check(u, b)
-        for u in range(2, params["binom_max"] + 1)
-        for b in range(1, u)
-    )
-    checks.append(CheckResult("halved-binomial-identity", ok))
-    return checks
+    dets = {str(j): det(matrix_A(j)) for j in range(j_min, j_max + 1)}
+    kds = range(1, kd_max + 1)
+    bad = [[k, dd, rat_str(v)] for k in kds for dd in kds if (v := det(matrix_A_kd(k, dd))) != 1]
+    binom = all(binom_identity_check(u, b) for u in range(2, binom_max + 1) for b in range(1, u))
+    return [
+        CheckResult("unimodular-square-family", all(d == 1 for d in dets.values()),
+                    {"dets": {j: rat_str(d) for j, d in dets.items()}}),
+        CheckResult("unimodular-rectangular-family", not bad, {"range": kd_max, "failures": bad}),
+        CheckResult("halved-binomial-identity", binom),
+    ]
 
 
 def _suite_forms(params, seed):
@@ -600,14 +573,9 @@ def _suite_forms(params, seed):
     checks.append(CheckResult(
         "slot-sum-vanishes", bad == 0, {"checked": total, "failed": bad},
     ))
-    anti_ok = True
-    for alpha in ((1, 1, 1), (0, 2, 1), (1, 2)):
-        for i in range(len(alpha)):
-            for j in range(len(alpha)):
-                if i == j:
-                    continue
-                if script_f(q, C2, alpha, i, j) != -script_f(q, C2, alpha, j, i):
-                    anti_ok = False
+    anti_ok = all(script_f(q, C2, alpha, i, j) == -script_f(q, C2, alpha, j, i)
+                  for alpha in ((1, 1, 1), (0, 2, 1), (1, 2))
+                  for i, j in itertools.permutations(range(len(alpha)), 2))
     checks.append(CheckResult("slot-antisymmetry", anti_ok))
     for kvec in params["kvecs"]:
         dec = ff_bracket_decomposition(q, C2, tuple(kvec))
@@ -727,10 +695,29 @@ _JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string",
                list: "array", tuple: "array", dict: "object", type(None): "null"}
 
 
+def _shaped(value, default) -> bool:
+    """value has the JSON type of default, no NaN or Infinity, and entries
+    shaped alike: an object's values as its default's first value, a
+    list's entries as its default's first entry, or, when the default's
+    entries differ in type, as a record of as many entries, place by place."""
+    if _JSON_TYPES.get(type(value)) != _JSON_TYPES[type(default)]:
+        return False
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict) and default:
+        return all(_shaped(v, next(iter(default.values()))) for v in value.values())
+    if isinstance(value, list) and default:
+        if len({_JSON_TYPES[type(x)] for x in default}) > 1:
+            return len(value) == len(default) and all(map(_shaped, value, default))
+        return all(_shaped(v, default[0]) for v in value)
+    return True
+
+
 def run_suite(name: str, params: dict | None = None, seed: int = 0) -> Report:
     """Run one named suite; unknown names and bad params raise InputError.
 
-    An override must have the JSON type of its default.  A KeyError,
+    An override must have the JSON type of its default, nested entries
+    included (_shaped), with no NaN or Infinity in it.  A KeyError,
     TypeError, ValueError, IndexError or OverflowError (a float param past
     the range of floats) that the body raises on overridden params is bad
     input too; on the defaults it is a fault and propagates.
@@ -741,9 +728,10 @@ def run_suite(name: str, params: dict | None = None, seed: int = 0) -> Report:
     for k, v in (params or {}).items():
         if k not in merged:
             raise InputError(f"suite {name!r} takes no parameter {k!r}")
-        want = _JSON_TYPES[type(merged[k])]
-        if _JSON_TYPES.get(type(v)) != want:
-            raise InputError(f"suite {name!r}: parameter {k!r} must be a JSON {want}")
+        if not _shaped(v, merged[k]):
+            raise InputError(f"suite {name!r}: parameter {k!r} must be a JSON "
+                             f"{_JSON_TYPES[type(merged[k])]} shaped as its default "
+                             f"{json.dumps(merged[k])}, with no NaN or Infinity")
         merged[k] = v
     try:
         checks = _BODIES[name](merged, seed)

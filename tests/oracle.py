@@ -679,21 +679,27 @@ def reference_nullspace(rows, ncols):
     return [tuple(v) for v in reference_rref(basis)[0]]
 
 
-def reference_rank_mod_p(m):
-    """Rank over GF(PRIME) of m with each row cleared to integers, on lists
-    of residues.
-
-    Each row is scaled by the lcm of its denominators.  Reduction is lazy:
-    a step reduces only the pivot row and the column it clears, so the
-    other entries grow unreduced by less than PRIME^2 per step.  Each row
-    keeps only the columns not yet cleared.
-    """
-    p = PRIME
+def cleared_rows(m):
+    """The rows of m, each scaled by the lcm of its denominators to
+    integers, as lists of int."""
     rows = []
     for i in range(m.rows):
         row = [Fraction(x) for x in m.row(i)]
         lcm = math.lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (lcm // x.denominator) % p for x in row])
+        rows.append([x.numerator * (lcm // x.denominator) for x in row])
+    return rows
+
+
+def reference_rank_mod_p(m):
+    """Rank over GF(PRIME) of m with each row cleared to integers
+    (cleared_rows), on lists of residues.
+
+    Reduction is lazy: a step reduces only the pivot row and the column it
+    clears, so the other entries grow unreduced by less than PRIME^2 per
+    step.  Each row keeps only the columns not yet cleared.
+    """
+    p = PRIME
+    rows = [[x % p for x in r] for r in cleared_rows(m)]
     found = 0
     for _ in range(m.cols):
         if not rows:

@@ -37,6 +37,7 @@ from glab.liecore import (
     structure_matrix_at,
 )
 from oracle import (
+    cleared_rows,
     matrix_rows,
     reference_kron,
     reference_mat_mul,
@@ -407,7 +408,9 @@ def _sympy_rank_mod_p(m):
 @settings(max_examples=150, deadline=None)
 @given(mod_p_matrices())
 def test_rank_mod_p_is_a_lower_bound_equal_to_sympy_over_gf_p(m):
-    r = rank_mod_p(m)
+    # rank_mod_p ranks integer rows; the rows of m cleared to integers
+    # keep its rank over Q, and the references clear them the same way
+    r = rank_mod_p(cleared_rows(m), m.cols)
     assert r <= rank(m)
     assert r == reference_rank_mod_p(m)
     assert r == _sympy_rank_mod_p(m)
@@ -452,12 +455,10 @@ def _packed_boundary_cases(n):
 def test_packed_rank_mod_p_at_field_boundaries(n):
     cases = _packed_boundary_cases(n)
     for name, rows in cases.items():
-        m = QMatrix.from_rows(rows)
-        want = reference_rank_mod_p(m)
-        assert rank_mod_p(m) == want, name
-        assert rank_mod_p(QMatrix.from_rows([r[::-1] for r in rows])) == want, name
-    full = QMatrix.from_rows(cases["full rank, residues p - 1 and p - 2"])
-    assert rank_mod_p(full) == n
+        want = reference_rank_mod_p(QMatrix.from_rows(rows))
+        assert rank_mod_p(rows, n) == want, name
+        assert rank_mod_p([r[::-1] for r in rows], n) == want, name
+    assert rank_mod_p(cases["full rank, residues p - 1 and p - 2"], n) == n
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 31, 32, 63, 64, 65, 127, 128))
@@ -478,8 +479,7 @@ def test_packed_rank_mod_p_at_field_boundaries_agrees_with_sympy(n):
     for name, rows in _packed_boundary_cases(n).items():
         if n > 65 and name == "full rank, random residues":
             continue  # sympy takes seconds on it; the reference test covers it
-        m = QMatrix.from_rows(rows)
-        assert rank_mod_p(m) == _sympy_rank_mod_p(m), name
+        assert rank_mod_p(rows, n) == _sympy_rank_mod_p(QMatrix.from_rows(rows)), name
 
 
 @pytest.mark.parametrize("qname, ptxt", [
@@ -493,34 +493,45 @@ def test_rank_mod_p_of_the_stabilizer_samples_matches_the_reference(qname, ptxt)
     for _ in range(8):
         point = dict(zip(vs, (rng.randint(-1000, 1000) for _ in vs)))
         m = structure_matrix_at(T, point)
-        assert rank_mod_p(m) == reference_rank_mod_p(m)
+        assert rank_mod_p(cleared_rows(m), m.cols) == reference_rank_mod_p(m)
 
 
 def test_rank_mod_p_falls_short_where_prime_divides_the_minors():
-    assert rank_mod_p(QMatrix.from_rows([[1, 1], [1, 1 + PRIME]])) == 1
-    assert rank(QMatrix.from_rows([[1, 1], [1, 1 + PRIME]])) == 2
-    # clearing the row's denominators keeps the rank
-    assert rank_mod_p(QMatrix.from_rows([[Fraction(1, PRIME), 1]])) == 1
-    assert rank_mod_p(QMatrix.from_rows([[PRIME, 0], [0, PRIME * PRIME]])) == 0
+    assert rank_mod_p([[1, 1], [1, 1 + PRIME]], 2) == 1
+    assert row_space([[1, 1], [1, 1 + PRIME]], 2).dim == 2
+    # a row that PRIME divides vanishes; it is not cleared back
+    assert rank_mod_p([[PRIME, 0], [0, PRIME * PRIME]], 2) == 0
+    # the row [1/PRIME, 1] cleared to integers is [1, PRIME]: it does not
+    # vanish (clearing with a PRIME denominator is tested on
+    # psring.cleared_jacobian and liecore._structure_ranks_mod_p)
+    assert rank_mod_p([[1, PRIME]], 2) == 1
+
+
+def test_rank_mod_p_refuses_rows_of_another_width():
+    with pytest.raises(InputError):
+        rank_mod_p([[1, 2], [3]], 2)
+    with pytest.raises(InputError):
+        rank_mod_p([[1, 2, 3]], 2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrices(max_side=5))
 def test_sampled_max_rank_is_exact_at_the_witness(a):
-    # every sample is p * A, so every mod-p rank is 0 and only the exact
-    # rank of the witness's matrix can report rank(A)
-    pa = QMatrix(a.rows, a.cols, tuple(PRIME * x for x in a.entries))
+    # every sample is p * A cleared to integers, so every mod-p rank is 0
+    # and only the exact rank of the witness's rows, read off their
+    # RowSpace as pencilz.trdeg_estimate reads it, can report rank(A)
+    pa = [[PRIME * x for x in r] for r in cleared_rows(a)]
     points, exact_points = [], []
 
     def rank_at(point):
         points.append(point)
-        return rank_mod_p(pa)
+        return rank_mod_p(pa, a.cols)
 
     def exact_rank_at(point):
         exact_points.append(point)
-        return rank(pa)
+        return row_space(pa, a.cols).dim
 
-    assert rank_mod_p(pa) == 0
+    assert rank_mod_p(pa, a.cols) == 0
     r, witness, bound, rounds = sampled_max_rank(rank_at, 3, min(a.rows, a.cols),
                                                  exact_rank_at, seed=5)
     assert r == rank(a)

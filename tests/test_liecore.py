@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from glab import exactla, liecore, suites
 from glab.exactla import (
-    PRIME, BudgetError, InputError, QMatrix, nullspace, rank, rank_mod_p, rank_skew, rref,
+    PRIME, BudgetError, InputError, QMatrix, nullspace, rank, rank_skew, rref,
 )
 from glab.liecore import (
     BracketTable,
@@ -57,6 +57,7 @@ from oracle import (
     reference_nullspace,
     reference_pencil,
     reference_quotient,
+    reference_rank_mod_p,
     reference_rref,
     reference_sampled_max_rank,
     reference_sc_bracket,
@@ -190,6 +191,10 @@ def test_parse_poly_degree_budget(monkeypatch):
         parse_poly("t^20")
     with pytest.raises(BudgetError):  # more digits than int() accepts
         parse_poly("1+t^" + "9" * 5000)
+    # a monomial built from a computed degree keeps the same bound
+    assert UniPoly.monomial(9).degree == 9
+    with pytest.raises(BudgetError):
+        UniPoly.monomial(10)
 
 
 def test_jacobi_scan_and_takiff_keep_the_term_budget(monkeypatch):
@@ -825,8 +830,14 @@ def test_packed_sample_ranks_match_rank_mod_p_of_the_structure_matrix(case):
     # every coordinate a multiple of PRIME, so every row vanishes mod PRIME
     points.append(tuple(PRIME * rng.randint(-3, 3) for _ in vs))
     points.append(tuple(PRIME * rng.randint(-3, 3) + (k == 0) for k in range(len(vs))))
+    got = []
     for pt in points:
-        assert rank_at(pt) == rank_mod_p(structure_matrix_at(T, dict(zip(vs, pt))))
+        got.append(rank_at(pt))
+        assert got[-1] == reference_rank_mod_p(structure_matrix_at(T, dict(zip(vs, pt))))
+    if case == "sl3 member a=1/PRIME":
+        # PRIME divides D: at the point of multiples of PRIME every row of
+        # D * M vanishes mod PRIME, yet the rows cleared to integers do not
+        assert T.scaled_neighbours[0] % PRIME == 0 and got[-2] > 0
 
 
 def _counted_structure_matrices(monkeypatch):

@@ -19,6 +19,7 @@ from glab.liecore import (
     builtin_algebra,
     index_report,
     make_difference_bracket,
+    make_quotient,
     parse_poly,
     pencil_combination,
     rational_roots,
@@ -480,20 +481,47 @@ def test_verify_Z_commutes_agrees_with_the_two_ends(sl2, reverse, polys, data):
     assert verify_Z_commutes(Z) == want
 
 
-def test_trdeg_estimate_matches_the_exact_sampling_oracle(sl3):
-    # ranks taken mod p steer the sampling exactly as exact ranks did
+def _trdeg_families(sl3):
+    """(name, polys, variables, sampled rank) of the families the sampled
+    trdeg is checked on against the exact oracle."""
     Z = build_Z(Pencil(sl3, parse_poly("t^3"), parse_poly("t^3+t")))
-    polys = Z.all_basis()
+    zs = Z.all_basis()
     vs = Z.pencil.end_tables[0].var_list()
+    yield "Z[sl3, t^3 / t^3+t]", zs, vs, 12
+    # Z's basis plus the sum of two of its elements: one row too many, so
+    # the witness is ranked exactly
+    yield "Z[sl3, t^3 / t^3+t] + dependent", zs + [zs[0] + zs[-1]], vs, 12
+    for qname, n, rank in (("sl2", 2, 2), ("sl2", 3, 3), ("sl3", 2, 4)):
+        q = builtin_algebra(qname)
+        gens = invariantlab.takiff_generators(basic_invariants(q), n)
+        vs = make_quotient(q, UniPoly.monomial(n)).var_list()
+        yield f"takiff[{qname}, n={n}]", gens, vs, rank
+    Z = build_Z(Pencil(builtin_algebra("gl3"), parse_poly("t^2"), parse_poly("t^2+1")))
+    yield "Z[gl3, t^2 / t^2+1]", Z.all_basis(), Z.pencil.end_tables[0].var_list(), 9
 
-    def matrix(point):
-        return reference_jacobian_at(polys, dict(zip(vs, point)), vs)
 
-    for seed in range(12):
-        rep = trdeg_estimate(polys, vs, seed=seed)
-        got = (rep.rank, rep.witness, rep.bound, rep.rounds)
-        assert got == reference_sampled_max_rank(matrix, len(vs), seed=seed)
-    assert rep.rank == 12
+def test_trdeg_estimate_matches_the_exact_sampling_oracle(sl3, monkeypatch):
+    # ranks taken mod p steer the sampling exactly as exact ranks did, and
+    # a witness short of full rank is ranked by its RowSpace
+    exact = []
+
+    def counted_row_space(rows, width):
+        exact.append(width)
+        return row_space(rows, width)
+
+    monkeypatch.setattr(pencilz, "row_space", counted_row_space)
+    for name, polys, vs, want in _trdeg_families(sl3):
+        def matrix(point):
+            return reference_jacobian_at(polys, dict(zip(vs, point)), vs)
+
+        exact.clear()
+        for seed in range(12):
+            rep = trdeg_estimate(polys, vs, seed=seed)
+            got = (rep.rank, rep.witness, rep.bound, rep.rounds)
+            assert got == reference_sampled_max_rank(matrix, len(vs), seed=seed), name
+            assert rep.rank == want, name
+        # full rank mod p at the witness needs no exact rank
+        assert exact == ([len(vs)] * 12 if want < min(len(polys), len(vs)) else []), name
 
 
 def test_z_independent_of_second_modulus(sl2, pen_t, pen_1):

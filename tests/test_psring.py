@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exactla import InputError, QMatrix, rank, row_space
+from glab.exactla import PRIME, InputError, QMatrix, rank, rank_mod_p, row_space
 from glab.liecore import (
     UniPoly,
     builtin_algebra,
@@ -664,11 +664,30 @@ def test_cleared_jacobian_is_the_jacobian_cleared_row_by_row(polys, coords):
     # each row is the Fraction row times the lcm of its denominators
     want = reference_jacobian_at(polys, dict(zip(VARS, map(Fraction, coords))), VARS)
     got = cleared_jacobian(polys, VARS)(tuple(coords))
-    assert (got.rows, got.cols) == (len(polys), len(VARS))
-    for i in range(got.rows):
-        row = want.row(i)
-        lcm = math.lcm(*[x.denominator for x in row])
-        assert got.row(i) == [x * lcm for x in row]
+    assert isinstance(got, list) and len(got) == len(polys)
+    for i, row in enumerate(got):
+        assert all(type(x) is int for x in row) and len(row) == len(VARS)
+        ref = want.row(i)
+        lcm = math.lcm(*[x.denominator for x in ref])
+        assert row == [x * lcm for x in ref]
+
+
+def test_cleared_jacobian_clears_a_prime_denominator():
+    # d(x/PRIME + y) = [1/PRIME, 1] clears to [1, PRIME], which does not
+    # vanish mod PRIME; a row that PRIME divides, with no denominator to
+    # clear, stays as it is and vanishes
+    x, y = MPoly.variable((0, 0)), MPoly.variable((1, 0))
+    vs = [(0, 0), (1, 0)]
+    F = x.scale(Fraction(1, PRIME)) + y
+    assert cleared_jacobian([F], vs)((3, 5)) == [[1, PRIME]]
+    assert rank_mod_p(cleared_jacobian([F], vs)((3, 5)), 2) == 1
+    assert rank_mod_p(cleared_jacobian([F, y], vs)((3, 5)), 2) == 2
+    G = (x + y).scale(PRIME)
+    assert cleared_jacobian([G], vs)((3, 5)) == [[PRIME, PRIME]]
+    H = (x * y).scale(Fraction(PRIME, 2))
+    at = cleared_jacobian([G, H], vs)((PRIME, 2 * PRIME))
+    assert at == [[PRIME, PRIME], [2 * PRIME ** 2, PRIME ** 2]]
+    assert rank_mod_p(at, 2) == 0 and row_space(at, 2).dim == 2
 
 
 def test_cleared_jacobian_refuses_a_point_that_misses_a_variable():

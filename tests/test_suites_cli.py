@@ -351,6 +351,59 @@ def test_suite_param_types_follow_the_defaults():
         run_suite("pencil-closure", {"count": True})
     with pytest.raises(InputError, match="must be a JSON string"):
         run_suite("crt", {"algebra": ["sl2"]})
+    # nested entries too: a list's entries, a record's at their places and
+    # an object's values
+    for name, params in [
+        ("crt", {"moduli": ["t^2-1", 3]}),
+        ("takiff-generators", {"cases": [["sl2", "2"]]}),
+        ("takiff-generators", {"cases": [["sl2", 2, 3]]}),
+        ("gaudin-commute", {"cases": [["sl2", [1, None]]]}),
+        ("gaudin-commute", {"bridge_roots": [False, True]}),
+        ("z-assembly", {"cases": [["sl2", "t^2", "t^2+t", [3], 3]]}),
+        ("z-assembly", {"cases": [["sl2", "t^2", "t^2+t", {"0": "3"}, 3]]}),
+    ]:
+        with pytest.raises(InputError, match="shaped as its default"):
+            run_suite(name, params)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("pencil-closure", {"count": float("nan")}),
+    ("pencil-closure", {"count": float("inf")}),
+    ("quad-family", {"centralizer_ns": [2, float("-inf")]}),
+    ("gaudin-commute", {"cases": [["sl2", [1, 2, float("nan")]]]}),
+    ("z-assembly", {"cases": [["sl2", "t^2", "t^2+t", {"0": float("inf")}, 3]]}),
+])
+def test_suite_params_refuse_nan_and_infinity(runner, name, params):
+    with pytest.raises(InputError, match="with no NaN or Infinity"):
+        run_suite(name, params)
+    res = runner.invoke(main, ["suite", "run", name, "--params", json.dumps(params)])
+    assert res.exit_code == 2 and "with no NaN or Infinity" in res.output
+
+
+def test_cli_nan_count_exits_2(runner):
+    res = runner.invoke(main, ["suite", "run", "pencil-closure", "--params", '{"count": NaN}'])
+    assert res.exit_code == 2
+
+
+def test_a_report_of_no_checks_fails(runner):
+    # a report that checked nothing shows nothing: it is not ok, exit 1
+    assert not run_suite("sovp", {"cases": []}).ok
+    res = runner.invoke(main, ["suite", "run", "sovp", "--params", '{"cases": []}'])
+    assert res.exit_code == 1
+    assert '"ok":false' in res.output and '"checks":[]' in res.output
+
+
+def test_a_huge_forms_level_exits_3_before_allocating(runner):
+    # the level 10^10 asks for a modulus t^(10^10 + 2): refused before its
+    # coefficient list is made, where it raised MemoryError
+    res = runner.invoke(main, ["suite", "run", "forms", "--params", '{"kvecs": [[10000000000, 1]]}'])
+    assert res.exit_code == 3
+    assert "t^10000000002 needs more than" in res.output
+
+
+def test_a_bridge_root_of_zero_is_bad_input():
+    with pytest.raises(InputError, match="bridge root is 0"):
+        run_suite("gaudin-commute", {"bridge_roots": [0, 1]})
 
 
 def test_body_errors_are_input_errors_only_on_overrides(monkeypatch):
@@ -401,6 +454,12 @@ def test_cli_samples_above_the_budget_exit_3(runner, monkeypatch):
     ("det-A", {"j_max": 200}, "j_max 200 implies"),
     ("quad-family", {"range": 30}, "range 30 implies"),
     ("pencil-closure", {"count": 100000000}, "count 100000000 implies"),
+    ("quad-family", {"centralizer_ns": [40]}, "centralizer_ns [40] implies"),
+    ("quad-family", {"centralizer_ns": [2, 30]}, "centralizer_ns [2, 30] implies"),
+    ("quad-family", {"x_moduli": ["t^3", "t^200"]}, "x_moduli ['t^3', 't^200'] implies"),
+    # 1e300 * 1e300 is inf and inf // 2 is nan, which compares false
+    ("quad-family", {"centralizer_ns": [40, 1e300]}, "centralizer_ns [40, 1e+300] implies"),
+    ("takiff-generators", {"cases": [["sl2", 1000000]]}, "takiff generators of order 1000000"),
 ])
 def test_cli_suite_params_past_the_budget_exit_3(runner, monkeypatch, name, params, why):
     # the work a suite's params imply is held against the term budget
@@ -419,7 +478,9 @@ def test_cli_suite_params_past_the_budget_exit_3(runner, monkeypatch, name, para
     ("quad-family", {}),
     # the params the products benchmark runs
     ("quad-family", {"range": 5, "centralizer_ns": [2, 3, 4, 5, 6]}),
-])
+    ("gaudin-commute", {"cases": [["sl4", [1, 2, 5, 7]], ["sl5", [1, 2, 3]]]}),
+    ("psi-tau-spans", {"bound_cases": [], "ladder_cases": [["t^4-1", 7], ["t^5+t+1", 9]]}),
+] + [(name, {}) for name in SUITE_NAMES if name not in ("det-A", "pencil-closure", "quad-family")])
 def test_suite_params_stay_well_inside_the_budget(monkeypatch, name, params):
     # the defaults, and the larger params that are benchmarked, still run
     # at a tenth of the default budget
