@@ -28,9 +28,10 @@ integer rows over GF(PRIME), which can only under-count, so a sampled rank
 can be steered by it and certified by one exact rank at the end.  Each
 row is one int of wide bit fields, one per column, so that a row operation
 is one bigint multiply-add.  ``rank_mod_p`` packs integer rows into it, as
-psring.cleared_jacobian forms them; a caller that can form its rows packed,
-as the sampled structure matrices of liecore are formed from
-per-coordinate packed rows, feeds them to it directly.
+psring.cleared_jacobian and pencilz's Jacobian of Z form them; a caller
+that can form its rows packed, as the sampled structure matrices of
+liecore are formed from per-coordinate packed rows, feeds them to it
+directly.
 
 The term budget (GLAB_BUDGET_TERMS) is read here, at the bottom of the
 package, so every layer that allocates by an input size can refuse it.

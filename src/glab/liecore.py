@@ -1144,7 +1144,10 @@ def sampled_max_rank(rank_at, nvars: int, full: int, exact_rank_at, seed: int = 
     points, coordinates drawn from [-bound, bound], bound = _BOUND, are
     ranked; on disagreement the bound doubles and both batches rerun, up
     to _ROUNDS rounds in all.  Returns (rank, witness, bound, rounds), the
-    witness a tuple of Fraction and bound the last one sampled.
+    witness a tuple of Fraction and bound the last one sampled.  Once a
+    sample of a batch reaches full rank, which no later sample can beat,
+    the rest of the batch is drawn but not ranked: the random stream, and
+    with it every later point, is the same as if each were ranked.
 
     A rank mod p never over-counts.  The witness is the first sample of
     highest rank mod p, and the returned rank is its exact rank (not
@@ -1164,9 +1167,10 @@ def sampled_max_rank(rank_at, nvars: int, full: int, exact_rank_at, seed: int = 
             best_in_batch = (-1, None)
             for _ in range(_SAMPLES):
                 pt = tuple(rng.randint(-bound, bound) for _ in range(nvars))
-                r = rank_at(pt)
-                if r > best_in_batch[0]:
-                    best_in_batch = (r, pt)
+                if best_in_batch[0] < full:  # no later sample beats full rank
+                    r = rank_at(pt)
+                    if r > best_in_batch[0]:
+                        best_in_batch = (r, pt)
             batch_ranks.append(best_in_batch)
         b1, b2 = batch_ranks
         top = max(b1, b2, key=lambda x: x[0])

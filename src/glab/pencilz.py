@@ -25,14 +25,28 @@ rung is thus a row of coefficients of univariate products on the
 polarizations of F, read off t_powers_mod alone.  Those polarizations are
 independent for F nonzero and homogeneous (see build_Z), so two spans of
 their combinations are equal exactly when their coordinate row spaces are.
+
+The same expansion gives the Jacobian of Z without forming Z.  With
+F(sum_j c_j xi_j) = sum_m c^alpha(m) P_m(xi), P_m = polarize(F, m) and
+alpha(m) the multiplicities of the levels in m, differentiating both sides
+in xi_{k,v} gives sum_m c^alpha(m) dP_m/dxi_{k,v} = c_k (d_v F)(sum_j c_j
+xi_j), so dP_m/dxi_{k,v} = [c^(alpha(m) - e_k)] (d_v F)(sum_j c_j xi_j),
+zero where m does not hold k.  The right side is homogeneous of degree
+d - 1 in c, so at c = (1, s) each coefficient is that of one monomial of
+s of total degree below d, and the gradient of F at the points xi_0 +
+sum_j s_j xi_j, s over the lattice simplex sum_j s_j < d, which
+determines such a polynomial, gives the Jacobian of every polarization by
+interpolation (_z_jacobian).  Z's part for F, the combinations by the rows
+C of Z.spaces, has C times that as Jacobian, which trdeg_of_Z ranks.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .exactla import (
@@ -62,6 +76,7 @@ from .psring import (
     coeff_rows,
     combination_basis,
     directional_derivative,
+    gradient_numerators,
     pairwise_commute,
     polarize,
 )
@@ -323,31 +338,134 @@ class TrdegReport:
     witness: tuple
 
 
-def trdeg_estimate(polys: Sequence, var_list: Sequence, seed: int = 0) -> TrdegReport:
-    """Sampled Jacobian rank of the family, with the doubling retry rule.
-
-    Each sample's integer rows (psring.cleared_jacobian) are ranked over
-    GF(exactla.PRIME) by rank_mod_p, and the witness's by its RowSpace (see
-    sampled_max_rank), so the rank is never above the transcendence degree
-    r.  A sample falls short of r with probability at most
-    deg/(2*bound + 1), deg being the sum of deg F - 1 over the r
-    polynomials of a nonzero r x r minor of the Jacobian; the one other
-    cause is a PRIME dividing every such generic minor, a property of the
-    family.
-    """
-    polys = [F for F in polys if not F.is_zero()]
-    var_list = list(var_list)
-    jacobian, width = cleared_jacobian(polys, var_list), len(var_list)
+def _sampled_trdeg(jacobian, width: int, full: int, seed: int) -> TrdegReport:
+    """The sampled rank of jacobian(point), integer rows of width entries
+    with each row cleared to integers, full = min(rows, width): each sample
+    ranked mod PRIME by rank_mod_p, the witness's rows, when short of full
+    rank, by their RowSpace (see liecore.sampled_max_rank)."""
     r, witness, used_bound, rounds = sampled_max_rank(
-        lambda pt: rank_mod_p(jacobian(pt), width), width, min(len(polys), width),
+        lambda pt: rank_mod_p(jacobian(pt), width), width, full,
         lambda pt: row_space(jacobian(pt), width).dim, seed=seed)
     return TrdegReport(rank=r, bound=used_bound, rounds=rounds, seed=seed,
                        witness=witness)
 
 
+def trdeg_estimate(polys: Sequence, var_list: Sequence, seed: int = 0) -> TrdegReport:
+    """Sampled Jacobian rank of the family, with the doubling retry rule.
+
+    Each sample's integer rows (psring.cleared_jacobian, from the partials
+    of every polynomial) are ranked over GF(exactla.PRIME) by rank_mod_p
+    until a batch reaches full rank, and the witness's, when short of full
+    rank, by its RowSpace (see sampled_max_rank), so the rank is never
+    above the transcendence degree r.  A sample falls short of r with
+    probability at most deg/(2*bound + 1), deg being the sum of deg F - 1
+    over the r polynomials of a nonzero r x r minor of the Jacobian; the
+    one other cause is a PRIME dividing every such generic minor, a
+    property of the family.
+    """
+    polys = [F for F in polys if not F.is_zero()]
+    var_list = list(var_list)
+    width = len(var_list)
+    return _sampled_trdeg(cleared_jacobian(polys, var_list), width,
+                          min(len(polys), width), seed)
+
+
+@cache
+def _simplex_inverse(top: int, k: int) -> tuple:
+    """(nodes, W, w): the points s of N^k with sum(s) <= top, and W
+    integer, keyed by the same points beta, with W[beta] / w the row of
+    the inverse of the Vandermonde matrix (s^beta) that maps the values of
+    a polynomial of total degree at most top at the nodes to its s^beta
+    coefficient.  The nodes determine such a polynomial (its forward
+    differences at 0 do), so the matrix is invertible, and w is the least
+    scale, top!."""
+    nodes = [tuple(m.count(j) for j in range(1, k + 1)) for m in weakly_increasing(top, k)]
+    N = len(nodes)
+    vandermonde = ([math.prod([a ** e for a, e in zip(s, beta)]) for beta in nodes]
+                   + [int(s == u) for u in nodes] for s in nodes)
+    rows, w = row_space(vandermonde, 2 * N).reduced()
+    g = math.gcd(w, *[x for r in rows for x in r[N:]])
+    return nodes, {beta: tuple(x // g for x in r[N:]) for beta, r in zip(nodes, rows)}, w // g
+
+
+def _combine(coeffs: Sequence, vectors: Sequence) -> list:
+    """sum_a coeffs[a] * vectors[a], entry by entry."""
+    return [sum(map(operator.mul, coeffs, col)) for col in zip(*vectors)]
+
+
+def _z_jacobian(Z: ZAlgebra):
+    """point -> the Jacobian at point of sum_m C[r][m] * P_m for each row r
+    of C, over (pols, C) in Z.spaces, as integer rows cleared as
+    psring.cleared_jacobian clears them.  Columns and the point's ints are
+    in the order of an end table's var_list.  No basis polynomial is formed.
+
+    The entries are the coefficients of the gradient identity in the module
+    docstring: den * grad F is evaluated on ints
+    (psring.gradient_numerators) at xi_0 + sum_j s_j xi_j for each node s
+    of _simplex_inverse(d - 1, n - 1), C(d + n - 2, n - 1) of them, and the
+    s^beta coefficients it needs come out times K = den * w.  Each row is
+    then cleared by gcd(K, *row).  A constant F, which build_Z accepts, has
+    a zero gradient, read at the one node s = 0, and needs no coefficient.
+    """
+    P = Z.pencil
+    dim, n = P.base.dim, P.n
+    base_vars = [(i, 0) for i in range(dim)]
+    parts = []
+    for F, (_, C) in zip(Z.invariants, Z.spaces):
+        kvecs = weakly_increasing(F.total_degree(), n - 1)
+        rows = []  # per row r of C, per level k: (k, the C[r][m], their betas)
+        for r in C:
+            blocks: dict = {}
+            for c, m in enumerate(kvecs):
+                if not r[c]:
+                    continue
+                for k in set(m):
+                    beta = tuple(m.count(j) - (j == k) for j in range(1, n))
+                    blocks.setdefault(k, []).append((r[c], beta))
+            rows.append([(k, *zip(*terms)) for k, terms in sorted(blocks.items())])
+        needed = {beta for blocks in rows for _, _, betas in blocks for beta in betas}
+        nodes, W, w = _simplex_inverse(max(F.total_degree() - 1, 0), n - 1)
+        # the nonzero weights of W[beta], with the indices of their nodes
+        interpolate = {beta: tuple(zip(*[(x, i) for i, x in enumerate(W[beta]) if x]))
+                       for beta in needed}
+        parts.append((gradient_numerators([F], base_vars), nodes, interpolate, w, rows))
+
+    def at(point) -> list:
+        levels = [point[a * dim:(a + 1) * dim] for a in range(n)]
+        out = []
+        for gradients, nodes, interpolate, w, rows in parts:
+            values = []
+            for s in nodes:
+                [(den, g)] = gradients(_combine((1,) + s, levels))
+                values.append(g)
+            coeffs = {beta: _combine(ws, [values[i] for i in idx])
+                      for beta, (ws, idx) in interpolate.items()}
+            K = den * w
+            for blocks in rows:
+                row = [0] * (n * dim)
+                for k, cs, betas in blocks:
+                    row[k * dim:(k + 1) * dim] = _combine(cs, [coeffs[b] for b in betas])
+                g = math.gcd(K, *row)
+                out.append([x // g for x in row])
+        return out
+
+    return at
+
+
 def trdeg_of_Z(Z: ZAlgebra, seed: int = 0) -> TrdegReport:
-    t1, _ = Z.pencil.end_tables
-    return trdeg_estimate(Z.all_basis(), t1.var_list(), seed=seed)
+    """Sampled transcendence degree of Z, as trdeg_estimate of Z.basis
+    would give it, with the Jacobian read off the gradients of the
+    invariants (_z_jacobian) rather than the partials of a formed basis.
+
+    Each row r of C = Z.spaces[i][1] is the combination sum_m C[r][m] P_m,
+    so J_Z = C * J_pol, and the rows of C span Z's part for F_i as a basis
+    of it does: the rank over Q at every point is that of Z.basis.  A
+    rank mod PRIME is the same unless PRIME divides the change of basis,
+    a property of the input like the minors of sampled_max_rank.
+    """
+    width = Z.pencil.n * Z.pencil.base.dim
+    rows = sum(len(C) for _, C in Z.spaces)
+    return _sampled_trdeg(_z_jacobian(Z), width, min(rows, width), seed)
 
 
 def expected_trdeg(q: LieAlgebra, n: int) -> int:

@@ -833,15 +833,12 @@ def annihilation_rows(polys: Sequence, tables: Sequence, targets=None):
                 yield row
 
 
-def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
-    """point -> the Jacobian of polys at point, as a list of integer rows,
-    its columns in vars_order, each row cleared to integers.
+def gradient_numerators(polys: Sequence, vars_order: Sequence) -> Callable:
+    """point -> [(d, row)] for each F of polys: d its denominator and row
+    the ints d * dF/dv at the integer point, v over vars_order.
 
-    The partials are taken once, of each F's integer numerators over its
-    denominator d, and evaluated on ints at each point.  Row F then
-    reads d * dF at the point, and dividing it by gcd(d, *row) gives the
-    Fraction row of dF at the point times the lcm of its denominators:
-    the same rank over Q, and the rows exactla.rank_mod_p ranks mod PRIME.
+    The partials are taken once, of each F's integer numerators, and
+    evaluated on ints at each point, each distinct monomial once.
     """
     col = {v: j for j, v in enumerate(vars_order)}
     monos: dict = {}  # packed key -> its index in the point's values
@@ -858,11 +855,31 @@ def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
 
     def at(point: Sequence) -> list:
         vals = [math.prod([point[j] ** e for j, e in fs]) for fs in factors]
-        rows = []
+        out = []
         for den, entries in family:
             row = [0] * width
             for j, terms in entries:
                 row[j] = sum([c * vals[i] for c, i in terms])
+            out.append((den, row))
+        return out
+
+    return at
+
+
+def cleared_jacobian(polys: Sequence, vars_order: Sequence) -> Callable:
+    """point -> the Jacobian of polys at point, as a list of integer rows,
+    its columns in vars_order, each row cleared to integers.
+
+    Row F reads d * dF at the point (gradient_numerators), and dividing it
+    by gcd(d, *row) gives the Fraction row of dF at the point times the lcm
+    of its denominators: the same rank over Q, and the rows
+    exactla.rank_mod_p ranks mod PRIME.
+    """
+    gradients = gradient_numerators(polys, vars_order)
+
+    def at(point: Sequence) -> list:
+        rows = []
+        for den, row in gradients(point):
             g = math.gcd(den, *row)
             rows.append([x // g for x in row])
         return rows

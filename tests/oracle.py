@@ -717,14 +717,16 @@ def reference_rank_mod_p(m):
     return found
 
 
-def reference_sampled_max_rank(matrix_at, nvars, seed=0, samples=4, bound=1000,
-                               max_rounds=5):
-    """sampled_max_rank with an exact rank at every sample.
+def reference_sample_loop(rank_at, nvars, full, exact_rank_at, seed=0, samples=4,
+                          bound=1000, max_rounds=5):
+    """The sampled-rank protocol with rank_at called at every sample.
 
-    Points are tuples of Fraction drawn in the same order; the first sample
-    of highest rank in each batch is kept, and the bound doubles while the
-    two batches disagree, up to max_rounds rounds.  Returns (rank, witness,
-    bound, rounds), bound the last one sampled.
+    Points are tuples of int drawn in the same order as sampled_max_rank
+    draws them; the first sample of highest rank in each batch is kept,
+    and the bound doubles while the two batches disagree, up to max_rounds
+    rounds.  The witness is reranked by exact_rank_at when its rank is
+    below full.  Returns (rank, witness, bound, rounds), the witness a
+    tuple of Fraction and bound the last one sampled.
     """
     rng = random.Random(seed)
     best = (-1, None)
@@ -734,8 +736,8 @@ def reference_sampled_max_rank(matrix_at, nvars, seed=0, samples=4, bound=1000,
         for _ in range(2):
             best_in_batch = (-1, None)
             for _ in range(samples):
-                pt = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(nvars))
-                r = rank(matrix_at(pt))
+                pt = tuple(rng.randint(-bound, bound) for _ in range(nvars))
+                r = rank_at(pt)
                 if r > best_in_batch[0]:
                     best_in_batch = (r, pt)
             batch_ranks.append(best_in_batch)
@@ -746,7 +748,19 @@ def reference_sampled_max_rank(matrix_at, nvars, seed=0, samples=4, bound=1000,
         if b1[0] == b2[0] or rounds == max_rounds:
             break
         bound *= 2
-    return best[0], best[1], bound, rounds
+    r, pt = best
+    if r < full:
+        r = exact_rank_at(pt)
+    return r, tuple(Fraction(x) for x in pt), bound, rounds
+
+
+def reference_sampled_max_rank(matrix_at, nvars, seed=0):
+    """sampled_max_rank with an exact rank at every sample, matrix_at
+    taking a tuple of Fraction."""
+    def exact(pt):
+        return rank(matrix_at(tuple(Fraction(x) for x in pt)))
+
+    return reference_sample_loop(exact, nvars, math.inf, exact, seed=seed)
 
 
 def reference_ladder(F, p, first_level):

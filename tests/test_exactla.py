@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from glab import exactla
 from glab.exactla import (
@@ -29,6 +29,7 @@ from glab.exactla import (
     rref,
 )
 from glab.liecore import (
+    _SAMPLES,
     builtin_algebra,
     index_report,
     make_quotient,
@@ -44,6 +45,7 @@ from oracle import (
     reference_nullspace,
     reference_rank_mod_p,
     reference_rref,
+    reference_sample_loop,
 )
 
 rationals = st.fractions(
@@ -558,6 +560,68 @@ def test_sampled_max_rank_reports_the_last_bound_it_sampled():
     assert max(abs(x) for x in points[-1]) <= 16000
     assert witness == tuple(Fraction(x) for x in points[4])
     assert exact_points == [points[4]]
+
+
+class _RecordingRandom(random.Random):
+    """random.Random that logs every randint it returns."""
+
+    def __init__(self, seed, log):
+        super().__init__(seed)
+        self.log = log
+
+    def randint(self, a, b):
+        x = super().randint(a, b)
+        self.log.append(x)
+        return x
+
+
+def _run_on_ranks(sampler, ranks, nvars, full, seed):
+    """sampler run on stub ranks: the sample drawn k-th has rank ranks[k].
+    Returns (result, coordinates drawn, indices of the samples ranked)."""
+    draws, ranked = [], []
+
+    def rank_at(point):
+        k = len(draws) // nvars - 1  # the sample just drawn
+        assert point == tuple(draws[-nvars:])
+        ranked.append(k)
+        return ranks[k]
+
+    def exact_rank_at(point):
+        return sum(point) % (full + 1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random, "Random", lambda s: _RecordingRandom(s, draws))
+        result = sampler(rank_at, nvars, full, exact_rank_at, seed=seed)
+    return result, draws, ranked
+
+
+@st.composite
+def _stub_ranks(draw):
+    full = draw(st.integers(1, 4))
+    # 5 rounds of two batches of 4 samples at most; full rank, when drawn,
+    # may sit at any position of either batch
+    ranks = draw(st.lists(st.integers(0, full), min_size=40, max_size=40))
+    return full, ranks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stub_ranks(), st.integers(1, 3), st.integers(0, 2**16))
+@example((2, [0, 2, 1, 2] + [1, 0, 0, 0] + [0] * 32), 1, 0)  # rounds disagree
+@example((3, [1, 1, 1, 3] + [3, 0, 0, 0] + [0] * 32), 2, 1)  # full at both ends
+def test_sampled_max_rank_skips_the_samples_after_full_rank(stub, nvars, seed):
+    # the oracle ranks every sample; sampled_max_rank returns what it
+    # returns and draws the same points, but ranks no sample after one of
+    # its batch has reached full rank
+    full, ranks = stub
+    got, draws, ranked = _run_on_ranks(sampled_max_rank, ranks, nvars, full, seed)
+    want, oracle_draws, oracle_ranked = _run_on_ranks(
+        reference_sample_loop, ranks, nvars, full, seed)
+    assert got == want
+    assert draws == oracle_draws
+    samples = len(draws) // nvars
+    assert oracle_ranked == list(range(samples))
+    assert ranked == [k for k in range(samples)
+                      if full not in ranks[k - k % _SAMPLES:k]]
 
 
 PINNED_STABILIZER_KERNELS = [

@@ -7,10 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from glab.exactla import (
-    BudgetError, InputError, QMatrix, RowSpace, mat_inv, nullspace, rat_str, row_space,
+    BudgetError, InputError, QMatrix, RowSpace, mat_inv, nullspace, rank_mod_p, rat_str,
+    row_space,
 )
 from glab.liecore import (
     UniPoly,
@@ -522,6 +523,126 @@ def test_trdeg_estimate_matches_the_exact_sampling_oracle(sl3, monkeypatch):
             assert rep.rank == want, name
         # full rank mod p at the witness needs no exact rank
         assert exact == ([len(vs)] * 12 if want < min(len(polys), len(vs)) else []), name
+
+
+@functools.cache
+def _gradient_case_Z(qname: str, f_list: str, p1: str, p2: str) -> ZAlgebra:
+    """Z of the pencil p1 / p2 on qname, its f_list "basic", "degree 2"
+    (invariants_degree), "C, C*C" (the first basic invariant and its
+    square) or "1, C" (a constant and C)."""
+    q = builtin_algebra(qname)
+    fs = None
+    if f_list == "degree 2":
+        fs = invariants_degree(q, 2)
+    elif f_list == "C, C*C":
+        C = basic_invariants(q)[0]
+        fs = [C, C * C]
+    elif f_list == "1, C":
+        fs = [MPoly.const(1), basic_invariants(q)[0]]
+    return build_Z(Pencil(q, parse_poly(p1), parse_poly(p2)), f_list=fs)
+
+
+def _rref(rows, width):
+    reduced, d = row_space(rows, width).reduced()
+    return [tuple(Fraction(x, d) for x in r) for r in reduced]
+
+
+_GRADIENT_CASES = [
+    ("sl2", "basic"), ("sl3", "basic"), ("gl2", "basic"), ("gl3", "basic"),
+    ("sum:sl2,sl2", "degree 2"), ("takiff:sl2:2", "degree 2"), ("sl2", "C, C*C"),
+    ("sl2", "1, C"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_GRADIENT_CASES), st.integers(1, 4), st.sampled_from(["t", "1"]),
+       st.sampled_from([2, 1000]), st.data())
+def test_z_jacobian_from_gradients_matches_the_basis_jacobian(case, n, tail, bound, data):
+    # C * J_pol, read off the gradients of the invariants, spans at every
+    # point the rows cleared_jacobian gives for Z's basis, so the ranks
+    # over Q and mod PRIME agree; small coordinates reach degenerate points
+    assume(n > 1 or tail == "1")  # t / 2t is no pencil
+    Z = _gradient_case_Z(*case, f"t^{n}", f"t^{n}+{tail}")
+    vs = Z.pencil.end_tables[0].var_list()
+    width = len(vs)
+    point = tuple(data.draw(st.lists(st.integers(-bound, bound),
+                                     min_size=width, max_size=width)))
+    got = pencilz._z_jacobian(Z)(point)
+    # row r of C is the combination sum_m C[r][m] * P_m, cleared alike
+    combos = [reference_combine(pols, r) for pols, C in Z.spaces for r in C]
+    assert got == psring.cleared_jacobian(combos, vs)(point)
+    want = psring.cleared_jacobian(Z.all_basis(), vs)(point)
+    assert len(got) == len(want)
+    assert _rref(got, width) == _rref(want, width)
+    assert row_space(got, width).dim == row_space(want, width).dim
+    assert rank_mod_p(got, width) == rank_mod_p(want, width)
+
+
+@pytest.mark.parametrize("qname, f_list, p1, p2, want", [
+    ("sl3", "basic", "t^3", "t^3+t", 12),
+    ("sl3", "basic", "t^2", "t^2+t", 7),
+    ("sl4", "basic", "t^2+1", "t^2+t+1", 12),
+    ("sl4", "basic", "t^3", "t^3+t", 21),
+    ("gl3", "basic", "t^3", "t^3+1", 15),
+    ("gl3", "basic", "t^2", "t^2+1", 9),
+    ("sl2", "basic", "t^4", "t^4+t", 7),
+    ("sl2", "C, C*C", "t^3", "t^3+t", 5),
+    ("sl2", "C, C*C", "t^2", "t^2+t", 3),
+    ("sl2", "1, C", "t^3", "t^3+t", 5),
+    ("sum:sl2,sl2", "degree 2", "t^3", "t^3+t", 10),
+    ("takiff:sl2:2", "degree 2", "t^3", "t^3+t", 10),
+])
+def test_trdeg_of_Z_reports_what_the_basis_jacobian_reports(qname, f_list, p1, p2, want):
+    # trdeg_of_Z once ranked Z's basis through trdeg_estimate: the rank,
+    # witness, bound and rounds are unchanged at every seed
+    Z = _gradient_case_Z(qname, f_list, p1, p2)
+    vs = Z.pencil.end_tables[0].var_list()
+    for seed in range(12):
+        rep = trdeg_of_Z(Z, seed=seed)
+        assert rep == trdeg_estimate(Z.all_basis(), vs, seed=seed), seed
+        assert rep.rank == want
+
+
+def test_trdeg_of_Z_forms_no_basis_polynomial(monkeypatch, sl2, sl3):
+    # trdeg_of_Z reads Z.spaces and the gradients of the invariants: no
+    # basis polynomial of Z is formed and none is differentiated, also
+    # where the witness falls short of full rank and is ranked exactly
+    def unreachable(*args, **kwargs):
+        raise AssertionError("trdeg_of_Z formed a basis polynomial")
+
+    monkeypatch.setattr(pencilz, "combination_basis", unreachable)
+    monkeypatch.setattr(pencilz, "cleared_jacobian", unreachable)
+    Z = build_Z(Pencil(sl3, parse_poly("t^3"), parse_poly("t^3+t")))
+    assert trdeg_of_Z(Z).rank == 12
+    assert "basis" not in vars(Z)
+    C = basic_invariants(sl2)[0]
+    Z = build_Z(Pencil(sl2, parse_poly("t^2"), parse_poly("t^2+t")), f_list=[C, C * C])
+    rep = trdeg_of_Z(Z)
+    assert rep.rank == 3 < len(Z.pencil.end_tables[0].var_list())
+    assert "basis" not in vars(Z)
+
+
+def test_z_jacobian_reads_the_gradient_at_the_simplex_nodes_only(monkeypatch, sl2):
+    # the s^beta coefficients the identity needs have total degree below
+    # d = 2, so n = 16 levels read 16 gradients of the Casimir, at the
+    # nodes sum_j s_j <= 1, where the grid {0, 1}^15 would read 32768
+    Z = build_Z(Pencil(sl2, parse_poly("t^16"), parse_poly("t^16+t")))
+    vs = Z.pencil.end_tables[0].var_list()
+    assert trdeg_of_Z(Z) == trdeg_estimate(Z.all_basis(), vs)
+    assert trdeg_of_Z(Z).rank == expected_trdeg(sl2, 16) == 31
+    evaluated = []
+    gradients_of = pencilz.gradient_numerators
+
+    def counted(polys, vars_order):
+        at = gradients_of(polys, vars_order)
+        return lambda point: evaluated.append(point) or at(point)
+
+    monkeypatch.setattr(pencilz, "gradient_numerators", counted)
+    point = tuple(random.Random(16).randint(-50, 50) for _ in vs)
+    got = pencilz._z_jacobian(Z)(point)
+    assert len(evaluated) == 16
+    combos = [reference_combine(pols, r) for pols, C in Z.spaces for r in C]
+    assert got == psring.cleared_jacobian(combos, vs)(point)
 
 
 def test_z_independent_of_second_modulus(sl2, pen_t, pen_1):

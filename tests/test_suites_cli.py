@@ -172,6 +172,10 @@ def test_cli_crt(runner):
      "b87fb57e39ee086e0a0d468a3424233d82ad4f16a00ecbfc8045a3d24cf440f0"),
     ("zz verify --q sl3 --p1 t^2 --p2 t^2+t", 0,
      "435ef1e8f4b2d28793f92ac5b0b38aa29394d465d4c2032e52f0130eb1dcb2c1"),
+    ("zz verify --q sl3 --p1 t^3 --p2 t^3+t", 0,
+     "f9f22730de1c56ee82ea5dc92fbbdb37b31aeea0a26aecb82e2522181fa9d713"),
+    ("zz verify --q gl3 --p1 t^3 --p2 t^3+1", 0,
+     "0240eb3c55902b22ff1349a98da1b364dcc560e8ba335f81876b4854bf0c3730"),
     ("zz build --q sl2 --p1 t^3 --p2 t^3+t --format json", 0,
      "0c4408b35edbecd50ef61e5d94e2c1a044ae954c770738d7cc0457718c053ead"),
 ])
