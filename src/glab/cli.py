@@ -128,19 +128,17 @@ def zz():
 @click.option("--p1", "p1txt", required=True)
 @click.option("--p2", "p2txt", required=True)
 @click.option("--samples", default=None, type=int, help="member count (default d*n+3)")
-@click.option("--seed", default=0, show_default=True)
 @click.option("--format", "fmt", default="text", show_default=True,
               type=click.Choice(["text", "json"]))
 @_guard
-def zz_build(qname, p1txt, p2txt, samples, seed, fmt):
+def zz_build(qname, p1txt, p2txt, samples, fmt):
     """Assemble generators from member centers and report the counts."""
     pen = Pencil(builtin_algebra(qname), parse_poly(p1txt), parse_poly(p2txt))
-    Z = build_Z(pen, sample_count=samples, seed=seed)
+    Z = build_Z(pen, sample_count=samples)
     payload = {
         "algebra": qname,
         "p1": p1txt,
         "p2": p2txt,
-        "seed": seed,
         "samples": [rat_str(a) for a in Z.samples],
         "counts": {str(i): c for i, c in Z.counts().items()},
         "expected_counts": {str(i): c for i, c in Z.expected_counts().items()},

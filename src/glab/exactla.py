@@ -419,13 +419,13 @@ def nullspace(m: QMatrix) -> list:
     cleared to integers over the lcm of all its denominators, which keeps
     the skew symmetry that clearing row by row would break, and its kernel
     is read off its Pfaffian elimination (see _skew_kernel).  Every other
-    matrix is cleared row by row and eliminated by Bareiss (see _kernel).
+    matrix is cleared row by row and eliminated by Bareiss (see kernel).
     """
     if m.is_square():
         _, rows = int_matrix(m)
         if all(list(r) == [-x for x in c] for r, c in zip(rows, zip(*rows))):
             return _skew_kernel(rows)
-    return _kernel(_int_rows(m), m.cols)
+    return kernel(_int_rows(m), m.cols)
 
 
 def _skew_kernel(rows: Sequence) -> list:
@@ -470,8 +470,14 @@ def _skew_kernel(rows: Sequence) -> list:
     return basis
 
 
-def _kernel(int_rows: list, ncols: int) -> list:
-    """Kernel basis, in reduced row echelon form, of the integer rows.
+def kernel(int_rows: Sequence, ncols: int) -> list:
+    """Kernel basis, in reduced row echelon form, of the integer rows, as
+    tuples of Fraction.
+
+    The rows are eliminated as given, so a few rows of many columns, such
+    as one pencil member's, are solved in one pass.  A tall stream of rows
+    is cheaper reduced first, kernel(row_space(rows, ncols).rows, ncols):
+    the kernel depends only on the row space.
 
     The rows are brought to echelon form U, without clearing above the
     pivots, with their columns reversed, so each pivot is the rightmost
@@ -561,24 +567,14 @@ class RowSpace:
             return [tuple(-x for x in r) for r in rows], -d
         return [tuple(r) for r in rows], d
 
-    def kernel(self) -> list:
-        """Canonical kernel basis of the accepted rows, as nullspace gives it,
-        from one forward elimination of the rows with their columns reversed
-        and a back-substitution per free column (see _kernel).
-
-        The kernel depends only on the row space, so this equals nullspace
-        of any matrix whose rows were added here.
-        """
-        return _kernel(self._rows, self.width)
-
 
 def row_space(rows: Iterable, width: int) -> RowSpace:
     """RowSpace of the rows, reduced one at a time as they arrive.
 
     The matrix is never held.  Reading stops once the rows span all of
     Q^width.  A kernel depends only on the row space and its reduced row
-    echelon basis is unique, so row_space(rows, width).kernel() equals
-    nullspace(QMatrix.from_rows(rows)) byte for byte.
+    echelon basis is unique, so kernel(row_space(rows, width).rows, width)
+    equals nullspace(QMatrix.from_rows(rows)) byte for byte.
     """
     rs = RowSpace(width)
     for r in rows:

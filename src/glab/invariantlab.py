@@ -26,6 +26,7 @@ from .exactla import (
     InputError,
     QMatrix,
     as_int,
+    kernel,
     rat,
     row_space,
     term_budget,
@@ -74,7 +75,8 @@ def invariants_degree(q: LieAlgebra, d: int) -> list:
         return [MPoly.const(1)]
     monos = [MPoly.from_factors([([(i, 0) for i in combo], Fraction(1))])
              for combo in itertools.combinations_with_replacement(range(q.dim), d)]
-    kern = row_space(annihilation_rows(monos, [wrap_algebra(q)]), len(monos)).kernel()
+    width = len(monos)
+    kern = kernel(row_space(annihilation_rows(monos, [wrap_algebra(q)]), width).rows, width)
     return combination_basis(monos, kern)
 
 
@@ -476,7 +478,7 @@ def centralizer_in_span(target: MPoly, span: Sequence, T: BracketTable) -> list:
     """
     (brackets,) = poisson_brackets((target,), span, T)
     rows = coeff_rows(brackets)
-    return row_space(zip(*rows), len(span)).kernel()
+    return kernel(row_space(zip(*rows), len(span)).rows, len(span))
 
 
 def predicted_centralizer_basis(q: LieAlgebra, p: UniPoly) -> list:

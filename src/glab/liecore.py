@@ -138,14 +138,6 @@ class UniPoly:
         c = rat(c)
         return UniPoly.make([c * a for a in self.coeffs])
 
-    def __pow__(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise InputError("negative power")
-        out = UniPoly.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def divmod_by(self, other: "UniPoly") -> tuple:
         if other.is_zero():
             raise InputError("division by zero polynomial")

@@ -4,11 +4,12 @@ A pencil is spanned by the brackets of two monic moduli of the same degree
 whose difference has degree at most one.  Members along the line a + b = 1
 are again quotient brackets; their Poisson centers, each the exact
 annihilation solve on polarization spaces, accumulate into one commutative
-subalgebra.  The remaining tools measure that subalgebra: transcendence
-degree by sampled Jacobian ranks against the paper's formula, agreement
-with the raising-derivation ladders, and the evaluation picture in degree
-two.  Both comparisons with Z run in the polarization coordinates that Z
-holds and compare spans by rank (see _ladders_against_Z and mf_image).
+subalgebra, which Z keeps as integer rows over the polarizations of each
+invariant alone (see level_columns and polarizations).  The remaining
+tools measure that subalgebra: transcendence degree by sampled Jacobian
+ranks against the paper's formula, agreement with the raising-derivation
+ladders, and the evaluation picture in degree two.  All of them read Z's
+rows and compare spans by rank (see _ladders_against_Z and mf_image).
 
 The ladders form no polynomial.  tau is a derivation, so exp(s tau) is an
 automorphism, and tau^k(x t) = k! x t^(k+1).  So for F of degree d in
@@ -17,7 +18,7 @@ is the s^k coefficient of psi_p(exp(s tau) F_1) = F(sum_j U_j(s) xi_j),
 with xi_j the copy of the variables at level j < n = deg p and U_j(s) =
 sum_{a >= 1} s^(a - 1) (t^a mod p)_j.  Expanding F(sum_j c_j xi_j) factor
 by factor and gathering the levels into multisets m gives sum_m prod_{j in
-m} c_j * polarize(F, m), m over weakly_increasing(d, n - 1), as polarize
+m} c_j * polarize(F, m), m over level_columns(d, n), as polarize
 sums over the distinct arrangements of m.  The shift down x t^a -> x
 t^(a - 1) is an algebra map too, so the lowered rung psi_p(shift(tau^k
 F_1)) / k! is the same with V_j(s) = sum_{b >= 0} s^b (t^b mod p)_j.  Each
@@ -37,7 +38,7 @@ s of total degree below d, and the gradient of F at the points xi_0 +
 sum_j s_j xi_j, s over the lattice simplex sum_j s_j < d, which
 determines such a polynomial, gives the Jacobian of every polarization by
 interpolation (_z_jacobian).  Z's part for F, the combinations by the rows
-C of Z.spaces, has C times that as Jacobian, which trdeg_of_Z ranks.
+C = Z.spaces[i], has C times that as Jacobian, which trdeg_of_Z ranks.
 """
 from __future__ import annotations
 
@@ -53,6 +54,7 @@ from .exactla import (
     BudgetError,
     InputError,
     RowSpace,
+    kernel,
     rank_mod_p,
     rat,
     row_space,
@@ -138,6 +140,19 @@ class Pencil:
 # assembling the joint center
 
 
+def level_columns(d: int, n: int) -> list:
+    """The coordinate columns of an invariant of degree d in a pencil of
+    degree n: the multisets of d levels 0 .. n - 1, as weakly increasing
+    tuples, in the order of weakly_increasing(d, n - 1)."""
+    return weakly_increasing(d, n - 1)
+
+
+def polarizations(F: MPoly, n: int) -> list:
+    """polarize(F, m) for each column m of level_columns(deg F, n): the
+    polynomials that Z's coordinates for F combine."""
+    return [polarize(F, m) for m in level_columns(F.total_degree(), n)]
+
+
 @dataclass
 class ZAlgebra:
     """Generators of the joint-center subalgebra of a pencil, held in
@@ -145,13 +160,13 @@ class ZAlgebra:
 
     raw_generators counts the kernel vectors of the annihilation solves,
     one per raw generator, over every member and invariant; the raw
-    generators themselves are not formed.  spaces holds, per source
-    invariant F, (pols, rows): its polarizations in
-    weakly_increasing(deg F, n - 1) order and the primitive integer
-    echelon rows, in that column order, of the kernel vectors of every
-    member.  The polarizations are independent (see build_Z), so the rows
-    count Z's part for F, and basis, one canonical echelon basis per
-    invariant, is formed from them only when first read.
+    generators themselves are not formed.  spaces[i] is C, the primitive
+    integer echelon rows, as int tuples, of the kernel vectors of every
+    member for F = invariants[i]: row r stands for sum_m C[r][m] *
+    polarize(F, m), m over level_columns(deg F, n).  The polarizations are
+    independent (see build_Z), so the rows count Z's part for F.  None is
+    held: basis, one canonical echelon basis per invariant, polarizes each
+    F again when first read, and is kept.
     """
 
     pencil: Pencil
@@ -161,12 +176,13 @@ class ZAlgebra:
     samples: list
 
     def counts(self) -> dict:
-        return {i: len(rows) for i, (_, rows) in enumerate(self.spaces)}
+        return {i: len(C) for i, C in enumerate(self.spaces)}
 
     @cached_property
     def basis(self) -> dict:
-        return {i: combination_basis(pols, rows)
-                for i, (pols, rows) in enumerate(self.spaces)}
+        n = self.pencil.n
+        return {i: combination_basis(polarizations(F, n), C)
+                for i, (F, C) in enumerate(zip(self.invariants, self.spaces))}
 
     def all_basis(self) -> list:
         out = []
@@ -225,13 +241,13 @@ def _annihilator_combos(pencil_rows: Sequence, weights: tuple, width: int) -> li
 
     With a = s / d, each integer row (r1 | rD) of _pencil_rows gives the
     integer member row d * r1 + (d - s) * rD, d times the member's row, so
-    the kernel, which is canonical, is read off integer rows alone.
+    the kernel, which is canonical, is read off integer rows alone.  There
+    are at most 2 * width of them, already reduced together, so they are
+    eliminated once, as they are (exactla.kernel).
     """
     x, y = weights
-    return row_space(
-        ([x * b + y * c for b, c in zip(r[:width], r[width:])] for r in pencil_rows),
-        width,
-    ).kernel()
+    return kernel([[x * b + y * c for b, c in zip(r[:width], r[width:])]
+                   for r in pencil_rows], width)
 
 
 def build_Z(P: Pencil, f_list: Sequence | None = None,
@@ -245,9 +261,12 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     polarization space is bracketed once under each, the distinct integer
     rows of both are reduced together once, and the member at a takes the
     combination P.member_weights(a) of the T1 and D parts of those few
-    rows, on integers.  The a values walk 1, 0, 2, -1, 3, -2, ... so both
-    ends always participate.  Deterministic for fixed inputs: no
-    random number is drawn, so seed changes nothing.  BudgetError is raised
+    rows, on integers.  The invariants are taken one at a time: each is
+    polarized, its rows formed and every member solved, and its
+    polarizations are dropped before the next is polarized.  The a values
+    walk 1, 0, 2, -1, 3, -2, ... so both ends always participate.
+    Deterministic for fixed inputs: no random number is drawn, so seed,
+    kept for callers that pass it, changes nothing.  BudgetError is raised
     before anything is polarized when terms(F) * n^deg F, a bound on the
     terms of all polarizations of F, passes the term budget for some F,
     and before any member is solved when the sample count does.
@@ -268,7 +287,8 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
     count of arrangements, never 0.  The kernel vectors of all members
     thus span a space that maps one to one onto the span of the member
     polynomials, and Z keeps that space as the integer echelon rows of the
-    kernel vectors (see ZAlgebra); no basis polynomial is formed here.
+    kernel vectors (see ZAlgebra); no basis polynomial is formed here, and
+    no polarization is kept.
     """
     n = P.n
     if f_list is None:
@@ -297,19 +317,19 @@ def build_Z(P: Pencil, f_list: Sequence | None = None,
         raise InputError("sample count must be positive")
     if sample_count > budget:
         raise BudgetError(f"sample count {sample_count} exceeds budget {budget}")
-    families = [[polarize(F, kv) for kv in weakly_increasing(d, n - 1)]
-                for F, d in zip(f_list, degs)]
-    solves = [_pencil_rows(pols, P) for pols in families]
-    raw = 0
-    kernels = [RowSpace(len(pols)) for pols in families]
     samples = _sample_sequence(sample_count)
-    for a in samples:
-        weights = P.member_weights(a)
-        for kernel, rows in zip(kernels, solves):
-            for vec in _annihilator_combos(rows, weights, kernel.width):
+    weights = [P.member_weights(a) for a in samples]
+    raw = 0
+    spaces = []
+    for F, d in zip(f_list, degs):
+        width = len(level_columns(d, n))
+        rows = _pencil_rows(polarizations(F, n), P)
+        space = RowSpace(width)
+        for w in weights:
+            for vec in _annihilator_combos(rows, w, width):
                 raw += 1
-                kernel.add(vec)
-    spaces = [(pols, kernel.rows) for pols, kernel in zip(families, kernels)]
+                space.add(vec)
+        spaces.append(tuple(map(tuple, space.rows)))
     return ZAlgebra(pencil=P, invariants=f_list, raw_generators=raw, spaces=spaces,
                     samples=samples)
 
@@ -395,7 +415,7 @@ def _combine(coeffs: Sequence, vectors: Sequence) -> list:
 
 def _z_jacobian(Z: ZAlgebra):
     """point -> the Jacobian at point of sum_m C[r][m] * P_m for each row r
-    of C, over (pols, C) in Z.spaces, as integer rows cleared as
+    of C, over the C in Z.spaces, as integer rows cleared as
     psring.cleared_jacobian clears them.  Columns and the point's ints are
     in the order of an end table's var_list.  No basis polynomial is formed.
 
@@ -411,8 +431,8 @@ def _z_jacobian(Z: ZAlgebra):
     dim, n = P.base.dim, P.n
     base_vars = [(i, 0) for i in range(dim)]
     parts = []
-    for F, (_, C) in zip(Z.invariants, Z.spaces):
-        kvecs = weakly_increasing(F.total_degree(), n - 1)
+    for F, C in zip(Z.invariants, Z.spaces):
+        kvecs = level_columns(F.total_degree(), n)
         rows = []  # per row r of C, per level k: (k, the C[r][m], their betas)
         for r in C:
             blocks: dict = {}
@@ -457,14 +477,14 @@ def trdeg_of_Z(Z: ZAlgebra, seed: int = 0) -> TrdegReport:
     would give it, with the Jacobian read off the gradients of the
     invariants (_z_jacobian) rather than the partials of a formed basis.
 
-    Each row r of C = Z.spaces[i][1] is the combination sum_m C[r][m] P_m,
+    Each row r of C = Z.spaces[i] is the combination sum_m C[r][m] P_m,
     so J_Z = C * J_pol, and the rows of C span Z's part for F_i as a basis
     of it does: the rank over Q at every point is that of Z.basis.  A
     rank mod PRIME is the same unless PRIME divides the change of basis,
     a property of the input like the minors of sampled_max_rank.
     """
     width = Z.pencil.n * Z.pencil.base.dim
-    rows = sum(len(C) for _, C in Z.spaces)
+    rows = sum(len(C) for C in Z.spaces)
     return _sampled_trdeg(_z_jacobian(Z), width, min(rows, width), seed)
 
 
@@ -480,7 +500,7 @@ def expected_trdeg(q: LieAlgebra, n: int) -> int:
 
 def _ladder_space(F: MPoly, p: UniPoly, first_level: int) -> RowSpace:
     """Span of the reduced ladder of F from first_level, in the coordinates
-    of F's polarizations over weakly_increasing(d, n - 1), the columns of
+    of F's polarizations over level_columns(d, n), the columns of
     Z.spaces; F is nonzero, d = deg F and n = deg p.
 
     Rung k, for k = 0 .. d(n - 1) + n + 1, is psi_p(tau^k F_1) / k! for
@@ -510,7 +530,7 @@ def _ladder_space(F: MPoly, p: UniPoly, first_level: int) -> RowSpace:
                            for k in range(rungs)]
         return products[m]
 
-    cols = [product(m) for m in weakly_increasing(d, n - 1)]
+    cols = [product(m) for m in level_columns(d, n)]
     return row_space(([c[k] for c in cols] for k in range(rungs)), len(cols))
 
 
@@ -543,12 +563,12 @@ def _ladders_against_Z(P: Pencil, first_level: int) -> SpanCheck:
     ladder of F from first_level, reduced mod P.p1, spans F's part of Z.
 
     Both are held in the coordinates of F's polarizations, which are
-    independent, so with L the ladder's rows and C = Z.spaces[i][1] the
+    independent, so with L the ladder's rows and C = Z.spaces[i] the
     spans are equal exactly when dim L = len(C) = dim(L + C).
     """
     Z = build_Z(P)
     detail = []
-    for i, (F, (_, rows)) in enumerate(zip(Z.invariants, Z.spaces)):
+    for i, (F, rows) in enumerate(zip(Z.invariants, Z.spaces)):
         ladder = _ladder_space(F, P.p1, first_level)
         dim = ladder.dim
         detail.append({
@@ -600,7 +620,7 @@ def mf_image(Z: ZAlgebra, gamma: Sequence) -> bool:
     if len(gamma) != Z.pencil.base.dim:
         raise InputError("gamma needs one coordinate per basis element")
     gdict = {(i, 0): c for i, c in enumerate(gamma)}
-    for F, (_, C) in zip(Z.invariants, Z.spaces):
+    for F, C in zip(Z.invariants, Z.spaces):
         g = [F]
         for k in range(1, F.total_degree() + 1):
             g.append(directional_derivative(g[-1], gdict).scale(Fraction(1, k)))

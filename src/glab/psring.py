@@ -205,20 +205,6 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "MPoly":
-        if k < 0:
-            raise InputError("negative power")
-        out = MPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return out
-
     # -- calculus ------------------------------------------------------
 
     def diff(self, v: Var) -> "MPoly":

@@ -335,7 +335,7 @@ def z_case(q, p1, p2, seed: int, samples: int | None = None) -> tuple:
     """(Z, whether Z Poisson-commutes, sampled trdeg report) for the pencil
     of q[t] spanned by the moduli p1 and p2, built from samples members
     (default d*n+3)."""
-    Z = build_Z(Pencil(q, p1, p2), sample_count=samples, seed=seed)
+    Z = build_Z(Pencil(q, p1, p2), sample_count=samples)
     return Z, verify_Z_commutes(Z), trdeg_of_Z(Z, seed=seed)
 
 
@@ -513,7 +513,7 @@ def _suite_psi_tau(params, seed):
     for qa, p1txt, p2txt in params["bound_cases"]:
         qq = builtin_algebra(qa)
         pen = Pencil(qq, parse_poly(p1txt), parse_poly(p2txt))
-        Z = build_Z(pen, seed=seed)
+        Z = build_Z(pen)
         want = Z.expected_counts()
         got = Z.counts()
         checks.append(CheckResult(

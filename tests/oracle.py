@@ -14,6 +14,15 @@ from glab.liecore import BracketTable, UniPoly, algebra_from_json
 from glab.psring import MPoly
 
 
+def power(x, k: int):
+    """x * x * ... * x with k factors, the unit for k = 0, for an MPoly or a
+    UniPoly: neither raises itself to a power."""
+    out = MPoly.const(1) if isinstance(x, MPoly) else UniPoly.one()
+    for _ in range(k):
+        out = out * x
+    return out
+
+
 def reference_mul(F, G):
     """F * G, one term pair at a time in Fraction arithmetic, each product
     of monomials merged through a dict of exponents."""

@@ -16,6 +16,7 @@ from glab.exactla import (
     RowSpace,
     det,
     int_matrix,
+    kernel,
     mat_inv,
     nullspace,
     packed_width,
@@ -183,7 +184,7 @@ def test_rowspace_dim_equals_rank(m):
 @given(matrices())
 @settings(max_examples=40, deadline=None)
 def test_row_space_kernel_equals_nullspace(m):
-    assert row_space(matrix_rows(m), m.cols).kernel() == nullspace(m)
+    assert kernel(row_space(matrix_rows(m), m.cols).rows, m.cols) == nullspace(m)
 
 
 def test_rowspace_contains():
@@ -265,7 +266,7 @@ def test_rowspace_matches_fraction_oracle(rows):
         assert rs.add(row) is grows
     want = reference_rref(rows)[0]
     assert _reduced_basis(rs) == [tuple(r) for r in want]
-    assert rs.kernel() == reference_nullspace(rows, width)
+    assert kernel(rs.rows, width) == reference_nullspace(rows, width)
     assert not any(rs.add(row) for row in rows)
 
 
@@ -285,7 +286,7 @@ def test_row_space_stops_reading_at_full_rank(rows):
 
     rs = row_space(stream(), width)
     assert _reduced_basis(rs) == [tuple(r) for r in reference_rref(rows)[0]]
-    assert rs.kernel() == reference_nullspace(rows, width)
+    assert kernel(rs.rows, width) == reference_nullspace(rows, width)
     if full:
         assert len(reference_rref(read)[1]) == width
         assert len(reference_rref(read[:-1])[1]) < width
@@ -723,13 +724,13 @@ def test_kernel_edge_cases_match_the_reference():
     assert nullspace(cases[0]) == eye(4)
     assert nullspace(cases[1]) == nullspace(cases[2]) == []
     assert nullspace(cases[3]) == eye(3)
-    assert RowSpace(3).kernel() == eye(3) == reference_nullspace([], 3)
+    assert kernel([], 3) == eye(3) == reference_nullspace([], 3)
     rs = RowSpace(4)
     for r in matrix_rows(cases[4]):
         rs.add(r)
     before = rs.reduced()
-    assert rs.kernel() == rs.kernel() == nullspace(cases[4])
-    assert rs.reduced() == before  # kernel() leaves the accepted rows as they were
+    assert kernel(rs.rows, 4) == kernel(rs.rows, 4) == nullspace(cases[4])
+    assert rs.reduced() == before  # kernel leaves the rows it is given as they were
 
 
 @st.composite
@@ -752,4 +753,5 @@ def test_kernels_of_rank_deficient_products_match_the_reference(rows):
     width = len(rows[0])
     want = reference_nullspace(rows, width)
     assert nullspace(QMatrix.from_rows(rows)) == want
-    assert row_space(rows, width).kernel() == want
+    assert kernel(row_space(rows, width).rows, width) == want
+    assert kernel(rows, width) == want  # eliminated as given, not reduced first

@@ -1,17 +1,19 @@
 """Pencils, joint-center assembly, ladders, and the evaluation picture."""
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import random
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
 from glab.exactla import (
-    BudgetError, InputError, QMatrix, RowSpace, mat_inv, nullspace, rank_mod_p, rat_str,
-    row_space,
+    BudgetError, InputError, QMatrix, RowSpace, kernel, mat_inv, nullspace, rank_mod_p,
+    rat_str, row_space,
 )
 from glab.liecore import (
     UniPoly,
@@ -59,12 +61,14 @@ from glab.pencilz import (
     check_sovp,
     expected_trdeg,
     mf_image,
+    polarizations,
     tau_ladder_span,
     trdeg_estimate,
     trdeg_of_Z,
     verify_Z_commutes,
 )
 from oracle import (
+    power,
     reference_combine,
     reference_derivation,
     reference_echelon_basis,
@@ -124,6 +128,94 @@ def test_build_Z_reads_no_name(sl3):
     assert basic_invariants(renamed) == basic_invariants(sl3)
     p1, p2 = parse_poly("t^2"), parse_poly("t^2+t")
     assert build_Z(Pencil(renamed, p1, p2)).basis == build_Z(Pencil(sl3, p1, p2)).basis
+
+
+def _reachable(root, skip: tuple) -> list:
+    """Every object reachable from root through gc referents, not through
+    the objects of skip, types, modules or functions."""
+    seen, found, stack = {id(x) for x in skip}, [], [root]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(x))
+        found.append(x)
+        stack.extend(gc.get_referents(x))
+    return found
+
+
+def test_Z_holds_no_polynomial_past_its_invariants(sl3):
+    # Z keeps its coordinates alone: an MPoly is reached only through the
+    # invariants and the pencil, until basis is read and kept
+    Z = build_Z(Pencil(sl3, parse_poly("t^3"), parse_poly("t^3+t")))
+    assert type(Z.spaces) is list and all(
+        type(C) is tuple and all(type(r) is tuple and all(type(x) is int for x in r) for r in C)
+        for C in Z.spaces)
+    assert not [x for x in _reachable(Z, (Z.invariants, Z.pencil)) if isinstance(x, MPoly)]
+    basis = Z.basis
+    kept = [x for x in _reachable(Z, (Z.invariants, Z.pencil)) if isinstance(x, MPoly)]
+    assert {id(x) for x in kept} == {id(b) for part in basis.values() for b in part}
+
+
+def test_build_Z_polarizes_one_invariant_at_a_time(sl3, monkeypatch):
+    # each invariant's columns are polarized once, then every member is
+    # solved, before the next invariant is polarized; the first read of
+    # basis polarizes each invariant once more, the second none
+    events = []
+    polarize_of, combos_of = pencilz.polarize, pencilz._annihilator_combos
+
+    def polarize(F, m):
+        events.append(("polarize", F, tuple(m)))
+        return polarize_of(F, m)
+
+    def combos(rows, weights, width):
+        events.append(("solve", width))
+        return combos_of(rows, weights, width)
+
+    monkeypatch.setattr(pencilz, "polarize", polarize)
+    monkeypatch.setattr(pencilz, "_annihilator_combos", combos)
+    P = Pencil(sl3, parse_poly("t^3"), parse_poly("t^3+t"))
+    Z = build_Z(P)
+    polarized = [[("polarize", F, m) for m in weakly_increasing(F.total_degree(), P.n - 1)]
+                 for F in Z.invariants]
+    want = []
+    for cols in polarized:
+        want += cols + [("solve", len(cols))] * len(Z.samples)
+    assert len(Z.invariants) == 2 and events == want
+    del events[:]
+    first = Z.basis
+    assert events == [e for cols in polarized for e in cols]
+    del events[:]
+    assert Z.basis is first and events == []
+
+
+# sha256 of the rows of Z.spaces, json.dumps([[list(r) for r in C] for C
+# in Z.spaces]), with the counts and raw_generators, taken while Z still
+# kept each invariant's polarizations next to its rows; f_list "degree 2"
+# is invariants_degree(q, 2)
+@pytest.mark.parametrize("qname, f_list, p1, p2, digest, counts, raw", [
+    ("sl3", "basic", "t^3", "t^3+t",
+     "63cb139692d2688994fd50b8cfc8b489ff2f1cd9a992bb0731c593852c280f3c", [5, 7], 72),
+    ("sl4", "basic", "t^2+1", "t^2+t+1",
+     "64d241c5e01cb77610d4ab7d385eac6e4e59fc7b1ade804b1d71e154cf882459", [3, 4, 5], 66),
+    ("sl3", "basic", "t^2", "t^2+t",
+     "bb3f9836df8305075689ad15ca37f8fbe47f488adf8313cff78e9b9c7d8899f6", [3, 4], 36),
+    ("gl3", "basic", "t^3", "t^3+1",
+     "eecf3b15751cf012c7dbf2dcaf1427cf84d02c056e9da34e92af1bed623dd827", [3, 5, 7], 108),
+    ("sl2", "basic", "t^4", "t^4+t",
+     "23a2b5996e929555aec53b2f7845342a7c381a2b0cae9ffaf0af01c8558d31ff", [7], 44),
+    ("sl5", "basic", "t^2", "t^2+t",
+     "e8086f7fb233fc0aa4da0276da0313df9ca86cc63baed1cbf992a422d1554f0d", [3, 4, 5, 6], 104),
+    ("sum:sl2,sl2", "degree 2", "t^3", "t^3+t",
+     "55488513802370ab87c5ed6f1f650a3290ca92991822e2a7b8e57b2f4c630876", [5, 5], 54),
+    ("takiff:sl2:2", "degree 2", "t^3", "t^3+t",
+     "55488513802370ab87c5ed6f1f650a3290ca92991822e2a7b8e57b2f4c630876", [5, 5], 54),
+])
+def test_Z_spaces_are_pinned(qname, f_list, p1, p2, digest, counts, raw):
+    Z = _gradient_case_Z(qname, f_list, p1, p2)
+    rows = json.dumps([[list(r) for r in C] for C in Z.spaces])
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
+    assert Z.counts() == dict(enumerate(counts)) and Z.raw_generators == raw
 
 
 def test_build_Z_recipes_reproduce_central_generators(sl3):
@@ -354,13 +446,13 @@ def test_shifting_t_maps_Z_level_by_level(qname, p1, p2, c):
     r = UniPoly.make([c, 1])  # t + c
 
     def shifted(p):
-        return sum(((r ** k).scale(p.coeff(k)) for k in range(p.degree + 1)), UniPoly.zero())
+        return sum((power(r, k).scale(p.coeff(k)) for k in range(p.degree + 1)), UniPoly.zero())
 
     Z = build_Z(Pencil(q, p1, p2))
     W = build_Z(Pencil(q, shifted(p1), shifted(p2)))
     for i, basis in Z.basis.items():
         # equal spans: dim A = dim B = dim(A + B)
-        image = [substitute_levels(F, lambda a: r ** a) for F in basis]
+        image = [substitute_levels(F, lambda a: power(r, a)) for F in basis]
         assert span_dim(W.basis[i]) == span_dim(image) == span_dim(W.basis[i] + image)
 
 
@@ -547,6 +639,17 @@ def _rref(rows, width):
     return [tuple(Fraction(x, d) for x in r) for r in reduced]
 
 
+def _z_combinations(Z: ZAlgebra) -> list:
+    """sum_m C[r][m] * polarize(F, m), m over the multisets of deg F levels
+    below n, for each row r of each C = Z.spaces[i], F = Z.invariants[i]."""
+    n = Z.pencil.n
+    out = []
+    for F, C in zip(Z.invariants, Z.spaces):
+        pols = [polarize(F, m) for m in weakly_increasing(F.total_degree(), n - 1)]
+        out.extend(reference_combine(pols, r) for r in C)
+    return out
+
+
 _GRADIENT_CASES = [
     ("sl2", "basic"), ("sl3", "basic"), ("gl2", "basic"), ("gl3", "basic"),
     ("sum:sl2,sl2", "degree 2"), ("takiff:sl2:2", "degree 2"), ("sl2", "C, C*C"),
@@ -569,7 +672,7 @@ def test_z_jacobian_from_gradients_matches_the_basis_jacobian(case, n, tail, bou
                                      min_size=width, max_size=width)))
     got = pencilz._z_jacobian(Z)(point)
     # row r of C is the combination sum_m C[r][m] * P_m, cleared alike
-    combos = [reference_combine(pols, r) for pols, C in Z.spaces for r in C]
+    combos = _z_combinations(Z)
     assert got == psring.cleared_jacobian(combos, vs)(point)
     want = psring.cleared_jacobian(Z.all_basis(), vs)(point)
     assert len(got) == len(want)
@@ -641,8 +744,7 @@ def test_z_jacobian_reads_the_gradient_at_the_simplex_nodes_only(monkeypatch, sl
     point = tuple(random.Random(16).randint(-50, 50) for _ in vs)
     got = pencilz._z_jacobian(Z)(point)
     assert len(evaluated) == 16
-    combos = [reference_combine(pols, r) for pols, C in Z.spaces for r in C]
-    assert got == psring.cleared_jacobian(combos, vs)(point)
+    assert got == psring.cleared_jacobian(_z_combinations(Z), vs)(point)
 
 
 def test_z_independent_of_second_modulus(sl2, pen_t, pen_1):
@@ -864,8 +966,7 @@ def test_mf_image_degenerate_and_errors(sl2, sl3, pen_t):
 def _without_row(Z: ZAlgebra, i: int, k: int) -> ZAlgebra:
     """Z with row k of the rows C of invariant i dropped."""
     spaces = list(Z.spaces)
-    pols, rows = spaces[i]
-    spaces[i] = (pols, rows[:k] + rows[k + 1:])
+    spaces[i] = spaces[i][:k] + spaces[i][k + 1:]
     return dataclasses.replace(Z, spaces=spaces)
 
 
@@ -874,7 +975,7 @@ def test_mf_image_fails_without_any_one_basis_element(pen_t):
     # row of C can go
     Z = build_Z(pen_t)
     assert mf_image(Z, [1, 1, 1])
-    for k in range(len(Z.spaces[0][1])):
+    for k in range(len(Z.spaces[0])):
         assert not mf_image(_without_row(Z, 0, k), [1, 1, 1])
 
 
@@ -936,7 +1037,7 @@ def test_mf_image_matches_the_oracle(data):
         st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=dim, max_size=dim))]
     if dim == 3:
         gammas.append([Fraction(c) for c in (1, 2, -1)])
-    variants = [Z] + [_without_row(Z, i, k) for i, (_, rows) in enumerate(Z.spaces)
+    variants = [Z] + [_without_row(Z, i, k) for i, rows in enumerate(Z.spaces)
                       for k in range(len(rows))]
     for W in variants:
         for gamma in gammas:
@@ -990,10 +1091,7 @@ def _dense_combos(pols, T):
 
 
 def _polarization_spaces(P, f_list):
-    return [
-        [polarize(F, kv) for kv in weakly_increasing(F.total_degree(), P.n - 1)]
-        for F in f_list
-    ]
+    return [polarizations(F, P.n) for F in f_list]
 
 
 def test_streamed_kernel_matches_dense_block_matrix(sl3):
@@ -1068,8 +1166,8 @@ def test_spanning_rows_keep_the_member_kernels_of_the_end_rows(qname, p1, p2):
         spanning = _pencil_rows(pols, P)
         for a in samples:
             s, d = a.numerator, a.denominator
-            want = row_space(([s * x + (d - s) * y for x, y in zip(r[:w], r[w:])]
-                              for r in ends), w).kernel()
+            want = kernel(row_space(([s * x + (d - s) * y for x, y in zip(r[:w], r[w:])]
+                                     for r in ends), w).rows, w)
             assert _annihilator_combos(spanning, P.member_weights(a), w) == want
 
 
@@ -1101,7 +1199,7 @@ def test_targeted_kernel_equals_the_all_variable_kernel(qname, p1, l, a):
     P, spaces = _targeted_spaces(qname, p1, l)
     T = pencil_combination(*P.end_tables, a, 1 - a)
     for pols, rows in spaces:
-        want = row_space(annihilation_rows(pols, [T]), len(pols)).kernel()
+        want = kernel(row_space(annihilation_rows(pols, [T]), len(pols)).rows, len(pols))
         assert _annihilator_combos(rows, P.member_weights(a), len(pols)) == want
 
 

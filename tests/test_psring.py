@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glab.exactla import PRIME, InputError, QMatrix, rank, rank_mod_p, row_space
+from glab.exactla import PRIME, InputError, QMatrix, kernel, rank, rank_mod_p, row_space
 from glab.liecore import (
     UniPoly,
     builtin_algebra,
@@ -43,6 +43,7 @@ from glab.invariantlab import casimir, centralizer_in_span
 from glab import psring
 
 from oracle import (
+    power,
     reference_add,
     reference_bracket,
     reference_combination_basis,
@@ -82,13 +83,13 @@ def mpolys():
 
 def test_mpoly_basics():
     x = MPoly.variable((0, 0))
-    y = (MPoly.variable((1, 1)) ** 2).scale(3)
+    y = (MPoly.variable((1, 1)) * MPoly.variable((1, 1))).scale(3)
     assert x.total_degree() == 1
     assert y.total_degree() == 2
     assert (x + x).coeff((((0, 0), 1),)) == 2
     assert (x - x).is_zero()
     assert x.scale(0).is_zero()
-    assert (x * x) == x ** 2 == MPoly({(((0, 0), 2),): Fraction(1)})
+    assert x * x == MPoly({(((0, 0), 2),): Fraction(1)})
     # looking up a variable no polynomial holds gives 0 and takes no slot
     slots = len(psring._VARS)
     assert x.coeff((((0, 0), 1), ((10 ** 6, 0), 1))) == 0
@@ -113,20 +114,12 @@ def test_diff_leibniz(a, b):
     assert lhs == rhs
 
 
-@given(mpolys())
-@settings(max_examples=40, deadline=None)
-def test_pow_matches_repeated_mul(a):
-    assert a ** 0 == MPoly.const(1)
-    assert a ** 1 == a
-    assert a ** 3 == a * a * a
-
-
 def test_substitutions():
     x0 = MPoly.variable((0, 0))
     x1 = MPoly.variable((0, 1))
     F = x0 * x1
     # x_0 stays, x_0 t -> x_0 t + x_0 under t -> t + 1
-    G = substitute_levels(F, lambda a: parse_poly("t+1") ** a)
+    G = substitute_levels(F, lambda a: power(parse_poly("t+1"), a))
     assert G == x0 * x1 + x0 * x0
     # killing t entirely
     H = substitute_vars(F, {(0, 1): MPoly.const(2)})
@@ -376,7 +369,7 @@ def test_pairwise_commute_refuses_an_over_budget_pair_before_contracting(monkeyp
     e, f = MPoly.variable((0, 0)), MPoly.variable((2, 0))
     L = e + f + MPoly.variable((1, 0))
     T = make_quotient(builtin_algebra("sl2"), parse_poly("t"))
-    polys = [e, f, L ** 6, L ** 5]
+    polys = [e, f, power(L, 6), power(L, 5)]
     assert not pairwise_commute(polys, T)
     assert pairwise_commute(polys[2:], T)
 
@@ -390,7 +383,7 @@ def test_pairwise_commute_refuses_an_over_budget_pair_before_contracting(monkeyp
     # {e^200, f^100} would take a product of degree 299, past the packed
     # field maximum: it is refused before contracting too
     with pytest.raises(BudgetError, match="product of degree 299 exceeds"):
-        pairwise_commute([e, f, e ** 200, f ** 100], T)
+        pairwise_commute([e, f, power(e, 200), power(f, 100)], T)
 
 
 def test_pairwise_commute_skips_pairs_with_an_empty_side(monkeypatch):
@@ -452,7 +445,7 @@ def test_annihilation_rows_kernel_matches_the_dense_reference(kind, data):
     for r in rows:
         assert len(r) == width and math.gcd(*r) == 1
         assert next(x for x in r if x) > 0
-    kern = row_space(rows, width).kernel()
+    kern = kernel(row_space(rows, width).rows, width)
     assert kern == _dense_annihilation_kernel(polys, tables)
 
 
@@ -596,11 +589,11 @@ def test_arithmetic_matches_the_fraction_reference(a, b, c, k):
     want = MPoly.const(1)
     for _ in range(k):
         want = reference_mul(want, a)
-    assert (a ** k).terms == want.terms
+    assert power(a, k).terms == want.terms
     for m, x in reference_add(a, b).items():
         assert total.coeff(m) == x
     assert total.coeff(((VARS[0], 3),)) == 0  # exponents here stay at most 2
-    for F in (a, b, total, a - b, a - a, a.scale(c), a ** k, a * b):
+    for F in (a, b, total, a - b, a - a, a.scale(c), power(a, k), a * b):
         assert_canonical(F)
     back = total - b
     assert back == a and hash(back) == hash(a)
@@ -707,16 +700,6 @@ def test_mul_matches_reference(var_list, data):
     assert a * b == reference_mul(a, b)
 
 
-@given(st.sampled_from(FAMILIES), st.data(), st.integers(0, 3))
-@settings(max_examples=100, deadline=None)
-def test_pow_matches_reference(var_list, data, k):
-    a = data.draw(table_mpolys(var_list))
-    want = MPoly.const(1)
-    for _ in range(k):
-        want = reference_mul(want, a)
-    assert a ** k == want
-
-
 @given(st.sampled_from(FAMILIES), st.data())
 @settings(max_examples=200, deadline=None)
 def test_substitute_vars_matches_reference(var_list, data):
@@ -782,21 +765,23 @@ def test_level_relabels_match_reference(F, G):
 def test_single_term_substitutions_keep_the_field_maximum():
     x, y, z, w = (MPoly.variable((i, 0)) for i in range(4))
     # a relabel keeps the degree, a constant lowers it, a monomial raises it
-    assert substitute_vars(x ** FIELD_MAX, {(0, 0): y.scale(2)}) == (y ** FIELD_MAX).scale(2 ** FIELD_MAX)
-    assert substitute_vars(x ** 127, {(0, 0): y * z}) == y ** 127 * z ** 127
+    assert (substitute_vars(power(x, FIELD_MAX), {(0, 0): y.scale(2)})
+            == power(y, FIELD_MAX).scale(2 ** FIELD_MAX))
+    assert substitute_vars(power(x, 127), {(0, 0): y * z}) == power(y, 127) * power(z, 127)
     with pytest.raises(BudgetError):  # degree 256
-        substitute_vars(x ** 128, {(0, 0): y * z})
+        substitute_vars(power(x, 128), {(0, 0): y * z})
     with pytest.raises(BudgetError):  # degree 256, x kept
-        substitute_vars(x ** 254 * y, {(1, 0): z * w})
+        substitute_vars(power(x, 254) * y, {(1, 0): z * w})
     with pytest.raises(BudgetError):  # degree 260, each power below the maximum
-        substitute_vars(x ** 200 * y ** 30, {(0, 0): z, (1, 0): z * w})
-    assert substitute_vars(x ** 254 * y, {(1, 0): MPoly.const(5)}) == (x ** 254).scale(5)
+        substitute_vars(power(x, 200) * power(y, 30), {(0, 0): z, (1, 0): z * w})
+    assert substitute_vars(power(x, 254) * y, {(1, 0): MPoly.const(5)}) == power(x, 254).scale(5)
     # x^200 y^50 -> 2^200 (z w u)^50, degree 150, whichever factor comes first
     u = MPoly.variable((4, 0))
-    assert substitute_vars(x ** 200 * y ** 50, {(0, 0): MPoly.const(2), (1, 0): z * w * u}) == (
-        (z * w * u) ** 50).scale(2 ** 200)
+    assert substitute_vars(power(x, 200) * power(y, 50),
+                           {(0, 0): MPoly.const(2), (1, 0): z * w * u}) == (
+        power(z * w * u, 50)).scale(2 ** 200)
     with pytest.raises(BudgetError):  # degree 258 after the constant
-        substitute_vars(x ** 100 * y ** 86, {(0, 0): MPoly.const(2), (1, 0): z * w * u})
+        substitute_vars(power(x, 100) * power(y, 86), {(0, 0): MPoly.const(2), (1, 0): z * w * u})
 
 
 # ---------------------------------------------------------------------------
@@ -820,33 +805,33 @@ def test_packed_field_boundary():
     # FIELD_MAX is the largest total degree, hence the largest exponent, a
     # packed key holds; one more factor is refused, never wrapped
     x, y, f = MPoly.variable((0, 0)), MPoly.variable((1, 0)), MPoly.variable((2, 0))
-    assert (x ** FIELD_MAX).terms == {(((0, 0), FIELD_MAX),): 1}
-    assert (x ** 200 * y ** 55).terms == {(((0, 0), 200), ((1, 0), 55)): 1}
-    assert (x ** 200).diff((0, 0)) == (x ** 199).scale(200)
+    assert power(x, FIELD_MAX).terms == {(((0, 0), FIELD_MAX),): 1}
+    assert (power(x, 200) * power(y, 55)).terms == {(((0, 0), 200), ((1, 0), 55)): 1}
+    assert power(x, 200).diff((0, 0)) == power(x, 199).scale(200)
     with pytest.raises(BudgetError):
-        x ** FIELD_MAX * x
+        power(x, FIELD_MAX) * x
     with pytest.raises(BudgetError):
-        x ** 200 * y ** 56
+        power(x, 200) * power(y, 56)
     with pytest.raises(BudgetError):
-        x ** (FIELD_MAX + 1)
+        power(x, FIELD_MAX + 1)
     with pytest.raises(BudgetError):  # built past the field, refused on entry
         MPoly({(((0, 0), FIELD_MAX + 1),): Fraction(1)}) * x
     with pytest.raises(BudgetError):  # (x y + y)^200, degree 400
-        substitute_vars(x ** 200, {(0, 0): x * y + y})
+        substitute_vars(power(x, 200), {(0, 0): x * y + y})
     T = make_quotient(builtin_algebra("sl2"), parse_poly("t"))
-    assert not poisson_bracket(x ** 100, f ** 100, T).is_zero()
+    assert not poisson_bracket(power(x, 100), power(f, 100), T).is_zero()
     # {x^200, x_v} * d(f^100)/dx_v, degree 299, whether the factors'
     # degrees are taken per bracket or once for every pair
     overflow = "product of degree 299 exceeds the packed field maximum 255"
     with pytest.raises(BudgetError, match=overflow):
-        poisson_bracket(x ** 200, f ** 100, T)
+        poisson_bracket(power(x, 200), power(f, 100), T)
     with pytest.raises(BudgetError, match=overflow):
-        pairwise_commute([x ** 200, f ** 100], T)
+        pairwise_commute([power(x, 200), power(f, 100)], T)
 
 
 def test_substitute_vars_keeps_the_term_budget(monkeypatch):
     xs = MPoly.from_entries(((i, 0), 1) for i in range(3))
-    square = MPoly.variable((0, 1)) ** 2
+    square = MPoly.variable((0, 1)) * MPoly.variable((0, 1))
     pair = MPoly.variable((0, 1)) * MPoly.variable((1, 1))
     mapping = {(0, 1): xs, (1, 1): xs}
     assert substitute_vars(square, mapping) == substitute_vars(pair, mapping) == xs * xs
@@ -960,7 +945,8 @@ def test_bracket_kernel_keeps_the_term_budget(monkeypatch):
     # dF/dx_u * [x_u, x_v], {F, x_v} * dG/dx_v and image(v) * dF/dx_v
     sl2 = builtin_algebra("sl2")
     T = make_quotient(sl2, parse_poly("t^2"))
-    F = sum((MPoly.variable(v) for v in T.var_list()), MPoly.zero()) ** 2
+    L = sum((MPoly.variable(v) for v in T.var_list()), MPoly.zero())
+    F = L * L
     G = MPoly.variable((0, 0)) * MPoly.variable((2, 1))
     h = MPoly.variable((1, 0))
     assert not poisson_bracket(F, G, T).is_zero()

@@ -176,8 +176,10 @@ def test_cli_crt(runner):
      "f9f22730de1c56ee82ea5dc92fbbdb37b31aeea0a26aecb82e2522181fa9d713"),
     ("zz verify --q gl3 --p1 t^3 --p2 t^3+1", 0,
      "0240eb3c55902b22ff1349a98da1b364dcc560e8ba335f81876b4854bf0c3730"),
+    # re-pinned when zz build dropped --seed, which build_Z never read: the
+    # payload lost "seed":0 and is otherwise the same bytes
     ("zz build --q sl2 --p1 t^3 --p2 t^3+t --format json", 0,
-     "0c4408b35edbecd50ef61e5d94e2c1a044ae954c770738d7cc0457718c053ead"),
+     "628d1f888d176dfd5b82dbb691539fe958d78d64d32e5aace956afc97c023b14"),
 ])
 def test_cli_output_bytes_are_pinned(runner, args, exit_code, digest):
     res = runner.invoke(main, args.split())
@@ -227,7 +229,11 @@ def test_cli_zz_build_json(runner):
     payload = json.loads(res.output)
     assert payload["counts"] == {"0": 3}
     assert payload["generators"] == 14
-    assert payload["seed"] == 0
+    # build_Z draws no random number, so zz build takes no seed
+    assert "seed" not in payload
+    res = runner.invoke(main, ["zz", "build", "--q", "sl2", "--p1", "t^2", "--p2", "t^2+t",
+                               "--seed", "1"])
+    assert res.exit_code == 2
 
 
 def test_cli_zz_build_json_counts_every_member_kernel_vector(runner):
