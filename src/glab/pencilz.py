@@ -81,6 +81,7 @@ from .psring import (
     gradient_numerators,
     pairwise_commute,
     polarize,
+    polarize_family,
 )
 from .invariantlab import basic_invariants, weakly_increasing
 
@@ -149,8 +150,9 @@ def level_columns(d: int, n: int) -> list:
 
 def polarizations(F: MPoly, n: int) -> list:
     """polarize(F, m) for each column m of level_columns(deg F, n): the
-    polynomials that Z's coordinates for F combine."""
-    return [polarize(F, m) for m in level_columns(F.total_degree(), n)]
+    polynomials that Z's coordinates for F combine, from one
+    polarize_family call, which decodes F once for all the columns."""
+    return polarize_family(F, level_columns(F.total_degree(), n))
 
 
 @dataclass

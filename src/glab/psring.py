@@ -559,50 +559,81 @@ def _distinct_perms(items: tuple):
 
 
 def polarize(F: MPoly, kvec: Sequence) -> MPoly:
-    """Distribute t degrees kvec over the factors of each monomial of F.
+    """Distribute t degrees kvec over the factors of each monomial of F:
+    the one-kvec case of polarize_family, whose conditions it shares."""
+    (P,) = polarize_family(F, (kvec,))
+    return P
 
-    F must be homogeneous of degree len(kvec) in t-degree-zero variables,
-    and kvec must hold nonnegative integers; InputError otherwise.  Each
+
+def polarize_family(F: MPoly, kvecs: Iterable) -> list:
+    """[polarize(F, kvec) for kvec in kvecs], F decoded once for all of them.
+
+    Each kvec must hold nonnegative integers and F must be homogeneous of
+    degree len(kvec) in t-degree-zero variables; InputError otherwise, the
+    error that polarize would raise on the first kvec it refuses.  Each
     monomial contributes one summand per distinct arrangement of kvec, so
     repeated degrees are not overcounted; a repeated factor meets two
     arrangements that give one monomial, and those add up.
 
-    Runs on packed keys: each term's fields are read once and expanded by
-    multiplicity, each unit of x_i t^a is taken once per call, and the
-    summed numerators are normalized once over F's denominator.  Every key
-    built has the degree of a key of F, so no field passes FIELD_MAX.
+    Runs on packed keys: the fields of each term of F are read once and
+    expanded by multiplicity, each unit of x_i t^a is taken once, and each
+    polarization's summed numerators are normalized once over F's
+    denominator.  Every key built has the degree of a key of F, so no field
+    passes FIELD_MAX.
     """
-    levels = []
-    for k in kvec:
-        a = as_int(k)
-        if a is None or a < 0:
-            raise InputError(f"t degree {k!r} is not a nonnegative integer")
-        levels.append(a)
-    d = len(levels)
-    terms = []
+    # (factors, n) per term of F, up to the first term that holds a level
+    # (its index, bad); first_of: each degree -> the index of its first term
+    terms, first_of, bad = [], {}, None
     for k, n in F._nums.items():
         factors = []
         for s, e in _fields(k):
             i, a = _VARS[s]
             if a:
-                raise InputError("polarization input must have t degree zero")
+                bad = len(terms)
+                break
             factors += [i] * e
-        if len(factors) != d:
-            raise InputError(
-                f"monomial degree {len(factors)} does not match arrangement of {d}")
+        if bad is not None:
+            break
+        first_of.setdefault(len(factors), len(terms))
         terms.append((factors, n))
-    # level -> {i: the unit of x_i t^level}, for every i of F; each such
-    # variable occurs in some arrangement
+    family = []
+    for kvec in kvecs:
+        levels = []
+        for k in kvec:
+            a = as_int(k)
+            if a is None or a < 0:
+                raise InputError(f"t degree {k!r} is not a nonnegative integer")
+            levels.append(a)
+        # the terms are checked in order, each for a level, then for its
+        # degree, and the first that fails names the error
+        d = len(levels)
+        wrong = min((j for deg, j in first_of.items() if deg != d), default=None)
+        if wrong is not None:
+            raise InputError(
+                f"monomial degree {len(terms[wrong][0])} does not match arrangement of {d}")
+        if bad is not None:
+            raise InputError("polarization input must have t degree zero")
+        family.append(levels)
+    # level -> {i: the unit of x_i t^level}, for every i of F, registered in
+    # kvec order, as calling polarize on each kvec in turn registers them
     bases = sorted({i for factors, _ in terms for i in factors})
-    units = {a: {i: _unit((i, a)) for i in bases} for a in sorted(set(levels))}
-    arrangements = [[units[a] for a in perm] for perm in _distinct_perms(levels)]
-    acc: dict = {}
-    get = acc.get
-    for factors, n in terms:
-        for cols in arrangements:
-            key = d + sum([col[i] for col, i in zip(cols, factors)])
-            acc[key] = get(key, 0) + n
-    return _from_numerators(acc, F._den)
+    units: dict = {}
+    for levels in family:
+        for a in sorted(set(levels)):
+            if a not in units:
+                units[a] = {i: _unit((i, a)) for i in bases}
+    out = []
+    for levels in family:
+        d = len(levels)
+        arrangements = [[units[a] for a in perm] for perm in _distinct_perms(levels)]
+        acc: dict = {}
+        get = acc.get
+        for factors, n in terms:
+            for cols in arrangements:
+                key = d + sum([col[i] for col, i in zip(cols, factors)])
+                acc[key] = get(key, 0) + n
+        out.append(_from_numerators(acc, F._den))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +750,9 @@ def pairwise_commute(polys: Sequence, *tables: BracketTable) -> bool:
     then contracted from its cheaper side, {F, G} = sum_v {F, x_v} *
     dG/dx_v = -sum_u {G, x_u} * dF/dx_u, the cost of a side being its term
     products, sum_v |{F, x_v}| * |dG/dx_v|.  A side of cost 0 is an empty
-    sum, so the pair commutes and no product is formed; a central F, with
-    no images at all, costs nothing against any G.  The common
+    sum, so the pair commutes and no product is formed; a pair with a
+    central member, which has no images at all, is skipped before either
+    cost is read.  The common
     denominators cannot make a sum vanish, so they are never applied.
 
     Every chosen product is held against the term budget and the packed
@@ -742,6 +774,8 @@ def pairwise_commute(polys: Sequence, *tables: BracketTable) -> bool:
         images = [_int_images(pf, index, held, budget) for pf in partials]
         itops = [_tops(img) for img in images]
         for i, j in itertools.combinations(range(len(polys)), 2):
+            if not (images[i] and images[j]):
+                continue
             forward = _side_cost(images[i], itops[i], partials[j], ptops[j])
             backward = _side_cost(images[j], itops[j], partials[i], ptops[i])
             if not (forward[0] and backward[0]):
@@ -778,9 +812,14 @@ def annihilation_rows(polys: Sequence, tables: Sequence, targets=None):
     span and the kernel, so every canonical basis read from the rows stays
     the same.  The partials of each polynomial are taken once, its images
     formed under every table, and the partials dropped before the next
-    polynomial; the rows are built one variable at a time, variables and
-    monomials in the order the images first hold them, so only the
-    distinct rows are ever held.  No row order changes a kernel.  With
+    polynomial.  The rows are built one variable at a time, variables and
+    monomials in the order the images first hold them: each column's image
+    at v is scattered term by term into the sparse entries (column, value)
+    of its monomials' rows, and the gcd, the sign and the test against the
+    rows yielded before are taken on those entries, so a dense row is formed
+    only for a row yielded, and besides the rows of the variable at hand
+    only the distinct rows are held, sparse.  The cost is the image terms,
+    not the rows times the columns.  No row order changes a kernel.  With
     targets, a partial dF/dx_u is taken only where [x_u, x_v] != 0 under
     some table for some v in targets, the only u at which an image reads
     it.
@@ -804,19 +843,37 @@ def annihilation_rows(polys: Sequence, tables: Sequence, targets=None):
             cols[e * K + k] = (D * F._den, _int_images(pf, index, targets, budget))
         del pf
     lcm = math.lcm(*(den for den, _ in cols))
-    cols = [(lcm // den, images) for den, images in cols]
+    cols = [(c, lcm // den, images) for c, (den, images) in enumerate(cols)]
+    width = len(cols)
     seen = set()
-    for v in dict.fromkeys(v for _, images in cols for v in images):
-        at = [(s, images.get(v, {})) for s, images in cols]
-        for k in dict.fromkeys(k for _, img in at for k in img):
-            row = [s * img.get(k, 0) for s, img in at]
-            g = math.gcd(*row)
-            if next(x for x in row if x) < 0:
+    for v in dict.fromkeys(v for *_, images in cols for v in images):
+        # monomial -> [c, x, c', x', ...]: the nonzero entries x of its row
+        # and their columns c, scattered from each column's image at v, in
+        # column order
+        sparse: dict = {}
+        get = sparse.get
+        for c, s, images in cols:
+            img = images.get(v)
+            if img:
+                for k, n in img.items():
+                    ent = get(k)
+                    if ent is None:
+                        sparse[k] = [c, s * n]
+                    else:
+                        ent += (c, s * n)
+        for ent in sparse.values():
+            xs = ent[1::2]
+            g = math.gcd(*xs)
+            if xs[0] < 0:
                 g = -g
-            row = tuple([x // g for x in row])
-            if row not in seen:
-                seen.add(row)
-                yield row
+            ent[1::2] = [x // g for x in xs]
+            key = tuple(ent)
+            if key not in seen:
+                seen.add(key)
+                row = [0] * width
+                for c, x in zip(key[::2], key[1::2]):
+                    row[c] = x
+                yield tuple(row)
 
 
 def gradient_numerators(polys: Sequence, vars_order: Sequence) -> Callable:

@@ -9,9 +9,9 @@ import random
 from fractions import Fraction
 from functools import cached_property
 
-from glab.exactla import PRIME, InputError, QMatrix, mat_inv, rank, rat_str
+from glab.exactla import PRIME, InputError, QMatrix, mat_inv, rank, rat_str, term_budget
 from glab.liecore import BracketTable, UniPoly, algebra_from_json
-from glab.psring import MPoly
+from glab.psring import MPoly, _int_images, _keyed_neighbours, _partials
 
 
 def power(x, k: int):
@@ -345,6 +345,40 @@ def reference_images(F, T):
             if a in vars_f:
                 out[b] = out.get(b, MPoly.zero()) + reference_mul(dF[a], lin).scale(sign)
     return {v: img for v, img in out.items() if not img.is_zero()}
+
+
+def reference_annihilation_rows(polys, tables, targets=None):
+    """psring.annihilation_rows by dense rows: one row per variable v and
+    monomial k, read column by column off the images, then made primitive
+    with its first nonzero entry positive and yielded unless seen before.
+    The images are glab's own (_int_images), so this checks the row
+    building alone, rows and order."""
+    budget = term_budget()
+    keyed = [_keyed_neighbours(T) for T in tables]
+    wanted = None if targets is None else {
+        u for _, index in keyed for u, pairs in index.items()
+        if any(v in targets for v, _ in pairs)}
+    K = len(polys)
+    cols = [None] * (len(keyed) * K)  # (D_e * d_k, v -> {k: n}) per column (e, k)
+    for k, F in enumerate(polys):
+        pf = _partials(F._nums, wanted)
+        for e, (D, index) in enumerate(keyed):
+            cols[e * K + k] = (D * F._den, _int_images(pf, index, targets, budget))
+        del pf
+    lcm = math.lcm(*(den for den, _ in cols))
+    cols = [(lcm // den, images) for den, images in cols]
+    seen = set()
+    for v in dict.fromkeys(v for _, images in cols for v in images):
+        at = [(s, images.get(v, {})) for s, images in cols]
+        for k in dict.fromkeys(k for _, img in at for k in img):
+            row = [s * img.get(k, 0) for s, img in at]
+            g = math.gcd(*row)
+            if next(x for x in row if x) < 0:
+                g = -g
+            row = tuple([x // g for x in row])
+            if row not in seen:
+                seen.add(row)
+                yield row
 
 
 def position(T, v):

@@ -1,5 +1,7 @@
 """Invariants, polarizations, central generators, quadratic family."""
 import itertools
+import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,8 +25,11 @@ from glab import psring
 from glab.psring import (
     MPoly,
     poisson_bracket,
+    polarize_family,
+    psi_p,
     span_dim,
     substitute_vars,
+    tau_apply,
 )
 from glab.invariantlab import (
     _berkowitz,
@@ -63,10 +68,12 @@ from glab.invariantlab import (
     xi_t,
     y_xi,
 )
+from glab.pencilz import level_columns, polarizations
 from oracle import (
     SL2_RESCALED,
     reference_char_poly,
     reference_polarize,
+    reference_psi,
     reference_raised_bracket_tensor,
     reference_script_f,
 )
@@ -268,6 +275,37 @@ def test_polarize_validation(sl2):
     assert polarize_t(C, (Fraction(1), 1.0)) == polarize_t(C, (1, 1))
 
 
+@pytest.mark.parametrize("F, kvec, message", [
+    (E * F + H * H, (-1, 0), "t degree -1 is not a nonnegative integer"),
+    (E * F + H * H, (Fraction(1, 2), 1), "t degree Fraction(1, 2) is not a nonnegative integer"),
+    (E * F + H * H, (0.7, 1), "t degree 0.7 is not a nonnegative integer"),
+    (E * F, (0, 1, 2), "monomial degree 2 does not match arrangement of 3"),
+    (MPoly.variable((0, 1)), (0,), "polarization input must have t degree zero"),
+    # the terms are read in order, each for its levels, then its degree
+    (E * F + MPoly.variable((0, 1)), (0, 1), "polarization input must have t degree zero"),
+    (E * F + MPoly.variable((0, 1)), (0,), "monomial degree 2 does not match arrangement of 1"),
+    (E + E * F, (0, 1), "monomial degree 1 does not match arrangement of 2"),
+])
+def test_polarize_family_refuses_as_polarize(F, kvec, message):
+    # a family holding one kvec that polarize refuses raises polarize's
+    # error, wherever that kvec stands in it
+    pattern = "^" + re.escape(message) + "$"
+    with pytest.raises(InputError, match=pattern):
+        polarize(F, kvec)
+    fine = (0,) * len(kvec)
+    for kvecs in ([kvec], [fine, kvec], [kvec, fine]):
+        with pytest.raises(InputError, match=pattern):
+            polarize_family(F, kvecs)
+    assert polarize_family(F, []) == []
+
+
+def test_polarizations_refuse_what_polarize_refuses():
+    for G, message in ((MPoly.variable((0, 1)) * E, "polarization input must have t degree zero"),
+                       (E * F + H, "monomial degree 1 does not match arrangement of 2")):
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            polarizations(G, 2)
+
+
 def _t0_monomials(dim, d):
     return st.lists(st.integers(0, dim - 1), min_size=d, max_size=d).map(
         lambda idx: tuple(sorted({(i, 0): idx.count(i) for i in idx}.items())))
@@ -290,6 +328,35 @@ def homogeneous_and_levels(draw):
 def test_polarize_matches_the_fraction_reference(case):
     F, kvec = case
     assert polarize(F, kvec) == reference_polarize(F, kvec)
+
+
+@given(homogeneous_and_levels(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_polarize_family_is_polarize_kvec_by_kvec(case, data):
+    # F decoded once gives each kvec's polarization term for term, in the
+    # term order polarize gives it, and the fraction reference
+    F, kvec = case
+    d = len(kvec)
+    kvecs = [kvec] + data.draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
+                                        max_size=4))
+    family = polarize_family(F, kvecs)
+    assert len(family) == len(kvecs)
+    for P, m in zip(family, kvecs):
+        one = polarize(F, m)
+        assert P == one == reference_polarize(F, m)
+        assert list(P._nums.items()) == list(one._nums.items())
+
+
+@pytest.mark.parametrize("qname", ["sl2", "sl3", "gl2", "gl3"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_polarizations_are_polarize_column_by_column(qname, n):
+    for F in basic_invariants(builtin_algebra(qname)):
+        cols = level_columns(F.total_degree(), n)
+        pols = polarizations(F, n)
+        assert len(pols) == len(cols)
+        for P, m in zip(pols, cols):
+            one = polarize(F, m)
+            assert P == one and list(P._nums.items()) == list(one._nums.items())
 
 
 @pytest.mark.parametrize("qname", ["sl2", "sl3", "gl2"])
@@ -488,6 +555,23 @@ def test_bracket_against_linear_subset(sl2):
 
 def test_graded_sums(sl2):
     assert graded_H_sum(sl2, 2) == quad_H(sl2, 1, 1)
+
+
+@pytest.mark.parametrize("qname", ["sl2", "sl3"])
+@pytest.mark.parametrize("ptxt", ["t^2", "t^3", "t^2+t", "t^3-t+1", "t^4+2*t-3"])
+def test_raised_quadratic_is_the_graded_sum_past_the_modulus(qname, ptxt):
+    # tau^(k-2) H[1, 1] = (k-2)! * sum_{a+b=k} H[a, b]; for k past deg p
+    # the levels reach deg p and above, so psi_p really reduces both sides
+    q, p = builtin_algebra(qname), parse_poly(ptxt)
+    n = p.degree
+    for k in range(n + 1, n + 4):
+        raised = tau_apply(quad_H(q, 1, 1), k - 2)
+        graded = graded_H_sum(q, k).scale(math.factorial(k - 2))
+        assert raised == graded
+        assert max(a for _, a in raised.vars()) >= n
+        reduced = psi_p(raised, p)
+        assert reduced != raised and all(a < n for _, a in reduced.vars())
+        assert reduced == psi_p(graded, p) == reference_psi(raised, p)
 
 
 def test_corrected_element_central(sl2):

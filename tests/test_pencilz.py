@@ -26,6 +26,7 @@ from glab.liecore import (
     parse_poly,
     pencil_combination,
     rational_roots,
+    wrap_algebra,
 )
 from glab import invariantlab, pencilz, psring
 from glab.psring import (
@@ -69,6 +70,7 @@ from glab.pencilz import (
 )
 from oracle import (
     power,
+    reference_annihilation_rows,
     reference_combine,
     reference_derivation,
     reference_echelon_basis,
@@ -158,33 +160,35 @@ def test_Z_holds_no_polynomial_past_its_invariants(sl3):
 
 
 def test_build_Z_polarizes_one_invariant_at_a_time(sl3, monkeypatch):
-    # each invariant's columns are polarized once, then every member is
-    # solved, before the next invariant is polarized; the first read of
-    # basis polarizes each invariant once more, the second none
+    # each invariant's columns are polarized once, in one polarize_family
+    # call, then every member is solved, before the next invariant is
+    # polarized; the first read of basis polarizes each invariant once more,
+    # the second none
     events = []
-    polarize_of, combos_of = pencilz.polarize, pencilz._annihilator_combos
+    family_of, combos_of = pencilz.polarize_family, pencilz._annihilator_combos
 
-    def polarize(F, m):
-        events.append(("polarize", F, tuple(m)))
-        return polarize_of(F, m)
+    def family(F, kvecs):
+        kvecs = [tuple(m) for m in kvecs]
+        events.append(("polarize", F, kvecs))
+        return family_of(F, kvecs)
 
     def combos(rows, weights, width):
         events.append(("solve", width))
         return combos_of(rows, weights, width)
 
-    monkeypatch.setattr(pencilz, "polarize", polarize)
+    monkeypatch.setattr(pencilz, "polarize_family", family)
     monkeypatch.setattr(pencilz, "_annihilator_combos", combos)
     P = Pencil(sl3, parse_poly("t^3"), parse_poly("t^3+t"))
     Z = build_Z(P)
-    polarized = [[("polarize", F, m) for m in weakly_increasing(F.total_degree(), P.n - 1)]
+    polarized = [("polarize", F, weakly_increasing(F.total_degree(), P.n - 1))
                  for F in Z.invariants]
     want = []
-    for cols in polarized:
-        want += cols + [("solve", len(cols))] * len(Z.samples)
+    for call in polarized:
+        want += [call] + [("solve", len(call[2]))] * len(Z.samples)
     assert len(Z.invariants) == 2 and events == want
     del events[:]
     first = Z.basis
-    assert events == [e for cols in polarized for e in cols]
+    assert events == polarized
     del events[:]
     assert Z.basis is first and events == []
 
@@ -285,6 +289,7 @@ def test_build_Z_bounds_the_polarizations_by_the_budget(monkeypatch):
     assert build_Z(pen).counts() == {0: 5, 1: 7, 2: 9}
     monkeypatch.setenv("GLAB_BUDGET_TERMS", "6479")
     monkeypatch.setattr(pencilz, "polarize", None)
+    monkeypatch.setattr(pencilz, "polarize_family", None)
     with pytest.raises(BudgetError, match="invariant 2 .80 terms of degree 4, n = 3. "
                                           "may hold 6480 terms, past budget 6479"):
         build_Z(pen)
@@ -1092,6 +1097,50 @@ def _dense_combos(pols, T):
 
 def _polarization_spaces(P, f_list):
     return [polarizations(F, P.n) for F in f_list]
+
+
+# sl2, sl3, gl2 and gl3 pencils at n = 2 and 3
+ROW_PENCILS = [("sl2", "t^2", "t^2+t"), ("sl2", "t^3", "t^3+t"), ("sl3", "t^2", "t^2+1"),
+               ("sl3", "t^3", "t^3+t"), ("gl2", "t^2", "t^2+1"), ("gl2", "t^3", "t^3+t"),
+               ("gl3", "t^2", "t^2+t"), ("gl3", "t^3", "t^3+1")]
+
+
+@pytest.mark.parametrize("qname, p1, p2", ROW_PENCILS)
+def test_annihilation_rows_match_the_dense_reference_row_for_row(qname, p1, p2):
+    # the rows scattered from the images are the rows the dense builder
+    # yields, in its order, with and without targets, under one table and
+    # under the spanning tables; the scaled family puts a distinct
+    # denominator and sign on each column
+    q = builtin_algebra(qname)
+    P = Pencil(q, parse_poly(p1), parse_poly(p2))
+    targets = {(j, k) for j in q.module_generators for k in range(1, P.n)}
+    for pols in _polarization_spaces(P, basic_invariants(q)):
+        scaled = [G.scale(Fraction((-1) ** k * (k + 1), 2 * k + 3)) for k, G in enumerate(pols)]
+        for family in (pols, scaled):
+            for tables in (P.spanning_tables, P.end_tables[:1], P.end_tables[1:]):
+                for tg in (None, targets):
+                    got = list(annihilation_rows(family, tables, tg))
+                    assert got == list(reference_annihilation_rows(family, tables, tg))
+
+
+@pytest.mark.parametrize("qname, p1, p2", ROW_PENCILS)
+def test_any_annihilation_row_tells_a_central_family(qname, p1, p2):
+    # the invariants are central in q, and their top polarizations
+    # F(x t^(n-1)) in q[t]/(t^n), the p1 end of each pencil here; the
+    # polarizations of an invariant of degree > 1 are not all central for
+    # that end, and yield a row at once
+    q = builtin_algebra(qname)
+    P = Pencil(q, parse_poly(p1), parse_poly(p2))
+    assert P.p1 == UniPoly.monomial(P.n)
+    f_list = basic_invariants(q)
+    tops = [polarize(F, (P.n - 1,) * F.total_degree()) for F in f_list]
+    for family, T in ((f_list, wrap_algebra(q)), (tops, P.end_tables[0])):
+        assert not any(annihilation_rows(family, [T]))
+        assert not any(reference_annihilation_rows(family, [T]))
+    for pols in _polarization_spaces(P, [F for F in f_list if F.total_degree() > 1]):
+        for tables in ((P.end_tables[0],), P.spanning_tables):
+            assert any(annihilation_rows(pols, tables))
+            assert any(reference_annihilation_rows(pols, tables))
 
 
 def test_streamed_kernel_matches_dense_block_matrix(sl3):

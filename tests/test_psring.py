@@ -45,6 +45,7 @@ from glab import psring
 from oracle import (
     power,
     reference_add,
+    reference_annihilation_rows,
     reference_bracket,
     reference_combination_basis,
     reference_derivation,
@@ -387,26 +388,31 @@ def test_pairwise_commute_refuses_an_over_budget_pair_before_contracting(monkeyp
 
 
 def test_pairwise_commute_skips_pairs_with_an_empty_side(monkeypatch):
-    # a central member has no images, so no pair with it is contracted,
-    # whichever side it is on
+    # a central member has no images, so no pair with it is costed or
+    # contracted, whichever side it is on
     sl3 = builtin_algebra("sl3")
     T = make_direct_power(sl3, 2)
     C = casimir(sl3)
     x = MPoly.variable((0, 0))
-    contracted = []
-    contract = psring._contract
+    contracted, costed = [], []
+    contract, side_cost = psring._contract, psring._side_cost
 
     def counted(*args):
         contracted.append(args)
         return contract(*args)
 
+    def cost(*args):
+        costed.append(args)
+        return side_cost(*args)
+
     monkeypatch.setattr(psring, "_contract", counted)
+    monkeypatch.setattr(psring, "_side_cost", cost)
     assert pairwise_commute([C, x, C * C], T)
     assert pairwise_commute([x, C], T) and pairwise_commute([C, x], T)
-    assert contracted == []
+    assert contracted == [] and costed == []
     y = MPoly.variable(T.unflat(T.scaled_neighbours[1][0][0][0]))  # [x, y] != 0
     assert not pairwise_commute([C, x, y], T)
-    assert len(contracted) == 1
+    assert len(contracted) == 1 and len(costed) == 2
 
 
 # the sl2 ends t^3 / t^3+t of a pencil, and one table alone
@@ -440,6 +446,7 @@ def test_annihilation_rows_kernel_matches_the_dense_reference(kind, data):
         c = data.draw(st.fractions(min_value=-12, max_value=12, max_denominator=12))
         polys.append(polys[0].scale(c) if c else polys[0])
     rows = list(annihilation_rows(polys, tables))
+    assert rows == list(reference_annihilation_rows(polys, tables))
     width = len(tables) * len(polys)
     assert len(set(rows)) == len(rows)
     for r in rows:
